@@ -1,4 +1,4 @@
-"""Covering algorithms behind abstraction-layer construction.
+r"""Covering algorithms behind abstraction-layer construction.
 
 The paper (Section III.C) formalizes AL construction as minimum vertex
 cover over the machine↔ToR bipartite graph ("S ⊆ V is a vertex cover …

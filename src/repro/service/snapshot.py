@@ -179,7 +179,9 @@ def state_view(stack) -> dict:
         #   provisions) — replay re-runs only the *committed* commands,
         #   one by one, so how requests arrived or failed is not state;
         # * read-path performance tallies (route cache, path engine,
-        #   simulators, sweeps) — dry runs and queries mutate nothing.
+        #   simulators, sweeps) — dry runs and queries mutate nothing;
+        # * fault-injector event counts — replay re-applies the journaled
+        #   recovery commands, never the injector that drew them.
         _excluded_prefixes = (
             "alvc_journal_", "alvc_snapshot_", "alvc_restore_",
             "alvc_frontend_", "alvc_service_", "alvc_route_cache_",
@@ -189,6 +191,7 @@ def state_view(stack) -> dict:
             "alvc_provision_batches_total",
             "alvc_chains_provision_failures_total",
             "alvc_cover_infeasible_total",
+            "alvc_faults_injected_total",
         )
         for name, family in telemetry.registry.snapshot().items():
             if name.startswith(_excluded_prefixes) or name in _excluded:

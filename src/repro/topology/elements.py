@@ -52,11 +52,20 @@ class ResourceVector:
     storage_gb: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
+        # Hot path: every vector arithmetic result lands here, so test
+        # the three fields directly (NaN and inf both fail the chained
+        # comparison) and only name the culprit on failure.
+        if (
+            0 <= self.cpu_cores < math.inf
+            and 0 <= self.memory_gb < math.inf
+            and 0 <= self.storage_gb < math.inf
+        ):
+            return
+        for name in ("cpu_cores", "memory_gb", "storage_gb"):
+            value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValidationError(
-                    f"{field.name} must be finite and non-negative, got {value!r}"
+                    f"{name} must be finite and non-negative, got {value!r}"
                 )
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":

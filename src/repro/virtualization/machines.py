@@ -10,6 +10,9 @@ abstraction-layer construction consumes.
 from __future__ import annotations
 
 import dataclasses
+from types import MappingProxyType
+from typing import Mapping
+
 from repro.exceptions import (
     DuplicateEntityError,
     PlacementError,
@@ -31,19 +34,48 @@ class VirtualMachine:
 
 
 class MachineInventory:
-    """Ledger of VMs, their host servers and remaining server capacity."""
+    """Ledger of VMs, their host servers and remaining server capacity.
+
+    Free capacity is live state, not recomputed per query: every
+    placement change (place, migrate, remove, reinstate, rollback)
+    passes through :meth:`_reserve`/:meth:`_release`, which refresh the
+    server's cached free vector and per-service guest counts and advance
+    :attr:`generation`.  Capacity probes are then dict lookups, and
+    fabric-wide aggregates can be memoized per generation.
+    """
 
     def __init__(self, dcn: DataCenterNetwork) -> None:
         self._dcn = dcn
         self._ids = IdAllocator()
         self._vms: dict[VmId, VirtualMachine] = {}
         self._host: dict[VmId, ServerId] = {}
+        servers = dcn.servers()
+        self._capacity: dict[ServerId, ResourceVector] = {}
+        self._rack: dict[ServerId, int] = {}
+        for server in servers:
+            spec = dcn.spec_of(server)
+            self._capacity[server] = spec.capacity
+            self._rack[server] = spec.rack
         self._guests: dict[ServerId, set[VmId]] = {
-            server: set() for server in dcn.servers()
+            server: set() for server in servers
         }
-        self._used: dict[ServerId, ResourceVector] = {
-            server: ResourceVector.zero() for server in dcn.servers()
-        }
+        zero = ResourceVector.zero()  # frozen, so one instance is shared
+        self._used: dict[ServerId, ResourceVector] = dict.fromkeys(
+            servers, zero
+        )
+        # Keyed in dcn.servers() order, so a sum over the free vectors
+        # adds in the same order as a per-server scan of the fabric.  An
+        # idle server's free vector is its capacity (capacity - 0 is
+        # exact), so it starts as the spec's own frozen vector.
+        self._free: dict[ServerId, ResourceVector] = dict(self._capacity)
+        # service -> {server: placed VMs of that service}; zero counts
+        # are dropped, so a service's map lists exactly its hosts.
+        self._service_hosts: dict[str, dict[ServerId, int]] = {}
+        self._generation = 0
+        total = 0.0
+        for capacity in self._capacity.values():
+            total += capacity.cpu_cores
+        self._total_cpu_cores = total
 
     # ------------------------------------------------------------------
     # VM lifecycle
@@ -135,7 +167,7 @@ class MachineInventory:
     def _reserve(self, machine: VirtualMachine, server: ServerId) -> None:
         if server not in self._guests:
             raise UnknownEntityError("server", server)
-        capacity = self._dcn.spec_of(server).capacity
+        capacity = self._capacity[server]
         proposed = self._used[server] + machine.demand
         if not proposed.fits_within(capacity):
             raise PlacementError(
@@ -143,11 +175,23 @@ class MachineInventory:
                 f"{server} (used {self._used[server]}, capacity {capacity})"
             )
         self._used[server] = proposed
+        self._free[server] = capacity - proposed
         self._guests[server].add(machine.vm_id)
+        hosts = self._service_hosts.setdefault(machine.service, {})
+        hosts[server] = hosts.get(server, 0) + 1
+        self._generation += 1
 
     def _release(self, machine: VirtualMachine, server: ServerId) -> None:
-        self._used[server] = self._used[server] - machine.demand
+        used = self._used[server] - machine.demand
+        self._used[server] = used
+        self._free[server] = self._capacity[server] - used
         self._guests[server].discard(machine.vm_id)
+        hosts = self._service_hosts[machine.service]
+        if hosts[server] == 1:
+            del hosts[server]
+        else:
+            hosts[server] -= 1
+        self._generation += 1
 
     def _resolve(self, vm: VmId | VirtualMachine) -> VirtualMachine:
         key = vm.vm_id if isinstance(vm, VirtualMachine) else vm
@@ -215,9 +259,10 @@ class MachineInventory:
 
     def remaining_capacity(self, server: ServerId) -> ResourceVector:
         """Capacity a server still has free."""
-        if server not in self._used:
-            raise UnknownEntityError("server", server)
-        return self._dcn.spec_of(server).capacity - self._used[server]
+        try:
+            return self._free[server]
+        except KeyError:
+            raise UnknownEntityError("server", server) from None
 
     def used_capacity(self, server: ServerId) -> ResourceVector:
         """Capacity currently reserved on a server."""
@@ -225,11 +270,46 @@ class MachineInventory:
             raise UnknownEntityError("server", server)
         return self._used[server]
 
+    def free_capacities(self) -> Mapping[ServerId, ResourceVector]:
+        """Every server's free vector, in ``network.servers()`` order.
+
+        A read-only live view of the index :meth:`remaining_capacity`
+        reads; pair it with :attr:`generation` to memoize aggregates.
+        """
+        return MappingProxyType(self._free)
+
+    @property
+    def generation(self) -> int:
+        """Counter advanced by every capacity reservation or release.
+
+        Equal generations mean identical free capacities, hosts and
+        per-service counts.  Bookkeeping of unplaced VMs (create,
+        register, removing an unplaced VM) does not advance it.
+        """
+        return self._generation
+
+    @property
+    def total_cpu_cores(self) -> float:
+        """CPU capacity of every server, summed in server order."""
+        return self._total_cpu_cores
+
+    def rack_of(self, server: ServerId) -> int:
+        """The rack a server sits in."""
+        return self._rack[server]
+
+    def guest_count(self, server: ServerId) -> int:
+        """Number of VMs placed on a server."""
+        return len(self._guests[server])
+
+    def service_hosts(self, service_name: str) -> Mapping[ServerId, int]:
+        """Placed VMs of one service per hosting server (read-only)."""
+        return MappingProxyType(self._service_hosts.get(service_name, {}))
+
     def utilization_by_server(self) -> dict[ServerId, float]:
         """CPU utilization fraction per server (0 when capacity is 0)."""
         result = {}
         for server, used in self._used.items():
-            capacity = self._dcn.spec_of(server).capacity
+            capacity = self._capacity[server]
             result[server] = (
                 used.cpu_cores / capacity.cpu_cores if capacity.cpu_cores else 0.0
             )

@@ -109,25 +109,25 @@ class VmPlacementEngine:
         servers according to data type", Section III.A), which is also
         what keeps the clusters' abstraction layers small and disjoint.
         """
-        same_on_server: dict[ServerId, int] = {}
+        inventory = self._inventory
+        same_on_server = inventory.service_hosts(vm.service)
         same_in_rack: dict[int, int] = {}
         total_in_rack: dict[int, int] = {}
         for server in servers:
-            rack = self._inventory.network.spec_of(server).rack
-            guests = self._inventory.vms_on(server)
-            same_here = sum(
-                1 for guest in guests if guest.service == vm.service
+            rack = inventory.rack_of(server)
+            same_in_rack[rack] = (
+                same_in_rack.get(rack, 0) + same_on_server.get(server, 0)
             )
-            same_on_server[server] = same_here
-            same_in_rack[rack] = same_in_rack.get(rack, 0) + same_here
-            total_in_rack[rack] = total_in_rack.get(rack, 0) + len(guests)
+            total_in_rack[rack] = (
+                total_in_rack.get(rack, 0) + inventory.guest_count(server)
+            )
 
         def sort_key(server: ServerId):
-            rack = self._inventory.network.spec_of(server).rack
+            rack = inventory.rack_of(server)
             # Highest affinity first; new services go to the emptiest
             # rack; ties resolved by id for determinism.
             return (
-                -same_on_server[server],
+                -same_on_server.get(server, 0),
                 -same_in_rack[rack],
                 total_in_rack[rack],
                 server,

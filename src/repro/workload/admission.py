@@ -117,6 +117,8 @@ class AdmissionController:
             cpu_cores=1, memory_gb=2, storage_gb=10
         )
         self._decisions: list[AdmissionDecision] = []
+        self._free_cpu_generation = -1  # inventory generations start at 0
+        self._free_cpu_memo = (0.0, 0.0)
         self._last_defrag: int | None = None
         self._reembedded = 0
         self._reembed_losses = 0
@@ -163,11 +165,8 @@ class AdmissionController:
     # ------------------------------------------------------------------
     def headroom(self) -> float:
         """Free CPU as a fraction of total server CPU."""
-        inventory = self._stack.inventory
-        total = free = 0.0
-        for server in self._servers():
-            total += self._capacity_of(server).cpu_cores
-            free += inventory.remaining_capacity(server).cpu_cores
+        total = self._stack.inventory.total_cpu_cores
+        free, _ = self._free_cpu()
         return free / total if total else 0.0
 
     def fragmentation(self) -> float:
@@ -178,22 +177,30 @@ class AdmissionController:
         cannot use it.  0.0 means every free core is reachable, 1.0
         means all of it sits in unusable slivers.
         """
-        inventory = self._stack.inventory
-        total = usable = 0.0
-        for server in self._servers():
-            remaining = inventory.remaining_capacity(server)
-            total += remaining.cpu_cores
-            if self._reference.fits_within(remaining):
-                usable += remaining.cpu_cores
-        if total == 0.0:
+        free, usable = self._free_cpu()
+        if free == 0.0:
             return 0.0
-        return 1.0 - usable / total
+        return 1.0 - usable / free
 
-    def _servers(self):
-        return self._stack.fabric.servers()
+    def _free_cpu(self) -> tuple[float, float]:
+        """``(free, usable)`` CPU summed over every server in order.
 
-    def _capacity_of(self, server) -> ResourceVector:
-        return self._stack.fabric.spec_of(server).capacity
+        Reads the inventory's free-capacity index and memoizes on its
+        generation, so the probes between two placement changes
+        (preflight per arrival; fragmentation, then should_defrag, per
+        epoch) share one pass.
+        """
+        inventory = self._stack.inventory
+        if inventory.generation != self._free_cpu_generation:
+            free = usable = 0.0
+            reference = self._reference
+            for remaining in inventory.free_capacities().values():
+                free += remaining.cpu_cores
+                if reference.fits_within(remaining):
+                    usable += remaining.cpu_cores
+            self._free_cpu_memo = (free, usable)
+            self._free_cpu_generation = inventory.generation
+        return self._free_cpu_memo
 
     # ------------------------------------------------------------------
     # Defragmenting re-embedding

@@ -390,10 +390,9 @@ class WorkloadRunner:
         current = inventory.host_of(vm_id)
         demand = inventory.get(vm_id).demand
         best: tuple[float, str] | None = None
-        for server in self._stack.fabric.servers():
+        for server, remaining in inventory.free_capacities().items():
             if server == current:
                 continue
-            remaining = inventory.remaining_capacity(server)
             if not demand.fits_within(remaining):
                 continue
             key = (-remaining.cpu_cores, server)

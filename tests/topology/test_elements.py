@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.exceptions import ValidationError
 from repro.topology.elements import (
     DEFAULT_OPTOELECTRONIC_CAPACITY,
     DEFAULT_SERVER_CAPACITY,
@@ -44,6 +45,24 @@ class TestResourceVector:
     def test_infinity_rejected(self):
         with pytest.raises(ValueError):
             ResourceVector(storage_gb=float("inf"))
+
+    @pytest.mark.parametrize("field", ["cpu_cores", "memory_gb", "storage_gb"])
+    @pytest.mark.parametrize(
+        "value", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejection_names_the_field(self, field, value):
+        with pytest.raises(
+            ValidationError,
+            match=rf"^{field} must be finite and non-negative, got ",
+        ):
+            ResourceVector(**{field: value})
+
+    def test_first_bad_field_is_named(self):
+        with pytest.raises(ValidationError, match="^memory_gb"):
+            ResourceVector(cpu_cores=1, memory_gb=-1, storage_gb=-1)
+
+    def test_negative_zero_accepted(self):
+        assert ResourceVector(cpu_cores=-0.0).is_zero()
 
     def test_scaled(self):
         assert ResourceVector(2, 4, 8).scaled(0.5) == ResourceVector(1, 2, 4)

@@ -1,5 +1,8 @@
 """Tests for the VM inventory: lifecycle, capacity, queries."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.exceptions import (
@@ -7,6 +10,8 @@ from repro.exceptions import (
     PlacementError,
     UnknownEntityError,
 )
+from repro.service.snapshot import load_snapshot, write_snapshot
+from repro.stack import AlvcStack
 from repro.topology.elements import ResourceVector
 from repro.virtualization.machines import MachineInventory, VirtualMachine
 
@@ -221,3 +226,160 @@ class TestQueries:
             for name, value in utilization.items()
             if name != server
         )
+
+
+# ---------------------------------------------------------------------------
+# Free-capacity index
+# ---------------------------------------------------------------------------
+INDEX_SERVICES = ("web", "sns", "database")
+INDEX_DEMANDS = (
+    ResourceVector(cpu_cores=1, memory_gb=2, storage_gb=10),
+    ResourceVector(cpu_cores=4, memory_gb=8, storage_gb=100),
+    # Binary fractions: the ledger adds and subtracts demands in any
+    # order, and only these keep that arithmetic exact.
+    ResourceVector(cpu_cores=0.25, memory_gb=0.75, storage_gb=1.5),
+    ResourceVector(cpu_cores=12.5, memory_gb=40, storage_gb=500),
+    ResourceVector(cpu_cores=1000),  # never fits: a refused placement
+)
+
+
+def _assert_index_matches(inventory):
+    """Every indexed figure equals a recount from the ledger itself."""
+    network = inventory.network
+    servers = network.servers()
+    assert list(inventory.free_capacities()) == servers
+    recount: dict[str, dict[str, int]] = {}
+    for server in servers:
+        spec = network.spec_of(server)
+        assert inventory.remaining_capacity(server) == (
+            spec.capacity - inventory.used_capacity(server)
+        )
+        assert inventory.rack_of(server) == spec.rack
+        guests = inventory.vms_on(server)
+        assert inventory.guest_count(server) == len(guests)
+        for service, count in Counter(vm.service for vm in guests).items():
+            recount.setdefault(service, {})[server] = count
+    services = {*recount, *INDEX_SERVICES, *inventory.services_present()}
+    for service in services:
+        assert dict(inventory.service_hosts(service)) == recount.get(
+            service, {}
+        )
+
+
+def _placement_state(inventory):
+    """What the generation counter vouches for: hosts and used capacity."""
+    return (
+        {vm.vm_id: inventory.host_of(vm.vm_id) for vm in inventory.placed_vms()},
+        {
+            server: inventory.used_capacity(server)
+            for server in inventory.network.servers()
+        },
+    )
+
+
+def _random_step(inventory, rng, catalog, removed) -> bool:
+    """One random place/migrate/remove/reinstate; False when refused."""
+    servers = inventory.network.servers()
+    op = rng.choice(("place", "place", "migrate", "remove", "reinstate"))
+    try:
+        if op == "place":
+            vm = inventory.create_vm(
+                catalog.get(rng.choice(INDEX_SERVICES)),
+                rng.choice(INDEX_DEMANDS),
+            )
+            inventory.place(vm, rng.choice(servers))
+        elif op == "migrate" and inventory.placed_vms():
+            vm = rng.choice(inventory.placed_vms())
+            host = inventory.host_of(vm.vm_id)
+            inventory.migrate(
+                vm, rng.choice([s for s in servers if s != host])
+            )
+        elif op == "remove" and len(inventory):
+            vm = rng.choice(inventory.all_vms())
+            host = (
+                inventory.host_of(vm.vm_id)
+                if inventory.is_placed(vm.vm_id)
+                else None
+            )
+            inventory.remove(vm)
+            removed.append((vm, host))
+        elif op == "reinstate" and removed:
+            vm, host = removed.pop(rng.randrange(len(removed)))
+            if host is not None:
+                capacity = inventory.network.spec_of(host).capacity
+                used = inventory.used_capacity(host)
+                if not (used + vm.demand).fits_within(capacity):
+                    host = None  # its old room is gone: back unplaced
+            inventory.reinstate(vm, host)
+    except PlacementError:
+        return False
+    return True
+
+
+class TestFreeCapacityIndex:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_index_tracks_random_mutations(
+        self, small_fabric, service_catalog, seed
+    ):
+        inventory = MachineInventory(small_fabric)
+        rng = random.Random(seed)
+        removed: list = []
+        refused = 0
+        _assert_index_matches(inventory)
+        for _ in range(250):
+            state = _placement_state(inventory)
+            generation = inventory.generation
+            if not _random_step(inventory, rng, service_catalog, removed):
+                refused += 1
+            changed = _placement_state(inventory) != state
+            assert (inventory.generation != generation) == changed
+            _assert_index_matches(inventory)
+        assert refused > 0  # refused places/migrations were exercised
+
+    def test_unplaced_bookkeeping_keeps_generation(
+        self, inventory, service_catalog
+    ):
+        generation = inventory.generation
+        vm = inventory.create_vm(service_catalog.get("web"))
+        inventory.remove(vm)
+        inventory.reinstate(vm, None)
+        assert inventory.generation == generation
+
+    def test_remaining_capacity_unknown_server(self, inventory):
+        with pytest.raises(UnknownEntityError):
+            inventory.remaining_capacity("server-999")
+
+    def test_views_are_read_only(self, inventory, service_catalog):
+        server = inventory.network.servers()[0]
+        inventory.place(inventory.create_vm(service_catalog.get("web")), server)
+        with pytest.raises(TypeError):
+            inventory.free_capacities()[server] = ResourceVector.zero()
+        with pytest.raises(TypeError):
+            inventory.service_hosts("web")[server] = 0
+
+    def test_total_cpu_sums_every_server(self, inventory):
+        network = inventory.network
+        assert inventory.total_cpu_cores == sum(
+            network.spec_of(server).capacity.cpu_cores
+            for server in network.servers()
+        )
+
+    def test_index_survives_snapshot_round_trip(
+        self, tmp_path, service_catalog
+    ):
+        stack = AlvcStack.build(n_racks=3, servers_per_rack=3, n_ops=4, seed=11)
+        stack.provision(("firewall", "nat"), service="web")
+        stack.provision(("dpi",), service="streaming")
+        path = write_snapshot(stack, tmp_path / "snap.alvc", journal_seq=0)
+        loaded = load_snapshot(path).stack.inventory
+        live = stack.inventory
+        assert loaded.generation == live.generation
+        assert dict(loaded.free_capacities()) == dict(live.free_capacities())
+        _assert_index_matches(loaded)
+        rng = random.Random(5)
+        removed: list = []
+        for _ in range(120):
+            _random_step(loaded, rng, service_catalog, removed)
+            _assert_index_matches(loaded)
+        # The live inventory is untouched by the copy's mutations.
+        _assert_index_matches(live)

@@ -1,5 +1,7 @@
 """Tests for VM placement strategies."""
 
+import random
+
 import pytest
 
 from repro.exceptions import PlacementError
@@ -106,6 +108,82 @@ class TestServiceAffinity:
         web_second = engine.place(inventory.create_vm(web))
         rack_of = lambda s: inventory.network.spec_of(s).rack
         assert rack_of(web_first) == rack_of(web_second)
+
+
+def _rescan_affinity_order(inventory, vm, servers):
+    """Reference ordering: rescans every server's guests and spec.
+
+    This is the ordering the service-affinity strategy used before the
+    inventory kept per-service counts; the indexed ordering must match
+    it exactly, tie-breaks included.
+    """
+    same_on_server = {}
+    same_in_rack = {}
+    total_in_rack = {}
+    for server in servers:
+        rack = inventory.network.spec_of(server).rack
+        guests = inventory.vms_on(server)
+        same_here = sum(1 for guest in guests if guest.service == vm.service)
+        same_on_server[server] = same_here
+        same_in_rack[rack] = same_in_rack.get(rack, 0) + same_here
+        total_in_rack[rack] = total_in_rack.get(rack, 0) + len(guests)
+
+    def sort_key(server):
+        rack = inventory.network.spec_of(server).rack
+        return (
+            -same_on_server[server],
+            -same_in_rack[rack],
+            total_in_rack[rack],
+            server,
+        )
+
+    return sorted(servers, key=sort_key)
+
+
+class TestAffinityIndexParity:
+    SERVICES = ("web", "sns", "database", "map-reduce")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_indexed_order_matches_rescan(
+        self, medium_fabric, service_catalog, seed
+    ):
+        rng = random.Random(seed)
+        inventory = MachineInventory(medium_fabric)
+        engine = VmPlacementEngine(
+            inventory, PlacementStrategy.SERVICE_AFFINITY
+        )
+        servers = medium_fabric.servers()
+        # Scramble the inventory: affinity and random placements,
+        # migrations and removals, so counts rise and fall.
+        for _ in range(rng.randrange(20, 160)):
+            service = service_catalog.get(rng.choice(self.SERVICES))
+            roll = rng.random()
+            try:
+                if roll < 0.4:
+                    engine.place(inventory.create_vm(service))
+                elif roll < 0.7:
+                    inventory.place(
+                        inventory.create_vm(service), rng.choice(servers)
+                    )
+                elif roll < 0.85 and inventory.placed_vms():
+                    vm = rng.choice(inventory.placed_vms())
+                    host = inventory.host_of(vm.vm_id)
+                    inventory.migrate(
+                        vm, rng.choice([s for s in servers if s != host])
+                    )
+                elif inventory.placed_vms():
+                    inventory.remove(rng.choice(inventory.placed_vms()))
+            except PlacementError:
+                pass
+        for name in self.SERVICES:
+            probe = inventory.create_vm(service_catalog.get(name))
+            assert engine._affinity_order(probe, servers) == (
+                _rescan_affinity_order(inventory, probe, servers)
+            )
+            subset = rng.sample(servers, rng.randrange(1, len(servers)))
+            assert engine._affinity_order(probe, subset) == (
+                _rescan_affinity_order(inventory, probe, subset)
+            )
 
 
 class TestPlaceAll:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.service.restore import restore_stack
 from repro.service.snapshot import state_digest, state_view
 from repro.stack import AlvcStack
 from repro.topology.elements import ResourceVector
@@ -149,6 +150,29 @@ def test_journal_replay_is_digest_identical(seed, tmp_path):
         )
     finally:
         restored.journal.close()
+
+
+@pytest.mark.parametrize("seed", [1, 6, 9])
+def test_replay_parity_with_telemetry_on(seed, tmp_path):
+    """Telemetry counters are replay-deterministic state too.
+
+    The fault injector's own event counter is not: replay re-applies
+    the journaled recovery commands, never the injector that drew them.
+    """
+    journal_path = tmp_path / "journal.alvc"
+    stack, report = small_soak(
+        seed,
+        journal=journal_path,
+        chaos_rate=0.15,
+        storm_period=3,
+        build_overrides={"telemetry": True},
+    )
+    assert report.faults_injected > 0
+    assert stack.telemetry.enabled
+    stack.journal.close()
+    restored = restore_stack(journal_path).stack
+    assert restored.telemetry.enabled
+    assert state_digest(restored) == state_digest(stack)
 
 
 def test_run_to_run_determinism_spot_check():
