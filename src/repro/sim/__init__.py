@@ -19,7 +19,11 @@ from repro.sim.event_simulator import (
     EventSimulationReport,
 )
 from repro.sim.events import EventQueue, Simulator
-from repro.sim.fairshare import FairShareEngine, max_min_fair_rates
+from repro.sim.fairshare import (
+    FairShareEngine,
+    check_max_min_fair,
+    max_min_fair_rates,
+)
 from repro.sim.flows import Flow
 from repro.sim.metrics import MetricsCollector
 from repro.sim.sharding import ShardPlan, simulate_sharded
@@ -47,6 +51,7 @@ __all__ = [
     "TrafficConfig",
     "TrafficGenerator",
     "VectorFairShareEngine",
+    "check_max_min_fair",
     "max_min_fair_rates",
     "simulate_sharded",
 ]

@@ -1,26 +1,37 @@
 """Optional compiled water-filling kernel for the batched data plane.
 
-The batched fair-share engine's round loop runs over *tiny* arrays — at
-e26 full scale a round touches ~100 loaded links and ~200 incidences —
-so its cost is pure interpreter/dispatch overhead, not arithmetic.
-This module compiles a ~40-line C translation of the loop at first use
-(``gcc``/``cc`` + ``ctypes``; no build step, no new dependency) and
-caches the shared object under the user cache directory keyed by a
-source hash.
+The batched fair-share engine re-levels only the link components an
+event touched, and a component is small (at e26 full scale one AL's
+links: a few dozen loaded links and a few hundred class incidences), so
+the round loop's cost is pure interpreter/dispatch overhead, not
+arithmetic.  This module compiles a short C translation of the loop at
+first use (``gcc``/``cc`` + ``ctypes``; no build step, no new
+dependency) and caches the shared object under the user cache directory
+keyed by a source hash.
 
-**The parity contract.**  The kernel performs exactly the numpy path's
-IEEE-754 double operations in exactly its order:
+**The kernel.**  ``alvc_relevel`` water-fills a list of link
+components, each given as a rank-ordered segment of link indices, in
+full link space: ``remaining``/``load`` are scratch arrays indexed by
+link, class pools hold link indices as interned, and a class is frozen
+for this call when its stamp equals the call's epoch (the live
+multiplicities are never written).  A component's loop stops when no
+loaded link is left.
+
+**The parity contract.**  Per component the kernel performs exactly the
+numpy mirror's IEEE-754 double operations in exactly its order:
 
 * per-round ratios are one ``remaining / load`` divide per loaded link
-  (links with zero load are ``+inf``, never divided);
-* the bottleneck is the *first* index attaining the minimum ratio
-  (a strict ``<`` scan — ``np.argmin``'s first-occurrence rule);
+  of the component;
+* the bottleneck is the *first* link in rank order attaining the
+  minimum ratio (a strict ``<`` scan — ``np.argmin``'s first-occurrence
+  rule);
 * every member class's flows subtract the share once per crossing
   link, sequentially per position (all subtrahends in a round are the
   same share, so cross-position interleaving is immaterial — the same
   argument that makes the numpy engine bit-identical to the dict one);
-* one deferred clamp per round, with ``!(x > 0.0) -> +0.0``
-  normalizing ``-0.0`` exactly like ``np.maximum(x, 0.0)``.
+* one deferred clamp per round over the still-loaded links, with
+  ``!(x > 0.0) -> +0.0`` normalizing ``-0.0`` exactly like
+  ``np.maximum(x, 0.0)``.
 
 The suite asserts bitwise kernel/numpy equality on randomized
 instances whenever a compiler is present; environments without one
@@ -35,79 +46,145 @@ import os
 import subprocess
 import tempfile
 
-__all__ = ["kernel_available", "waterfill_kernel", "KERNEL_SOURCE"]
+__all__ = [
+    "KERNEL_SOURCE",
+    "RelevelState",
+    "kernel_available",
+    "waterfill_kernel",
+]
 
 #: Environment variable that disables compilation and the kernel path
 #: entirely (the parity suite uses it to pin the numpy loop).
 DISABLE_ENV = "ALVC_NO_CKERNEL"
 
 KERNEL_SOURCE = r"""
-/* Class-aggregated max-min fair water-filling round loop.
+/* Component-local, class-aggregated max-min fair water-filling.
  *
- * Bit-for-bit contract with the numpy engine:
- *  - ratio = remaining/load for load > 0, +inf otherwise;
- *  - bottleneck = first index of the minimum ratio (strict < scan);
+ * Bit-for-bit contract with the numpy mirror:
+ *  - ratio = remaining/load over the component's loaded links;
+ *  - bottleneck = first link in rank order with the minimum ratio
+ *    (strict < scan);
  *  - member classes subtract the share once per crossing link,
  *    sequentially per position;
- *  - one deferred clamp per round; !(x > 0) -> +0.0 normalizes -0.0
- *    like np.maximum(x, 0.0).
+ *  - one deferred clamp per round over the still-loaded links;
+ *    !(x > 0) -> +0.0 normalizes -0.0 like np.maximum(x, 0.0).
  *
- * Returns rounds executed, or -1 when a loaded bottleneck has no
- * unfrozen member class (water-filling invariant violation).
+ * Returns rounds executed over all components, or -1 when a loaded
+ * bottleneck has no unfrozen member class (water-filling invariant
+ * violation).
  */
 #include <stdint.h>
 #include <math.h>
 
-int64_t alvc_waterfill(
-    int64_t n_loaded,
-    double *remaining,          /* [n_loaded] in/out */
-    double *load,               /* [n_loaded] in/out */
-    const int64_t *loaded,      /* [n_loaded] original link indices */
-    int64_t unfrozen,           /* total carrier flows */
-    int64_t *m,                 /* [C] class multiplicities, in/out */
-    double *class_rate,         /* [C] out */
-    const int64_t *cstarts,     /* [C] pool starts into cpools */
-    const int64_t *clens,       /* [C] pool lengths */
-    const int64_t *cpools,      /* flat compressed link positions */
-    const int64_t *t_classes,   /* transpose: class ids grouped by link */
-    const int64_t *t_bounds)    /* [n_links + 1] segment bounds */
+struct alvc_relevel_state {
+    const double *cap;          /* [L] link capacities */
+    const double *count;        /* [L] live flows per link */
+    double *remaining;          /* [L] scratch */
+    double *load;               /* [L] scratch */
+    int64_t *work;              /* [L] scratch: still-loaded links */
+    const int64_t *m;           /* [C] live class multiplicities */
+    int64_t *frozen;            /* [C] epoch that froze the class */
+    double *class_rate;         /* [C] out */
+    const int64_t *cstart;      /* [C] pool start into cflat */
+    const int64_t *clen;        /* [C] pool length */
+    const int64_t *cflat;       /* class pools, link indices */
+    const int64_t *t_classes;   /* link -> classes, gapped segments */
+    const int64_t *t_start;     /* [L] segment start */
+    const int64_t *t_len;       /* [L] segment length */
+    const int64_t *layout;      /* components' links, rank order */
+    const int64_t *bounds;      /* per component: [start, end) */
+};
+
+int64_t alvc_relevel(
+    const struct alvc_relevel_state *s,
+    int64_t epoch,
+    int64_t n_components)       /* leading entries of s->bounds / 2 */
 {
+    const int64_t *links = s->layout, *bounds = s->bounds;
+    double *remaining = s->remaining, *load = s->load;
+    int64_t *work = s->work;
     int64_t rounds = 0;
-    while (unfrozen > 0) {
-        rounds++;
-        double best = INFINITY;
-        int64_t b = 0;
-        for (int64_t i = 0; i < n_loaded; i++) {
-            if (load[i] > 0.0) {
-                double r = remaining[i] / load[i];
-                if (r < best) { best = r; b = i; }
+    for (int64_t g = 0; g < n_components; g++) {
+        int64_t n = 0;
+        for (int64_t i = bounds[2 * g]; i < bounds[2 * g + 1]; i++) {
+            int64_t l = links[i];
+            if (s->count[l] > 0.0) {
+                remaining[l] = s->cap[l];
+                load[l] = s->count[l];
+                work[n++] = l;
             }
         }
-        double share = best;
-        int64_t ob = loaded[b];
-        int64_t members = 0;
-        for (int64_t k = t_bounds[ob]; k < t_bounds[ob + 1]; k++) {
-            int64_t c = t_classes[k];
-            int64_t mc = m[c];
-            if (mc <= 0) continue;
-            members++;
-            class_rate[c] = share;
-            m[c] = 0;
-            unfrozen -= mc;
-            int64_t e = cstarts[c] + clens[c];
-            for (int64_t j = cstarts[c]; j < e; j++) {
-                int64_t p = cpools[j];
-                for (int64_t q = 0; q < mc; q++) remaining[p] -= share;
-                load[p] -= (double)mc;
+        while (n > 0) {
+            rounds++;
+            double best = INFINITY;
+            int64_t b = work[0];
+            for (int64_t i = 0; i < n; i++) {
+                int64_t l = work[i];
+                double r = remaining[l] / load[l];
+                if (r < best) { best = r; b = l; }
             }
+            double share = best;
+            int64_t members = 0;
+            int64_t end = s->t_start[b] + s->t_len[b];
+            for (int64_t k = s->t_start[b]; k < end; k++) {
+                int64_t c = s->t_classes[k];
+                int64_t mc = s->m[c];
+                if (mc <= 0 || s->frozen[c] == epoch) continue;
+                members++;
+                s->class_rate[c] = share;
+                s->frozen[c] = epoch;
+                int64_t e = s->cstart[c] + s->clen[c];
+                for (int64_t j = s->cstart[c]; j < e; j++) {
+                    int64_t p = s->cflat[j];
+                    for (int64_t q = 0; q < mc; q++) remaining[p] -= share;
+                    load[p] -= (double)mc;
+                }
+            }
+            if (members == 0) return -1;
+            int64_t kept = 0;
+            for (int64_t i = 0; i < n; i++) {
+                int64_t l = work[i];
+                if (load[l] > 0.0) {
+                    if (!(remaining[l] > 0.0)) remaining[l] = 0.0;
+                    work[kept++] = l;
+                }
+            }
+            n = kept;
         }
-        if (members == 0) return -1;
-        for (int64_t i = 0; i < n_loaded; i++)
-            if (!(remaining[i] > 0.0)) remaining[i] = 0.0;
     }
     return rounds;
 }
 """
+
+
+class RelevelState(ctypes.Structure):
+    """The kernel's persistent array pointers (``struct
+    alvc_relevel_state``).  The engine rebinds it whenever one of those
+    arrays is reallocated, so a call marshals only the per-call
+    arguments."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in (
+            "cap",
+            "count",
+            "remaining",
+            "load",
+            "work",
+            "m",
+            "frozen",
+            "class_rate",
+            "cstart",
+            "clen",
+            "cflat",
+            "t_classes",
+            "t_start",
+            "t_len",
+            "layout",
+            "bounds",
+        )
+    ]
+
 
 #: Tri-state compile cache: unset / a ctypes function / None (failed).
 _UNSET = object()
@@ -182,21 +259,12 @@ def waterfill_kernel():
     if library is None:
         _kernel = None
         return None
-    function = library.alvc_waterfill
+    function = library.alvc_relevel
     function.restype = ctypes.c_int64
     function.argtypes = [
-        ctypes.c_int64,          # n_loaded
-        ctypes.c_void_p,         # remaining
-        ctypes.c_void_p,         # load
-        ctypes.c_void_p,         # loaded
-        ctypes.c_int64,          # unfrozen
-        ctypes.c_void_p,         # m
-        ctypes.c_void_p,         # class_rate
-        ctypes.c_void_p,         # cstarts
-        ctypes.c_void_p,         # clens
-        ctypes.c_void_p,         # cpools
-        ctypes.c_void_p,         # t_classes
-        ctypes.c_void_p,         # t_bounds
+        ctypes.c_void_p,         # addressof(RelevelState)
+        ctypes.c_int64,          # epoch
+        ctypes.c_int64,          # n_components
     ]
     _kernel = function
     return function

@@ -19,10 +19,15 @@ Two implementations live here:
   **bit-for-bit** the same rates as the reference (same subtraction
   order, same tie-breaking), which the parity tests assert on
   randomized instances.
+
+:func:`check_max_min_fair` is the engine-independent oracle: it
+certifies an allocation against the definition of max-min fairness
+without water-filling, so it also catches a bug all engines share.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.exceptions import SimulationError
@@ -109,6 +114,77 @@ def max_min_fair_rates(
                 remaining[link] = max(remaining[link] - share, 0.0)
             del unfrozen[flow]
     return rates
+
+
+#: Rounding allowance of :func:`check_max_min_fair`, relative to each
+#: link's capacity.  Fixed, so no caller can loosen the certificate.
+_CERT_REL_TOL = 1e-9
+
+
+def check_max_min_fair(
+    rates: Mapping[Hashable, float],
+    flow_links: Mapping[Hashable, Sequence[LinkId]],
+    capacities: Mapping[LinkId, float],
+) -> None:
+    """Certify that ``rates`` is the max-min fair allocation.
+
+    Checks the textbook definition (Bertsekas & Gallager, *Data
+    Networks* §6.5) directly, with no water-filling of its own, so it
+    catches a bug that every engine shares:
+
+    * feasibility — no link carries more than its capacity (a flow
+      crossing a link twice uses it twice);
+    * bottlenecks — every finite-rate flow crosses a saturated link on
+      which no flow has a higher rate.
+
+    Flows without links must have infinite rate and flows with links a
+    finite one.  Comparisons allow :data:`_CERT_REL_TOL` times the
+    link's capacity for floating-point rounding.
+
+    Raises:
+        SimulationError: naming the first flow or link that violates
+            the definition.
+    """
+    if set(rates) != set(flow_links):
+        raise SimulationError("rates and flow_links name different flows")
+    used: dict[LinkId, float] = {}
+    top: dict[LinkId, float] = {}
+    for flow, links in flow_links.items():
+        rate = rates[flow]
+        if not links:
+            if rate != math.inf:
+                raise SimulationError(
+                    f"flow {flow!r} has no links but rate {rate!r}"
+                )
+            continue
+        if not 0.0 <= rate < math.inf:
+            raise SimulationError(f"flow {flow!r} has rate {rate!r}")
+        for link in links:
+            if link not in capacities:
+                raise SimulationError(
+                    f"flow {flow!r} uses unknown link {sorted(link)}"
+                )
+            used[link] = used.get(link, 0.0) + rate
+            top[link] = max(top.get(link, 0.0), rate)
+    for link, load in used.items():
+        if load > capacities[link] * (1.0 + _CERT_REL_TOL):
+            raise SimulationError(
+                f"link {sorted(link)} carries {load!r} over capacity "
+                f"{capacities[link]!r}"
+            )
+    for flow, links in flow_links.items():
+        rate = rates[flow]
+        if not links:
+            continue
+        if not any(
+            used[link] >= capacities[link] * (1.0 - _CERT_REL_TOL)
+            and rate >= top[link] - capacities[link] * _CERT_REL_TOL
+            for link in links
+        ):
+            raise SimulationError(
+                f"flow {flow!r} at rate {rate!r} has no bottleneck: no "
+                "saturated link on its path where it has the highest rate"
+            )
 
 
 class FairShareEngine:

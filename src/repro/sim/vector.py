@@ -33,6 +33,10 @@ handful of whole-array operations:
   :class:`~repro.sim.fairshare.FairShareEngine` /
   :func:`~repro.sim.fairshare.max_min_fair_rates`, which the seeded
   parity suite asserts on randomized instances.
+* :class:`BatchedFairShareEngine` — the batched data plane: flows
+  aggregated into route classes, and a recompute that water-fills only
+  the link components an event touched (compiled kernel or numpy
+  mirror), bit-identical to the vector engine.
 * :class:`LinkBusyView` — a lazy mapping over the simulator's per-link
   busy accumulator array, so a million-flow report never materializes a
   per-link python dict just to compute utilization.
@@ -44,6 +48,7 @@ Telemetry: each recompute observes its round count in the
 
 from __future__ import annotations
 
+import ctypes
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -786,50 +791,96 @@ class VectorFairShareEngine:
 
 
 class BatchedFairShareEngine(VectorFairShareEngine):
-    """Route-class-aggregated water-filling — the batched data plane.
+    """Route-class-aggregated, component-local water-filling — the
+    batched data plane.
 
     Flows admitted from interned routes repeat a small set of paths, so
-    instead of transposing ``active flows x links`` on every recompute
-    (the vector engine's dominant cost at full scale), this engine
-    interns each distinct link-index pool as a *route class* and keeps
-    a persistent link -> class transpose in full link space, rebuilt
-    only when a new class appears or a link is registered.  A recompute
-    then reduces every per-flow structure to per-class ones: the
-    multiplicity vector is one ``bincount`` over the active slots'
-    class ids, and a round freezes classes (each standing for ``m``
-    identical flows) instead of flows.
+    this engine interns each distinct link-index pool as a *route
+    class* and keeps every per-recompute structure of the vector engine
+    as incremental per-class state instead:
 
-    **Bit parity.**  The round sequence is unchanged — same loaded
-    links, same ``remaining / load`` ratios, same first-occurrence
-    rank-ordered argmin — and all subtractions in a round remove the
-    *same* share, so regrouping a bottleneck's member flows by class
-    only permutes same-valued subtractions across positions; each link
-    position still sees exactly the dict engine's subtraction sequence.
-    The per-class rate gathered back through the class map is the same
-    assignment the per-flow freeze performs.  Slots carrying duplicate
-    links (cyclic paths) or missing a class (flows added behind the
-    engine's back) fall back to the vector recompute, which is itself
-    bit-identical.
+    * **Multiplicities.**  Live flows per class, updated on add and
+      remove (no per-recompute ``bincount`` over the active slots).
+    * **Transpose.**  A persistent link -> classes map in full link
+      space, stored as gapped per-link segments so interning a class
+      appends in place (a full segment moves to the buffer's end with
+      doubled room; nothing is ever rebuilt).
+    * **Components.**  A quick-find union-find over link indices,
+      unioned when a new class is interned.  Classes are never
+      forgotten, so components only merge and never need a split.  Each
+      component's links are kept in lexicographic rank order in one
+      layout array, re-laid out only when a merge happens or a link is
+      registered.
+    * **Dirty marks.**  Adding or removing a flow, ``set_capacity`` and
+      ``remove_link`` mark the component of the link they touch.
+
+    :meth:`recompute` water-fills only the dirty components; every
+    clean class keeps its rate, and per-slot rates are one gather
+    through the per-slot class map.  A full recompute is the case where
+    every component is dirty — there is one code path.
+
+    **Bit parity.**  Within a component the round sequence is the vector
+    engine's — same ``remaining / load`` ratios, same first-occurrence
+    rank-ordered argmin — and regrouping a bottleneck's member flows by
+    class only permutes same-valued subtractions, so each link still
+    sees exactly the dict engine's subtraction sequence.  Across
+    components nothing is shared: components share no links, so the
+    global loop's picks inside a component are exactly the component
+    loop's picks (a global argmin landing in a component is that
+    component's first-in-rank minimum), and other components' rounds
+    and clamps never touch its links.  A clean component's rates are
+    therefore what a global recompute would assign again.  Slots
+    carrying duplicate links (cyclic paths) or missing a class (flows
+    added behind the engine's back) fall back to the vector recompute,
+    which is itself bit-identical; dirty marks survive a fallback.
 
     The round loop runs in a compiled kernel when a C compiler is
     available (:mod:`repro.sim.ckernel` — same IEEE operations in the
-    same order) and in a fused numpy loop otherwise; both are asserted
+    same order) and in a numpy mirror otherwise; both are asserted
     bitwise-equal in the suite.
+
+    Telemetry: ``alvc_fairshare_vector_rounds`` observes the rounds
+    summed over the re-leveled components only;
+    ``alvc_fairshare_components`` gauges the link components that carry
+    route classes and ``alvc_fairshare_component_merges_total`` counts
+    merges of two such components (both move only when a class is
+    interned, so the null sink costs nothing per event).
     """
 
     __slots__ = (
         "_class_index",
-        "_class_pools",
         "_n_classes",
-        "_class_flat",
-        "_class_starts",
-        "_class_lens",
         "_dup_class_ids",
         "_class_of",
+        "_classified",
+        "_m",
+        "_frozen",
+        "_class_rate",
+        "_cstart",
+        "_clen",
+        "_cflat",
+        "_flat_len",
+        "_anchor",
         "_t_classes",
-        "_t_bounds",
-        "_t_stale",
+        "_t_start",
+        "_t_len",
+        "_t_cap",
+        "_t_used",
+        "_label",
+        "_layout",
+        "_segment",
+        "_n_components",
+        "_dirty",
+        "_epoch",
+        "_remaining",
+        "_load",
+        "_work",
         "_kernel",
+        "_state",
+        "_state_address",
+        "_bounds",
+        "_components_gauge",
+        "_merges_counter",
     )
 
     def __init__(
@@ -840,27 +891,71 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         telemetry=None,
     ) -> None:
         super().__init__(capacities, table=table, telemetry=telemetry)
-        from repro.sim.ckernel import waterfill_kernel
+        from repro.observability.runtime import current_telemetry
+        from repro.sim.ckernel import RelevelState, waterfill_kernel
 
+        sink = telemetry if telemetry is not None else current_telemetry()
+        self._components_gauge = sink.gauge(
+            "alvc_fairshare_components",
+            "link components carrying route classes in the batched engine",
+        )
+        self._merges_counter = sink.counter(
+            "alvc_fairshare_component_merges_total",
+            "merges of two class-carrying link components",
+        )
         #: pool bytes -> class id (the interning table).
         self._class_index: dict[bytes, int] = {}
-        self._class_pools: list[np.ndarray] = []
         self._n_classes = 0
-        self._class_flat = _EMPTY_I32
-        self._class_starts = _EMPTY_I64
-        self._class_lens = _EMPTY_I64
         #: Classes whose pool repeats a link (cyclic paths) — their
         #: presence among active flows forces the vector fallback.
         self._dup_class_ids: list[int] = []
-        #: Per-slot class id (-1 = unclassified), renumbered alongside
-        #: the table by the compaction hook.
+        #: Per-slot class id (-1 = dead or unclassified), renumbered
+        #: alongside the table by the compaction hook.
         self._class_of = np.full(
-            self._table.remaining.shape[0], -1, dtype=np.int32
+            self._table.remaining.shape[0], -1, dtype=np.int64
         )
-        self._t_classes: np.ndarray | None = None
-        self._t_bounds: np.ndarray | None = None
-        self._t_stale = True
+        #: Live slots that carry a class id.
+        self._classified = 0
+        # Per-class arrays, grown by doubling.  ``_class_rate`` always
+        # keeps at least one unused trailing entry fixed at 0.0, so the
+        # per-slot gather maps ``-1`` (dead slots) to a zero rate.
+        self._m = np.zeros(16, dtype=np.int64)
+        self._frozen = np.zeros(16, dtype=np.int64)
+        self._class_rate = np.zeros(16)
+        self._cstart = np.zeros(16, dtype=np.int64)
+        self._clen = np.zeros(16, dtype=np.int64)
+        self._cflat = np.zeros(64, dtype=np.int64)
+        self._flat_len = 0
+        #: Per-class first link (-1 for zero-hop classes): the link a
+        #: flow event marks dirty.
+        self._anchor: list[int] = []
+        self._t_classes = np.zeros(64, dtype=np.int64)
+        self._t_used = 0
+        self._t_start = _EMPTY_I64
+        self._t_len = _EMPTY_I64
+        self._t_cap = _EMPTY_I64
+        #: Link -> root link of its component (quick-find).
+        self._label: list[int] = []
+        #: Links of every class-carrying component, contiguous per
+        #: component and in rank order within one; ``_segment`` maps a
+        #: carrying component's root to its ``[start, end)`` there.
+        #: Links no class crosses are singleton components outside it.
+        self._layout = _EMPTY_I64
+        self._segment: dict[int, tuple[int, int]] = {}
+        self._n_components = 0
+        #: Links whose component needs re-leveling.
+        self._dirty: set[int] = set()
+        self._epoch = 0
+        self._remaining = np.zeros(0)
+        self._load = np.zeros(0)
+        self._work = _EMPTY_I64
         self._kernel = waterfill_kernel()
+        self._state = RelevelState() if self._kernel is not None else None
+        self._state_address = None
+        #: The kernel's per-call component bounds (a ctypes buffer:
+        #: filling it costs far less than marshalling a numpy array).
+        self._bounds = None
+        self._sync_links()
         self._table.on_compact = self._renumber_classes
 
     # ------------------------------------------------------------------
@@ -874,30 +969,188 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         """Number of distinct route classes interned so far."""
         return self._n_classes
 
+    @property
+    def n_components(self) -> int:
+        """Number of link components that carry route classes."""
+        return self._n_components
+
     def class_for(self, pool: np.ndarray) -> int:
         """Intern a link-index pool, returning its class id."""
         key = pool.tobytes()
         cid = self._class_index.get(key)
         if cid is None:
-            cid = self._n_classes
-            self._class_index[key] = cid
-            self._class_pools.append(pool.copy())
-            if len(set(pool.tolist())) < pool.shape[0]:
-                self._dup_class_ids.append(cid)
-            self._n_classes += 1
-            self._t_stale = True
+            cid = self._intern(key, pool)
         return cid
+
+    def _intern(self, key: bytes, pool: np.ndarray) -> int:
+        cid = self._n_classes
+        if cid + 1 >= self._m.shape[0]:
+            self._grow_classes()
+        count = pool.shape[0]
+        if self._flat_len + count > self._cflat.shape[0]:
+            self._cflat = _grown(self._cflat, self._flat_len + count)
+            self._state_address = None
+        self._cflat[self._flat_len : self._flat_len + count] = pool
+        self._cstart[cid] = self._flat_len
+        self._clen[cid] = count
+        self._flat_len += count
+        self._class_index[key] = cid
+        self._n_classes += 1
+        links = pool.tolist()
+        if not links:
+            self._anchor.append(-1)
+            self._class_rate[cid] = np.inf
+            return cid
+        self._anchor.append(links[0])
+        if len(set(links)) < count:
+            self._dup_class_ids.append(cid)
+        for link in links:
+            self._t_append(link, cid)
+        self._union(links)
+        return cid
+
+    def _t_append(self, link: int, cid: int) -> None:
+        """Append ``cid`` to ``link``'s transpose segment; a full
+        segment moves to the buffer's end with doubled room."""
+        length = int(self._t_len[link])
+        start = int(self._t_start[link])
+        if length == self._t_cap[link]:
+            room = max(2 * length, 4)
+            end = self._t_used
+            if end + room > self._t_classes.shape[0]:
+                self._t_classes = _grown(self._t_classes, end + room)
+                self._state_address = None
+            self._t_classes[end : end + length] = self._t_classes[
+                start : start + length
+            ]
+            start = end
+            self._t_start[link] = start
+            self._t_cap[link] = room
+            self._t_used = end + room
+        self._t_classes[start + length] = cid
+        self._t_len[link] = length + 1
+
+    def _union(self, links: list[int]) -> None:
+        """Merge the components of ``links`` into one class-carrying
+        component (quick-find, smaller components relabeled into the
+        largest), keeping the component count and merge counter
+        current."""
+        label, segment = self._label, self._segment
+        roots = {label[link] for link in links}
+        carrying = sum(1 for root in roots if root in segment)
+        if len(roots) == 1 and carrying:
+            return
+        members = {root: self._links_of(root) for root in roots}
+        keeper = max(roots, key=lambda root: (len(members[root]), -root))
+        for root, component in members.items():
+            if root != keeper:
+                segment.pop(root, None)
+                for link in component:
+                    label[link] = keeper
+        segment[keeper] = (0, 0)
+        self._relayout()
+        self._n_components += 1 - carrying
+        self._components_gauge.set(self._n_components)
+        if carrying > 1:
+            self._merges_counter.inc(carrying - 1)
+
+    def _links_of(self, root: int) -> list[int]:
+        bounds = self._segment.get(root)
+        if bounds is None:
+            return [root]
+        return self._layout[bounds[0] : bounds[1]].tolist()
+
+    def _relayout(self) -> None:
+        """Lay the class-carrying components out contiguously, in rank
+        order within a component (a stable sort of the rank order by
+        root)."""
+        rank = self._rank_order()
+        labels = np.asarray(self._label, dtype=np.int64)[rank]
+        carrying = np.isin(labels, np.fromiter(self._segment, np.int64))
+        rank, labels = rank[carrying], labels[carrying]
+        order = np.argsort(labels, kind="stable")
+        self._layout = rank[order]
+        self._state_address = None
+        labels = labels[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], labels[1:] != labels[:-1]))
+        ).tolist()
+        ends = starts[1:] + [labels.shape[0]]
+        self._segment = {
+            int(labels[start]): (start, end)
+            for start, end in zip(starts, ends)
+        }
+
+    def _sync_links(self) -> None:
+        """Size the per-link arrays to the link registry; new links
+        start as singleton components (their rank among the others does
+        not reorder any laid-out component)."""
+        n_links = len(self._link_ids)
+        known = len(self._label)
+        if known == n_links:
+            return
+        extra = n_links - known
+        self._label.extend(range(known, n_links))
+        self._t_start = np.append(self._t_start, np.zeros(extra, np.int64))
+        self._t_len = np.append(self._t_len, np.zeros(extra, np.int64))
+        self._t_cap = np.append(self._t_cap, np.zeros(extra, np.int64))
+        self._remaining = np.zeros(n_links)
+        self._load = np.zeros(n_links)
+        self._work = np.zeros(n_links, dtype=np.int64)
+        if self._state is not None:
+            self._bounds = (ctypes.c_int64 * (2 * n_links))()
+        self._state_address = None
+
+    def _grow_classes(self) -> None:
+        needed = self._m.shape[0] * 2
+        for name in ("_m", "_frozen", "_class_rate", "_cstart", "_clen"):
+            setattr(self, name, _grown(getattr(self, name), needed))
+        self._state_address = None
+
+    def _bind_kernel(self) -> int:
+        """Point the kernel state at the current arrays."""
+        state = self._state
+        for field, array in (
+            ("cap", self._cap),
+            ("count", self._count),
+            ("remaining", self._remaining),
+            ("load", self._load),
+            ("work", self._work),
+            ("m", self._m),
+            ("frozen", self._frozen),
+            ("class_rate", self._class_rate),
+            ("cstart", self._cstart),
+            ("clen", self._clen),
+            ("cflat", self._cflat),
+            ("t_classes", self._t_classes),
+            ("t_start", self._t_start),
+            ("t_len", self._t_len),
+            ("layout", self._layout),
+        ):
+            setattr(state, field, array.ctypes.data)
+        state.bounds = ctypes.addressof(self._bounds)
+        self._state_address = ctypes.addressof(state)
+        return self._state_address
+
+    def _mark(self, cid: int) -> None:
+        anchor = self._anchor[cid]
+        if anchor >= 0:
+            self._dirty.add(anchor)
 
     def _set_class(self, slot: int, cid: int) -> None:
         if slot >= self._class_of.shape[0]:
-            grown = np.full(
-                max(self._class_of.shape[0] * 2, slot + 1),
-                -1,
-                dtype=np.int32,
-            )
-            grown[: self._class_of.shape[0]] = self._class_of
-            self._class_of = grown
+            self._grow_class_of(slot + 1)
         self._class_of[slot] = cid
+        self._m[cid] += 1
+        self._classified += 1
+        self._mark(cid)
+
+    def _grow_class_of(self, needed: int) -> None:
+        grown = np.full(
+            max(self._class_of.shape[0] * 2, needed), -1, dtype=np.int64
+        )
+        grown[: self._class_of.shape[0]] = self._class_of
+        self._class_of = grown
 
     def _renumber_classes(self, live: np.ndarray) -> None:
         n = live.shape[0]
@@ -929,179 +1182,151 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         slots = table.add_many(
             flows, pools, [route.has_dup for route in routes]
         )
-        if pools:
-            np.add.at(self._count, np.concatenate(pools), 1.0)
-        for slot, route in zip(slots.tolist(), routes):
+        if not pools:
+            return slots
+        np.add.at(self._count, np.concatenate(pools), 1.0)
+        cids = []
+        for route in routes:
             cid = route.cid
             if cid is None:
                 cid = self.class_for(route.indices)
                 route.cid = cid
-            self._set_class(slot, cid)
+            cids.append(cid)
+        first = int(slots[0])
+        end = first + len(cids)
+        if end > self._class_of.shape[0]:
+            self._grow_class_of(end)
+        # Slots from one append are consecutive.
+        self._class_of[first:end] = cids
+        m = self._m
+        for cid in cids:
+            m[cid] += 1
+        self._classified += len(cids)
+        for cid in set(cids):
+            self._mark(cid)
         return slots
 
-    # ------------------------------------------------------------------
-    def _rebuild_transpose(self) -> None:
-        C = self._n_classes
-        lens = np.array(
-            [pool.shape[0] for pool in self._class_pools], dtype=np.int64
-        )
-        flat = (
-            np.concatenate(self._class_pools).astype(np.int64)
-            if C
-            else _EMPTY_I64
-        )
-        ends = np.cumsum(lens)
-        self._class_flat = flat
-        self._class_lens = lens
-        self._class_starts = ends - lens
-        n_links = len(self._link_ids)
-        order = np.argsort(flat, kind="stable")
-        self._t_classes = np.repeat(np.arange(C, dtype=np.int64), lens)[
-            order
-        ]
-        bounds = np.zeros(n_links + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=n_links), out=bounds[1:])
-        self._t_bounds = bounds
-        self._t_stale = False
+    def remove_flow(self, flow: Hashable) -> int:
+        slot = super().remove_flow(flow)
+        if slot < self._class_of.shape[0]:
+            cid = int(self._class_of[slot])
+            if cid >= 0:
+                self._class_of[slot] = -1
+                self._m[cid] -= 1
+                self._classified -= 1
+                self._mark(cid)
+        return slot
 
+    def remove_link(self, link: LinkId) -> None:
+        super().remove_link(link)
+        position = self._index.get(link)
+        if position is not None:
+            self._dirty.add(position)
+
+    def set_capacity(self, link: LinkId, capacity: float) -> None:
+        super().set_capacity(link, capacity)
+        self._sync_links()
+        self._dirty.add(self._index[link])
+
+    # ------------------------------------------------------------------
     def recompute(self) -> np.ndarray:
         """Max-min fair rate per slot — bit-identical to the vector
         (and therefore dict) engines; see the class docstring."""
         table = self._table
         size = table.size
-        rates = np.zeros(size)
-        observe = self._rounds_histogram.observe
-        active = table.active_slots()
-        if active.shape[0] == 0:
-            observe(0.0)
-            return rates
-        lens = table.link_len[active]
-        zero_hop = active[lens == 0]
-        if zero_hop.shape[0]:
-            rates[zero_hop] = np.inf
-        carriers = active[lens > 0]
-        if carriers.shape[0] == 0:
-            observe(0.0)
-            return rates
-        cls = self._class_of[carriers].astype(np.int64)
-        if cls.min(initial=0) < 0:
-            return super().recompute()
-        C = self._n_classes
-        m = np.bincount(cls, minlength=C)
-        if self._dup_class_ids and m[self._dup_class_ids].any():
-            return super().recompute()
         if (
-            self._t_stale
-            or self._t_bounds.shape[0] != len(self._link_ids) + 1
+            self._classified != table.active_count
+            or size > self._class_of.shape[0]
+            or (self._dup_class_ids and self._m[self._dup_class_ids].any())
         ):
-            self._rebuild_transpose()
-        perm = self._rank_order()
-        loaded = perm[self._count[perm] > 0.0]
-        n_loaded = loaded.shape[0]
-        position = np.full(len(self._link_ids), -1, dtype=np.int64)
-        position[loaded] = np.arange(n_loaded)
-        remaining = self._cap[loaded].copy()
-        load = self._count[loaded].copy()
-        cpools = position[self._class_flat]
-        class_rate = np.zeros(C)
-        if self._kernel is not None:
-            loaded = np.ascontiguousarray(loaded)
-            rounds = self._kernel(
-                n_loaded,
-                remaining.ctypes.data,
-                load.ctypes.data,
-                loaded.ctypes.data,
-                int(carriers.shape[0]),
-                m.ctypes.data,
-                class_rate.ctypes.data,
-                self._class_starts.ctypes.data,
-                self._class_lens.ctypes.data,
-                cpools.ctypes.data,
-                self._t_classes.ctypes.data,
-                self._t_bounds.ctypes.data,
-            )
-            if rounds < 0:
-                raise SimulationError(
-                    "water-filling invariant violated: loaded bottleneck "
-                    "without unfrozen members"
-                )
-        else:
-            rounds = self._waterfill_numpy(
-                n_loaded,
-                remaining,
-                load,
-                loaded,
-                int(carriers.shape[0]),
-                m,
-                class_rate,
-                cpools,
-            )
-        rates[carriers] = class_rate[cls]
-        observe(float(rounds))
-        return rates
+            return super().recompute()
+        rounds = self._relevel() if self._dirty else 0
+        self._rounds_histogram.observe(float(rounds))
+        return self._class_rate[self._class_of[:size]]
 
-    def _waterfill_numpy(
-        self,
-        n_loaded: int,
-        remaining: np.ndarray,
-        load: np.ndarray,
-        loaded: np.ndarray,
-        unfrozen: int,
-        m: np.ndarray,
-        class_rate: np.ndarray,
-        cpools: np.ndarray,
-    ) -> int:
-        """Fused-array round loop, bitwise-equal to the compiled kernel.
-
-        Works over *multiplicity-expanded* pools built once per
-        recompute — class ``c``'s compressed links each repeated
-        ``m[c]`` times — so one round is a single flat gather plus two
-        scalar-operand ``np.subtract.at`` calls (sequential equal-share
-        subtraction, exactly the expansion the kernel's inner loops
-        perform).
-        """
-        reps = np.repeat(m, self._class_lens)
-        epool = np.repeat(cpools, reps)
-        elens = self._class_lens * m
-        eends = np.cumsum(elens)
-        estarts = eends - elens
-        ratio = np.empty(n_loaded)
-        loaded_list = loaded.tolist()
-        t_bounds = self._t_bounds
-        t_classes = self._t_classes
-        rounds = 0
-        while unfrozen:
-            rounds += 1
-            ratio.fill(np.inf)
-            np.divide(remaining, load, out=ratio, where=load > 0.0)
-            bottleneck = int(np.argmin(ratio))
-            share = ratio[bottleneck]
-            original = loaded_list[bottleneck]
-            segment = t_classes[
-                t_bounds[original] : t_bounds[original + 1]
-            ]
-            members = segment[m[segment] > 0]
-            if members.shape[0] == 0:
-                raise SimulationError(
-                    "water-filling invariant violated: loaded bottleneck "
-                    "without unfrozen members"
-                )
-            class_rate[members] = share
-            unfrozen -= int(m[members].sum())
-            m[members] = 0
-            if members.shape[0] == 1:
-                cid = members[0]
-                incidences = epool[estarts[cid] : eends[cid]]
-            else:
-                counts = elens[members]
-                total = int(counts.sum())
-                ends = np.cumsum(counts)
-                flat = (
-                    np.repeat(estarts[members] - (ends - counts), counts)
-                    + np.arange(total)
-                )
-                incidences = epool[flat]
-            np.subtract.at(remaining, incidences, share)
-            np.maximum(remaining, 0.0, out=remaining)
-            np.subtract.at(load, incidences, 1.0)
+    def _relevel(self) -> int:
+        """Water-fill the dirty components; returns rounds executed."""
+        label, segment = self._label, self._segment
+        roots = {label[link] for link in self._dirty}
+        self._dirty.clear()
+        edges = [
+            edge for root in roots if root in segment
+            for edge in segment[root]
+        ]
+        if not edges:
+            return 0
+        self._epoch += 1
+        if self._kernel is None:
+            return self._waterfill_numpy(edges)
+        address = self._state_address
+        if address is None:
+            address = self._bind_kernel()
+        self._bounds[: len(edges)] = edges
+        rounds = self._kernel(address, self._epoch, len(edges) // 2)
+        if rounds < 0:
+            raise SimulationError(
+                "water-filling invariant violated: loaded bottleneck "
+                "without unfrozen members"
+            )
         return rounds
+
+    def _waterfill_numpy(self, edges: list[int]) -> int:
+        """Numpy mirror of the compiled kernel, bitwise-equal to it.
+
+        Same components, same full-link-space scratch arrays, same
+        epoch-stamped freezing; a member class's incidences are its
+        pool repeated per flow, so the ``np.subtract.at`` calls replay
+        the kernel's sequential equal-share subtractions.
+        """
+        cap, count = self._cap, self._count
+        remaining, load = self._remaining, self._load
+        m, frozen, class_rate = self._m, self._frozen, self._class_rate
+        cstart, clen, cflat = self._cstart, self._clen, self._cflat
+        t_classes = self._t_classes
+        t_start, t_len = self._t_start, self._t_len
+        epoch = self._epoch
+        rounds = 0
+        for first, last in zip(edges[0::2], edges[1::2]):
+            component = self._layout[first:last]
+            work = component[count[component] > 0.0]
+            remaining[work] = cap[work]
+            load[work] = count[work]
+            while work.shape[0]:
+                rounds += 1
+                ratio = remaining[work] / load[work]
+                pick = int(np.argmin(ratio))
+                share = ratio[pick]
+                bottleneck = int(work[pick])
+                start = t_start[bottleneck]
+                segment = t_classes[start : start + t_len[bottleneck]]
+                live = (m[segment] > 0) & (frozen[segment] != epoch)
+                members = segment[live]
+                if members.shape[0] == 0:
+                    raise SimulationError(
+                        "water-filling invariant violated: loaded "
+                        "bottleneck without unfrozen members"
+                    )
+                class_rate[members] = share
+                frozen[members] = epoch
+                counts = clen[members]
+                ends = np.cumsum(counts)
+                flat = cflat[
+                    np.repeat(cstart[members] - (ends - counts), counts)
+                    + np.arange(int(ends[-1]))
+                ]
+                per_link = np.repeat(m[members], counts)
+                np.subtract.at(remaining, np.repeat(flat, per_link), share)
+                np.subtract.at(load, flat, per_link.astype(np.float64))
+                work = work[load[work] > 0.0]
+                remaining[work] = np.maximum(remaining[work], 0.0)
+        return rounds
+
+
+def _grown(array: np.ndarray, needed: int) -> np.ndarray:
+    """A zero-padded copy of ``array`` with room for ``needed`` items."""
+    n = max(array.shape[0], 1)
+    while n < needed:
+        n *= 2
+    grown = np.zeros(n, dtype=array.dtype)
+    grown[: array.shape[0]] = array
+    return grown

@@ -24,6 +24,19 @@ from repro.topology.elements import ResourceVector
 from repro.virtualization.services import ServiceType
 
 
+#: Largest negative residue, relative to the server's capacity, that a
+#: release absorbs as floating-point rounding.  Any larger shortfall is
+#: an over-release and still raises.
+_RELEASE_RESIDUE = 1e-12
+
+
+def _settled(value: float, capacity: float) -> float:
+    """``value`` with a rounding residue below zero clamped to ``+0.0``."""
+    if 0.0 > value >= -_RELEASE_RESIDUE * max(1.0, capacity):
+        return 0.0
+    return value
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class VirtualMachine:
     """An immutable VM description; placement lives in the inventory."""
@@ -123,17 +136,22 @@ class MachineInventory:
             raise PlacementError(
                 f"{machine.vm_id} is already on {new_server}"
             )
+        # Both steps that can raise run before anything changes, so a
+        # refused migration leaves no trace.
+        used, free = self._released(machine, old_server)
         self._reserve(machine, new_server)
-        self._release(machine, old_server)
+        self._release(machine, old_server, used, free)
         self._host[machine.vm_id] = new_server
         return old_server
 
     def remove(self, vm: VmId | VirtualMachine) -> None:
         """Delete a VM, releasing its capacity if placed."""
         machine = self._resolve(vm)
-        server = self._host.pop(machine.vm_id, None)
+        server = self._host.get(machine.vm_id)
         if server is not None:
-            self._release(machine, server)
+            used, free = self._released(machine, server)
+            self._release(machine, server, used, free)
+            del self._host[machine.vm_id]
         del self._vms[machine.vm_id]
 
     def reinstate(
@@ -181,10 +199,49 @@ class MachineInventory:
         hosts[server] = hosts.get(server, 0) + 1
         self._generation += 1
 
-    def _release(self, machine: VirtualMachine, server: ServerId) -> None:
-        used = self._used[server] - machine.demand
+    def _released(
+        self, machine: VirtualMachine, server: ServerId
+    ) -> tuple[ResourceVector, ResourceVector]:
+        """The server's used and free vectors once ``machine`` leaves.
+
+        Computed, not applied: this is the only part of a release that
+        can raise.  Releasing demands in another order than they were
+        reserved can leave a negative residue of a few ulps (reserve
+        0.2 then 0.15 cores, release 0.2 then 0.15: -2.8e-17).  Only a
+        residue within :data:`_RELEASE_RESIDUE` of the server's capacity
+        is clamped to ``+0.0``; every other result is the plain
+        difference, bit for bit, and releasing more than the server
+        holds still raises.
+
+        Raises:
+            ValidationError: on an over-release (a corrupted ledger).
+        """
+        used = self._used[server]
+        demand = machine.demand
+        capacity = self._capacity[server]
+        remaining = ResourceVector(
+            _settled(
+                used.cpu_cores - demand.cpu_cores, capacity.cpu_cores
+            ),
+            _settled(
+                used.memory_gb - demand.memory_gb, capacity.memory_gb
+            ),
+            _settled(
+                used.storage_gb - demand.storage_gb, capacity.storage_gb
+            ),
+        )
+        return remaining, capacity - remaining
+
+    def _release(
+        self,
+        machine: VirtualMachine,
+        server: ServerId,
+        used: ResourceVector,
+        free: ResourceVector,
+    ) -> None:
+        """Apply a release computed by :meth:`_released`."""
         self._used[server] = used
-        self._free[server] = self._capacity[server] - used
+        self._free[server] = free
         self._guests[server].discard(machine.vm_id)
         hosts = self._service_hosts[machine.service]
         if hosts[server] == 1:

@@ -1,5 +1,6 @@
 """Tests for the VM inventory: lifecycle, capacity, queries."""
 
+import math
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from repro.exceptions import (
     DuplicateEntityError,
     PlacementError,
     UnknownEntityError,
+    ValidationError,
 )
 from repro.service.snapshot import load_snapshot, write_snapshot
 from repro.stack import AlvcStack
@@ -383,3 +385,92 @@ class TestFreeCapacityIndex:
             _assert_index_matches(loaded)
         # The live inventory is untouched by the copy's mutations.
         _assert_index_matches(live)
+
+
+# ---------------------------------------------------------------------------
+# Release residues
+# ---------------------------------------------------------------------------
+#: Demand pairs whose release in reservation order leaves a negative
+#: floating-point residue: (a + b) - a - b < 0.
+DRIFT_PAIRS = ((0.2, 0.15), (0.7, 0.1), (1.1, 0.45))
+
+
+def _ledger(inventory):
+    """Everything a release touches, for no-trace comparisons."""
+    servers = inventory.network.servers()
+    return (
+        {
+            vm.vm_id: inventory.host_of(vm.vm_id)
+            for vm in inventory.placed_vms()
+        },
+        sorted(vm.vm_id for vm in inventory.all_vms()),
+        {server: inventory.used_capacity(server) for server in servers},
+        dict(inventory.free_capacities()),
+        {
+            service: dict(inventory.service_hosts(service))
+            for service in ("web",)
+        },
+        inventory.generation,
+    )
+
+
+class TestReleaseResidue:
+    @pytest.mark.parametrize("first, second", DRIFT_PAIRS)
+    def test_remove_in_reservation_order(self, inventory, web, first, second):
+        assert (first + second) - first - second < 0.0
+        server = inventory.network.servers()[0]
+        capacity = inventory.network.spec_of(server).capacity
+        a = inventory.create_vm(web, ResourceVector(cpu_cores=first))
+        b = inventory.create_vm(web, ResourceVector(cpu_cores=second))
+        inventory.place(a, server)
+        inventory.place(b, server)
+        inventory.remove(a)
+        inventory.remove(b)
+        used = inventory.used_capacity(server)
+        assert used.cpu_cores == 0.0
+        assert math.copysign(1.0, used.cpu_cores) == 1.0  # +0.0
+        assert inventory.remaining_capacity(server) == capacity
+        assert inventory.guest_count(server) == 0
+        _assert_index_matches(inventory)
+
+    @pytest.mark.parametrize("first, second", DRIFT_PAIRS)
+    def test_migrate_away_in_reservation_order(
+        self, inventory, web, first, second
+    ):
+        source, target = inventory.network.servers()[:2]
+        a = inventory.create_vm(web, ResourceVector(cpu_cores=first))
+        b = inventory.create_vm(web, ResourceVector(cpu_cores=second))
+        inventory.place(a, source)
+        inventory.place(b, source)
+        inventory.migrate(a, target)
+        inventory.migrate(b, target)
+        assert inventory.used_capacity(source).is_zero()
+        assert inventory.host_of(b.vm_id) == target
+        _assert_index_matches(inventory)
+
+    def test_positive_residue_is_unchanged(self, inventory, web):
+        server = inventory.network.servers()[0]
+        a = inventory.create_vm(web, ResourceVector(cpu_cores=0.1))
+        b = inventory.create_vm(web, ResourceVector(cpu_cores=0.2))
+        inventory.place(a, server)
+        inventory.place(b, server)
+        inventory.remove(b)
+        # The plain difference, not rounded to the remaining demand.
+        assert inventory.used_capacity(server).cpu_cores == (0.1 + 0.2) - 0.2
+
+    def test_over_release_raises_and_leaves_no_trace(self, inventory, web):
+        # A shortfall far beyond rounding is a corrupted ledger, not a
+        # residue: the release raises as before and changes nothing.
+        source, target = inventory.network.servers()[:2]
+        a = inventory.create_vm(web, ResourceVector(cpu_cores=1.0))
+        b = inventory.create_vm(web, ResourceVector(cpu_cores=2.0))
+        inventory.place(a, source)
+        inventory.place(b, source)
+        inventory._used[source] = a.demand  # as if b had left already
+        before = _ledger(inventory)
+        with pytest.raises(ValidationError, match="cpu_cores"):
+            inventory.remove(b)
+        assert _ledger(inventory) == before
+        with pytest.raises(ValidationError, match="cpu_cores"):
+            inventory.migrate(b, target)
+        assert _ledger(inventory) == before
