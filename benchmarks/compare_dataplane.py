@@ -1,30 +1,18 @@
 #!/usr/bin/env python3
-"""Gate two E26 data-plane records: parity flags + speedup floors.
+"""Gate two E26 data-plane records on parity.
 
 Usage::
 
     python benchmarks/compare_dataplane.py \
-        benchmarks/BENCH_e26.json BENCH_e26.json \
-        [--max-regression 0.10] [--min-speedup 1.2]
+        benchmarks/BENCH_e26.json BENCH_e26.json
 
 Both files are the JSON written by
 ``benchmarks/test_bench_e26_dataplane.py`` (the CI-sized run) or the
-full-scale generator behind the committed record.  Three gates:
-
-1. **Parity is non-negotiable in either record**: every arm's CRC32
-   rate-trace checksum must match (``checksum_parity``) and the
-   AL-sharded fan-out must be worker-count invariant
-   (``worker_parity``).  A perf win that changes results is a bug.
-2. **The committed baseline keeps the tentpole floors** whenever it
-   carries a ``legacy`` arm: vector ≥ 10x the legacy loop and ≥ 2.5x
-   the incremental engine at full scale; and whenever it carries a
-   ``vector-batched`` arm, batched admission ≥ 2x the per-event vector
-   arm (ISSUE 10 acceptance).
-3. **The candidate clears a speedup bar**: when its config matches the
-   baseline's, its vector-over-incremental speedup may regress at most
-   ``--max-regression`` (relative); otherwise (CI-sized run vs the
-   full-scale record) it must clear the absolute ``--min-speedup``
-   floor.
+full-scale generator behind the committed record.  **Parity is
+non-negotiable in either record**: every arm's CRC32 rate-trace checksum
+must match (``checksum_parity``) and the AL-sharded fan-out must be
+worker-count invariant (``worker_parity``).  A perf win that changes
+results is a bug.
 """
 
 from __future__ import annotations
@@ -32,15 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-#: Full-scale tentpole floors (ISSUE 9 acceptance).
-MIN_VECTOR_OVER_LEGACY = 10.0
-MIN_VECTOR_OVER_INCREMENTAL = 2.5
-
-#: Batched-admission tentpole floor (ISSUE 10 acceptance): the batched
-#: pipeline must hold ≥2x over the per-event vector arm wherever the
-#: committed record carries both arms.
-MIN_BATCHED_OVER_VECTOR = 2.0
 
 
 def _load(path: str) -> dict:
@@ -59,99 +38,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="committed BENCH_e26.json")
     parser.add_argument("candidate", help="freshly measured BENCH_e26.json")
-    parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.10,
-        metavar="FRACTION",
-        help="allowed relative vector-speedup drop when configs match "
-        "(default 0.10)",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=1.2,
-        metavar="RATIO",
-        help="absolute vector-over-incremental floor when configs differ "
-        "(default 1.2)",
-    )
     args = parser.parse_args(argv)
 
-    baseline = _load(args.baseline)
-    candidate = _load(args.candidate)
     failures: list[str] = []
-
-    for label, record in (("baseline", baseline), ("candidate", candidate)):
+    for label, path in (("baseline", args.baseline),
+                        ("candidate", args.candidate)):
+        record = _load(path)
         rates = record.get("events_per_sec", {})
         formatted = ", ".join(
             f"{arm}={rate:,.0f} ev/s" for arm, rate in sorted(rates.items())
         )
-        speedups = record.get("speedups", {})
-        vector = speedups.get("vector_over_incremental")
-        print(
-            f"{label}: vector/incremental "
-            f"{'n/a' if vector is None else f'{vector:.2f}x'} ({formatted})"
-        )
+        print(f"{label}: {formatted}")
         _check_parity(label, record, failures)
-
-    # Gate 2: tentpole floors on the committed full-scale record.
-    base_speedups = baseline.get("speedups", {})
-    over_legacy = base_speedups.get("vector_over_legacy")
-    if over_legacy is not None and over_legacy < MIN_VECTOR_OVER_LEGACY:
-        failures.append(
-            f"baseline: vector is only {over_legacy:.2f}x the legacy loop "
-            f"(floor {MIN_VECTOR_OVER_LEGACY}x)"
-        )
-    over_incremental = base_speedups.get("vector_over_incremental")
-    if over_incremental is None:
-        failures.append("baseline: missing vector_over_incremental speedup")
-    elif (
-        over_legacy is not None
-        and over_incremental < MIN_VECTOR_OVER_INCREMENTAL
-    ):
-        # Full-scale record (it carries a legacy arm): hold the 2.5x bar.
-        failures.append(
-            f"baseline: vector is only {over_incremental:.2f}x the "
-            f"incremental engine (floor {MIN_VECTOR_OVER_INCREMENTAL}x)"
-        )
-
-    over_vector = base_speedups.get("batched_over_vector")
-    if over_vector is not None and over_vector < MIN_BATCHED_OVER_VECTOR:
-        failures.append(
-            f"baseline: batched admission is only {over_vector:.2f}x the "
-            f"per-event vector arm (floor {MIN_BATCHED_OVER_VECTOR}x)"
-        )
-
-    # Gate 3: candidate speedup bar.
-    after = candidate.get("speedups", {}).get("vector_over_incremental")
-    if after is None:
-        failures.append("candidate: missing vector_over_incremental speedup")
-    elif candidate.get("config") == baseline.get("config"):
-        before = over_incremental or 0.0
-        if before <= 0:
-            failures.append("baseline speedup is not positive")
-        else:
-            regression = (before - after) / before
-            status = "FAIL" if regression > args.max_regression else "ok"
-            print(
-                f"{status}: speedup {before:.2f}x -> {after:.2f}x "
-                f"({-regression:+.1%} vs limit -{args.max_regression:.1%})"
-            )
-            if regression > args.max_regression:
-                failures.append(
-                    f"candidate: speedup regressed {regression:.1%} "
-                    f"(limit {args.max_regression:.1%})"
-                )
-    elif after < args.min_speedup:
-        failures.append(
-            f"candidate: vector is only {after:.2f}x the incremental "
-            f"engine (floor {args.min_speedup}x at candidate sizing)"
-        )
-    else:
-        print(
-            f"ok: candidate speedup {after:.2f}x clears the "
-            f"{args.min_speedup}x floor (configs differ; no regression gate)"
-        )
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -53,6 +53,26 @@ TRAJECTORY_PATH = BENCH_DIR / "TRAJECTORY.json"
 #: Subtrees that hold raw rows / sizing, not headline metrics.
 SKIP_KEYS = frozenset({"rows", "config"})
 
+#: Series retired on purpose, by experiment: ``None`` retires the whole
+#: block, a set names single metrics.  ``collect`` skips them while
+#: walking history, so an old record cannot resurrect one with a floor
+#: that ``check`` would then miss; any *other* metric that vanishes
+#: from a record still fails ``check``.
+RETIRED: dict[str, frozenset | None] = {
+    # E19 measured the incremental and legacy event loops against each
+    # other; both loops are gone, and so are the bench and its record.
+    "e19_event_throughput": None,
+    # E26 ratios over arms whose event loops are gone (legacy,
+    # incremental, per-event vector); the record keeps only the
+    # single-process batched and the sharded arms.
+    "e26_dataplane_throughput": frozenset({
+        "speedups.vector_over_legacy",
+        "speedups.vector_over_incremental",
+        "speedups.batched_over_vector",
+        "speedups.sharded_over_legacy",
+    }),
+}
+
 #: A gated metric keeps at least this fraction of its best-ever value.
 #: Deliberately loose: the arms of a committed record run minutes apart
 #: on a shared machine, so a ratio like sharded-over-legacy can swing
@@ -91,6 +111,14 @@ def flatten_metrics(record: dict, prefix: str = "") -> dict[str, float]:
 def is_gated(metric: str) -> bool:
     """Ratio metrics ratchet; absolute rates are machine-dependent."""
     return "speedup" in metric
+
+
+def is_retired(experiment: str, metric: str) -> bool:
+    """Whether ``metric`` of ``experiment`` is listed in :data:`RETIRED`."""
+    if experiment not in RETIRED:
+        return False
+    metrics = RETIRED[experiment]
+    return metrics is None or metric in metrics
 
 
 def _history(path: pathlib.Path) -> list[dict]:
@@ -140,6 +168,8 @@ def collect() -> dict:
         series_by_metric: dict[str, list] = {}
         for point in points:
             for metric, value in flatten_metrics(point["record"]).items():
+                if is_retired(experiment, metric):
+                    continue
                 series_by_metric.setdefault(metric, []).append(
                     {
                         "commit": point["commit"],
@@ -162,7 +192,8 @@ def collect() -> dict:
                     floor = max(floor, old)  # ratchet, never loosen
                 record["floor"] = round(floor, 6)
             entry[metric] = record
-        trajectory[experiment] = entry
+        if entry:
+            trajectory[experiment] = entry
     return trajectory
 
 
@@ -182,7 +213,7 @@ def check() -> list[str]:
         metrics = flatten_metrics(current)
         for metric, entry in floors.items():
             floor = entry.get("floor")
-            if floor is None:
+            if floor is None or is_retired(experiment, metric):
                 continue
             value = metrics.get(metric)
             if value is None:

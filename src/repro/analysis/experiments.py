@@ -1211,87 +1211,6 @@ def experiment_e18_failure_continuity(
 
 
 # ----------------------------------------------------------------------
-# E19 — event-driven simulator throughput (hot-path optimization)
-# ----------------------------------------------------------------------
-def experiment_e19_event_throughput(
-    *,
-    n_racks: int = 64,
-    servers_per_rack: int = 4,
-    n_ops: int = 16,
-    n_flows: int = 400,
-    arrival_rate: float = 200.0,
-    engines: Sequence[str] = ("legacy", "incremental", "vector"),
-    seed: int = 0,
-) -> list[dict]:
-    """Events/second of the event-driven simulator, engine by engine.
-
-    Plays one service-correlated workload on a 64-rack fabric through
-    each selected engine.  ``legacy`` (the pre-optimization loop, run
-    with the route cache disabled) sets the baseline; ``incremental``
-    is the production hot path (lazy completion heap + incremental
-    water-filling + route cache); ``vector`` is the struct-of-arrays
-    data plane (PR 9).  Rows report wall time, processed events,
-    events/second, and the speedup over the first engine.
-
-    The workloads are identical across engines, so reported FCT means
-    double as a cross-engine sanity check (equal to float tolerance).
-    """
-    from repro.sim.event_simulator import EventDrivenFlowSimulator
-
-    inventory, _, services = standard_testbed(
-        n_racks=n_racks,
-        servers_per_rack=servers_per_rack,
-        n_ops=n_ops,
-        vms_per_service=8,
-        seed=seed,
-    )
-    clusters = ClusterManager(inventory)
-    for service in services:
-        clusters.create_cluster(service)
-    generator = TrafficGenerator(
-        inventory,
-        TrafficConfig(arrival_rate=arrival_rate, sigma=0.8),
-        seed=seed,
-    )
-    flows = generator.flows(n_flows)
-
-    rows = []
-    baseline_rate = None
-    for engine in engines:
-        simulator = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines={"sim_engine": engine},
-            route_cache_size=0 if engine == "legacy" else 1024,
-        )
-        started = time.perf_counter()
-        report = simulator.run(flows)
-        elapsed = time.perf_counter() - started
-        events_per_sec = report.events / elapsed if elapsed > 0 else 0.0
-        if baseline_rate is None:
-            baseline_rate = events_per_sec
-        rows.append(
-            {
-                "engine": engine,
-                "flows": report.flows,
-                "events": report.events,
-                "wall_seconds": elapsed,
-                "events_per_sec": events_per_sec,
-                "speedup": (
-                    events_per_sec / baseline_rate if baseline_rate else 0.0
-                ),
-                "mean_fct": report.fct_statistics()["mean"],
-                "cache_hit_rate": (
-                    simulator.route_cache.hit_rate
-                    if simulator.route_cache is not None
-                    else 0.0
-                ),
-            }
-        )
-    return rows
-
-
-# ----------------------------------------------------------------------
 # E20 — chaos recovery: AL-VC construction vs the random-AL baseline
 # ----------------------------------------------------------------------
 def _e20_arm(task: tuple) -> dict:
@@ -2580,46 +2499,27 @@ def experiment_e26_dataplane_throughput(
     soak_epochs: int = 12,
     seed: int = 0,
     workers: int = 4,
-    arms: Sequence[str] = (
-        "legacy",
-        "incremental",
-        "vector",
-        "vector-batched",
-    ),
     runner: SweepRunner | None = None,
 ) -> list[dict]:
-    """Data-plane throughput: legacy vs incremental vs vector vs sharded.
+    """Data-plane throughput: one process vs AL-sharded fan-out.
 
-    Plays one service-correlated Poisson workload (continuous arrival
-    times, so every engine sees the identical event sequence) on the
-    1024-server fabric through four arms:
+    Plays one service-correlated Poisson workload on the 1024-server
+    fabric through two arms:
 
-    * ``legacy`` — the pre-optimization loop, route cache off (the
-      events/sec baseline; not bit-exact, so it is sanity-checked on
-      mean FCT only);
-    * ``incremental`` — the PR 5 hot path;
-    * ``vector`` — the struct-of-arrays data plane (PR 9), pinned to
-      ``admission="per_event"`` so the batched arm's floor is honest;
-    * ``vector-batched`` — the vector engine behind the batched
-      admission pipeline (pre-resolved interned routes + the
-      class-aggregated water-filling loop);
-    * ``vector-sharded`` — the vector engine fanned out across AL
-      shards via :func:`repro.sim.sharding.simulate_sharded` (batched
-      admission inside every shard), run at both ``workers`` and
-      ``workers=1`` to pin merge determinism.
+    * ``vector-batched`` — the event simulator's data plane in one
+      process (batched admission over pre-resolved interned routes and
+      the class-aggregated, component-local water-filling engine);
+    * ``vector-sharded`` — the same data plane fanned out across AL
+      shards via :func:`repro.sim.sharding.simulate_sharded`, run at
+      both ``workers`` and ``workers=1`` to pin merge determinism.
 
-    ``incremental``/``vector``/``vector-batched``/``vector-sharded``
-    must agree on the CRC32 rate-trace checksum (`checksum` column) —
-    the committed ``BENCH_e26.json`` and the CI gate both assert it.
-
-    ``arms`` selects which single-process engines run (CI drops the
-    ``legacy`` arm, whose full-scale wall time is measured once into
-    the committed ``BENCH_e26.json``); the sharded arm always runs.
-    With ``soak_flows > 0`` a final ``soak`` row runs the epoch-
-    quantized concurrency soak (default 1M flows in the bench harness)
-    through the sharded vector plane inside a virtual-time window, and
-    reports peak concurrency, resident-set high-water marks and
-    events/second.
+    Both arms must agree on the CRC32 rate-trace checksum (`checksum`
+    column) — the committed ``BENCH_e26.json`` and the CI gate both
+    assert it.  With ``soak_flows > 0`` a final ``soak`` row runs the
+    epoch-quantized concurrency soak (default 1M flows in the bench
+    harness) through the sharded data plane inside a virtual-time
+    window, and reports peak concurrency, resident-set high-water marks
+    and events/second.
     """
     import resource
 
@@ -2640,49 +2540,23 @@ def experiment_e26_dataplane_throughput(
     )
     flows = generator.flows(n_flows)
 
-    rows = []
-    rates = {}
-    checksums = {}
-    fcts = {}
-    for arm in arms:
-        if arm == "vector-batched":
-            engines = {"sim_engine": "vector", "admission": "batched"}
-        elif arm == "vector":
-            # Pin per-event admission so the batched arm's speedup
-            # floor measures the pipeline, not the engine twice.
-            engines = {"sim_engine": "vector", "admission": "per_event"}
-        else:
-            engines = {"sim_engine": arm}
-        simulator = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines=engines,
-            route_cache_size=0 if arm == "legacy" else 4096,
-        )
-        started = time.perf_counter()
-        report = simulator.run(flows)
-        elapsed = time.perf_counter() - started
-        rates[arm] = report.events / elapsed if elapsed > 0 else 0.0
-        checksums[arm] = (
-            None if arm == "legacy" else _e26_report_checksum(report)
-        )
-        fcts[arm] = report.fct_statistics()["mean"]
-        rows.append(
-            {
-                "arm": arm,
-                "flows": report.flows,
-                "events": report.events,
-                "wall_seconds": elapsed,
-                "events_per_sec": rates[arm],
-                "mean_fct": fcts[arm],
-                "checksum": checksums[arm],
-                "speedup_vs_legacy": (
-                    rates[arm] / rates["legacy"]
-                    if rates.get("legacy")
-                    else None
-                ),
-            }
-        )
+    simulator = EventDrivenFlowSimulator(
+        inventory, clusters, route_cache_size=4096
+    )
+    started = time.perf_counter()
+    report = simulator.run(flows)
+    elapsed = time.perf_counter() - started
+    rows = [
+        {
+            "arm": "vector-batched",
+            "flows": report.flows,
+            "events": report.events,
+            "wall_seconds": elapsed,
+            "events_per_sec": report.events / elapsed if elapsed > 0 else 0.0,
+            "mean_fct": report.fct_statistics()["mean"],
+            "checksum": _e26_report_checksum(report),
+        }
+    ]
 
     started = time.perf_counter()
     sharded = simulate_sharded(
@@ -2700,11 +2574,6 @@ def experiment_e26_dataplane_throughput(
             "events_per_sec": sharded_rate,
             "mean_fct": sharded.fct_statistics()["mean"],
             "checksum": _e26_report_checksum(sharded),
-            "speedup_vs_legacy": (
-                sharded_rate / rates["legacy"]
-                if rates.get("legacy")
-                else None
-            ),
             "workers": workers,
             "deterministic": sharded == inline,
         }

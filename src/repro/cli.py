@@ -279,18 +279,17 @@ def _run_e25(workers: int = 1) -> dict:
     }
 
 
-@_register("e26", "Vectorized data plane: incremental vs vector arms")
+@_register("e26", "Vectorized data plane: single-process vs AL-sharded")
 def _run_e26(workers: int = 1) -> dict:
-    # Smoke sizing: the full-scale run (8000 flows, legacy arm, 1M-flow
-    # soak) lives in benchmarks/BENCH_e26.json; this keeps `run e26`
-    # interactive while still exercising every arm plus the shard merge.
+    # Smoke sizing: the full-scale run (8000 flows, 1M-flow soak) lives
+    # in benchmarks/BENCH_e26.json; this keeps `run e26` interactive
+    # while still exercising both arms plus the shard merge.
     return {
         "E26 — vectorized data-plane throughput (smoke sizing)": (
             experiments.experiment_e26_dataplane_throughput(
                 n_flows=1200,
                 arrival_rate=1200.0,
                 soak_flows=20_000,
-                arms=("incremental", "vector", "vector-batched"),
                 workers=workers,
             )
         )
@@ -369,8 +368,6 @@ _ENGINE_BUILD_KEYS = (
     "cover_kernel",
     "routing",
     "solver",
-    "sim_engine",
-    "admission",
     "workers",
 )
 
@@ -381,10 +378,9 @@ def _parse_build(spec: str) -> dict:
     Values coerce in order: bool (``true``/``false``), int, float, and
     finally plain string — enough for every scalar
     :meth:`AlvcStack.build` argument.  Engine selectors
-    (``cover_kernel``, ``routing``, ``solver``, ``sim_engine``,
-    ``admission``, ``workers``) fold into the ``engines=`` mapping, so
-    ``--build "n_racks=8,sim_engine=vector,admission=batched"`` serves
-    a stack on the batched vector data plane.
+    (``cover_kernel``, ``routing``, ``solver``, ``workers``) fold into
+    the ``engines=`` mapping, so ``--build "n_racks=8,solver=exact"``
+    serves a stack on the certified exact solvers.
 
     Raises:
         ValueError: on an entry with no ``=``.

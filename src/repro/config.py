@@ -41,19 +41,6 @@ ROUTING_ENGINES = ("auto", "csr", "nx")
 #: or size-dependent auto fallback.
 SOLVER_ENGINES = ("greedy", "exact", "auto")
 
-#: Recognized event-simulator engines (see
-#: :mod:`repro.sim.event_simulator`): the incremental hot path, the
-#: from-scratch reference, the pre-optimization legacy loop, and the
-#: struct-of-arrays vectorized data plane.
-SIM_ENGINES = ("incremental", "from_scratch", "legacy", "vector")
-
-#: Recognized admission-pipeline selectors for the event simulator
-#: (see :mod:`repro.sim.admission`): ``"auto"`` picks the batched
-#: pipeline whenever the vector data plane is selected, ``"per_event"``
-#: forces per-arrival routing/admission, ``"batched"`` requires the
-#: vector engine and fails validation otherwise.
-ADMISSION_MODES = ("auto", "per_event", "batched")
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class EngineConfig:
@@ -75,18 +62,6 @@ class EngineConfig:
             Unlike the other selectors this one *can* change results —
             exact solutions may beat the greedy — so the default stays
             on the heuristic path.
-        sim_engine: event-simulator loop/fair-share engine —
-            ``"incremental"`` (default hot path), ``"from_scratch"``
-            (reference fair share, same loop), ``"legacy"`` (the
-            pre-optimization loop) or ``"vector"`` (the struct-of-arrays
-            data plane; bit-identical reports to the incremental
-            engine).
-        admission: event-simulator admission pipeline — ``"auto"``
-            (default: batched whenever ``sim_engine`` is ``"vector"``),
-            ``"per_event"`` (route and admit each arrival inside the
-            event loop) or ``"batched"`` (pre-resolve routes in bulk,
-            admit via indexed appends; bit-identical reports, requires
-            the vector engine).
         workers: default worker-process count for seeded sweeps
             (``1`` runs fully in-process).
     """
@@ -94,8 +69,6 @@ class EngineConfig:
     cover_kernel: str = "auto"
     routing: str = "auto"
     solver: str = "greedy"
-    sim_engine: str = "incremental"
-    admission: str = "auto"
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -114,21 +87,6 @@ class EngineConfig:
                 f"unknown solver engine {self.solver!r} "
                 f"(expected one of {', '.join(SOLVER_ENGINES)})"
             )
-        if self.sim_engine not in SIM_ENGINES:
-            raise ValidationError(
-                f"unknown simulation engine {self.sim_engine!r} "
-                f"(expected one of {', '.join(SIM_ENGINES)})"
-            )
-        if self.admission not in ADMISSION_MODES:
-            raise ValidationError(
-                f"unknown admission mode {self.admission!r} "
-                f"(expected one of {', '.join(ADMISSION_MODES)})"
-            )
-        if self.admission == "batched" and self.sim_engine != "vector":
-            raise ValidationError(
-                "admission='batched' requires sim_engine='vector', "
-                f"got sim_engine={self.sim_engine!r}"
-            )
         if not isinstance(self.workers, int) or self.workers < 1:
             raise ValidationError(
                 f"workers must be a positive integer, got {self.workers!r}"
@@ -136,12 +94,19 @@ class EngineConfig:
 
     @classmethod
     def coerce(cls, value: "EngineConfig | dict | None") -> "EngineConfig":
-        """Normalize ``engines=`` input: None, a config, or a kwargs dict."""
+        """Normalize ``engines=`` input: None, a config, or a kwargs dict.
+
+        A dict may still carry the retired ``sim_engine``/``admission``
+        keys (every journal genesis record written before the event
+        simulator had one data plane stores them): they are validated
+        as before and dropped.
+        """
         if value is None:
             return cls()
         if isinstance(value, cls):
             return value
         if isinstance(value, dict):
+            value = _without_retired_keys(value)
             try:
                 return cls(**value)
             except TypeError as exc:
@@ -154,3 +119,35 @@ class EngineConfig:
     def to_dict(self) -> dict:
         """JSON-serializable form (journal genesis records store this)."""
         return dataclasses.asdict(self)
+
+
+def _without_retired_keys(mapping: dict) -> dict:
+    """Validate and strip the retired simulator selectors of a mapping.
+
+    Raises:
+        ValidationError: on a value the selectors never accepted.
+    """
+    sim_engines = ("incremental", "from_scratch", "legacy", "vector")
+    admission_modes = ("auto", "per_event", "batched")
+    sim_engine = mapping.get("sim_engine", "incremental")
+    admission = mapping.get("admission", "auto")
+    if sim_engine not in sim_engines:
+        raise ValidationError(
+            f"unknown simulation engine {sim_engine!r} "
+            f"(expected one of {', '.join(sim_engines)})"
+        )
+    if admission not in admission_modes:
+        raise ValidationError(
+            f"unknown admission mode {admission!r} "
+            f"(expected one of {', '.join(admission_modes)})"
+        )
+    if admission == "batched" and sim_engine != "vector":
+        raise ValidationError(
+            "admission='batched' requires sim_engine='vector', "
+            f"got sim_engine={sim_engine!r}"
+        )
+    return {
+        key: value
+        for key, value in mapping.items()
+        if key not in ("sim_engine", "admission")
+    }

@@ -179,13 +179,15 @@ def state_view(stack) -> dict:
         #   provisions) — replay re-runs only the *committed* commands,
         #   one by one, so how requests arrived or failed is not state;
         # * read-path performance tallies (route cache, path engine,
-        #   simulators, sweeps) — dry runs and queries mutate nothing;
+        #   simulators and their fair-share and admission data plane,
+        #   sweeps) — dry runs and queries mutate nothing;
         # * fault-injector event counts — replay re-applies the journaled
         #   recovery commands, never the injector that drew them.
         _excluded_prefixes = (
             "alvc_journal_", "alvc_snapshot_", "alvc_restore_",
             "alvc_frontend_", "alvc_service_", "alvc_route_cache_",
-            "alvc_path_engine_", "alvc_sim_", "alvc_sweep_",
+            "alvc_path_engine_", "alvc_sim_", "alvc_fairshare_",
+            "alvc_admission_", "alvc_sweep_",
         )
         _excluded = (
             "alvc_provision_batches_total",

@@ -19,11 +19,7 @@ from repro.sim.event_simulator import (
     EventSimulationReport,
 )
 from repro.sim.events import EventQueue, Simulator
-from repro.sim.fairshare import (
-    FairShareEngine,
-    check_max_min_fair,
-    max_min_fair_rates,
-)
+from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
 from repro.sim.flows import Flow
 from repro.sim.metrics import MetricsCollector
 from repro.sim.sharding import ShardPlan, simulate_sharded
@@ -39,7 +35,6 @@ __all__ = [
     "EventDrivenFlowSimulator",
     "EventQueue",
     "EventSimulationReport",
-    "FairShareEngine",
     "Flow",
     "FlowSimulator",
     "FlowTable",

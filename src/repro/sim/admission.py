@@ -9,23 +9,21 @@ source, and intern the resolved paths plus their link-index arrays so
 admitting a flow becomes an indexed bulk append into the
 :class:`~repro.sim.vector.FlowTable`.
 
-**The parity contract.**  Batched admission must produce bit-identical
-reports to per-event admission.  A single-source shortest-path tree is
+**Tree-canonical routes.**  A single-source shortest-path tree is
 independent of which targets are queried, so ``routes_from(s, [t])[t]
 == routes_from(s, T)[t]`` for any target set ``T`` containing ``t`` —
 but the *pairwise* bidirectional search may legitimately break
 equal-length ties differently than the tree (documented since the CSR
-engine landed).  Both admission modes therefore resolve through the
-same tree-canonical helper, :func:`resolve_tree_path`: per-event
-admission calls it once per cache miss, the batched planner calls the
-underlying fan-out once per unique source.  Parity between the modes
-is structural, not coincidental.
+engine landed).  The planner therefore resolves through the
+tree-canonical helper, :func:`resolve_tree_path`, or the fan-out
+underneath it, once per unique source: an interned route equals a cold
+per-pair resolution, whichever targets were grouped with it.
 
 Interned routes can never go stale while they are used: arrivals
 during an active failure (non-empty failed-node / cut-link sets)
-bypass the plan entirely via the uncached surviving-path fallback —
-exactly as the per-event loop does — and whenever the failure sets are
-empty the topology equals the full fabric the plan resolved against.
+bypass the plan entirely via the uncached surviving-path fallback,
+and whenever the failure sets are empty the topology equals the full
+fabric the plan resolved against.
 :meth:`RoutePlan.invalidate_crossing` (mirroring
 :meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`) still
 drops interned pairs whose paths cross a faulted link, so lazily
@@ -72,8 +70,8 @@ def resolve_tree_path(
 
     Resolves over the single-source BFS tree rooted at ``source``
     (restricted to the abstraction layer when ``al`` is given), so a
-    per-event cache miss and the batched planner's fan-out pick the
-    *same* path among equal-length alternatives.
+    single-pair resolution and the planner's fan-out pick the *same*
+    path among equal-length alternatives.
 
     Raises:
         RoutingError: when the endpoints are unknown, an endpoint
@@ -185,8 +183,8 @@ class AdmissionPlan:
         One single-BFS fan-out per call; unreachable destinations are
         interned as :data:`NO_PLAN_ROUTE`.  AL-restricted resolution
         falls back to the flat fabric per destination when the layer
-        does not connect the pair — mirroring the per-event loop's
-        AL-then-flat retry.
+        does not connect the pair (AL first, then flat, as the
+        simulator routes).
         """
         targets = [
             dst
@@ -206,9 +204,9 @@ class AdmissionPlan:
                 )
             except RoutingError:
                 # An endpoint violates the layer: the group fan-out
-                # aborts wholesale, but the per-event loop retries each
-                # pair individually (AL first, then flat).  Mirror that
-                # per target so only the violating pairs fall through.
+                # aborts wholesale, so retry each pair individually
+                # (AL first, then flat) and let only the violating
+                # pairs fall through.
                 resolved = {}
                 for dst in targets:
                     try:

@@ -12,53 +12,40 @@ Routing follows the same policy as the analytic simulator: intra-service
 flows ride their cluster's abstraction layer; everything else takes flat
 shortest paths.
 
-The hot path is engineered to scale with the number of *affected* flows
-per event rather than the number of active flows:
+There is one event loop, the struct-of-arrays data plane of
+:mod:`repro.sim.vector`:
 
-* rates come from the incremental
-  :class:`~repro.sim.fairshare.FairShareEngine` (per-link flow counts
-  maintained across events) instead of a from-scratch water-filling;
-* the next completion is popped from a lazy-deletion min-heap of
-  projected completion times — entries are re-pushed only for flows
-  whose rate actually changed, and stale entries are discarded on peek;
+* rates come from :class:`~repro.sim.vector.BatchedFairShareEngine`,
+  which aggregates flows into route classes and re-levels only the link
+  components an event touched;
+* the next completion is an argmin over the flows' eta array;
 * flow progress (and per-link busy time) is materialized lazily at
   rate-change boundaries instead of being charged to every active flow
   on every event;
-* routes are served from an LRU :class:`~repro.sdn.route_cache.RouteCache`
-  keyed by ``(src_host, dst_host, al_signature, load_aware)``.
+* routes are resolved in bulk before the first event
+  (:mod:`repro.sim.admission`), and arrivals sharing a timestamp are
+  admitted as one batch with a single recompute.  Load-aware runs pick
+  each arrival's path per event from an LRU
+  :class:`~repro.sdn.route_cache.RouteCache` of candidate paths.
 
-Four engines are selectable for parity testing and benchmarking:
-``"incremental"`` (the default), ``"from_scratch"`` (same event loop,
-reference fair-share algorithm — bit-for-bit identical reports),
-``"vector"`` (the struct-of-arrays data plane of
-:mod:`repro.sim.vector`: whole-array water-filling rounds, an
-eta-argmin completion picker and same-timestamp arrival batching —
-bit-for-bit identical reports on workloads with distinct arrival
-times), and ``"legacy"`` (the pre-optimization loop: per-event
-from-scratch water-filling with per-round load rebuilds, linear scan
-for the next completion, eager per-event progress accounting).
-
-The engine is selected through :class:`~repro.config.EngineConfig`
-(``engines=EngineConfig(sim_engine=...)`` or an equivalent dict); the
-bare ``engine=`` kwarg keeps working through a ``DeprecationWarning``
-shim.  Runs may be windowed with ``run(..., until=...)``: the
-simulation stops at that virtual time, charges progress for in-flight
-flows up to the window edge and reports their count in
-``EventSimulationReport.in_flight`` — how the million-flow soak bounds
-its completion events.
+Its reports are pinned by frozen report checksums and by the
+engine-independent fairness certificate
+:func:`~repro.sim.fairshare.check_max_min_fair`.  Runs may be windowed
+with ``run(..., until=...)``: the simulation stops at that virtual time,
+charges progress for in-flight flows up to the window edge and reports
+their count in ``EventSimulationReport.in_flight`` — how the
+million-flow soak bounds its completion events.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import math
-import warnings
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.config import SIM_ENGINES, EngineConfig
+from repro.config import EngineConfig
 from repro.core.cluster import ClusterManager
 from repro.exceptions import (
     RoutingError,
@@ -82,13 +69,8 @@ from repro.sdn.routing import (
     pick_least_loaded,
     shortest_surviving_path,
 )
-from repro.sim.admission import plan_admission, resolve_tree_path, NO_PLAN_ROUTE
-from repro.sim.fairshare import (
-    FairShareEngine,
-    LinkId,
-    links_on_path,
-    max_min_fair_rates,
-)
+from repro.sim.admission import NO_PLAN_ROUTE, plan_admission
+from repro.sim.fairshare import LinkId, links_on_path
 from repro.sim.faults import (
     LINK_DEGRADE,
     LINK_DOWN,
@@ -99,16 +81,8 @@ from repro.sim.faults import (
     normalize_failures,
 )
 from repro.sim.flows import Flow
-from repro.sim.vector import (
-    BatchedFairShareEngine,
-    LinkBusyView,
-    VectorFairShareEngine,
-)
+from repro.sim.vector import BatchedFairShareEngine, LinkBusyView
 from repro.virtualization.machines import MachineInventory
-
-#: Selectable fair-share/event-loop engines (re-exported from
-#: :mod:`repro.config`, where ``EngineConfig.sim_engine`` validates).
-ENGINES = SIM_ENGINES
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -131,12 +105,12 @@ class CompletedFlow:
 class EventSimulationReport:
     """Outcome of one event-driven run.
 
-    ``link_busy_byte_seconds`` is a mapping — a plain dict for the dict
-    engines, a lazy :class:`~repro.sim.vector.LinkBusyView` over the
-    busy array for the vector engine (the two compare equal when the
-    contents match).  ``in_flight`` counts flows still active when a
-    windowed run (``run(..., until=...)``) hit its window edge; it is
-    ``0`` for runs that drained naturally.
+    ``link_busy_byte_seconds`` is a mapping — a lazy
+    :class:`~repro.sim.vector.LinkBusyView` over the simulator's busy
+    array, or a plain dict for merged sharded reports (the two compare
+    equal when the contents match).  ``in_flight`` counts flows still
+    active when a windowed run (``run(..., until=...)``) hit its window
+    edge; it is ``0`` for runs that drained naturally.
     """
 
     completed: tuple[CompletedFlow, ...]
@@ -221,18 +195,6 @@ class EventSimulationReport:
         return sum(utilizations) / len(utilizations) if utilizations else 0.0
 
 
-@dataclasses.dataclass(slots=True)
-class _ActiveFlow:
-    flow: Flow
-    path: list[str]
-    links: list[LinkId]
-    remaining_bytes: float
-    rate: float = 0.0
-    eta: float = math.inf
-    last_update: float = 0.0
-    epoch: int = 0
-
-
 class EventDrivenFlowSimulator:
     """Plays a flow workload out in virtual time with fair sharing."""
 
@@ -245,10 +207,8 @@ class EventDrivenFlowSimulator:
         load_aware: bool = False,
         k_paths: int = 3,
         telemetry: Telemetry | None = None,
-        engine: str | None = None,
         engines: "EngineConfig | dict | None" = None,
         routing_engine: str | None = None,
-        admission: str | None = None,
         route_cache_size: int = DEFAULT_ROUTE_CACHE_SIZE,
     ) -> None:
         """Create a simulator over a populated inventory.
@@ -268,67 +228,22 @@ class EventDrivenFlowSimulator:
             telemetry: metrics/tracing sink (ambient default when
                 omitted); records event throughput, queue depths,
                 fair-share rounds and route-cache traffic.
-            engine: deprecated spelling of
-                ``engines=EngineConfig(sim_engine=...)``.
-
-                .. deprecated:: PR 9
-                    Use ``engines=``; the bare kwarg warns and is
-                    scheduled for removal at the v1.0 cut.
             engines: typed :class:`~repro.config.EngineConfig` (or an
-                equivalent dict / ``None``); ``sim_engine`` selects the
-                event loop — ``"incremental"`` (default hot path),
-                ``"from_scratch"`` (reference fair-share, same loop),
-                ``"vector"`` (struct-of-arrays data plane) or
-                ``"legacy"`` (the pre-optimization loop) — and
-                ``routing`` the path backend unless ``routing_engine``
-                overrides it.
+                equivalent dict / ``None``); ``routing`` picks the path
+                backend unless ``routing_engine`` overrides it.
             routing_engine: path-computation backend —
                 ``"auto"``/``"csr"``/``"nx"``, see
                 :mod:`repro.sdn.routing` (both produce bit-identical
                 paths; this knob exists for parity tests and
                 benchmarks).  Defaults to ``engines.routing``.
-            admission: admission-pipeline override — ``"auto"``
-                (batched whenever the vector engine runs),
-                ``"per_event"`` or ``"batched"``; overrides
-                ``engines.admission``.  See :mod:`repro.sim.admission`.
-            route_cache_size: LRU entries for route caching; ``0``
-                disables the cache entirely.
+            route_cache_size: LRU entries for the load-aware candidate
+                cache; ``0`` disables the cache entirely.
 
         Raises:
-            ValidationError: on an unknown engine, conflicting engine
-                spellings, a negative cache size, or a non-positive
-                bandwidth override.
+            ValidationError: on an unknown routing engine, a negative
+                cache size, or a non-positive bandwidth override.
         """
         engine_config = EngineConfig.coerce(engines)
-        if engine is not None:
-            if engine not in ENGINES:
-                raise ValidationError(
-                    f"unknown simulation engine {engine!r} "
-                    f"(expected one of {', '.join(ENGINES)})"
-                )
-            warnings.warn(
-                "EventDrivenFlowSimulator(engine=...) is deprecated; use "
-                "engines=EngineConfig(sim_engine=...). Scheduled for "
-                "removal at the v1.0 cut.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine != "incremental":
-                if engine_config.sim_engine not in ("incremental", engine):
-                    raise ValidationError(
-                        "conflicting simulation engines: engine="
-                        f"{engine!r} vs engines.sim_engine="
-                        f"{engine_config.sim_engine!r}"
-                    )
-                engine_config = dataclasses.replace(
-                    engine_config, sim_engine=engine
-                )
-        if admission is not None:
-            # replace() re-runs __post_init__, so unknown modes and
-            # batched-on-non-vector combinations fail here too.
-            engine_config = dataclasses.replace(
-                engine_config, admission=admission
-            )
         if routing_engine is None:
             routing_engine = engine_config.routing
         if routing_engine not in ROUTING_ENGINES:
@@ -352,16 +267,6 @@ class EventDrivenFlowSimulator:
         self._clusters = clusters
         self._load_aware = load_aware
         self._k_paths = k_paths
-        self._engine_mode = engine_config.sim_engine
-        self._admission_mode = (
-            "batched"
-            if engine_config.admission == "batched"
-            or (
-                engine_config.admission == "auto"
-                and engine_config.sim_engine == "vector"
-            )
-            else "per_event"
-        )
         self._routing_engine = routing_engine
         self._capacities: dict[LinkId, float] = {}
         for a, b, link, parallel in inventory.network.trunks():
@@ -391,14 +296,15 @@ class EventDrivenFlowSimulator:
 
     @property
     def engine(self) -> str:
-        """The fair-share/event-loop engine in use."""
-        return self._engine_mode
+        """The data plane every run uses: ``"vector"`` (run manifests
+        record it)."""
+        return "vector"
 
     @property
     def admission(self) -> str:
-        """The resolved admission pipeline (``"auto"`` folded away):
-        ``"batched"`` or ``"per_event"``."""
-        return self._admission_mode
+        """The admission pipeline every run uses: ``"batched"`` (run
+        manifests record it)."""
+        return "batched"
 
     @property
     def route_cache(self) -> RouteCache | None:
@@ -420,33 +326,12 @@ class EventDrivenFlowSimulator:
         return self._route_cache.invalidate()
 
     # ------------------------------------------------------------------
-    def _route(
-        self, flow: Flow, link_flows: dict[LinkId, int]
-    ) -> list[str]:
-        source = self._inventory.host_of(flow.source)
-        destination = self._inventory.host_of(flow.destination)
-        if source == destination:
-            return [source]
-        al = None
-        if self._clusters is not None and flow.intra_service:
-            service = self._inventory.get(flow.source).service
-            try:
-                al = self._clusters.cluster_of_service(service).al_switches
-            except UnknownEntityError:
-                al = None
-        if al is not None:
-            try:
-                return self._pick_path(source, destination, al, link_flows)
-            except RoutingError:
-                pass
-        return self._pick_path(source, destination, None, link_flows)
-
     def _admission_key(self, flow: Flow) -> tuple | None:
-        """The flow's ``(src_host, dst_host, al_signature)`` plan key.
+        """The flow's ``(src_host, dst_host, al_signature)`` routing key.
 
-        Derived exactly as :meth:`_route` derives its routing inputs
-        (host resolution, intra-service AL confinement, missing-cluster
-        fallback); ``None`` for co-located endpoints, which never route.
+        Intra-service flows are confined to their cluster's abstraction
+        layer (flat when the service has no cluster); ``None`` for
+        co-located endpoints, which never route.
         """
         source = self._inventory.host_of(flow.source)
         destination = self._inventory.host_of(flow.destination)
@@ -465,6 +350,23 @@ class EventDrivenFlowSimulator:
             None if al is None else frozenset(al),
         )
 
+    def _route_least_loaded(
+        self, flow: Flow, link_flows: dict[LinkId, int]
+    ) -> list[str]:
+        """Load-aware path: the least-loaded of the ``k_paths`` shortest
+        candidates, inside the flow's AL when one connects the pair and
+        over the flat fabric otherwise."""
+        key = self._admission_key(flow)
+        if key is None:
+            return [self._inventory.host_of(flow.source)]
+        source, destination, al = key
+        if al is not None:
+            try:
+                return self._pick_path(source, destination, al, link_flows)
+            except RoutingError:
+                pass
+        return self._pick_path(source, destination, None, link_flows)
+
     def _pick_path(
         self,
         source: str,
@@ -474,48 +376,6 @@ class EventDrivenFlowSimulator:
     ) -> list[str]:
         cache = self._route_cache
         if cache is None:
-            return self._compute_path(source, destination, al, link_flows)
-        al_key = None if al is None else frozenset(al)
-        key = (source, destination, al_key, self._load_aware)
-        cached = cache.get(key)
-        if cached is NO_ROUTE:
-            raise RoutingError(
-                f"no cached route from {source} to {destination}"
-                + ("" if al_key is None else " inside the abstraction layer")
-            )
-        if cached is not None:
-            if self._load_aware:
-                return list(pick_least_loaded(cached, link_flows))
-            return list(cached)
-        try:
-            if self._load_aware:
-                candidates = RouteCandidates(
-                    k_shortest_paths(
-                        self._inventory.network,
-                        source,
-                        destination,
-                        k=self._k_paths,
-                        al_switches=al,
-                        engine=self._routing_engine,
-                    )
-                )
-                cache.put(key, candidates)
-                return list(pick_least_loaded(candidates, link_flows))
-            path = self._compute_path(source, destination, al, link_flows)
-        except RoutingError:
-            cache.put(key, NO_ROUTE)
-            raise
-        cache.put(key, tuple(path))
-        return path
-
-    def _compute_path(
-        self,
-        source: str,
-        destination: str,
-        al,
-        link_flows: dict[LinkId, int],
-    ) -> list[str]:
-        if self._load_aware:
             return least_loaded_path(
                 self._inventory.network,
                 source,
@@ -525,20 +385,35 @@ class EventDrivenFlowSimulator:
                 al_switches=al,
                 engine=self._routing_engine,
             )
-        return resolve_tree_path(
-            self._inventory.network,
-            source,
-            destination,
-            al,
-            engine=self._routing_engine,
-        )
+        # Load-aware cache key: the value is the load-independent
+        # candidate pool, re-scored against live loads on every hit.
+        key = (source, destination, al, True)
+        cached = cache.get(key)
+        if cached is NO_ROUTE:
+            raise RoutingError(
+                f"no cached route from {source} to {destination}"
+                + ("" if al is None else " inside the abstraction layer")
+            )
+        if cached is None:
+            try:
+                cached = RouteCandidates(
+                    k_shortest_paths(
+                        self._inventory.network,
+                        source,
+                        destination,
+                        k=self._k_paths,
+                        al_switches=al,
+                        engine=self._routing_engine,
+                    )
+                )
+            except RoutingError:
+                cache.put(key, NO_ROUTE)
+                raise
+            cache.put(key, cached)
+        return list(pick_least_loaded(cached, link_flows))
 
     def _route_avoiding(
-        self,
-        flow: Flow,
-        failed_nodes: set,
-        cut_links: set,
-        link_flows: dict[LinkId, int],
+        self, flow: Flow, failed_nodes: set, cut_links: set
     ) -> list[str] | None:
         """Shortest surviving path for a flow, or None when partitioned.
 
@@ -571,7 +446,7 @@ class EventDrivenFlowSimulator:
             return None
 
     def _validated_failures(self, failures) -> list:
-        """Normalize and validate a failure schedule (both loop engines).
+        """Normalize and validate a failure schedule.
 
         Raises:
             SimulationError: on a negative fault time, an unknown node,
@@ -617,7 +492,6 @@ class EventDrivenFlowSimulator:
                 up to ``until`` and counted in the report's
                 ``in_flight`` (arrivals beyond the window are simply
                 not admitted), and ``makespan`` is capped at ``until``.
-                Unsupported by the legacy engine.
             failures: optional fault schedule.  Entries are either
                 legacy ``(time, node_id)`` crash tuples or
                 :class:`~repro.sim.faults.FaultEvent` records (node
@@ -632,29 +506,13 @@ class EventDrivenFlowSimulator:
                 adapt at the event).  ``failed_nodes`` in the report
                 lists nodes still down when the run ends.
         """
-        if until is not None:
-            if until < 0:
-                raise ValidationError(f"until must be >= 0, got {until}")
-            if self._engine_mode == "legacy":
-                raise ValidationError(
-                    "the legacy engine does not support windowed runs "
-                    "(until=)"
-                )
+        if until is not None and until < 0:
+            raise ValidationError(f"until must be >= 0, got {until}")
         telemetry = self._telemetry
         with telemetry.span(
             "event_simulation", flows=len(flows)
         ) as span:
-            if self._engine_mode == "legacy":
-                report = self._run_legacy(flows, failures)
-            elif self._engine_mode == "vector":
-                report = self._run_vector(
-                    flows,
-                    failures,
-                    until,
-                    batched=self._admission_mode == "batched",
-                )
-            else:
-                report = self._run(flows, failures, until)
+            report = self._run(flows, failures, until)
         if telemetry.enabled:
             span.set(makespan=report.makespan, events=report.events)
             telemetry.counter(
@@ -668,460 +526,59 @@ class EventDrivenFlowSimulator:
         return report
 
     # ------------------------------------------------------------------
-    # Fast path: lazy heap + incremental (or reference) fair share
-    # ------------------------------------------------------------------
     def _run(
         self,
         flows: Sequence[Flow],
-        failures: Sequence[tuple[float, str]] = (),
-        until: float | None = None,
+        failures: Sequence["FaultEvent | tuple[float, str]"],
+        until: float | None,
     ) -> EventSimulationReport:
-        # Instruments are bound once; when telemetry is disabled these
-        # are shared no-op singletons (one cheap call per event).
-        events_counter = self._telemetry.counter(
-            "alvc_sim_events_total",
-            "discrete events processed (arrivals, completions, failures)",
-        )
-        depth_gauge = self._telemetry.gauge(
-            "alvc_sim_active_flows", "concurrent in-flight flows (queue depth)"
-        )
-        peak_gauge = self._telemetry.gauge(
-            "alvc_sim_active_flows_peak", "peak concurrent in-flight flows"
-        )
-        peak_flows_gauge = self._telemetry.gauge(
-            "alvc_sim_peak_flows",
-            "peak concurrent in-flight flows in the last run",
-        )
-        heap_gauge = self._telemetry.gauge(
-            "alvc_sim_event_queue_depth",
-            "completion-heap entries (including stale lazy-deletion ones)",
-        )
-        peak_depth = 0
-        pending = sorted(flows, key=lambda flow: (flow.arrival_time, flow.flow_id))
-        ids = [flow.flow_id for flow in pending]
-        if len(set(ids)) != len(ids):
-            raise SimulationError("duplicate flow ids in workload")
-        failure_queue = self._validated_failures(failures)
+        """The event loop.
 
-        incremental = self._engine_mode == "incremental"
-        # Per-run capacity view: failures remove links here without
-        # poisoning the simulator for subsequent runs.
-        capacities = dict(self._capacities)
-        engine = (
-            FairShareEngine(capacities, telemetry=self._telemetry)
-            if incremental
-            else None
-        )
-
-        active: dict[FlowId, _ActiveFlow] = {}
-        heap: list[tuple[float, FlowId, int]] = []
-        completed: list[CompletedFlow] = []
-        dropped: list[FlowId] = []
-        reroutes = 0
-        events = 0
-        in_flight = 0
-        failed_nodes: set[str] = set()
-        cut_links: set[LinkId] = set()
-        # Capacity each down link had when it left the map, so repairs
-        # restore exactly the pre-failure (possibly degraded) value.
-        down_links: dict[LinkId, float] = {}
-        busy: dict[LinkId, float] = {}
-        link_flows: dict[LinkId, int] = {}
-        now = 0.0
-        arrival_index = 0
-        failure_index = 0
-        infinity = math.inf
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        def materialize(state: _ActiveFlow) -> None:
-            """Charge a flow's progress (and link busy time) since its
-            last rate change.  Progress is linear between rate changes,
-            so charging at the boundaries is exact."""
-            elapsed = now - state.last_update
-            rate = state.rate
-            if elapsed > 0.0 and 0.0 < rate < infinity:
-                moved = rate * elapsed
-                remaining = state.remaining_bytes
-                if moved > remaining:
-                    moved = remaining
-                state.remaining_bytes = remaining - moved
-                if moved > 0.0:
-                    # Accumulators are pre-seeded when the flow starts,
-                    # keeping this hot loop a plain ``+=``.
-                    for link in state.links:
-                        busy[link] += moved
-            state.last_update = now
-
-        def apply_rates(rates: dict[FlowId, float]) -> None:
-            """Adopt a fresh allocation; only flows whose rate changed
-            get materialized and re-pushed onto the completion heap."""
-            for flow_id, state in active.items():
-                new_rate = rates[flow_id]
-                if new_rate == state.rate:
-                    continue  # projected completion time is unchanged
-                materialize(state)
-                state.rate = new_rate
-                state.epoch += 1
-                if new_rate == infinity:
-                    # Mirrors remaining / inf == 0.0: completes "now".
-                    state.eta = now
-                    heappush(heap, (now, flow_id, state.epoch))
-                elif new_rate > 0.0:
-                    eta = now + state.remaining_bytes / new_rate
-                    state.eta = eta
-                    heappush(heap, (eta, flow_id, state.epoch))
-                else:
-                    state.eta = infinity
-
-        def recompute_rates() -> None:
-            if incremental:
-                rates = engine.recompute()
-            else:
-                rates = max_min_fair_rates(
-                    {
-                        flow_id: state.links
-                        for flow_id, state in active.items()
-                    },
-                    capacities,
-                )
-            apply_rates(rates)
-
-        def displace(victims: list[FlowId]) -> None:
-            """Reroute (or drop) flows whose path just became unusable."""
-            nonlocal reroutes
-            for flow_id in victims:
-                state = active.pop(flow_id)
-                materialize(state)
-                for link in state.links:
-                    link_flows[link] -= 1
-                    if link_flows[link] == 0:
-                        del link_flows[link]
-                if incremental:
-                    engine.remove_flow(flow_id)
-                new_path = self._route_avoiding(
-                    state.flow, failed_nodes, cut_links, link_flows
-                )
-                if new_path is None:
-                    dropped.append(flow_id)
-                    continue
-                reroutes += 1
-                rerouted = _ActiveFlow(
-                    flow=state.flow,
-                    path=new_path,
-                    links=links_on_path(new_path),
-                    remaining_bytes=state.remaining_bytes,
-                    last_update=now,
-                    # Epochs must keep counting across the reroute: a
-                    # fresh counter could collide with a stale heap
-                    # entry from the pre-displacement state and fire a
-                    # completion at the old eta with bytes still left.
-                    epoch=state.epoch + 1,
-                )
-                active[flow_id] = rerouted
-                for link in rerouted.links:
-                    link_flows[link] = link_flows.get(link, 0) + 1
-                    if link not in busy:
-                        busy[link] = 0.0
-                if incremental:
-                    engine.add_flow(flow_id, rerouted.links)
-
-        while (
-            arrival_index < len(pending)
-            or active
-            or failure_index < len(failure_queue)
-        ):
-            next_arrival = (
-                pending[arrival_index].arrival_time
-                if arrival_index < len(pending)
-                else infinity
-            )
-            next_failure = (
-                failure_queue[failure_index].time
-                if failure_index < len(failure_queue)
-                else infinity
-            )
-            # Peek the earliest *valid* completion; lazily discard
-            # entries whose flow completed, rerouted or changed rate.
-            while heap:
-                _, flow_id, epoch = heap[0]
-                state = active.get(flow_id)
-                if state is not None and state.epoch == epoch:
-                    break
-                heappop(heap)
-            if heap:
-                next_completion = heap[0][0]
-                next_finisher: FlowId | None = heap[0][1]
-            else:
-                next_completion = infinity
-                next_finisher = None
-            event_time = min(next_arrival, next_completion, next_failure)
-            if until is not None and event_time > until:
-                # Window edge: charge everyone up to it and stop.
-                now = until
-                for state in active.values():
-                    materialize(state)
-                in_flight = len(active)
-                break
-            if math.isinf(event_time):
-                raise SimulationError(
-                    "simulation stalled: active flows with zero rate"
-                )
-            events += 1
-            events_counter.inc()
-            now = event_time
-
-            if next_failure <= next_arrival and next_failure <= next_completion:
-                record = failure_queue[failure_index]
-                failure_index += 1
-                # Availability changed without a topology mutation:
-                # bump the path engine's mask generation so cached
-                # post-fault avoidance masks cannot go stale.
-                engine_for(self._inventory.network).note_fault()
-                action = record.action
-                if action == NODE_DOWN:
-                    failed = record.payload
-                    if failed in failed_nodes:
-                        continue
-                    failed_nodes.add(failed)
-                    # Active flows over the node reroute or drop.
-                    displace(
-                        [
-                            flow_id
-                            for flow_id, state in sorted(active.items())
-                            if failed in state.path
-                        ]
-                    )
-                    # Links touching the node leave the capacity map
-                    # (after the reroutes, so the engine never drops a
-                    # loaded link).
-                    for link in list(capacities):
-                        if failed in link:
-                            down_links[link] = capacities.pop(link)
-                            if incremental:
-                                engine.remove_link(link)
-                    recompute_rates()
-                elif action == NODE_UP:
-                    repaired = record.payload
-                    if repaired not in failed_nodes:
-                        continue
-                    failed_nodes.discard(repaired)
-                    # Links regain their stored capacity once both
-                    # endpoints are alive, unless individually cut.
-                    for link in list(down_links):
-                        if (
-                            repaired in link
-                            and not (link & failed_nodes)
-                            and link not in cut_links
-                        ):
-                            capacity = down_links.pop(link)
-                            capacities[link] = capacity
-                            if incremental:
-                                engine.set_capacity(link, capacity)
-                    recompute_rates()
-                elif action == LINK_DOWN:
-                    link = record.payload
-                    if link in cut_links:
-                        continue
-                    cut_links.add(link)
-                    if link not in capacities:
-                        # Already gone (an endpoint is down); the cut is
-                        # remembered so a node repair cannot revive it.
-                        continue
-                    displace(
-                        [
-                            flow_id
-                            for flow_id, state in sorted(active.items())
-                            if link in state.links
-                        ]
-                    )
-                    down_links[link] = capacities.pop(link)
-                    if incremental:
-                        engine.remove_link(link)
-                    recompute_rates()
-                elif action == LINK_UP:
-                    link = record.payload
-                    if link not in cut_links:
-                        continue
-                    cut_links.discard(link)
-                    if link in down_links and not (link & failed_nodes):
-                        capacity = down_links.pop(link)
-                        capacities[link] = capacity
-                        if incremental:
-                            engine.set_capacity(link, capacity)
-                        recompute_rates()
-                else:  # LINK_DEGRADE
-                    link = record.payload
-                    if link in capacities:
-                        new_capacity = capacities[link] * (
-                            1.0 - record.severity
-                        )
-                        capacities[link] = new_capacity
-                        if incremental:
-                            engine.set_capacity(link, new_capacity)
-                        # The trunk survives with less capacity: the AL
-                        # signature in cached keys is unchanged, so
-                        # entries riding the trunk must be dropped
-                        # explicitly (satellite fix).
-                        if self._route_cache is not None:
-                            self._route_cache.invalidate_crossing((link,))
-                        recompute_rates()
-                    elif link in down_links:
-                        # Degrading a link that is currently down only
-                        # shrinks the capacity a later repair restores.
-                        down_links[link] *= 1.0 - record.severity
-            elif next_arrival <= next_completion and arrival_index < len(pending):
-                flow = pending[arrival_index]
-                arrival_index += 1
-                if failed_nodes or cut_links:
-                    path = self._route_avoiding(
-                        flow, failed_nodes, cut_links, link_flows
-                    )
-                    if path is None:
-                        dropped.append(flow.flow_id)
-                        continue
-                else:
-                    path = self._route(flow, link_flows)
-                links = links_on_path(path)
-                if not links:
-                    # Co-located endpoints: completes immediately and
-                    # leaves every other allocation untouched.
-                    completed.append(
-                        CompletedFlow(
-                            flow_id=flow.flow_id,
-                            size_bytes=flow.size_bytes,
-                            arrival_time=flow.arrival_time,
-                            completion_time=now,
-                            hops=0,
-                        )
-                    )
-                else:
-                    state = _ActiveFlow(
-                        flow=flow,
-                        path=path,
-                        links=links,
-                        remaining_bytes=flow.size_bytes,
-                        last_update=now,
-                    )
-                    active[flow.flow_id] = state
-                    for link in links:
-                        link_flows[link] = link_flows.get(link, 0) + 1
-                        if link not in busy:
-                            busy[link] = 0.0
-                    if incremental:
-                        engine.add_flow(flow.flow_id, links)
-                    recompute_rates()
-            else:
-                state = active.pop(next_finisher)
-                heappop(heap)  # the validated top entry is the finisher
-                materialize(state)
-                for link in state.links:
-                    link_flows[link] -= 1
-                    if link_flows[link] == 0:
-                        del link_flows[link]
-                if incremental:
-                    engine.remove_flow(next_finisher)
-                completed.append(
-                    CompletedFlow(
-                        flow_id=state.flow.flow_id,
-                        size_bytes=state.flow.size_bytes,
-                        arrival_time=state.flow.arrival_time,
-                        completion_time=now,
-                        hops=len(state.path) - 1,
-                    )
-                )
-                recompute_rates()
-            depth = len(active)
-            depth_gauge.set(depth)
-            heap_gauge.set(len(heap))
-            if depth > peak_depth:
-                peak_depth = depth
-
-        peak_gauge.set(peak_depth)
-        peak_flows_gauge.set(peak_depth)
-        return EventSimulationReport(
-            completed=tuple(
-                sorted(completed, key=lambda record: record.flow_id)
-            ),
-            makespan=now,
-            # Drop accumulators that never carried a byte, matching the
-            # lazily-populated mapping the report always exposed.
-            link_busy_byte_seconds={
-                link: value for link, value in busy.items() if value > 0.0
-            },
-            dropped=tuple(sorted(dropped)),
-            reroutes=reroutes,
-            failed_nodes=tuple(sorted(failed_nodes)),
-            events=events,
-            in_flight=in_flight,
-        )
-
-    # ------------------------------------------------------------------
-    # Vector path: struct-of-arrays flow table + whole-array fair share
-    # ------------------------------------------------------------------
-    def _run_vector(
-        self,
-        flows: Sequence[Flow],
-        failures: Sequence[tuple[float, str]] = (),
-        until: float | None = None,
-        *,
-        batched: bool = False,
-    ) -> EventSimulationReport:
-        """The vectorized event loop.
-
-        Mirrors :meth:`_run` decision-for-decision (event tie-breaking,
-        lazy progress materialization, fault handling) with three
-        structural swaps:
-
-        * flow state lives in a :class:`~repro.sim.vector.FlowTable`
-          and rates come from
-          :class:`~repro.sim.vector.VectorFairShareEngine` — ascending
+        * Flow state lives in a :class:`~repro.sim.vector.FlowTable` and
+          rates come from the class-aggregated, component-local
+          :class:`~repro.sim.vector.BatchedFairShareEngine`.  Ascending
           slot order is activation order, so every vectorized pass
-          (materialization, busy charging) performs the dict loop's
-          arithmetic in the dict loop's order;
-        * the next completion is an argmin over the eta array (ties
-          broken by flow id, like the heap's ``(eta, flow_id)`` order)
-          instead of a lazy-deletion heap;
-        * arrivals sharing one timestamp are admitted as a *batch* with
-          a single trailing recompute.  Intermediate recomputes at the
-          same instant materialize no progress and their rates are
-          never observable, so batched reports match the unbatched
-          engines bit-for-bit on workloads with distinct arrival times
-          (the common case; the parity suite draws arrivals from
-          continuous distributions) and remain deterministic — the
-          property the shard-merge tests pin — on same-timestamp
-          workloads like the million-flow soak.
-
-        With ``batched=True`` (``admission="batched"``, the vector
-        default via ``"auto"``) admission itself leaves the event loop:
-        unique ``(src_host, dst_host, AL)`` pairs are bulk-resolved
-        into an :class:`~repro.sim.admission.AdmissionPlan` before the
-        first event, fair sharing runs on the class-aggregated
-        :class:`~repro.sim.vector.BatchedFairShareEngine`, and each
-        arrival group becomes one indexed
-        :meth:`~repro.sim.vector.FlowTable.add_many` append.  Arrivals
-        inside an active failure window bypass the plan through the
-        same uncached surviving-path fallback the per-event loop uses,
-        and fault events invalidate exactly the interned pairs whose
-        paths cross the casualty — reports stay bit-identical to
-        per-event admission (the parity suite asserts it across both
-        fair-share backends).  Load-aware runs keep per-event path
-        picking (the pick depends on instantaneous link loads) over a
-        pre-warmed candidate cache.
+          (materialization, busy charging) runs in activation order.
+        * Progress (and per-link busy time) is materialized lazily, only
+          for flows whose rate changed; progress is linear between rate
+          changes, so charging at the boundaries is exact.
+        * The next completion is an argmin over the eta array, ties
+          broken by the smallest flow id.
+        * Admission leaves the event loop: unique
+          ``(src_host, dst_host, AL)`` pairs are bulk-resolved into an
+          :class:`~repro.sim.admission.AdmissionPlan` before the first
+          event, and each group of arrivals sharing one timestamp
+          becomes one indexed append with a single trailing recompute.
+          Arrivals inside an active failure window take the uncached
+          surviving-path fallback instead, and fault events invalidate
+          exactly the interned pairs whose paths cross the casualty.
+          Load-aware runs pick each arrival's path per event (the pick
+          depends on instantaneous link loads) over a pre-warmed
+          candidate cache.
         """
-        events_counter = self._telemetry.counter(
+        telemetry = self._telemetry
+        events_counter = telemetry.counter(
             "alvc_sim_events_total",
             "discrete events processed (arrivals, completions, failures)",
         )
-        depth_gauge = self._telemetry.gauge(
+        depth_gauge = telemetry.gauge(
             "alvc_sim_active_flows", "concurrent in-flight flows (queue depth)"
         )
-        peak_gauge = self._telemetry.gauge(
+        peak_gauge = telemetry.gauge(
             "alvc_sim_active_flows_peak", "peak concurrent in-flight flows"
         )
-        peak_flows_gauge = self._telemetry.gauge(
+        peak_flows_gauge = telemetry.gauge(
             "alvc_sim_peak_flows",
             "peak concurrent in-flight flows in the last run",
+        )
+        bulk_counter = telemetry.counter(
+            "alvc_admission_bulk_flows_total",
+            "flows admitted through pre-resolved interned routes",
+        )
+        fallback_counter = telemetry.counter(
+            "alvc_admission_fallback_flows_total",
+            "batched-mode arrivals routed per event "
+            "(failure windows and load-aware picking)",
         )
         peak_depth = 0
         pending = sorted(flows, key=lambda flow: (flow.arrival_time, flow.flow_id))
@@ -1134,33 +591,9 @@ class EventDrivenFlowSimulator:
         # engine's arrays): failures remove links here without
         # poisoning the simulator for subsequent runs.
         capacities = dict(self._capacities)
-        engine_cls = BatchedFairShareEngine if batched else VectorFairShareEngine
-        engine = engine_cls(capacities, telemetry=self._telemetry)
+        engine = BatchedFairShareEngine(capacities, telemetry=telemetry)
         table = engine.table
         busy = np.zeros(engine.n_links)
-
-        # Concurrent-flow-per-link bookkeeping only matters to the
-        # load-aware path picker; the batched pipeline routes through
-        # the plan (or the load-blind surviving-path fallback) and
-        # skips the dict maintenance entirely.
-        track_loads = self._load_aware or not batched
-
-        # Batched admission: resolve every unique endpoint pair before
-        # the first event (one BFS fan-out per source), so admitting an
-        # arrival is a plan lookup plus an indexed append.
-        plan = None
-        plan_keys: list = []
-        bulk_counter = fallback_counter = None
-        if batched:
-            bulk_counter = self._telemetry.counter(
-                "alvc_admission_bulk_flows_total",
-                "flows admitted through pre-resolved interned routes",
-            )
-            fallback_counter = self._telemetry.counter(
-                "alvc_admission_fallback_flows_total",
-                "batched-mode arrivals routed per event "
-                "(failure windows and load-aware picking)",
-            )
 
         completed: list[CompletedFlow] = []
         dropped: list[FlowId] = []
@@ -1169,38 +602,46 @@ class EventDrivenFlowSimulator:
         in_flight = 0
         failed_nodes: set[str] = set()
         cut_links: set[LinkId] = set()
+        # Capacity each down link had when it left the map, so repairs
+        # restore exactly the pre-failure (possibly degraded) value.
         down_links: dict[LinkId, float] = {}
+        # Concurrent flows per link: only the load-aware picker reads it.
+        load_aware = self._load_aware
         link_flows: dict[LinkId, int] = {}
         now = 0.0
         arrival_index = 0
         failure_index = 0
         infinity = math.inf
 
-        if batched:
-            if not self._load_aware:
-                plan_keys = [self._admission_key(flow) for flow in pending]
-                plan = plan_admission(
-                    self._inventory.network,
-                    (key for key in plan_keys if key is not None),
-                    engine.link_index,
-                    engine=self._routing_engine,
-                    telemetry=self._telemetry,
-                )
-            elif self._route_cache is not None:
-                # Load-aware picks depend on instantaneous link loads,
-                # so routes cannot be pinned up front — but the
-                # candidate sets can: warm the cache once per unique
-                # pair so the event loop only ever pays the pick.
-                seen: set = set()
-                for flow in pending:
-                    key = self._admission_key(flow)
-                    if key is None or key in seen:
-                        continue
-                    seen.add(key)
-                    try:
-                        self._route(flow, link_flows)
-                    except RoutingError:
-                        pass
+        # Resolve every unique endpoint pair before the first event (one
+        # BFS fan-out per source), so admitting an arrival is a plan
+        # lookup plus an indexed append.
+        plan = None
+        plan_keys: list = []
+        if not load_aware:
+            plan_keys = [self._admission_key(flow) for flow in pending]
+            plan = plan_admission(
+                self._inventory.network,
+                (key for key in plan_keys if key is not None),
+                engine.link_index,
+                engine=self._routing_engine,
+                telemetry=telemetry,
+            )
+        elif self._route_cache is not None:
+            # Load-aware picks depend on instantaneous link loads, so
+            # routes cannot be pinned up front — but the candidate sets
+            # can: warm the cache once per unique pair so the event
+            # loop only ever pays the pick.
+            seen: set = set()
+            for flow in pending:
+                key = self._admission_key(flow)
+                if key is None or key in seen:
+                    continue
+                seen.add(key)
+                try:
+                    self._route_least_loaded(flow, link_flows)
+                except RoutingError:
+                    pass
 
         # Same-timestamp batch edges come from one searchsorted over
         # the pre-extracted arrival-time array instead of a per-flow
@@ -1211,9 +652,7 @@ class EventDrivenFlowSimulator:
 
         def materialize_slots(slots: np.ndarray) -> None:
             """Charge progress (and link busy time) for ``slots`` since
-            their last rate change — the array twin of :meth:`_run`'s
-            ``materialize``, applied in ascending slot (= activation)
-            order so per-link busy sums accumulate in the dict loop's
+            their last rate change, in ascending slot (= activation)
             order."""
             elapsed = now - table.last_update[slots]
             rate = table.rate[slots]
@@ -1253,6 +692,25 @@ class EventDrivenFlowSimulator:
         def recompute_rates() -> None:
             apply_rates(engine.recompute())
 
+        def count_loads(links, delta: int) -> None:
+            for link in links:
+                count = link_flows.get(link, 0) + delta
+                if count:
+                    link_flows[link] = count
+                else:
+                    del link_flows[link]
+
+        def complete_now(flow: Flow, hops: int) -> None:
+            completed.append(
+                CompletedFlow(
+                    flow_id=flow.flow_id,
+                    size_bytes=flow.size_bytes,
+                    arrival_time=flow.arrival_time,
+                    completion_time=now,
+                    hops=hops,
+                )
+            )
+
         def displace(victims: list[FlowId]) -> None:
             """Reroute (or drop) flows whose path just became unusable."""
             nonlocal reroutes
@@ -1261,15 +719,10 @@ class EventDrivenFlowSimulator:
                 materialize_slots(np.array([slot], dtype=np.int64))
                 flow, _, links = table.meta[slot]
                 remaining_bytes = float(table.remaining[slot])
-                if track_loads:
-                    for link in links:
-                        link_flows[link] -= 1
-                        if link_flows[link] == 0:
-                            del link_flows[link]
+                if load_aware:
+                    count_loads(links, -1)
                 engine.remove_flow(flow_id)
-                new_path = self._route_avoiding(
-                    flow, failed_nodes, cut_links, link_flows
-                )
+                new_path = self._route_avoiding(flow, failed_nodes, cut_links)
                 if new_path is None:
                     dropped.append(flow_id)
                     continue
@@ -1279,9 +732,8 @@ class EventDrivenFlowSimulator:
                 table.meta[slot] = (flow, new_path, new_links)
                 table.remaining[slot] = remaining_bytes
                 table.last_update[slot] = now
-                if track_loads:
-                    for link in new_links:
-                        link_flows[link] = link_flows.get(link, 0) + 1
+                if load_aware:
+                    count_loads(new_links, 1)
 
         while (
             arrival_index < len(pending)
@@ -1408,6 +860,9 @@ class EventDrivenFlowSimulator:
                         )
                         capacities[link] = new_capacity
                         engine.set_capacity(link, new_capacity)
+                        # The trunk survives with less capacity: the AL
+                        # signature in cached keys is unchanged, so
+                        # entries riding the trunk are dropped here.
                         if self._route_cache is not None:
                             self._route_cache.invalidate_crossing((link,))
                         if plan is not None:
@@ -1419,8 +874,9 @@ class EventDrivenFlowSimulator:
                         down_links[link] *= 1.0 - record.severity
             elif next_arrival <= next_completion and arrival_index < len(pending):
                 # Admit every arrival sharing this timestamp, then
-                # recompute once (the batch optimization — see the
-                # method docstring).
+                # recompute once: intermediate recomputes at the same
+                # instant materialize no progress and their rates are
+                # never observable.
                 admitted = False
                 batch: list = []
                 batch_end = int(
@@ -1434,29 +890,20 @@ class EventDrivenFlowSimulator:
                     events_counter.inc()
                     if failed_nodes or cut_links:
                         path = self._route_avoiding(
-                            flow, failed_nodes, cut_links, link_flows
+                            flow, failed_nodes, cut_links
                         )
                         if path is None:
                             dropped.append(flow.flow_id)
                             continue
-                        if fallback_counter is not None:
-                            fallback_counter.inc()
+                        fallback_counter.inc()
                     elif plan is not None:
-                        # Batched admission: the pair was resolved (or
-                        # negatively interned) before the first event.
+                        # The pair was resolved (or negatively interned)
+                        # before the first event.
                         key = plan_keys[index]
                         if key is None:
                             # Co-located endpoints: completes
                             # immediately, like the zero-hop path below.
-                            completed.append(
-                                CompletedFlow(
-                                    flow_id=flow.flow_id,
-                                    size_bytes=flow.size_bytes,
-                                    arrival_time=flow.arrival_time,
-                                    completion_time=now,
-                                    hops=0,
-                                )
-                            )
+                            complete_now(flow, 0)
                             continue
                         route = plan.lookup(*key)
                         if route is NO_PLAN_ROUTE:
@@ -1467,36 +914,25 @@ class EventDrivenFlowSimulator:
                         admitted = True
                         continue
                     else:
-                        if fallback_counter is not None:
-                            fallback_counter.inc()
-                        path = self._route(flow, link_flows)
+                        fallback_counter.inc()
+                        path = self._route_least_loaded(flow, link_flows)
                     links = links_on_path(path)
                     if not links:
                         # Co-located endpoints: completes immediately and
                         # leaves every other allocation untouched.
-                        completed.append(
-                            CompletedFlow(
-                                flow_id=flow.flow_id,
-                                size_bytes=flow.size_bytes,
-                                arrival_time=flow.arrival_time,
-                                completion_time=now,
-                                hops=0,
-                            )
-                        )
+                        complete_now(flow, 0)
                         continue
                     slot = engine.add_flow(flow.flow_id, links)
                     table.meta[slot] = (flow, path, links)
                     table.remaining[slot] = flow.size_bytes
                     table.last_update[slot] = now
-                    if track_loads:
-                        for link in links:
-                            link_flows[link] = link_flows.get(link, 0) + 1
+                    if load_aware:
+                        count_loads(links, 1)
                     admitted = True
                 if batch:
                     # One indexed append for the whole timestamp group;
                     # consecutive slots keep activation order equal to
-                    # admission order, the property every parity
-                    # argument leans on.
+                    # admission order.
                     slots = engine.add_interned(
                         [flow.flow_id for flow, _ in batch],
                         [route for _, route in batch],
@@ -1518,8 +954,8 @@ class EventDrivenFlowSimulator:
                 if finishers.shape[0] == 1:
                     slot = int(finishers[0])
                 else:
-                    # Heap order is (eta, flow_id): break eta ties on
-                    # the smallest flow id, not the earliest slot.
+                    # Break eta ties on the smallest flow id, not the
+                    # earliest slot.
                     slot = min(
                         (int(candidate) for candidate in finishers),
                         key=lambda candidate: table.flow_ids[candidate],
@@ -1527,21 +963,10 @@ class EventDrivenFlowSimulator:
                 finisher = table.flow_ids[slot]
                 materialize_slots(np.array([slot], dtype=np.int64))
                 flow, path, links = table.meta[slot]
-                if track_loads:
-                    for link in links:
-                        link_flows[link] -= 1
-                        if link_flows[link] == 0:
-                            del link_flows[link]
+                if load_aware:
+                    count_loads(links, -1)
                 engine.remove_flow(finisher)
-                completed.append(
-                    CompletedFlow(
-                        flow_id=flow.flow_id,
-                        size_bytes=flow.size_bytes,
-                        arrival_time=flow.arrival_time,
-                        completion_time=now,
-                        hops=len(path) - 1,
-                    )
-                )
+                complete_now(flow, len(path) - 1)
                 recompute_rates()
             depth = table.active_count
             depth_gauge.set(depth)
@@ -1561,266 +986,4 @@ class EventDrivenFlowSimulator:
             failed_nodes=tuple(sorted(failed_nodes)),
             events=events,
             in_flight=in_flight,
-        )
-
-    # ------------------------------------------------------------------
-    # Legacy path: pre-optimization loop, kept for benchmarking and
-    # behavioural regression tests (E19 measures the speedup against it)
-    # ------------------------------------------------------------------
-    def _run_legacy(
-        self,
-        flows: Sequence[Flow],
-        failures: Sequence[tuple[float, str]] = (),
-    ) -> EventSimulationReport:
-        events_counter = self._telemetry.counter(
-            "alvc_sim_events_total",
-            "discrete events processed (arrivals, completions, failures)",
-        )
-        depth_gauge = self._telemetry.gauge(
-            "alvc_sim_active_flows", "concurrent in-flight flows (queue depth)"
-        )
-        peak_gauge = self._telemetry.gauge(
-            "alvc_sim_active_flows_peak", "peak concurrent in-flight flows"
-        )
-        peak_flows_gauge = self._telemetry.gauge(
-            "alvc_sim_peak_flows",
-            "peak concurrent in-flight flows in the last run",
-        )
-        peak_depth = 0
-        events = 0
-        pending = sorted(flows, key=lambda flow: (flow.arrival_time, flow.flow_id))
-        ids = [flow.flow_id for flow in pending]
-        if len(set(ids)) != len(ids):
-            raise SimulationError("duplicate flow ids in workload")
-        failure_queue = self._validated_failures(failures)
-
-        active: dict[FlowId, _ActiveFlow] = {}
-        completed: list[CompletedFlow] = []
-        dropped: list[FlowId] = []
-        reroutes = 0
-        failed_nodes: set[str] = set()
-        cut_links: set[LinkId] = set()
-        down_links: dict[LinkId, float] = {}
-        busy: dict[LinkId, float] = {}
-        link_flows: dict[LinkId, int] = {}
-        capacities = dict(self._capacities)
-        now = 0.0
-        arrival_index = 0
-        failure_index = 0
-
-        def recompute_rates() -> None:
-            rates = max_min_fair_rates(
-                {flow_id: state.links for flow_id, state in active.items()},
-                capacities,
-            )
-            for flow_id, state in active.items():
-                state.rate = rates[flow_id]
-
-        def displace(victims: list[FlowId]) -> None:
-            nonlocal reroutes
-            for flow_id in victims:
-                state = active.pop(flow_id)
-                for link in state.links:
-                    link_flows[link] -= 1
-                    if link_flows[link] == 0:
-                        del link_flows[link]
-                new_path = self._route_avoiding(
-                    state.flow, failed_nodes, cut_links, link_flows
-                )
-                if new_path is None:
-                    dropped.append(flow_id)
-                    continue
-                reroutes += 1
-                rerouted = _ActiveFlow(
-                    flow=state.flow,
-                    path=new_path,
-                    links=links_on_path(new_path),
-                    remaining_bytes=state.remaining_bytes,
-                )
-                active[flow_id] = rerouted
-                for link in rerouted.links:
-                    link_flows[link] = link_flows.get(link, 0) + 1
-
-        while pending[arrival_index:] or active or failure_queue[failure_index:]:
-            next_arrival = (
-                pending[arrival_index].arrival_time
-                if arrival_index < len(pending)
-                else math.inf
-            )
-            next_failure = (
-                failure_queue[failure_index].time
-                if failure_index < len(failure_queue)
-                else math.inf
-            )
-            next_completion = math.inf
-            next_finisher: FlowId | None = None
-            for flow_id, state in sorted(active.items()):
-                if state.rate <= 0:
-                    continue
-                eta = now + state.remaining_bytes / state.rate
-                if eta < next_completion:
-                    next_completion = eta
-                    next_finisher = flow_id
-            # Zero-hop flows complete instantly (infinite rate handled
-            # by remaining/inf == 0.0 via eta == now).
-            event_time = min(next_arrival, next_completion, next_failure)
-            if math.isinf(event_time):
-                raise SimulationError(
-                    "simulation stalled: active flows with zero rate"
-                )
-            events += 1
-            events_counter.inc()
-            # Account progress (and link busy-time) over [now, event_time].
-            elapsed = event_time - now
-            if elapsed > 0:
-                for state in active.values():
-                    if math.isinf(state.rate):
-                        continue
-                    moved = min(
-                        state.rate * elapsed, state.remaining_bytes
-                    )
-                    state.remaining_bytes -= moved
-                    for link in state.links:
-                        busy[link] = busy.get(link, 0.0) + moved
-            now = event_time
-
-            if next_failure <= min(next_arrival, next_completion):
-                record = failure_queue[failure_index]
-                failure_index += 1
-                # Availability changed without a topology mutation:
-                # bump the path engine's mask generation so cached
-                # post-fault avoidance masks cannot go stale.
-                engine_for(self._inventory.network).note_fault()
-                action = record.action
-                if action == NODE_DOWN:
-                    failed = record.payload
-                    if failed in failed_nodes:
-                        continue
-                    failed_nodes.add(failed)
-                    # Active flows over the node reroute or drop.
-                    displace(
-                        [
-                            flow_id
-                            for flow_id, state in sorted(active.items())
-                            if failed in state.path
-                        ]
-                    )
-                    # Links touching the node leave the capacity map.
-                    for link in list(capacities):
-                        if failed in link:
-                            down_links[link] = capacities.pop(link)
-                    recompute_rates()
-                elif action == NODE_UP:
-                    repaired = record.payload
-                    if repaired not in failed_nodes:
-                        continue
-                    failed_nodes.discard(repaired)
-                    for link in list(down_links):
-                        if (
-                            repaired in link
-                            and not (link & failed_nodes)
-                            and link not in cut_links
-                        ):
-                            capacities[link] = down_links.pop(link)
-                    recompute_rates()
-                elif action == LINK_DOWN:
-                    link = record.payload
-                    if link in cut_links:
-                        continue
-                    cut_links.add(link)
-                    if link not in capacities:
-                        continue
-                    displace(
-                        [
-                            flow_id
-                            for flow_id, state in sorted(active.items())
-                            if link in state.links
-                        ]
-                    )
-                    down_links[link] = capacities.pop(link)
-                    recompute_rates()
-                elif action == LINK_UP:
-                    link = record.payload
-                    if link not in cut_links:
-                        continue
-                    cut_links.discard(link)
-                    if link in down_links and not (link & failed_nodes):
-                        capacities[link] = down_links.pop(link)
-                        recompute_rates()
-                else:  # LINK_DEGRADE
-                    link = record.payload
-                    if link in capacities:
-                        capacities[link] *= 1.0 - record.severity
-                        if self._route_cache is not None:
-                            self._route_cache.invalidate_crossing((link,))
-                        recompute_rates()
-                    elif link in down_links:
-                        down_links[link] *= 1.0 - record.severity
-            elif next_arrival <= next_completion and arrival_index < len(pending):
-                flow = pending[arrival_index]
-                arrival_index += 1
-                if failed_nodes or cut_links:
-                    path = self._route_avoiding(
-                        flow, failed_nodes, cut_links, link_flows
-                    )
-                    if path is None:
-                        dropped.append(flow.flow_id)
-                        continue
-                else:
-                    path = self._route(flow, link_flows)
-                state = _ActiveFlow(
-                    flow=flow,
-                    path=path,
-                    links=links_on_path(path),
-                    remaining_bytes=flow.size_bytes,
-                )
-                active[flow.flow_id] = state
-                for link in state.links:
-                    link_flows[link] = link_flows.get(link, 0) + 1
-                if not state.links:
-                    # Co-located endpoints: completes immediately.
-                    completed.append(
-                        CompletedFlow(
-                            flow_id=flow.flow_id,
-                            size_bytes=flow.size_bytes,
-                            arrival_time=flow.arrival_time,
-                            completion_time=now,
-                            hops=0,
-                        )
-                    )
-                    del active[flow.flow_id]
-                recompute_rates()
-            else:
-                state = active.pop(next_finisher)
-                for link in state.links:
-                    link_flows[link] -= 1
-                    if link_flows[link] == 0:
-                        del link_flows[link]
-                completed.append(
-                    CompletedFlow(
-                        flow_id=state.flow.flow_id,
-                        size_bytes=state.flow.size_bytes,
-                        arrival_time=state.flow.arrival_time,
-                        completion_time=now,
-                        hops=len(state.path) - 1,
-                    )
-                )
-                recompute_rates()
-            depth = len(active)
-            depth_gauge.set(depth)
-            if depth > peak_depth:
-                peak_depth = depth
-
-        peak_gauge.set(peak_depth)
-        peak_flows_gauge.set(peak_depth)
-        return EventSimulationReport(
-            completed=tuple(
-                sorted(completed, key=lambda record: record.flow_id)
-            ),
-            makespan=now,
-            link_busy_byte_seconds=busy,
-            dropped=tuple(sorted(dropped)),
-            reroutes=reroutes,
-            failed_nodes=tuple(sorted(failed_nodes)),
-            events=events,
         )

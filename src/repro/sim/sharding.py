@@ -187,8 +187,7 @@ def simulate_sharded(
             (``workers`` is ignored then).
         telemetry: rollup sink; ambient default when omitted.
         **simulator_options: forwarded to
-            :class:`~repro.sim.event_simulator.EventDrivenFlowSimulator`
-            (defaults to the vector engine).
+            :class:`~repro.sim.event_simulator.EventDrivenFlowSimulator`.
 
     Returns:
         The merged :class:`EventSimulationReport` — completions sorted
@@ -203,7 +202,6 @@ def simulate_sharded(
             fabric).
     """
     sink = telemetry if telemetry is not None else current_telemetry()
-    simulator_options.setdefault("engines", {"sim_engine": "vector"})
     if not flows:
         # Nothing to shard: play the (possibly empty) failure schedule
         # through a single simulator so the report shape matches.

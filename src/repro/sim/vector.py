@@ -1,8 +1,8 @@
 """Struct-of-arrays data plane: vectorized max-min fair sharing.
 
-The dict-based :class:`~repro.sim.fairshare.FairShareEngine` touches one
-python object per flow-link incidence on every recompute, which caps the
-event simulator at a few thousand concurrent flows.  This module moves
+The textbook water-filling (:func:`~repro.sim.fairshare.max_min_fair_rates`)
+touches one python object per flow-link incidence on every round, which
+caps a per-object simulator at a few thousand concurrent flows.  This module moves
 all per-flow state into numpy arrays so a water-filling recompute is a
 handful of whole-array operations:
 
@@ -18,19 +18,18 @@ handful of whole-array operations:
 * :class:`VectorFairShareEngine` — water-filling over the table.  One
   round is: a masked ``remaining / load`` ratio over the loaded links, a
   single ``min``/``argmin`` for the bottleneck (ties broken by a
-  precomputed lexicographic link rank, replicating the dict engine's
+  precomputed lexicographic link rank, replicating the reference's
   ``sorted(link)`` tie-break), a batch freeze of the bottleneck's
   unfrozen members from a per-recompute link→flows transpose, and an
   unbuffered ``np.subtract.at`` over the frozen members' incidences.
   ``np.subtract.at`` performs the duplicate-index subtractions
   *sequentially*, so a link crossed by ``k`` freezing flows sees exactly
-  the ``k`` IEEE subtractions the dict engine performs — and because
+  the ``k`` IEEE subtractions the reference performs — and because
   every subtraction in a round removes the *same* share, deferring the
   zero-clamp to one ``np.maximum`` per round is bit-identical to the
-  dict engine's per-subtraction clamp (once a value goes negative,
+  reference's per-subtraction clamp (once a value goes negative,
   further subtractions keep it negative and both paths clamp to
   ``+0.0``).  The result is **bit-for-bit** the rates of
-  :class:`~repro.sim.fairshare.FairShareEngine` /
   :func:`~repro.sim.fairshare.max_min_fair_rates`, which the seeded
   parity suite asserts on randomized instances.
 * :class:`BatchedFairShareEngine` — the batched data plane: flows
@@ -74,8 +73,7 @@ class FlowTable:
     indexed by slot; link incidences live in one shared ``int32`` pool
     addressed by ``link_start[slot] : link_start[slot] + link_len[slot]``.
     Slots are handed out append-only — ascending slot order is exactly
-    flow-activation order, matching the insertion order of the dict
-    engine's ``active`` mapping — and reclaimed in bulk by
+    flow-activation order — and reclaimed in bulk by
     :meth:`compact` (which preserves relative order) once dead slots
     outnumber live ones.
     """
@@ -275,8 +273,7 @@ class FlowTable:
         """Concatenated link indices of ``slots`` plus per-slot lengths.
 
         The concatenation preserves ``slots`` order and, within a slot,
-        path order — the iteration order the dict engine charges links
-        in.
+        path order — the order progress is charged to links in.
         """
         if len(slots) == 0:
             return _EMPTY_I32, _EMPTY_I64
@@ -450,11 +447,10 @@ class LinkBusyView(Mapping):
 class VectorFairShareEngine:
     """Vectorized max-min water-filling over a :class:`FlowTable`.
 
-    Drop-in sibling of :class:`~repro.sim.fairshare.FairShareEngine`
-    with the same incremental API (``add_flow`` / ``remove_flow`` /
-    ``remove_link`` / ``set_capacity``) and **bit-identical** rates —
+    Incremental API (``add_flow`` / ``remove_flow`` / ``remove_link`` /
+    ``set_capacity``) and **bit-identical** rates —
     see the module docstring for why the whole-array round replicates
-    the dict engine's arithmetic exactly.  :meth:`recompute` returns a
+    the reference's arithmetic exactly.  :meth:`recompute` returns a
     dense ``float64`` array indexed by table slot (``0.0`` for dead
     slots, ``inf`` for live flows with no links); :meth:`rates_by_flow`
     offers the dict-shaped spelling for parity tests.
@@ -471,7 +467,6 @@ class VectorFairShareEngine:
         "_cap",
         "_link_alive",
         "_count",
-        "_sort_keys",
         "_rank",
         "_rounds_histogram",
     )
@@ -488,29 +483,28 @@ class VectorFairShareEngine:
         Raises:
             SimulationError: on a non-positive capacity.
         """
-        for link, capacity in capacities.items():
-            if capacity <= 0:
-                raise SimulationError(
-                    f"link {sorted(link)} has non-positive capacity {capacity}"
-                )
+        self._link_ids: list[LinkId] = list(capacities)
+        self._cap = np.fromiter(
+            capacities.values(), dtype=np.float64, count=len(self._link_ids)
+        )
+        non_positive = np.flatnonzero(self._cap <= 0)
+        if non_positive.shape[0]:
+            link = self._link_ids[int(non_positive[0])]
+            raise SimulationError(
+                f"link {sorted(link)} has non-positive capacity "
+                f"{capacities[link]}"
+            )
         from repro.observability.runtime import current_telemetry
 
         sink = telemetry if telemetry is not None else current_telemetry()
         self._table = table if table is not None else FlowTable()
-        self._link_ids: list[LinkId] = list(capacities)
-        self._index: dict[LinkId, int] = {
-            link: position for position, link in enumerate(self._link_ids)
-        }
-        self._cap = np.array(
-            [capacities[link] for link in self._link_ids], dtype=np.float64
+        self._index: dict[LinkId, int] = dict(
+            zip(self._link_ids, range(len(self._link_ids)))
         )
         self._link_alive = np.ones(len(self._link_ids), dtype=bool)
         # Active-flow counts per link, kept as float64 so recompute can
         # divide without a conversion pass (integers stay exact).
         self._count = np.zeros(len(self._link_ids))
-        self._sort_keys: list[tuple] = [
-            tuple(sorted(link)) for link in self._link_ids
-        ]
         self._rank: np.ndarray | None = None
         self._rounds_histogram = sink.histogram(
             "alvc_fairshare_vector_rounds",
@@ -654,7 +648,6 @@ class VectorFairShareEngine:
             self._cap = np.append(self._cap, capacity)
             self._link_alive = np.append(self._link_alive, True)
             self._count = np.append(self._count, 0.0)
-            self._sort_keys.append(tuple(sorted(link)))
             self._rank = None
         else:
             self._cap[position] = capacity
@@ -665,12 +658,15 @@ class VectorFairShareEngine:
     # ------------------------------------------------------------------
     def _rank_order(self) -> np.ndarray:
         """Link indices in lexicographic ``sorted(link)`` order — the
-        dict engine's tie-break order, cached until a link is added."""
+        reference's tie-break order, cached until a link is added."""
         if self._rank is None or self._rank.shape[0] != len(self._link_ids):
+            # Sort keys are built here, not per link up front: a run
+            # that never water-fills (faults only, no flows) skips them.
+            link_ids = self._link_ids
             self._rank = np.array(
                 sorted(
-                    range(len(self._link_ids)),
-                    key=self._sort_keys.__getitem__,
+                    range(len(link_ids)),
+                    key=lambda index: tuple(sorted(link_ids[index])),
                 ),
                 dtype=np.int64,
             )
@@ -680,8 +676,8 @@ class VectorFairShareEngine:
         """Max-min fair rate per table slot.
 
         Bit-for-bit identical to
-        :meth:`repro.sim.fairshare.FairShareEngine.recompute` on the
-        same flows and capacities.
+        :func:`repro.sim.fairshare.max_min_fair_rates` on the same
+        flows and capacities.
         """
         table = self._table
         size = table.size
@@ -703,7 +699,7 @@ class VectorFairShareEngine:
         # Compress to the loaded links so a round costs O(loaded), not
         # O(all links), and order them by lexicographic rank: with the
         # compressed arrays in rank order, ``np.argmin``'s
-        # first-occurrence rule IS the dict engine's exact-tie
+        # first-occurrence rule IS the reference's exact-tie
         # tie-break (lowest sort key among equal ratios) — one call
         # replaces the min/candidates/rank-argmin cascade.
         perm = self._rank_order()
@@ -734,7 +730,7 @@ class VectorFairShareEngine:
         ratio = np.empty(n_loaded)
         # A flow that crosses some link twice (a cycle in its path)
         # appears twice in that link's transpose segment but must
-        # freeze exactly once, like the dict engine's member *dict*.
+        # freeze exactly once, like the reference's member *dict*.
         # Dedup inside the round is safe — every member gets the same
         # share and per-link subtraction counts don't depend on member
         # order — but it costs an ``np.unique`` per round, so it is
@@ -823,7 +819,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     engine's — same ``remaining / load`` ratios, same first-occurrence
     rank-ordered argmin — and regrouping a bottleneck's member flows by
     class only permutes same-valued subtractions, so each link still
-    sees exactly the dict engine's subtraction sequence.  Across
+    sees exactly the reference's subtraction sequence.  Across
     components nothing is shared: components share no links, so the
     global loop's picks inside a component are exactly the component
     loop's picks (a global argmin landing in a component is that
@@ -1231,7 +1227,8 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     # ------------------------------------------------------------------
     def recompute(self) -> np.ndarray:
         """Max-min fair rate per slot — bit-identical to the vector
-        (and therefore dict) engines; see the class docstring."""
+        engine (and therefore the reference); see the class
+        docstring."""
         table = self._table
         size = table.size
         if (

@@ -33,7 +33,7 @@ import warnings
 from pathlib import Path
 from typing import Sequence
 
-from repro.config import SIM_ENGINES, EngineConfig
+from repro.config import EngineConfig
 from repro.core.chaining import ChainRequest, NetworkFunctionChain
 from repro.core.cluster import VirtualCluster
 from repro.core.orchestrator import (
@@ -114,8 +114,6 @@ class AlvcStack:
         exclusive_chains: bool = True,
         host_policy: HostPolicy | str | None = None,
         routing_engine: str | None = None,
-        engine: str | None = None,
-        admission: str | None = None,
         engines: EngineConfig | dict | None = None,
         journal: Journal | str | Path | None = None,
         sync: str = "always",
@@ -151,16 +149,6 @@ class AlvcStack:
                     Use ``engines=EngineConfig(routing=...)``; this
                     keyword is scheduled for removal two releases after
                     the durable service ships (the v1.0 cut).
-            engine: simulation-engine selector.
-
-                .. deprecated:: PR 10
-                    Use ``engines=EngineConfig(sim_engine=...)``; the
-                    bare kwarg warns and is scheduled for removal at
-                    the v1.0 cut.
-            admission: event-simulator admission pipeline
-                (``"auto"``/``"per_event"``/``"batched"``, see
-                :mod:`repro.sim.admission`); shorthand for
-                ``engines=EngineConfig(admission=...)``.
             engines: typed :class:`~repro.config.EngineConfig` (or a
                 mapping / routing-engine string coercible to one)
                 selecting the cover kernel, routing engine and default
@@ -207,35 +195,6 @@ class AlvcStack:
                 )
             engine_config = dataclasses.replace(
                 engine_config, routing=routing_engine
-            )
-        if engine is not None:
-            warnings.warn(
-                "AlvcStack.build(engine=...) is deprecated; use "
-                "engines=EngineConfig(sim_engine=...). Scheduled for "
-                "removal at the v1.0 cut.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine not in SIM_ENGINES:
-                raise ValidationError(
-                    f"unknown simulation engine {engine!r} "
-                    f"(expected one of {', '.join(SIM_ENGINES)})"
-                )
-            if engine != "incremental":
-                if engine_config.sim_engine not in ("incremental", engine):
-                    raise ValidationError(
-                        "conflicting simulation engines: engine="
-                        f"{engine!r} vs engines.sim_engine="
-                        f"{engine_config.sim_engine!r}"
-                    )
-                engine_config = dataclasses.replace(
-                    engine_config, sim_engine=engine
-                )
-        if admission is not None:
-            # replace() re-validates, so unknown modes and
-            # batched-on-non-vector combinations fail loudly here.
-            engine_config = dataclasses.replace(
-                engine_config, admission=admission
             )
         if isinstance(host_policy, str):
             host_policy = HostPolicy(host_policy)
@@ -844,7 +803,6 @@ class AlvcStack:
         config=None,
         admission=None,
         scaling=None,
-        engine: str | None = None,
         chaos_rate: float = 0.0,
         chaos_repair_after: float | None = 2.0,
         storm_period: int = 0,
@@ -869,41 +827,10 @@ class AlvcStack:
         :class:`~repro.workload.WorkloadReport`.
 
         ``admission=`` here is the workload *admission policy*
-        (tenant accept/reject), not the simulator's admission
-        pipeline — configure that on
-        :meth:`build` (``admission=``/``engines=``).
-
-        .. deprecated:: PR 10
-            ``engine=`` is a deprecated selector spelling: configure
-            engines on :meth:`build` (``engines=EngineConfig(...)``).
-            The kwarg warns, validates, and must agree with the
-            stack's configured simulation engine.
+        (tenant accept/reject).
         """
         from repro.workload import WorkloadRunner, generate_scenario
 
-        if engine is not None:
-            warnings.warn(
-                "AlvcStack.run_workload(engine=...) is deprecated; "
-                "configure AlvcStack.build(engines="
-                "EngineConfig(sim_engine=...)). Scheduled for removal "
-                "at the v1.0 cut.",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if engine not in SIM_ENGINES:
-                raise ValidationError(
-                    f"unknown simulation engine {engine!r} "
-                    f"(expected one of {', '.join(SIM_ENGINES)})"
-                )
-            configured = self.engines.sim_engine
-            if engine != "incremental" and configured not in (
-                "incremental",
-                engine,
-            ):
-                raise ValidationError(
-                    "conflicting simulation engines: engine="
-                    f"{engine!r} vs engines.sim_engine={configured!r}"
-                )
         if scenario is None:
             scenario = generate_scenario(config, seed=seed)
         elif config is not None:

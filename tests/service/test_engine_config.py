@@ -3,18 +3,17 @@
 The satellite that unifies the organically-grown ``kernel=`` /
 ``engine=`` / ``routing_engine=`` / ``workers=`` knobs behind one typed
 config — and keeps the old spellings working through deprecation shims.
+The retired simulator selectors (``sim_engine``, ``admission``) are no
+fields any more, but mappings that carry them — old journals' genesis
+records — still coerce.
 """
 
+import dataclasses
 import warnings
 
 import pytest
 
-from repro.config import (
-    ADMISSION_MODES,
-    COVER_KERNELS,
-    SIM_ENGINES,
-    EngineConfig,
-)
+from repro.config import COVER_KERNELS, EngineConfig
 from repro.exceptions import ValidationError
 from repro.stack import AlvcStack
 
@@ -26,8 +25,8 @@ class TestValidation:
         config = EngineConfig()
         assert config.cover_kernel == "auto"
         assert config.routing == "auto"
-        assert config.sim_engine == "incremental"
         assert config.workers == 1
+        assert len(dataclasses.fields(config)) == 4
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -46,25 +45,27 @@ class TestValidation:
     )
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(ValidationError, match=match):
-            EngineConfig(**kwargs)
+            EngineConfig.coerce(kwargs)
 
     def test_admission_modes(self):
-        assert ADMISSION_MODES == ("auto", "per_event", "batched")
-        assert EngineConfig().admission == "auto"
-        config = EngineConfig(sim_engine="vector", admission="batched")
-        assert config.admission == "batched"
-        for mode in ("auto", "per_event"):
-            assert EngineConfig(admission=mode).admission == mode
+        """Every admission mode an old mapping could carry coerces to
+        the default config; the field itself is gone."""
+        for mode in ("auto", "per_event", "batched"):
+            mapping = {"sim_engine": "vector", "admission": mode}
+            assert EngineConfig.coerce(mapping) == EngineConfig()
+        with pytest.raises(TypeError):
+            EngineConfig(admission="batched")
 
     def test_known_sim_engines_all_construct(self):
-        assert SIM_ENGINES == (
-            "incremental",
-            "from_scratch",
-            "legacy",
-            "vector",
-        )
-        for engine in SIM_ENGINES:
-            assert EngineConfig(sim_engine=engine).sim_engine == engine
+        """Every simulation engine an old mapping could carry coerces
+        (the other selectors survive); the field itself is gone."""
+        for engine in ("incremental", "from_scratch", "legacy", "vector"):
+            mapping = {"sim_engine": engine, "cover_kernel": "set"}
+            assert EngineConfig.coerce(mapping) == EngineConfig(
+                cover_kernel="set"
+            )
+        with pytest.raises(TypeError):
+            EngineConfig(sim_engine="vector")
 
     def test_frozen(self):
         with pytest.raises(Exception):
@@ -170,69 +171,6 @@ class TestDeprecatedSpellings:
             warnings.simplefilter("error", DeprecationWarning)
             assert stack.run_sweep(_square, [4]) == [16]
 
-    def test_build_engine_kwarg_warns_and_maps(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"AlvcStack\.build\(engine=\.\.\.\) is deprecated",
-        ):
-            stack = AlvcStack.build(engine="vector", **BUILD)
-        assert stack.engines.sim_engine == "vector"
-
-    def test_build_engine_kwarg_rejects_unknown_and_conflicts(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="unknown simulation"):
-                AlvcStack.build(engine="warp", **BUILD)
-            with pytest.raises(ValidationError, match="conflicting"):
-                AlvcStack.build(
-                    engine="vector",
-                    engines=EngineConfig(sim_engine="legacy"),
-                    **BUILD,
-                )
-
-    def test_run_workload_engine_kwarg_warns_and_validates(self):
-        from repro.workload import ScenarioConfig
-
-        stack = AlvcStack.build(exclusive_chains=False, **BUILD)
-        config = ScenarioConfig(
-            days=1, epochs_per_day=2, arrival_rate=1.0
-        )
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"run_workload\(engine=\.\.\.\) is deprecated",
-        ) as caught:
-            stack.run_workload(seed=0, config=config, engine="incremental")
-        assert any(
-            issubclass(record.category, DeprecationWarning)
-            and "EngineConfig(sim_engine=...)" in str(record.message)
-            for record in caught
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="unknown simulation"):
-                stack.run_workload(seed=0, config=config, engine="warp")
-        vector_stack = AlvcStack.build(
-            exclusive_chains=False,
-            engines={"sim_engine": "vector"},
-            **BUILD,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="conflicting"):
-                vector_stack.run_workload(
-                    seed=0, config=config, engine="legacy"
-                )
-
-    def test_build_admission_kwarg_folds_into_engines(self):
-        stack = AlvcStack.build(
-            admission="batched",
-            engines={"sim_engine": "vector"},
-            **BUILD,
-        )
-        assert stack.engines.admission == "batched"
-        with pytest.raises(ValidationError, match="requires sim_engine"):
-            AlvcStack.build(admission="batched", **BUILD)
-
 
 class TestJournalIntegration:
     def test_genesis_embeds_engines(self, tmp_path):
@@ -250,6 +188,42 @@ class TestJournalIntegration:
         with ControlPlaneService.open(tmp_path / "state", sync="off") as r:
             # Restore rebuilds the stack on the same engines.
             assert r.stack.engines == config
+
+    def test_genesis_with_retired_selectors_restores(self, tmp_path):
+        """A journal whose genesis record still stores ``sim_engine``
+        and ``admission`` (as every journal did before the event
+        simulator had one data plane) restores to the same state."""
+        from repro.service.journal import Journal, read_journal
+        from repro.service.restore import restore_stack
+        from repro.service.snapshot import state_digest
+
+        live = AlvcStack.build(
+            journal=tmp_path / "live.alvc", sync="off", **BUILD
+        )
+        live.provision(("firewall", "nat"), service="web")
+        live.journal.close()
+        old = Journal(tmp_path / "old.alvc", sync="off")
+        for record in read_journal(tmp_path / "live.alvc").records:
+            data = record.data
+            if record.op == "genesis":
+                build = dict(data["build"])
+                build["engines"] = {
+                    **build["engines"],
+                    "sim_engine": "incremental",
+                    "admission": "auto",
+                }
+                data = {"build": build}
+            old.append(record.op, data, nested=record.nested)
+        old.close()
+        restored = restore_stack(tmp_path / "old.alvc").stack
+        assert restored.engines == EngineConfig()
+        assert state_digest(restored) == state_digest(live)
+
+    def test_retired_selector_values_still_validate(self):
+        with pytest.raises(ValidationError, match="unknown simulation"):
+            EngineConfig.coerce({"sim_engine": "warp"})
+        with pytest.raises(ValidationError, match="unknown simulation"):
+            AlvcStack.build(engines={"sim_engine": "warp"}, **BUILD)
 
 
 def _square(x):

@@ -6,10 +6,14 @@ schedules, the admission-mode comparisons, the dual-path link-fault
 schedule and the derandomized chaos examples — is defined here once as
 a *case*: a function that builds a fresh testbed, runs the simulator and
 returns its report.  :func:`report_crc` folds a report into one CRC32,
-and ``golden_reports.json`` stores the CRC of every case as recorded
-when all the simulator's loops (incremental, from-scratch, legacy where
-exact, vector with per-event and batched admission) agreed on it bit
-for bit.  The data plane must keep reproducing every one of them.
+and ``golden_reports.json`` stores the CRC of every case, recorded
+when the simulator still carried four event loops (dict-based
+incremental and from-scratch water-filling, the vector loop with
+per-event and with batched admission) and all of them agreed on every
+case bit for bit.  The one remaining data plane must keep reproducing
+each of them, and :func:`assert_golden` also certifies every fair-share
+recompute of the run against the max-min definition and the textbook
+water-filling.
 
 Regenerate (only for an intended change of simulation semantics)::
 
@@ -18,6 +22,8 @@ Regenerate (only for an intended change of simulation semantics)::
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import random
 import sys
@@ -26,10 +32,13 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.cluster import ClusterManager
+from repro.sdn.route_cache import DEFAULT_ROUTE_CACHE_SIZE
 from repro.sim.event_simulator import EventDrivenFlowSimulator
+from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
 from repro.sim.faults import FaultEvent, FaultKind
 from repro.sim.flows import Flow
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
+from repro.sim.vector import BatchedFairShareEngine
 from repro.topology.datacenter import DataCenterNetwork
 from repro.topology.elements import (
     Domain,
@@ -239,17 +248,18 @@ _LINK_FAULTS = [
 
 
 # ----------------------------------------------------------------------
-# Cases: case id -> run(**simulator_options) -> report
+# Cases: case id -> run() -> report
 # ----------------------------------------------------------------------
 def _workload(seed, count, config, *, load_aware=False, until=None,
-              cache=None):
-    def run(**options):
+              route_cache_size=DEFAULT_ROUTE_CACHE_SIZE):
+    def run():
         inventory, clusters = clustered_testbed()
         flows = _traffic(inventory, seed, count, **config)
-        if cache is not None:
-            options["route_cache_size"] = cache
         simulator = EventDrivenFlowSimulator(
-            inventory, clusters, load_aware=load_aware, **options
+            inventory,
+            clusters,
+            load_aware=load_aware,
+            route_cache_size=route_cache_size,
         )
         return simulator.run(flows, until=until)
 
@@ -257,53 +267,50 @@ def _workload(seed, count, config, *, load_aware=False, until=None,
 
 
 def _ops_crashes(seed):
-    def run(**options):
+    def run():
         inventory, clusters = clustered_testbed()
         flows = _traffic(inventory, seed, 80, arrival_rate=40.0)
         victims = inventory.network.optical_switches()[:2]
         failures = [(0.05, victims[0]), (0.4, victims[1])]
-        return EventDrivenFlowSimulator(
-            inventory, clusters, **options
-        ).run(flows, failures=failures)
+        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        return simulator.run(flows, failures=failures)
 
     return run
 
 
 def _fault_schedule_case(seed):
-    def run(**options):
+    def run():
         inventory, clusters = clustered_testbed()
         rng = random.Random(seed)
         flows = _traffic(inventory, seed, 30, arrival_rate=40.0, sigma=0.8)
         failures = fault_schedule(rng, inventory.network)
-        return EventDrivenFlowSimulator(
-            inventory, clusters, **options
-        ).run(flows, failures=failures)
+        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        return simulator.run(flows, failures=failures)
 
     return run
 
 
 def _admission_faults_case(seed):
-    def run(**options):
+    def run():
         inventory, clusters = clustered_testbed()
         rng = random.Random(seed)
         flows = _traffic(inventory, seed, 30, arrival_rate=50.0, sigma=0.8)
         failures = _admission_faults(rng, inventory.network)
-        return EventDrivenFlowSimulator(
-            inventory, clusters, **options
-        ).run(flows, failures=failures)
+        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        return simulator.run(flows, failures=failures)
 
     return run
 
 
-def _link_faults(**options):
+def _link_faults():
     inventory, flows = _dual_path_flows()
     return EventDrivenFlowSimulator(
-        inventory, default_bandwidth_gbps=10.0, **options
+        inventory, default_bandwidth_gbps=10.0
     ).run(flows, failures=_LINK_FAULTS)
 
 
 def _chaos_case(example: dict):
-    def run(**options):
+    def run():
         from repro.chaos import FaultInjector
         from tests.chaos.testbed import build_inventory
 
@@ -320,16 +327,11 @@ def _chaos_case(example: dict):
         flows = TrafficGenerator(
             inventory, seed=example["chaos_seed"]
         ).flows(8)
-        return EventDrivenFlowSimulator(inventory, clusters, **options).run(
+        return EventDrivenFlowSimulator(inventory, clusters).run(
             flows, failures=injector.events()
         )
 
     return run
-
-
-def load_fixture() -> dict:
-    """The committed fixture: ``{"chaos_examples": [...], "crc": {...}}``."""
-    return json.loads(FIXTURE.read_text())
 
 
 def build_cases(chaos_examples) -> dict[str, Callable]:
@@ -346,7 +348,7 @@ def build_cases(chaos_examples) -> dict[str, Callable]:
     cases["ops_crashes/41"] = _ops_crashes(41)
     cases["route_cache/51"] = _workload(51, 120, dict(arrival_rate=60.0))
     cases["route_cache_off/51"] = _workload(
-        51, 120, dict(arrival_rate=60.0), cache=0
+        51, 120, dict(arrival_rate=60.0), route_cache_size=0
     )
     for seed in (61, 62):
         cases[f"workload/{seed}"] = _workload(
@@ -372,29 +374,62 @@ def build_cases(chaos_examples) -> dict[str, Callable]:
     return cases
 
 
-#: The loop/admission combinations every golden was cross-checked on.
-ENGINE_ARMS = (
-    {"sim_engine": "from_scratch"},
-    {"sim_engine": "incremental"},
-    {"sim_engine": "vector", "admission": "per_event"},
-    {"sim_engine": "vector", "admission": "batched"},
-)
+@contextlib.contextmanager
+def certified_recomputes():
+    """Check every data-plane recompute inside the block.
+
+    Each allocation the fair-share engine returns must pass
+    :func:`~repro.sim.fairshare.check_max_min_fair` and equal
+    :func:`~repro.sim.fairshare.max_min_fair_rates`, bit for bit, on
+    the engine's live flows and capacities.
+    """
+    original = BatchedFairShareEngine.recompute
+
+    def recompute(engine):
+        rates = original(engine)
+        table = engine.table
+        link_ids = engine.link_ids()
+        flow_links, got = {}, {}
+        for slot in table.active_slots().tolist():
+            start = int(table.link_start[slot])
+            pool = table.pool[start : start + int(table.link_len[slot])]
+            flow = table.flow_ids[slot]
+            flow_links[flow] = [link_ids[index] for index in pool.tolist()]
+            got[flow] = float(rates[slot])
+        capacities = engine.capacities()
+        check_max_min_fair(got, flow_links, capacities)
+        assert got == max_min_fair_rates(flow_links, capacities)
+        return rates
+
+    BatchedFairShareEngine.recompute = recompute
+    try:
+        yield
+    finally:
+        BatchedFairShareEngine.recompute = original
+
+
+@functools.cache
+def golden_fixture() -> tuple[dict[str, Callable], dict[str, int], list]:
+    """``(cases, golden CRC per case, chaos examples)`` from the
+    committed fixture (read once, on first use)."""
+    fixture = json.loads(FIXTURE.read_text())
+    examples = fixture["chaos_examples"]
+    return build_cases(examples), fixture["crc"], examples
+
+
+def assert_golden(case: str) -> None:
+    """Run ``case`` with certified recomputes and match its golden CRC."""
+    cases, crcs, _ = golden_fixture()
+    with certified_recomputes():
+        report = cases[case]()
+    assert report_crc(report) == crcs[case], case
 
 
 def main() -> int:
-    fixture = load_fixture() if FIXTURE.exists() else {"chaos_examples": []}
-    chaos_examples = fixture["chaos_examples"]
-    crcs = {}
-    for case, run in build_cases(chaos_examples).items():
-        values = {report_crc(run(engines=arm)) for arm in ENGINE_ARMS}
-        if len(values) != 1:
-            print(f"{case}: engines disagree {sorted(values)}")
-            return 1
-        crcs[case] = values.pop()
+    cases, _, examples = golden_fixture()
+    crcs = {case: report_crc(run()) for case, run in cases.items()}
     FIXTURE.write_text(
-        json.dumps(
-            {"chaos_examples": chaos_examples, "crc": crcs}, indent=1
-        )
+        json.dumps({"chaos_examples": examples, "crc": crcs}, indent=1)
         + "\n"
     )
     print(f"wrote {len(crcs)} golden CRCs to {FIXTURE.name}")

@@ -1,19 +1,18 @@
 """Batched admission pipeline: plan interning, invalidation, parity.
 
-The tentpole contract is structural parity with per-event admission:
-both modes resolve through the same tree-canonical primitive
+The contract is structural parity with per-pair resolution: the
+planner resolves through the tree-canonical primitive
 (:func:`repro.sim.admission.resolve_tree_path`), so an interned route
 must equal a cold per-pair resolution — including after fault/repair
-cycles force lazy re-resolution (the S3 satellite), and on both
-routing engines.
+cycles force lazy re-resolution, and on both routing engines.  End to
+end, batched admission reproduces the frozen report checksums that
+per-event admission agreed on.
 """
 
 import random
-import warnings
 
 import pytest
 
-from repro.config import EngineConfig
 from repro.exceptions import RoutingError, ValidationError
 from repro.observability.runtime import Telemetry
 from repro.sdn.path_engine import engine_for
@@ -24,9 +23,10 @@ from repro.sim.admission import (
     resolve_tree_path,
 )
 from repro.sim.event_simulator import EventDrivenFlowSimulator
-from repro.sim.faults import FaultEvent, FaultKind
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
 from repro.sim.vector import VectorFairShareEngine
+
+from tests.sim.goldens import assert_golden
 
 ENGINES = ("csr", "nx")
 
@@ -213,7 +213,8 @@ class TestFaultRepairReresolution:
 
 
 class TestBatchedSimulatorParity:
-    """End-to-end: ``admission="batched"`` vs ``"per_event"`` reports."""
+    """End to end: batched admission reproduces the frozen checksums of
+    the reports it and per-event admission agreed on."""
 
     def _flows(self, inventory, seed, n=25):
         generator = TrafficGenerator(
@@ -223,140 +224,55 @@ class TestBatchedSimulatorParity:
         )
         return generator.flows(n)
 
-    def _assert_reports_equal(self, got, want, context=""):
-        assert got.completed == want.completed, context
-        assert got.dropped == want.dropped, context
-        assert got.reroutes == want.reroutes, context
-        assert got.makespan == want.makespan, context
-        assert (
-            got.link_busy_byte_seconds == want.link_busy_byte_seconds
-        ), context
-
     def test_auto_resolution(self, clustered):
+        """Every configuration, including the retired selectors of old
+        mappings, resolves to the batched vector data plane (the run
+        manifest reports it)."""
         inventory, clusters = clustered
-        vector = EventDrivenFlowSimulator(
-            inventory, clusters, engines={"sim_engine": "vector"}
-        )
-        assert vector.admission == "batched"
-        incremental = EventDrivenFlowSimulator(inventory, clusters)
-        assert incremental.admission == "per_event"
-        pinned = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines={"sim_engine": "vector"},
-            admission="per_event",
-        )
-        assert pinned.admission == "per_event"
+        for engines in (
+            None,
+            {"sim_engine": "incremental"},
+            {"sim_engine": "vector", "admission": "per_event"},
+        ):
+            simulator = EventDrivenFlowSimulator(
+                inventory, clusters, engines=engines
+            )
+            assert (simulator.engine, simulator.admission) == (
+                "vector",
+                "batched",
+            )
 
     def test_admission_kwarg_validates(self, clustered):
+        """The retired ``admission`` key still validates its value."""
         inventory, clusters = clustered
         with pytest.raises(ValidationError, match="requires sim_engine"):
             EventDrivenFlowSimulator(
-                inventory, clusters, admission="batched"
+                inventory, clusters, engines={"admission": "batched"}
             )
         with pytest.raises(ValidationError, match="unknown admission"):
             EventDrivenFlowSimulator(
                 inventory,
                 clusters,
-                engines={"sim_engine": "vector"},
-                admission="psychic",
+                engines={"sim_engine": "vector", "admission": "psychic"},
             )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batched_matches_per_event(self, clustered, seed):
-        inventory, clusters = clustered
-        flows = self._flows(inventory, seed)
-        reports = {}
-        for mode in ("per_event", "batched"):
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                engines={"sim_engine": "vector", "admission": mode},
-            )
-            reports[mode] = simulator.run(flows)
-        self._assert_reports_equal(
-            reports["batched"], reports["per_event"], seed
-        )
+    def test_batched_matches_per_event(self, seed):
+        assert_golden(f"admission/{seed}")
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_batched_matches_per_event_under_faults(
-        self, clustered, seed
-    ):
-        inventory, clusters = clustered
-        rng = random.Random(seed)
-        flows = self._flows(inventory, seed, n=30)
-        edges = sorted((a, b) for a, b, _ in inventory.network.edges())
-        a, b = rng.choice(edges)
-        cut_at = round(rng.uniform(0.05, 0.3), 3)
-        failures = [
-            FaultEvent(
-                time=cut_at, kind=FaultKind.LINK_CUT, target=(a, b)
-            ),
-            FaultEvent(
-                time=cut_at + 0.2,
-                kind=FaultKind.LINK_REPAIR,
-                target=(a, b),
-            ),
-            FaultEvent(
-                time=round(rng.uniform(0.4, 0.6), 3),
-                kind=FaultKind.LINK_DEGRADE,
-                target=rng.choice(edges),
-                severity=0.5,
-            ),
-        ]
-        ops = inventory.network.optical_switches()
-        if ops:
-            crash_at = round(rng.uniform(0.1, 0.4), 3)
-            victim = rng.choice(ops)
-            failures += [
-                FaultEvent(
-                    time=crash_at,
-                    kind=FaultKind.OPS_CRASH,
-                    target=victim,
-                ),
-                FaultEvent(
-                    time=crash_at + 0.25,
-                    kind=FaultKind.NODE_REPAIR,
-                    target=victim,
-                ),
-            ]
-        reports = {}
-        for mode in ("per_event", "batched"):
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                engines={"sim_engine": "vector", "admission": mode},
-            )
-            reports[mode] = simulator.run(flows, failures=failures)
-        self._assert_reports_equal(
-            reports["batched"], reports["per_event"], seed
-        )
+    def test_batched_matches_per_event_under_faults(self, seed):
+        assert_golden(f"admission_faults/{seed}")
 
     @pytest.mark.parametrize("seed", [5, 6])
-    def test_load_aware_batched_matches_per_event(self, clustered, seed):
-        inventory, clusters = clustered
-        flows = self._flows(inventory, seed)
-        reports = {}
-        for mode in ("per_event", "batched"):
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                load_aware=True,
-                engines={"sim_engine": "vector", "admission": mode},
-            )
-            reports[mode] = simulator.run(flows)
-        self._assert_reports_equal(
-            reports["batched"], reports["per_event"], seed
-        )
+    def test_load_aware_batched_matches_per_event(self, seed):
+        assert_golden(f"admission_load_aware/{seed}")
 
     def test_batched_emits_bulk_counters(self, clustered):
         inventory, clusters = clustered
         telemetry = Telemetry.enabled_instance()
         simulator = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines={"sim_engine": "vector"},
-            telemetry=telemetry,
+            inventory, clusters, telemetry=telemetry
         )
         report = simulator.run(self._flows(inventory, 11))
         assert report.flows > 0
@@ -370,22 +286,15 @@ class TestBatchedSimulatorParity:
         assert 0 < resolved <= bulk + len(report.dropped)
 
     def test_windowed_run_parity(self, clustered):
+        assert_golden("admission_window/21")
         inventory, clusters = clustered
         flows = self._flows(inventory, 21, n=40)
-        reports = {}
-        for mode in ("per_event", "batched"):
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                engines={"sim_engine": "vector", "admission": mode},
-            )
-            reports[mode] = simulator.run(flows, until=0.25)
-        self._assert_reports_equal(
-            reports["batched"], reports["per_event"]
+        report = EventDrivenFlowSimulator(inventory, clusters).run(
+            flows, until=0.25
         )
-        assert reports["batched"].in_flight == reports[
-            "per_event"
-        ].in_flight
+        assert report.makespan == 0.25
+        assert report.in_flight > 0
+        assert report.flows + report.in_flight + len(report.dropped) <= 40
 
 
 class TestALFallbackResolution:

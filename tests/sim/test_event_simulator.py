@@ -5,7 +5,6 @@ import pytest
 from repro.core.cluster import ClusterManager
 from repro.exceptions import SimulationError, ValidationError
 from repro.sim.event_simulator import (
-    ENGINES,
     CompletedFlow,
     EventDrivenFlowSimulator,
     EventSimulationReport,
@@ -22,6 +21,8 @@ from repro.topology.elements import (
     TorSpec,
 )
 from repro.virtualization.machines import MachineInventory
+
+from tests.sim.goldens import assert_golden
 
 
 @pytest.fixture
@@ -382,48 +383,15 @@ class TestFailureInjection:
 
 
 # ----------------------------------------------------------------------
-# Engine selection and bit-for-bit parity
+# Configuration and frozen-checksum parity
 # ----------------------------------------------------------------------
 class TestEngineSelection:
-    def test_engines_tuple(self):
-        assert ENGINES == ("incremental", "from_scratch", "legacy", "vector")
-
-    def test_default_engine_is_incremental(self, clustered):
-        inventory, clusters = clustered
-        assert EventDrivenFlowSimulator(inventory, clusters).engine == (
-            "incremental"
-        )
-
     def test_unknown_engine_rejected(self, clustered):
         inventory, clusters = clustered
         with pytest.raises(ValidationError):
             EventDrivenFlowSimulator(
                 inventory, clusters, engines={"sim_engine": "warp"}
             )
-
-    def test_deprecated_engine_kwarg_warns_and_selects(self, clustered):
-        inventory, clusters = clustered
-        with pytest.warns(DeprecationWarning, match="engines="):
-            simulator = EventDrivenFlowSimulator(
-                inventory, clusters, engine="vector"
-            )
-        assert simulator.engine == "vector"
-
-    def test_deprecated_engine_kwarg_still_validates(self, clustered):
-        inventory, clusters = clustered
-        with pytest.raises(ValidationError):
-            EventDrivenFlowSimulator(inventory, clusters, engine="warp")
-
-    def test_conflicting_engine_spellings_rejected(self, clustered):
-        inventory, clusters = clustered
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError, match="conflicting"):
-                EventDrivenFlowSimulator(
-                    inventory,
-                    clusters,
-                    engine="legacy",
-                    engines={"sim_engine": "vector"},
-                )
 
     def test_negative_cache_size_rejected(self, clustered):
         inventory, clusters = clustered
@@ -450,109 +418,39 @@ class TestEngineSelection:
 
 
 class TestEngineParity:
-    """The incremental hot path and the vectorized data plane must both
-    reproduce the reference engine's `CompletedFlow` stream bit for bit
-    (ids, times, hops)."""
+    """The data plane reproduces, bit for bit, the reports every event
+    loop the simulator used to carry agreed on (the golden CRCs of
+    :mod:`tests.sim.goldens`; ids, times, hops, drops, reroutes,
+    makespan and busy map), with every recompute certified max-min
+    fair."""
 
-    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105, 106])
-    def test_randomized_workload_bit_parity(self, clustered, seed):
-        inventory, clusters = clustered
-        generator = TrafficGenerator(
-            inventory, TrafficConfig(arrival_rate=60.0, sigma=0.8), seed=seed
-        )
-        flows = generator.flows(150)
-        reports = {
-            engine: EventDrivenFlowSimulator(
-                inventory, clusters, engines={"sim_engine": engine}
-            ).run(flows)
-            for engine in ("from_scratch", "incremental", "vector")
-        }
-        for engine in ("incremental", "vector"):
-            assert (
-                reports[engine].completed
-                == reports["from_scratch"].completed
-            )
-            assert reports[engine].makespan == reports["from_scratch"].makespan
-            assert (
-                reports[engine].link_busy_byte_seconds
-                == reports["from_scratch"].link_busy_byte_seconds
-            )
+    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105, 106, 61, 62])
+    def test_randomized_workload_bit_parity(self, seed):
+        assert_golden(f"workload/{seed}")
 
     @pytest.mark.parametrize("seed", [31, 32])
-    def test_parity_under_load_aware_routing(self, clustered, seed):
-        inventory, clusters = clustered
-        generator = TrafficGenerator(
-            inventory, TrafficConfig(arrival_rate=50.0), seed=seed
-        )
-        flows = generator.flows(100)
-        reports = [
-            EventDrivenFlowSimulator(
-                inventory,
-                clusters,
-                engines={"sim_engine": engine},
-                load_aware=True,
-            ).run(flows)
-            for engine in ("from_scratch", "incremental", "vector")
-        ]
-        assert reports[0].completed == reports[1].completed
-        assert reports[0].completed == reports[2].completed
+    def test_parity_under_load_aware_routing(self, seed):
+        assert_golden(f"load_aware/{seed}")
 
-    def test_parity_under_failures(self, clustered):
-        inventory, clusters = clustered
-        generator = TrafficGenerator(
-            inventory, TrafficConfig(arrival_rate=40.0), seed=41
-        )
-        flows = generator.flows(80)
-        victims = inventory.network.optical_switches()[:2]
-        failures = [(0.05, victims[0]), (0.4, victims[1])]
-        reports = [
-            EventDrivenFlowSimulator(
-                inventory, clusters, engines={"sim_engine": engine}
-            ).run(flows, failures=failures)
-            for engine in ("from_scratch", "incremental", "vector")
-        ]
-        for report in reports[1:]:
-            assert report.completed == reports[0].completed
-            assert report.dropped == reports[0].dropped
-            assert report.reroutes == reports[0].reroutes
+    def test_parity_under_failures(self):
+        assert_golden("ops_crashes/41")
 
     def test_route_cache_does_not_change_results(self, clustered):
+        assert_golden("route_cache/51")
+        assert_golden("route_cache_off/51")
+        # The cache only serves load-aware candidate pools.
         inventory, clusters = clustered
         generator = TrafficGenerator(
             inventory, TrafficConfig(arrival_rate=60.0), seed=51
         )
         flows = generator.flows(120)
-        cached = EventDrivenFlowSimulator(inventory, clusters).run(flows)
+        cached = EventDrivenFlowSimulator(
+            inventory, clusters, load_aware=True
+        ).run(flows)
         uncached = EventDrivenFlowSimulator(
-            inventory, clusters, route_cache_size=0
+            inventory, clusters, load_aware=True, route_cache_size=0
         ).run(flows)
-        assert cached.completed == uncached.completed
-
-    @pytest.mark.parametrize("seed", [61, 62])
-    def test_legacy_engine_agrees_approximately(self, clustered, seed):
-        """The verbatim pre-optimization loop steps progress eagerly at
-        every event, so float error accumulates differently — results
-        agree to tolerance, not bit for bit."""
-        inventory, clusters = clustered
-        generator = TrafficGenerator(
-            inventory, TrafficConfig(arrival_rate=40.0), seed=seed
-        )
-        flows = generator.flows(80)
-        fast = EventDrivenFlowSimulator(
-            inventory, clusters, engines={"sim_engine": "incremental"}
-        ).run(flows)
-        slow = EventDrivenFlowSimulator(
-            inventory, clusters, engines={"sim_engine": "legacy"}
-        ).run(flows)
-        assert [record.flow_id for record in fast.completed] == [
-            record.flow_id for record in slow.completed
-        ]
-        for ours, theirs in zip(fast.completed, slow.completed):
-            assert ours.completion_time == pytest.approx(
-                theirs.completion_time, rel=1e-6, abs=1e-6
-            )
-            assert ours.hops == theirs.hops
-        assert fast.makespan == pytest.approx(slow.makespan, rel=1e-6)
+        assert cached == uncached
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +471,9 @@ class TestRouteCacheIntegration:
             )
             for i in range(10)
         ]
-        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        simulator = EventDrivenFlowSimulator(
+            inventory, clusters, load_aware=True
+        )
         simulator.run(flows)
         cache = simulator.route_cache
         assert cache is not None
@@ -591,7 +491,9 @@ class TestRouteCacheIntegration:
     def test_invalidate_routes_drops_entries(self, clustered):
         inventory, clusters = clustered
         generator = TrafficGenerator(inventory, seed=71)
-        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        simulator = EventDrivenFlowSimulator(
+            inventory, clusters, load_aware=True
+        )
         simulator.run(generator.flows(30))
         assert len(simulator.route_cache) > 0
         dropped = simulator.invalidate_routes()

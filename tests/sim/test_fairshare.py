@@ -5,12 +5,8 @@ import random
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim.fairshare import (
-    FairShareEngine,
-    link_of,
-    links_on_path,
-    max_min_fair_rates,
-)
+from repro.sim.fairshare import link_of, links_on_path, max_min_fair_rates
+from repro.sim.vector import BatchedFairShareEngine
 
 
 AB = link_of("a", "b")
@@ -151,27 +147,28 @@ class TestMaxMinFairness:
 
 
 class TestFairShareEngine:
-    """Incremental engine must match the reference bit for bit."""
+    """The simulator's incremental engine must match the reference bit
+    for bit (``rates_by_flow`` recomputes and keys rates by flow)."""
 
     def test_matches_reference_on_classic_example(self):
         capacities = {AB: 10.0, BC: 4.0}
-        engine = FairShareEngine(capacities)
+        engine = BatchedFairShareEngine(capacities)
         flows = {"f1": [AB, BC], "f2": [AB], "f3": [BC]}
         for flow, links in flows.items():
             engine.add_flow(flow, links)
-        assert engine.recompute() == max_min_fair_rates(flows, capacities)
+        assert engine.rates_by_flow() == max_min_fair_rates(flows, capacities)
 
     def test_linkless_flow_is_unbounded(self):
-        engine = FairShareEngine({})
+        engine = BatchedFairShareEngine({})
         engine.add_flow("f1", [])
-        assert engine.recompute() == {"f1": float("inf")}
+        assert engine.rates_by_flow() == {"f1": float("inf")}
 
     def test_colocated_inf_alongside_loaded_flows(self):
         # A zero-hop flow must get inf without disturbing loaded shares.
-        engine = FairShareEngine({AB: 6.0})
+        engine = BatchedFairShareEngine({AB: 6.0})
         engine.add_flow("loaded", [AB])
         engine.add_flow("colocated", [])
-        rates = engine.recompute()
+        rates = engine.rates_by_flow()
         assert rates["colocated"] == float("inf")
         assert rates["loaded"] == 6.0
 
@@ -181,37 +178,37 @@ class TestFairShareEngine:
         # sorted(link), which must produce the same allocation.
         capacities = {AB: 4.0, CD: 4.0}
         flows = {"f1": [AB], "f2": [CD], "f3": [AB, CD]}
-        engine = FairShareEngine(capacities)
+        engine = BatchedFairShareEngine(capacities)
         for flow, links in flows.items():
             engine.add_flow(flow, links)
-        assert engine.recompute() == max_min_fair_rates(flows, capacities)
+        assert engine.rates_by_flow() == max_min_fair_rates(flows, capacities)
 
     def test_remove_flow_releases_share(self):
-        engine = FairShareEngine({AB: 10.0})
+        engine = BatchedFairShareEngine({AB: 10.0})
         engine.add_flow("f1", [AB])
         engine.add_flow("f2", [AB])
-        assert engine.recompute()["f1"] == 5.0
+        assert engine.rates_by_flow()["f1"] == 5.0
         engine.remove_flow("f2")
-        assert engine.recompute() == {"f1": 10.0}
+        assert engine.rates_by_flow() == {"f1": 10.0}
 
     def test_duplicate_flow_rejected(self):
-        engine = FairShareEngine({AB: 1.0})
+        engine = BatchedFairShareEngine({AB: 1.0})
         engine.add_flow("f1", [AB])
         with pytest.raises(SimulationError):
             engine.add_flow("f1", [AB])
 
     def test_unknown_link_rejected(self):
-        engine = FairShareEngine({AB: 1.0})
+        engine = BatchedFairShareEngine({AB: 1.0})
         with pytest.raises(SimulationError):
             engine.add_flow("f1", [BC])
 
     def test_remove_inactive_flow_rejected(self):
-        engine = FairShareEngine({AB: 1.0})
+        engine = BatchedFairShareEngine({AB: 1.0})
         with pytest.raises(SimulationError):
             engine.remove_flow("ghost")
 
     def test_remove_loaded_link_rejected(self):
-        engine = FairShareEngine({AB: 1.0})
+        engine = BatchedFairShareEngine({AB: 1.0})
         engine.add_flow("f1", [AB])
         with pytest.raises(SimulationError):
             engine.remove_link(AB)
@@ -221,12 +218,12 @@ class TestFairShareEngine:
 
     def test_non_positive_capacity_rejected(self):
         with pytest.raises(SimulationError):
-            FairShareEngine({AB: 0.0})
+            BatchedFairShareEngine({AB: 0.0})
         with pytest.raises(SimulationError):
-            FairShareEngine({AB: -1.0})
+            BatchedFairShareEngine({AB: -1.0})
 
     def test_counters_track_membership(self):
-        engine = FairShareEngine({AB: 2.0, BC: 2.0})
+        engine = BatchedFairShareEngine({AB: 2.0, BC: 2.0})
         engine.add_flow("f1", [AB, BC])
         engine.add_flow("f2", [AB])
         assert engine.active_flows == 2
@@ -249,7 +246,7 @@ class TestFairShareEngine:
         capacities = {
             link: rng.choice([1.0, 2.5, 4.0, 10.0, 40.0]) for link in links
         }
-        engine = FairShareEngine(capacities)
+        engine = BatchedFairShareEngine(capacities)
         reference: dict[str, list] = {}
         for step in range(60):
             if reference and rng.random() < 0.35:
@@ -261,6 +258,6 @@ class TestFairShareEngine:
                 chosen = rng.sample(links, k=rng.randint(0, 3))
                 reference[flow] = chosen
                 engine.add_flow(flow, chosen)
-            assert engine.recompute() == max_min_fair_rates(
+            assert engine.rates_by_flow() == max_min_fair_rates(
                 reference, capacities
             )

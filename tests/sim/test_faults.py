@@ -7,12 +7,10 @@ Node-crash behaviour (the legacy tuple path) is covered by
 the chaos subsystem.
 """
 
-import math
-
 import pytest
 
 from repro.exceptions import SimulationError, ValidationError
-from repro.sim.event_simulator import ENGINES, EventDrivenFlowSimulator
+from repro.sim.event_simulator import EventDrivenFlowSimulator
 from repro.sim.faults import (
     LINK_DOWN,
     NODE_DOWN,
@@ -30,6 +28,8 @@ from repro.topology.elements import (
     TorSpec,
 )
 from repro.virtualization.machines import MachineInventory
+
+from tests.sim.goldens import assert_golden
 
 
 # ----------------------------------------------------------------------
@@ -424,82 +424,7 @@ class TestLinkRepair:
 # Engine parity on the richer fault vocabulary
 # ----------------------------------------------------------------------
 class TestEngineParityOnLinkFaults:
-    def _schedule(self):
-        return [
-            FaultEvent(
-                time=0.8,
-                kind=FaultKind.LINK_DEGRADE,
-                target=("tor-0", "ops-0"),
-                severity=0.3,
-            ),
-            FaultEvent(
-                time=1.5,
-                kind=FaultKind.LINK_CUT,
-                target=("tor-0", "ops-0"),
-            ),
-            FaultEvent(
-                time=2.5, kind=FaultKind.OPS_CRASH, target="ops-1"
-            ),
-            FaultEvent(
-                time=4.0, kind=FaultKind.NODE_REPAIR, target="ops-1"
-            ),
-            FaultEvent(
-                time=5.0,
-                kind=FaultKind.LINK_REPAIR,
-                target=("tor-0", "ops-0"),
-            ),
-        ]
-
-    def _flows(self, inventory, service_catalog):
-        web = service_catalog.get("web")
-        vms = [inventory.create_vm(web) for _ in range(4)]
-        for index, vm in enumerate(vms):
-            inventory.place(vm, f"srv-{index % 2}")
-        flows = []
-        for index in range(6):
-            source = vms[index % 2]
-            destination = vms[2 + (index + 1) % 2]
-            flows.append(
-                Flow(
-                    flow_id=f"flow-{index}",
-                    source=source.vm_id,
-                    destination=destination.vm_id,
-                    size_bytes=_RATE * (0.5 + 0.25 * index),
-                    arrival_time=0.3 * index,
-                )
-            )
-        return flows
-
-    def test_all_engines_agree_on_link_fault_schedules(
-        self, service_catalog
-    ):
-        reports = {}
-        for engine in ENGINES:
-            inventory = _dual_path_inventory()
-            flows = self._flows(inventory, service_catalog)
-            simulator = EventDrivenFlowSimulator(
-                inventory,
-                default_bandwidth_gbps=10.0,
-                engines={"sim_engine": engine},
-            )
-            reports[engine] = simulator.run(
-                flows, failures=self._schedule()
-            )
-        baseline = reports["incremental"]
-        assert baseline.completed or baseline.dropped  # non-degenerate
-        for engine in ("from_scratch", "vector"):
-            assert reports[engine].completed == baseline.completed
-            assert reports[engine].dropped == baseline.dropped
-            assert reports[engine].reroutes == baseline.reroutes
-        legacy = reports["legacy"]
-        assert legacy.dropped == baseline.dropped
-        assert legacy.reroutes == baseline.reroutes
-        assert len(legacy.completed) == len(baseline.completed)
-        for ours, theirs in zip(baseline.completed, legacy.completed):
-            assert ours.flow_id == theirs.flow_id
-            assert ours.hops == theirs.hops
-            assert math.isclose(
-                ours.completion_time,
-                theirs.completion_time,
-                rel_tol=1e-9,
-            )
+    def test_all_engines_agree_on_link_fault_schedules(self):
+        """Degrade, cut, OPS crash and both repairs on the dual-path
+        fabric: the frozen checksum every event loop agreed on."""
+        assert_golden("link_faults/dual_path")

@@ -73,9 +73,7 @@ def _workload(inventory, count=24, seed=7):
 def _degrade_schedule(inventory, clusters, flows):
     """Capacity cuts on links every shard actually loads — degrades
     never displace flows, so shard footprints stay disjoint."""
-    probe = EventDrivenFlowSimulator(
-        inventory, clusters, engines={"sim_engine": "vector"}
-    ).run(flows)
+    probe = EventDrivenFlowSimulator(inventory, clusters).run(flows)
     victims = sorted(
         probe.link_busy_byte_seconds, key=lambda link: tuple(sorted(link))
     )[:3]
@@ -210,9 +208,9 @@ class TestShardedParity:
         merged = simulate_sharded(
             inventory, clusters, flows, failures, workers=1
         )
-        unsharded = EventDrivenFlowSimulator(
-            inventory, clusters, engines={"sim_engine": "vector"}
-        ).run(flows, failures)
+        unsharded = EventDrivenFlowSimulator(inventory, clusters).run(
+            flows, failures
+        )
         assert merged == unsharded  # every field, failure events deduped
 
     def test_workers_four_bit_identical_to_one(self, clustered):
@@ -250,9 +248,9 @@ class TestShardedParity:
         merged = simulate_sharded(
             inventory, clusters, flows, failures, until=horizon, workers=1
         )
-        unsharded = EventDrivenFlowSimulator(
-            inventory, clusters, engines={"sim_engine": "vector"}
-        ).run(flows, failures, until=horizon)
+        unsharded = EventDrivenFlowSimulator(inventory, clusters).run(
+            flows, failures, until=horizon
+        )
         assert merged == unsharded
         assert merged.in_flight > 0
 
@@ -296,19 +294,14 @@ class TestShardedParity:
         inventory, clusters = clustered
         flows = _workload(inventory, count=30, seed=21)
         failures = _degrade_schedule(inventory, clusters, flows)
-        engines = {"sim_engine": "vector", "admission": "batched"}
-        per_event = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            engines={"sim_engine": "vector", "admission": "per_event"},
-        ).run(flows, failures)
+        unsharded = EventDrivenFlowSimulator(inventory, clusters).run(
+            flows, failures
+        )
         sequential = simulate_sharded(
-            inventory, clusters, flows, failures,
-            workers=1, engines=engines,
+            inventory, clusters, flows, failures, workers=1
         )
         fanned_out = simulate_sharded(
-            inventory, clusters, flows, failures,
-            workers=4, engines=engines,
+            inventory, clusters, flows, failures, workers=4
         )
-        assert sequential == per_event
+        assert sequential == unsharded
         assert fanned_out == sequential

@@ -1,13 +1,15 @@
-"""Seeded parity: incremental vs from-scratch vs vector vs batched.
+"""Seeded parity: the vector engines vs the textbook water-filling.
 
 The vectorized data plane's whole claim is **bit-identical** max-min
-rates: ``np.subtract.at`` replays the dict engine's sequential IEEE
+rates: ``np.subtract.at`` replays the reference's sequential IEEE
 subtractions, the deferred per-round clamp is provably equivalent to
 the per-subtraction clamp, and the rank-ordered ``argmin`` replicates
-the ``sorted(link)`` tie-break.  This suite pins that claim on 200+
-randomized instances — kernel-level add/remove/capacity-cut sequences
-and full simulator runs with ``FaultEvent`` schedules (capacity cuts
-mid-run included) — following the PR 4/PR 8 seeded-parity pattern.
+the ``sorted(link)`` tie-break.  This suite pins that claim on 220
+randomized instances — 160 kernel-level add/remove/capacity-cut
+sequences against :func:`~repro.sim.fairshare.max_min_fair_rates`, and
+60 + 10 full simulator runs with ``FaultEvent`` schedules (capacity cuts
+mid-run included) against frozen report checksums, every recompute
+certified.
 
 The batched engine keeps state across recomputes (live class
 multiplicities, link components, dirty marks, class rates), so its
@@ -22,35 +24,20 @@ import random
 import numpy as np
 import pytest
 
-from repro.sim.event_simulator import EventDrivenFlowSimulator
 from repro.sim import ckernel
 from repro.sim.admission import InternedRoute
-from repro.sim.fairshare import (
-    FairShareEngine,
-    check_max_min_fair,
-    max_min_fair_rates,
-)
-from repro.sim.faults import FaultEvent, FaultKind
-from repro.sim.traffic import TrafficConfig, TrafficGenerator
+from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
 from repro.sim.vector import (
     BatchedFairShareEngine,
     FlowTable,
     VectorFairShareEngine,
 )
 
+from tests.sim.goldens import assert_golden
+
 #: 160 kernel instances + 60 simulator instances = 220 seeds.
 KERNEL_CHUNKS = [range(start, start + 20) for start in range(0, 160, 20)]
 SIM_CHUNKS = [range(start, start + 10) for start in range(1000, 1060, 10)]
-
-
-@pytest.fixture
-def clustered(populated_inventory):
-    from repro.core.cluster import ClusterManager
-
-    clusters = ClusterManager(populated_inventory)
-    for service in populated_inventory.services_present():
-        clusters.create_cluster(service)
-    return populated_inventory, clusters
 
 
 def _random_instance(rng: random.Random):
@@ -58,7 +45,7 @@ def _random_instance(rng: random.Random):
 
     Capacities come from a tiny value set so exact ratio ties (the
     tie-break path) occur often; each path samples links without
-    replacement (the dict engine's member bookkeeping assumes a flow
+    replacement (the reference's member bookkeeping assumes a flow
     crosses a link at most once).
     """
     nodes = [f"n{index}" for index in range(rng.randint(4, 12))]
@@ -84,22 +71,19 @@ def _assert_rates_equal(got: dict, want: dict):
 
 
 class TestKernelParity:
-    """VectorFairShareEngine vs FairShareEngine vs max_min_fair_rates."""
+    """VectorFairShareEngine vs max_min_fair_rates."""
 
     @pytest.mark.parametrize("seeds", KERNEL_CHUNKS)
     def test_randomized_instances(self, seeds):
         for seed in seeds:
             rng = random.Random(seed)
             caps, paths = _random_instance(rng)
-            dict_engine = FairShareEngine(caps)
             vector_engine = VectorFairShareEngine(caps)
             for flow, path in paths.items():
-                dict_engine.add_flow(flow, path)
                 vector_engine.add_flow(flow, path)
 
             reference = max_min_fair_rates(paths, caps)
             check_max_min_fair(reference, paths, caps)
-            _assert_rates_equal(dict_engine.recompute(), reference)
             _assert_rates_equal(vector_engine.rates_by_flow(), reference)
 
             # Incremental churn: drop a random subset and recompare —
@@ -108,7 +92,6 @@ class TestKernelParity:
                 flow for flow in paths if rng.random() < 0.4
             ]
             for flow in doomed:
-                dict_engine.remove_flow(flow)
                 vector_engine.remove_flow(flow)
             survivors = {
                 flow: path
@@ -117,7 +100,6 @@ class TestKernelParity:
             }
             reference = max_min_fair_rates(survivors, caps)
             check_max_min_fair(reference, survivors, caps)
-            _assert_rates_equal(dict_engine.recompute(), reference)
             _assert_rates_equal(vector_engine.rates_by_flow(), reference)
 
     @pytest.mark.parametrize("seeds", KERNEL_CHUNKS[:2])
@@ -127,19 +109,15 @@ class TestKernelParity:
         for seed in seeds:
             rng = random.Random(seed ^ 0xC0FFEE)
             caps, paths = _random_instance(rng)
-            dict_engine = FairShareEngine(caps)
             vector_engine = VectorFairShareEngine(caps)
             for flow, path in paths.items():
-                dict_engine.add_flow(flow, path)
                 vector_engine.add_flow(flow, path)
             victim = rng.choice(list(caps))
             for capacity in (caps[victim] * 0.25, caps[victim]):
-                dict_engine.set_capacity(victim, capacity)
                 vector_engine.set_capacity(victim, capacity)
                 degraded = {**caps, victim: capacity}
                 reference = max_min_fair_rates(paths, degraded)
                 check_max_min_fair(reference, paths, degraded)
-                _assert_rates_equal(dict_engine.recompute(), reference)
                 _assert_rates_equal(vector_engine.rates_by_flow(), reference)
 
 
@@ -428,112 +406,20 @@ class TestFairnessCertificate:
             check_max_min_fair(rates, self.PATHS, self.CAPS)
 
 
-def _fault_schedule(rng: random.Random, network) -> list:
-    """A randomized FaultEvent schedule with capacity cuts mid-run."""
-    edges = sorted(
-        (a, b) for a, b, _ in network.edges()
-    )
-    ops = network.optical_switches()
-    schedule = []
-    for _ in range(rng.randint(1, 3)):
-        a, b = rng.choice(edges)
-        schedule.append(
-            FaultEvent(
-                time=round(rng.uniform(0.1, 1.5), 3),
-                kind=FaultKind.LINK_DEGRADE,
-                target=(a, b),
-                severity=rng.choice([0.25, 0.5, 0.75]),
-            )
-        )
-    if rng.random() < 0.7:
-        a, b = rng.choice(edges)
-        cut_at = round(rng.uniform(0.1, 1.0), 3)
-        schedule.append(
-            FaultEvent(time=cut_at, kind=FaultKind.LINK_CUT, target=(a, b))
-        )
-        schedule.append(
-            FaultEvent(
-                time=cut_at + 0.5,
-                kind=FaultKind.LINK_REPAIR,
-                target=(a, b),
-            )
-        )
-    if rng.random() < 0.5 and ops:
-        victim = rng.choice(ops)
-        crash_at = round(rng.uniform(0.1, 0.8), 3)
-        schedule.append(
-            FaultEvent(
-                time=crash_at, kind=FaultKind.OPS_CRASH, target=victim
-            )
-        )
-        schedule.append(
-            FaultEvent(
-                time=crash_at + 0.6,
-                kind=FaultKind.NODE_REPAIR,
-                target=victim,
-            )
-        )
-    return schedule
-
-
 class TestSimulatorParity:
-    """Full event-loop three-way parity under FaultEvent schedules."""
+    """Full event loop under FaultEvent schedules: the frozen checksums
+    the from-scratch, incremental and vector loops agreed on."""
 
     @pytest.mark.parametrize("seeds", SIM_CHUNKS)
-    def test_randomized_fault_schedules(self, clustered, seeds):
-        inventory, clusters = clustered
+    def test_randomized_fault_schedules(self, seeds):
         for seed in seeds:
-            rng = random.Random(seed)
-            generator = TrafficGenerator(
-                inventory,
-                TrafficConfig(arrival_rate=40.0, sigma=0.8),
-                seed=seed,
-            )
-            flows = generator.flows(30)
-            failures = _fault_schedule(rng, inventory.network)
-            reports = {
-                engine: EventDrivenFlowSimulator(
-                    inventory, clusters, engines={"sim_engine": engine}
-                ).run(flows, failures=failures)
-                for engine in ("from_scratch", "incremental", "vector")
-            }
-            baseline = reports["from_scratch"]
-            for engine in ("incremental", "vector"):
-                report = reports[engine]
-                assert report.completed == baseline.completed, seed
-                assert report.dropped == baseline.dropped, seed
-                assert report.reroutes == baseline.reroutes, seed
-                assert report.makespan == baseline.makespan, seed
-                assert (
-                    report.link_busy_byte_seconds
-                    == baseline.link_busy_byte_seconds
-                ), seed
+            assert_golden(f"fault_schedule/{seed}")
 
 
 class TestAdmissionParity:
-    """Explicit per_event vs batched admission — same vector engine."""
+    """The frozen checksums per-event and batched admission agreed on."""
 
     @pytest.mark.parametrize("seeds", [range(2000, 2010)])
-    def test_fault_schedules_bit_identical(self, clustered, seeds):
-        inventory, clusters = clustered
+    def test_fault_schedules_bit_identical(self, seeds):
         for seed in seeds:
-            rng = random.Random(seed)
-            generator = TrafficGenerator(
-                inventory,
-                TrafficConfig(arrival_rate=40.0, sigma=0.8),
-                seed=seed,
-            )
-            flows = generator.flows(30)
-            failures = _fault_schedule(rng, inventory.network)
-            reports = {
-                mode: EventDrivenFlowSimulator(
-                    inventory,
-                    clusters,
-                    engines={
-                        "sim_engine": "vector",
-                        "admission": mode,
-                    },
-                ).run(flows, failures=failures)
-                for mode in ("per_event", "batched")
-            }
-            assert reports["batched"] == reports["per_event"], seed
+            assert_golden(f"fault_schedule/{seed}")

@@ -175,6 +175,33 @@ def test_replay_parity_with_telemetry_on(seed, tmp_path):
     assert state_digest(restored) == state_digest(stack)
 
 
+@pytest.mark.parametrize("seed", [1, 6, 9])
+def test_replay_parity_with_data_plane_telemetry(seed, tmp_path):
+    """The chaos runner's data-plane counters and gauges (fair-share
+    components, admission tallies) are read-path tallies, not state.
+
+    The explicit ``sim_engine`` key is how these journals were built
+    when the vector data plane was opt-in; it must still restore.
+    """
+    journal_path = tmp_path / "journal.alvc"
+    stack, report = small_soak(
+        seed,
+        journal=journal_path,
+        chaos_rate=0.15,
+        storm_period=3,
+        build_overrides={
+            "telemetry": True,
+            "engines": {"sim_engine": "vector"},
+        },
+    )
+    assert report.faults_injected > 0
+    names = stack.telemetry.registry.snapshot()
+    assert any(name.startswith("alvc_admission_") for name in names)
+    stack.journal.close()
+    restored = restore_stack(journal_path).stack
+    assert state_digest(restored) == state_digest(stack)
+
+
 def test_run_to_run_determinism_spot_check():
     """Same seed, twice: the full report (decision log included) matches."""
     _, first = small_soak(11, chaos_rate=0.15, storm_period=3)
