@@ -72,7 +72,6 @@ from repro.sdn.routing import (
 from repro.sim.admission import NO_PLAN_ROUTE, plan_admission
 from repro.sim.fairshare import LinkId, links_on_path
 from repro.sim.faults import (
-    LINK_DEGRADE,
     LINK_DOWN,
     LINK_UP,
     NODE_DOWN,
@@ -326,7 +325,7 @@ class EventDrivenFlowSimulator:
         return self._route_cache.invalidate()
 
     # ------------------------------------------------------------------
-    def _admission_key(self, flow: Flow) -> tuple | None:
+    def _route_key(self, flow: Flow) -> tuple | None:
         """The flow's ``(src_host, dst_host, al_signature)`` routing key.
 
         Intra-service flows are confined to their cluster's abstraction
@@ -356,7 +355,7 @@ class EventDrivenFlowSimulator:
         """Load-aware path: the least-loaded of the ``k_paths`` shortest
         candidates, inside the flow's AL when one connects the pair and
         over the flat fabric otherwise."""
-        key = self._admission_key(flow)
+        key = self._route_key(flow)
         if key is None:
             return [self._inventory.host_of(flow.source)]
         source, destination, al = key
@@ -619,7 +618,7 @@ class EventDrivenFlowSimulator:
         plan = None
         plan_keys: list = []
         if not load_aware:
-            plan_keys = [self._admission_key(flow) for flow in pending]
+            plan_keys = [self._route_key(flow) for flow in pending]
             plan = plan_admission(
                 self._inventory.network,
                 (key for key in plan_keys if key is not None),
@@ -634,7 +633,7 @@ class EventDrivenFlowSimulator:
             # loop only ever pays the pick.
             seen: set = set()
             for flow in pending:
-                key = self._admission_key(flow)
+                key = self._route_key(flow)
                 if key is None or key in seen:
                     continue
                 seen.add(key)

@@ -1,9 +1,10 @@
 """Struct-of-arrays data plane: vectorized max-min fair sharing.
 
-The textbook water-filling (:func:`~repro.sim.fairshare.max_min_fair_rates`)
-touches one python object per flow-link incidence on every round, which
-caps a per-object simulator at a few thousand concurrent flows.  This module moves
-all per-flow state into numpy arrays so a water-filling recompute is a
+The textbook water-filling
+(:func:`~repro.sim.fairshare.max_min_fair_rates`) touches one python
+object per flow-link incidence on every round, which caps a per-object
+simulator at a few thousand concurrent flows.  This module moves all
+per-flow state into numpy arrays so a water-filling recompute is a
 handful of whole-array operations:
 
 * :class:`FlowTable` — the struct-of-arrays flow ledger.  Rates,
@@ -447,10 +448,10 @@ class LinkBusyView(Mapping):
 class VectorFairShareEngine:
     """Vectorized max-min water-filling over a :class:`FlowTable`.
 
-    Incremental API (``add_flow`` / ``remove_flow`` / ``remove_link`` /
-    ``set_capacity``) and **bit-identical** rates —
-    see the module docstring for why the whole-array round replicates
-    the reference's arithmetic exactly.  :meth:`recompute` returns a
+    Flows and link capacities change incrementally (``add_flow`` /
+    ``remove_flow`` / ``remove_link`` / ``set_capacity``); rates are
+    **bit-identical** to the reference — see the module docstring for
+    why the whole-array round replicates its arithmetic exactly.  :meth:`recompute` returns a
     dense ``float64`` array indexed by table slot (``0.0`` for dead
     slots, ``inf`` for live flows with no links); :meth:`rates_by_flow`
     offers the dict-shaped spelling for parity tests.
