@@ -22,6 +22,7 @@ import os
 
 from repro.analysis.experiments import experiment_e26_dataplane_throughput
 from repro.analysis.reporting import render_table
+from repro.sim.ckernel import kernel_status
 
 #: CI sizing: mid concurrency, 100k-flow soak.
 CI_CONFIG = dict(
@@ -53,6 +54,9 @@ def build_record(rows: list[dict], config: dict) -> dict:
     return {
         "experiment": "e26_dataplane_throughput",
         "config": dict(config),
+        # Which round loop and event step ran: "compiled"/"cached", or
+        # why the numpy mirror did.
+        "kernel": kernel_status(),
         "rows": rows,
         "events_per_sec": rates,
         "checksum_parity": len(set(checksums.values())) == 1,

@@ -1,24 +1,38 @@
-"""Optional compiled water-filling kernel for the batched data plane.
+"""Optional compiled kernels for the batched data plane.
 
 The batched fair-share engine re-levels only the link components an
 event touched, and a component is small (at e26 full scale one AL's
 links: a few dozen loaded links and a few hundred class incidences), so
 the round loop's cost is pure interpreter/dispatch overhead, not
-arithmetic.  This module compiles a short C translation of the loop at
-first use (``gcc``/``cc`` + ``ctypes``; no build step, no new
-dependency) and caches the shared object under the user cache directory
-keyed by a source hash.
+arithmetic.  The same holds for the per-event step around it: adopting
+the new rates touches a hundred-odd slots of a table of thousands.
+This module compiles a short C translation of both at first use
+(``gcc``/``cc`` + ``ctypes``; no build step, no new dependency) and
+caches the shared object under the user cache directory keyed by a hash
+of the source and the compiler flags.
 
-**The kernel.**  ``alvc_relevel`` water-fills a list of link
-components, each given as a rank-ordered segment of link indices, in
-full link space: ``remaining``/``load`` are scratch arrays indexed by
-link, class pools hold link indices as interned, and a class is frozen
-for this call when its stamp equals the call's epoch (the live
-multiplicities are never written).  A component's loop stops when no
-loaded link is left.
+**The entry points.**  One source, one shared object:
 
-**The parity contract.**  Per component the kernel performs exactly the
-numpy mirror's IEEE-754 double operations in exactly its order:
+* ``alvc_relevel`` water-fills a list of link components, each given
+  as a rank-ordered segment of link indices, in full link space:
+  ``remaining``/``load`` are scratch arrays indexed by link, class pools
+  hold link indices as interned, and a class is frozen for this call
+  when its stamp equals the call's epoch (the live multiplicities are
+  never written).  A component's loop stops when no loaded link is
+  left.
+* ``alvc_settle`` is the event step after a recompute.  It walks the
+  flow table's slots in ascending order; every live slot whose new rate
+  (its class's rate, or an entry of a dense rates array when the engine
+  took its vector fallback) differs from its current one is charged its
+  progress and link busy time, adopts the rate and gets a fresh eta.
+  The same pass returns the minimum eta, the first slot reaching it and
+  how many slots tie at it.
+* ``alvc_materialize`` charges one slot's progress and busy time (flow
+  completions and reroutes).
+
+**The parity contract.**  Each entry point performs exactly its numpy
+mirror's IEEE-754 double operations in exactly its order.  For
+``alvc_relevel``, per component:
 
 * per-round ratios are one ``remaining / load`` divide per loaded link
   of the component;
@@ -33,9 +47,21 @@ numpy mirror's IEEE-754 double operations in exactly its order:
   ``!(x > 0.0) -> +0.0`` normalizing ``-0.0`` exactly like
   ``np.maximum(x, 0.0)``.
 
-The suite asserts bitwise kernel/numpy equality on randomized
-instances whenever a compiler is present; environments without one
-(or with ``ALVC_NO_CKERNEL=1``) silently use the numpy loop.
+For ``alvc_settle``/``alvc_materialize``:
+
+* progress is ``moved = rate * (now - last_update)`` clipped like
+  ``np.minimum(moved, remaining)``, charged only for an elapsed time
+  and a rate that are both positive and a finite rate;
+* busy adds go per slot in ascending slot order, then in pool order
+  within a slot — the exact sequence ``np.add.at`` applies;
+* eta is ``now + remaining / rate``; ``now`` for an infinite rate and
+  ``inf`` for a zero rate.
+
+The compiler runs with ``-O2 -ffp-contract=off`` and no fast-math flag,
+so no multiply-add is fused either.  The suite asserts bitwise
+kernel/numpy equality on randomized instances whenever a compiler is
+present; environments without one (or with ``ALVC_NO_CKERNEL=1``) use
+the numpy mirrors, and :func:`kernel_status` says why.
 """
 
 from __future__ import annotations
@@ -45,12 +71,16 @@ import hashlib
 import os
 import subprocess
 import tempfile
+from typing import Callable, NamedTuple
 
 __all__ = [
     "KERNEL_SOURCE",
+    "Kernels",
     "RelevelState",
+    "StepState",
     "kernel_available",
-    "waterfill_kernel",
+    "kernel_status",
+    "kernels",
 ]
 
 #: Environment variable that disables compilation and the kernel path
@@ -154,6 +184,97 @@ int64_t alvc_relevel(
     }
     return rounds;
 }
+
+/* The event step over the flow table.
+ *
+ * Bit-for-bit contract with the numpy mirror:
+ *  - moved = rate * (now - last_update), then np.minimum(moved,
+ *    remaining); charged only when elapsed > 0 and 0 < rate < inf;
+ *  - busy adds per slot in ascending slot order, pool order within a
+ *    slot (the np.add.at sequence);
+ *  - eta = now + remaining / rate; now for an infinite rate, inf for a
+ *    zero (or NaN) rate.
+ */
+struct alvc_step_state {
+    double *remaining;          /* [S] bytes left */
+    double *rate;               /* [S] current rate */
+    double *eta;                /* [S] projected completion */
+    double *last_update;        /* [S] last materialization time */
+    const uint8_t *alive;       /* [S] numpy bool */
+    const int64_t *link_start;  /* [S] pool offset */
+    const int64_t *link_len;    /* [S] pool length */
+    const int32_t *pool;        /* link incidences */
+    double *busy;               /* [L] busy byte-seconds */
+    const int64_t *class_of;    /* [S] class id, -1 = none */
+    const double *class_rate;   /* [C] class rates */
+    double next_eta;            /* out: minimum eta over [0, size) */
+    int64_t next_slot;          /* out: first slot at it, -1 if inf */
+    int64_t ties;               /* out: slots at it, 0 if inf */
+};
+
+static void charge(const struct alvc_step_state *s, int64_t slot, double now)
+{
+    double elapsed = now - s->last_update[slot];
+    double r = s->rate[slot];
+    if (elapsed > 0.0 && r > 0.0 && r < INFINITY) {
+        double moved = r * elapsed;
+        double left = s->remaining[slot];
+        if (!(moved < left || isnan(moved))) moved = left;
+        s->remaining[slot] = left - moved;
+        if (moved > 0.0) {
+            int64_t end = s->link_start[slot] + s->link_len[slot];
+            for (int64_t k = s->link_start[slot]; k < end; k++)
+                s->busy[s->pool[k]] += moved;
+        }
+    }
+    s->last_update[slot] = now;
+}
+
+void alvc_materialize(const struct alvc_step_state *s, int64_t slot,
+                      double now)
+{
+    charge(s, slot, now);
+}
+
+/* New rates come from rates[slot] when rates is non-NULL, else from
+ * class_rate[class_of[slot]].  Returns the first slot at the minimum
+ * eta (-1 when it is inf). */
+int64_t alvc_settle(
+    struct alvc_step_state *s,
+    const double *rates,
+    int64_t size,
+    double now)
+{
+    double best = INFINITY;
+    int64_t first = -1, ties = 0;
+    for (int64_t i = 0; i < size; i++) {
+        double r;
+        if (rates) {
+            r = rates[i];
+        } else {
+            int64_t c = s->class_of[i];
+            r = c >= 0 ? s->class_rate[c] : 0.0;
+        }
+        /* Rate test first: it is rarely true, while a test on the dead
+         * slots scattered through the table would often mispredict. */
+        if (r != s->rate[i] && s->alive[i]) {
+            charge(s, i, now);
+            s->rate[i] = r;
+            if (isinf(r)) s->eta[i] = now;
+            else if (r > 0.0) s->eta[i] = now + s->remaining[i] / r;
+            else s->eta[i] = INFINITY;
+        }
+        double e = s->eta[i];
+        if (e <= best) {
+            if (e < best) { best = e; first = i; ties = 1; }
+            else ties++;
+        }
+    }
+    s->next_eta = best;
+    s->next_slot = first;
+    s->ties = first < 0 ? 0 : ties;
+    return first;
+}
 """
 
 
@@ -186,9 +307,53 @@ class RelevelState(ctypes.Structure):
     ]
 
 
-#: Tri-state compile cache: unset / a ctypes function / None (failed).
+class StepState(ctypes.Structure):
+    """The event step's array pointers and outputs (``struct
+    alvc_step_state``).  Rebound only when the flow table, the class
+    arrays or the busy array are reallocated; ``alvc_settle`` writes the
+    next completion into the three trailing fields."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in (
+            "remaining",
+            "rate",
+            "eta",
+            "last_update",
+            "alive",
+            "link_start",
+            "link_len",
+            "pool",
+            "busy",
+            "class_of",
+            "class_rate",
+        )
+    ] + [
+        ("next_eta", ctypes.c_double),
+        ("next_slot", ctypes.c_int64),
+        ("ties", ctypes.c_int64),
+    ]
+
+
+class Kernels(NamedTuple):
+    """The compiled entry points, typed for ``ctypes``."""
+
+    relevel: Callable
+    settle: Callable
+    materialize: Callable
+
+
+#: ``-O2`` without any fast-math flag and without contraction: the
+#: contract is exact IEEE doubles in source order.
+COMPILE_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+COMPILERS = ("cc", "gcc", "clang")
+
+#: Tri-state compile cache: unset / the entry points / None (failed).
 _UNSET = object()
 _kernel = _UNSET
+#: Why :data:`_kernel` is what it is (see :func:`kernel_status`).
+_status = "not resolved"
 
 
 def _cache_dir() -> str:
@@ -203,73 +368,123 @@ def _cache_dir() -> str:
         return tempfile.gettempdir()
 
 
-def _compile() -> "ctypes.CDLL | None":
-    digest = hashlib.sha256(KERNEL_SOURCE.encode()).hexdigest()[:16]
-    directory = _cache_dir()
-    library = os.path.join(directory, f"waterfill-{digest}.so")
-    if not os.path.exists(library):
-        source = os.path.join(directory, f"waterfill-{digest}.c")
-        scratch = library + f".tmp{os.getpid()}"
-        try:
-            with open(source, "w") as handle:
-                handle.write(KERNEL_SOURCE)
-            for compiler in ("cc", "gcc", "clang"):
-                # -O2 without any fast-math flag: the contract is exact
-                # IEEE doubles in source order.
+def _build(source: str, library: str) -> str | None:
+    """Compile ``source`` into ``library``; ``None`` on success, else
+    why not."""
+    scratch = library + f".tmp{os.getpid()}"
+    failure = None
+    try:
+        for compiler in COMPILERS:
+            try:
                 result = subprocess.run(
-                    [compiler, "-O2", "-fPIC", "-shared", source,
-                     "-o", scratch],
+                    [compiler, *COMPILE_FLAGS, source, "-o", scratch],
                     capture_output=True,
                     timeout=60,
                 )
-                if result.returncode == 0:
-                    os.replace(scratch, library)
-                    break
-            else:
+            except FileNotFoundError:
+                continue
+            if result.returncode == 0:
+                os.replace(scratch, library)
                 return None
-        except (OSError, subprocess.SubprocessError):
-            return None
-        finally:
-            if os.path.exists(scratch):
-                try:
-                    os.remove(scratch)
-                except OSError:
-                    pass
+            if failure is None:
+                lines = result.stderr.decode(errors="replace").splitlines()
+                first = next((line for line in lines if line.strip()), "")
+                failure = (
+                    f"compile failed: {compiler} exited "
+                    f"{result.returncode}: {first.strip()}"
+                )
+        return failure or "no compiler: none of " + ", ".join(COMPILERS)
+    except (OSError, subprocess.SubprocessError) as error:
+        return f"compile failed: {error}"
+    finally:
+        if os.path.exists(scratch):
+            try:
+                os.remove(scratch)
+            except OSError:
+                pass
+
+
+def _load() -> "tuple[ctypes.CDLL | None, str]":
+    """The shared object (built on a cache miss) and how it was got."""
+    key = KERNEL_SOURCE + "\0" + " ".join(COMPILE_FLAGS)
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    directory = _cache_dir()
+    library = os.path.join(directory, f"waterfill-{digest}.so")
+    how = "cached"
+    if not os.path.exists(library):
+        source = os.path.join(directory, f"waterfill-{digest}.c")
+        try:
+            with open(source, "w") as handle:
+                handle.write(KERNEL_SOURCE)
+        except OSError as error:
+            return None, f"compile failed: {error}"
+        failure = _build(source, library)
+        if failure is not None:
+            return None, failure
+        how = "compiled"
     try:
-        return ctypes.CDLL(library)
-    except OSError:
-        return None
+        return ctypes.CDLL(library), how
+    except OSError as error:
+        return None, f"load failed: {error}"
 
 
-def waterfill_kernel():
-    """The compiled round-loop entry point, or ``None``.
+def kernels() -> Kernels | None:
+    """The compiled entry points, or ``None``.
 
     Compiles on first call (cached across processes via the on-disk
     shared object, across calls via a module global).  Returns ``None``
-    when no C compiler is available, compilation fails, or
-    ``ALVC_NO_CKERNEL`` is set.
+    when no C compiler is available, compilation or loading fails, or
+    ``ALVC_NO_CKERNEL`` is set; :func:`kernel_status` says which.
     """
-    global _kernel
+    global _kernel, _status
     if _kernel is not _UNSET:
         return _kernel
     if os.environ.get(DISABLE_ENV):
-        _kernel = None
+        _kernel, _status = None, f"disabled: {DISABLE_ENV} is set"
         return None
-    library = _compile()
+    library, _status = _load()
     if library is None:
         _kernel = None
         return None
-    function = library.alvc_relevel
-    function.restype = ctypes.c_int64
-    function.argtypes = [
+    relevel = library.alvc_relevel
+    relevel.restype = ctypes.c_int64
+    relevel.argtypes = [
         ctypes.c_void_p,         # addressof(RelevelState)
         ctypes.c_int64,          # epoch
         ctypes.c_int64,          # n_components
     ]
-    _kernel = function
-    return function
+    settle = library.alvc_settle
+    settle.restype = ctypes.c_int64
+    settle.argtypes = [
+        ctypes.c_void_p,         # addressof(StepState)
+        ctypes.c_void_p,         # dense rates, or None for class rates
+        ctypes.c_int64,          # table size
+        ctypes.c_double,         # now
+    ]
+    materialize = library.alvc_materialize
+    materialize.restype = None
+    materialize.argtypes = [
+        ctypes.c_void_p,         # addressof(StepState)
+        ctypes.c_int64,          # slot
+        ctypes.c_double,         # now
+    ]
+    _kernel = Kernels(relevel, settle, materialize)
+    return _kernel
 
 
 def kernel_available() -> bool:
     """Whether the compiled kernel is usable in this environment."""
-    return waterfill_kernel() is not None
+    return kernels() is not None
+
+
+def kernel_status() -> str:
+    """Which step and round loop runs, and why.
+
+    ``"compiled"`` (built by this process) or ``"cached"`` (an earlier
+    build was loaded) when the kernel runs; otherwise why the numpy
+    mirror runs: ``"disabled: ..."`` (``ALVC_NO_CKERNEL``),
+    ``"no compiler: ..."``, ``"compile failed: ..."`` (with the
+    compiler's first stderr line) or ``"load failed: ..."``.
+    """
+    kernels()
+    return _status

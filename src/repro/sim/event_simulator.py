@@ -18,10 +18,15 @@ There is one event loop, the struct-of-arrays data plane of
 * rates come from :class:`~repro.sim.vector.BatchedFairShareEngine`,
   which aggregates flows into route classes and re-levels only the link
   components an event touched;
-* the next completion is an argmin over the flows' eta array;
+* one engine call per state-changing event,
+  :meth:`~repro.sim.vector.BatchedFairShareEngine.settle`, re-levels,
+  adopts the new rates and returns the next completion; it runs in the
+  compiled kernel of :mod:`repro.sim.ckernel` (``alvc_settle``) or in
+  its bitwise-equal numpy mirror;
 * flow progress (and per-link busy time) is materialized lazily at
   rate-change boundaries instead of being charged to every active flow
-  on every event;
+  on every event (``alvc_materialize`` charges a finishing or rerouted
+  flow);
 * routes are resolved in bulk before the first event
   (:mod:`repro.sim.admission`), and arrivals sharing a timestamp are
   admitted as one batch with a single recompute.  Load-aware runs pick
@@ -536,13 +541,15 @@ class EventDrivenFlowSimulator:
         * Flow state lives in a :class:`~repro.sim.vector.FlowTable` and
           rates come from the class-aggregated, component-local
           :class:`~repro.sim.vector.BatchedFairShareEngine`.  Ascending
-          slot order is activation order, so every vectorized pass
+          slot order is activation order, so every pass over the table
           (materialization, busy charging) runs in activation order.
-        * Progress (and per-link busy time) is materialized lazily, only
-          for flows whose rate changed; progress is linear between rate
-          changes, so charging at the boundaries is exact.
-        * The next completion is an argmin over the eta array, ties
-          broken by the smallest flow id.
+        * Every state-changing event ends in one ``engine.settle(now)``:
+          re-level, then charge progress (and per-link busy time) only
+          for flows whose rate changed, adopt the rates and find the
+          minimum eta.  Progress is linear between rate changes, so
+          charging at the boundaries is exact.
+        * The next completion is the step's minimum eta; ties are broken
+          by the smallest flow id.
         * Admission leaves the event loop: unique
           ``(src_host, dst_host, AL)`` pairs are bulk-resolved into an
           :class:`~repro.sim.admission.AdmissionPlan` before the first
@@ -592,7 +599,6 @@ class EventDrivenFlowSimulator:
         capacities = dict(self._capacities)
         engine = BatchedFairShareEngine(capacities, telemetry=telemetry)
         table = engine.table
-        busy = np.zeros(engine.n_links)
 
         completed: list[CompletedFlow] = []
         dropped: list[FlowId] = []
@@ -611,6 +617,9 @@ class EventDrivenFlowSimulator:
         arrival_index = 0
         failure_index = 0
         infinity = math.inf
+        # ``(eta, first slot, slots tied)`` of the next completion, as
+        # the last engine step left it; only a step changes any eta.
+        upcoming = (infinity, -1, 0)
 
         # Resolve every unique endpoint pair before the first event (one
         # BFS fan-out per source), so admitting an arrival is a plan
@@ -649,48 +658,6 @@ class EventDrivenFlowSimulator:
             [flow.arrival_time for flow in pending], dtype=np.float64
         )
 
-        def materialize_slots(slots: np.ndarray) -> None:
-            """Charge progress (and link busy time) for ``slots`` since
-            their last rate change, in ascending slot (= activation)
-            order."""
-            elapsed = now - table.last_update[slots]
-            rate = table.rate[slots]
-            moving = (elapsed > 0.0) & (rate > 0.0) & (rate < infinity)
-            movers = slots[moving]
-            if movers.shape[0]:
-                moved = table.rate[movers] * (now - table.last_update[movers])
-                remaining = table.remaining[movers]
-                moved = np.minimum(moved, remaining)
-                table.remaining[movers] = remaining - moved
-                carrying = moved > 0.0
-                carriers = movers[carrying]
-                if carriers.shape[0]:
-                    flat, lens = table.gather_links(carriers)
-                    np.add.at(busy, flat, np.repeat(moved[carrying], lens))
-            table.last_update[slots] = now
-
-        def apply_rates(rates: np.ndarray) -> None:
-            """Adopt a fresh allocation; only flows whose rate changed
-            get materialized and a fresh eta."""
-            size = table.size
-            changed = table.alive[:size] & (rates != table.rate[:size])
-            selected = np.flatnonzero(changed)
-            if selected.shape[0] == 0:
-                return
-            materialize_slots(selected)
-            new_rates = rates[selected]
-            table.rate[selected] = new_rates
-            remaining = table.remaining[selected]
-            eta = np.full(selected.shape[0], infinity)
-            positive = (new_rates > 0.0) & np.isfinite(new_rates)
-            eta[positive] = now + remaining[positive] / new_rates[positive]
-            # Mirrors remaining / inf == 0.0: completes "now".
-            eta[np.isinf(new_rates)] = now
-            table.eta[selected] = eta
-
-        def recompute_rates() -> None:
-            apply_rates(engine.recompute())
-
         def count_loads(links, delta: int) -> None:
             for link in links:
                 count = link_flows.get(link, 0) + delta
@@ -715,7 +682,7 @@ class EventDrivenFlowSimulator:
             nonlocal reroutes
             for flow_id in victims:
                 slot = table.slot_of[flow_id]
-                materialize_slots(np.array([slot], dtype=np.int64))
+                engine.materialize((slot,), now)
                 flow, _, links = table.meta[slot]
                 remaining_bytes = float(table.remaining[slot])
                 if load_aware:
@@ -749,17 +716,14 @@ class EventDrivenFlowSimulator:
                 if failure_index < len(failure_queue)
                 else infinity
             )
-            if table.active_count:
-                # Dead slots hold eta == inf, so the argmin only ever
-                # lands on a live flow.
-                next_completion = float(table.eta[: table.size].min())
-            else:
-                next_completion = infinity
+            # Dead slots hold eta == inf, so the step's minimum only ever
+            # lands on a live flow.
+            next_completion = upcoming[0]
             event_time = min(next_arrival, next_completion, next_failure)
             if until is not None and event_time > until:
                 # Window edge: charge everyone up to it and stop.
                 now = until
-                materialize_slots(table.active_slots())
+                engine.materialize(table.active_slots().tolist(), now)
                 in_flight = table.active_count
                 break
             if math.isinf(event_time):
@@ -802,7 +766,7 @@ class EventDrivenFlowSimulator:
                             removed.append(link)
                     if plan is not None and removed:
                         plan.invalidate_crossing(removed)
-                    recompute_rates()
+                    upcoming = engine.settle(now)
                 elif action == NODE_UP:
                     repaired = record.payload
                     if repaired not in failed_nodes:
@@ -819,7 +783,7 @@ class EventDrivenFlowSimulator:
                             capacity = down_links.pop(link)
                             capacities[link] = capacity
                             engine.set_capacity(link, capacity)
-                    recompute_rates()
+                    upcoming = engine.settle(now)
                 elif action == LINK_DOWN:
                     link = record.payload
                     if link in cut_links:
@@ -840,7 +804,7 @@ class EventDrivenFlowSimulator:
                     engine.remove_link(link)
                     if plan is not None:
                         plan.invalidate_crossing((link,))
-                    recompute_rates()
+                    upcoming = engine.settle(now)
                 elif action == LINK_UP:
                     link = record.payload
                     if link not in cut_links:
@@ -850,7 +814,7 @@ class EventDrivenFlowSimulator:
                         capacity = down_links.pop(link)
                         capacities[link] = capacity
                         engine.set_capacity(link, capacity)
-                        recompute_rates()
+                        upcoming = engine.settle(now)
                 else:  # LINK_DEGRADE
                     link = record.payload
                     if link in capacities:
@@ -866,7 +830,7 @@ class EventDrivenFlowSimulator:
                             self._route_cache.invalidate_crossing((link,))
                         if plan is not None:
                             plan.invalidate_crossing((link,))
-                        recompute_rates()
+                        upcoming = engine.settle(now)
                     elif link in down_links:
                         # Degrading a link that is currently down only
                         # shrinks the capacity a later repair restores.
@@ -944,29 +908,29 @@ class EventDrivenFlowSimulator:
                         table.meta[slot] = (flow, route.path, route.links)
                     bulk_counter.inc(len(batch))
                 if admitted:
-                    recompute_rates()
+                    upcoming = engine.settle(now)
             else:
                 events += 1
                 events_counter.inc()
-                eta = table.eta[: table.size]
-                finishers = np.flatnonzero(eta == next_completion)
-                if finishers.shape[0] == 1:
-                    slot = int(finishers[0])
-                else:
+                _, slot, ties = upcoming
+                if ties > 1:
                     # Break eta ties on the smallest flow id, not the
                     # earliest slot.
+                    finishers = np.flatnonzero(
+                        table.eta[: table.size] == next_completion
+                    )
                     slot = min(
-                        (int(candidate) for candidate in finishers),
-                        key=lambda candidate: table.flow_ids[candidate],
+                        finishers.tolist(),
+                        key=table.flow_ids.__getitem__,
                     )
                 finisher = table.flow_ids[slot]
-                materialize_slots(np.array([slot], dtype=np.int64))
+                engine.materialize((slot,), now)
                 flow, path, links = table.meta[slot]
                 if load_aware:
                     count_loads(links, -1)
                 engine.remove_flow(finisher)
                 complete_now(flow, len(path) - 1)
-                recompute_rates()
+                upcoming = engine.settle(now)
             depth = table.active_count
             depth_gauge.set(depth)
             if depth > peak_depth:
@@ -979,7 +943,9 @@ class EventDrivenFlowSimulator:
                 sorted(completed, key=lambda record: record.flow_id)
             ),
             makespan=now,
-            link_busy_byte_seconds=LinkBusyView(engine.link_ids(), busy),
+            link_busy_byte_seconds=LinkBusyView(
+                engine.link_ids(), engine.busy
+            ),
             dropped=tuple(sorted(dropped)),
             reroutes=reroutes,
             failed_nodes=tuple(sorted(failed_nodes)),

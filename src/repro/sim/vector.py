@@ -34,10 +34,12 @@ handful of whole-array operations:
   :func:`~repro.sim.fairshare.max_min_fair_rates`, which the seeded
   parity suite asserts on randomized instances.
 * :class:`BatchedFairShareEngine` — the batched data plane: flows
-  aggregated into route classes, and a recompute that water-fills only
-  the link components an event touched (compiled kernel or numpy
-  mirror), bit-identical to the vector engine.
-* :class:`LinkBusyView` — a lazy mapping over the simulator's per-link
+  aggregated into route classes, a recompute that water-fills only the
+  link components an event touched, bit-identical to the vector engine,
+  and the simulator's event step (:meth:`~BatchedFairShareEngine.settle`:
+  adopt the new rates, charge progress and link busy time, find the
+  next completion).  Both run compiled or in a numpy mirror.
+* :class:`LinkBusyView` — a lazy mapping over the engine's per-link
   busy accumulator array, so a million-flow report never materializes a
   per-link python dict just to compute utilization.
 
@@ -65,6 +67,8 @@ __all__ = [
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+#: :meth:`BatchedFairShareEngine.settle`'s answer when no flow is due.
+_NO_COMPLETION = (np.inf, -1, 0)
 
 
 class FlowTable:
@@ -96,6 +100,7 @@ class FlowTable:
         "flow_ids",
         "meta",
         "on_compact",
+        "on_grow",
         "_compact_slack",
         "_compact_pending",
     )
@@ -127,6 +132,10 @@ class FlowTable:
         #: so owners of parallel per-slot arrays (the batched engine's
         #: class map) can renumber alongside the table.
         self.on_compact = None
+        #: Called after the per-slot arrays or the pool are reallocated,
+        #: so owners of pointers into them (the compiled event step)
+        #: can rebind.
+        self.on_grow = None
         self._compact_slack = max(1, int(compact_slack))
         # Tombstones only appear in remove(), so the compaction
         # predicate is evaluated there (once per death) and the add hot
@@ -229,15 +238,17 @@ class FlowTable:
         so activation order still matches admission order.
 
         Raises:
-            SimulationError: when any flow already holds a slot (no
-                slots are allocated then).
+            SimulationError: when any flow already holds a slot or
+                appears twice in ``flows`` (no slots are allocated then).
         """
         count = len(flows)
         if count == 0:
             return _EMPTY_I64
+        seen = set()
         for flow in flows:
-            if flow in self.slot_of:
+            if flow in self.slot_of or flow in seen:
                 raise SimulationError(f"flow {flow!r} is already active")
+            seen.add(flow)
         if self._compact_pending:
             self.compact()
         while self.size + count > self.remaining.shape[0]:
@@ -339,6 +350,8 @@ class FlowTable:
         length = np.zeros(n, dtype=np.int64)
         length[: self.size] = self.link_len[: self.size]
         self.link_len = length
+        if self.on_grow is not None:
+            self.on_grow()
 
     def _grow_pool(self, needed: int) -> None:
         n = self.pool.shape[0]
@@ -347,6 +360,8 @@ class FlowTable:
         pool = np.zeros(n, dtype=np.int32)
         pool[: self.pool_len] = self.pool[: self.pool_len]
         self.pool = pool
+        if self.on_grow is not None:
+            self.on_grow()
 
 
 class LinkBusyView(Mapping):
@@ -831,10 +846,13 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     added behind the engine's back) fall back to the vector recompute,
     which is itself bit-identical; dirty marks survive a fallback.
 
-    The round loop runs in a compiled kernel when a C compiler is
+    The round loop and the event step (:meth:`settle`,
+    :meth:`materialize`) run in compiled kernels when a C compiler is
     available (:mod:`repro.sim.ckernel` — same IEEE operations in the
-    same order) and in a numpy mirror otherwise; both are asserted
-    bitwise-equal in the suite.
+    same order) and in numpy mirrors otherwise; both are asserted
+    bitwise-equal in the suite.  The kernels read the arrays through
+    ``ctypes`` structs of pointers, rebound only when an array is
+    reallocated (table, pool, class-array, class-map or link growth).
 
     Telemetry: ``alvc_fairshare_vector_rounds`` observes the rounds
     summed over the re-leveled components only;
@@ -872,9 +890,12 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         "_remaining",
         "_load",
         "_work",
-        "_kernel",
+        "_busy",
+        "_kernels",
         "_state",
         "_state_address",
+        "_step",
+        "_step_address",
         "_bounds",
         "_components_gauge",
         "_merges_counter",
@@ -889,7 +910,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     ) -> None:
         super().__init__(capacities, table=table, telemetry=telemetry)
         from repro.observability.runtime import current_telemetry
-        from repro.sim.ckernel import RelevelState, waterfill_kernel
+        from repro.sim.ckernel import RelevelState, StepState, kernels
 
         sink = telemetry if telemetry is not None else current_telemetry()
         self._components_gauge = sink.gauge(
@@ -946,20 +967,32 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._remaining = np.zeros(0)
         self._load = np.zeros(0)
         self._work = _EMPTY_I64
-        self._kernel = waterfill_kernel()
-        self._state = RelevelState() if self._kernel is not None else None
+        #: Busy byte-seconds per link, charged by the event step.
+        self._busy = np.zeros(0)
+        self._kernels = kernels()
+        compiled = self._kernels is not None
+        self._state = RelevelState() if compiled else None
         self._state_address = None
+        self._step = StepState() if compiled else None
+        self._step_address = None
         #: The kernel's per-call component bounds (a ctypes buffer:
         #: filling it costs far less than marshalling a numpy array).
         self._bounds = None
         self._sync_links()
         self._table.on_compact = self._renumber_classes
+        self._table.on_grow = self._unbind_step
 
     # ------------------------------------------------------------------
     @property
     def kernel_active(self) -> bool:
-        """Whether recomputes run the compiled round loop."""
-        return self._kernel is not None
+        """Whether recomputes and event steps run compiled."""
+        return self._kernels is not None
+
+    @property
+    def busy(self) -> np.ndarray:
+        """Busy byte-seconds per link index, as charged by
+        :meth:`settle` and :meth:`materialize` (the live array)."""
+        return self._busy
 
     @property
     def n_classes(self) -> int:
@@ -1094,15 +1127,20 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._remaining = np.zeros(n_links)
         self._load = np.zeros(n_links)
         self._work = np.zeros(n_links, dtype=np.int64)
+        busy = np.zeros(n_links)
+        busy[:known] = self._busy
+        self._busy = busy
         if self._state is not None:
             self._bounds = (ctypes.c_int64 * (2 * n_links))()
         self._state_address = None
+        self._step_address = None
 
     def _grow_classes(self) -> None:
         needed = self._m.shape[0] * 2
         for name in ("_m", "_frozen", "_class_rate", "_cstart", "_clen"):
             setattr(self, name, _grown(getattr(self, name), needed))
         self._state_address = None
+        self._step_address = None
 
     def _bind_kernel(self) -> int:
         """Point the kernel state at the current arrays."""
@@ -1129,6 +1167,29 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._state_address = ctypes.addressof(state)
         return self._state_address
 
+    def _bind_step(self) -> int:
+        """Point the event step's state at the current arrays."""
+        step, table = self._step, self._table
+        for field, array in (
+            ("remaining", table.remaining),
+            ("rate", table.rate),
+            ("eta", table.eta),
+            ("last_update", table.last_update),
+            ("alive", table.alive),
+            ("link_start", table.link_start),
+            ("link_len", table.link_len),
+            ("pool", table.pool),
+            ("busy", self._busy),
+            ("class_of", self._class_of),
+            ("class_rate", self._class_rate),
+        ):
+            setattr(step, field, array.ctypes.data)
+        self._step_address = ctypes.addressof(step)
+        return self._step_address
+
+    def _unbind_step(self) -> None:
+        self._step_address = None
+
     def _mark(self, cid: int) -> None:
         anchor = self._anchor[cid]
         if anchor >= 0:
@@ -1148,6 +1209,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         )
         grown[: self._class_of.shape[0]] = self._class_of
         self._class_of = grown
+        self._step_address = None
 
     def _renumber_classes(self, live: np.ndarray) -> None:
         n = live.shape[0]
@@ -1226,21 +1288,136 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._dirty.add(self._index[link])
 
     # ------------------------------------------------------------------
+    def _needs_vector(self) -> bool:
+        """Whether rates must come from the vector recompute: some live
+        slot has no class, or a live class repeats a link."""
+        table = self._table
+        return bool(
+            self._classified != table.active_count
+            or table.size > self._class_of.shape[0]
+            or (self._dup_class_ids and self._m[self._dup_class_ids].any())
+        )
+
     def recompute(self) -> np.ndarray:
         """Max-min fair rate per slot — bit-identical to the vector
         engine (and therefore the reference); see the class
         docstring."""
-        table = self._table
-        size = table.size
-        if (
-            self._classified != table.active_count
-            or size > self._class_of.shape[0]
-            or (self._dup_class_ids and self._m[self._dup_class_ids].any())
-        ):
+        if self._needs_vector():
             return super().recompute()
         rounds = self._relevel() if self._dirty else 0
         self._rounds_histogram.observe(float(rounds))
-        return self._class_rate[self._class_of[:size]]
+        return self._class_rate[self._class_of[: self._table.size]]
+
+    def settle(self, now: float) -> tuple[float, int, int]:
+        """One event step: recompute, adopt the new rates and find the
+        next completion.
+
+        Every live slot whose rate changed is charged its progress and
+        link busy time at the old rate since its last rate change, then
+        adopts the new rate and gets a fresh eta, in ascending slot
+        (= activation) order.  Returns ``(eta, slot, ties)``: the
+        earliest eta in the table, the first slot reaching it and how
+        many slots tie at it, or ``(inf, -1, 0)`` when no flow is due to
+        complete.  The compiled ``alvc_settle`` and
+        :meth:`_settle_numpy` are bitwise-equal.
+        """
+        if self._needs_vector():
+            rates = super().recompute()
+        else:
+            rates = None
+            rounds = self._relevel() if self._dirty else 0
+            self._rounds_histogram.observe(float(rounds))
+        return self._adopt(rates, now)
+
+    def _adopt(
+        self, rates: np.ndarray | None, now: float
+    ) -> tuple[float, int, int]:
+        """:meth:`settle` after the recompute: adopt ``rates`` (the
+        dense vector fallback, or ``None`` for the class rates)."""
+        size = self._table.size
+        if size == 0:
+            return _NO_COMPLETION
+        if self._kernels is None:
+            return self._settle_numpy(rates, now)
+        address = self._step_address
+        if address is None:
+            address = self._bind_step()
+        step = self._step
+        self._kernels.settle(
+            address, None if rates is None else rates.ctypes.data, size, now
+        )
+        return step.next_eta, step.next_slot, step.ties
+
+    def materialize(self, slots: Sequence[int], now: float) -> None:
+        """Charge ``slots`` (ascending ints) their progress and link busy
+        time since their last rate change, and stamp them ``now``.
+
+        Raises:
+            SimulationError: on a slot outside the table.
+        """
+        size = self._table.size
+        for slot in slots:
+            if not 0 <= slot < size:
+                raise SimulationError(f"slot {slot} is outside the table")
+        if self._kernels is None:
+            self._materialize_numpy(np.asarray(slots, dtype=np.int64), now)
+            return
+        address = self._step_address
+        if address is None:
+            address = self._bind_step()
+        charge = self._kernels.materialize
+        for slot in slots:
+            charge(address, slot, now)
+
+    def _settle_numpy(
+        self, rates: np.ndarray | None, now: float
+    ) -> tuple[float, int, int]:
+        """Numpy mirror of ``alvc_settle``, bitwise-equal to it;
+        ``rates`` is the dense vector fallback, ``None`` for class
+        rates."""
+        table = self._table
+        size = table.size
+        if rates is None:
+            rates = self._class_rate[self._class_of[:size]]
+        changed = table.alive[:size] & (rates != table.rate[:size])
+        selected = np.flatnonzero(changed)
+        if selected.shape[0]:
+            self._materialize_numpy(selected, now)
+            new_rates = rates[selected]
+            table.rate[selected] = new_rates
+            remaining = table.remaining[selected]
+            eta = np.full(selected.shape[0], np.inf)
+            positive = (new_rates > 0.0) & np.isfinite(new_rates)
+            eta[positive] = now + remaining[positive] / new_rates[positive]
+            # Mirrors remaining / inf == 0.0: completes "now".
+            eta[np.isinf(new_rates)] = now
+            table.eta[selected] = eta
+        eta = table.eta[:size]
+        slot = int(np.argmin(eta))
+        best = float(eta[slot])
+        if best == np.inf:
+            return _NO_COMPLETION
+        return best, slot, int(np.count_nonzero(eta == best))
+
+    def _materialize_numpy(self, slots: np.ndarray, now: float) -> None:
+        """Numpy mirror of ``alvc_materialize`` over ascending ``slots``
+        (one ``np.add.at`` replays the kernel's per-slot busy adds)."""
+        table = self._table
+        elapsed = now - table.last_update[slots]
+        rate = table.rate[slots]
+        moving = (elapsed > 0.0) & (rate > 0.0) & (rate < np.inf)
+        movers = slots[moving]
+        if movers.shape[0]:
+            moved = table.rate[movers] * (now - table.last_update[movers])
+            remaining = table.remaining[movers]
+            moved = np.minimum(moved, remaining)
+            table.remaining[movers] = remaining - moved
+            carrying = moved > 0.0
+            carriers = movers[carrying]
+            if carriers.shape[0]:
+                flat, lens = table.gather_links(carriers)
+                np.add.at(self._busy, flat, np.repeat(moved[carrying], lens))
+        table.last_update[slots] = now
 
     def _relevel(self) -> int:
         """Water-fill the dirty components; returns rounds executed."""
@@ -1254,13 +1431,13 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         if not edges:
             return 0
         self._epoch += 1
-        if self._kernel is None:
+        if self._kernels is None:
             return self._waterfill_numpy(edges)
         address = self._state_address
         if address is None:
             address = self._bind_kernel()
         self._bounds[: len(edges)] = edges
-        rounds = self._kernel(address, self._epoch, len(edges) // 2)
+        rounds = self._kernels.relevel(address, self._epoch, len(edges) // 2)
         if rounds < 0:
             raise SimulationError(
                 "water-filling invariant violated: loaded bottleneck "

@@ -11,9 +11,9 @@ when the simulator still carried four event loops (dict-based
 incremental and from-scratch water-filling, the vector loop with
 per-event and with batched admission) and all of them agreed on every
 case bit for bit.  The one remaining data plane must keep reproducing
-each of them, and :func:`assert_golden` also certifies every fair-share
-recompute of the run against the max-min definition and the textbook
-water-filling.
+each of them, and :func:`assert_golden` also certifies the rates every
+event step of the run adopts against the max-min definition and the
+textbook water-filling.
 
 Regenerate (only for an intended change of simulation semantics)::
 
@@ -25,11 +25,14 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import random
 import sys
 import zlib
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from repro.core.cluster import ClusterManager
 from repro.sdn.route_cache import DEFAULT_ROUTE_CACHE_SIZE
@@ -376,17 +379,19 @@ def build_cases(chaos_examples) -> dict[str, Callable]:
 
 @contextlib.contextmanager
 def certified_recomputes():
-    """Check every data-plane recompute inside the block.
+    """Check every data-plane step inside the block.
 
-    Each allocation the fair-share engine returns must pass
+    After each :meth:`~repro.sim.vector.BatchedFairShareEngine.settle`
+    the rates the flow table adopted must pass
     :func:`~repro.sim.fairshare.check_max_min_fair` and equal
     :func:`~repro.sim.fairshare.max_min_fair_rates`, bit for bit, on
-    the engine's live flows and capacities.
+    the engine's live flows and capacities; the step's next completion
+    must be the table's minimum eta, with its first slot and tie count.
     """
-    original = BatchedFairShareEngine.recompute
+    original = BatchedFairShareEngine.settle
 
-    def recompute(engine):
-        rates = original(engine)
+    def settle(engine, now):
+        upcoming = original(engine, now)
         table = engine.table
         link_ids = engine.link_ids()
         flow_links, got = {}, {}
@@ -395,17 +400,24 @@ def certified_recomputes():
             pool = table.pool[start : start + int(table.link_len[slot])]
             flow = table.flow_ids[slot]
             flow_links[flow] = [link_ids[index] for index in pool.tolist()]
-            got[flow] = float(rates[slot])
+            got[flow] = float(table.rate[slot])
         capacities = engine.capacities()
         check_max_min_fair(got, flow_links, capacities)
         assert got == max_min_fair_rates(flow_links, capacities)
-        return rates
+        eta = table.eta[: table.size]
+        best = float(eta.min()) if eta.shape[0] else math.inf
+        if best < math.inf:
+            tied = np.flatnonzero(eta == best)
+            assert upcoming == (best, int(tied[0]), tied.shape[0])
+        else:
+            assert upcoming == (math.inf, -1, 0)
+        return upcoming
 
-    BatchedFairShareEngine.recompute = recompute
+    BatchedFairShareEngine.settle = settle
     try:
         yield
     finally:
-        BatchedFairShareEngine.recompute = original
+        BatchedFairShareEngine.settle = original
 
 
 @functools.cache
@@ -418,7 +430,7 @@ def golden_fixture() -> tuple[dict[str, Callable], dict[str, int], list]:
 
 
 def assert_golden(case: str) -> None:
-    """Run ``case`` with certified recomputes and match its golden CRC."""
+    """Run ``case`` with certified event steps and match its golden CRC."""
     cases, crcs, _ = golden_fixture()
     with certified_recomputes():
         report = cases[case]()

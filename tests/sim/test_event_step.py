@@ -1,0 +1,370 @@
+"""The event step: ``BatchedFairShareEngine.settle``/``.materialize``.
+
+The compiled entry points (``alvc_settle``, ``alvc_materialize``) must
+be bitwise-equal to their numpy mirror on every input the event loop
+can hand them — dead slots, zero and infinite rates, zero elapsed time,
+equal-eta ties, the dense-rates fallback, compaction in mid-run and the
+rebinds that table, class-array and link growth force — and the
+simulator must produce the same report on either path.  The module also
+pins the kernel's provenance (:func:`repro.sim.ckernel.kernel_status`)
+and the per-event recompute and round counts.
+"""
+
+import random
+import subprocess
+
+import numpy as np
+import pytest
+
+from repro.exceptions import SimulationError
+from repro.observability.runtime import Telemetry, use_telemetry
+from repro.sim import ckernel
+from repro.sim.admission import InternedRoute
+from repro.sim.event_simulator import EventDrivenFlowSimulator
+from repro.sim.fairshare import ROUNDS_BUCKETS
+from repro.sim.vector import BatchedFairShareEngine, FlowTable
+from tests.sim.goldens import (
+    _traffic,
+    clustered_testbed,
+    fault_schedule,
+    golden_fixture,
+    report_crc,
+)
+
+needs_kernel = pytest.mark.skipif(
+    ckernel.kernels() is None, reason="no compiled kernel in this environment"
+)
+
+NODES = [f"n{index}" for index in range(7)]
+
+
+def _caps(rng: random.Random) -> dict:
+    caps = {}
+    while len(caps) < 9:
+        a, b = rng.sample(NODES, 2)
+        caps[frozenset({a, b})] = rng.choice([1.0, 2.5, 4.0, 10.0])
+    return caps
+
+
+def _pair(caps: dict, **table) -> tuple:
+    """A kernel engine and a numpy-mirror engine over ``caps``."""
+    kernel = BatchedFairShareEngine(dict(caps), table=FlowTable(**table))
+    saved = ckernel._kernel
+    ckernel._kernel = None
+    try:
+        mirror = BatchedFairShareEngine(dict(caps), table=FlowTable(**table))
+    finally:
+        ckernel._kernel = saved
+    assert kernel.kernel_active and not mirror.kernel_active
+    return kernel, mirror
+
+
+def _assert_same(kernel, mirror) -> None:
+    a, b = kernel.table, mirror.table
+    assert (a.size, a.active_count) == (b.size, b.active_count)
+    for name in ("remaining", "rate", "eta", "last_update", "alive"):
+        got = getattr(a, name)[: a.size].tobytes()
+        assert got == getattr(b, name)[: b.size].tobytes(), name
+    assert kernel.busy.tobytes() == mirror.busy.tobytes()
+
+
+def _path(rng: random.Random, links: list) -> list:
+    roll = rng.random()
+    if roll < 0.05:
+        return []  # zero-hop: an infinite rate
+    path = rng.sample(links, rng.randint(1, 3))
+    if roll < 0.15:
+        path.append(path[0])  # a repeated link: the vector fallback
+    return path
+
+
+# ----------------------------------------------------------------------
+# Kernel vs numpy mirror
+# ----------------------------------------------------------------------
+@needs_kernel
+@pytest.mark.parametrize("seed", range(12))
+def test_adopt_matches_mirror_on_synthetic_tables(seed):
+    """Dense and class rates with zeros, infinities, unchanged entries,
+    zero elapsed time and equal etas, over tables with dead slots."""
+    rng = random.Random(seed)
+    caps = _caps(rng)
+    links = list(caps)
+    engines = _pair(caps)
+    flows = [f"f{index}" for index in range(rng.randint(5, 40))]
+    paths = {flow: _path(rng, links) for flow in flows}
+    for engine in engines:
+        for flow in flows:
+            engine.add_flow(flow, paths[flow])
+    for flow in rng.sample(flows, len(flows) // 4):
+        for engine in engines:
+            engine.remove_flow(flow)
+    size = engines[0].table.size
+    values = [0.0, np.inf, 0.5, 1.0, 2.5, 4.0]
+    now = 3.0
+    # Few distinct values, so etas tie and some slots have no time or
+    # no bytes left to charge.
+    remaining = np.array([rng.choice([0.0, 1.0, 5.0]) for _ in range(size)])
+    last = np.array([rng.choice([0.0, 1.0, now]) for _ in range(size)])
+    rate = np.array([rng.choice(values) for _ in range(size)])
+    n_classes = engines[0].n_classes
+    class_rate = [rng.choice(values) for _ in range(n_classes)]
+    for engine in engines:
+        table = engine.table
+        live = table.alive[:size]
+        table.remaining[:size] = remaining
+        table.last_update[:size] = last
+        table.rate[:size] = np.where(live, rate, 0.0)
+        table.eta[:size] = np.where(live, now, np.inf)
+        engine._class_rate[:n_classes] = class_rate
+    for step in range(4):
+        dense = np.array([rng.choice(values) for _ in range(size)])
+        # Some entries keep their current rate: those slots stay put.
+        keep = np.array([rng.random() < 0.3 for _ in range(size)])
+        dense = np.where(keep, engines[0].table.rate[:size], dense)
+        rates = None if step % 2 else dense
+        upcoming = [engine._adopt(rates, now) for engine in engines]
+        assert upcoming[0] == upcoming[1]
+        _assert_same(*engines)
+        if upcoming[0][2] > 1:
+            eta = engines[0].table.eta[:size]
+            assert np.count_nonzero(eta == upcoming[0][0]) == upcoming[0][2]
+        # Some steps repeat ``now``: elapsed 0 everywhere.
+        now += rng.choice([0.0, 0.25])
+
+
+@needs_kernel
+@pytest.mark.parametrize("seed", range(8))
+def test_settle_matches_mirror_under_churn(seed):
+    """Arrivals (single and interned), completions, capacity edits and
+    new links, with a tiny table and class arrays so slots, pool,
+    classes and busy all regrow (forcing rebinds) and the table
+    compacts in mid-run."""
+    rng = random.Random(1000 + seed)
+    caps = _caps(rng)
+    links = list(caps)
+    engines = _pair(caps, capacity=4, compact_slack=3)
+    routes = [{}, {}]
+    now = 0.0
+    serial = 0
+    grown = False
+    for _ in range(160):
+        roll = rng.random()
+        active = list(engines[0].table.slot_of)
+        if roll < 0.35 or not active:
+            batch, sizes = [], []
+            for _ in range(rng.randint(1, 4)):
+                batch.append((f"f{serial}", _path(rng, links)))
+                sizes.append(rng.choice([0.5, 1.0, 3.0]))
+                serial += 1
+            bulk = rng.random() < 0.5
+            for engine, cache in zip(engines, routes):
+                table = engine.table
+                if bulk:
+                    chosen = []
+                    for _, path in batch:
+                        key = tuple(path)
+                        if key not in cache:
+                            indices = np.array(
+                                [engine.link_index[link] for link in path],
+                                dtype=np.int32,
+                            )
+                            cache[key] = InternedRoute(
+                                [], tuple(path), indices,
+                                len(set(path)) < len(path),
+                            )
+                        chosen.append(cache[key])
+                    slots = engine.add_interned(
+                        [flow for flow, _ in batch], chosen
+                    ).tolist()
+                else:
+                    slots = [
+                        engine.add_flow(flow, path) for flow, path in batch
+                    ]
+                table.remaining[slots] = sizes
+                table.last_update[slots] = now
+        elif roll < 0.7:
+            # A completion: charge the finisher, then drop it.
+            flow = rng.choice(active)
+            for engine in engines:
+                engine.materialize((engine.table.slot_of[flow],), now)
+                engine.remove_flow(flow)
+        elif roll < 0.8:
+            link = rng.choice(links)
+            capacity = rng.choice([0.5, 3.0, 7.0])
+            for engine in engines:
+                engine.set_capacity(link, capacity)
+        elif roll < 0.83:
+            # A new link grows every per-link array, busy included.
+            a, b = f"x{serial}", rng.choice(NODES)
+            serial += 1
+            link = frozenset({a, b})
+            links.append(link)
+            for engine in engines:
+                engine.set_capacity(link, 2.0)
+        upcoming = [engine.settle(now) for engine in engines]
+        assert upcoming[0] == upcoming[1]
+        _assert_same(*engines)
+        grown = grown or engines[0].table.remaining.shape[0] > 16
+        if rng.random() < 0.3:
+            now += rng.choice([0.0, 0.1, 0.7])
+        elif np.isfinite(upcoming[0][0]):
+            now = max(now, upcoming[0][0])
+    assert grown and engines[0].n_classes >= 16
+
+
+@needs_kernel
+@pytest.mark.parametrize("until", [0.2, 1.0, None])
+def test_simulator_reports_match_mirror(until):
+    """Full and windowed runs, with faults, report the same on both
+    paths (windowed runs charge every in-flight flow at the edge)."""
+
+    def run():
+        inventory, clusters = clustered_testbed()
+        flows = _traffic(inventory, 7, 60, arrival_rate=200.0)
+        failures = fault_schedule(random.Random(7), inventory.network)
+        simulator = EventDrivenFlowSimulator(inventory, clusters)
+        return simulator.run(flows, failures, until=until)
+
+    kernel = run()
+    saved = ckernel._kernel
+    ckernel._kernel = None
+    try:
+        mirror = run()
+    finally:
+        ckernel._kernel = saved
+    assert report_crc(kernel) == report_crc(mirror)
+    assert kernel.in_flight == mirror.in_flight
+    assert kernel.events == mirror.events
+    if until is not None:
+        assert kernel.in_flight > 0
+
+
+def test_empty_table_settles_to_no_completion():
+    engine = BatchedFairShareEngine({frozenset({"a", "b"}): 1.0})
+    assert engine.settle(0.0) == (np.inf, -1, 0)
+    engine.add_flow("f0", [frozenset({"a", "b"})])
+    engine.table.remaining[0] = 2.0
+    assert engine.settle(0.0) == (2.0, 0, 1)
+    engine.remove_flow("f0")
+    assert engine.settle(1.0) == (np.inf, -1, 0)
+
+
+# ----------------------------------------------------------------------
+# Recomputes and rounds per event
+# ----------------------------------------------------------------------
+#: ``alvc_fairshare_vector_rounds`` (observations, summed rounds) per
+#: golden case, recorded from the numpy event loop: one recompute per
+#: state-changing event and the same rounds in each, whichever path
+#: runs the step.
+ROUNDS = {
+    "workload/101": (136, 373.0),
+    "load_aware/31": (70, 140.0),
+    "ops_crashes/41": (46, 89.0),
+    "fault_schedule/1000": (20, 27.0),
+    "admission_faults/3": (29, 37.0),
+    "admission_window/21": (4, 5.0),
+    "link_faults/dual_path": (12, 9.0),
+    "chaos/02": (36, 6.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUNDS))
+def test_recomputes_and_rounds_per_event_unchanged(case):
+    cases, _, _ = golden_fixture()
+    telemetry = Telemetry.enabled_instance()
+    with use_telemetry(telemetry):
+        cases[case]()
+    histogram = telemetry.histogram(
+        "alvc_fairshare_vector_rounds", "", ROUNDS_BUCKETS
+    )
+    assert (histogram.count, histogram.sum) == ROUNDS[case]
+
+
+# ----------------------------------------------------------------------
+# Kernel provenance
+# ----------------------------------------------------------------------
+@pytest.fixture
+def fresh_kernel(monkeypatch, tmp_path):
+    """Resolve the kernel from scratch in an empty cache directory (the
+    module state is restored afterwards)."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.delenv(ckernel.DISABLE_ENV, raising=False)
+    monkeypatch.setattr(ckernel, "_kernel", ckernel._UNSET)
+    monkeypatch.setattr(ckernel, "_status", ckernel._status)
+    return monkeypatch
+
+
+def _compiler(returncode: int, stderr: bytes = b"", output: bytes = b""):
+    def run(argv, **kwargs):
+        if output:
+            with open(argv[argv.index("-o") + 1], "wb") as handle:
+                handle.write(output)
+        return subprocess.CompletedProcess(argv, returncode, b"", stderr)
+
+    return run
+
+
+def test_status_reports_failed_compile(fresh_kernel):
+    fresh_kernel.setattr(
+        ckernel.subprocess,
+        "run",
+        _compiler(1, b"\nwaterfill.c:3:1: error: boom\nmore noise\n"),
+    )
+    assert ckernel.kernels() is None
+    assert not ckernel.kernel_available()
+    status = ckernel.kernel_status()
+    assert status.startswith("compile failed:")
+    assert "error: boom" in status and "more noise" not in status
+    assert not BatchedFairShareEngine({}).kernel_active
+
+
+def test_status_reports_missing_compiler(fresh_kernel):
+    def run(argv, **kwargs):
+        raise FileNotFoundError(argv[0])
+
+    fresh_kernel.setattr(ckernel.subprocess, "run", run)
+    assert ckernel.kernels() is None
+    assert ckernel.kernel_status().startswith("no compiler")
+
+
+def test_status_reports_failed_load(fresh_kernel):
+    fresh_kernel.setattr(
+        ckernel.subprocess, "run", _compiler(0, output=b"not an ELF")
+    )
+    assert ckernel.kernels() is None
+    assert ckernel.kernel_status().startswith("load failed:")
+
+
+def test_status_reports_disabled(fresh_kernel):
+    fresh_kernel.setenv(ckernel.DISABLE_ENV, "1")
+    assert ckernel.kernel_status() == (
+        f"disabled: {ckernel.DISABLE_ENV} is set"
+    )
+
+
+@needs_kernel
+def test_status_reports_compiled_then_cached(fresh_kernel):
+    assert ckernel.kernel_status() == "compiled"
+    fresh_kernel.setattr(ckernel, "_kernel", ckernel._UNSET)
+    assert ckernel.kernel_status() == "cached"
+
+
+def test_materialize_rejects_slots_outside_the_table():
+    link = frozenset({"a", "b"})
+    engine = BatchedFairShareEngine({link: 2.0})
+    engine.add_flow("f0", [link])
+    for slot in (-1, 1):
+        with pytest.raises(SimulationError, match="outside the table"):
+            engine.materialize((slot,), 1.0)
+
+
+def test_materialize_twice_at_one_instant_charges_once():
+    link = frozenset({"a", "b"})
+    engine = BatchedFairShareEngine({link: 2.0})
+    engine.add_flow("f0", [link])
+    engine.table.remaining[0] = 4.0
+    assert engine.settle(0.0) == (2.0, 0, 1)
+    engine.materialize((0,), 1.0)
+    engine.materialize((0,), 1.0)
+    assert engine.table.remaining[0] == 2.0
+    assert engine.busy.tolist() == [2.0]

@@ -315,6 +315,19 @@ class TestFlowTableBulk:
         assert table.pool_len == pool_len
         assert "f1" not in table
 
+    def test_add_many_repeated_id_rejected_atomically(self):
+        # A repeated id must not get two slots: remove() would leave the
+        # first one alive and ownerless, and the run could not drain.
+        table = FlowTable()
+        with pytest.raises(SimulationError, match="already active"):
+            table.add_many(
+                ["a", "b", "a"],
+                self._pools([[0], [1], [2]]),
+                [False, False, False],
+            )
+        assert (table.size, table.pool_len, len(table)) == (0, 0, 0)
+        assert not table.slot_of and not table.flow_ids
+
     def test_add_many_grows_slots_and_pool(self):
         table = FlowTable(capacity=2)
         pools = self._pools([[index % 5] * 3 for index in range(64)])
@@ -459,7 +472,7 @@ class TestBatchedEngine:
 
         from repro.sim import ckernel
 
-        if ckernel.waterfill_kernel() is None:
+        if ckernel.kernels() is None:
             pytest.skip("no C compiler in this environment")
 
         for seed in range(20):
@@ -505,7 +518,8 @@ class TestBatchedEngine:
 
         monkeypatch.setenv(ckernel.DISABLE_ENV, "1")
         monkeypatch.setattr(ckernel, "_kernel", ckernel._UNSET)
-        assert ckernel.waterfill_kernel() is None
+        monkeypatch.setattr(ckernel, "_status", ckernel._status)
+        assert ckernel.kernels() is None
         assert not ckernel.kernel_available()
         engine = self._batched()
         assert not engine.kernel_active

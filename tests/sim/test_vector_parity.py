@@ -153,7 +153,7 @@ class _Churn:
             dict(self.caps), table=FlowTable(compact_slack=slack)
         )
         self.batched = [self._batched(slack, kernel=False)]
-        if ckernel.waterfill_kernel() is not None:
+        if ckernel.kernels() is not None:
             self.batched.append(self._batched(slack, kernel=True))
         #: Per batched engine: path -> InternedRoute (a route's cached
         #: class id belongs to one engine).
