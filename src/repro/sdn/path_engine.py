@@ -368,39 +368,34 @@ class PathEngine:
 
     def _level_bfs(
         self, s: int, mask: bytearray, wanted: set[int]
-    ) -> dict[int, list[int]]:
-        """Single-source shortest-path tree in level order.
+    ) -> dict[int, int]:
+        """Single-source shortest-path tree in level order, as a
+        predecessor map (``-1`` marks the root).
 
         Replicates ``networkx.single_source_shortest_path``'s discovery
         order (first-discovery wins per node), with a safe early exit
-        once every ``wanted`` target has a path — discovered paths never
-        change afterwards, so the exit cannot alter results.
+        once every ``wanted`` target is discovered — a node's
+        predecessor never changes afterwards, so the exit cannot alter
+        the paths walked back from the map.
         """
         indptr = self._indptr
         indices = self._indices
-        paths: dict[int, list[int]] = {s: [s]}
-        nextlevel = [s]
-        remaining = len(wanted - {s}) if wanted else -1
-        if remaining == 0:
-            return paths
+        pred: dict[int, int] = {s: -1}
+        remaining = len(wanted - {s})
+        nextlevel = [s] if remaining else []
         while nextlevel:
             thislevel = nextlevel
             nextlevel = []
             for v in thislevel:
-                base = paths[v]
                 for w in indices[indptr[v] : indptr[v + 1]]:
-                    if not mask[w]:
-                        continue
-                    if w not in paths:
-                        paths[w] = base + [w]
+                    if mask[w] and w not in pred:
+                        pred[w] = v
                         nextlevel.append(w)
-                        if remaining > 0 and w in wanted:
+                        if w in wanted:
                             remaining -= 1
-                            if remaining == 0:
-                                return paths
-            if remaining == 0:
-                return paths
-        return paths
+                            if not remaining:
+                                return pred
+        return pred
 
     # ------------------------------------------------------------------
     # Public name-level API
@@ -461,12 +456,17 @@ class PathEngine:
         ids = self._ids
         names = self._names
         wanted = {ids[t] for t in targets}
-        paths = self._level_bfs(ids[source], mask, wanted)
+        pred = self._level_bfs(ids[source], mask, wanted)
         out: dict[str, list[str]] = {}
         for idx in wanted:
-            path = paths.get(idx)
-            if path is not None:
-                out[names[idx]] = [names[i] for i in path]
+            if idx in pred:
+                path = []
+                node = idx
+                while node != -1:
+                    path.append(names[node])
+                    node = pred[node]
+                path.reverse()
+                out[names[idx]] = path
         return out
 
     def route_avoiding(

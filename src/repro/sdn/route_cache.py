@@ -185,14 +185,13 @@ class RouteCache:
     def invalidate_crossing(self, links: "Iterable[frozenset]") -> int:
         """Drop every cached path that traverses one of ``links``.
 
-        The capacity-change hook: when a trunk member (one of several
-        parallel physical links) dies, the trunk survives with reduced
-        capacity — the AL signature in the key does not change, so
-        entries whose cached path (or any load-aware candidate path)
-        rides the degraded trunk must be evicted explicitly and
-        recomputed/re-scored on the next lookup.  :data:`NO_ROUTE`
-        entries are kept: a capacity change never makes an infeasible
-        pair feasible.
+        For callers that change a link under keys whose AL signature
+        stays the same: entries whose cached path (or any load-aware
+        candidate path) rides one of ``links`` are evicted and
+        recomputed on the next lookup.  (A trunk degrade needs no
+        eviction: hop-count paths ignore capacity, and load-aware hits
+        are re-scored anyway.)  :data:`NO_ROUTE` entries are kept: a
+        faulted link never makes an infeasible pair feasible.
 
         Args:
             links: canonical undirected link keys (frozensets of the

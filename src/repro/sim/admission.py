@@ -19,15 +19,18 @@ tree-canonical helper, :func:`resolve_tree_path`, or the fan-out
 underneath it, once per unique source: an interned route equals a cold
 per-pair resolution, whichever targets were grouped with it.
 
-Interned routes can never go stale while they are used: arrivals
-during an active failure (non-empty failed-node / cut-link sets)
-bypass the plan entirely via the uncached surviving-path fallback,
-and whenever the failure sets are empty the topology equals the full
-fabric the plan resolved against.
-:meth:`RoutePlan.invalidate_crossing` (mirroring
-:meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`) still
-drops interned pairs whose paths cross a faulted link, so lazily
-re-resolved entries are provably fresh rather than accidentally so.
+**One plan per run, kept across faults.**  The simulator reads the
+plan only while no node is down and no link is cut; arrivals inside a
+failure window take the uncached surviving-path fallback instead.  By
+then every down link has been restored.  Faults never mutate the
+fabric (they edit capacities and avoidance masks), and a degrade
+changes a trunk's capacity, not hop-count routes.  So every interned
+route equals a fresh :func:`resolve_tree_path` whenever it is read,
+and dropping entries at a fault would only rebuild the same paths:
+the simulator never invalidates.
+:meth:`AdmissionPlan.invalidate_crossing` (mirroring
+:meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`) stays
+for callers that do mutate the fabric between lookups.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ class AdmissionPlan:
         )
         self._invalidated_counter = sink.counter(
             "alvc_admission_invalidated_pairs_total",
-            "interned routes invalidated by fault events",
+            "interned routes dropped by invalidate_crossing",
         )
 
     def __len__(self) -> int:

@@ -555,12 +555,18 @@ class EventDrivenFlowSimulator:
           :class:`~repro.sim.admission.AdmissionPlan` before the first
           event, and each group of arrivals sharing one timestamp
           becomes one indexed append with a single trailing recompute.
-          Arrivals inside an active failure window take the uncached
-          surviving-path fallback instead, and fault events invalidate
-          exactly the interned pairs whose paths cross the casualty.
+          Arrivals inside an active failure window (a node down or a
+          link cut) take the uncached surviving-path fallback instead.
           Load-aware runs pick each arrival's path per event (the pick
           depends on instantaneous link loads) over a pre-warmed
           candidate cache.
+        * Fault events leave the plan and the candidate cache alone.
+          Both are read only while no node is down and no link is cut,
+          when every down link has been restored.  Faults never mutate
+          the fabric (they edit capacities and avoidance masks), and a
+          degrade changes capacity, not hop-count routes, so each
+          interned route and candidate pool equals a fresh resolution
+          whenever it is read.
         """
         telemetry = self._telemetry
         events_counter = telemetry.counter(
@@ -758,14 +764,10 @@ class EventDrivenFlowSimulator:
                     # Links touching the node leave the capacity map
                     # (after the reroutes, so the engine never drops a
                     # loaded link).
-                    removed = []
                     for link in list(capacities):
                         if failed in link:
                             down_links[link] = capacities.pop(link)
                             engine.remove_link(link)
-                            removed.append(link)
-                    if plan is not None and removed:
-                        plan.invalidate_crossing(removed)
                     upcoming = engine.settle(now)
                 elif action == NODE_UP:
                     repaired = record.payload
@@ -802,8 +804,6 @@ class EventDrivenFlowSimulator:
                     )
                     down_links[link] = capacities.pop(link)
                     engine.remove_link(link)
-                    if plan is not None:
-                        plan.invalidate_crossing((link,))
                     upcoming = engine.settle(now)
                 elif action == LINK_UP:
                     link = record.payload
@@ -823,13 +823,6 @@ class EventDrivenFlowSimulator:
                         )
                         capacities[link] = new_capacity
                         engine.set_capacity(link, new_capacity)
-                        # The trunk survives with less capacity: the AL
-                        # signature in cached keys is unchanged, so
-                        # entries riding the trunk are dropped here.
-                        if self._route_cache is not None:
-                            self._route_cache.invalidate_crossing((link,))
-                        if plan is not None:
-                            plan.invalidate_crossing((link,))
                         upcoming = engine.settle(now)
                     elif link in down_links:
                         # Degrading a link that is currently down only

@@ -19,7 +19,7 @@ Supported fault actions:
 * **link degrade** (:attr:`FaultKind.LINK_DEGRADE`) — a trunk member
   dies but the trunk survives: capacity shrinks by ``severity`` while
   connectivity is preserved (capacity revocation in the fair-share
-  engine, route-cache entries crossing the trunk are invalidated).
+  engine; hop-count routes, and so cached routes, are unchanged).
 
 The legacy ``(time, node_id)`` tuples accepted by
 :meth:`~repro.sim.event_simulator.EventDrivenFlowSimulator.run` keep

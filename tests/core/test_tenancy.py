@@ -121,7 +121,7 @@ class TestQuotaGuard:
     def test_delete_credits_usage(self, guard):
         facade, registry = guard
         live = facade.provision_chain(make_request("bronze"))
-        facade.delete_chain(live.chain_id)
+        facade.teardown_chain(live.chain_id)
         usage = registry.usage_of("bronze")
         assert usage.chains == 0
         # Quota freed: the tenant can provision again.

@@ -93,7 +93,7 @@ class TestFederatedPipeline:
     def test_teardown_releases_cross_site_resources(self, geo):
         _, _, orchestrator, _, live = geo
         pool_before = orchestrator.nfv_manager.pool.total_free()
-        orchestrator.delete_chain(live.chain_id)
+        orchestrator.teardown_chain(live.chain_id)
         assert (
             orchestrator.nfv_manager.pool.total_free().cpu_cores
             >= pool_before.cpu_cores

@@ -1,4 +1,4 @@
-"""Batched admission pipeline: plan interning, invalidation, parity.
+"""Batched admission pipeline: plan interning, freshness, parity.
 
 The contract is structural parity with per-pair resolution: the
 planner resolves through the tree-canonical primitive
@@ -16,6 +16,9 @@ import pytest
 from repro.exceptions import RoutingError, ValidationError
 from repro.observability.runtime import Telemetry
 from repro.sdn.path_engine import engine_for
+from repro.sdn.route_cache import NO_ROUTE, RouteCache
+from repro.sdn.routing import k_shortest_paths
+from repro.sim import event_simulator
 from repro.sim.admission import (
     NO_PLAN_ROUTE,
     AdmissionPlan,
@@ -23,6 +26,7 @@ from repro.sim.admission import (
     resolve_tree_path,
 )
 from repro.sim.event_simulator import EventDrivenFlowSimulator
+from repro.sim.faults import FaultEvent, FaultKind
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
 from repro.sim.vector import VectorFairShareEngine
 
@@ -210,6 +214,176 @@ class TestFaultRepairReresolution:
         ]
         assert plan.invalidate_crossing(all_links) == 0
         assert plan.lookup(*key) is NO_PLAN_ROUTE
+
+
+def _mixed_faults(rng, network):
+    """Two link cuts with their repairs, two degrades and a ToR or OPS
+    crash with its repair, all on OPS-adjacent trunks (the links
+    inter-rack routes cross) and all over before the last arrivals, so
+    the run reads its plan after every kind of fault."""
+    ops = set(network.optical_switches())
+    trunks = sorted(
+        (a, b) for a, b, _ in network.edges() if a in ops or b in ops
+    )
+    failures = []
+    for _ in range(2):
+        target = rng.choice(trunks)
+        cut_at = round(rng.uniform(0.05, 0.4), 3)
+        failures += [
+            FaultEvent(time=cut_at, kind=FaultKind.LINK_CUT, target=target),
+            FaultEvent(
+                time=cut_at + 0.15,
+                kind=FaultKind.LINK_REPAIR,
+                target=target,
+            ),
+        ]
+        failures.append(
+            FaultEvent(
+                time=round(rng.uniform(0.05, 0.6), 3),
+                kind=FaultKind.LINK_DEGRADE,
+                target=rng.choice(trunks),
+                severity=rng.choice([0.25, 0.5]),
+            )
+        )
+    victim = rng.choice(sorted(ops) + sorted(network.tors()))
+    crash_at = round(rng.uniform(0.05, 0.4), 3)
+    kind = FaultKind.OPS_CRASH if victim in ops else FaultKind.TOR_CRASH
+    failures += [
+        FaultEvent(time=crash_at, kind=kind, target=victim),
+        FaultEvent(
+            time=crash_at + 0.2, kind=FaultKind.NODE_REPAIR, target=victim
+        ),
+    ]
+    return failures
+
+
+def _fault_links(failures, network):
+    """Every link a schedule takes down or degrades (crashes take all
+    links touching the victim)."""
+    links = set()
+    for event in failures:
+        if event.kind in (FaultKind.OPS_CRASH, FaultKind.TOR_CRASH):
+            links.update(
+                frozenset((event.target, peer))
+                for peer in network.graph.neighbors(event.target)
+            )
+        elif event.kind is not FaultKind.NODE_REPAIR:
+            links.add(frozenset(event.target))
+    return links
+
+
+def _cold_route(network, source, destination, al):
+    """A fresh tree-canonical resolution on the whole fabric, AL first
+    and flat when the layer does not serve the pair (the plan's rule),
+    on the networkx engine so it shares no traversal code with the CSR
+    kernel; ``None`` when nothing connects the pair."""
+    for layer in ((al, None) if al is not None else (None,)):
+        try:
+            return resolve_tree_path(
+                network, source, destination, layer, engine="nx"
+            )
+        except RoutingError:
+            continue
+    return None
+
+
+class TestPlanFreshAcrossFaults:
+    """Freshness oracle: the simulator keeps one plan for the whole run
+    and never invalidates it, and after seeded mixed schedules of cuts,
+    repairs, degrades and node crash/repair every interned entry still
+    equals a cold resolution on the whole fabric."""
+
+    @pytest.mark.parametrize("routing", ENGINES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interned_routes_equal_cold_resolution(
+        self, clustered, monkeypatch, routing, seed
+    ):
+        inventory, clusters = clustered
+        network = inventory.network
+        plans, invalidations = [], []
+        original = event_simulator.plan_admission
+
+        def capture(*args, **kwargs):
+            plans.append(original(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(event_simulator, "plan_admission", capture)
+        monkeypatch.setattr(
+            AdmissionPlan,
+            "invalidate_crossing",
+            lambda plan, links: invalidations.append(links) or 0,
+        )
+        rng = random.Random(seed)
+        failures = _mixed_faults(rng, network)
+        flows = TrafficGenerator(
+            inventory,
+            TrafficConfig(arrival_rate=50.0, sigma=0.8),
+            seed=seed,
+        ).flows(60)
+        report = EventDrivenFlowSimulator(
+            inventory, clusters, routing_engine=routing
+        ).run(flows, failures=failures)
+
+        assert invalidations == []
+        (plan,) = plans
+        assert report.flows + len(report.dropped) == len(flows)
+        assert max(flow.arrival_time for flow in flows) > max(
+            event.time for event in failures
+        )
+        routes = plan._routes
+        faulted = _fault_links(failures, network)
+        # Not vacuous: invalidation would have dropped some entries.
+        assert any(
+            route is not NO_PLAN_ROUTE and route.crosses(faulted)
+            for route in routes.values()
+        )
+        for key, route in routes.items():
+            cold = _cold_route(network, *key)
+            if cold is None:
+                assert route is NO_PLAN_ROUTE, key
+            else:
+                assert route is not NO_PLAN_ROUTE, key
+                assert route.path == cold, key
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_load_aware_candidate_pools_stay_fresh(
+        self, clustered, monkeypatch, seed
+    ):
+        """Load-aware runs keep their hop-count candidate pools across
+        degrades: every pool equals a cold k-shortest resolution."""
+        inventory, clusters = clustered
+        network = inventory.network
+        invalidations = []
+        monkeypatch.setattr(
+            RouteCache,
+            "invalidate_crossing",
+            lambda cache, links: invalidations.append(links) or 0,
+        )
+        rng = random.Random(100 + seed)
+        failures = _mixed_faults(rng, network)
+        flows = TrafficGenerator(
+            inventory,
+            TrafficConfig(arrival_rate=50.0, sigma=0.8),
+            seed=seed,
+        ).flows(60)
+        simulator = EventDrivenFlowSimulator(
+            inventory, clusters, load_aware=True
+        )
+        simulator.run(flows, failures=failures)
+
+        assert invalidations == []
+        entries = simulator.route_cache._entries
+        assert entries
+        for (source, destination, al, _), pool in entries.items():
+            try:
+                cold = k_shortest_paths(
+                    network, source, destination, k=3, al_switches=al,
+                    engine="nx",
+                )
+            except RoutingError:
+                assert pool is NO_ROUTE
+                continue
+            assert pool.paths == tuple(tuple(path) for path in cold)
 
 
 class TestBatchedSimulatorParity:
