@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import warnings
 
 from repro.config import EngineConfig
 from repro.core.chaining import ChainRequest, NetworkFunctionChain
@@ -1181,29 +1180,6 @@ class NetworkOrchestrator:
             ).inc()
             if outermost:
                 self._recorder.record("teardown", chain_id=chain_id)
-
-    def delete_chain(self, chain_id: ChainId) -> None:
-        """Deprecated alias of :meth:`teardown_chain`.
-
-        The orchestrator/facade surface was normalized to consistent
-        ``*_chain`` verbs (``plan_chain`` / ``provision_chain`` /
-        ``modify_chain`` / ``upgrade_chain`` / ``teardown_chain``); this
-        shim keeps pre-rename callers working.  It routes through the
-        journaled teardown path, so durable-service deployments replay
-        it correctly.
-
-        .. deprecated:: PR 6
-            Scheduled for removal two releases after the durable
-            service ships (the v1.0 cut); migrate to
-            :meth:`teardown_chain` before then.
-        """
-        warnings.warn(
-            "NetworkOrchestrator.delete_chain is deprecated; use "
-            "teardown_chain (same semantics)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.teardown_chain(chain_id)
 
     # ------------------------------------------------------------------
     # Queries

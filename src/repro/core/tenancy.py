@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 from repro.core.chaining import ChainRequest
 from repro.core.orchestrator import NetworkOrchestrator, OrchestratedChain
@@ -215,26 +214,6 @@ class QuotaGuard:
             self._registry.credit(
                 tenant, chains=1, vnfs=vnfs, optical_cpu=optical_cpu
             )
-
-    def delete_chain(self, chain_id: ChainId) -> None:
-        """Deprecated alias of :meth:`teardown_chain`.
-
-        Delegates to :meth:`teardown_chain`, whose orchestrator call is
-        the journaled teardown path — durable-service deployments
-        replay shimmed deletions correctly.
-
-        .. deprecated:: PR 6
-            Scheduled for removal two releases after the durable
-            service ships (the v1.0 cut); migrate to
-            :meth:`teardown_chain` before then.
-        """
-        warnings.warn(
-            "QuotaGuard.delete_chain is deprecated; use teardown_chain "
-            "(same semantics)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.teardown_chain(chain_id)
 
     def usage_report(self) -> list[dict]:
         """Per-tenant usage-vs-quota rows."""

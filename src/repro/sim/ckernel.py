@@ -4,9 +4,9 @@ The batched fair-share engine re-levels only the link components an
 event touched, and a component is small (at e26 full scale one AL's
 links: a few dozen loaded links and a few hundred class incidences), so
 the round loop's cost is pure interpreter/dispatch overhead, not
-arithmetic.  The same holds for the per-event step around it: adopting
-the new rates touches a hundred-odd slots of a table of thousands.
-This module compiles a short C translation of both at first use
+arithmetic.  The same holds for the per-event step around it: an event
+moves the rates of a few hundred slots of a table of thousands.  This
+module compiles a short C translation of both at first use
 (``gcc``/``cc`` + ``ctypes``; no build step, no new dependency) and
 caches the shared object under the user cache directory keyed by a hash
 of the source and the compiler flags.
@@ -19,16 +19,42 @@ of the source and the compiler flags.
   hold link indices as interned, and a class is frozen for this call
   when its stamp equals the call's epoch (the live multiplicities are
   never written).  A component's loop stops when no loaded link is
-  left.
-* ``alvc_settle`` is the event step after a recompute.  It walks the
-  flow table's slots in ascending order; every live slot whose new rate
-  (its class's rate, or an entry of a dense rates array when the engine
-  took its vector fallback) differs from its current one is charged its
-  progress and link busy time, adopts the rate and gets a fresh eta.
-  The same pass returns the minimum eta, the first slot reaching it and
-  how many slots tie at it.
+  left.  A class frozen at a share that differs from its old rate is
+  appended, once, to the step state's changed-class list.
+* ``alvc_settle`` is the event step after a recompute.  Every live slot
+  whose new rate (its class's rate, or an entry of a dense rates array
+  when the engine took its vector fallback) differs from its current
+  one is charged its progress and link busy time, adopts the rate and
+  gets a fresh eta.  The step returns the minimum eta over the table,
+  the first slot reaching it and how many slots tie at it.
 * ``alvc_materialize`` charges one slot's progress and busy time (flow
   completions and reroutes).
+
+**Which slots the step visits.**  Not the whole table: the slots added
+since the last step (``[settled, size)``: slots are append-only), the
+slots removed since then (the engine records them), and the live slots
+of every class on the changed list (each class's slots are threaded
+through a per-slot ``next_in_class`` list; new slots are linked in at
+the step, dead ones unlinked while a list is walked).  That set is
+complete.  After a step every live slot's rate equals its class's rate;
+a class rate moves only in ``alvc_relevel``, which lists the class; and
+only an add or a removal changes which slots are live.  A slot outside
+the set would compare equal and be skipped by the full scan too.  A
+*full pass* visits every slot and rebuilds the class lists and block
+summaries.  It is the same loop, and it runs on the first step, after a
+compaction, after the table or class arrays grow, and on the dense
+fallback and the step after it (dense rates need not equal the class
+rates).
+
+**The next completion.**  The table is cut into 64-slot blocks, one
+word of the touched-slot bitmap each, and every block stores its
+minimum eta, the first slot at it and its tie count.  A touched block's
+summary follows its etas as they move and is rescanned when an eta
+leaves the minimum (a removal, or a slot that held it moving away).
+The answer comes from one scan over the block summaries with the full
+scan's rule: the strict-``<`` first block at the minimum supplies the
+first slot, and the ``==`` tie counts of the blocks at it add up to the
+full scan's count.
 
 **The parity contract.**  Each entry point performs exactly its numpy
 mirror's IEEE-754 double operations in exactly its order.  For
@@ -47,21 +73,24 @@ mirror's IEEE-754 double operations in exactly its order.  For
   ``!(x > 0.0) -> +0.0`` normalizing ``-0.0`` exactly like
   ``np.maximum(x, 0.0)``.
 
-For ``alvc_settle``/``alvc_materialize``:
+For ``alvc_settle``/``alvc_materialize`` (the mirror of ``alvc_settle``
+is a full-table scan, the step's definition):
 
 * progress is ``moved = rate * (now - last_update)`` clipped like
   ``np.minimum(moved, remaining)``, charged only for an elapsed time
   and a rate that are both positive and a finite rate;
-* busy adds go per slot in ascending slot order, then in pool order
-  within a slot — the exact sequence ``np.add.at`` applies;
+* busy adds go per slot in ascending slot order (the kernel walks the
+  touched bitmap upward), then in pool order within a slot — the exact
+  sequence ``np.add.at`` applies;
 * eta is ``now + remaining / rate``; ``now`` for an infinite rate and
   ``inf`` for a zero rate.
 
 The compiler runs with ``-O2 -ffp-contract=off`` and no fast-math flag,
 so no multiply-add is fused either.  The suite asserts bitwise
 kernel/numpy equality on randomized instances whenever a compiler is
-present; environments without one (or with ``ALVC_NO_CKERNEL=1``) use
-the numpy mirrors, and :func:`kernel_status` says why.
+present, and checks the compiled step against a brute-force minimum
+over the etas; environments without one (or with ``ALVC_NO_CKERNEL=1``)
+use the numpy mirrors, and :func:`kernel_status` says why.
 """
 
 from __future__ import annotations
@@ -88,9 +117,53 @@ __all__ = [
 DISABLE_ENV = "ALVC_NO_CKERNEL"
 
 KERNEL_SOURCE = r"""
-/* Component-local, class-aggregated max-min fair water-filling.
+/* Component-local, class-aggregated max-min fair water-filling, and the
+ * incremental event step over the flow table. */
+#include <stdint.h>
+#include <math.h>
+
+/* The event step's arrays (S slots, C classes, W 64-slot blocks).
  *
- * Bit-for-bit contract with the numpy mirror:
+ * Bit-for-bit contract with the numpy mirror (a full-table scan):
+ *  - moved = rate * (now - last_update), then np.minimum(moved,
+ *    remaining); charged only when elapsed > 0 and 0 < rate < inf;
+ *  - busy adds per slot in ascending slot order, pool order within a
+ *    slot (the np.add.at sequence);
+ *  - eta = now + remaining / rate; now for an infinite rate, inf for a
+ *    zero (or NaN) rate;
+ *  - the answer is the minimum eta over [0, size), the first slot at
+ *    it and how many slots tie at it.
+ */
+struct alvc_step_state {
+    double *remaining;          /* [S] bytes left */
+    double *rate;               /* [S] current rate */
+    double *eta;                /* [S] projected completion */
+    double *last_update;        /* [S] last materialization time */
+    const uint8_t *alive;       /* [S] numpy bool */
+    const int64_t *link_start;  /* [S] pool offset */
+    const int64_t *link_len;    /* [S] pool length */
+    const int32_t *pool;        /* link incidences */
+    double *busy;               /* [L] busy byte-seconds */
+    const int64_t *class_of;    /* [S] class id, -1 = none */
+    const double *class_rate;   /* [C] class rates */
+    int64_t *next_in_class;     /* [S] next slot of the class list, -1 ends */
+    int64_t *class_head;        /* [C] first slot of the class list, -1 */
+    int64_t *changed;           /* [C] classes whose rate moved */
+    uint8_t *listed;            /* [C] class is in changed */
+    uint64_t *touched;          /* [W] slots to visit, one bit each */
+    double *block_eta;          /* [W] minimum eta of the block */
+    int64_t *block_slot;        /* [W] first slot at it, -1 if inf */
+    int64_t *block_ties;        /* [W] slots at it, 0 if inf */
+    const int64_t *removed;     /* slots removed since the last settle */
+    int64_t n_changed;          /* entries of changed */
+    int64_t settled;            /* table size at the last settle */
+    int64_t n_classes;          /* interned classes (full pass) */
+    double next_eta;            /* out: minimum eta over [0, size) */
+    int64_t next_slot;          /* out: first slot at it, -1 if inf */
+    int64_t ties;               /* out: slots at it, 0 if inf */
+};
+
+/* Water-filling.  Bit-for-bit contract with the numpy mirror:
  *  - ratio = remaining/load over the component's loaded links;
  *  - bottleneck = first link in rank order with the minimum ratio
  *    (strict < scan);
@@ -99,13 +172,13 @@ KERNEL_SOURCE = r"""
  *  - one deferred clamp per round over the still-loaded links;
  *    !(x > 0) -> +0.0 normalizes -0.0 like np.maximum(x, 0.0).
  *
+ * A class frozen at a share that differs from its old rate is appended
+ * once to step->changed, which the next alvc_settle consumes.
+ *
  * Returns rounds executed over all components, or -1 when a loaded
  * bottleneck has no unfrozen member class (water-filling invariant
  * violation).
  */
-#include <stdint.h>
-#include <math.h>
-
 struct alvc_relevel_state {
     const double *cap;          /* [L] link capacities */
     const double *count;        /* [L] live flows per link */
@@ -123,6 +196,7 @@ struct alvc_relevel_state {
     const int64_t *t_len;       /* [L] segment length */
     const int64_t *layout;      /* components' links, rank order */
     const int64_t *bounds;      /* per component: [start, end) */
+    struct alvc_step_state *step;  /* out: the changed-class list */
 };
 
 int64_t alvc_relevel(
@@ -133,6 +207,7 @@ int64_t alvc_relevel(
     const int64_t *links = s->layout, *bounds = s->bounds;
     double *remaining = s->remaining, *load = s->load;
     int64_t *work = s->work;
+    struct alvc_step_state *step = s->step;
     int64_t rounds = 0;
     for (int64_t g = 0; g < n_components; g++) {
         int64_t n = 0;
@@ -161,6 +236,10 @@ int64_t alvc_relevel(
                 int64_t mc = s->m[c];
                 if (mc <= 0 || s->frozen[c] == epoch) continue;
                 members++;
+                if (s->class_rate[c] != share && !step->listed[c]) {
+                    step->listed[c] = 1;
+                    step->changed[step->n_changed++] = c;
+                }
                 s->class_rate[c] = share;
                 s->frozen[c] = epoch;
                 int64_t e = s->cstart[c] + s->clen[c];
@@ -184,33 +263,6 @@ int64_t alvc_relevel(
     }
     return rounds;
 }
-
-/* The event step over the flow table.
- *
- * Bit-for-bit contract with the numpy mirror:
- *  - moved = rate * (now - last_update), then np.minimum(moved,
- *    remaining); charged only when elapsed > 0 and 0 < rate < inf;
- *  - busy adds per slot in ascending slot order, pool order within a
- *    slot (the np.add.at sequence);
- *  - eta = now + remaining / rate; now for an infinite rate, inf for a
- *    zero (or NaN) rate.
- */
-struct alvc_step_state {
-    double *remaining;          /* [S] bytes left */
-    double *rate;               /* [S] current rate */
-    double *eta;                /* [S] projected completion */
-    double *last_update;        /* [S] last materialization time */
-    const uint8_t *alive;       /* [S] numpy bool */
-    const int64_t *link_start;  /* [S] pool offset */
-    const int64_t *link_len;    /* [S] pool length */
-    const int32_t *pool;        /* link incidences */
-    double *busy;               /* [L] busy byte-seconds */
-    const int64_t *class_of;    /* [S] class id, -1 = none */
-    const double *class_rate;   /* [C] class rates */
-    double next_eta;            /* out: minimum eta over [0, size) */
-    int64_t next_slot;          /* out: first slot at it, -1 if inf */
-    int64_t ties;               /* out: slots at it, 0 if inf */
-};
 
 static void charge(const struct alvc_step_state *s, int64_t slot, double now)
 {
@@ -236,38 +288,154 @@ void alvc_materialize(const struct alvc_step_state *s, int64_t slot,
     charge(s, slot, now);
 }
 
-/* New rates come from rates[slot] when rates is non-NULL, else from
- * class_rate[class_of[slot]].  Returns the first slot at the minimum
- * eta (-1 when it is inf). */
-int64_t alvc_settle(
-    struct alvc_step_state *s,
-    const double *rates,
-    int64_t size,
-    double now)
+static inline void touch(struct alvc_step_state *s, int64_t slot)
 {
+    s->touched[slot >> 6] |= (uint64_t)1 << (slot & 63);
+}
+
+/* A block's (minimum eta, first slot at it, slots at it) over its slots
+ * below size: the full scan's strict-< first-slot rule and == tie
+ * count, restricted to 64 slots. */
+static void summarize(struct alvc_step_state *s, int64_t w, int64_t size)
+{
+    int64_t lo = w << 6, hi = lo + 64 < size ? lo + 64 : size;
     double best = INFINITY;
     int64_t first = -1, ties = 0;
-    for (int64_t i = 0; i < size; i++) {
-        double r;
-        if (rates) {
-            r = rates[i];
-        } else {
-            int64_t c = s->class_of[i];
-            r = c >= 0 ? s->class_rate[c] : 0.0;
-        }
-        /* Rate test first: it is rarely true, while a test on the dead
-         * slots scattered through the table would often mispredict. */
-        if (r != s->rate[i] && s->alive[i]) {
-            charge(s, i, now);
-            s->rate[i] = r;
-            if (isinf(r)) s->eta[i] = now;
-            else if (r > 0.0) s->eta[i] = now + s->remaining[i] / r;
-            else s->eta[i] = INFINITY;
-        }
+    for (int64_t i = lo; i < hi; i++) {
         double e = s->eta[i];
         if (e <= best) {
             if (e < best) { best = e; first = i; ties = 1; }
             else ties++;
+        }
+    }
+    s->block_eta[w] = best;
+    s->block_slot[w] = first;
+    s->block_ties[w] = first < 0 ? 0 : ties;
+}
+
+/* The event step.  New rates come from rates[slot] when rates is
+ * non-NULL (the dense fallback, always a full pass), else from
+ * class_rate[class_of[slot]].
+ *
+ * Visited slots: a full pass visits [0, size); otherwise the slots
+ * added since the last settle ([settled, size)), the slots removed
+ * since then, and the live slots of every class on the changed list.
+ * That set is complete: after a settle every live slot's rate equals
+ * its class's rate, class rates move only in alvc_relevel (which lists
+ * the class), and only an add or a removal changes which slots are
+ * live.  Class lists are threaded through next_in_class; new slots are
+ * linked here and dead ones unlinked while a list is walked.
+ *
+ * Visits run over the touched bitmap in ascending slot order, so busy
+ * adds keep the full scan's order.  A touched block's summary is
+ * updated slot by slot as etas move, and rescanned when an eta leaves
+ * the block's minimum (a removal, or a move away from it).  The answer
+ * is the first block at the minimum of the block minima, with the tie
+ * count summed over the blocks at it: the full scan's first slot and
+ * count.  Returns that slot (-1 when the minimum is inf). */
+int64_t alvc_settle(
+    struct alvc_step_state *s,
+    const double *rates,
+    int64_t size,
+    double now,
+    int64_t n_removed,
+    int64_t full)
+{
+    if (full) {
+        for (int64_t c = 0; c < s->n_classes; c++) {
+            s->class_head[c] = -1;
+            s->listed[c] = 0;
+        }
+        s->n_changed = 0;
+        s->settled = 0;
+        n_removed = 0;
+    }
+    int64_t settled = s->settled;
+    for (int64_t i = settled; i < size; i++) {
+        touch(s, i);
+        int64_t c = s->class_of[i];
+        if (c >= 0 && s->alive[i]) {
+            s->next_in_class[i] = s->class_head[c];
+            s->class_head[c] = i;
+        }
+    }
+    for (int64_t k = 0; k < n_removed; k++) touch(s, s->removed[k]);
+    for (int64_t k = 0; k < s->n_changed; k++) {
+        int64_t c = s->changed[k];
+        s->listed[c] = 0;
+        int64_t *link = &s->class_head[c];
+        while (*link >= 0) {
+            int64_t i = *link;
+            if (s->class_of[i] != c) {
+                *link = s->next_in_class[i];
+            } else {
+                touch(s, i);
+                link = &s->next_in_class[i];
+            }
+        }
+    }
+    s->n_changed = 0;
+    s->settled = size;
+
+    int64_t n_blocks = (size + 63) >> 6;
+    double best = INFINITY;
+    int64_t first = -1, ties = 0;
+    for (int64_t w = 0; w < n_blocks; w++) {
+        uint64_t bits = s->touched[w];
+        if (bits) {
+            s->touched[w] = 0;
+            double m = s->block_eta[w];
+            int64_t f = s->block_slot[w], t = s->block_ties[w];
+            int rescan = (int)full;
+            do {
+                int64_t i = (w << 6) + __builtin_ctzll(bits);
+                bits &= bits - 1;
+                if (!s->alive[i]) {
+                    /* Removed: its eta went to inf behind the summary
+                     * (a dead new slot was never part of it). */
+                    if (i < settled) rescan = 1;
+                    continue;
+                }
+                double r;
+                if (rates) {
+                    r = rates[i];
+                } else {
+                    int64_t c = s->class_of[i];
+                    r = c >= 0 ? s->class_rate[c] : 0.0;
+                }
+                if (r == s->rate[i]) continue;
+                charge(s, i, now);
+                s->rate[i] = r;
+                double old = s->eta[i], e;
+                if (isinf(r)) e = now;
+                else if (r > 0.0) e = now + s->remaining[i] / r;
+                else e = INFINITY;
+                s->eta[i] = e;
+                if (rescan) continue;
+                if (f >= 0 && !(old > m)) rescan = 1;
+                else if (e < m) { m = e; f = i; t = 1; }
+                else if (e == m && f >= 0) {
+                    t++;
+                    if (i < f) { m = e; f = i; }
+                }
+            } while (bits);
+            if (rescan) {
+                summarize(s, w, size);
+            } else {
+                s->block_eta[w] = m;
+                s->block_slot[w] = f;
+                s->block_ties[w] = t;
+            }
+        }
+        double e = s->block_eta[w];
+        if (e <= best) {
+            if (e < best) {
+                best = e;
+                first = s->block_slot[w];
+                ties = s->block_ties[w];
+            } else {
+                ties += s->block_ties[w];
+            }
         }
     }
     s->next_eta = best;
@@ -280,9 +448,10 @@ int64_t alvc_settle(
 
 class RelevelState(ctypes.Structure):
     """The kernel's persistent array pointers (``struct
-    alvc_relevel_state``).  The engine rebinds it whenever one of those
-    arrays is reallocated, so a call marshals only the per-call
-    arguments."""
+    alvc_relevel_state``), plus the address of the engine's
+    :class:`StepState`, whose changed-class list the round loop appends
+    to.  The engine rebinds it whenever one of those arrays is
+    reallocated, so a call marshals only the per-call arguments."""
 
     _fields_ = [
         (name, ctypes.c_void_p)
@@ -303,6 +472,7 @@ class RelevelState(ctypes.Structure):
             "t_len",
             "layout",
             "bounds",
+            "step",
         )
     ]
 
@@ -310,8 +480,10 @@ class RelevelState(ctypes.Structure):
 class StepState(ctypes.Structure):
     """The event step's array pointers and outputs (``struct
     alvc_step_state``).  Rebound only when the flow table, the class
-    arrays or the busy array are reallocated; ``alvc_settle`` writes the
-    next completion into the three trailing fields."""
+    arrays, the busy array or the step's own bookkeeping arrays are
+    reallocated.  ``n_changed`` and ``settled`` are the kernel's state
+    between calls; ``n_classes`` is read by a full pass; ``alvc_settle``
+    writes the next completion into the three trailing fields."""
 
     _fields_ = [
         (name, ctypes.c_void_p)
@@ -327,8 +499,20 @@ class StepState(ctypes.Structure):
             "busy",
             "class_of",
             "class_rate",
+            "next_in_class",
+            "class_head",
+            "changed",
+            "listed",
+            "touched",
+            "block_eta",
+            "block_slot",
+            "block_ties",
+            "removed",
         )
     ] + [
+        ("n_changed", ctypes.c_int64),
+        ("settled", ctypes.c_int64),
+        ("n_classes", ctypes.c_int64),
         ("next_eta", ctypes.c_double),
         ("next_slot", ctypes.c_int64),
         ("ties", ctypes.c_int64),
@@ -460,6 +644,8 @@ def kernels() -> Kernels | None:
         ctypes.c_void_p,         # dense rates, or None for class rates
         ctypes.c_int64,          # table size
         ctypes.c_double,         # now
+        ctypes.c_int64,          # leading entries of StepState.removed
+        ctypes.c_int64,          # full pass (nonzero) or incremental
     ]
     materialize = library.alvc_materialize
     materialize.restype = None

@@ -853,13 +853,21 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     bitwise-equal in the suite.  The kernels read the arrays through
     ``ctypes`` structs of pointers, rebound only when an array is
     reallocated (table, pool, class-array, class-map or link growth).
+    The compiled step visits only the slots that can have changed: it
+    needs the engine to record removed slots, to size its per-slot
+    lists and block summaries with the table, and to ask for a full
+    pass when those are stale (see :mod:`repro.sim.ckernel`).
 
     Telemetry: ``alvc_fairshare_vector_rounds`` observes the rounds
     summed over the re-leveled components only;
     ``alvc_fairshare_components`` gauges the link components that carry
     route classes and ``alvc_fairshare_component_merges_total`` counts
     merges of two such components (both move only when a class is
-    interned, so the null sink costs nothing per event).
+    interned, so the null sink costs nothing per event);
+    ``alvc_fairshare_settle_full_total{reason}`` counts the steps that
+    had to visit every slot — ``first``, ``compacted``, ``grown``
+    (table or class arrays reallocated) or ``dense`` (the vector
+    fallback and the step after it) — on either path.
     """
 
     __slots__ = (
@@ -897,8 +905,20 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         "_step",
         "_step_address",
         "_bounds",
+        "_next",
+        "_head",
+        "_changed",
+        "_listed",
+        "_touched",
+        "_block_eta",
+        "_block_slot",
+        "_block_ties",
+        "_removed",
+        "_removed_buf",
+        "_full",
         "_components_gauge",
         "_merges_counter",
+        "_full_counters",
     )
 
     def __init__(
@@ -921,17 +941,27 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             "alvc_fairshare_component_merges_total",
             "merges of two class-carrying link components",
         )
+        self._full_counters = {
+            reason: sink.counter(
+                "alvc_fairshare_settle_full_total",
+                "event steps that visited every slot of the flow table",
+                reason=reason,
+            )
+            for reason in ("first", "compacted", "grown", "dense")
+        }
         #: pool bytes -> class id (the interning table).
         self._class_index: dict[bytes, int] = {}
         self._n_classes = 0
         #: Classes whose pool repeats a link (cyclic paths) — their
         #: presence among active flows forces the vector fallback.
         self._dup_class_ids: list[int] = []
-        #: Per-slot class id (-1 = dead or unclassified), renumbered
-        #: alongside the table by the compaction hook.
+        #: Per-slot class id (-1 = dead or unclassified), sized with
+        #: the table by the growth hook and renumbered alongside it by
+        #: the compaction hook.
         self._class_of = np.full(
             self._table.remaining.shape[0], -1, dtype=np.int64
         )
+        self._size_step_slots()
         #: Live slots that carry a class id.
         self._classified = 0
         # Per-class arrays, grown by doubling.  ``_class_rate`` always
@@ -944,6 +974,18 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._clen = np.zeros(16, dtype=np.int64)
         self._cflat = np.zeros(64, dtype=np.int64)
         self._flat_len = 0
+        # The event step's per-class bookkeeping (see ``alvc_settle``):
+        # each class's slot list head, and the deduplicated list of
+        # classes whose rate moved since the last settle.
+        self._head = np.full(16, -1, dtype=np.int64)
+        self._changed = np.zeros(16, dtype=np.int64)
+        self._listed = np.zeros(16, dtype=np.uint8)
+        #: Slots removed since the last settle.
+        self._removed: list[int] = []
+        self._removed_buf = (ctypes.c_int64 * 64)()
+        #: Why the next settle must visit every slot (``None``: it
+        #: visits only what changed).
+        self._full: str | None = "first"
         #: Per-class first link (-1 for zero-hop classes): the link a
         #: flow event marks dirty.
         self._anchor: list[int] = []
@@ -980,7 +1022,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._bounds = None
         self._sync_links()
         self._table.on_compact = self._renumber_classes
-        self._table.on_grow = self._unbind_step
+        self._table.on_grow = self._on_table_grow
 
     # ------------------------------------------------------------------
     @property
@@ -1137,10 +1179,27 @@ class BatchedFairShareEngine(VectorFairShareEngine):
 
     def _grow_classes(self) -> None:
         needed = self._m.shape[0] * 2
-        for name in ("_m", "_frozen", "_class_rate", "_cstart", "_clen"):
+        for name in (
+            "_m", "_frozen", "_class_rate", "_cstart", "_clen", "_changed",
+            "_listed",
+        ):
             setattr(self, name, _grown(getattr(self, name), needed))
+        self._head = _grown(self._head, needed, fill=-1)
         self._state_address = None
         self._step_address = None
+        self._require_full("grown")
+
+    def _size_step_slots(self) -> None:
+        """(Re)allocate the event step's per-slot and per-block arrays
+        for the current class map; their contents are rebuilt by the
+        next settle's full pass."""
+        n = self._class_of.shape[0]
+        blocks = n // 64 + 1
+        self._next = np.full(n, -1, dtype=np.int64)
+        self._touched = np.zeros(blocks, dtype=np.uint64)
+        self._block_eta = np.full(blocks, np.inf)
+        self._block_slot = np.full(blocks, -1, dtype=np.int64)
+        self._block_ties = np.zeros(blocks, dtype=np.int64)
 
     def _bind_kernel(self) -> int:
         """Point the kernel state at the current arrays."""
@@ -1164,6 +1223,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         ):
             setattr(state, field, array.ctypes.data)
         state.bounds = ctypes.addressof(self._bounds)
+        state.step = ctypes.addressof(self._step)
         self._state_address = ctypes.addressof(state)
         return self._state_address
 
@@ -1182,13 +1242,35 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             ("busy", self._busy),
             ("class_of", self._class_of),
             ("class_rate", self._class_rate),
+            ("next_in_class", self._next),
+            ("class_head", self._head),
+            ("changed", self._changed),
+            ("listed", self._listed),
+            ("touched", self._touched),
+            ("block_eta", self._block_eta),
+            ("block_slot", self._block_slot),
+            ("block_ties", self._block_ties),
         ):
             setattr(step, field, array.ctypes.data)
+        step.removed = ctypes.addressof(self._removed_buf)
         self._step_address = ctypes.addressof(step)
         return self._step_address
 
-    def _unbind_step(self) -> None:
+    def _on_table_grow(self) -> None:
+        """The table reallocated its slot arrays or its pool: rebind the
+        event step, and size the per-slot arrays to the table."""
         self._step_address = None
+        n = self._table.remaining.shape[0]
+        if n > self._class_of.shape[0]:
+            self._class_of = _grown(self._class_of, n, fill=-1)
+            self._size_step_slots()
+            self._require_full("grown")
+
+    def _require_full(self, reason: str) -> None:
+        """Make the next settle visit every slot (the first reason
+        since the last settle is the one counted)."""
+        if self._full is None:
+            self._full = reason
 
     def _mark(self, cid: int) -> None:
         anchor = self._anchor[cid]
@@ -1196,25 +1278,16 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             self._dirty.add(anchor)
 
     def _set_class(self, slot: int, cid: int) -> None:
-        if slot >= self._class_of.shape[0]:
-            self._grow_class_of(slot + 1)
         self._class_of[slot] = cid
         self._m[cid] += 1
         self._classified += 1
         self._mark(cid)
 
-    def _grow_class_of(self, needed: int) -> None:
-        grown = np.full(
-            max(self._class_of.shape[0] * 2, needed), -1, dtype=np.int64
-        )
-        grown[: self._class_of.shape[0]] = self._class_of
-        self._class_of = grown
-        self._step_address = None
-
     def _renumber_classes(self, live: np.ndarray) -> None:
         n = live.shape[0]
         self._class_of[:n] = self._class_of[live]
         self._class_of[n:] = -1
+        self._require_full("compacted")
 
     # ------------------------------------------------------------------
     def add_flow(self, flow: Hashable, links: Iterable[LinkId]) -> int:
@@ -1252,11 +1325,8 @@ class BatchedFairShareEngine(VectorFairShareEngine):
                 route.cid = cid
             cids.append(cid)
         first = int(slots[0])
-        end = first + len(cids)
-        if end > self._class_of.shape[0]:
-            self._grow_class_of(end)
         # Slots from one append are consecutive.
-        self._class_of[first:end] = cids
+        self._class_of[first : first + len(cids)] = cids
         m = self._m
         for cid in cids:
             m[cid] += 1
@@ -1267,13 +1337,13 @@ class BatchedFairShareEngine(VectorFairShareEngine):
 
     def remove_flow(self, flow: Hashable) -> int:
         slot = super().remove_flow(flow)
-        if slot < self._class_of.shape[0]:
-            cid = int(self._class_of[slot])
-            if cid >= 0:
-                self._class_of[slot] = -1
-                self._m[cid] -= 1
-                self._classified -= 1
-                self._mark(cid)
+        self._removed.append(slot)
+        cid = int(self._class_of[slot])
+        if cid >= 0:
+            self._class_of[slot] = -1
+            self._m[cid] -= 1
+            self._classified -= 1
+            self._mark(cid)
         return slot
 
     def remove_link(self, link: LinkId) -> None:
@@ -1294,7 +1364,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         table = self._table
         return bool(
             self._classified != table.active_count
-            or table.size > self._class_of.shape[0]
             or (self._dup_class_ids and self._m[self._dup_class_ids].any())
         )
 
@@ -1318,8 +1387,10 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         (= activation) order.  Returns ``(eta, slot, ties)``: the
         earliest eta in the table, the first slot reaching it and how
         many slots tie at it, or ``(inf, -1, 0)`` when no flow is due to
-        complete.  The compiled ``alvc_settle`` and
-        :meth:`_settle_numpy` are bitwise-equal.
+        complete.  The compiled ``alvc_settle`` visits only the slots
+        added or removed since the last step and those of the classes
+        whose rate moved; :meth:`_settle_numpy` scans the whole table,
+        and the two are bitwise-equal.
         """
         if self._needs_vector():
             rates = super().recompute()
@@ -1333,18 +1404,46 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self, rates: np.ndarray | None, now: float
     ) -> tuple[float, int, int]:
         """:meth:`settle` after the recompute: adopt ``rates`` (the
-        dense vector fallback, or ``None`` for the class rates)."""
+        dense vector fallback, or ``None`` for the class rates).
+
+        Rates, etas or class rates written behind the engine's back
+        must be declared with :meth:`_require_full` first.
+        """
         size = self._table.size
+        removed = self._removed
         if size == 0:
+            removed.clear()
             return _NO_COMPLETION
+        full = self._full if rates is None else "dense"
+        # Dense rates need not equal the class rates, so the first
+        # class-rate step after them visits every slot too.
+        self._full = None if rates is None else "dense"
+        if full is not None:
+            self._full_counters[full].inc()
         if self._kernels is None:
+            removed.clear()
             return self._settle_numpy(rates, now)
         address = self._step_address
         if address is None:
             address = self._bind_step()
         step = self._step
+        n_removed = 0
+        if full is not None:
+            step.n_classes = self._n_classes
+        elif removed:
+            n_removed = len(removed)
+            if n_removed > len(self._removed_buf):
+                self._removed_buf = (ctypes.c_int64 * (2 * n_removed))()
+                step.removed = ctypes.addressof(self._removed_buf)
+            self._removed_buf[:n_removed] = removed
+        removed.clear()
         self._kernels.settle(
-            address, None if rates is None else rates.ctypes.data, size, now
+            address,
+            None if rates is None else rates.ctypes.data,
+            size,
+            now,
+            n_removed,
+            full is not None,
         )
         return step.next_eta, step.next_slot, step.ties
 
@@ -1433,6 +1532,9 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._epoch += 1
         if self._kernels is None:
             return self._waterfill_numpy(edges)
+        if self._step_address is None:
+            # The kernel lists the classes it moves in the step state.
+            self._bind_step()
         address = self._state_address
         if address is None:
             address = self._bind_kernel()
@@ -1497,11 +1599,12 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         return rounds
 
 
-def _grown(array: np.ndarray, needed: int) -> np.ndarray:
-    """A zero-padded copy of ``array`` with room for ``needed`` items."""
+def _grown(array: np.ndarray, needed: int, fill: int = 0) -> np.ndarray:
+    """A ``fill``-padded copy of ``array`` with room for ``needed``
+    items."""
     n = max(array.shape[0], 1)
     while n < needed:
         n *= 2
-    grown = np.zeros(n, dtype=array.dtype)
+    grown = np.full(n, fill, dtype=array.dtype)
     grown[: array.shape[0]] = array
     return grown

@@ -142,10 +142,8 @@ class TestLifecycle:
         orchestrator.provision_chain(make_request(chain_id="chain-2"))
 
     def test_delete_unknown_raises(self, orchestrator):
-        with pytest.raises(UnknownEntityError), pytest.warns(
-            DeprecationWarning, match="teardown_chain"
-        ):
-            orchestrator.delete_chain("chain-9")
+        with pytest.raises(UnknownEntityError):
+            orchestrator.teardown_chain("chain-9")
 
     def test_action_log_order(self, orchestrator):
         live = orchestrator.provision_chain(make_request())

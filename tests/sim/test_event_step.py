@@ -5,9 +5,13 @@ be bitwise-equal to their numpy mirror on every input the event loop
 can hand them — dead slots, zero and infinite rates, zero elapsed time,
 equal-eta ties, the dense-rates fallback, compaction in mid-run and the
 rebinds that table, class-array and link growth force — and the
-simulator must produce the same report on either path.  The module also
-pins the kernel's provenance (:func:`repro.sim.ckernel.kernel_status`)
-and the per-event recompute and round counts.
+simulator must produce the same report on either path.  The compiled
+step visits only the slots that can have changed, so it is also checked
+against an implementation-independent oracle (a brute-force minimum
+over the etas, and every live slot at its class's rate) under churn and
+on the sequences that stress its bookkeeping.  The module also pins the
+kernel's provenance (:func:`repro.sim.ckernel.kernel_status`) and the
+per-event recompute and round counts.
 """
 
 import random
@@ -68,12 +72,12 @@ def _assert_same(kernel, mirror) -> None:
     assert kernel.busy.tobytes() == mirror.busy.tobytes()
 
 
-def _path(rng: random.Random, links: list) -> list:
+def _path(rng: random.Random, links: list, cyclic: float = 0.1) -> list:
     roll = rng.random()
     if roll < 0.05:
         return []  # zero-hop: an infinite rate
     path = rng.sample(links, rng.randint(1, 3))
-    if roll < 0.15:
+    if roll < 0.05 + cyclic:
         path.append(path[0])  # a repeated link: the vector fallback
     return path
 
@@ -122,6 +126,11 @@ def test_adopt_matches_mirror_on_synthetic_tables(seed):
         keep = np.array([rng.random() < 0.3 for _ in range(size)])
         dense = np.where(keep, engines[0].table.rate[:size], dense)
         rates = None if step % 2 else dense
+        for engine in engines:
+            # The table and class-rate writes before the loop bypass
+            # the engine: declare them, so the step visits every slot
+            # instead of only what changed.
+            engine._require_full("first")
         upcoming = [engine._adopt(rates, now) for engine in engines]
         assert upcoming[0] == upcoming[1]
         _assert_same(*engines)
@@ -132,13 +141,101 @@ def test_adopt_matches_mirror_on_synthetic_tables(seed):
         now += rng.choice([0.0, 0.25])
 
 
+def _churn(
+    rng, engines, links: list, routes: list, now: float, serial: int,
+    cyclic: float = 0.1,
+):
+    """Apply one seeded event to every engine alike: arrivals (single
+    or interned), a completion, a reroute at one instant, a capacity
+    edit, a new link or a public recompute; ``cyclic`` is the share of
+    new paths that repeat a link.  Returns the next serial."""
+    roll = rng.random()
+    active = list(engines[0].table.slot_of)
+    if roll < 0.35 or not active:
+        batch, sizes = [], []
+        for _ in range(rng.randint(1, 4)):
+            batch.append((f"f{serial}", _path(rng, links, cyclic)))
+            sizes.append(rng.choice([0.5, 1.0, 3.0]))
+            serial += 1
+        bulk = rng.random() < 0.5
+        for engine, cache in zip(engines, routes):
+            table = engine.table
+            if bulk:
+                chosen = []
+                for _, path in batch:
+                    key = tuple(path)
+                    if key not in cache:
+                        indices = np.array(
+                            [engine.link_index[link] for link in path],
+                            dtype=np.int32,
+                        )
+                        cache[key] = InternedRoute(
+                            [], tuple(path), indices,
+                            len(set(path)) < len(path),
+                        )
+                    chosen.append(cache[key])
+                slots = engine.add_interned(
+                    [flow for flow, _ in batch], chosen
+                ).tolist()
+            else:
+                slots = [engine.add_flow(flow, path) for flow, path in batch]
+            table.remaining[slots] = sizes
+            table.last_update[slots] = now
+    elif roll < 0.6:
+        # A completion: charge the finisher, then drop it.
+        flow = rng.choice(active)
+        for engine in engines:
+            engine.materialize((engine.table.slot_of[flow],), now)
+            engine.remove_flow(flow)
+    elif roll < 0.7:
+        # A reroute: the flow leaves and comes back on a new path at
+        # the same instant, keeping its bytes.
+        flow = rng.choice(active)
+        path = _path(rng, links, cyclic)
+        for engine in engines:
+            table = engine.table
+            engine.materialize((table.slot_of[flow],), now)
+            left = table.remaining[table.slot_of[flow]]
+            engine.remove_flow(flow)
+            slot = engine.add_flow(flow, path)
+            table.remaining[slot] = left
+            table.last_update[slot] = now
+    elif roll < 0.8:
+        link = rng.choice(links)
+        capacity = rng.choice([0.5, 3.0, 7.0])
+        for engine in engines:
+            engine.set_capacity(link, capacity)
+    elif roll < 0.83:
+        # A new link grows every per-link array, busy included.
+        a, b = f"x{serial}", rng.choice(NODES)
+        serial += 1
+        link = frozenset({a, b})
+        links.append(link)
+        for engine in engines:
+            engine.set_capacity(link, 2.0)
+    elif roll < 0.9:
+        # A public recompute between two steps re-levels early; the
+        # step after it must still adopt what moved.
+        for engine in engines:
+            engine.recompute()
+    return serial
+
+
+def _advance(rng, now: float, upcoming: tuple) -> float:
+    if rng.random() < 0.3:
+        return now + rng.choice([0.0, 0.1, 0.7])
+    if np.isfinite(upcoming[0]):
+        return max(now, upcoming[0])
+    return now
+
+
 @needs_kernel
 @pytest.mark.parametrize("seed", range(8))
 def test_settle_matches_mirror_under_churn(seed):
-    """Arrivals (single and interned), completions, capacity edits and
-    new links, with a tiny table and class arrays so slots, pool,
-    classes and busy all regrow (forcing rebinds) and the table
-    compacts in mid-run."""
+    """Arrivals (single and interned), completions, reroutes, capacity
+    edits, new links and recomputes between steps, with a tiny table
+    and class arrays so slots, pool, classes and busy all regrow
+    (forcing rebinds) and the table compacts in mid-run."""
     rng = random.Random(1000 + seed)
     caps = _caps(rng)
     links = list(caps)
@@ -148,67 +245,12 @@ def test_settle_matches_mirror_under_churn(seed):
     serial = 0
     grown = False
     for _ in range(160):
-        roll = rng.random()
-        active = list(engines[0].table.slot_of)
-        if roll < 0.35 or not active:
-            batch, sizes = [], []
-            for _ in range(rng.randint(1, 4)):
-                batch.append((f"f{serial}", _path(rng, links)))
-                sizes.append(rng.choice([0.5, 1.0, 3.0]))
-                serial += 1
-            bulk = rng.random() < 0.5
-            for engine, cache in zip(engines, routes):
-                table = engine.table
-                if bulk:
-                    chosen = []
-                    for _, path in batch:
-                        key = tuple(path)
-                        if key not in cache:
-                            indices = np.array(
-                                [engine.link_index[link] for link in path],
-                                dtype=np.int32,
-                            )
-                            cache[key] = InternedRoute(
-                                [], tuple(path), indices,
-                                len(set(path)) < len(path),
-                            )
-                        chosen.append(cache[key])
-                    slots = engine.add_interned(
-                        [flow for flow, _ in batch], chosen
-                    ).tolist()
-                else:
-                    slots = [
-                        engine.add_flow(flow, path) for flow, path in batch
-                    ]
-                table.remaining[slots] = sizes
-                table.last_update[slots] = now
-        elif roll < 0.7:
-            # A completion: charge the finisher, then drop it.
-            flow = rng.choice(active)
-            for engine in engines:
-                engine.materialize((engine.table.slot_of[flow],), now)
-                engine.remove_flow(flow)
-        elif roll < 0.8:
-            link = rng.choice(links)
-            capacity = rng.choice([0.5, 3.0, 7.0])
-            for engine in engines:
-                engine.set_capacity(link, capacity)
-        elif roll < 0.83:
-            # A new link grows every per-link array, busy included.
-            a, b = f"x{serial}", rng.choice(NODES)
-            serial += 1
-            link = frozenset({a, b})
-            links.append(link)
-            for engine in engines:
-                engine.set_capacity(link, 2.0)
+        serial = _churn(rng, engines, links, routes, now, serial)
         upcoming = [engine.settle(now) for engine in engines]
         assert upcoming[0] == upcoming[1]
         _assert_same(*engines)
         grown = grown or engines[0].table.remaining.shape[0] > 16
-        if rng.random() < 0.3:
-            now += rng.choice([0.0, 0.1, 0.7])
-        elif np.isfinite(upcoming[0][0]):
-            now = max(now, upcoming[0][0])
+        now = _advance(rng, now, upcoming[0])
     assert grown and engines[0].n_classes >= 16
 
 
@@ -250,6 +292,209 @@ def test_empty_table_settles_to_no_completion():
 
 
 # ----------------------------------------------------------------------
+# The incremental step against an implementation-independent oracle
+# ----------------------------------------------------------------------
+AB, BC, AC = frozenset("ab"), frozenset("bc"), frozenset("ac")
+REASONS = ("first", "compacted", "grown", "dense")
+
+
+def _assert_step(engine, upcoming) -> None:
+    """``upcoming`` is the brute-force minimum eta over the table, the
+    first slot at it and the tie count, and every live slot runs at its
+    class's rate (unless the step took the dense fallback)."""
+    table = engine.table
+    eta = table.eta[: table.size]
+    best = eta.min() if eta.shape[0] else np.inf
+    if best == np.inf:
+        assert upcoming == (np.inf, -1, 0)
+    else:
+        expected = (best, int(np.argmin(eta)), np.count_nonzero(eta == best))
+        assert upcoming == expected
+        assert np.float64(upcoming[0]).tobytes() == best.tobytes()
+    if not engine._needs_vector():
+        live = table.active_slots()
+        assert np.array_equal(
+            table.rate[live], engine._class_rate[engine._class_of[live]]
+        )
+
+
+def _full_passes(telemetry) -> dict:
+    return {
+        reason: telemetry.counter(
+            "alvc_fairshare_settle_full_total", "", reason=reason
+        ).value
+        for reason in REASONS
+    }
+
+
+@needs_kernel
+@pytest.mark.parametrize("seed", range(10))
+def test_settle_matches_brute_force_under_churn(seed):
+    """The compiled step visits only what changed; after every settle
+    its answer and the adopted rates still match the oracle, through
+    compaction, growth, recomputes between steps and a stretch of dense
+    steps (a cyclic flow is live from step 100 to step 110)."""
+    rng = random.Random(2000 + seed)
+    caps = _caps(rng)
+    links = list(caps)
+    telemetry = Telemetry.enabled_instance()
+    engine = BatchedFairShareEngine(
+        dict(caps),
+        table=FlowTable(capacity=4, compact_slack=3),
+        telemetry=telemetry,
+    )
+    assert engine.kernel_active
+    now = 0.0
+    serial = 0
+    for step in range(200):
+        serial = _churn(rng, [engine], links, [{}], now, serial, cyclic=0.0)
+        if step == 100:
+            slot = engine.add_flow("cyclic", [links[0], links[1], links[0]])
+            engine.table.remaining[slot] = 50.0
+            engine.table.last_update[slot] = now
+        elif step == 110 and "cyclic" in engine.table:
+            engine.remove_flow("cyclic")
+        upcoming = engine.settle(now)
+        _assert_step(engine, upcoming)
+        now = _advance(rng, now, upcoming)
+    passes = _full_passes(telemetry)
+    assert passes["first"] == 1 and passes["grown"] >= 1
+    assert 1 <= passes["dense"] <= 11
+    assert sum(passes.values()) < 40
+
+
+def test_recompute_between_settles_keeps_what_moved():
+    """A public recompute re-levels before the step: the step must still
+    adopt the class rates it moved, though nothing is dirty then."""
+    engine = BatchedFairShareEngine({AB: 4.0, BC: 4.0})
+    table = engine.table
+    engine.add_flow("f0", [AB])
+    engine.add_flow("f1", [AB, BC])
+    table.remaining[:2] = 8.0
+    _assert_step(engine, engine.settle(0.0))
+    assert table.rate[:2].tolist() == [2.0, 2.0]
+    engine.set_capacity(AB, 8.0)
+    engine.recompute()
+    upcoming = engine.settle(1.0)
+    _assert_step(engine, upcoming)
+    assert table.rate[:2].tolist() == [4.0, 4.0]
+    assert upcoming == (2.5, 0, 2)
+
+
+def test_compaction_between_an_add_and_its_settle():
+    telemetry = Telemetry.enabled_instance()
+    engine = BatchedFairShareEngine(
+        {AB: 6.0}, table=FlowTable(compact_slack=1), telemetry=telemetry
+    )
+    table = engine.table
+    for index in range(4):
+        table.remaining[engine.add_flow(f"f{index}", [AB])] = 3.0
+    _assert_step(engine, engine.settle(0.0))
+    for index in range(3):
+        engine.materialize((table.slot_of[f"f{index}"],), 0.5)
+        engine.remove_flow(f"f{index}")
+    # Three dead slots against one live one: the add compacts first.
+    slot = engine.add_flow("g", [AB])
+    assert (table.size, slot) == (2, 1)
+    table.remaining[slot] = 3.0
+    table.last_update[slot] = 0.5
+    upcoming = engine.settle(0.5)
+    _assert_step(engine, upcoming)
+    assert upcoming == (1.25, 0, 1)
+    assert _full_passes(telemetry)["compacted"] == 1
+
+
+def test_class_that_empties_and_returns():
+    """A class whose last flow left keeps its stale rate; a new flow of
+    it re-levels to that same rate, and must still adopt it."""
+    engine = BatchedFairShareEngine({AB: 2.0, BC: 2.0})
+    table = engine.table
+    table.remaining[engine.add_flow("f0", [AB])] = 4.0
+    _assert_step(engine, engine.settle(0.0))
+    engine.remove_flow("f0")
+    assert engine.settle(0.0) == (np.inf, -1, 0)
+    table.remaining[engine.add_flow("f1", [AB])] = 4.0
+    upcoming = engine.settle(0.0)
+    _assert_step(engine, upcoming)
+    assert upcoming == (2.0, 1, 1)
+
+
+def test_reroute_at_one_instant():
+    engine = BatchedFairShareEngine({AB: 2.0, BC: 2.0, AC: 2.0})
+    table = engine.table
+    table.remaining[engine.add_flow("f0", [AB, BC])] = 4.0
+    table.remaining[engine.add_flow("f1", [AB])] = 4.0
+    _assert_step(engine, engine.settle(0.0))
+    engine.materialize((0,), 1.0)
+    left = table.remaining[0]
+    engine.remove_flow("f0")
+    slot = engine.add_flow("f0", [AC])
+    table.remaining[slot] = left
+    table.last_update[slot] = 1.0
+    upcoming = engine.settle(1.0)
+    _assert_step(engine, upcoming)
+    assert table.rate[[1, 2]].tolist() == [2.0, 2.0]
+    assert upcoming == (2.5, 1, 2)
+
+
+def test_eta_tie_on_an_earlier_slot_moves_the_first_slot():
+    """A slot whose eta drops onto its block's minimum from above, at a
+    lower index than the slot holding it, becomes the first slot."""
+    engine = BatchedFairShareEngine({AB: 1.0, BC: 2.0})
+    table = engine.table
+    table.remaining[engine.add_flow("f0", [AB])] = 2.0
+    table.remaining[engine.add_flow("f1", [BC])] = 2.0
+    assert engine.settle(0.0) == (1.0, 1, 1)
+    engine.set_capacity(AB, 2.0)
+    upcoming = engine.settle(0.0)
+    _assert_step(engine, upcoming)
+    assert upcoming == (1.0, 0, 2)
+
+
+def test_many_removals_between_settles():
+    """More removals between two steps than the engine's first buffer
+    for them holds, the last of them the earliest finisher: its block
+    must be summarized again, or the step would still report it."""
+    engine = BatchedFairShareEngine({AB: 8.0})
+    table = engine.table
+    for index in range(100):
+        slot = engine.add_flow(f"f{index}", [AB])
+        table.remaining[slot] = 5.0
+    table.remaining[99] = 0.5
+    assert engine.settle(0.0) == (6.25, 99, 1)
+    for index in [*range(69), 99]:
+        engine.remove_flow(f"f{index}")
+    assert table.size == 100 and len(table) == 30
+    upcoming = engine.settle(1.0)
+    _assert_step(engine, upcoming)
+    assert upcoming[1] == 69
+
+
+def test_table_and_class_growth_between_settles():
+    chain = [frozenset({f"n{i}", f"n{i + 1}"}) for i in range(24)]
+    telemetry = Telemetry.enabled_instance()
+    engine = BatchedFairShareEngine(
+        dict.fromkeys(chain, 3.0), telemetry=telemetry
+    )
+    table = engine.table
+    table.remaining[engine.add_flow("f0", chain[:2])] = 1.0
+    _assert_step(engine, engine.settle(0.0))
+    # Forty flows on 23 new classes grow the slots and the class arrays.
+    for index in range(40):
+        start = index % 23
+        slot = engine.add_flow(f"g{index}", chain[start : start + 2])
+        table.remaining[slot] = 1.0 + index
+    assert table.remaining.shape[0] > 16 and engine.n_classes > 16
+    _assert_step(engine, engine.settle(0.0))
+    assert _full_passes(telemetry) == dict(
+        first=1.0, compacted=0.0, grown=1.0, dense=0.0
+    )
+    table.remaining[engine.add_flow("h", chain[5:7])] = 2.0
+    _assert_step(engine, engine.settle(0.5))
+    assert sum(_full_passes(telemetry).values()) == 2.0
+
+
+# ----------------------------------------------------------------------
 # Recomputes and rounds per event
 # ----------------------------------------------------------------------
 #: ``alvc_fairshare_vector_rounds`` (observations, summed rounds) per
@@ -278,6 +523,8 @@ def test_recomputes_and_rounds_per_event_unchanged(case):
         "alvc_fairshare_vector_rounds", "", ROUNDS_BUCKETS
     )
     assert (histogram.count, histogram.sum) == ROUNDS[case]
+    # No simulator run reaches the dense fallback.
+    assert _full_passes(telemetry)["dense"] == 0
 
 
 # ----------------------------------------------------------------------

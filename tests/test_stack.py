@@ -150,14 +150,3 @@ class TestTelemetryAcceptance:
         stack = AlvcStack.build(seed=1, telemetry="off")
         registry = stack.telemetry.registry
         assert registry.counter("a_total") is registry.counter("b_total")
-
-
-class TestDeprecationShims:
-    def test_orchestrator_delete_chain_warns_and_works(self):
-        stack = AlvcStack.build(seed=1, telemetry=False)
-        live = stack.provision(("nat",), service="web")
-        with pytest.warns(DeprecationWarning, match="teardown_chain"):
-            stack.orchestrator.delete_chain(live.chain_id)
-        assert stack.chains() == []
-        # The action log keeps the paper's lifecycle verb.
-        assert ("delete", live.chain_id) in stack.orchestrator.action_log()
