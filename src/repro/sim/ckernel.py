@@ -32,10 +32,11 @@ of the source and the compiler flags.
 
 **Which slots the step visits.**  Not the whole table: the slots added
 since the last step (``[settled, size)``: slots are append-only), the
-slots removed since then (the engine records them), and the live slots
-of every class on the changed list (each class's slots are threaded
-through a per-slot ``next_in_class`` list; new slots are linked in at
-the step, dead ones unlinked while a list is walked).  That set is
+slots removed since then (the engine sets their bits in the touched
+bitmap as it removes them), and the live slots of every class on the
+changed list (each class's slots are threaded through a per-slot
+``next_in_class`` list; new slots are linked in at the step, dead ones
+unlinked while a list is walked).  That set is
 complete.  After a step every live slot's rate equals its class's rate;
 a class rate moves only in ``alvc_relevel``, which lists the class; and
 only an add or a removal changes which slots are live.  A slot outside
@@ -50,7 +51,9 @@ rates).
 word of the touched-slot bitmap each, and every block stores its
 minimum eta, the first slot at it and its tie count.  A touched block's
 summary follows its etas as they move and is rescanned when an eta
-leaves the minimum (a removal, or a slot that held it moving away).
+leaves the minimum (a removal, or a slot that held it moving away); a
+block that held no settled slot starts from an empty summary, since the
+stored one may predate a compaction that cut the table below it.
 The answer comes from one scan over the block summaries with the full
 scan's rule: the strict-``<`` first block at the minimum supplies the
 first slot, and the ``==`` tie counts of the blocks at it add up to the
@@ -154,7 +157,6 @@ struct alvc_step_state {
     double *block_eta;          /* [W] minimum eta of the block */
     int64_t *block_slot;        /* [W] first slot at it, -1 if inf */
     int64_t *block_ties;        /* [W] slots at it, 0 if inf */
-    const int64_t *removed;     /* slots removed since the last settle */
     int64_t n_changed;          /* entries of changed */
     int64_t settled;            /* table size at the last settle */
     int64_t n_classes;          /* interned classes (full pass) */
@@ -319,7 +321,8 @@ static void summarize(struct alvc_step_state *s, int64_t w, int64_t size)
  *
  * Visited slots: a full pass visits [0, size); otherwise the slots
  * added since the last settle ([settled, size)), the slots removed
- * since then, and the live slots of every class on the changed list.
+ * since then (the engine sets their bits in touched at removal), and
+ * the live slots of every class on the changed list.
  * That set is complete: after a settle every live slot's rate equals
  * its class's rate, class rates move only in alvc_relevel (which lists
  * the class), and only an add or a removal changes which slots are
@@ -329,7 +332,8 @@ static void summarize(struct alvc_step_state *s, int64_t w, int64_t size)
  * Visits run over the touched bitmap in ascending slot order, so busy
  * adds keep the full scan's order.  A touched block's summary is
  * updated slot by slot as etas move, and rescanned when an eta leaves
- * the block's minimum (a removal, or a move away from it).  The answer
+ * the block's minimum (a removal, or a move away from it); a block
+ * with no settled slot starts from an empty summary.  The answer
  * is the first block at the minimum of the block minima, with the tie
  * count summed over the blocks at it: the full scan's first slot and
  * count.  Returns that slot (-1 when the minimum is inf). */
@@ -338,7 +342,6 @@ int64_t alvc_settle(
     const double *rates,
     int64_t size,
     double now,
-    int64_t n_removed,
     int64_t full)
 {
     if (full) {
@@ -348,7 +351,6 @@ int64_t alvc_settle(
         }
         s->n_changed = 0;
         s->settled = 0;
-        n_removed = 0;
     }
     int64_t settled = s->settled;
     for (int64_t i = settled; i < size; i++) {
@@ -359,7 +361,6 @@ int64_t alvc_settle(
             s->class_head[c] = i;
         }
     }
-    for (int64_t k = 0; k < n_removed; k++) touch(s, s->removed[k]);
     for (int64_t k = 0; k < s->n_changed; k++) {
         int64_t c = s->changed[k];
         s->listed[c] = 0;
@@ -384,8 +385,13 @@ int64_t alvc_settle(
         uint64_t bits = s->touched[w];
         if (bits) {
             s->touched[w] = 0;
-            double m = s->block_eta[w];
-            int64_t f = s->block_slot[w], t = s->block_ties[w];
+            /* A block that held no settled slot starts empty: its
+             * stored summary may predate a compaction that cut the
+             * table below it. */
+            int fresh = (w << 6) >= settled;
+            double m = fresh ? INFINITY : s->block_eta[w];
+            int64_t f = fresh ? -1 : s->block_slot[w];
+            int64_t t = fresh ? 0 : s->block_ties[w];
             int rescan = (int)full;
             do {
                 int64_t i = (w << 6) + __builtin_ctzll(bits);
@@ -507,7 +513,6 @@ class StepState(ctypes.Structure):
             "block_eta",
             "block_slot",
             "block_ties",
-            "removed",
         )
     ] + [
         ("n_changed", ctypes.c_int64),
@@ -644,7 +649,6 @@ def kernels() -> Kernels | None:
         ctypes.c_void_p,         # dense rates, or None for class rates
         ctypes.c_int64,          # table size
         ctypes.c_double,         # now
-        ctypes.c_int64,          # leading entries of StepState.removed
         ctypes.c_int64,          # full pass (nonzero) or incremental
     ]
     materialize = library.alvc_materialize

@@ -854,9 +854,10 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     ``ctypes`` structs of pointers, rebound only when an array is
     reallocated (table, pool, class-array, class-map or link growth).
     The compiled step visits only the slots that can have changed: it
-    needs the engine to record removed slots, to size its per-slot
-    lists and block summaries with the table, and to ask for a full
-    pass when those are stale (see :mod:`repro.sim.ckernel`).
+    needs the engine to mark removed slots in its touched bitmap, to
+    size its per-slot lists and block summaries with the table, and to
+    ask for a full pass when those are stale (see
+    :mod:`repro.sim.ckernel`).
 
     Telemetry: ``alvc_fairshare_vector_rounds`` observes the rounds
     summed over the re-leveled components only;
@@ -913,8 +914,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         "_block_eta",
         "_block_slot",
         "_block_ties",
-        "_removed",
-        "_removed_buf",
         "_full",
         "_components_gauge",
         "_merges_counter",
@@ -980,9 +979,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._head = np.full(16, -1, dtype=np.int64)
         self._changed = np.zeros(16, dtype=np.int64)
         self._listed = np.zeros(16, dtype=np.uint8)
-        #: Slots removed since the last settle.
-        self._removed: list[int] = []
-        self._removed_buf = (ctypes.c_int64 * 64)()
         #: Why the next settle must visit every slot (``None``: it
         #: visits only what changed).
         self._full: str | None = "first"
@@ -1252,7 +1248,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             ("block_ties", self._block_ties),
         ):
             setattr(step, field, array.ctypes.data)
-        step.removed = ctypes.addressof(self._removed_buf)
         self._step_address = ctypes.addressof(step)
         return self._step_address
 
@@ -1287,6 +1282,8 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         n = live.shape[0]
         self._class_of[:n] = self._class_of[live]
         self._class_of[n:] = -1
+        # Slot numbers moved: the full pass sets every bit it needs.
+        self._touched[:] = 0
         self._require_full("compacted")
 
     # ------------------------------------------------------------------
@@ -1337,7 +1334,8 @@ class BatchedFairShareEngine(VectorFairShareEngine):
 
     def remove_flow(self, flow: Hashable) -> int:
         slot = super().remove_flow(flow)
-        self._removed.append(slot)
+        # The next step visits the slot (see ``alvc_settle``).
+        self._touched[slot >> 6] |= np.uint64(1 << (slot & 63))
         cid = int(self._class_of[slot])
         if cid >= 0:
             self._class_of[slot] = -1
@@ -1410,9 +1408,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         must be declared with :meth:`_require_full` first.
         """
         size = self._table.size
-        removed = self._removed
         if size == 0:
-            removed.clear()
             return _NO_COMPLETION
         full = self._full if rates is None else "dense"
         # Dense rates need not equal the class rates, so the first
@@ -1421,28 +1417,18 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         if full is not None:
             self._full_counters[full].inc()
         if self._kernels is None:
-            removed.clear()
             return self._settle_numpy(rates, now)
         address = self._step_address
         if address is None:
             address = self._bind_step()
         step = self._step
-        n_removed = 0
         if full is not None:
             step.n_classes = self._n_classes
-        elif removed:
-            n_removed = len(removed)
-            if n_removed > len(self._removed_buf):
-                self._removed_buf = (ctypes.c_int64 * (2 * n_removed))()
-                step.removed = ctypes.addressof(self._removed_buf)
-            self._removed_buf[:n_removed] = removed
-        removed.clear()
         self._kernels.settle(
             address,
             None if rates is None else rates.ctypes.data,
             size,
             now,
-            n_removed,
             full is not None,
         )
         return step.next_eta, step.next_slot, step.ties

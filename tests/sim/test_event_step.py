@@ -452,9 +452,9 @@ def test_eta_tie_on_an_earlier_slot_moves_the_first_slot():
 
 
 def test_many_removals_between_settles():
-    """More removals between two steps than the engine's first buffer
-    for them holds, the last of them the earliest finisher: its block
-    must be summarized again, or the step would still report it."""
+    """Removals across two blocks between two steps, the last of them
+    the earliest finisher: its block must be summarized again, or the
+    step would still report it."""
     engine = BatchedFairShareEngine({AB: 8.0})
     table = engine.table
     for index in range(100):
@@ -468,6 +468,34 @@ def test_many_removals_between_settles():
     upcoming = engine.settle(1.0)
     _assert_step(engine, upcoming)
     assert upcoming[1] == 69
+
+
+def test_table_regrows_past_a_compaction():
+    """A compaction cuts the table below its second block; arrivals then
+    fill that block again.  Its summary from before the compaction must
+    not stand in for the new slots' etas."""
+    engine = BatchedFairShareEngine(
+        {AB: 8.0}, table=FlowTable(compact_slack=1)
+    )
+    table = engine.table
+    for index in range(130):
+        slot = engine.add_flow(f"f{index}", [AB])
+        table.remaining[slot] = 5.0
+    assert engine.settle(0.0) == (81.25, 0, 130)
+    for index in range(1, 130):
+        engine.remove_flow(f"f{index}")
+    slot = engine.add_flow("g0", [AB])
+    assert table.size == 2
+    table.remaining[slot] = 5.0
+    table.last_update[slot] = 1.0
+    _assert_step(engine, engine.settle(1.0))
+    for index in range(1, 130):
+        slot = engine.add_flow(f"g{index}", [AB])
+        table.remaining[slot] = 5.0
+        table.last_update[slot] = 1.0
+    upcoming = engine.settle(1.0)
+    _assert_step(engine, upcoming)
+    assert upcoming[1] == 0 and table.size == 131
 
 
 def test_table_and_class_growth_between_settles():
