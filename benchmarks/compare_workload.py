@@ -15,7 +15,7 @@ regression bound:
 * the candidate's **parity** flags — every arm restored from its own
   journal into the digest-identical state (``replay_identical``), the
   twin arm reproduced the identical row (``twin_identical``), and
-  sharding across workers changed nothing (``worker_parity``);
+  spreading the arms across workers changed nothing (``worker_parity``);
 * every row of the candidate equals the committed baseline row for the
   same arm, field for field (acceptance ratio, SLA counts, scaling and
   re-embedding activity, churn cost, state digest, decision checksum).

@@ -6,7 +6,7 @@ exponential lifetimes, elastic VNF scaling, OPS chaos, migration storms
 and defragmenting re-embedding) drives the whole control plane through
 its journaled entry points, and the run is *bit-replayable*: every arm
 restores from its own journal into the digest-identical state, the
-twin arm reproduces the identical row, and sharding the arms across
+twin arm reproduces the identical row, and spreading the arms across
 worker processes changes nothing.
 
 The soak here is CI-sized (one simulated day per arm, a 128-server
@@ -78,7 +78,7 @@ def test_bench_e25_workload(benchmark):
     assert by_arm["dense"]["reembeddings"] > 0
     assert by_arm["dense"]["fragmentation_peak"] > 0
 
-    # Gate D: sharding the arms across workers changes nothing.
+    # Gate D: spreading the arms across workers changes nothing.
     sharded = experiment_e25_week_in_the_life(
         **CI_SOAK, workers=WORKER_PARITY[1]
     )

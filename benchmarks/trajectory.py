@@ -63,19 +63,24 @@ RETIRED: dict[str, frozenset | None] = {
     # other; both loops are gone, and so are the bench and its record.
     "e19_event_throughput": None,
     # E26 ratios over arms whose event loops are gone (legacy,
-    # incremental, per-event vector); the record keeps only the
-    # single-process batched and the sharded arms.
+    # incremental, per-event vector), the AL-sharded arm and the soak
+    # fields it carried; the record keeps only the single-process
+    # batched arm and a soak measured in its own child.
     "e26_dataplane_throughput": frozenset({
         "speedups.vector_over_legacy",
         "speedups.vector_over_incremental",
         "speedups.batched_over_vector",
         "speedups.sharded_over_legacy",
+        "events_per_sec.vector-sharded",
+        "soak.workers",
+        "soak.rss_self_mb",
+        "soak.rss_worker_mb",
     }),
 }
 
 #: A gated metric keeps at least this fraction of its best-ever value.
 #: Deliberately loose: the arms of a committed record run minutes apart
-#: on a shared machine, so a ratio like sharded-over-legacy can swing
+#: on a shared machine, so a ratio of two arms can swing
 #: tens of percent with background load alone.  This gate exists to
 #: catch silent order-of-magnitude erosion (a committed 23x quietly
 #: becoming 8x), not to re-litigate run-to-run noise — the tight

@@ -2408,9 +2408,9 @@ def _e26_testbed(
     one VM per server: every flow crosses real ToR links (about half
     also cross the service's AL switches), no two endpoints are
     co-located, and the per-cluster rack/AL footprints stay pairwise
-    disjoint — which both keeps the exclusive per-service AL
-    construction feasible and qualifies the workload for the sharded
-    arm (:func:`repro.sim.sharding.plan_shards`).
+    disjoint.  The disjoint footprints keep the exclusive per-service
+    AL construction feasible, and the frozen E26 checksums were taken
+    on exactly this layout, so it must not change.
     """
     dcn = build_alvc_fabric(
         n_racks=n_racks,
@@ -2433,7 +2433,7 @@ def _e26_testbed(
             index * racks_per_service : (index + 1) * racks_per_service
         ]
         # Dual-homed servers hang under two ToRs; claim each server for
-        # one service only so the shard footprints stay disjoint.
+        # one service only so the per-service footprints stay disjoint.
         servers = [
             server
             for tor in racks
@@ -2486,6 +2486,67 @@ def _e26_soak_workload(
     return flows
 
 
+def _e26_soak_trial(config: dict) -> dict:
+    """The E26 concurrency soak, measured in the process that runs it.
+
+    Top-level so a spawn pool can pickle it: the child rebuilds the
+    testbed and the soak workload from the seed and sizes in *config*
+    (nothing large crosses the process boundary).  It reads its resident
+    set at entry and its ``ru_maxrss`` high-water mark after the
+    workload is built and after the run.  ``rss_workload_mb`` is the
+    testbed plus the flow list above the entry level; ``rss_run_mb`` is
+    the run above the post-workload level.  ``wall_seconds`` times
+    ``run()`` only.
+    """
+    import resource
+
+    from repro.sim.event_simulator import EventDrivenFlowSimulator
+
+    def peak_mb() -> float:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    # The entry level is the current resident set where /proc has it:
+    # the high-water mark at entry still holds transient import memory,
+    # which would hide a small workload.
+    try:
+        with open("/proc/self/statm") as handle:
+            pages = int(handle.read().split()[1])
+        entry_mb = pages * resource.getpagesize() / 2**20
+    except OSError:
+        entry_mb = peak_mb()
+    inventory, clusters, services = _e26_testbed(
+        config["n_racks"],
+        config["servers_per_rack"],
+        config["n_ops"],
+        config["vms_per_service"],
+        config["n_services"],
+        config["seed"],
+    )
+    soak = _e26_soak_workload(
+        inventory,
+        services,
+        config["soak_flows"],
+        config["soak_epochs"],
+        config["seed"],
+    )
+    workload_mb = peak_mb()
+    simulator = EventDrivenFlowSimulator(inventory, clusters)
+    started = time.perf_counter()
+    report = simulator.run(soak, until=float(config["soak_epochs"]))
+    elapsed = time.perf_counter() - started
+    run_mb = peak_mb()
+    return {
+        "arm": "soak",
+        "flows": len(soak),
+        "events": report.events,
+        "wall_seconds": elapsed,
+        "events_per_sec": report.events / elapsed if elapsed > 0 else 0.0,
+        "in_flight": report.in_flight,
+        "rss_workload_mb": workload_mb - entry_mb,
+        "rss_run_mb": run_mb - workload_mb,
+    }
+
+
 def experiment_e26_dataplane_throughput(
     *,
     n_racks: int = 128,
@@ -2498,35 +2559,28 @@ def experiment_e26_dataplane_throughput(
     soak_flows: int = 0,
     soak_epochs: int = 12,
     seed: int = 0,
-    workers: int = 4,
-    runner: SweepRunner | None = None,
 ) -> list[dict]:
-    """Data-plane throughput: one process vs AL-sharded fan-out.
+    """Data-plane throughput of the event simulator, plus a concurrency soak.
 
     Plays one service-correlated Poisson workload on the 1024-server
-    fabric through two arms:
+    fabric through the ``vector-batched`` arm: the event simulator's
+    data plane in one process (batched admission over pre-resolved
+    interned routes and the class-aggregated, component-local
+    water-filling engine).  Its CRC32 rate-trace ``checksum`` is frozen
+    per configuration in ``benchmarks/compare_dataplane.py``.
 
-    * ``vector-batched`` — the event simulator's data plane in one
-      process (batched admission over pre-resolved interned routes and
-      the class-aggregated, component-local water-filling engine);
-    * ``vector-sharded`` — the same data plane fanned out across AL
-      shards via :func:`repro.sim.sharding.simulate_sharded`, run at
-      both ``workers`` and ``workers=1`` to pin merge determinism.
-
-    Both arms must agree on the CRC32 rate-trace checksum (`checksum`
-    column) — the committed ``BENCH_e26.json`` and the CI gate both
-    assert it.  With ``soak_flows > 0`` a final ``soak`` row runs the
-    epoch-quantized concurrency soak (default 1M flows in the bench
-    harness) through the sharded data plane inside a virtual-time
-    window, and reports peak concurrency, resident-set high-water marks
-    and events/second.
+    With ``soak_flows > 0`` a final ``soak`` row runs the
+    epoch-quantized concurrency soak (1M flows at full scale) through
+    the same simulator inside a virtual-time window, in one freshly
+    spawned child (:func:`_e26_soak_trial`), and reports its events,
+    peak concurrency, wall time and that child's resident-set growth.
     """
-    import resource
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
 
     from repro.sim.event_simulator import EventDrivenFlowSimulator
-    from repro.sim.sharding import simulate_sharded
 
-    inventory, clusters, services = _e26_testbed(
+    inventory, clusters, _ = _e26_testbed(
         n_racks, servers_per_rack, n_ops, vms_per_service, n_services, seed
     )
     generator = TrafficGenerator(
@@ -2558,59 +2612,19 @@ def experiment_e26_dataplane_throughput(
         }
     ]
 
-    started = time.perf_counter()
-    sharded = simulate_sharded(
-        inventory, clusters, flows, workers=workers, runner=runner
-    )
-    elapsed = time.perf_counter() - started
-    inline = simulate_sharded(inventory, clusters, flows, workers=1)
-    sharded_rate = sharded.events / elapsed if elapsed > 0 else 0.0
-    rows.append(
-        {
-            "arm": "vector-sharded",
-            "flows": sharded.flows,
-            "events": sharded.events,
-            "wall_seconds": elapsed,
-            "events_per_sec": sharded_rate,
-            "mean_fct": sharded.fct_statistics()["mean"],
-            "checksum": _e26_report_checksum(sharded),
-            "workers": workers,
-            "deterministic": sharded == inline,
-        }
-    )
-
     if soak_flows > 0:
-        soak = _e26_soak_workload(
-            inventory, services, soak_flows, soak_epochs, seed
-        )
-        rss_before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        started = time.perf_counter()
-        soak_report = simulate_sharded(
-            inventory,
-            clusters,
-            soak,
-            until=float(soak_epochs),
-            workers=workers,
-            runner=runner,
-        )
-        elapsed = time.perf_counter() - started
-        rss_self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        rss_children_kb = resource.getrusage(
-            resource.RUSAGE_CHILDREN
-        ).ru_maxrss
-        rows.append(
-            {
-                "arm": "soak",
-                "flows": len(soak),
-                "events": soak_report.events,
-                "wall_seconds": elapsed,
-                "events_per_sec": (
-                    soak_report.events / elapsed if elapsed > 0 else 0.0
-                ),
-                "in_flight": soak_report.in_flight,
-                "workers": workers,
-                "rss_self_mb": max(rss_self_kb - rss_before_kb, 0) / 1024.0,
-                "rss_worker_mb": rss_children_kb / 1024.0,
-            }
-        )
+        config = {
+            "n_racks": n_racks,
+            "servers_per_rack": servers_per_rack,
+            "n_ops": n_ops,
+            "vms_per_service": vms_per_service,
+            "n_services": n_services,
+            "soak_flows": soak_flows,
+            "soak_epochs": soak_epochs,
+            "seed": seed,
+        }
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=get_context("spawn")
+        ) as pool:
+            rows.append(pool.submit(_e26_soak_trial, config).result())
     return rows

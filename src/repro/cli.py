@@ -279,18 +279,17 @@ def _run_e25(workers: int = 1) -> dict:
     }
 
 
-@_register("e26", "Vectorized data plane: single-process vs AL-sharded")
-def _run_e26(workers: int = 1) -> dict:
+@_register("e26", "Vectorized data plane: event throughput and soak memory")
+def _run_e26() -> dict:
     # Smoke sizing: the full-scale run (8000 flows, 1M-flow soak) lives
     # in benchmarks/BENCH_e26.json; this keeps `run e26` interactive
-    # while still exercising both arms plus the shard merge.
+    # while still exercising the batched arm and the spawned soak child.
     return {
         "E26 — vectorized data-plane throughput (smoke sizing)": (
             experiments.experiment_e26_dataplane_throughput(
                 n_flows=1200,
                 arrival_rate=1200.0,
                 soak_flows=20_000,
-                workers=workers,
             )
         )
     }

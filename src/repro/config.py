@@ -4,8 +4,9 @@ Three selector knobs grew organically across PRs 4–5:
 
 * ``kernel=`` on the cover functions (``"auto"``/``"set"``/``"bitset"``,
   :mod:`repro.core.algorithms`);
-* ``engine=``/``routing_engine=`` on routing, the orchestrator and the
-  simulators (``"auto"``/``"csr"``/``"nx"``, :mod:`repro.sdn.routing`);
+* ``engine=`` on routing and ``routing_engine=`` on the orchestrator
+  and the event simulator (``"auto"``/``"csr"``/``"nx"``,
+  :mod:`repro.sdn.routing`);
 * ``workers=`` on the parallel sweeps (:mod:`repro.parallel`).
 
 :class:`EngineConfig` unifies them behind one frozen, validated object
@@ -17,11 +18,10 @@ accepted by :meth:`repro.stack.AlvcStack.build`::
 
 The stack threads the config through every collaborator (cluster
 manager, AL constructor, reconfigurators, orchestrator routing,
-sweep defaults) — no process-global state is touched.  The old
-keyword arguments (``routing_engine=`` on ``build``, explicit
-``workers=``/``kernel=`` on ``run_sweep``) keep working through
-``DeprecationWarning`` shims; see the migration table in
-``docs/api_guide.md``.
+sweep defaults) — no process-global state is touched.  The stack's
+old per-call spellings (``routing_engine=`` on ``build``,
+``workers=``/``kernel=`` on ``run_sweep``) are gone; see the migration
+table in ``docs/api_guide.md``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from repro.sim.events import EventQueue, Simulator
 from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
 from repro.sim.flows import Flow
 from repro.sim.metrics import MetricsCollector
-from repro.sim.sharding import ShardPlan, simulate_sharded
 from repro.sim.simulator import FlowSimulator, SimulationReport
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
 from repro.sim.vector import FlowTable, LinkBusyView, VectorFairShareEngine
@@ -40,7 +39,6 @@ __all__ = [
     "FlowTable",
     "LinkBusyView",
     "MetricsCollector",
-    "ShardPlan",
     "SimulationReport",
     "Simulator",
     "TrafficConfig",
@@ -48,5 +46,4 @@ __all__ = [
     "VectorFairShareEngine",
     "check_max_min_fair",
     "max_min_fair_rates",
-    "simulate_sharded",
 ]

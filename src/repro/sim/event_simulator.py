@@ -111,8 +111,7 @@ class EventSimulationReport:
 
     ``link_busy_byte_seconds`` is a mapping — a lazy
     :class:`~repro.sim.vector.LinkBusyView` over the simulator's busy
-    array, or a plain dict for merged sharded reports (the two compare
-    equal when the contents match).  ``in_flight`` counts flows still
+    array, which compares equal to a plain dict with the same contents.  ``in_flight`` counts flows still
     active when a windowed run (``run(..., until=...)``) hit its window
     edge; it is ``0`` for runs that drained naturally.
     """

@@ -372,7 +372,8 @@ class LinkBusyView(Mapping):
     array is one ``float64`` per *link*, never per flow).  Only links
     that carried traffic are visible, matching the dict the report
     historically exposed.  Compares equal to an equivalent plain dict
-    and pickles as one (cross-process shard merges see plain dicts).
+    and pickles as one, so a report sent across processes carries a
+    plain dict.
     """
 
     __slots__ = ("_link_ids", "_busy", "_nonzero")

@@ -28,8 +28,6 @@ ambient (default no-op, zero-cost) sink.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -113,7 +111,6 @@ class AlvcStack:
         merge_consecutive: bool = False,
         exclusive_chains: bool = True,
         host_policy: HostPolicy | str | None = None,
-        routing_engine: str | None = None,
         engines: EngineConfig | dict | None = None,
         journal: Journal | str | Path | None = None,
         sync: str = "always",
@@ -142,13 +139,6 @@ class AlvcStack:
                 through to :class:`NetworkOrchestrator` (``host_policy``
                 also accepts the enum's string value, e.g.
                 ``"first_fit"``).
-            routing_engine: path-computation backend
-                (``"auto"``/``"csr"``/``"nx"``).
-
-                .. deprecated:: PR 6
-                    Use ``engines=EngineConfig(routing=...)``; this
-                    keyword is scheduled for removal two releases after
-                    the durable service ships (the v1.0 cut).
             engines: typed :class:`~repro.config.EngineConfig` (or a
                 mapping / routing-engine string coercible to one)
                 selecting the cover kernel, routing engine and default
@@ -176,26 +166,7 @@ class AlvcStack:
                 :func:`~repro.topology.generators.build_alvc_fabric`
                 (e.g. ``tor_uplinks``, ``dual_homing_fraction``).
         """
-        if routing_engine is not None:
-            warnings.warn(
-                "AlvcStack.build(routing_engine=...) is deprecated; use "
-                "engines=EngineConfig(routing=...). Scheduled for "
-                "removal two releases after the durable service ships "
-                "(the v1.0 cut).",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         engine_config = EngineConfig.coerce(engines)
-        if routing_engine is not None and routing_engine != "auto":
-            if engine_config.routing not in ("auto", routing_engine):
-                raise ValidationError(
-                    "conflicting routing engines: routing_engine="
-                    f"{routing_engine!r} vs engines.routing="
-                    f"{engine_config.routing!r}"
-                )
-            engine_config = dataclasses.replace(
-                engine_config, routing=routing_engine
-            )
         if isinstance(host_policy, str):
             host_policy = HostPolicy(host_policy)
         if journal is not None:
@@ -734,14 +705,13 @@ class AlvcStack:
         trial,
         params: Sequence,
         *,
-        workers: int | None = None,
         chunk_size: int | None = None,
-        kernel: str | None = None,
     ) -> list:
         """Shard a seeded experiment sweep across worker processes.
 
         A facade veneer over :class:`repro.parallel.SweepRunner`, wired
-        to this stack's telemetry: per-worker metrics roll up into
+        to this stack's telemetry and :attr:`engines` (``workers`` and
+        ``cover_kernel``): per-worker metrics roll up into
         :attr:`telemetry`, and ``workers=1`` (the default) runs trials
         inline under it with no multiprocessing machinery.
 
@@ -754,44 +724,19 @@ class AlvcStack:
         Args:
             trial: top-level callable run once per parameter.
             params: the seeded parameter grid.
-            workers: worker process count (1 = inline); defaults to
-                this stack's :attr:`engines` ``workers``.
-
-                .. deprecated:: PR 6
-                    Configure via ``build(engines=EngineConfig(
-                    workers=...))``; the per-call override is scheduled
-                    for removal two releases after the durable service
-                    ships (the v1.0 cut).
             chunk_size: trials per worker task (defaults to an even
                 split, four chunks per worker).
-            kernel: cover kernel forced inside every trial; defaults to
-                this stack's :attr:`engines` ``cover_kernel``.
-
-                .. deprecated:: PR 6
-                    Configure via ``build(engines=EngineConfig(
-                    cover_kernel=...))``; same removal schedule as
-                    ``workers``.
 
         Returns:
             One result per parameter, in ``params`` order.
         """
         from repro.parallel import SweepRunner
 
-        if workers is not None or kernel is not None:
-            warnings.warn(
-                "AlvcStack.run_sweep(workers=/kernel=) overrides are "
-                "deprecated; configure AlvcStack.build(engines="
-                "EngineConfig(workers=..., cover_kernel=...)) instead. "
-                "Scheduled for removal two releases after the durable "
-                "service ships (the v1.0 cut).",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         runner = SweepRunner(
-            workers=workers if workers is not None else self._engines.workers,
+            workers=self._engines.workers,
             chunk_size=chunk_size,
             telemetry=self.telemetry,
-            kernel=kernel if kernel is not None else self._engines.cover_kernel,
+            kernel=self._engines.cover_kernel,
         )
         return runner.map(trial, params)
 

@@ -297,3 +297,26 @@ class TestE18FailureContinuity:
         )
         assert rows[0]["dropped"] == 0
         assert rows[0]["reroutes"] == 0
+
+
+class TestE26Soak:
+    def test_spawned_soak_matches_in_process_run(self):
+        from repro.sim.event_simulator import EventDrivenFlowSimulator
+
+        rows = exp.experiment_e26_dataplane_throughput(
+            n_flows=200, arrival_rate=200.0, soak_flows=2000
+        )
+        soak = {row["arm"]: row for row in rows}["soak"]
+
+        inventory, clusters, services = exp._e26_testbed(128, 8, 48, 16, 7, 0)
+        flows = exp._e26_soak_workload(inventory, services, 2000, 12, 0)
+        report = EventDrivenFlowSimulator(inventory, clusters).run(
+            flows, until=12.0
+        )
+        assert (soak["events"], soak["in_flight"]) == (
+            report.events,
+            report.in_flight,
+        )
+        assert soak["rss_workload_mb"] > 0
+        assert soak["rss_run_mb"] >= 0
+        assert "workers" not in soak

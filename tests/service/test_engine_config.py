@@ -2,7 +2,8 @@
 
 The satellite that unifies the organically-grown ``kernel=`` /
 ``engine=`` / ``routing_engine=`` / ``workers=`` knobs behind one typed
-config — and keeps the old spellings working through deprecation shims.
+config.  The stack's per-call spellings are gone; sweeps take their
+defaults from the config and raise no deprecation warning.
 The retired simulator selectors (``sim_engine``, ``admission``) are no
 fields any more, but mappings that carry them — old journals' genesis
 records — still coerce.
@@ -140,29 +141,6 @@ class TestStackThreading:
 
 
 class TestDeprecatedSpellings:
-    def test_routing_engine_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="routing_engine"):
-            stack = AlvcStack.build(routing_engine="csr", **BUILD)
-        assert stack.engines.routing == "csr"
-
-    def test_conflicting_selectors_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValidationError, match="conflicting"):
-                AlvcStack.build(
-                    routing_engine="csr",
-                    engines=EngineConfig(routing="nx"),
-                    **BUILD,
-                )
-
-    def test_run_sweep_overrides_warn(self):
-        stack = AlvcStack.build(**BUILD)
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            results = stack.run_sweep(_square, [1, 2, 3], workers=1)
-        assert results == [1, 4, 9]
-        with pytest.warns(DeprecationWarning, match="run_sweep"):
-            stack.run_sweep(_square, [2], kernel="set")
-
     def test_run_sweep_defaults_from_engines(self):
         stack = AlvcStack.build(
             engines=EngineConfig(workers=1, cover_kernel="set"), **BUILD

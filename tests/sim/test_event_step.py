@@ -643,3 +643,20 @@ def test_materialize_twice_at_one_instant_charges_once():
     engine.materialize((0,), 1.0)
     assert engine.table.remaining[0] == 2.0
     assert engine.busy.tolist() == [2.0]
+
+
+def test_materialize_after_table_growth_charges_the_settled_rate():
+    # Growth reallocates the slot arrays, so the first materialize after
+    # it must rebind the event step before charging.
+    link = frozenset({"a", "b"})
+    engine = BatchedFairShareEngine({link: 2.0})
+    engine.add_flow("f0", [link])
+    engine.table.remaining[0] = 4.0
+    assert engine.settle(0.0) == (2.0, 0, 1)
+    capacity = engine.table.remaining.shape[0]
+    for index in range(1, capacity + 1):
+        engine.add_flow(f"f{index}", [link])
+    assert engine.table.remaining.shape[0] > capacity
+    engine.materialize((0,), 1.0)
+    assert engine.table.remaining[0] == 2.0
+    assert engine.busy.tolist() == [2.0]
