@@ -6,7 +6,8 @@ links: a few dozen loaded links and a few hundred class incidences), so
 the round loop's cost is pure interpreter/dispatch overhead, not
 arithmetic.  The same holds for the per-event step around it: an event
 moves the rates of a few hundred slots of a table of thousands.  This
-module compiles a short C translation of both at first use
+module compiles a short C translation of both, and of the admission
+and removal bookkeeping around them, at first use
 (``gcc``/``cc`` + ``ctypes``; no build step, no new dependency) and
 caches the shared object under the user cache directory keyed by a hash
 of the source and the compiler flags.
@@ -29,6 +30,20 @@ of the source and the compiler flags.
   the first slot reaching it and how many slots tie at it.
 * ``alvc_materialize`` charges one slot's progress and busy time (flow
   completions and reroutes).
+* ``alvc_admit`` writes one arrival batch into the slots and pool room
+  the Python side reserved (id checks, compaction and growth stay in
+  :class:`~repro.sim.vector.FlowTable`).  Per flow it copies its
+  interned class pool from ``cflat`` into the table's ``int32`` pool and
+  sets ``link_start``, ``link_len`` and ``has_dup``; it seeds
+  ``remaining`` with the flow's size, ``rate`` with 0, ``eta`` with
+  ``inf`` and ``last_update`` with ``now``, and sets ``alive`` and
+  ``class_of``; it adds 1.0 to ``count`` for each link and 1 to the
+  class's ``m``.  It first checks every link of the batch against
+  ``link_alive`` and writes nothing when one was removed.
+* ``alvc_release`` undoes one flow's ``count`` and ``m`` updates,
+  clears ``alive``, ``eta``, ``rate`` and ``class_of``, sets the slot's
+  bit in the touched bitmap and returns the class id, which the engine
+  marks dirty.
 
 **Which slots the step visits.**  Not the whole table: the slots added
 since the last step (``[settled, size)``: slots are append-only), the
@@ -88,6 +103,11 @@ is a full-table scan, the step's definition):
 * eta is ``now + remaining / rate``; ``now`` for an infinite rate and
   ``inf`` for a zero rate.
 
+``alvc_admit``/``alvc_release`` copy values and add or subtract 1.0 on
+link counts, which are integer-valued doubles far below 2**53, so every
+count is exact in any order and equals the mirror's ``np.add.at`` /
+``np.subtract.at`` result.
+
 The compiler runs with ``-O2 -ffp-contract=off`` and no fast-math flag,
 so no multiply-add is fused either.  The suite asserts bitwise
 kernel/numpy equality on randomized instances whenever a compiler is
@@ -120,8 +140,9 @@ __all__ = [
 DISABLE_ENV = "ALVC_NO_CKERNEL"
 
 KERNEL_SOURCE = r"""
-/* Component-local, class-aggregated max-min fair water-filling, and the
- * incremental event step over the flow table. */
+/* Component-local, class-aggregated max-min fair water-filling, the
+ * incremental event step over the flow table, and flow admission and
+ * release. */
 #include <stdint.h>
 #include <math.h>
 
@@ -142,12 +163,12 @@ struct alvc_step_state {
     double *rate;               /* [S] current rate */
     double *eta;                /* [S] projected completion */
     double *last_update;        /* [S] last materialization time */
-    const uint8_t *alive;       /* [S] numpy bool */
-    const int64_t *link_start;  /* [S] pool offset */
-    const int64_t *link_len;    /* [S] pool length */
-    const int32_t *pool;        /* link incidences */
+    uint8_t *alive;             /* [S] numpy bool */
+    int64_t *link_start;        /* [S] pool offset */
+    int64_t *link_len;          /* [S] pool length */
+    int32_t *pool;              /* link incidences */
     double *busy;               /* [L] busy byte-seconds */
-    const int64_t *class_of;    /* [S] class id, -1 = none */
+    int64_t *class_of;          /* [S] class id, -1 = none */
     const double *class_rate;   /* [C] class rates */
     int64_t *next_in_class;     /* [S] next slot of the class list, -1 ends */
     int64_t *class_head;        /* [C] first slot of the class list, -1 */
@@ -157,6 +178,13 @@ struct alvc_step_state {
     double *block_eta;          /* [W] minimum eta of the block */
     int64_t *block_slot;        /* [W] first slot at it, -1 if inf */
     int64_t *block_ties;        /* [W] slots at it, 0 if inf */
+    uint8_t *has_dup;           /* [S] numpy bool: path repeats a link */
+    double *count;              /* [L] live flows per link */
+    int64_t *m;                 /* [C] live class multiplicities */
+    const int64_t *cstart;      /* [C] pool start into cflat */
+    const int64_t *clen;        /* [C] pool length */
+    const int64_t *cflat;       /* class pools, link indices */
+    const uint8_t *link_alive;  /* [L] numpy bool: link not removed */
     int64_t n_changed;          /* entries of changed */
     int64_t settled;            /* table size at the last settle */
     int64_t n_classes;          /* interned classes (full pass) */
@@ -293,6 +321,75 @@ void alvc_materialize(const struct alvc_step_state *s, int64_t slot,
 static inline void touch(struct alvc_step_state *s, int64_t slot)
 {
     s->touched[slot >> 6] |= (uint64_t)1 << (slot & 63);
+}
+
+/* Admission of n flows into the consecutive slots first, first + 1, ...
+ * (the engine has grown the table for them): flow i takes class
+ * cids[i]'s pool, copied to the table pool from offset pool_len, and
+ * starts with sizes[i] bytes left, rate 0, eta inf and last_update now.
+ * Each of its links gains 1.0 in count and its class gains 1 in m.
+ * Returns the pool entries written, or -1 - i when flow i's class
+ * crosses a removed link; nothing is written then. */
+int64_t alvc_admit(
+    struct alvc_step_state *s,
+    const int64_t *cids,
+    const double *sizes,
+    int64_t n,
+    int64_t first,
+    int64_t pool_len,
+    double now)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c = cids[i], e = s->cstart[c] + s->clen[c];
+        for (int64_t j = s->cstart[c]; j < e; j++)
+            if (!s->link_alive[s->cflat[j]]) return -1 - i;
+    }
+    int64_t at = pool_len;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t slot = first + i, c = cids[i];
+        const int64_t *links = s->cflat + s->cstart[c];
+        int64_t len = s->clen[c];
+        uint8_t dup = 0;
+        for (int64_t j = 0; j < len; j++) {
+            int64_t l = links[j];
+            s->pool[at + j] = (int32_t)l;
+            s->count[l] += 1.0;
+            for (int64_t k = 0; k < j && !dup; k++) dup = links[k] == l;
+        }
+        s->link_start[slot] = at;
+        s->link_len[slot] = len;
+        s->has_dup[slot] = dup;
+        at += len;
+        s->remaining[slot] = sizes[i];
+        s->rate[slot] = 0.0;
+        s->eta[slot] = INFINITY;
+        s->last_update[slot] = now;
+        s->alive[slot] = 1;
+        s->class_of[slot] = c;
+        s->m[c]++;
+    }
+    return at - pool_len;
+}
+
+/* Release of a live slot: its links lose 1.0 in count and its class 1
+ * in m; it is marked dead with rate 0 and eta inf, loses its class and
+ * is set in touched so the next step visits it.  Returns the class id
+ * it held (-1 for none). */
+int64_t alvc_release(struct alvc_step_state *s, int64_t slot)
+{
+    int64_t end = s->link_start[slot] + s->link_len[slot];
+    for (int64_t k = s->link_start[slot]; k < end; k++)
+        s->count[s->pool[k]] -= 1.0;
+    s->alive[slot] = 0;
+    s->eta[slot] = INFINITY;
+    s->rate[slot] = 0.0;
+    touch(s, slot);
+    int64_t c = s->class_of[slot];
+    if (c >= 0) {
+        s->class_of[slot] = -1;
+        s->m[c]--;
+    }
+    return c;
 }
 
 /* A block's (minimum eta, first slot at it, slots at it) over its slots
@@ -485,9 +582,9 @@ class RelevelState(ctypes.Structure):
 
 class StepState(ctypes.Structure):
     """The event step's array pointers and outputs (``struct
-    alvc_step_state``).  Rebound only when the flow table, the class
-    arrays, the busy array or the step's own bookkeeping arrays are
-    reallocated.  ``n_changed`` and ``settled`` are the kernel's state
+    alvc_step_state``), shared with admission and release.  Rebound only
+    when the flow table, the class arrays or pools, the per-link arrays
+    or the step's own bookkeeping arrays are reallocated.  ``n_changed`` and ``settled`` are the kernel's state
     between calls; ``n_classes`` is read by a full pass; ``alvc_settle``
     writes the next completion into the three trailing fields."""
 
@@ -513,6 +610,13 @@ class StepState(ctypes.Structure):
             "block_eta",
             "block_slot",
             "block_ties",
+            "has_dup",
+            "count",
+            "m",
+            "cstart",
+            "clen",
+            "cflat",
+            "link_alive",
         )
     ] + [
         ("n_changed", ctypes.c_int64),
@@ -530,6 +634,8 @@ class Kernels(NamedTuple):
     relevel: Callable
     settle: Callable
     materialize: Callable
+    admit: Callable
+    release: Callable
 
 
 #: ``-O2`` without any fast-math flag and without contraction: the
@@ -658,7 +764,24 @@ def kernels() -> Kernels | None:
         ctypes.c_int64,          # slot
         ctypes.c_double,         # now
     ]
-    _kernel = Kernels(relevel, settle, materialize)
+    admit = library.alvc_admit
+    admit.restype = ctypes.c_int64
+    admit.argtypes = [
+        ctypes.c_void_p,         # addressof(StepState)
+        ctypes.c_void_p,         # class id per flow (int64)
+        ctypes.c_void_p,         # size per flow (double)
+        ctypes.c_int64,          # flows
+        ctypes.c_int64,          # first slot
+        ctypes.c_int64,          # pool offset
+        ctypes.c_double,         # now
+    ]
+    release = library.alvc_release
+    release.restype = ctypes.c_int64
+    release.argtypes = [
+        ctypes.c_void_p,         # addressof(StepState)
+        ctypes.c_int64,          # slot
+    ]
+    _kernel = Kernels(relevel, settle, materialize, admit, release)
     return _kernel
 
 

@@ -891,11 +891,9 @@ class EventDrivenFlowSimulator:
                     slots = engine.add_interned(
                         [flow.flow_id for flow, _ in batch],
                         [route for _, route in batch],
+                        [flow.size_bytes for flow, _ in batch],
+                        now,
                     )
-                    table.remaining[slots] = np.array(
-                        [flow.size_bytes for flow, _ in batch]
-                    )
-                    table.last_update[slots] = now
                     for slot, (flow, route) in zip(slots.tolist(), batch):
                         table.meta[slot] = (flow, route.path, route.links)
                     bulk_counter.inc(len(batch))

@@ -155,6 +155,49 @@ class FlowTable:
         return np.flatnonzero(self.alive[: self.size])
 
     # ------------------------------------------------------------------
+    def reserve(self, flows: Sequence[Hashable], incidences: int) -> int:
+        """Make room for ``flows`` over ``incidences`` pool entries and
+        return the first slot they will take.
+
+        Checks the ids before anything changes, then runs a pending
+        compaction and grows the slot arrays and the pool.  Hands out
+        no slot: the caller writes the slots ``[first, first +
+        len(flows))`` and the pool from ``pool_len``, then calls
+        :meth:`commit`.
+
+        Raises:
+            SimulationError: when any flow already holds a slot or
+                appears twice in ``flows``.
+        """
+        slot_of = self.slot_of
+        seen = set()
+        for flow in flows:
+            if flow in slot_of or flow in seen:
+                raise SimulationError(f"flow {flow!r} is already active")
+            seen.add(flow)
+        if self._compact_pending:
+            self.compact()
+        while self.size + len(flows) > self.remaining.shape[0]:
+            self._grow_slots()
+        if self.pool_len + incidences > self.pool.shape[0]:
+            self._grow_pool(self.pool_len + incidences)
+        return self.size
+
+    def commit(self, flows: Sequence[Hashable], incidences: int) -> None:
+        """Hand out the slots :meth:`reserve` made room for: ``flows``
+        take the next ``len(flows)`` slots in order, and the next
+        ``incidences`` pool entries."""
+        first = self.size
+        count = len(flows)
+        self.size = first + count
+        self.pool_len += incidences
+        self.active_count += count
+        slot_of = self.slot_of
+        for offset, flow in enumerate(flows):
+            slot_of[flow] = first + offset
+        self.flow_ids.extend(flows)
+        self.meta.extend([None] * count)
+
     def add(
         self, flow: Hashable, links: np.ndarray, has_dup: bool | None = None
     ) -> int:
@@ -168,37 +211,26 @@ class FlowTable:
         Raises:
             SimulationError: when the flow already holds a slot.
         """
-        if flow in self.slot_of:
-            raise SimulationError(f"flow {flow!r} is already active")
-        if self._compact_pending:
-            self.compact()
-        slot = self.size
-        if slot == self.remaining.shape[0]:
-            self._grow_slots()
         count = len(links)
-        if self.pool_len + count > self.pool.shape[0]:
-            self._grow_pool(self.pool_len + count)
+        slot = self.reserve((flow,), count)
         self.pool[self.pool_len : self.pool_len + count] = links
         self.link_start[slot] = self.pool_len
         self.link_len[slot] = count
         if has_dup is None:
             has_dup = count > len({int(link) for link in links})
         self.has_dup[slot] = has_dup
-        self.pool_len += count
         self.remaining[slot] = 0.0
         self.rate[slot] = 0.0
         self.eta[slot] = np.inf
         self.last_update[slot] = 0.0
         self.alive[slot] = True
-        self.size = slot + 1
-        self.active_count += 1
-        self.slot_of[flow] = slot
-        self.flow_ids.append(flow)
-        self.meta.append(None)
+        self.commit((flow,), count)
         return slot
 
-    def remove(self, flow: Hashable) -> int:
-        """Release a flow's slot (kept inert until compaction).
+    def release(self, flow: Hashable) -> int:
+        """Forget ``flow``'s id and payload and count it dead; returns
+        the slot it held.  Its per-slot arrays are the caller's to
+        clear (:meth:`remove` does).
 
         Raises:
             SimulationError: when the flow holds no slot.
@@ -207,19 +239,28 @@ class FlowTable:
             slot = self.slot_of.pop(flow)
         except KeyError:
             raise SimulationError(f"flow {flow!r} is not active") from None
-        self.alive[slot] = False
-        self.eta[slot] = np.inf
-        self.rate[slot] = 0.0
         self.meta[slot] = None
         self.active_count -= 1
         # Deaths are the only way the tombstone count grows, so this is
         # the only place the compaction predicate can flip to true (an
         # add leaves ``size - active_count`` unchanged and only weakens
-        # the ``max(slack, live)`` bound) — the next add() compacts.
+        # the ``max(slack, live)`` bound) — the next add compacts.
         if self.size - self.active_count > max(
             self._compact_slack, self.active_count
         ):
             self._compact_pending = True
+        return slot
+
+    def remove(self, flow: Hashable) -> int:
+        """Release a flow's slot (kept inert until compaction).
+
+        Raises:
+            SimulationError: when the flow holds no slot.
+        """
+        slot = self.release(flow)
+        self.alive[slot] = False
+        self.eta[slot] = np.inf
+        self.rate[slot] = 0.0
         return slot
 
     def add_many(
@@ -244,41 +285,24 @@ class FlowTable:
         count = len(flows)
         if count == 0:
             return _EMPTY_I64
-        seen = set()
-        for flow in flows:
-            if flow in self.slot_of or flow in seen:
-                raise SimulationError(f"flow {flow!r} is already active")
-            seen.add(flow)
-        if self._compact_pending:
-            self.compact()
-        while self.size + count > self.remaining.shape[0]:
-            self._grow_slots()
         lens = np.array([pool.shape[0] for pool in pools], dtype=np.int64)
         total = int(lens.sum())
-        if self.pool_len + total > self.pool.shape[0]:
-            self._grow_pool(self.pool_len + total)
+        first = self.reserve(flows, total)
         if total:
             self.pool[self.pool_len : self.pool_len + total] = (
                 np.concatenate(pools)
             )
-        first = self.size
         slots = np.arange(first, first + count, dtype=np.int64)
         ends = np.cumsum(lens)
         self.link_start[slots] = self.pool_len + ends - lens
         self.link_len[slots] = lens
         self.has_dup[slots] = np.asarray(has_dup, dtype=bool)
-        self.pool_len += total
         self.remaining[slots] = 0.0
         self.rate[slots] = 0.0
         self.eta[slots] = np.inf
         self.last_update[slots] = 0.0
         self.alive[slots] = True
-        self.size = first + count
-        self.active_count += count
-        for offset, flow in enumerate(flows):
-            self.slot_of[flow] = first + offset
-            self.flow_ids.append(flow)
-            self.meta.append(None)
+        self.commit(flows, total)
         return slots
 
     def gather_links(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -586,6 +610,24 @@ class VectorFairShareEngine:
             SimulationError: when the flow is already tracked or uses a
                 link without a capacity entry.
         """
+        indices = self._link_indices(flow, links)
+        array = np.asarray(indices, dtype=np.int32)
+        slot = self._table.add(
+            flow, array, has_dup=len(indices) > len(set(indices))
+        )
+        if array.shape[0]:
+            np.add.at(self._count, array, 1.0)
+        return slot
+
+    def _link_indices(
+        self, flow: Hashable, links: Iterable[LinkId]
+    ) -> list[int]:
+        """The indices of ``links``, for a flow not yet tracked.
+
+        Raises:
+            SimulationError: when the flow is already tracked or a link
+                has no capacity entry or was removed.
+        """
         if flow in self._table.slot_of:
             raise SimulationError(f"flow {flow!r} is already active")
         index = self._index
@@ -594,17 +636,9 @@ class VectorFairShareEngine:
         for link in links:
             position = index.get(link)
             if position is None or not alive[position]:
-                raise SimulationError(
-                    f"flow {flow!r} uses unknown link {sorted(link)}"
-                )
+                raise _unknown_link(flow, link)
             indices.append(position)
-        array = np.asarray(indices, dtype=np.int32)
-        slot = self._table.add(
-            flow, array, has_dup=len(indices) > len(set(indices))
-        )
-        if array.shape[0]:
-            np.add.at(self._count, array, 1.0)
-        return slot
+        return indices
 
     def remove_flow(self, flow: Hashable) -> int:
         """Stop tracking a flow; returns the slot it held.
@@ -847,11 +881,15 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     added behind the engine's back) fall back to the vector recompute,
     which is itself bit-identical; dirty marks survive a fallback.
 
-    The round loop and the event step (:meth:`settle`,
-    :meth:`materialize`) run in compiled kernels when a C compiler is
-    available (:mod:`repro.sim.ckernel` — same IEEE operations in the
-    same order) and in numpy mirrors otherwise; both are asserted
-    bitwise-equal in the suite.  The kernels read the arrays through
+    The round loop, the event step (:meth:`settle`,
+    :meth:`materialize`) and the admission and removal bookkeeping
+    (:meth:`add_interned`, :meth:`add_flow`, :meth:`remove_flow`) run in
+    compiled kernels when a C compiler is available
+    (:mod:`repro.sim.ckernel` — same IEEE operations in the same order)
+    and in numpy mirrors otherwise; both are asserted bitwise-equal in
+    the suite.  Admission on either path goes through the same
+    :class:`FlowTable` bookkeeping (id checks, compaction, growth, the
+    id map): the kernel only writes the slots it reserves.  The kernels read the arrays through
     ``ctypes`` structs of pointers, rebound only when an array is
     reallocated (table, pool, class-array, class-map or link growth).
     The compiled step visits only the slots that can have changed: it
@@ -916,6 +954,9 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         "_block_slot",
         "_block_ties",
         "_full",
+        "_admit_cids",
+        "_admit_sizes",
+        "_admit_addresses",
         "_components_gauge",
         "_merges_counter",
         "_full_counters",
@@ -1017,6 +1058,11 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         #: The kernel's per-call component bounds (a ctypes buffer:
         #: filling it costs far less than marshalling a numpy array).
         self._bounds = None
+        #: ``alvc_admit``'s per-call class ids and sizes (ctypes
+        #: buffers, with their addresses).
+        self._admit_cids = ()
+        self._admit_sizes = ()
+        self._admit_addresses = None
         self._sync_links()
         self._table.on_compact = self._renumber_classes
         self._table.on_grow = self._on_table_grow
@@ -1059,6 +1105,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         if self._flat_len + count > self._cflat.shape[0]:
             self._cflat = _grown(self._cflat, self._flat_len + count)
             self._state_address = None
+            self._step_address = None
         self._cflat[self._flat_len : self._flat_len + count] = pool
         self._cstart[cid] = self._flat_len
         self._clen[cid] = count
@@ -1247,6 +1294,13 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             ("block_eta", self._block_eta),
             ("block_slot", self._block_slot),
             ("block_ties", self._block_ties),
+            ("has_dup", table.has_dup),
+            ("count", self._count),
+            ("m", self._m),
+            ("cstart", self._cstart),
+            ("clen", self._clen),
+            ("cflat", self._cflat),
+            ("link_alive", self._link_alive),
         ):
             setattr(step, field, array.ctypes.data)
         self._step_address = ctypes.addressof(step)
@@ -1289,58 +1343,162 @@ class BatchedFairShareEngine(VectorFairShareEngine):
 
     # ------------------------------------------------------------------
     def add_flow(self, flow: Hashable, links: Iterable[LinkId]) -> int:
-        slot = super().add_flow(flow, links)
-        table = self._table
-        start = int(table.link_start[slot])
-        count = int(table.link_len[slot])
-        self._set_class(
-            slot, self.class_for(table.pool[start : start + count])
-        )
-        return slot
+        if self._kernels is None:
+            slot = super().add_flow(flow, links)
+            table = self._table
+            start = int(table.link_start[slot])
+            count = int(table.link_len[slot])
+            self._set_class(
+                slot, self.class_for(table.pool[start : start + count])
+            )
+            return slot
+        pool = np.asarray(self._link_indices(flow, links), dtype=np.int32)
+        cid = self.class_for(pool)
+        flows = (flow,)
+        first = self._table.reserve(flows, pool.shape[0])
+        # The links were checked above, so the kernel admits.
+        self._admit(flows, (cid,), (0.0,), 0.0, first)
+        self._mark(cid)
+        return first
 
-    def add_interned(self, flows: Sequence, routes: Sequence) -> np.ndarray:
+    def add_interned(
+        self,
+        flows: Sequence,
+        routes: Sequence,
+        sizes: Sequence[float],
+        now: float,
+    ) -> np.ndarray:
         """Bulk-admit flows over pre-interned routes.
 
         ``routes[i]`` is flow ``i``'s
         :class:`~repro.sim.admission.InternedRoute`; its ``indices``
         array goes straight into the table (no per-link python loop)
         and its class id is interned once and cached on the route.
+        Flow ``i`` starts with ``sizes[i]`` bytes left, stamped ``now``.
         Returns the allocated slots in ``flows`` order.
+
+        Raises:
+            SimulationError: when a flow is already active or appears
+                twice in ``flows``, or a route crosses a link the engine
+                does not know or has removed (nothing is admitted then).
         """
+        if not flows:
+            return _EMPTY_I64
         table = self._table
-        pools = [route.indices for route in routes]
-        slots = table.add_many(
-            flows, pools, [route.has_dup for route in routes]
-        )
-        if not pools:
-            return slots
-        np.add.at(self._count, np.concatenate(pools), 1.0)
-        cids = []
-        for route in routes:
-            cid = route.cid
-            if cid is None:
-                cid = self.class_for(route.indices)
-                route.cid = cid
-            cids.append(cid)
-        first = int(slots[0])
-        # Slots from one append are consecutive.
-        self._class_of[first : first + len(cids)] = cids
-        m = self._m
-        for cid in cids:
-            m[cid] += 1
-        self._classified += len(cids)
+        if self._kernels is None:
+            pools = [route.indices for route in routes]
+            flat = np.concatenate(pools)
+            if not self._link_alive[flat].all():
+                raise self._dead_route(flows, routes)
+            slots = table.add_many(
+                flows, pools, [route.has_dup for route in routes]
+            )
+            table.remaining[slots] = sizes
+            table.last_update[slots] = now
+            np.add.at(self._count, flat, 1.0)
+            cids = self._route_classes(routes)
+            first = int(slots[0])
+            # Slots from one append are consecutive.
+            self._class_of[first : first + len(cids)] = cids
+            m = self._m
+            for cid in cids:
+                m[cid] += 1
+            self._classified += len(cids)
+        else:
+            first = table.reserve(
+                flows, sum(route.indices.shape[0] for route in routes)
+            )
+            cids = self._route_classes(routes)
+            if self._admit(flows, cids, sizes, now, first) < 0:
+                raise self._dead_route(flows, routes)
+            slots = np.arange(first, first + len(flows), dtype=np.int64)
         for cid in set(cids):
             self._mark(cid)
         return slots
 
+    def _route_classes(self, routes: Sequence) -> list[int]:
+        """Each route's class id, interned on first use and cached on
+        the route."""
+        cids = []
+        for route in routes:
+            cid = route.cid
+            if cid is None:
+                cid = route.cid = self.class_for(route.indices)
+            cids.append(cid)
+        return cids
+
+    def _admit(
+        self,
+        flows: Sequence,
+        cids: Sequence[int],
+        sizes: Sequence[float],
+        now: float,
+        first: int,
+    ) -> int:
+        """Write the slots :meth:`FlowTable.reserve` made room for in
+        one ``alvc_admit`` call and commit them.  Returns the pool
+        entries written, or a negative number (and commits nothing)
+        when a class crosses a removed link."""
+        table = self._table
+        n = len(flows)
+        if n > len(self._admit_cids):
+            self._grow_admit(n)
+        self._admit_cids[:n] = cids
+        self._admit_sizes[:n] = sizes
+        address = self._step_address
+        if address is None:
+            address = self._bind_step()
+        written = self._kernels.admit(
+            address,
+            self._admit_addresses[0],
+            self._admit_addresses[1],
+            n,
+            first,
+            table.pool_len,
+            now,
+        )
+        if written >= 0:
+            table.commit(flows, written)
+            self._classified += n
+        return written
+
+    def _grow_admit(self, n: int) -> None:
+        room = max(16, 2 * n)
+        self._admit_cids = (ctypes.c_int64 * room)()
+        self._admit_sizes = (ctypes.c_double * room)()
+        self._admit_addresses = (
+            ctypes.addressof(self._admit_cids),
+            ctypes.addressof(self._admit_sizes),
+        )
+
+    def _dead_route(
+        self, flows: Sequence, routes: Sequence
+    ) -> SimulationError:
+        """The error for the first flow whose route crosses a removed
+        link."""
+        for flow, route in zip(flows, routes):
+            dead = np.flatnonzero(~self._link_alive[route.indices])
+            if dead.shape[0]:
+                link = self._link_ids[int(route.indices[dead[0]])]
+                return _unknown_link(flow, link)
+        raise AssertionError("every route is alive")
+
     def remove_flow(self, flow: Hashable) -> int:
-        slot = super().remove_flow(flow)
-        # The next step visits the slot (see ``alvc_settle``).
-        self._touched[slot >> 6] |= np.uint64(1 << (slot & 63))
-        cid = int(self._class_of[slot])
+        if self._kernels is None:
+            slot = super().remove_flow(flow)
+            # The next step visits the slot (see ``alvc_settle``).
+            self._touched[slot >> 6] |= np.uint64(1 << (slot & 63))
+            cid = int(self._class_of[slot])
+            if cid >= 0:
+                self._class_of[slot] = -1
+                self._m[cid] -= 1
+        else:
+            slot = self._table.release(flow)
+            address = self._step_address
+            if address is None:
+                address = self._bind_step()
+            cid = self._kernels.release(address, slot)
         if cid >= 0:
-            self._class_of[slot] = -1
-            self._m[cid] -= 1
             self._classified -= 1
             self._mark(cid)
         return slot
@@ -1584,6 +1742,10 @@ class BatchedFairShareEngine(VectorFairShareEngine):
                 work = work[load[work] > 0.0]
                 remaining[work] = np.maximum(remaining[work], 0.0)
         return rounds
+
+
+def _unknown_link(flow: Hashable, link: LinkId) -> SimulationError:
+    return SimulationError(f"flow {flow!r} uses unknown link {sorted(link)}")
 
 
 def _grown(array: np.ndarray, needed: int, fill: int = 0) -> np.ndarray:

@@ -216,7 +216,10 @@ class _Churn:
         for position, engine in enumerate(self.batched):
             if interned:
                 engine.add_interned(
-                    flows, [self._route(position, path) for path in paths]
+                    flows,
+                    [self._route(position, path) for path in paths],
+                    [0.0] * count,
+                    0.0,
                 )
             else:
                 for flow, path in zip(flows, paths):
