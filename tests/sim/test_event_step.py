@@ -1,6 +1,8 @@
-"""The event step: ``BatchedFairShareEngine.settle``/``.materialize``.
+"""The event step: ``BatchedFairShareEngine.settle``/``.materialize``,
+and the admission and release around it.
 
-The compiled entry points (``alvc_settle``, ``alvc_materialize``) must
+The compiled entry points (``alvc_settle``, ``alvc_materialize``,
+``alvc_admit``, ``alvc_release``) must
 be bitwise-equal to their numpy mirror on every input the event loop
 can hand them — dead slots, zero and infinite rates, zero elapsed time,
 equal-eta ties, the dense-rates fallback, compaction in mid-run and the
@@ -311,133 +313,6 @@ def test_empty_table_settles_to_no_completion():
 # The incremental step against an implementation-independent oracle
 # ----------------------------------------------------------------------
 AB, BC, AC = frozenset("ab"), frozenset("bc"), frozenset("ac")
-
-
-# ----------------------------------------------------------------------
-# Admission and release (``alvc_admit``/``alvc_release`` and the mirror)
-# ----------------------------------------------------------------------
-PATHS = [pytest.param("kernel", marks=needs_kernel), "mirror"]
-
-
-def _engine(path: str, caps: dict, **table) -> BatchedFairShareEngine:
-    if path == "mirror":
-        return _mirror(caps, **table)
-    engine = BatchedFairShareEngine(dict(caps), table=FlowTable(**table))
-    assert engine.kernel_active
-    return engine
-
-
-def _route(engine, path: list) -> InternedRoute:
-    indices = np.array(
-        [engine.link_index[link] for link in path], dtype=np.int32
-    )
-    return InternedRoute([], tuple(path), indices, len(set(path)) < len(path))
-
-
-def _bookkeeping(engine) -> tuple:
-    """What a rejected admission must leave as it was."""
-    table = engine.table
-    return (
-        table.size,
-        table.pool_len,
-        table.active_count,
-        dict(table.slot_of),
-        engine._count.tobytes(),
-        engine._m.tobytes(),
-    )
-
-
-@pytest.mark.parametrize("path", PATHS)
-def test_admission_over_a_removed_link_is_rejected(path):
-    """``add_interned`` refuses a route over a removed link, like
-    ``add_flow``, instead of loading the dead link at its old
-    capacity."""
-    engine = _engine(path, {AB: 4.0, BC: 2.0})
-    engine.remove_link(BC)
-    route = _route(engine, [AB, BC])
-    before = _bookkeeping(engine)
-    with pytest.raises(SimulationError, match="uses unknown link"):
-        engine.add_interned(["y"], [route], [1.0], 0.0)
-    assert _bookkeeping(engine) == before
-    with pytest.raises(SimulationError, match="uses unknown link"):
-        engine.add_flow("y", [AB, BC])
-    assert _bookkeeping(engine) == before
-    assert engine.link_counts() == {}
-    # A live route in the same batch is not admitted either.
-    with pytest.raises(SimulationError, match=r"'z' uses unknown link"):
-        engine.add_interned(
-            ["x", "z"], [_route(engine, [AB]), route], [1.0, 1.0], 0.0
-        )
-    assert _bookkeeping(engine) == before
-    engine.set_capacity(BC, 2.0)
-    engine.add_interned(["y"], [route], [1.0], 0.0)
-    assert engine.link_counts() == {AB: 1, BC: 1}
-    assert engine.recompute().tolist() == [2.0]
-
-
-@pytest.mark.parametrize("path", PATHS)
-def test_one_batch_compacts_and_grows_then_drains(path):
-    """One ``add_interned`` batch runs a pending compaction and grows
-    the slots and the pool; every flow then leaves."""
-    chain = [frozenset({f"n{i}", f"n{i + 1}"}) for i in range(6)]
-    engine = _engine(
-        path, dict.fromkeys(chain, 6.0), capacity=16, compact_slack=1
-    )
-    table = engine.table
-    routes = [_route(engine, chain[i : i + 3]) for i in range(4)]
-    engine.add_interned(
-        [f"old{i}" for i in range(4)], routes, [1.0, 2.0, 3.0, 4.0], 0.0
-    )
-    for index in (0, 1, 3):
-        engine.remove_flow(f"old{index}")
-    assert table._compact_pending and table.size == 4
-    before = _bookkeeping(engine)
-    with pytest.raises(SimulationError, match="already active"):
-        engine.add_interned(["a", "b", "a"], routes[:3], [1.0] * 3, 0.5)
-    assert _bookkeeping(engine) == before
-    with pytest.raises(SimulationError, match="already active"):
-        engine.add_interned(["a", "old2"], routes[:2], [1.0] * 2, 0.5)
-    assert _bookkeeping(engine) == before
-    with pytest.raises(SimulationError, match="not active"):
-        engine.remove_flow("old0")
-    assert _bookkeeping(engine) == before
-
-    capacity, pool = table.remaining.shape[0], table.pool.shape[0]
-    flows = [f"new{i}" for i in range(40)]
-    chosen = [routes[i % 4] for i in range(40)]
-    sizes = [float(i + 1) for i in range(40)]
-    slots = engine.add_interned(flows, chosen, sizes, 0.5)
-    assert table.remaining.shape[0] > capacity and table.pool.shape[0] > pool
-    # The survivor compacted to slot 0; the batch follows in order.
-    assert slots.tolist() == list(range(1, 41))
-    assert table.slot_of == {"old2": 0, **dict(zip(flows, range(1, 41)))}
-    assert table.flow_ids == ["old2", *flows]
-    assert table.remaining[1:41].tolist() == sizes
-    assert table.last_update[1:41].tolist() == [0.5] * 40
-    assert table.last_update[0] == 0.0
-    assert not table.rate[1:41].any() and np.isinf(table.eta[1:41]).all()
-    flat, lens = table.gather_links(table.active_slots())
-    assert lens.tolist() == [3] * 41
-    assert flat.tolist() == [
-        index for route in [routes[2], *chosen] for index in route.indices
-    ]
-    assert engine._class_of[:41].tolist() == [
-        route.cid for route in [routes[2], *chosen]
-    ]
-    assert engine._m[: engine.n_classes].tolist() == [10, 10, 11, 10]
-    assert engine.link_counts() == {
-        chain[0]: 10, chain[1]: 20, chain[2]: 31,
-        chain[3]: 31, chain[4]: 21, chain[5]: 10,
-    }
-    _assert_step(engine, engine.settle(0.5))
-
-    for flow in ["old2", *flows]:
-        engine.remove_flow(flow)
-    assert len(table) == 0 and not table.slot_of
-    assert not engine._count.any() and not engine._m.any()
-    assert not table.alive[: table.size].any()
-    assert (engine._class_of == -1).all()
-    assert engine.settle(1.0) == (np.inf, -1, 0)
 REASONS = ("first", "compacted", "grown", "dense")
 
 
@@ -663,6 +538,133 @@ def test_table_and_class_growth_between_settles():
     table.remaining[engine.add_flow("h", chain[5:7])] = 2.0
     _assert_step(engine, engine.settle(0.5))
     assert sum(_full_passes(telemetry).values()) == 2.0
+
+
+# ----------------------------------------------------------------------
+# Admission and release (``alvc_admit``/``alvc_release`` and the mirror)
+# ----------------------------------------------------------------------
+PATHS = [pytest.param("kernel", marks=needs_kernel), "mirror"]
+
+
+def _engine(path: str, caps: dict, **table) -> BatchedFairShareEngine:
+    if path == "mirror":
+        return _mirror(caps, **table)
+    engine = BatchedFairShareEngine(dict(caps), table=FlowTable(**table))
+    assert engine.kernel_active
+    return engine
+
+
+def _route(engine, path: list) -> InternedRoute:
+    indices = np.array(
+        [engine.link_index[link] for link in path], dtype=np.int32
+    )
+    return InternedRoute([], tuple(path), indices, len(set(path)) < len(path))
+
+
+def _bookkeeping(engine) -> tuple:
+    """What a rejected admission must leave as it was."""
+    table = engine.table
+    return (
+        table.size,
+        table.pool_len,
+        table.active_count,
+        dict(table.slot_of),
+        engine._count.tobytes(),
+        engine._m.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_admission_over_a_removed_link_is_rejected(path):
+    """``add_interned`` refuses a route over a removed link, like
+    ``add_flow``, instead of loading the dead link at its old
+    capacity."""
+    engine = _engine(path, {AB: 4.0, BC: 2.0})
+    engine.remove_link(BC)
+    route = _route(engine, [AB, BC])
+    before = _bookkeeping(engine)
+    with pytest.raises(SimulationError, match="uses unknown link"):
+        engine.add_interned(["y"], [route], [1.0], 0.0)
+    assert _bookkeeping(engine) == before
+    with pytest.raises(SimulationError, match="uses unknown link"):
+        engine.add_flow("y", [AB, BC])
+    assert _bookkeeping(engine) == before
+    assert engine.link_counts() == {}
+    # A live route in the same batch is not admitted either.
+    with pytest.raises(SimulationError, match=r"'z' uses unknown link"):
+        engine.add_interned(
+            ["x", "z"], [_route(engine, [AB]), route], [1.0, 1.0], 0.0
+        )
+    assert _bookkeeping(engine) == before
+    engine.set_capacity(BC, 2.0)
+    engine.add_interned(["y"], [route], [1.0], 0.0)
+    assert engine.link_counts() == {AB: 1, BC: 1}
+    assert engine.recompute().tolist() == [2.0]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_one_batch_compacts_and_grows_then_drains(path):
+    """One ``add_interned`` batch runs a pending compaction and grows
+    the slots and the pool; every flow then leaves."""
+    chain = [frozenset({f"n{i}", f"n{i + 1}"}) for i in range(6)]
+    engine = _engine(
+        path, dict.fromkeys(chain, 6.0), capacity=16, compact_slack=1
+    )
+    table = engine.table
+    routes = [_route(engine, chain[i : i + 3]) for i in range(4)]
+    engine.add_interned(
+        [f"old{i}" for i in range(4)], routes, [1.0, 2.0, 3.0, 4.0], 0.0
+    )
+    for index in (0, 1, 3):
+        engine.remove_flow(f"old{index}")
+    assert table._compact_pending and table.size == 4
+    before = _bookkeeping(engine)
+    with pytest.raises(SimulationError, match="already active"):
+        engine.add_interned(["a", "b", "a"], routes[:3], [1.0] * 3, 0.5)
+    assert _bookkeeping(engine) == before
+    with pytest.raises(SimulationError, match="already active"):
+        engine.add_interned(["a", "old2"], routes[:2], [1.0] * 2, 0.5)
+    assert _bookkeeping(engine) == before
+    with pytest.raises(SimulationError, match="not active"):
+        engine.remove_flow("old0")
+    assert _bookkeeping(engine) == before
+
+    capacity, pool = table.remaining.shape[0], table.pool.shape[0]
+    flows = [f"new{i}" for i in range(40)]
+    chosen = [routes[i % 4] for i in range(40)]
+    sizes = [float(i + 1) for i in range(40)]
+    slots = engine.add_interned(flows, chosen, sizes, 0.5)
+    assert table.remaining.shape[0] > capacity and table.pool.shape[0] > pool
+    # The survivor compacted to slot 0; the batch follows in order.
+    assert slots.tolist() == list(range(1, 41))
+    assert table.slot_of == {"old2": 0, **dict(zip(flows, range(1, 41)))}
+    assert table.flow_ids == ["old2", *flows]
+    assert table.remaining[1:41].tolist() == sizes
+    assert table.last_update[1:41].tolist() == [0.5] * 40
+    assert table.last_update[0] == 0.0
+    assert not table.rate[1:41].any() and np.isinf(table.eta[1:41]).all()
+    flat, lens = table.gather_links(table.active_slots())
+    assert lens.tolist() == [3] * 41
+    assert flat.tolist() == [
+        index for route in [routes[2], *chosen] for index in route.indices
+    ]
+    assert engine._class_of[:41].tolist() == [
+        route.cid for route in [routes[2], *chosen]
+    ]
+    assert engine._m[: engine.n_classes].tolist() == [10, 10, 11, 10]
+    assert engine.link_counts() == {
+        chain[0]: 10, chain[1]: 20, chain[2]: 31,
+        chain[3]: 31, chain[4]: 21, chain[5]: 10,
+    }
+    _assert_step(engine, engine.settle(0.5))
+
+    for flow in ["old2", *flows]:
+        engine.remove_flow(flow)
+    assert len(table) == 0 and not table.slot_of
+    assert not engine._count.any() and not engine._m.any()
+    assert not table.alive[: table.size].any()
+    assert (engine._class_of == -1).all()
+    assert engine.settle(1.0) == (np.inf, -1, 0)
 
 
 # ----------------------------------------------------------------------
