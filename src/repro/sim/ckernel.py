@@ -1,13 +1,16 @@
-"""Optional compiled kernels for the batched data plane.
+"""Optional compiled kernels for the batched data plane and the path
+engine's searches.
 
 The batched fair-share engine re-levels only the link components an
 event touched, and a component is small (at e26 full scale one AL's
 links: a few dozen loaded links and a few hundred class incidences), so
 the round loop's cost is pure interpreter/dispatch overhead, not
 arithmetic.  The same holds for the per-event step around it: an event
-moves the rates of a few hundred slots of a table of thousands.  This
-module compiles a short C translation of both, and of the admission
-and removal bookkeeping around them, at first use
+moves the rates of a few hundred slots of a table of thousands, and for
+the breadth-first searches of :class:`~repro.sdn.path_engine.
+PathEngine`, which visit a few thousand CSR entries per query.  This
+module compiles a short C translation of all of them, and of the
+admission and removal bookkeeping around the step, at first use
 (``gcc``/``cc`` + ``ctypes``; no build step, no new dependency) and
 caches the shared object under the user cache directory keyed by a hash
 of the source and the compiler flags.
@@ -44,6 +47,16 @@ of the source and the compiler flags.
   clears ``alive``, ``eta``, ``rate`` and ``class_of``, sets the slot's
   bit in the touched bitmap and returns the class id, which the engine
   marks dirty.
+* ``alvc_bidir`` is the path engine's bidirectional BFS between two
+  node ids over a node mask and an optional cut mask over CSR
+  positions (post-fault cut links, or a Yen spur query's ignored
+  edges), and ``alvc_level_paths`` its level-order fan-out from one
+  source, which writes each wanted target's walked-back path.  Both
+  keep the discovery order of the Python loops they replace (and that
+  stay as their mirrors), so every path is identical, tie-breaks
+  included.  Their state (:class:`CsrState`) points at the engine's
+  CSR arrays and scratch, and visited marks are epoch stamps, so a
+  search allocates and clears nothing.
 
 **Which slots the step visits.**  Not the whole table: the slots added
 since the last step (``[settled, size)``: slots are append-only), the
@@ -106,14 +119,17 @@ is a full-table scan, the step's definition):
 ``alvc_admit``/``alvc_release`` copy values and add or subtract 1.0 on
 link counts, which are integer-valued doubles far below 2**53, so every
 count is exact in any order and equals the mirror's ``np.add.at`` /
-``np.subtract.at`` result.
+``np.subtract.at`` result.  The searches do no arithmetic beyond
+counting; their contract is the visit order (see ``alvc_bidir``).
 
 The compiler runs with ``-O2 -ffp-contract=off`` and no fast-math flag,
 so no multiply-add is fused either.  The suite asserts bitwise
 kernel/numpy equality on randomized instances whenever a compiler is
-present, and checks the compiled step against a brute-force minimum
-over the etas; environments without one (or with ``ALVC_NO_CKERNEL=1``)
-use the numpy mirrors, and :func:`kernel_status` says why.
+present, checks the compiled step against a brute-force minimum over
+the etas, and checks the compiled searches against their Python
+mirrors and a brute-force shortest-path length; environments without
+one (or with ``ALVC_NO_CKERNEL=1``) use the numpy and Python mirrors,
+and :func:`kernel_status` says why.
 """
 
 from __future__ import annotations
@@ -126,6 +142,7 @@ import tempfile
 from typing import Callable, NamedTuple
 
 __all__ = [
+    "CsrState",
     "KERNEL_SOURCE",
     "Kernels",
     "RelevelState",
@@ -546,6 +563,168 @@ int64_t alvc_settle(
     s->ties = first < 0 ? 0 : ties;
     return first;
 }
+/* The path engine's CSR searches (repro.sdn.path_engine).  Node ids
+ * are the engine's dense ids; a node mask holds one byte per node (0 =
+ * excluded), a cut mask one byte per CSR position (nonzero = the link
+ * at that position is cut; the engine marks both directions of a
+ * link).  Neither search checks its own endpoints against the mask.
+ *
+ * Visited marks are epoch stamps: each call bumps epoch, and a node is
+ * in pred (succ) when its fwd_seen (rev_seen) stamp equals it, so a
+ * call clears nothing.  Both fringes are FIFO queues of N entries (a
+ * node joins each at most once); a BFS level is a contiguous run. */
+struct alvc_csr_state {
+    const int32_t *indptr;      /* [N + 1] row starts */
+    const int32_t *indices;     /* [E] neighbours, insertion order */
+    int32_t *pred;              /* [N] forward predecessor, -1 = s */
+    int32_t *succ;              /* [N] reverse successor, -1 = t */
+    int64_t *fwd_seen;          /* [N] epoch stamp: pred is set */
+    int64_t *rev_seen;          /* [N] epoch stamp: succ is set */
+    int64_t *wanted;            /* [N] epoch stamp: a fan-out target */
+    int32_t *fwd;               /* [N] forward queue */
+    int32_t *rev;               /* [N] reverse queue */
+    int32_t *out;               /* [N] out: alvc_bidir's path */
+    int64_t epoch;              /* the last call's stamp */
+};
+
+/* Writes pred's walk from w back to s, reversed, then succ's walk from
+ * w's successor to t into out; returns the node count. */
+static int64_t meet(const struct alvc_csr_state *g, int32_t w)
+{
+    int64_t n = 0;
+    for (int32_t v = w; v != -1; v = g->pred[v]) n++;
+    int64_t i = n;
+    for (int32_t v = w; v != -1; v = g->pred[v]) g->out[--i] = v;
+    for (int32_t v = g->succ[w]; v != -1; v = g->succ[v]) g->out[n++] = v;
+    return n;
+}
+
+/* Bidirectional BFS from s to t (networkx's _bidirectional_pred_succ
+ * order): expand the smaller fringe level (the forward one on a tie),
+ * append a neighbour to its fringe before checking for the meet, and
+ * return on the first meet.  cut may be NULL.  Returns the path's node
+ * count (written to out), or 0 when mask and cut disconnect s from t. */
+int64_t alvc_bidir(
+    struct alvc_csr_state *g,
+    int64_t s,
+    int64_t t,
+    const uint8_t *mask,
+    const uint8_t *cut)
+{
+    if (s == t) {
+        g->out[0] = (int32_t)s;
+        return 1;
+    }
+    const int32_t *indptr = g->indptr, *indices = g->indices;
+    int32_t *pred = g->pred, *succ = g->succ, *fwd = g->fwd, *rev = g->rev;
+    int64_t *fseen = g->fwd_seen, *rseen = g->rev_seen;
+    int64_t ep = ++g->epoch;
+    fwd[0] = (int32_t)s;
+    rev[0] = (int32_t)t;
+    fseen[s] = ep;
+    pred[s] = -1;
+    rseen[t] = ep;
+    succ[t] = -1;
+    int64_t flo = 0, fhi = 1, rlo = 0, rhi = 1;
+    while (flo < fhi && rlo < rhi) {
+        if (fhi - flo <= rhi - rlo) {
+            int64_t end = fhi;
+            for (; flo < end; flo++) {
+                int32_t v = fwd[flo];
+                for (int32_t k = indptr[v]; k < indptr[v + 1]; k++) {
+                    int32_t w = indices[k];
+                    if (!mask[w] || (cut && cut[k])) continue;
+                    if (fseen[w] != ep) {
+                        fseen[w] = ep;
+                        pred[w] = v;
+                        fwd[fhi++] = w;
+                    }
+                    if (rseen[w] == ep) return meet(g, w);
+                }
+            }
+        } else {
+            int64_t end = rhi;
+            for (; rlo < end; rlo++) {
+                int32_t v = rev[rlo];
+                for (int32_t k = indptr[v]; k < indptr[v + 1]; k++) {
+                    int32_t w = indices[k];
+                    if (!mask[w] || (cut && cut[k])) continue;
+                    if (rseen[w] != ep) {
+                        rseen[w] = ep;
+                        succ[w] = v;
+                        rev[rhi++] = w;
+                    }
+                    if (fseen[w] == ep) return meet(g, w);
+                }
+            }
+        }
+    }
+    return 0;
+}
+
+/* Level-order BFS from s (networkx's single_source_shortest_path
+ * order: the first discovery of a node fixes its predecessor), which
+ * stops once every target other than s is discovered; a node's
+ * predecessor never changes afterwards, so the stop alters no path.
+ * For target i, lens[i] is its path's node count (0 when the mask cuts
+ * it off) and the paths follow one another in paths in target order.
+ * Returns the entries written, or minus the entries needed (nothing
+ * written) when capacity is short. */
+int64_t alvc_level_paths(
+    struct alvc_csr_state *g,
+    int64_t s,
+    const uint8_t *mask,
+    const int32_t *targets,
+    int64_t n_targets,
+    int64_t *lens,
+    int32_t *paths,
+    int64_t capacity)
+{
+    const int32_t *indptr = g->indptr, *indices = g->indices;
+    int32_t *pred = g->pred, *queue = g->fwd;
+    int64_t *seen = g->fwd_seen, *wanted = g->wanted;
+    int64_t ep = ++g->epoch;
+    seen[s] = ep;
+    pred[s] = -1;
+    int64_t remaining = 0;
+    for (int64_t i = 0; i < n_targets; i++) {
+        int32_t x = targets[i];
+        if (x != s && wanted[x] != ep) {
+            wanted[x] = ep;
+            remaining++;
+        }
+    }
+    int64_t lo = 0, hi = 0;
+    if (remaining) queue[hi++] = (int32_t)s;
+    while (lo < hi && remaining) {
+        int32_t v = queue[lo++];
+        for (int32_t k = indptr[v]; k < indptr[v + 1]; k++) {
+            int32_t w = indices[k];
+            if (!mask[w] || seen[w] == ep) continue;
+            seen[w] = ep;
+            pred[w] = v;
+            queue[hi++] = w;
+            if (wanted[w] == ep && !--remaining) break;
+        }
+    }
+    int64_t total = 0;
+    for (int64_t i = 0; i < n_targets; i++) {
+        int64_t n = 0;
+        if (seen[targets[i]] == ep)
+            for (int32_t v = targets[i]; v != -1; v = pred[v]) n++;
+        lens[i] = n;
+        total += n;
+    }
+    if (total > capacity) return -total;
+    int64_t at = 0;
+    for (int64_t i = 0; i < n_targets; i++) {
+        at += lens[i];
+        int64_t j = at;
+        if (lens[i])
+            for (int32_t v = targets[i]; v != -1; v = pred[v]) paths[--j] = v;
+    }
+    return total;
+}
 """
 
 
@@ -628,6 +807,30 @@ class StepState(ctypes.Structure):
     ]
 
 
+class CsrState(ctypes.Structure):
+    """The path engine's CSR arrays and search scratch (``struct
+    alvc_csr_state``).  :class:`~repro.sdn.path_engine.PathEngine`
+    rebinds it when it rebuilds its snapshot, so a search marshals only
+    its endpoints and masks.  ``epoch`` is the kernel's visit stamp
+    between calls; a fresh state starts at 0 over zeroed stamps."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in (
+            "indptr",
+            "indices",
+            "pred",
+            "succ",
+            "fwd_seen",
+            "rev_seen",
+            "wanted",
+            "fwd",
+            "rev",
+            "out",
+        )
+    ] + [("epoch", ctypes.c_int64)]
+
+
 class Kernels(NamedTuple):
     """The compiled entry points, typed for ``ctypes``."""
 
@@ -636,6 +839,8 @@ class Kernels(NamedTuple):
     materialize: Callable
     admit: Callable
     release: Callable
+    bidir: Callable
+    level_paths: Callable
 
 
 #: ``-O2`` without any fast-math flag and without contraction: the
@@ -781,7 +986,30 @@ def kernels() -> Kernels | None:
         ctypes.c_void_p,         # addressof(StepState)
         ctypes.c_int64,          # slot
     ]
-    _kernel = Kernels(relevel, settle, materialize, admit, release)
+    bidir = library.alvc_bidir
+    bidir.restype = ctypes.c_int64
+    bidir.argtypes = [
+        ctypes.c_void_p,         # addressof(CsrState)
+        ctypes.c_int64,          # source id
+        ctypes.c_int64,          # target id
+        ctypes.c_void_p,         # node mask (uint8)
+        ctypes.c_void_p,         # cut mask (uint8), or None
+    ]
+    level_paths = library.alvc_level_paths
+    level_paths.restype = ctypes.c_int64
+    level_paths.argtypes = [
+        ctypes.c_void_p,         # addressof(CsrState)
+        ctypes.c_int64,          # source id
+        ctypes.c_void_p,         # node mask (uint8)
+        ctypes.c_void_p,         # target ids (int32)
+        ctypes.c_int64,          # targets
+        ctypes.c_void_p,         # out: path length per target (int64)
+        ctypes.c_void_p,         # out: the paths (int32)
+        ctypes.c_int64,          # capacity of the paths buffer
+    ]
+    _kernel = Kernels(
+        relevel, settle, materialize, admit, release, bidir, level_paths
+    )
     return _kernel
 
 
@@ -791,11 +1019,11 @@ def kernel_available() -> bool:
 
 
 def kernel_status() -> str:
-    """Which step and round loop runs, and why.
+    """Which step, round loop and path searches run, and why.
 
     ``"compiled"`` (built by this process) or ``"cached"`` (an earlier
     build was loaded) when the kernel runs; otherwise why the numpy
-    mirror runs: ``"disabled: ..."`` (``ALVC_NO_CKERNEL``),
+    and Python mirrors run: ``"disabled: ..."`` (``ALVC_NO_CKERNEL``),
     ``"no compiler: ..."``, ``"compile failed: ..."`` (with the
     compiler's first stderr line) or ``"load failed: ..."``.
     """
