@@ -271,21 +271,20 @@ class EventDrivenFlowSimulator:
         self._load_aware = load_aware
         self._k_paths = k_paths
         self._routing_engine = routing_engine
-        self._capacities: dict[LinkId, float] = {}
-        for a, b, link, parallel in inventory.network.trunks():
-            if default_bandwidth_gbps is not None:
-                bandwidth = default_bandwidth_gbps * parallel
-            else:
-                bandwidth = link.bandwidth_gbps
-            key = frozenset((a, b))
-            # Bytes per second: gbps -> bits/s -> bytes/s.  Aggregate
-            # defensively should a backend ever report a pair twice —
-            # parallel links must add capacity, not overwrite it.
-            capacity = bandwidth * 1e9 / 8
-            if key in self._capacities:
-                self._capacities[key] += capacity
-            else:
-                self._capacities[key] = capacity
+        # Bytes per second per link; the fabric memoizes its own rates.
+        if default_bandwidth_gbps is None:
+            self._capacities: dict[LinkId, float] = (
+                inventory.network.link_bytes_per_second()
+            )
+        else:
+            self._capacities = {}
+            for a, b, _, parallel in inventory.network.trunks():
+                key = frozenset((a, b))
+                capacity = default_bandwidth_gbps * parallel * 1e9 / 8
+                if key in self._capacities:
+                    self._capacities[key] += capacity
+                else:
+                    self._capacities[key] = capacity
         self._route_cache: RouteCache | None = (
             RouteCache(route_cache_size, telemetry=self._telemetry)
             if route_cache_size > 0

@@ -74,7 +74,8 @@ class DataCenterNetwork:
         self._tor_weight_cache: dict = {}   # tor -> int
         self._ops_weight_cache: dict = {}   # ops -> int
         self._kind_list_cache: dict = {}    # NodeKind -> tuple of ids
-        self._attach_cache: dict = {}       # "servers" -> {server: tors}
+        # "servers" -> {server: tors}; "bytes/s" -> {pair: bytes/s}
+        self._attach_cache: dict = {}
         self._all_caches = (
             self._attach_cache,
             self._nbr_cache,
@@ -450,6 +451,31 @@ class DataCenterNetwork:
         """
         for a, b, data in self._graph.edges(data=True):
             yield a, b, data[_LINK_ATTR], data.get(_PARALLEL_ATTR, 1)
+
+    def link_bytes_per_second(self) -> dict[frozenset, float]:
+        """Each connected pair's trunk bandwidth in bytes/s (a fresh dict).
+
+        Keyed by the unordered pair, ``frozenset((a, b))``; the map is
+        memoized per topology generation, so repeated simulator builds
+        over one fabric skip the walk over every edge.
+        """
+        rates = (
+            self._attach_cache.get("bytes/s")
+            if self._cache_enabled
+            else None
+        )
+        if rates is None:
+            rates = {}
+            for a, b, link, _ in self.trunks():
+                key = frozenset((a, b))
+                # gbps -> bits/s -> bytes/s.  Aggregate defensively should
+                # a backend ever report a pair twice: parallel links must
+                # add capacity, not overwrite it.
+                rate = link.bandwidth_gbps * 1e9 / 8
+                rates[key] = rates[key] + rate if key in rates else rate
+            if self._cache_enabled:
+                self._attach_cache["bytes/s"] = rates
+        return dict(rates)
 
     def summary(self) -> dict[str, int]:
         """Census of the fabric, convenient for reports and tests."""

@@ -9,9 +9,10 @@ abstraction-layer construction consumes.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.exceptions import (
     DuplicateEntityError,
@@ -37,6 +38,86 @@ def _settled(value: float, capacity: float) -> float:
     return value
 
 
+#: Every finite double is an integer multiple of 2**-1074 (the smallest
+#: subnormal), so scaling by 2**1074 makes float sums exact integers.
+_EXACT_SHIFT = 1074
+_EXACT_ONE = 1 << _EXACT_SHIFT
+
+
+def _exact(value: float) -> int:
+    """``value * 2**1074`` as an exact integer."""
+    numerator, denominator = value.as_integer_ratio()
+    return numerator << (_EXACT_SHIFT + 1 - denominator.bit_length())
+
+
+class _FreeCpuIndex:
+    """Free CPU per server, kept as a level order and exact totals.
+
+    *Levels*: the distinct free-CPU values in ascending order, each with
+    the ascending ids of the servers at that value.  *Totals*: the
+    fabric's free CPU, and per reference vector the free CPU of servers
+    the reference fits on, each as an exact integer (:func:`_exact`).
+    A usable total is built on its reference's first query.
+    """
+
+    __slots__ = ("levels", "level_ids", "free", "usable")
+
+    def __init__(self, free: Mapping[ServerId, ResourceVector]) -> None:
+        self.level_ids: dict[float, list[ServerId]] = {}
+        total = 0
+        for server in sorted(free):
+            cpu = free[server].cpu_cores
+            self.level_ids.setdefault(cpu, []).append(server)
+            total += _exact(cpu)
+        self.levels = sorted(self.level_ids)
+        self.free = total
+        self.usable: dict[ResourceVector, int] = {}
+
+    def move(
+        self, server: ServerId, old: ResourceVector, new: ResourceVector
+    ) -> None:
+        """Re-file one server whose free vector went ``old`` -> ``new``."""
+        old_cpu = old.cpu_cores
+        new_cpu = new.cpu_cores
+        if old_cpu != new_cpu:
+            ids = self.level_ids[old_cpu]
+            del ids[bisect.bisect_left(ids, server)]
+            if not ids:
+                del self.level_ids[old_cpu]
+                del self.levels[bisect.bisect_left(self.levels, old_cpu)]
+            ids = self.level_ids.get(new_cpu)
+            if ids is None:
+                self.level_ids[new_cpu] = [server]
+                bisect.insort(self.levels, new_cpu)
+            else:
+                bisect.insort(ids, server)
+        old_exact = _exact(old_cpu)
+        new_exact = _exact(new_cpu)
+        self.free += new_exact - old_exact
+        for reference, total in self.usable.items():
+            if reference.fits_within(old):
+                total -= old_exact
+            if reference.fits_within(new):
+                total += new_exact
+            self.usable[reference] = total
+
+    def usable_total(
+        self,
+        reference: ResourceVector,
+        free: Mapping[ServerId, ResourceVector],
+    ) -> int:
+        """Exact free CPU of the servers ``reference`` fits on."""
+        total = self.usable.get(reference)
+        if total is None:
+            total = sum(
+                _exact(remaining.cpu_cores)
+                for remaining in free.values()
+                if reference.fits_within(remaining)
+            )
+            self.usable[reference] = total
+        return total
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class VirtualMachine:
     """An immutable VM description; placement lives in the inventory."""
@@ -52,9 +133,15 @@ class MachineInventory:
     Free capacity is live state, not recomputed per query: every
     placement change (place, migrate, remove, reinstate, rollback)
     passes through :meth:`_reserve`/:meth:`_release`, which refresh the
-    server's cached free vector and per-service guest counts and advance
-    :attr:`generation`.  Capacity probes are then dict lookups, and
-    fabric-wide aggregates can be memoized per generation.
+    server's cached free vector, the per-service guest counts per
+    server and per rack, the guest count per rack, and advance
+    :attr:`generation`.  Capacity probes are then dict lookups.
+
+    The fabric-wide free-CPU aggregates (the level order behind
+    :meth:`free_cpu_levels` and the exact totals behind
+    :meth:`free_cpu_cores`/:meth:`usable_cpu_cores`) are built on the
+    first such query and kept live from then on, so a probe costs
+    O(levels) or O(1) instead of a scan over every server.
     """
 
     def __init__(self, dcn: DataCenterNetwork) -> None:
@@ -65,10 +152,16 @@ class MachineInventory:
         servers = dcn.servers()
         self._capacity: dict[ServerId, ResourceVector] = {}
         self._rack: dict[ServerId, int] = {}
+        rack_servers: dict[int, list[ServerId]] = {}
         for server in servers:
             spec = dcn.spec_of(server)
             self._capacity[server] = spec.capacity
             self._rack[server] = spec.rack
+            rack_servers.setdefault(spec.rack, []).append(server)
+        self._rack_servers = {
+            rack: tuple(sorted(members))
+            for rack, members in rack_servers.items()
+        }
         self._guests: dict[ServerId, set[VmId]] = {
             server: set() for server in servers
         }
@@ -84,6 +177,11 @@ class MachineInventory:
         # service -> {server: placed VMs of that service}; zero counts
         # are dropped, so a service's map lists exactly its hosts.
         self._service_hosts: dict[str, dict[ServerId, int]] = {}
+        # The same counts per rack (zero counts dropped), and every
+        # rack's guest count (zeros kept, so it lists every rack).
+        self._service_racks: dict[str, dict[int, int]] = {}
+        self._rack_guests: dict[int, int] = dict.fromkeys(rack_servers, 0)
+        self._cpu_index: _FreeCpuIndex | None = None  # first query builds it
         self._generation = 0
         total = 0.0
         for capacity in self._capacity.values():
@@ -192,11 +290,18 @@ class MachineInventory:
                 f"{machine.vm_id} (demand {machine.demand}) does not fit on "
                 f"{server} (used {self._used[server]}, capacity {capacity})"
             )
+        free = capacity - proposed
+        if self._cpu_index is not None:
+            self._cpu_index.move(server, self._free[server], free)
         self._used[server] = proposed
-        self._free[server] = capacity - proposed
+        self._free[server] = free
         self._guests[server].add(machine.vm_id)
         hosts = self._service_hosts.setdefault(machine.service, {})
         hosts[server] = hosts.get(server, 0) + 1
+        rack = self._rack[server]
+        self._rack_guests[rack] += 1
+        racks = self._service_racks.setdefault(machine.service, {})
+        racks[rack] = racks.get(rack, 0) + 1
         self._generation += 1
 
     def _released(
@@ -240,6 +345,8 @@ class MachineInventory:
         free: ResourceVector,
     ) -> None:
         """Apply a release computed by :meth:`_released`."""
+        if self._cpu_index is not None:
+            self._cpu_index.move(server, self._free[server], free)
         self._used[server] = used
         self._free[server] = free
         self._guests[server].discard(machine.vm_id)
@@ -248,6 +355,13 @@ class MachineInventory:
             del hosts[server]
         else:
             hosts[server] -= 1
+        rack = self._rack[server]
+        self._rack_guests[rack] -= 1
+        racks = self._service_racks[machine.service]
+        if racks[rack] == 1:
+            del racks[rack]
+        else:
+            racks[rack] -= 1
         self._generation += 1
 
     def _resolve(self, vm: VmId | VirtualMachine) -> VirtualMachine:
@@ -335,6 +449,42 @@ class MachineInventory:
         """
         return MappingProxyType(self._free)
 
+    def _free_cpu_index(self) -> _FreeCpuIndex:
+        if self._cpu_index is None:
+            self._cpu_index = _FreeCpuIndex(self._free)
+        return self._cpu_index
+
+    def free_cpu_levels(self) -> Iterator[tuple[float, list[ServerId]]]:
+        """``(free CPU, server ids)`` per distinct free-CPU value.
+
+        Values descend; each list holds the servers at that value in
+        ascending id order, so walking the pairs visits every server by
+        ``(-free cpu, id)``.  The lists are live: consume the walk
+        before the next placement change.
+        """
+        index = self._free_cpu_index()
+        level_ids = index.level_ids
+        for cpu in reversed(index.levels):
+            yield cpu, level_ids[cpu]
+
+    def free_cpu_cores(self) -> float:
+        """Free CPU over every server, as one correctly rounded sum.
+
+        Kept as an exact integer total, so the result is the exact sum
+        rounded once: it equals a left-to-right sum whenever no partial
+        sum rounds (true for demands that are multiples of 0.5 cores).
+        """
+        return self._free_cpu_index().free / _EXACT_ONE
+
+    def usable_cpu_cores(self, reference: ResourceVector) -> float:
+        """Free CPU of the servers ``reference`` still fits on.
+
+        Correctly rounded like :meth:`free_cpu_cores`; the total for a
+        reference is built on its first query and kept live after.
+        """
+        total = self._free_cpu_index().usable_total(reference, self._free)
+        return total / _EXACT_ONE
+
     @property
     def generation(self) -> int:
         """Counter advanced by every capacity reservation or release.
@@ -361,6 +511,18 @@ class MachineInventory:
     def service_hosts(self, service_name: str) -> Mapping[ServerId, int]:
         """Placed VMs of one service per hosting server (read-only)."""
         return MappingProxyType(self._service_hosts.get(service_name, {}))
+
+    def service_racks(self, service_name: str) -> Mapping[int, int]:
+        """Placed VMs of one service per rack hosting any (read-only)."""
+        return MappingProxyType(self._service_racks.get(service_name, {}))
+
+    def rack_guests(self) -> Mapping[int, int]:
+        """Placed VMs per rack, for every rack (read-only)."""
+        return MappingProxyType(self._rack_guests)
+
+    def rack_servers(self, rack: int) -> tuple[ServerId, ...]:
+        """The servers of one rack, in ascending id order."""
+        return self._rack_servers[rack]
 
     def utilization_by_server(self) -> dict[ServerId, float]:
         """CPU utilization fraction per server (0 when capacity is 0)."""

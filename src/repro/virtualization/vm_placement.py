@@ -11,8 +11,10 @@ counterfactuals for the experiments.
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 import random
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import PlacementError
 from repro.ids import ServerId
@@ -53,16 +55,16 @@ class VmPlacementEngine:
         return self._strategy
 
     def place(self, vm: VirtualMachine) -> ServerId:
-        """Place one VM; returns the chosen server.
+        """Place one VM on the first server of its candidate order that
+        fits; returns the chosen server.
 
         Raises:
             PlacementError: when no server has room for the VM.
         """
-        servers = self._inventory.network.servers()
-        order = self._candidate_order(vm, servers)
-        for server in order:
-            if vm.demand.fits_within(self._inventory.remaining_capacity(server)):
-                self._inventory.place(vm, server)
+        inventory = self._inventory
+        for server in self._candidate_order(vm):
+            if vm.demand.fits_within(inventory.remaining_capacity(server)):
+                inventory.place(vm, server)
                 return server
         raise PlacementError(
             f"no server can host {vm.vm_id} (demand {vm.demand}, "
@@ -81,56 +83,56 @@ class VmPlacementEngine:
             result[vm.vm_id] = self.place(vm)
         return result
 
-    def _candidate_order(
-        self, vm: VirtualMachine, servers: list[ServerId]
-    ) -> list[ServerId]:
+    def _candidate_order(self, vm: VirtualMachine) -> Iterable[ServerId]:
+        if self._strategy is PlacementStrategy.SERVICE_AFFINITY:
+            return self._affinity_candidates(vm)
+        servers = self._inventory.network.servers()
         if self._strategy is PlacementStrategy.FIRST_FIT:
             return servers
         if self._strategy is PlacementStrategy.RANDOM:
-            shuffled = list(servers)
-            self._rng.shuffle(shuffled)
-            return shuffled
+            self._rng.shuffle(servers)
+            return servers
         if self._strategy is PlacementStrategy.ROUND_ROBIN:
             start = self._rr_cursor % len(servers)
             self._rr_cursor += 1
             return servers[start:] + servers[:start]
-        if self._strategy is PlacementStrategy.SERVICE_AFFINITY:
-            return self._affinity_order(vm, servers)
         raise PlacementError(f"unknown strategy {self._strategy!r}")
 
-    def _affinity_order(
-        self, vm: VirtualMachine, servers: list[ServerId]
-    ) -> list[ServerId]:
-        """Prefer servers (then racks) already hosting the VM's service.
+    def _affinity_candidates(self, vm: VirtualMachine) -> Iterator[ServerId]:
+        """Every server, servers (then racks) hosting the VM's service first.
 
         A service with no presence anywhere prefers the *emptiest* rack,
         so distinct services land on distinct racks — the paper's
         service-based data layout ("DCs usually store their data on
         servers according to data type", Section III.A), which is also
         what keeps the clusters' abstraction layers small and disjoint.
+
+        The order is every server sorted by ``(-same service on the
+        server, -same service in its rack, guests in its rack, id)``,
+        produced lazily from the inventory's per-server and per-rack
+        counts: the service's hosts first, then the racks in groups of
+        equal ``(-same service, guests)``, each group's servers by id
+        (merged from the racks' presorted lists) minus the hosts already
+        yielded.  :meth:`place` stops at the first that fits.
         """
         inventory = self._inventory
         same_on_server = inventory.service_hosts(vm.service)
-        same_in_rack: dict[int, int] = {}
-        total_in_rack: dict[int, int] = {}
-        for server in servers:
-            rack = inventory.rack_of(server)
-            same_in_rack[rack] = (
-                same_in_rack.get(rack, 0) + same_on_server.get(server, 0)
-            )
-            total_in_rack[rack] = (
-                total_in_rack.get(rack, 0) + inventory.guest_count(server)
-            )
+        same_in_rack = inventory.service_racks(vm.service)
+        total_in_rack = inventory.rack_guests()
+        rack_of = inventory.rack_of
 
-        def sort_key(server: ServerId):
-            rack = inventory.rack_of(server)
-            # Highest affinity first; new services go to the emptiest
-            # rack; ties resolved by id for determinism.
-            return (
-                -same_on_server.get(server, 0),
-                -same_in_rack[rack],
-                total_in_rack[rack],
-                server,
-            )
+        def rack_key(rack: int) -> tuple[int, int]:
+            return -same_in_rack.get(rack, 0), total_in_rack[rack]
 
-        return sorted(servers, key=sort_key)
+        def host_key(server: ServerId) -> tuple:
+            return (-same_on_server[server], *rack_key(rack_of(server)), server)
+
+        yield from sorted(same_on_server, key=host_key)
+        for _, group in itertools.groupby(
+            sorted(total_in_rack, key=rack_key), key=rack_key
+        ):
+            lists = [inventory.rack_servers(rack) for rack in group]
+            merged = lists[0] if len(lists) == 1 else heapq.merge(*lists)
+            for server in merged:
+                if server not in same_on_server:
+                    yield server

@@ -117,8 +117,6 @@ class AdmissionController:
             cpu_cores=1, memory_gb=2, storage_gb=10
         )
         self._decisions: list[AdmissionDecision] = []
-        self._free_cpu_generation = -1  # inventory generations start at 0
-        self._free_cpu_memo = (0.0, 0.0)
         self._last_defrag: int | None = None
         self._reembedded = 0
         self._reembed_losses = 0
@@ -183,24 +181,17 @@ class AdmissionController:
         return 1.0 - usable / free
 
     def _free_cpu(self) -> tuple[float, float]:
-        """``(free, usable)`` CPU summed over every server in order.
+        """``(free, usable)`` CPU summed over every server.
 
-        Reads the inventory's free-capacity index and memoizes on its
-        generation, so the probes between two placement changes
-        (preflight per arrival; fragmentation, then should_defrag, per
-        epoch) share one pass.
+        Both are the inventory's exact running totals, each rounded once
+        (:meth:`~repro.virtualization.machines.MachineInventory.free_cpu_cores`),
+        so a probe costs O(1) however many servers the fabric has.
         """
         inventory = self._stack.inventory
-        if inventory.generation != self._free_cpu_generation:
-            free = usable = 0.0
-            reference = self._reference
-            for remaining in inventory.free_capacities().values():
-                free += remaining.cpu_cores
-                if reference.fits_within(remaining):
-                    usable += remaining.cpu_cores
-            self._free_cpu_memo = (free, usable)
-            self._free_cpu_generation = inventory.generation
-        return self._free_cpu_memo
+        return (
+            inventory.free_cpu_cores(),
+            inventory.usable_cpu_cores(self._reference),
+        )
 
     # ------------------------------------------------------------------
     # Defragmenting re-embedding

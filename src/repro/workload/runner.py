@@ -385,20 +385,24 @@ class WorkloadRunner:
             self._switches_touched += result.get("switches_touched", 0)
 
     def _coldest_server(self, vm_id: str) -> str | None:
-        """The least-utilized server that can host the VM (not its own)."""
+        """The least-utilized server that can host the VM (not its own).
+
+        The minimum of ``(-free cpu, server)`` over the servers the VM
+        fits on: a walk of the inventory's free-CPU levels, highest
+        first and ids ascending, that stops at the first fit or once the
+        levels drop below the VM's CPU demand.
+        """
         inventory = self._stack.inventory
         current = inventory.host_of(vm_id)
         demand = inventory.get(vm_id).demand
-        best: tuple[float, str] | None = None
-        for server, remaining in inventory.free_capacities().items():
-            if server == current:
-                continue
-            if not demand.fits_within(remaining):
-                continue
-            key = (-remaining.cpu_cores, server)
-            if best is None or key < best:
-                best = key
-        return best[1] if best else None
+        free = inventory.free_capacities()
+        for cpu, servers in inventory.free_cpu_levels():
+            if cpu < demand.cpu_cores:
+                break
+            for server in servers:
+                if server != current and demand.fits_within(free[server]):
+                    return server
+        return None
 
     def _play_defrag(self, epoch: int) -> None:
         frag = self._admission.fragmentation()

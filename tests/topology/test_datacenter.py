@@ -269,6 +269,23 @@ class TestAccessorCaching:
         assert tiny.ops_of_tor("tor-0") == ["ops-0", "ops-1"]
         assert tiny.tor_weight("tor-0") == before
 
+    def test_link_rates_follow_trunks(self, tiny):
+        pair = frozenset(("tor-0", "ops-0"))
+        rates = tiny.link_bytes_per_second()
+        assert rates == {
+            frozenset((a, b)): link.bandwidth_gbps * 1e9 / 8
+            for a, b, link, _ in tiny.trunks()
+        }
+        # Each call hands out its own dict: a caller's edit is not served
+        # to the next caller.
+        rates[pair] = 0.0
+        assert tiny.link_bytes_per_second()[pair] == 10.0 * 1e9 / 8
+        # A parallel link widens the trunk, and the memo follows it.
+        tiny.connect("tor-0", "ops-0")
+        assert tiny.link_bytes_per_second()[pair] == 20.0 * 1e9 / 8
+        tiny.set_caching(False)
+        assert tiny.link_bytes_per_second()[pair] == 20.0 * 1e9 / 8
+
     def test_set_caching_returns_previous_state(self, tiny):
         assert tiny.caching_enabled
         assert tiny.set_caching(False) is True

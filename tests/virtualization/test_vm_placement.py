@@ -6,7 +6,7 @@ import pytest
 
 from repro.exceptions import PlacementError
 from repro.topology.elements import ResourceVector
-from repro.virtualization.machines import MachineInventory
+from repro.virtualization.machines import MachineInventory, VirtualMachine
 from repro.virtualization.vm_placement import (
     PlacementStrategy,
     VmPlacementEngine,
@@ -110,13 +110,14 @@ class TestServiceAffinity:
         assert rack_of(web_first) == rack_of(web_second)
 
 
-def _rescan_affinity_order(inventory, vm, servers):
+def _rescan_affinity_order(inventory, vm):
     """Reference ordering: rescans every server's guests and spec.
 
     This is the ordering the service-affinity strategy used before the
-    inventory kept per-service counts; the indexed ordering must match
-    it exactly, tie-breaks included.
+    inventory kept per-service and per-rack counts; the lazy indexed
+    ordering must match it exactly, tie-breaks included.
     """
+    servers = inventory.network.servers()
     same_on_server = {}
     same_in_rack = {}
     total_in_rack = {}
@@ -140,9 +141,24 @@ def _rescan_affinity_order(inventory, vm, servers):
     return sorted(servers, key=sort_key)
 
 
-class TestAffinityIndexParity:
-    SERVICES = ("web", "sns", "database", "map-reduce")
+AFFINITY_SERVICES = ("web", "sns", "database", "map-reduce")
 
+
+def assert_affinity_order_matches(inventory, catalog):
+    """The engine's lazy order equals the rescan for every service."""
+    engine = VmPlacementEngine(inventory, PlacementStrategy.SERVICE_AFFINITY)
+    for name in AFFINITY_SERVICES:
+        probe = VirtualMachine(
+            vm_id="vm-probe",
+            service=name,
+            demand=catalog.get(name).vm_demand,
+        )
+        assert list(engine._affinity_candidates(probe)) == (
+            _rescan_affinity_order(inventory, probe)
+        )
+
+
+class TestAffinityIndexParity:
     @pytest.mark.parametrize("seed", range(12))
     def test_indexed_order_matches_rescan(
         self, medium_fabric, service_catalog, seed
@@ -153,10 +169,12 @@ class TestAffinityIndexParity:
             inventory, PlacementStrategy.SERVICE_AFFINITY
         )
         servers = medium_fabric.servers()
+        assert_affinity_order_matches(inventory, service_catalog)
         # Scramble the inventory: affinity and random placements,
-        # migrations and removals, so counts rise and fall.
+        # migrations and removals, so counts rise and fall; the order
+        # must match after every operation.
         for _ in range(rng.randrange(20, 160)):
-            service = service_catalog.get(rng.choice(self.SERVICES))
+            service = service_catalog.get(rng.choice(AFFINITY_SERVICES))
             roll = rng.random()
             try:
                 if roll < 0.4:
@@ -175,15 +193,26 @@ class TestAffinityIndexParity:
                     inventory.remove(rng.choice(inventory.placed_vms()))
             except PlacementError:
                 pass
-        for name in self.SERVICES:
-            probe = inventory.create_vm(service_catalog.get(name))
-            assert engine._affinity_order(probe, servers) == (
-                _rescan_affinity_order(inventory, probe, servers)
-            )
-            subset = rng.sample(servers, rng.randrange(1, len(servers)))
-            assert engine._affinity_order(probe, subset) == (
-                _rescan_affinity_order(inventory, probe, subset)
-            )
+            assert_affinity_order_matches(inventory, service_catalog)
+
+    def test_full_servers_are_skipped(self, small_fabric, service_catalog):
+        # The first candidate that fits wins: a full host of the service
+        # is passed over for the next server in the rescan order.
+        inventory = MachineInventory(small_fabric)
+        engine = VmPlacementEngine(inventory)
+        web = service_catalog.get("web")
+        first = engine.place(inventory.create_vm(web))
+        capacity = small_fabric.spec_of(first).capacity
+        filler = capacity - inventory.used_capacity(first)
+        inventory.place(inventory.create_vm(web, filler), first)
+        vm = inventory.create_vm(web)
+        expected = next(
+            server
+            for server in _rescan_affinity_order(inventory, vm)
+            if vm.demand.fits_within(inventory.remaining_capacity(server))
+        )
+        assert expected != first
+        assert engine.place(vm) == expected
 
 
 class TestPlaceAll:
