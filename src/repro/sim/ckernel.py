@@ -17,14 +17,18 @@ of the source and the compiler flags.
 
 **The entry points.**  One source, one shared object:
 
-* ``alvc_relevel`` water-fills a list of link components, each given
-  as a rank-ordered segment of link indices, in full link space:
-  ``remaining``/``load`` are scratch arrays indexed by link, class pools
-  hold link indices as interned, and a class is frozen for this call
-  when its stamp equals the call's epoch (the live multiplicities are
-  never written).  A component's loop stops when no loaded link is
-  left.  A class frozen at a share that differs from its old rate is
-  appended, once, to the step state's changed-class list.
+* ``alvc_relevel`` water-fills the components of a list of dirty
+  links.  It resolves each link to its component through the engine's
+  quick-find labels and the component bounds (the rank-ordered layout
+  segment of each class-carrying root), listing every root once; a
+  root that carries no class is skipped.  Water-filling runs in full
+  link space: ``remaining``/``load`` are scratch arrays indexed by
+  link, class pools hold link indices as interned, and a class is
+  frozen for this call when its stamp equals the call's epoch (the
+  live multiplicities are never written).  A component's loop stops
+  when no loaded link is left.  A class frozen at a share that differs
+  from its old rate is appended, once, to the step state's
+  changed-class list.
 * ``alvc_settle`` is the event step after a recompute.  Every live slot
   whose new rate (its class's rate, or an entry of a dense rates array
   when the engine took its vector fallback) differs from its current
@@ -47,6 +51,9 @@ of the source and the compiler flags.
   clears ``alive``, ``eta``, ``rate`` and ``class_of``, sets the slot's
   bit in the touched bitmap and returns the class id, which the engine
   marks dirty.
+* ``alvc_run`` is the simulator's event loop between external events
+  (see below): plan arrival batches and completions, each followed by
+  the relevel and the incremental step, without returning to Python.
 * ``alvc_bidir`` is the path engine's bidirectional BFS between two
   node ids over a node mask and an optional cut mask over CSR
   positions (post-fault cut links, or a Yen spur query's ignored
@@ -57,6 +64,47 @@ of the source and the compiler flags.
   included.  Their state (:class:`CsrState`) points at the engine's
   CSR arrays and scratch, and visited marks are epoch stamps, so a
   search allocates and clears nothing.
+
+**The event loop.**  :class:`~repro.sim.event_simulator.
+EventDrivenFlowSimulator` enters ``alvc_run`` whenever it has an
+admission plan (runs that are not load-aware), the kernel runs, and
+the engine needs neither a full pass nor its dense fallback.  The
+arrivals come pre-interned (:class:`RunState`): per arrival its time,
+its route class (``-1`` for co-located endpoints, ``-2`` for one the
+plan does not cover: no plan route, or a class that repeats a link),
+its size and the rank of its flow id.  Each turn picks the next event
+with the per-event loop's rules: an event beyond ``until`` first, then
+no finite event (a stall), then a fault, then the arrival batch (every
+arrival at that time), then the earliest completion.  A batch is
+written into consecutive slots exactly as ``alvc_admit`` writes it
+(co-located arrivals complete at once with 0 hops and, when nothing
+else is admitted, trigger no step); a completion takes the slot the
+last step named, or on an eta tie the tied slot with the smallest
+flow-id rank, charges it like ``alvc_materialize`` and releases it
+like ``alvc_release``.  Both mark the components they touched, re-level
+them and settle incrementally, and the loop appends each completion
+``(slot, or -1 - arrival for a co-located flow; time)``, each step's
+rounds and the peak live-slot count to the run state.
+
+It hands back, with the event not begun, for:
+
+* the next fault (``fault``), the ``until`` edge (``until``) and a
+  stall (``stall``);
+* a batch it cannot admit: too few slots or pool entries (``room``),
+  a compaction the table owes (``compaction``), or an arrival the plan
+  does not cover, over a removed link or inside a failure window
+  (``uncovered``);
+* an output buffer too short for the event (``buffer``);
+* the end of the run (``end``).
+
+Python then records the slots' ids and payloads, builds the
+completion records and telemetry in bulk, and runs the handed-back
+event with the per-event code.  That loop stays as the mirror: the
+kernel loop performs exactly its IEEE operations in its order (it
+calls the same admission, charge, release, relevel and step code), so
+every report is bit-identical on both loops and on the numpy mirrors.
+Its own arithmetic is integer (counts, slots, ranks) and its event
+choice compares the same doubles the Python loop compares.
 
 **Which slots the step visits.**  Not the whole table: the slots added
 since the last step (``[settled, size)``: slots are append-only), the
@@ -145,7 +193,9 @@ __all__ = [
     "CsrState",
     "KERNEL_SOURCE",
     "Kernels",
+    "RUN_REASONS",
     "RelevelState",
+    "RunState",
     "StepState",
     "kernel_available",
     "kernel_status",
@@ -160,6 +210,7 @@ KERNEL_SOURCE = r"""
 /* Component-local, class-aggregated max-min fair water-filling, the
  * incremental event step over the flow table, and flow admission and
  * release. */
+#include <stddef.h>
 #include <stdint.h>
 #include <math.h>
 
@@ -196,6 +247,7 @@ struct alvc_step_state {
     int64_t *block_slot;        /* [W] first slot at it, -1 if inf */
     int64_t *block_ties;        /* [W] slots at it, 0 if inf */
     uint8_t *has_dup;           /* [S] numpy bool: path repeats a link */
+    int64_t *tie_rank;          /* [S] rank of the slot's flow id */
     double *count;              /* [L] live flows per link */
     int64_t *m;                 /* [C] live class multiplicities */
     const int64_t *cstart;      /* [C] pool start into cflat */
@@ -222,9 +274,10 @@ struct alvc_step_state {
  * A class frozen at a share that differs from its old rate is appended
  * once to step->changed, which the next alvc_settle consumes.
  *
- * Returns rounds executed over all components, or -1 when a loaded
- * bottleneck has no unfrozen member class (water-filling invariant
- * violation).
+ * Components are resolved here: a dirty link's component is the
+ * layout segment of its quick-find root (label), and roots that carry
+ * no class (seg_start < 0) are skipped.  Marked roots wait in dirty,
+ * listed once (listed_at holds the epoch of the relevel they wait for).
  */
 struct alvc_relevel_state {
     const double *cap;          /* [L] link capacities */
@@ -242,73 +295,114 @@ struct alvc_relevel_state {
     const int64_t *t_start;     /* [L] segment start */
     const int64_t *t_len;       /* [L] segment length */
     const int64_t *layout;      /* components' links, rank order */
-    const int64_t *bounds;      /* per component: [start, end) */
+    const int64_t *label;       /* [L] root link of the link's component */
+    const int64_t *seg_start;   /* [L] root -> layout start, -1: no class */
+    const int64_t *seg_end;     /* [L] root -> layout end */
+    int64_t *listed_at;         /* [L] root: epoch it is dirty for */
+    int64_t *dirty;             /* [L] dirty roots */
     struct alvc_step_state *step;  /* out: the changed-class list */
+    int64_t n_dirty;            /* entries of dirty */
+    int64_t epoch;              /* the last relevel's stamp */
 };
 
-int64_t alvc_relevel(
-    const struct alvc_relevel_state *s,
-    int64_t epoch,
-    int64_t n_components)       /* leading entries of s->bounds / 2 */
+/* One component, the layout segment [lo, hi).  Returns its rounds, or
+ * -1 when a loaded bottleneck has no unfrozen member class (a
+ * water-filling invariant violation). */
+static int64_t waterfill(struct alvc_relevel_state *s, int64_t lo,
+                         int64_t hi, int64_t epoch)
 {
-    const int64_t *links = s->layout, *bounds = s->bounds;
+    const int64_t *links = s->layout;
     double *remaining = s->remaining, *load = s->load;
     int64_t *work = s->work;
     struct alvc_step_state *step = s->step;
-    int64_t rounds = 0;
-    for (int64_t g = 0; g < n_components; g++) {
-        int64_t n = 0;
-        for (int64_t i = bounds[2 * g]; i < bounds[2 * g + 1]; i++) {
-            int64_t l = links[i];
-            if (s->count[l] > 0.0) {
-                remaining[l] = s->cap[l];
-                load[l] = s->count[l];
-                work[n++] = l;
-            }
-        }
-        while (n > 0) {
-            rounds++;
-            double best = INFINITY;
-            int64_t b = work[0];
-            for (int64_t i = 0; i < n; i++) {
-                int64_t l = work[i];
-                double r = remaining[l] / load[l];
-                if (r < best) { best = r; b = l; }
-            }
-            double share = best;
-            int64_t members = 0;
-            int64_t end = s->t_start[b] + s->t_len[b];
-            for (int64_t k = s->t_start[b]; k < end; k++) {
-                int64_t c = s->t_classes[k];
-                int64_t mc = s->m[c];
-                if (mc <= 0 || s->frozen[c] == epoch) continue;
-                members++;
-                if (s->class_rate[c] != share && !step->listed[c]) {
-                    step->listed[c] = 1;
-                    step->changed[step->n_changed++] = c;
-                }
-                s->class_rate[c] = share;
-                s->frozen[c] = epoch;
-                int64_t e = s->cstart[c] + s->clen[c];
-                for (int64_t j = s->cstart[c]; j < e; j++) {
-                    int64_t p = s->cflat[j];
-                    for (int64_t q = 0; q < mc; q++) remaining[p] -= share;
-                    load[p] -= (double)mc;
-                }
-            }
-            if (members == 0) return -1;
-            int64_t kept = 0;
-            for (int64_t i = 0; i < n; i++) {
-                int64_t l = work[i];
-                if (load[l] > 0.0) {
-                    if (!(remaining[l] > 0.0)) remaining[l] = 0.0;
-                    work[kept++] = l;
-                }
-            }
-            n = kept;
+    int64_t rounds = 0, n = 0;
+    for (int64_t i = lo; i < hi; i++) {
+        int64_t l = links[i];
+        if (s->count[l] > 0.0) {
+            remaining[l] = s->cap[l];
+            load[l] = s->count[l];
+            work[n++] = l;
         }
     }
+    while (n > 0) {
+        rounds++;
+        double best = INFINITY;
+        int64_t b = work[0];
+        for (int64_t i = 0; i < n; i++) {
+            int64_t l = work[i];
+            double r = remaining[l] / load[l];
+            if (r < best) { best = r; b = l; }
+        }
+        double share = best;
+        int64_t members = 0;
+        int64_t end = s->t_start[b] + s->t_len[b];
+        for (int64_t k = s->t_start[b]; k < end; k++) {
+            int64_t c = s->t_classes[k];
+            int64_t mc = s->m[c];
+            if (mc <= 0 || s->frozen[c] == epoch) continue;
+            members++;
+            if (s->class_rate[c] != share && !step->listed[c]) {
+                step->listed[c] = 1;
+                step->changed[step->n_changed++] = c;
+            }
+            s->class_rate[c] = share;
+            s->frozen[c] = epoch;
+            int64_t e = s->cstart[c] + s->clen[c];
+            for (int64_t j = s->cstart[c]; j < e; j++) {
+                int64_t p = s->cflat[j];
+                for (int64_t q = 0; q < mc; q++) remaining[p] -= share;
+                load[p] -= (double)mc;
+            }
+        }
+        if (members == 0) return -1;
+        int64_t kept = 0;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t l = work[i];
+            if (load[l] > 0.0) {
+                if (!(remaining[l] > 0.0)) remaining[l] = 0.0;
+                work[kept++] = l;
+            }
+        }
+        n = kept;
+    }
     return rounds;
+}
+
+/* Marks the component of link dirty (once per relevel). */
+static void mark(struct alvc_relevel_state *s, int64_t link)
+{
+    int64_t root = s->label[link];
+    if (s->seg_start[root] < 0 || s->listed_at[root] == s->epoch + 1)
+        return;
+    s->listed_at[root] = s->epoch + 1;
+    s->dirty[s->n_dirty++] = root;
+}
+
+/* Water-fills every dirty component under one fresh epoch.  Returns
+ * the rounds summed over them, or -1 on an invariant violation. */
+static int64_t relevel(struct alvc_relevel_state *s)
+{
+    int64_t epoch = ++s->epoch, rounds = 0, n = s->n_dirty;
+    s->n_dirty = 0;
+    for (int64_t k = 0; k < n; k++) {
+        int64_t root = s->dirty[k];
+        int64_t r = waterfill(s, s->seg_start[root], s->seg_end[root],
+                              epoch);
+        if (r < 0) return -1;
+        rounds += r;
+    }
+    return rounds;
+}
+
+/* Marks the components of links[0..n) dirty and re-levels every dirty
+ * component (0 rounds when none carries a class). */
+int64_t alvc_relevel(
+    struct alvc_relevel_state *s,
+    const int64_t *links,
+    int64_t n)
+{
+    for (int64_t i = 0; i < n; i++) mark(s, links[i]);
+    return s->n_dirty ? relevel(s) : 0;
 }
 
 static void charge(const struct alvc_step_state *s, int64_t slot, double now)
@@ -340,13 +434,50 @@ static inline void touch(struct alvc_step_state *s, int64_t slot)
     s->touched[slot >> 6] |= (uint64_t)1 << (slot & 63);
 }
 
+/* Writes one flow of class c into slot, its pool copied from offset
+ * at: it starts with size bytes left, rate 0, eta inf and last_update
+ * now; each of its links gains 1.0 in count and the class 1 in m.
+ * Returns the pool entries written. */
+static int64_t admit_one(struct alvc_step_state *s, int64_t c, int64_t slot,
+                         int64_t at, double size, double now)
+{
+    const int64_t *links = s->cflat + s->cstart[c];
+    int64_t len = s->clen[c];
+    uint8_t dup = 0;
+    for (int64_t j = 0; j < len; j++) {
+        int64_t l = links[j];
+        s->pool[at + j] = (int32_t)l;
+        s->count[l] += 1.0;
+        for (int64_t k = 0; k < j && !dup; k++) dup = links[k] == l;
+    }
+    s->link_start[slot] = at;
+    s->link_len[slot] = len;
+    s->has_dup[slot] = dup;
+    s->remaining[slot] = size;
+    s->rate[slot] = 0.0;
+    s->eta[slot] = INFINITY;
+    s->last_update[slot] = now;
+    s->alive[slot] = 1;
+    s->class_of[slot] = c;
+    s->m[c]++;
+    return len;
+}
+
+/* Whether every link of class c is alive. */
+static int class_alive(const struct alvc_step_state *s, int64_t c)
+{
+    int64_t e = s->cstart[c] + s->clen[c];
+    for (int64_t j = s->cstart[c]; j < e; j++)
+        if (!s->link_alive[s->cflat[j]]) return 0;
+    return 1;
+}
+
 /* Admission of n flows into the consecutive slots first, first + 1, ...
  * (the engine has grown the table for them): flow i takes class
  * cids[i]'s pool, copied to the table pool from offset pool_len, and
- * starts with sizes[i] bytes left, rate 0, eta inf and last_update now.
- * Each of its links gains 1.0 in count and its class gains 1 in m.
- * Returns the pool entries written, or -1 - i when flow i's class
- * crosses a removed link; nothing is written then. */
+ * starts with sizes[i] bytes left (see admit_one).  Returns the pool
+ * entries written, or -1 - i when flow i's class crosses a removed
+ * link; nothing is written then. */
 int64_t alvc_admit(
     struct alvc_step_state *s,
     const int64_t *cids,
@@ -356,35 +487,11 @@ int64_t alvc_admit(
     int64_t pool_len,
     double now)
 {
-    for (int64_t i = 0; i < n; i++) {
-        int64_t c = cids[i], e = s->cstart[c] + s->clen[c];
-        for (int64_t j = s->cstart[c]; j < e; j++)
-            if (!s->link_alive[s->cflat[j]]) return -1 - i;
-    }
+    for (int64_t i = 0; i < n; i++)
+        if (!class_alive(s, cids[i])) return -1 - i;
     int64_t at = pool_len;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t slot = first + i, c = cids[i];
-        const int64_t *links = s->cflat + s->cstart[c];
-        int64_t len = s->clen[c];
-        uint8_t dup = 0;
-        for (int64_t j = 0; j < len; j++) {
-            int64_t l = links[j];
-            s->pool[at + j] = (int32_t)l;
-            s->count[l] += 1.0;
-            for (int64_t k = 0; k < j && !dup; k++) dup = links[k] == l;
-        }
-        s->link_start[slot] = at;
-        s->link_len[slot] = len;
-        s->has_dup[slot] = dup;
-        at += len;
-        s->remaining[slot] = sizes[i];
-        s->rate[slot] = 0.0;
-        s->eta[slot] = INFINITY;
-        s->last_update[slot] = now;
-        s->alive[slot] = 1;
-        s->class_of[slot] = c;
-        s->m[c]++;
-    }
+    for (int64_t i = 0; i < n; i++)
+        at += admit_one(s, cids[i], first + i, at, sizes[i], now);
     return at - pool_len;
 }
 
@@ -451,7 +558,7 @@ static void summarize(struct alvc_step_state *s, int64_t w, int64_t size)
  * is the first block at the minimum of the block minima, with the tie
  * count summed over the blocks at it: the full scan's first slot and
  * count.  Returns that slot (-1 when the minimum is inf). */
-int64_t alvc_settle(
+static int64_t settle(
     struct alvc_step_state *s,
     const double *rates,
     int64_t size,
@@ -562,6 +669,186 @@ int64_t alvc_settle(
     s->next_slot = first;
     s->ties = first < 0 ? 0 : ties;
     return first;
+}
+int64_t alvc_settle(
+    struct alvc_step_state *s,
+    const double *rates,
+    int64_t size,
+    double now,
+    int64_t full)
+{
+    return settle(s, rates, size, now, full);
+}
+
+/* The simulator's event loop between external events.  Arrivals are
+ * the plan's, ascending in time: arrival_class holds each one's
+ * interned class, -1 for co-located endpoints (they complete at once
+ * with 0 hops) and -2 for an arrival the plan does not cover (no plan
+ * route, or a class that repeats a link).
+ *
+ * Each turn picks the next event with the Python loop's rules: the
+ * window edge (an event beyond until), a stall (no finite event time),
+ * a fault, then an arrival batch (every arrival at that time), then
+ * the next completion.  The loop hands back, with the event not begun,
+ * at the edge, a stall, a fault, a batch it cannot admit (a failure
+ * window, a flow not covered or over a removed link, a pending
+ * compaction, too few slots or pool entries) or output buffers too
+ * short for the event, and at the end of the run.  A batch writes its
+ * flows into consecutive slots (admit_one), a completion breaks eta
+ * ties on the smallest tie_rank, charges the slot and releases it, and
+ * both mark the components they touched, re-level them and settle
+ * incrementally, like the engine's settle.  Completions are written to
+ * done/done_time (a slot, or -1 - i for co-located arrival i) and each
+ * relevel's rounds to rounds.  Returns the hand-back reason (RUN_*), or
+ * -1 on a water-filling invariant violation. */
+struct alvc_run_state {
+    const double *arrival_time;   /* [A] ascending */
+    const int64_t *arrival_class; /* [A] class; -1 co-located, -2 uncovered */
+    const double *arrival_size;   /* [A] bytes */
+    const int64_t *arrival_rank;  /* [A] rank of the flow id */
+    int64_t *done;                /* out: completed slot, or -1 - arrival */
+    double *done_time;            /* out: its completion time */
+    int64_t *rounds;              /* out: rounds of each step's relevel */
+    int64_t n_arrivals;
+    int64_t arrival;              /* in/out: next arrival */
+    int64_t size;                 /* in/out: table size */
+    int64_t pool_len;             /* in/out: pool entries in use */
+    int64_t active;               /* in/out: live slots */
+    int64_t slot_room;            /* slots allocated */
+    int64_t pool_room;            /* pool entries allocated */
+    int64_t compact_slack;        /* the table's compaction slack */
+    int64_t compact_pending;      /* in/out: the next add compacts */
+    int64_t failures_left;        /* a fault is still queued */
+    double next_failure;          /* its time */
+    double until;                 /* window edge, inf for none */
+    int64_t window;               /* a node is down or a link is cut */
+    double now;                   /* in/out: the last event's time */
+    double next_eta;              /* in/out: the next completion */
+    int64_t next_slot;            /* in/out: its first slot */
+    int64_t ties;                 /* in/out: slots tied at it */
+    int64_t done_room;            /* entries of done and done_time */
+    int64_t rounds_room;          /* entries of rounds */
+    int64_t n_done;               /* out */
+    int64_t n_rounds;             /* out */
+    int64_t events;               /* out: events processed */
+    int64_t released;             /* out: classified slots released */
+    int64_t peak;                 /* in/out: peak live slots */
+};
+
+enum {
+    RUN_END, RUN_FAULT, RUN_UNTIL, RUN_ROOM, RUN_COMPACTION,
+    RUN_UNCOVERED, RUN_BUFFER, RUN_STALL
+};
+
+/* The step after an event: re-level the dirty components, record the
+ * rounds and settle. */
+static int64_t run_step(struct alvc_relevel_state *rs,
+                        struct alvc_run_state *r, double now)
+{
+    int64_t rounds = rs->n_dirty ? relevel(rs) : 0;
+    if (rounds < 0) return -1;
+    r->rounds[r->n_rounds++] = rounds;
+    if (r->size == 0) {
+        r->next_eta = INFINITY;
+        r->next_slot = -1;
+        r->ties = 0;
+        return 0;
+    }
+    struct alvc_step_state *s = rs->step;
+    settle(s, NULL, r->size, now, 0);
+    r->next_eta = s->next_eta;
+    r->next_slot = s->next_slot;
+    r->ties = s->ties;
+    return 0;
+}
+
+int64_t alvc_run(struct alvc_relevel_state *rs, struct alvc_run_state *r)
+{
+    struct alvc_step_state *s = rs->step;
+    r->n_done = r->n_rounds = r->events = r->released = 0;
+    for (;;) {
+        int64_t a = r->arrival, more = a < r->n_arrivals;
+        if (!more && !r->active && !r->failures_left) return RUN_END;
+        double next_arrival = more ? r->arrival_time[a] : INFINITY;
+        double next_completion = r->next_eta;
+        double next_failure = r->failures_left ? r->next_failure : INFINITY;
+        double t = next_arrival < next_completion ? next_arrival
+                                                  : next_completion;
+        if (next_failure < t) t = next_failure;
+        if (t > r->until) return RUN_UNTIL;
+        if (isinf(t)) return RUN_STALL;
+        if (next_failure <= next_arrival && next_failure <= next_completion)
+            return RUN_FAULT;
+        if (next_arrival <= next_completion && more) {
+            if (r->window) return RUN_UNCOVERED;
+            int64_t end = a, flows = 0, entries = 0;
+            for (; end < r->n_arrivals && r->arrival_time[end] <= t; end++) {
+                int64_t c = r->arrival_class[end];
+                if (c == -1) continue;
+                if (c < 0 || !class_alive(s, c)) return RUN_UNCOVERED;
+                flows++;
+                entries += s->clen[c];
+            }
+            if (end - a - flows > r->done_room - r->n_done) return RUN_BUFFER;
+            if (flows) {
+                if (r->compact_pending) return RUN_COMPACTION;
+                if (r->size + flows > r->slot_room
+                    || r->pool_len + entries > r->pool_room)
+                    return RUN_ROOM;
+                if (r->n_rounds == r->rounds_room) return RUN_BUFFER;
+            }
+            r->now = t;
+            r->events += end - a;
+            int64_t slot = r->size, at = r->pool_len;
+            for (int64_t i = a; i < end; i++) {
+                int64_t c = r->arrival_class[i];
+                if (c < 0) {
+                    r->done[r->n_done] = -1 - i;
+                    r->done_time[r->n_done++] = t;
+                    continue;
+                }
+                at += admit_one(s, c, slot, at, r->arrival_size[i], t);
+                s->tie_rank[slot++] = r->arrival_rank[i];
+                if (s->clen[c]) mark(rs, s->cflat[s->cstart[c]]);
+            }
+            r->arrival = end;
+            if (flows) {
+                r->size = slot;
+                r->pool_len = at;
+                r->active += flows;
+                if (run_step(rs, r, t) < 0) return -1;
+            }
+        } else {
+            if (r->n_done == r->done_room || r->n_rounds == r->rounds_room)
+                return RUN_BUFFER;
+            r->now = t;
+            r->events++;
+            int64_t slot = r->next_slot;
+            if (r->ties > 1) {
+                /* The smallest flow id among the slots at the eta. */
+                int64_t best = INT64_MAX;
+                for (int64_t i = 0; i < r->size; i++)
+                    if (s->eta[i] == t && s->tie_rank[i] < best) {
+                        best = s->tie_rank[i];
+                        slot = i;
+                    }
+            }
+            charge(s, slot, t);
+            int64_t c = alvc_release(s, slot);
+            if (c >= 0) {
+                r->released++;
+                if (s->clen[c]) mark(rs, s->cflat[s->cstart[c]]);
+            }
+            r->active--;
+            int64_t bound = r->compact_slack > r->active ? r->compact_slack
+                                                         : r->active;
+            if (r->size - r->active > bound) r->compact_pending = 1;
+            r->done[r->n_done] = slot;
+            r->done_time[r->n_done++] = t;
+            if (run_step(rs, r, t) < 0) return -1;
+        }
+        if (r->active > r->peak) r->peak = r->active;
+    }
 }
 /* The path engine's CSR searches (repro.sdn.path_engine).  Node ids
  * are the engine's dense ids; a node mask holds one byte per node (0 =
@@ -753,10 +1040,14 @@ class RelevelState(ctypes.Structure):
             "t_start",
             "t_len",
             "layout",
-            "bounds",
+            "label",
+            "seg_start",
+            "seg_end",
+            "listed_at",
+            "dirty",
             "step",
         )
-    ]
+    ] + [("n_dirty", ctypes.c_int64), ("epoch", ctypes.c_int64)]
 
 
 class StepState(ctypes.Structure):
@@ -790,6 +1081,7 @@ class StepState(ctypes.Structure):
             "block_slot",
             "block_ties",
             "has_dup",
+            "tie_rank",
             "count",
             "m",
             "cstart",
@@ -805,6 +1097,58 @@ class StepState(ctypes.Structure):
         ("next_slot", ctypes.c_int64),
         ("ties", ctypes.c_int64),
     ]
+
+
+class RunState(ctypes.Structure):
+    """The event loop's arrivals, table counters, event boundaries and
+    output buffers (``struct alvc_run_state``).  The simulator fills the
+    inputs before each ``alvc_run`` call and reads the outputs after it;
+    the pointers are bound once per run."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in (
+            "arrival_time",
+            "arrival_class",
+            "arrival_size",
+            "arrival_rank",
+            "done",
+            "done_time",
+            "rounds",
+        )
+    ] + [
+        ("n_arrivals", ctypes.c_int64),
+        ("arrival", ctypes.c_int64),
+        ("size", ctypes.c_int64),
+        ("pool_len", ctypes.c_int64),
+        ("active", ctypes.c_int64),
+        ("slot_room", ctypes.c_int64),
+        ("pool_room", ctypes.c_int64),
+        ("compact_slack", ctypes.c_int64),
+        ("compact_pending", ctypes.c_int64),
+        ("failures_left", ctypes.c_int64),
+        ("next_failure", ctypes.c_double),
+        ("until", ctypes.c_double),
+        ("window", ctypes.c_int64),
+        ("now", ctypes.c_double),
+        ("next_eta", ctypes.c_double),
+        ("next_slot", ctypes.c_int64),
+        ("ties", ctypes.c_int64),
+        ("done_room", ctypes.c_int64),
+        ("rounds_room", ctypes.c_int64),
+        ("n_done", ctypes.c_int64),
+        ("n_rounds", ctypes.c_int64),
+        ("events", ctypes.c_int64),
+        ("released", ctypes.c_int64),
+        ("peak", ctypes.c_int64),
+    ]
+
+
+#: ``alvc_run``'s hand-back reasons, by return code.
+RUN_REASONS = (
+    "end", "fault", "until", "room", "compaction", "uncovered", "buffer",
+    "stall",
+)
 
 
 class CsrState(ctypes.Structure):
@@ -835,6 +1179,7 @@ class Kernels(NamedTuple):
     """The compiled entry points, typed for ``ctypes``."""
 
     relevel: Callable
+    run: Callable
     settle: Callable
     materialize: Callable
     admit: Callable
@@ -950,8 +1295,14 @@ def kernels() -> Kernels | None:
     relevel.restype = ctypes.c_int64
     relevel.argtypes = [
         ctypes.c_void_p,         # addressof(RelevelState)
-        ctypes.c_int64,          # epoch
-        ctypes.c_int64,          # n_components
+        ctypes.c_void_p,         # dirty link indices (int64)
+        ctypes.c_int64,          # how many
+    ]
+    run = library.alvc_run
+    run.restype = ctypes.c_int64
+    run.argtypes = [
+        ctypes.c_void_p,         # addressof(RelevelState)
+        ctypes.c_void_p,         # addressof(RunState)
     ]
     settle = library.alvc_settle
     settle.restype = ctypes.c_int64
@@ -1008,7 +1359,8 @@ def kernels() -> Kernels | None:
         ctypes.c_int64,          # capacity of the paths buffer
     ]
     _kernel = Kernels(
-        relevel, settle, materialize, admit, release, bidir, level_paths
+        relevel, run, settle, materialize, admit, release, bidir,
+        level_paths,
     )
     return _kernel
 

@@ -28,10 +28,17 @@ There is one event loop, the struct-of-arrays data plane of
   on every event (``alvc_materialize`` charges a finishing or rerouted
   flow);
 * routes are resolved in bulk before the first event
-  (:mod:`repro.sim.admission`), and arrivals sharing a timestamp are
-  admitted as one batch with a single recompute.  Load-aware runs pick
-  each arrival's path per event from an LRU
-  :class:`~repro.sdn.route_cache.RouteCache` of candidate paths.
+  (:mod:`repro.sim.admission`) and their route classes interned in
+  first-use order, and arrivals sharing a timestamp are admitted as one
+  batch with a single recompute.  Load-aware runs pick each arrival's
+  path per event from an LRU
+  :class:`~repro.sdn.route_cache.RouteCache` of candidate paths;
+* with the compiled kernel, the events between external ones — plan
+  arrival batches and completions — run inside it (``alvc_run``), and
+  Python takes back only faults, the window edge, batches the loop
+  cannot admit and full buffers (``alvc_sim_loop_handoffs_total``
+  counts the hand-backs by reason).  The per-event loop stays as the
+  mirror, bit for bit.
 
 Its reports are pinned by frozen report checksums and by the
 engine-independent fairness certificate
@@ -74,8 +81,9 @@ from repro.sdn.routing import (
     pick_least_loaded,
     shortest_surviving_path,
 )
-from repro.sim.admission import NO_PLAN_ROUTE, plan_admission
-from repro.sim.fairshare import LinkId, links_on_path
+from repro.sim.admission import NO_PLAN_ROUTE, InternedRoute, plan_admission
+from repro.sim.ckernel import RunState
+from repro.sim.fairshare import ROUNDS_BUCKETS, LinkId, links_on_path
 from repro.sim.faults import (
     LINK_DOWN,
     LINK_UP,
@@ -85,8 +93,43 @@ from repro.sim.faults import (
     normalize_failures,
 )
 from repro.sim.flows import Flow
-from repro.sim.vector import BatchedFairShareEngine, LinkBusyView
+from repro.sim.vector import BatchedFairShareEngine, FlowTable, LinkBusyView
 from repro.virtualization.machines import MachineInventory
+
+#: Whether runs with an admission plan hand the events between
+#: external ones to the compiled loop (``alvc_run``) when the kernel
+#: runs.  The per-event loop is the mirror; the parity suite pins it.
+_COMPILED_LOOP = True
+#: Entries of the compiled loop's completion and rounds buffers: a full
+#: buffer hands back to Python, which drains it and re-enters.
+_LOOP_BUFFER = 4096
+#: The flow table's initial slots and compaction slack.
+_TABLE_SLOTS = 64
+_COMPACT_SLACK = 256
+#: ``alvc_sim_loop_handoffs_total`` reasons; a stall counts as ``end``.
+HANDOFF_REASONS = (
+    "fault", "until", "room", "compaction", "uncovered", "buffer", "end",
+)
+
+
+def _id_ranks(flow_ids: Sequence) -> np.ndarray:
+    """Each flow id's rank in sorted order (flow ids are distinct), the
+    compiled loop's completion tie-break."""
+    ranks = np.empty(len(flow_ids), dtype=np.int64)
+    order = sorted(range(len(flow_ids)), key=flow_ids.__getitem__)
+    ranks[order] = np.arange(len(flow_ids), dtype=np.int64)
+    return ranks
+
+
+def _loop_class(route) -> int:
+    """An arrival's route class for the compiled loop: ``-1`` for
+    co-located endpoints, ``-2`` for an arrival the plan does not cover
+    (no route, or a route that repeats a link)."""
+    if route is None:
+        return -1
+    if route is NO_PLAN_ROUTE or route.has_dup:
+        return -2
+    return route.cid
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -489,11 +532,6 @@ class EventDrivenFlowSimulator:
 
         Args:
             flows: the workload.
-            until: optional virtual-time window edge.  Events strictly
-                beyond it are not processed: in-flight flows are charged
-                up to ``until`` and counted in the report's
-                ``in_flight`` (arrivals beyond the window are simply
-                not admitted), and ``makespan`` is capped at ``until``.
             failures: optional fault schedule.  Entries are either
                 legacy ``(time, node_id)`` crash tuples or
                 :class:`~repro.sim.faults.FaultEvent` records (node
@@ -507,6 +545,12 @@ class EventDrivenFlowSimulator:
                 ``severity`` while it keeps carrying flows (their rates
                 adapt at the event).  ``failed_nodes`` in the report
                 lists nodes still down when the run ends.
+            until: optional virtual-time window edge (keyword-only).
+                Events strictly beyond it are not processed: in-flight
+                flows are charged up to ``until`` and counted in the
+                report's ``in_flight`` (arrivals beyond the window are
+                simply not admitted), and ``makespan`` is capped at
+                ``until``.
         """
         if until is not None and until < 0:
             raise ValidationError(f"until must be >= 0, got {until}")
@@ -547,12 +591,14 @@ class EventDrivenFlowSimulator:
           minimum eta.  Progress is linear between rate changes, so
           charging at the boundaries is exact.
         * The next completion is the step's minimum eta; ties are broken
-          by the smallest flow id.
+          by the smallest flow id (the compiled loop compares
+          precomputed per-slot ranks of the ids).
         * Admission leaves the event loop: unique
           ``(src_host, dst_host, AL)`` pairs are bulk-resolved into an
           :class:`~repro.sim.admission.AdmissionPlan` before the first
-          event, and each group of arrivals sharing one timestamp
-          becomes one indexed append with a single trailing recompute.
+          event and their classes interned in one batch, and each group
+          of arrivals sharing one timestamp becomes one indexed append
+          with a single trailing recompute.
           Arrivals inside an active failure window (a node down or a
           link cut) take the uncached surviving-path fallback instead.
           Load-aware runs pick each arrival's path per event (the pick
@@ -565,6 +611,11 @@ class EventDrivenFlowSimulator:
           degrade changes capacity, not hop-count routes, so each
           interned route and candidate pool equals a fresh resolution
           whenever it is read.
+        * With the compiled kernel and a plan, every event that needs no
+          Python runs inside ``alvc_run`` (see :mod:`repro.sim.ckernel`
+          for its hand-back rules); this loop takes the handed-back
+          event, and afterwards records the loop's admissions and
+          completions in bulk.
         """
         telemetry = self._telemetry
         events_counter = telemetry.counter(
@@ -596,12 +647,17 @@ class EventDrivenFlowSimulator:
         if len(set(ids)) != len(ids):
             raise SimulationError("duplicate flow ids in workload")
         failure_queue = self._validated_failures(failures)
+        ranks = _id_ranks(ids)
 
         # Per-run capacity view (the fault-bookkeeping mirror of the
         # engine's arrays): failures remove links here without
         # poisoning the simulator for subsequent runs.
         capacities = dict(self._capacities)
-        engine = BatchedFairShareEngine(capacities, telemetry=telemetry)
+        engine = BatchedFairShareEngine(
+            capacities,
+            table=FlowTable(_TABLE_SLOTS, compact_slack=_COMPACT_SLACK),
+            telemetry=telemetry,
+        )
         table = engine.table
 
         completed: list[CompletedFlow] = []
@@ -625,13 +681,25 @@ class EventDrivenFlowSimulator:
         # the last engine step left it; only a step changes any eta.
         upcoming = (infinity, -1, 0)
 
+        # Routing keys, once per unique (source VM, destination VM,
+        # intra-service) triple.
+        route_keys: dict[tuple, tuple | None] = {}
+
+        def route_key(flow: Flow) -> tuple | None:
+            triple = (flow.source, flow.destination, flow.intra_service)
+            if triple not in route_keys:
+                route_keys[triple] = self._route_key(flow)
+            return route_keys[triple]
+
         # Resolve every unique endpoint pair before the first event (one
-        # BFS fan-out per source), so admitting an arrival is a plan
-        # lookup plus an indexed append.
+        # BFS fan-out per source) and intern the routes' classes in
+        # first-use order, so admitting an arrival is an indexed append.
         plan = None
-        plan_keys: list = []
+        #: Per arrival: its plan route, NO_PLAN_ROUTE, or None for
+        #: co-located endpoints.
+        routes: list = []
         if not load_aware:
-            plan_keys = [self._route_key(flow) for flow in pending]
+            plan_keys = [route_key(flow) for flow in pending]
             plan = plan_admission(
                 self._inventory.network,
                 (key for key in plan_keys if key is not None),
@@ -639,6 +707,19 @@ class EventDrivenFlowSimulator:
                 engine=self._routing_engine,
                 telemetry=telemetry,
             )
+            routes_by_key: dict = {None: None}
+            for key in plan_keys:
+                if key not in routes_by_key:
+                    routes_by_key[key] = plan.lookup(*key)
+                routes.append(routes_by_key[key])
+            fresh = [
+                route
+                for route in routes_by_key.values()
+                if isinstance(route, InternedRoute) and route.cid is None
+            ]
+            cids = engine.intern_pools([route.indices for route in fresh])
+            for route, cid in zip(fresh, cids):
+                route.cid = cid
         elif self._route_cache is not None:
             # Load-aware picks depend on instantaneous link loads, so
             # routes cannot be pinned up front — but the candidate sets
@@ -646,7 +727,7 @@ class EventDrivenFlowSimulator:
             # loop only ever pays the pick.
             seen: set = set()
             for flow in pending:
-                key = self._route_key(flow)
+                key = route_key(flow)
                 if key is None or key in seen:
                     continue
                 seen.add(key)
@@ -689,6 +770,7 @@ class EventDrivenFlowSimulator:
                 engine.materialize((slot,), now)
                 flow, _, links = table.meta[slot]
                 remaining_bytes = float(table.remaining[slot])
+                rank = int(engine.tie_rank[slot])
                 if load_aware:
                     count_loads(links, -1)
                 engine.remove_flow(flow_id)
@@ -702,14 +784,134 @@ class EventDrivenFlowSimulator:
                 table.meta[slot] = (flow, new_path, new_links)
                 table.remaining[slot] = remaining_bytes
                 table.last_update[slot] = now
+                engine.tie_rank[slot] = rank
                 if load_aware:
                     count_loads(new_links, 1)
+
+        # The compiled loop (``alvc_run``) takes every event that needs
+        # no Python: plan arrivals and completions between external
+        # events.  It hands back at a fault, the window edge, a batch it
+        # cannot admit (a failure window, an uncovered route, a pending
+        # compaction, a full table) or a full buffer, and at the end.
+        loop = None
+        compiled = _COMPILED_LOOP and engine.kernel_active
+        if compiled and plan is not None and pending:
+            classes = np.array(
+                [_loop_class(route) for route in routes], dtype=np.int64
+            )
+            sizes = np.array(
+                [flow.size_bytes for flow in pending], dtype=np.float64
+            )
+            done = np.zeros(_LOOP_BUFFER, dtype=np.int64)
+            done_time = np.zeros(_LOOP_BUFFER)
+            rounds = np.zeros(_LOOP_BUFFER, dtype=np.int64)
+            loop = RunState(
+                arrival_time=arrival_times.ctypes.data,
+                arrival_class=classes.ctypes.data,
+                arrival_size=sizes.ctypes.data,
+                arrival_rank=ranks.ctypes.data,
+                done=done.ctypes.data,
+                done_time=done_time.ctypes.data,
+                rounds=rounds.ctypes.data,
+                n_arrivals=len(pending),
+                until=infinity if until is None else until,
+                done_room=_LOOP_BUFFER,
+                rounds_room=_LOOP_BUFFER,
+            )
+            rounds_histogram = telemetry.histogram(
+                "alvc_fairshare_vector_rounds",
+                "water-filling rounds per vectorized fair-share recompute",
+                ROUNDS_BUCKETS,
+            )
+            handoffs = {
+                reason: telemetry.counter(
+                    "alvc_sim_loop_handoffs_total",
+                    "compiled event loop hand-backs to the per-event loop",
+                    reason=reason,
+                )
+                for reason in HANDOFF_REASONS
+            }
+
+        def run_compiled() -> tuple[str, int]:
+            """Run the compiled loop until it hands back, then do the
+            flow-table bookkeeping and the records of what it ran.
+            Returns the hand-back reason and the events it processed."""
+            nonlocal arrival_index, now, upcoming, events, peak_depth
+            loop.arrival = arrival_index
+            loop.failures_left = failure_index < len(failure_queue)
+            if loop.failures_left:
+                loop.next_failure = failure_queue[failure_index].time
+            loop.window = bool(failed_nodes or cut_links)
+            loop.now = now
+            loop.next_eta, loop.next_slot, loop.ties = upcoming
+            loop.peak = peak_depth
+            first = table.size
+            reason = engine.run_events(loop)
+            handoffs["end" if reason == "stall" else reason].inc()
+            # The admitted arrivals took the slots from ``first`` up.
+            end = loop.arrival
+            if end > arrival_index:
+                admitted, payloads = [], []
+                for index in range(arrival_index, end):
+                    route = routes[index]
+                    if route is not None:
+                        flow = pending[index]
+                        admitted.append(flow.flow_id)
+                        payloads.append((flow, route.path, route.links))
+                table.slot_of.update(
+                    zip(admitted, range(first, first + len(admitted)))
+                )
+                table.flow_ids.extend(admitted)
+                table.meta.extend(payloads)
+                bulk_counter.inc(len(admitted))
+                arrival_index = end
+            count = loop.n_done
+            if count:
+                meta, slot_of = table.meta, table.slot_of
+                for code, at in zip(
+                    done[:count].tolist(), done_time[:count].tolist()
+                ):
+                    if code >= 0:
+                        flow, path, _ = meta[code]
+                        meta[code] = None
+                        del slot_of[flow.flow_id]
+                        hops = len(path) - 1
+                    else:
+                        flow = pending[-1 - code]
+                        hops = 0
+                    completed.append(
+                        CompletedFlow(
+                            flow.flow_id,
+                            flow.size_bytes,
+                            flow.arrival_time,
+                            at,
+                            hops,
+                        )
+                    )
+            if loop.n_rounds and telemetry.enabled:
+                observe = rounds_histogram.observe
+                for value in rounds[: loop.n_rounds].tolist():
+                    observe(float(value))
+            ran = loop.events
+            if ran:
+                events += ran
+                events_counter.inc(ran)
+                depth_gauge.set(table.active_count)
+                now = loop.now
+                upcoming = (loop.next_eta, loop.next_slot, loop.ties)
+                peak_depth = loop.peak
+            return reason, ran
 
         while (
             arrival_index < len(pending)
             or table.active_count
             or failure_index < len(failure_queue)
         ):
+            if loop is not None and engine.can_run_events():
+                reason, ran = run_compiled()
+                if reason == "end" or (reason == "buffer" and ran):
+                    continue
+                # Otherwise the next event is the per-event loop's.
             next_arrival = (
                 pending[arrival_index].arrival_time
                 if arrival_index < len(pending)
@@ -853,18 +1055,18 @@ class EventDrivenFlowSimulator:
                     elif plan is not None:
                         # The pair was resolved (or negatively interned)
                         # before the first event.
-                        key = plan_keys[index]
-                        if key is None:
+                        route = routes[index]
+                        if route is None:
                             # Co-located endpoints: completes
                             # immediately, like the zero-hop path below.
                             complete_now(flow, 0)
                             continue
-                        route = plan.lookup(*key)
                         if route is NO_PLAN_ROUTE:
+                            key = plan_keys[index]
                             raise RoutingError(
                                 f"no path from {key[0]} to {key[1]}"
                             )
-                        batch.append((flow, route))
+                        batch.append(index)
                         admitted = True
                         continue
                     else:
@@ -880,6 +1082,7 @@ class EventDrivenFlowSimulator:
                     table.meta[slot] = (flow, path, links)
                     table.remaining[slot] = flow.size_bytes
                     table.last_update[slot] = now
+                    engine.tie_rank[slot] = ranks[index]
                     if load_aware:
                         count_loads(links, 1)
                     admitted = True
@@ -888,13 +1091,17 @@ class EventDrivenFlowSimulator:
                     # consecutive slots keep activation order equal to
                     # admission order.
                     slots = engine.add_interned(
-                        [flow.flow_id for flow, _ in batch],
-                        [route for _, route in batch],
-                        [flow.size_bytes for flow, _ in batch],
+                        [ids[index] for index in batch],
+                        [routes[index] for index in batch],
+                        [pending[index].size_bytes for index in batch],
                         now,
                     )
-                    for slot, (flow, route) in zip(slots.tolist(), batch):
-                        table.meta[slot] = (flow, route.path, route.links)
+                    engine.tie_rank[slots] = ranks[batch]
+                    for slot, index in zip(slots.tolist(), batch):
+                        route = routes[index]
+                        table.meta[slot] = (
+                            pending[index], route.path, route.links
+                        )
                     bulk_counter.inc(len(batch))
                 if admitted:
                     upcoming = engine.settle(now)

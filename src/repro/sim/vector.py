@@ -852,12 +852,13 @@ class BatchedFairShareEngine(VectorFairShareEngine):
       space, stored as gapped per-link segments so interning a class
       appends in place (a full segment moves to the buffer's end with
       doubled room; nothing is ever rebuilt).
-    * **Components.**  A quick-find union-find over link indices,
-      unioned when a new class is interned.  Classes are never
-      forgotten, so components only merge and never need a split.  Each
-      component's links are kept in lexicographic rank order in one
-      layout array, re-laid out only when a merge happens or a link is
-      registered.
+    * **Components.**  A quick-find union-find over link indices
+      (a label array), unioned when new classes are interned.  Classes
+      are never forgotten, so components only merge and never need a
+      split.  Each component's links are kept in lexicographic rank
+      order in one layout array, with per-root bounds arrays, re-laid
+      out once per interning call that merges (:meth:`intern_pools`
+      takes a whole run's routes at once).
     * **Dirty marks.**  Adding or removing a flow, ``set_capacity`` and
       ``remove_link`` mark the component of the link they touch.
 
@@ -884,7 +885,9 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     The round loop, the event step (:meth:`settle`,
     :meth:`materialize`) and the admission and removal bookkeeping
     (:meth:`add_interned`, :meth:`add_flow`, :meth:`remove_flow`) run in
-    compiled kernels when a C compiler is available
+    compiled kernels when a C compiler is available, as does the
+    simulator's whole event loop between external events
+    (:meth:`run_events`)
     (:mod:`repro.sim.ckernel` — same IEEE operations in the same order)
     and in numpy mirrors otherwise; both are asserted bitwise-equal in
     the suite.  Admission on either path goes through the same
@@ -931,7 +934,10 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         "_t_used",
         "_label",
         "_layout",
-        "_segment",
+        "_seg_start",
+        "_seg_end",
+        "_listed_at",
+        "_dirty_roots",
         "_n_components",
         "_dirty",
         "_epoch",
@@ -944,7 +950,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         "_state_address",
         "_step",
         "_step_address",
-        "_bounds",
+        "_dirty_links",
         "_next",
         "_head",
         "_changed",
@@ -954,6 +960,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         "_block_slot",
         "_block_ties",
         "_full",
+        "_tie_rank",
         "_admit_cids",
         "_admit_sizes",
         "_admit_addresses",
@@ -1002,6 +1009,10 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._class_of = np.full(
             self._table.remaining.shape[0], -1, dtype=np.int64
         )
+        #: Per-slot rank of the flow id, sized and renumbered like the
+        #: class map: the owner writes it, and the compiled event loop
+        #: breaks completion ties on it.
+        self._tie_rank = np.zeros(self._class_of.shape[0], dtype=np.int64)
         self._size_step_slots()
         #: Live slots that carry a class id.
         self._classified = 0
@@ -1033,13 +1044,18 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._t_len = _EMPTY_I64
         self._t_cap = _EMPTY_I64
         #: Link -> root link of its component (quick-find).
-        self._label: list[int] = []
+        self._label = _EMPTY_I64
         #: Links of every class-carrying component, contiguous per
-        #: component and in rank order within one; ``_segment`` maps a
-        #: carrying component's root to its ``[start, end)`` there.
+        #: component and in rank order within one; a carrying
+        #: component's root maps to its ``[start, end)`` there through
+        #: ``_seg_start``/``_seg_end`` (``-1`` for every other link).
         #: Links no class crosses are singleton components outside it.
         self._layout = _EMPTY_I64
-        self._segment: dict[int, tuple[int, int]] = {}
+        self._seg_start = _EMPTY_I64
+        self._seg_end = _EMPTY_I64
+        #: The kernel's dirty-root list and its per-root listing stamps.
+        self._listed_at = _EMPTY_I64
+        self._dirty_roots = _EMPTY_I64
         self._n_components = 0
         #: Links whose component needs re-leveling.
         self._dirty: set[int] = set()
@@ -1055,9 +1071,9 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._state_address = None
         self._step = StepState() if compiled else None
         self._step_address = None
-        #: The kernel's per-call component bounds (a ctypes buffer:
-        #: filling it costs far less than marshalling a numpy array).
-        self._bounds = None
+        #: The kernel's per-call dirty links (a ctypes buffer: filling
+        #: it costs far less than marshalling a numpy array).
+        self._dirty_links = None
         #: ``alvc_admit``'s per-call class ids and sizes (ctypes
         #: buffers, with their addresses).
         self._admit_cids = ()
@@ -1089,15 +1105,93 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         """Number of link components that carry route classes."""
         return self._n_components
 
+    @property
+    def tie_rank(self) -> np.ndarray:
+        """Per-slot rank of the flow id (the live array: the owner
+        writes it for the slots it admits, and :meth:`run_events` breaks
+        eta ties on it)."""
+        return self._tie_rank
+
+    def can_run_events(self) -> bool:
+        """Whether :meth:`run_events` may take over: the kernel runs, the
+        next step needs no full pass and no dirty component waits, and
+        every live flow belongs to a class that repeats no link."""
+        return (
+            self._kernels is not None
+            and self._full is None
+            and not self._dirty
+            and not self._needs_vector()
+        )
+
+    def run_events(self, loop) -> str:
+        """Run the compiled event loop (``alvc_run``) until it hands
+        back; returns why (one of
+        :data:`~repro.sim.ckernel.RUN_REASONS`).
+
+        ``loop`` is a :class:`~repro.sim.ckernel.RunState` whose
+        arrivals, event boundaries, next completion and buffers the
+        caller set; the table's counters go in and come back here.  The
+        caller owns the id map and payloads: the loop admitted arrivals
+        into the slots from the old ``table.size`` up, in arrival order,
+        and released the slots its ``done`` buffer lists.  Call only
+        when :meth:`can_run_events` holds.
+
+        Raises:
+            SimulationError: on a water-filling invariant violation.
+        """
+        from repro.sim.ckernel import RUN_REASONS
+
+        table = self._table
+        loop.size = table.size
+        loop.pool_len = table.pool_len
+        loop.active = table.active_count
+        loop.slot_room = table.remaining.shape[0]
+        loop.pool_room = table.pool.shape[0]
+        loop.compact_slack = table._compact_slack
+        loop.compact_pending = table._compact_pending
+        if self._step_address is None:
+            self._bind_step()
+        address = self._state_address
+        if address is None:
+            address = self._bind_kernel()
+        code = self._kernels.run(address, ctypes.addressof(loop))
+        if code < 0:
+            raise _invariant_violation()
+        self._classified += loop.size - table.size - loop.released
+        table.size = loop.size
+        table.pool_len = loop.pool_len
+        table.active_count = loop.active
+        table._compact_pending = bool(loop.compact_pending)
+        return RUN_REASONS[code]
+
     def class_for(self, pool: np.ndarray) -> int:
         """Intern a link-index pool, returning its class id."""
-        key = pool.tobytes()
-        cid = self._class_index.get(key)
-        if cid is None:
-            cid = self._intern(key, pool)
-        return cid
+        return self.intern_pools((pool,))[0]
+
+    def intern_pools(self, pools: Sequence[np.ndarray]) -> list[int]:
+        """Intern link-index pools in order, returning their class ids.
+
+        The new classes' components merge in one pass with one layout
+        for the whole call, so interning a run's routes up front costs
+        one relayout instead of one per merge.
+        """
+        cids = []
+        groups = []
+        for pool in pools:
+            key = pool.tobytes()
+            cid = self._class_index.get(key)
+            if cid is None:
+                cid = self._intern(key, pool)
+                if pool.shape[0]:
+                    groups.append(pool.tolist())
+            cids.append(cid)
+        if groups:
+            self._union(groups)
+        return cids
 
     def _intern(self, key: bytes, pool: np.ndarray) -> int:
+        """Register a new class (its pool, transpose entries and
+        anchor); its links' components are the caller's to merge."""
         cid = self._n_classes
         if cid + 1 >= self._m.shape[0]:
             self._grow_classes()
@@ -1122,7 +1216,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             self._dup_class_ids.append(cid)
         for link in links:
             self._t_append(link, cid)
-        self._union(links)
         return cid
 
     def _t_append(self, link: int, cid: int) -> None:
@@ -1146,56 +1239,77 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._t_classes[start + length] = cid
         self._t_len[link] = length + 1
 
-    def _union(self, links: list[int]) -> None:
-        """Merge the components of ``links`` into one class-carrying
-        component (quick-find, smaller components relabeled into the
-        largest), keeping the component count and merge counter
-        current."""
-        label, segment = self._label, self._segment
-        roots = {label[link] for link in links}
-        carrying = sum(1 for root in roots if root in segment)
-        if len(roots) == 1 and carrying:
+    def _union(self, groups: list[list[int]]) -> None:
+        """Merge, group by group, the components of each group's links
+        into one class-carrying component (quick-find, smaller
+        components relabeled into the largest), keeping the component
+        count and merge counter current; one relayout follows."""
+        label, seg_start = self._label, self._seg_start
+        # Roots this call touched -> [their links, carries a class]
+        # (the layout still describes every untouched root).
+        touched: dict[int, list] = {}
+        merges = 0
+        changed = False
+        for links in groups:
+            roots = set(label[links].tolist())
+            parts = {}
+            for root in roots:
+                part = touched.get(root)
+                if part is None:
+                    part = touched[root] = [
+                        self._links_of(root), bool(seg_start[root] >= 0)
+                    ]
+                parts[root] = part
+            carrying = sum(1 for part in parts.values() if part[1])
+            if len(roots) == 1 and carrying:
+                continue
+            keeper = max(roots, key=lambda root: (len(parts[root][0]), -root))
+            kept = parts[keeper]
+            for root, (component, _) in parts.items():
+                if root != keeper:
+                    del touched[root]
+                    label[component] = keeper
+                    kept[0].extend(component)
+            kept[1] = True
+            self._n_components += 1 - carrying
+            merges += max(carrying - 1, 0)
+            changed = True
+        if not changed:
             return
-        members = {root: self._links_of(root) for root in roots}
-        keeper = max(roots, key=lambda root: (len(members[root]), -root))
-        for root, component in members.items():
-            if root != keeper:
-                segment.pop(root, None)
-                for link in component:
-                    label[link] = keeper
-        segment[keeper] = (0, 0)
-        self._relayout()
-        self._n_components += 1 - carrying
+        # Roots merged away keep their mark, but no link points at them.
+        carrying_roots = seg_start >= 0
+        carrying_roots[[root for root, part in touched.items() if part[1]]] = 1
+        self._relayout(carrying_roots)
         self._components_gauge.set(self._n_components)
-        if carrying > 1:
-            self._merges_counter.inc(carrying - 1)
+        if merges:
+            self._merges_counter.inc(merges)
 
     def _links_of(self, root: int) -> list[int]:
-        bounds = self._segment.get(root)
-        if bounds is None:
+        start = self._seg_start[root]
+        if start < 0:
             return [root]
-        return self._layout[bounds[0] : bounds[1]].tolist()
+        return self._layout[start : self._seg_end[root]].tolist()
 
-    def _relayout(self) -> None:
-        """Lay the class-carrying components out contiguously, in rank
-        order within a component (a stable sort of the rank order by
-        root)."""
+    def _relayout(self, carrying: np.ndarray) -> None:
+        """Lay the class-carrying components (``carrying`` marks their
+        roots) out contiguously, in rank order within a component (a
+        stable sort of the rank order by root)."""
         rank = self._rank_order()
-        labels = np.asarray(self._label, dtype=np.int64)[rank]
-        carrying = np.isin(labels, np.fromiter(self._segment, np.int64))
-        rank, labels = rank[carrying], labels[carrying]
+        labels = self._label[rank]
+        keep = carrying[labels]
+        rank, labels = rank[keep], labels[keep]
         order = np.argsort(labels, kind="stable")
         self._layout = rank[order]
         self._state_address = None
         labels = labels[order]
         starts = np.flatnonzero(
             np.concatenate(([True], labels[1:] != labels[:-1]))
-        ).tolist()
-        ends = starts[1:] + [labels.shape[0]]
-        self._segment = {
-            int(labels[start]): (start, end)
-            for start, end in zip(starts, ends)
-        }
+        )
+        roots = labels[starts]
+        self._seg_start.fill(-1)
+        self._seg_end.fill(-1)
+        self._seg_start[roots] = starts
+        self._seg_end[roots] = np.append(starts[1:], labels.shape[0])
 
     def _sync_links(self) -> None:
         """Size the per-link arrays to the link registry; new links
@@ -1206,7 +1320,14 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         if known == n_links:
             return
         extra = n_links - known
-        self._label.extend(range(known, n_links))
+        self._label = np.concatenate(
+            (self._label, np.arange(known, n_links, dtype=np.int64))
+        )
+        unlaid = np.full(extra, -1, dtype=np.int64)
+        self._seg_start = np.concatenate((self._seg_start, unlaid))
+        self._seg_end = np.concatenate((self._seg_end, unlaid))
+        self._listed_at = np.append(self._listed_at, np.zeros(extra, np.int64))
+        self._dirty_roots = np.zeros(n_links, dtype=np.int64)
         self._t_start = np.append(self._t_start, np.zeros(extra, np.int64))
         self._t_len = np.append(self._t_len, np.zeros(extra, np.int64))
         self._t_cap = np.append(self._t_cap, np.zeros(extra, np.int64))
@@ -1217,7 +1338,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         busy[:known] = self._busy
         self._busy = busy
         if self._state is not None:
-            self._bounds = (ctypes.c_int64 * (2 * n_links))()
+            self._dirty_links = (ctypes.c_int64 * n_links)()
         self._state_address = None
         self._step_address = None
 
@@ -1264,9 +1385,13 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             ("t_start", self._t_start),
             ("t_len", self._t_len),
             ("layout", self._layout),
+            ("label", self._label),
+            ("seg_start", self._seg_start),
+            ("seg_end", self._seg_end),
+            ("listed_at", self._listed_at),
+            ("dirty", self._dirty_roots),
         ):
             setattr(state, field, array.ctypes.data)
-        state.bounds = ctypes.addressof(self._bounds)
         state.step = ctypes.addressof(self._step)
         self._state_address = ctypes.addressof(state)
         return self._state_address
@@ -1295,6 +1420,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             ("block_slot", self._block_slot),
             ("block_ties", self._block_ties),
             ("has_dup", table.has_dup),
+            ("tie_rank", self._tie_rank),
             ("count", self._count),
             ("m", self._m),
             ("cstart", self._cstart),
@@ -1313,6 +1439,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         n = self._table.remaining.shape[0]
         if n > self._class_of.shape[0]:
             self._class_of = _grown(self._class_of, n, fill=-1)
+            self._tie_rank = _grown(self._tie_rank, n)
             self._size_step_slots()
             self._require_full("grown")
 
@@ -1337,6 +1464,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         n = live.shape[0]
         self._class_of[:n] = self._class_of[live]
         self._class_of[n:] = -1
+        self._tie_rank[:n] = self._tie_rank[live]
         # Slot numbers moved: the full pass sets every bit it needs.
         self._touched[:] = 0
         self._require_full("compacted")
@@ -1664,41 +1792,48 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         table.last_update[slots] = now
 
     def _relevel(self) -> int:
-        """Water-fill the dirty components; returns rounds executed."""
-        label, segment = self._label, self._segment
-        roots = {label[link] for link in self._dirty}
-        self._dirty.clear()
-        edges = [
-            edge for root in roots if root in segment
-            for edge in segment[root]
-        ]
-        if not edges:
-            return 0
-        self._epoch += 1
+        """Water-fill the components of the dirty links; returns rounds
+        executed."""
+        dirty = self._dirty
         if self._kernels is None:
-            return self._waterfill_numpy(edges)
+            links = np.fromiter(dirty, np.int64, len(dirty))
+            dirty.clear()
+            roots = np.unique(self._label[links])
+            starts = self._seg_start[roots]
+            carrying = starts >= 0
+            if not carrying.any():
+                return 0
+            self._epoch += 1
+            return self._waterfill_numpy(
+                zip(
+                    starts[carrying].tolist(),
+                    self._seg_end[roots[carrying]].tolist(),
+                )
+            )
+        n = len(dirty)
+        self._dirty_links[:n] = list(dirty)
+        dirty.clear()
         if self._step_address is None:
             # The kernel lists the classes it moves in the step state.
             self._bind_step()
         address = self._state_address
         if address is None:
             address = self._bind_kernel()
-        self._bounds[: len(edges)] = edges
-        rounds = self._kernels.relevel(address, self._epoch, len(edges) // 2)
+        rounds = self._kernels.relevel(
+            address, ctypes.addressof(self._dirty_links), n
+        )
         if rounds < 0:
-            raise SimulationError(
-                "water-filling invariant violated: loaded bottleneck "
-                "without unfrozen members"
-            )
+            raise _invariant_violation()
         return rounds
 
-    def _waterfill_numpy(self, edges: list[int]) -> int:
+    def _waterfill_numpy(self, components: Iterable[tuple[int, int]]) -> int:
         """Numpy mirror of the compiled kernel, bitwise-equal to it.
 
-        Same components, same full-link-space scratch arrays, same
-        epoch-stamped freezing; a member class's incidences are its
-        pool repeated per flow, so the ``np.subtract.at`` calls replay
-        the kernel's sequential equal-share subtractions.
+        Same components (``[first, last)`` layout segments), same
+        full-link-space scratch arrays, same epoch-stamped freezing; a
+        member class's incidences are its pool repeated per flow, so
+        the ``np.subtract.at`` calls replay the kernel's sequential
+        equal-share subtractions.
         """
         cap, count = self._cap, self._count
         remaining, load = self._remaining, self._load
@@ -1708,7 +1843,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         t_start, t_len = self._t_start, self._t_len
         epoch = self._epoch
         rounds = 0
-        for first, last in zip(edges[0::2], edges[1::2]):
+        for first, last in components:
             component = self._layout[first:last]
             work = component[count[component] > 0.0]
             remaining[work] = cap[work]
@@ -1724,10 +1859,7 @@ class BatchedFairShareEngine(VectorFairShareEngine):
                 live = (m[segment] > 0) & (frozen[segment] != epoch)
                 members = segment[live]
                 if members.shape[0] == 0:
-                    raise SimulationError(
-                        "water-filling invariant violated: loaded "
-                        "bottleneck without unfrozen members"
-                    )
+                    raise _invariant_violation()
                 class_rate[members] = share
                 frozen[members] = epoch
                 counts = clen[members]
@@ -1746,6 +1878,13 @@ class BatchedFairShareEngine(VectorFairShareEngine):
 
 def _unknown_link(flow: Hashable, link: LinkId) -> SimulationError:
     return SimulationError(f"flow {flow!r} uses unknown link {sorted(link)}")
+
+
+def _invariant_violation() -> SimulationError:
+    return SimulationError(
+        "water-filling invariant violated: loaded bottleneck without "
+        "unfrozen members"
+    )
 
 
 def _grown(array: np.ndarray, needed: int, fill: int = 0) -> np.ndarray:

@@ -13,7 +13,8 @@ per-event and with batched admission) and all of them agreed on every
 case bit for bit.  The one remaining data plane must keep reproducing
 each of them, and :func:`assert_golden` also certifies the rates every
 event step of the run adopts against the max-min definition and the
-textbook water-filling.
+textbook water-filling (on the per-event loop, whose steps it can
+observe), then matches the CRC of the compiled event loop's run.
 
 Regenerate (only for an intended change of simulation semantics)::
 
@@ -36,6 +37,7 @@ import numpy as np
 
 from repro.core.cluster import ClusterManager
 from repro.sdn.route_cache import DEFAULT_ROUTE_CACHE_SIZE
+from repro.sim import ckernel, event_simulator
 from repro.sim.event_simulator import EventDrivenFlowSimulator
 from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
 from repro.sim.faults import FaultEvent, FaultKind
@@ -387,6 +389,8 @@ def certified_recomputes():
     :func:`~repro.sim.fairshare.max_min_fair_rates`, bit for bit, on
     the engine's live flows and capacities; the step's next completion
     must be the table's minimum eta, with its first slot and tie count.
+    The block pins the per-event loop: the compiled loop's steps never
+    return to Python.
     """
     original = BatchedFairShareEngine.settle
 
@@ -414,10 +418,13 @@ def certified_recomputes():
         return upcoming
 
     BatchedFairShareEngine.settle = settle
+    compiled = event_simulator._COMPILED_LOOP
+    event_simulator._COMPILED_LOOP = False
     try:
         yield
     finally:
         BatchedFairShareEngine.settle = original
+        event_simulator._COMPILED_LOOP = compiled
 
 
 @functools.cache
@@ -430,11 +437,15 @@ def golden_fixture() -> tuple[dict[str, Callable], dict[str, int], list]:
 
 
 def assert_golden(case: str) -> None:
-    """Run ``case`` with certified event steps and match its golden CRC."""
+    """Run ``case`` with certified event steps and match its golden CRC;
+    with the kernel, run it again on the compiled event loop and match
+    the CRC too."""
     cases, crcs, _ = golden_fixture()
     with certified_recomputes():
         report = cases[case]()
     assert report_crc(report) == crcs[case], case
+    if ckernel.kernels() is not None:
+        assert report_crc(cases[case]()) == crcs[case], case
 
 
 def main() -> int:
