@@ -94,6 +94,16 @@ class SimulationError(ALVCError):
     """The discrete-event simulation was driven incorrectly."""
 
 
+class RepeatedLinkError(SimulationError):
+    """A flow's route crosses some link more than once.
+
+    The data plane water-fills loop-free routes only: every route the
+    simulator installs is a simple path, so a route that repeats a link
+    is refused before the fair-share engine reserves, interns or counts
+    anything for it.
+    """
+
+
 class RoutingError(ALVCError):
     """No feasible path exists for a routing request."""
 

@@ -24,9 +24,10 @@ from repro.sim.flows import Flow
 from repro.sim.metrics import MetricsCollector
 from repro.sim.simulator import FlowSimulator, SimulationReport
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
-from repro.sim.vector import FlowTable, LinkBusyView, VectorFairShareEngine
+from repro.sim.vector import BatchedFairShareEngine, FlowTable, LinkBusyView
 
 __all__ = [
+    "BatchedFairShareEngine",
     "ChainFlowRecord",
     "ChainTrafficReport",
     "ChainTrafficSimulator",
@@ -43,7 +44,6 @@ __all__ = [
     "Simulator",
     "TrafficConfig",
     "TrafficGenerator",
-    "VectorFairShareEngine",
     "check_max_min_fair",
     "max_min_fair_rates",
 ]

@@ -96,24 +96,18 @@ class InternedRoute:
     """One resolved ``(src_host, dst_host, AL)`` pair, admission-ready.
 
     Carries every per-arrival artifact the event loop would otherwise
-    rebuild: the node path, the ``LinkId`` tuple, the engine-space
-    link-index array and the duplicate-link flag the
-    :class:`~repro.sim.vector.FlowTable` wants.
+    rebuild: the node path, the ``LinkId`` tuple and the engine-space
+    link-index array.
     """
 
-    __slots__ = ("path", "links", "indices", "has_dup", "cid")
+    __slots__ = ("path", "links", "indices", "cid")
 
     def __init__(
-        self,
-        path: Sequence[str],
-        links: tuple,
-        indices: np.ndarray,
-        has_dup: bool,
+        self, path: Sequence[str], links: tuple, indices: np.ndarray
     ) -> None:
         self.path = list(path)
         self.links = links
         self.indices = indices
-        self.has_dup = has_dup
         #: Route-class id cache, assigned by the run's batched engine
         #: on first admission (one engine per plan per run).
         self.cid: int | None = None
@@ -264,9 +258,7 @@ class AdmissionPlan:
         indices = np.array(
             [index[link] for link in links], dtype=np.int32
         )
-        return InternedRoute(
-            path, links, indices, len(links) > len(set(links))
-        )
+        return InternedRoute(path, links, indices)
 
     # ------------------------------------------------------------------
     def invalidate_crossing(self, links: Iterable[frozenset]) -> int:

@@ -30,10 +30,9 @@ of the source and the compiler flags.
   from its old rate is appended, once, to the step state's
   changed-class list.
 * ``alvc_settle`` is the event step after a recompute.  Every live slot
-  whose new rate (its class's rate, or an entry of a dense rates array
-  when the engine took its vector fallback) differs from its current
-  one is charged its progress and link busy time, adopts the rate and
-  gets a fresh eta.  The step returns the minimum eta over the table,
+  whose new rate (its class's rate) differs from its current one is
+  charged its progress and link busy time, adopts the rate and gets a
+  fresh eta.  The step returns the minimum eta over the table,
   the first slot reaching it and how many slots tie at it.
 * ``alvc_materialize`` charges one slot's progress and busy time (flow
   completions and reroutes).
@@ -41,7 +40,7 @@ of the source and the compiler flags.
   the Python side reserved (id checks, compaction and growth stay in
   :class:`~repro.sim.vector.FlowTable`).  Per flow it copies its
   interned class pool from ``cflat`` into the table's ``int32`` pool and
-  sets ``link_start``, ``link_len`` and ``has_dup``; it seeds
+  sets ``link_start`` and ``link_len``; it seeds
   ``remaining`` with the flow's size, ``rate`` with 0, ``eta`` with
   ``inf`` and ``last_update`` with ``now``, and sets ``alive`` and
   ``class_of``; it adds 1.0 to ``count`` for each link and 1 to the
@@ -68,11 +67,10 @@ of the source and the compiler flags.
 **The event loop.**  :class:`~repro.sim.event_simulator.
 EventDrivenFlowSimulator` enters ``alvc_run`` whenever it has an
 admission plan (runs that are not load-aware), the kernel runs, and
-the engine needs neither a full pass nor its dense fallback.  The
-arrivals come pre-interned (:class:`RunState`): per arrival its time,
-its route class (``-1`` for co-located endpoints, ``-2`` for one the
-plan does not cover: no plan route, or a class that repeats a link),
-its size and the rank of its flow id.  Each turn picks the next event
+the engine owes no full pass.  The arrivals come pre-interned
+(:class:`RunState`): per arrival its time, its route class (``-1`` for
+co-located endpoints, ``-2`` for one the plan has no route for), its
+size and the rank of its flow id.  Each turn picks the next event
 with the per-event loop's rules: an event beyond ``until`` first, then
 no finite event (a stall), then a fault, then the arrival batch (every
 arrival at that time), then the earliest completion.  A batch is
@@ -119,9 +117,7 @@ only an add or a removal changes which slots are live.  A slot outside
 the set would compare equal and be skipped by the full scan too.  A
 *full pass* visits every slot and rebuilds the class lists and block
 summaries.  It is the same loop, and it runs on the first step, after a
-compaction, after the table or class arrays grow, and on the dense
-fallback and the step after it (dense rates need not equal the class
-rates).
+compaction and after the table or class arrays grow.
 
 **The next completion.**  The table is cut into 64-slot blocks, one
 word of the touched-slot bitmap each, and every block stores its
@@ -246,7 +242,6 @@ struct alvc_step_state {
     double *block_eta;          /* [W] minimum eta of the block */
     int64_t *block_slot;        /* [W] first slot at it, -1 if inf */
     int64_t *block_ties;        /* [W] slots at it, 0 if inf */
-    uint8_t *has_dup;           /* [S] numpy bool: path repeats a link */
     int64_t *tie_rank;          /* [S] rank of the slot's flow id */
     double *count;              /* [L] live flows per link */
     int64_t *m;                 /* [C] live class multiplicities */
@@ -443,16 +438,13 @@ static int64_t admit_one(struct alvc_step_state *s, int64_t c, int64_t slot,
 {
     const int64_t *links = s->cflat + s->cstart[c];
     int64_t len = s->clen[c];
-    uint8_t dup = 0;
     for (int64_t j = 0; j < len; j++) {
         int64_t l = links[j];
         s->pool[at + j] = (int32_t)l;
         s->count[l] += 1.0;
-        for (int64_t k = 0; k < j && !dup; k++) dup = links[k] == l;
     }
     s->link_start[slot] = at;
     s->link_len[slot] = len;
-    s->has_dup[slot] = dup;
     s->remaining[slot] = size;
     s->rate[slot] = 0.0;
     s->eta[slot] = INFINITY;
@@ -536,9 +528,7 @@ static void summarize(struct alvc_step_state *s, int64_t w, int64_t size)
     s->block_ties[w] = first < 0 ? 0 : ties;
 }
 
-/* The event step.  New rates come from rates[slot] when rates is
- * non-NULL (the dense fallback, always a full pass), else from
- * class_rate[class_of[slot]].
+/* The event step.  New rates come from class_rate[class_of[slot]].
  *
  * Visited slots: a full pass visits [0, size); otherwise the slots
  * added since the last settle ([settled, size)), the slots removed
@@ -560,7 +550,6 @@ static void summarize(struct alvc_step_state *s, int64_t w, int64_t size)
  * count.  Returns that slot (-1 when the minimum is inf). */
 static int64_t settle(
     struct alvc_step_state *s,
-    const double *rates,
     int64_t size,
     double now,
     int64_t full)
@@ -623,13 +612,8 @@ static int64_t settle(
                     if (i < settled) rescan = 1;
                     continue;
                 }
-                double r;
-                if (rates) {
-                    r = rates[i];
-                } else {
-                    int64_t c = s->class_of[i];
-                    r = c >= 0 ? s->class_rate[c] : 0.0;
-                }
+                int64_t c = s->class_of[i];
+                double r = c >= 0 ? s->class_rate[c] : 0.0;
                 if (r == s->rate[i]) continue;
                 charge(s, i, now);
                 s->rate[i] = r;
@@ -672,19 +656,17 @@ static int64_t settle(
 }
 int64_t alvc_settle(
     struct alvc_step_state *s,
-    const double *rates,
     int64_t size,
     double now,
     int64_t full)
 {
-    return settle(s, rates, size, now, full);
+    return settle(s, size, now, full);
 }
 
 /* The simulator's event loop between external events.  Arrivals are
  * the plan's, ascending in time: arrival_class holds each one's
  * interned class, -1 for co-located endpoints (they complete at once
- * with 0 hops) and -2 for an arrival the plan does not cover (no plan
- * route, or a class that repeats a link).
+ * with 0 hops) and -2 for an arrival the plan has no route for.
  *
  * Each turn picks the next event with the Python loop's rules: the
  * window edge (an event beyond until), a stall (no finite event time),
@@ -731,7 +713,6 @@ struct alvc_run_state {
     int64_t n_done;               /* out */
     int64_t n_rounds;             /* out */
     int64_t events;               /* out: events processed */
-    int64_t released;             /* out: classified slots released */
     int64_t peak;                 /* in/out: peak live slots */
 };
 
@@ -755,7 +736,7 @@ static int64_t run_step(struct alvc_relevel_state *rs,
         return 0;
     }
     struct alvc_step_state *s = rs->step;
-    settle(s, NULL, r->size, now, 0);
+    settle(s, r->size, now, 0);
     r->next_eta = s->next_eta;
     r->next_slot = s->next_slot;
     r->ties = s->ties;
@@ -765,7 +746,7 @@ static int64_t run_step(struct alvc_relevel_state *rs,
 int64_t alvc_run(struct alvc_relevel_state *rs, struct alvc_run_state *r)
 {
     struct alvc_step_state *s = rs->step;
-    r->n_done = r->n_rounds = r->events = r->released = 0;
+    r->n_done = r->n_rounds = r->events = 0;
     for (;;) {
         int64_t a = r->arrival, more = a < r->n_arrivals;
         if (!more && !r->active && !r->failures_left) return RUN_END;
@@ -835,10 +816,7 @@ int64_t alvc_run(struct alvc_relevel_state *rs, struct alvc_run_state *r)
             }
             charge(s, slot, t);
             int64_t c = alvc_release(s, slot);
-            if (c >= 0) {
-                r->released++;
-                if (s->clen[c]) mark(rs, s->cflat[s->cstart[c]]);
-            }
+            if (s->clen[c]) mark(rs, s->cflat[s->cstart[c]]);
             r->active--;
             int64_t bound = r->compact_slack > r->active ? r->compact_slack
                                                          : r->active;
@@ -1080,7 +1058,6 @@ class StepState(ctypes.Structure):
             "block_eta",
             "block_slot",
             "block_ties",
-            "has_dup",
             "tie_rank",
             "count",
             "m",
@@ -1139,7 +1116,6 @@ class RunState(ctypes.Structure):
         ("n_done", ctypes.c_int64),
         ("n_rounds", ctypes.c_int64),
         ("events", ctypes.c_int64),
-        ("released", ctypes.c_int64),
         ("peak", ctypes.c_int64),
     ]
 
@@ -1308,7 +1284,6 @@ def kernels() -> Kernels | None:
     settle.restype = ctypes.c_int64
     settle.argtypes = [
         ctypes.c_void_p,         # addressof(StepState)
-        ctypes.c_void_p,         # dense rates, or None for class rates
         ctypes.c_int64,          # table size
         ctypes.c_double,         # now
         ctypes.c_int64,          # full pass (nonzero) or incremental

@@ -123,11 +123,11 @@ def _id_ranks(flow_ids: Sequence) -> np.ndarray:
 
 def _loop_class(route) -> int:
     """An arrival's route class for the compiled loop: ``-1`` for
-    co-located endpoints, ``-2`` for an arrival the plan does not cover
-    (no route, or a route that repeats a link)."""
+    co-located endpoints, ``-2`` for an arrival the plan has no route
+    for."""
     if route is None:
         return -1
-    if route is NO_PLAN_ROUTE or route.has_dup:
+    if route is NO_PLAN_ROUTE:
         return -2
     return route.cid
 
@@ -712,14 +712,13 @@ class EventDrivenFlowSimulator:
                 if key not in routes_by_key:
                     routes_by_key[key] = plan.lookup(*key)
                 routes.append(routes_by_key[key])
-            fresh = [
-                route
-                for route in routes_by_key.values()
-                if isinstance(route, InternedRoute) and route.cid is None
-            ]
-            cids = engine.intern_pools([route.indices for route in fresh])
-            for route, cid in zip(fresh, cids):
-                route.cid = cid
+            engine.intern_routes(
+                [
+                    route
+                    for route in routes_by_key.values()
+                    if isinstance(route, InternedRoute)
+                ]
+            )
         elif self._route_cache is not None:
             # Load-aware picks depend on instantaneous link loads, so
             # routes cannot be pinned up front — but the candidate sets

@@ -6,17 +6,18 @@ the standard flow-level model of TCP-like sharing.  The classic
 water-filling algorithm: repeatedly find the most contended link, freeze
 its flows at the link's equal share, remove the frozen capacity, repeat.
 
-The simulator's engines live in :mod:`repro.sim.vector`; this module
+The simulator's engine lives in :mod:`repro.sim.vector`; this module
 keeps the shared link vocabulary and two test-side references:
 
 * :func:`max_min_fair_rates` — the textbook from-scratch water-filling.
   Every call rebuilds the per-link ``load`` dict from the full flow set
-  on every round; the vector engines reproduce its rates bit for bit
-  (same subtraction order, same tie-breaking), which the parity tests
-  assert on randomized instances.
+  on every round; the batched engine reproduces its rates bit for bit
+  (same subtraction order, same tie-breaking), compiled and on its
+  numpy mirror, which the parity tests assert on randomized instances.
 * :func:`check_max_min_fair` — the engine-independent oracle: it
   certifies an allocation against the definition of max-min fairness
-  without water-filling, so it also catches a bug all engines share.
+  without water-filling, so it also catches a bug the engine's
+  compiled and numpy paths share.
 """
 
 from __future__ import annotations

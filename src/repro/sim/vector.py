@@ -1,44 +1,31 @@
-"""Struct-of-arrays data plane: vectorized max-min fair sharing.
+"""Struct-of-arrays data plane: batched max-min fair sharing.
 
 The textbook water-filling
 (:func:`~repro.sim.fairshare.max_min_fair_rates`) touches one python
 object per flow-link incidence on every round, which caps a per-object
 simulator at a few thousand concurrent flows.  This module moves all
-per-flow state into numpy arrays so a water-filling recompute is a
-handful of whole-array operations:
+per-flow state into numpy arrays and water-fills per route class and
+per link component:
 
 * :class:`FlowTable` — the struct-of-arrays flow ledger.  Rates,
   remaining demand, projected completion times and last-materialization
   stamps are ``float64`` arrays indexed by *slot*; each flow's link
   incidence lives in a shared ``int32`` pool addressed CSR-style by
-  ``link_start``/``link_len`` (the same layout PR 5's
+  ``link_start``/``link_len`` (the layout
   :class:`~repro.sdn.path_engine.PathEngine` uses for adjacency).
   Slots are append-only, so ascending slot order *is* activation order
   — the invariant every bit-parity argument below leans on — and the
   table compacts itself when completed flows dominate.
-* :class:`VectorFairShareEngine` — water-filling over the table.  One
-  round is: a masked ``remaining / load`` ratio over the loaded links, a
-  single ``min``/``argmin`` for the bottleneck (ties broken by a
-  precomputed lexicographic link rank, replicating the reference's
-  ``sorted(link)`` tie-break), a batch freeze of the bottleneck's
-  unfrozen members from a per-recompute link→flows transpose, and an
-  unbuffered ``np.subtract.at`` over the frozen members' incidences.
-  ``np.subtract.at`` performs the duplicate-index subtractions
-  *sequentially*, so a link crossed by ``k`` freezing flows sees exactly
-  the ``k`` IEEE subtractions the reference performs — and because
-  every subtraction in a round removes the *same* share, deferring the
-  zero-clamp to one ``np.maximum`` per round is bit-identical to the
-  reference's per-subtraction clamp (once a value goes negative,
-  further subtractions keep it negative and both paths clamp to
-  ``+0.0``).  The result is **bit-for-bit** the rates of
-  :func:`~repro.sim.fairshare.max_min_fair_rates`, which the seeded
-  parity suite asserts on randomized instances.
-* :class:`BatchedFairShareEngine` — the batched data plane: flows
-  aggregated into route classes, a recompute that water-fills only the
-  link components an event touched, bit-identical to the vector engine,
-  and the simulator's event step (:meth:`~BatchedFairShareEngine.settle`:
+* :class:`BatchedFairShareEngine` — the data plane's one fair-share
+  engine: flows aggregated into route classes, a recompute that
+  water-fills only the link components an event touched, **bit for
+  bit** the rates of :func:`~repro.sim.fairshare.max_min_fair_rates`
+  (which the seeded parity suite asserts on randomized instances), and
+  the simulator's event step (:meth:`~BatchedFairShareEngine.settle`:
   adopt the new rates, charge progress and link busy time, find the
-  next completion).  Both run compiled or in a numpy mirror.
+  next completion).  Both run compiled or in a numpy mirror.  Routes
+  are loop-free: one that crosses a link twice is refused with
+  :class:`~repro.exceptions.RepeatedLinkError`.
 * :class:`LinkBusyView` — a lazy mapping over the engine's per-link
   busy accumulator array, so a million-flow report never materializes a
   per-link python dict just to compute utilization.
@@ -55,14 +42,13 @@ from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.exceptions import SimulationError
+from repro.exceptions import RepeatedLinkError, SimulationError
 from repro.sim.fairshare import ROUNDS_BUCKETS, LinkId
 
 __all__ = [
     "BatchedFairShareEngine",
     "FlowTable",
     "LinkBusyView",
-    "VectorFairShareEngine",
 ]
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
@@ -91,7 +77,6 @@ class FlowTable:
         "alive",
         "link_start",
         "link_len",
-        "has_dup",
         "pool",
         "pool_len",
         "size",
@@ -114,9 +99,6 @@ class FlowTable:
         self.alive = np.zeros(n, dtype=bool)
         self.link_start = np.zeros(n, dtype=np.int64)
         self.link_len = np.zeros(n, dtype=np.int64)
-        #: Slots whose path crosses some link more than once (rare;
-        #: lets recompute skip member dedup when no carrier cycles).
-        self.has_dup = np.zeros(n, dtype=bool)
         self.pool = np.zeros(4 * n, dtype=np.int32)
         self.pool_len = 0
         #: High-water slot count: slots ``[0, size)`` are allocated.
@@ -198,15 +180,11 @@ class FlowTable:
         self.flow_ids.extend(flows)
         self.meta.extend([None] * count)
 
-    def add(
-        self, flow: Hashable, links: np.ndarray, has_dup: bool | None = None
-    ) -> int:
+    def add(self, flow: Hashable, links: np.ndarray) -> int:
         """Allocate a slot for ``flow`` over link indices ``links``.
 
         The new slot starts with zero rate, infinite eta and zero
         remaining demand; the caller seeds ``remaining``/``last_update``.
-        ``has_dup`` lets a caller that already knows whether ``links``
-        repeats an index skip the membership probe.
 
         Raises:
             SimulationError: when the flow already holds a slot.
@@ -216,9 +194,6 @@ class FlowTable:
         self.pool[self.pool_len : self.pool_len + count] = links
         self.link_start[slot] = self.pool_len
         self.link_len[slot] = count
-        if has_dup is None:
-            has_dup = count > len({int(link) for link in links})
-        self.has_dup[slot] = has_dup
         self.remaining[slot] = 0.0
         self.rate[slot] = 0.0
         self.eta[slot] = np.inf
@@ -264,17 +239,14 @@ class FlowTable:
         return slot
 
     def add_many(
-        self,
-        flows: Sequence[Hashable],
-        pools: Sequence[np.ndarray],
-        has_dup: Sequence[bool],
+        self, flows: Sequence[Hashable], pools: Sequence[np.ndarray]
     ) -> np.ndarray:
         """Bulk twin of :meth:`add`: one grow, one pool write, one fill.
 
         ``pools[i]`` is flow ``i``'s link-index array (``int32``,
-        path order preserved); ``has_dup[i]`` its duplicate-link flag.
-        New slots start like :meth:`add`'s (zero rate/remaining,
-        infinite eta); the caller seeds ``remaining``/``last_update``.
+        path order preserved).  New slots start like :meth:`add`'s
+        (zero rate/remaining, infinite eta); the caller seeds
+        ``remaining``/``last_update``.
         Returns the allocated slots in ``flows`` order — consecutive,
         so activation order still matches admission order.
 
@@ -296,7 +268,6 @@ class FlowTable:
         ends = np.cumsum(lens)
         self.link_start[slots] = self.pool_len + ends - lens
         self.link_len[slots] = lens
-        self.has_dup[slots] = np.asarray(has_dup, dtype=bool)
         self.remaining[slots] = 0.0
         self.rate[slots] = 0.0
         self.eta[slots] = np.inf
@@ -339,8 +310,6 @@ class FlowTable:
         ends = np.cumsum(lens)
         self.link_start[:n] = ends - lens
         self.link_len[:n] = lens
-        self.has_dup[:n] = self.has_dup[live]
-        self.has_dup[n : self.size] = False
         self.pool[: flat.shape[0]] = flat
         self.pool_len = int(flat.shape[0])
         self.flow_ids = [self.flow_ids[slot] for slot in live.tolist()]
@@ -365,9 +334,6 @@ class FlowTable:
         alive = np.zeros(n, dtype=bool)
         alive[: self.size] = self.alive[: self.size]
         self.alive = alive
-        dup = np.zeros(n, dtype=bool)
-        dup[: self.size] = self.has_dup[: self.size]
-        self.has_dup = dup
         start = np.zeros(n, dtype=np.int64)
         start[: self.size] = self.link_start[: self.size]
         self.link_start = start
@@ -485,366 +451,30 @@ class LinkBusyView(Mapping):
         return float(utilization.sum() / utilization.shape[0])
 
 
-class VectorFairShareEngine:
-    """Vectorized max-min water-filling over a :class:`FlowTable`.
+class BatchedFairShareEngine:
+    """Route-class-aggregated, component-local max-min water-filling
+    over a :class:`FlowTable` — the data plane's fair-share engine.
 
-    Flows and link capacities change incrementally (``add_flow`` /
-    ``remove_flow`` / ``remove_link`` / ``set_capacity``); rates are
-    **bit-identical** to the reference — see the module docstring for
-    why the whole-array round replicates its arithmetic exactly.  :meth:`recompute` returns a
-    dense ``float64`` array indexed by table slot (``0.0`` for dead
-    slots, ``inf`` for live flows with no links); :meth:`rates_by_flow`
-    offers the dict-shaped spelling for parity tests.
+    Flows and link capacities change incrementally (:meth:`add_flow`,
+    :meth:`add_interned`, :meth:`remove_flow`, :meth:`remove_link`,
+    :meth:`set_capacity`).  :meth:`recompute` returns a ``float64``
+    array indexed by table slot (``0.0`` for dead slots, ``inf`` for
+    live flows with no links); :meth:`rates_by_flow` offers the
+    dict-shaped spelling for parity tests.  Links are registered up
+    front from the capacity map (insertion order fixes their array
+    indices); links removed by faults stay indexed but inactive so
+    repairs restore them in place.
 
-    Links are registered up front from the capacity map (insertion
-    order fixes their array indices); links removed by faults stay
-    indexed but inactive so repairs restore them in place.
-    """
-
-    __slots__ = (
-        "_table",
-        "_index",
-        "_link_ids",
-        "_cap",
-        "_link_alive",
-        "_count",
-        "_rank",
-        "_rounds_histogram",
-    )
-
-    def __init__(
-        self,
-        capacities: Mapping[LinkId, float],
-        *,
-        table: FlowTable | None = None,
-        telemetry=None,
-    ) -> None:
-        """Create an engine over a capacity map (validated up front).
-
-        Raises:
-            SimulationError: on a non-positive capacity.
-        """
-        self._link_ids: list[LinkId] = list(capacities)
-        self._cap = np.fromiter(
-            capacities.values(), dtype=np.float64, count=len(self._link_ids)
-        )
-        non_positive = np.flatnonzero(self._cap <= 0)
-        if non_positive.shape[0]:
-            link = self._link_ids[int(non_positive[0])]
-            raise SimulationError(
-                f"link {sorted(link)} has non-positive capacity "
-                f"{capacities[link]}"
-            )
-        from repro.observability.runtime import current_telemetry
-
-        sink = telemetry if telemetry is not None else current_telemetry()
-        self._table = table if table is not None else FlowTable()
-        self._index: dict[LinkId, int] = dict(
-            zip(self._link_ids, range(len(self._link_ids)))
-        )
-        self._link_alive = np.ones(len(self._link_ids), dtype=bool)
-        # Active-flow counts per link, kept as float64 so recompute can
-        # divide without a conversion pass (integers stay exact).
-        self._count = np.zeros(len(self._link_ids))
-        self._rank: np.ndarray | None = None
-        self._rounds_histogram = sink.histogram(
-            "alvc_fairshare_vector_rounds",
-            "water-filling rounds per vectorized fair-share recompute",
-            ROUNDS_BUCKETS,
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def table(self) -> FlowTable:
-        """The struct-of-arrays flow ledger this engine allocates over."""
-        return self._table
-
-    @property
-    def n_links(self) -> int:
-        """Number of registered link indices (including inactive ones)."""
-        return len(self._link_ids)
-
-    @property
-    def active_flows(self) -> int:
-        """Number of flows currently tracked."""
-        return self._table.active_count
-
-    @property
-    def loaded_links(self) -> int:
-        """Number of links with at least one active flow."""
-        return int(np.count_nonzero(self._count))
-
-    def link_ids(self) -> tuple:
-        """Registered links in index order."""
-        return tuple(self._link_ids)
-
-    @property
-    def link_index(self) -> dict:
-        """``LinkId`` -> array position (the live mapping, not a copy;
-        the admission planner interns routes against it)."""
-        return self._index
-
-    def link_counts(self) -> dict[LinkId, int]:
-        """Per-link active-flow counts (loaded links only, a copy)."""
-        return {
-            self._link_ids[index]: int(self._count[index])
-            for index in np.flatnonzero(self._count > 0.0).tolist()
-        }
-
-    def capacities(self) -> dict[LinkId, float]:
-        """The engine's live capacity map (a copy)."""
-        return {
-            self._link_ids[index]: float(self._cap[index])
-            for index in np.flatnonzero(self._link_alive).tolist()
-        }
-
-    # ------------------------------------------------------------------
-    # Incremental updates
-    # ------------------------------------------------------------------
-    def add_flow(self, flow: Hashable, links: Iterable[LinkId]) -> int:
-        """Track a new flow; returns its table slot.
-
-        Raises:
-            SimulationError: when the flow is already tracked or uses a
-                link without a capacity entry.
-        """
-        indices = self._link_indices(flow, links)
-        array = np.asarray(indices, dtype=np.int32)
-        slot = self._table.add(
-            flow, array, has_dup=len(indices) > len(set(indices))
-        )
-        if array.shape[0]:
-            np.add.at(self._count, array, 1.0)
-        return slot
-
-    def _link_indices(
-        self, flow: Hashable, links: Iterable[LinkId]
-    ) -> list[int]:
-        """The indices of ``links``, for a flow not yet tracked.
-
-        Raises:
-            SimulationError: when the flow is already tracked or a link
-                has no capacity entry or was removed.
-        """
-        if flow in self._table.slot_of:
-            raise SimulationError(f"flow {flow!r} is already active")
-        index = self._index
-        alive = self._link_alive
-        indices = []
-        for link in links:
-            position = index.get(link)
-            if position is None or not alive[position]:
-                raise _unknown_link(flow, link)
-            indices.append(position)
-        return indices
-
-    def remove_flow(self, flow: Hashable) -> int:
-        """Stop tracking a flow; returns the slot it held.
-
-        Raises:
-            SimulationError: when the flow is not tracked.
-        """
-        table = self._table
-        slot = table.slot_of.get(flow)
-        if slot is None:
-            raise SimulationError(f"flow {flow!r} is not active")
-        start = int(table.link_start[slot])
-        count = int(table.link_len[slot])
-        if count:
-            np.subtract.at(
-                self._count, table.pool[start : start + count], 1.0
-            )
-        return table.remove(flow)
-
-    def remove_link(self, link: LinkId) -> None:
-        """Deactivate a link (e.g. after a node failure).
-
-        The index is retained so a later repair restores it in place.
-
-        Raises:
-            SimulationError: when active flows still cross the link.
-        """
-        position = self._index.get(link)
-        if position is None:
-            return
-        crossing = int(self._count[position])
-        if crossing:
-            raise SimulationError(
-                f"cannot remove link {sorted(link)}: "
-                f"{crossing} active flows still cross it"
-            )
-        self._link_alive[position] = False
-
-    def set_capacity(self, link: LinkId, capacity: float) -> None:
-        """Set (or restore) a link's capacity — the revocation hook.
-
-        Unknown links are appended to the registry (the caller is
-        responsible for sizing any parallel per-link arrays).
-
-        Raises:
-            SimulationError: on a non-positive capacity.
-        """
-        if capacity <= 0:
-            raise SimulationError(
-                f"link {sorted(link)} capacity must be positive, "
-                f"got {capacity}"
-            )
-        position = self._index.get(link)
-        if position is None:
-            position = len(self._link_ids)
-            self._link_ids.append(link)
-            self._index[link] = position
-            self._cap = np.append(self._cap, capacity)
-            self._link_alive = np.append(self._link_alive, True)
-            self._count = np.append(self._count, 0.0)
-            self._rank = None
-        else:
-            self._cap[position] = capacity
-            self._link_alive[position] = True
-
-    # ------------------------------------------------------------------
-    # Water-filling
-    # ------------------------------------------------------------------
-    def _rank_order(self) -> np.ndarray:
-        """Link indices in lexicographic ``sorted(link)`` order — the
-        reference's tie-break order, cached until a link is added."""
-        if self._rank is None or self._rank.shape[0] != len(self._link_ids):
-            # Sort keys are built here, not per link up front: a run
-            # that never water-fills (faults only, no flows) skips them.
-            link_ids = self._link_ids
-            self._rank = np.array(
-                sorted(
-                    range(len(link_ids)),
-                    key=lambda index: tuple(sorted(link_ids[index])),
-                ),
-                dtype=np.int64,
-            )
-        return self._rank
-
-    def recompute(self) -> np.ndarray:
-        """Max-min fair rate per table slot.
-
-        Bit-for-bit identical to
-        :func:`repro.sim.fairshare.max_min_fair_rates` on the same
-        flows and capacities.
-        """
-        table = self._table
-        size = table.size
-        rates = np.zeros(size)
-        observe = self._rounds_histogram.observe
-        active = table.active_slots()
-        if active.shape[0] == 0:
-            observe(0.0)
-            return rates
-        lens = table.link_len[active]
-        zero_hop = active[lens == 0]
-        if zero_hop.shape[0]:
-            rates[zero_hop] = np.inf
-        carriers = active[lens > 0]
-        if carriers.shape[0] == 0:
-            observe(0.0)
-            return rates
-        flat_links, carrier_lens = table.gather_links(carriers)
-        # Compress to the loaded links so a round costs O(loaded), not
-        # O(all links), and order them by lexicographic rank: with the
-        # compressed arrays in rank order, ``np.argmin``'s
-        # first-occurrence rule IS the reference's exact-tie
-        # tie-break (lowest sort key among equal ratios) — one call
-        # replaces the min/candidates/rank-argmin cascade.
-        perm = self._rank_order()
-        loaded = perm[self._count[perm] > 0.0]
-        n_loaded = loaded.shape[0]
-        position = np.full(len(self._link_ids), -1, dtype=np.int64)
-        position[loaded] = np.arange(n_loaded)
-        remaining = self._cap[loaded].copy()
-        load = self._count[loaded].copy()
-        # Entries in flow (CSR) order, in compressed link space; the
-        # per-carrier segment table makes the per-round incidence
-        # gather pure arithmetic on small arrays.
-        compressed = position[flat_links]
-        entry_ends = np.cumsum(carrier_lens)
-        entry_starts = entry_ends - carrier_lens
-        carrier_pos = np.full(size, -1, dtype=np.int64)
-        carrier_pos[carriers] = np.arange(carriers.shape[0])
-        # link -> member flows transpose with precomputed segment
-        # bounds (replaces two binary searches per round).
-        order = np.argsort(compressed, kind="stable")
-        transpose_flows = np.repeat(carriers, carrier_lens)[order]
-        bounds = np.zeros(n_loaded + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(compressed, minlength=n_loaded), out=bounds[1:]
-        )
-        frozen = np.zeros(size, dtype=bool)
-        unfrozen = carriers.shape[0]
-        ratio = np.empty(n_loaded)
-        # A flow that crosses some link twice (a cycle in its path)
-        # appears twice in that link's transpose segment but must
-        # freeze exactly once, like the reference's member *dict*.
-        # Dedup inside the round is safe — every member gets the same
-        # share and per-link subtraction counts don't depend on member
-        # order — but it costs an ``np.unique`` per round, so it is
-        # gated on the table's per-slot flag (cyclic paths are rare).
-        dedup = bool(table.has_dup[carriers].any())
-        rounds = 0
-        while unfrozen:
-            rounds += 1
-            ratio.fill(np.inf)
-            np.divide(remaining, load, out=ratio, where=load > 0.0)
-            bottleneck = int(np.argmin(ratio))
-            share = ratio[bottleneck]
-            members = transpose_flows[
-                bounds[bottleneck] : bounds[bottleneck + 1]
-            ]
-            members = members[~frozen[members]]
-            if dedup and members.shape[0] > 1:
-                members = np.unique(members)
-            if members.shape[0] == 0:
-                raise SimulationError(
-                    "water-filling invariant violated: loaded bottleneck "
-                    "without unfrozen members"
-                )
-            rates[members] = share
-            frozen[members] = True
-            unfrozen -= members.shape[0]
-            pos = carrier_pos[members]
-            starts = entry_starts[pos]
-            counts = carrier_lens[pos]
-            total = int(counts.sum())
-            ends = np.cumsum(counts)
-            flat = (
-                np.repeat(starts - (ends - counts), counts)
-                + np.arange(total)
-            )
-            incidences = compressed[flat]
-            # Sequential duplicate-index subtraction == the dict
-            # engine's per-flow, per-link subtraction of the same share;
-            # one deferred clamp per round is bit-identical to clamping
-            # after every subtraction (see module docstring).
-            np.subtract.at(remaining, incidences, share)
-            np.maximum(remaining, 0.0, out=remaining)
-            np.subtract.at(load, incidences, 1.0)
-        observe(float(rounds))
-        return rates
-
-    def rates_by_flow(self) -> dict[Hashable, float]:
-        """Recompute and return ``flow id -> rate`` (parity spelling)."""
-        rates = self.recompute()
-        return {
-            flow: float(rates[slot])
-            for flow, slot in self._table.slot_of.items()
-        }
-
-
-class BatchedFairShareEngine(VectorFairShareEngine):
-    """Route-class-aggregated, component-local water-filling — the
-    batched data plane.
+    Routes are loop-free: a route that crosses some link twice is
+    refused with :class:`~repro.exceptions.RepeatedLinkError` before
+    anything is reserved, interned or counted (every route the simulator
+    installs is a simple path).  The check runs once per new route
+    class, not once per flow.
 
     Flows admitted from interned routes repeat a small set of paths, so
-    this engine interns each distinct link-index pool as a *route
-    class* and keeps every per-recompute structure of the vector engine
-    as incremental per-class state instead:
+    the engine interns each distinct link-index pool as a *route class*
+    and keeps every water-filling structure as incremental per-class
+    state:
 
     * **Multiplicities.**  Live flows per class, updated on add and
       remove (no per-recompute ``bincount`` over the active slots).
@@ -867,20 +497,25 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     through the per-slot class map.  A full recompute is the case where
     every component is dirty — there is one code path.
 
-    **Bit parity.**  Within a component the round sequence is the vector
-    engine's — same ``remaining / load`` ratios, same first-occurrence
-    rank-ordered argmin — and regrouping a bottleneck's member flows by
-    class only permutes same-valued subtractions, so each link still
-    sees exactly the reference's subtraction sequence.  Across
-    components nothing is shared: components share no links, so the
-    global loop's picks inside a component are exactly the component
-    loop's picks (a global argmin landing in a component is that
-    component's first-in-rank minimum), and other components' rounds
-    and clamps never touch its links.  A clean component's rates are
-    therefore what a global recompute would assign again.  Slots
-    carrying duplicate links (cyclic paths) or missing a class (flows
-    added behind the engine's back) fall back to the vector recompute,
-    which is itself bit-identical; dirty marks survive a fallback.
+    **Bit parity.**  Within a component a round is the reference's
+    round restricted to it: the same ``remaining / load`` ratio per
+    loaded link (``load`` counts the unfrozen flows), the bottleneck is
+    the *first* link in lexicographic rank order at the minimum ratio —
+    the reference's ``(ratio, sorted(link))`` key — and every flow of a
+    member class subtracts the share once per link of its route.
+    Regrouping a bottleneck's flows by class only permutes subtractions
+    of one same share, so each link sees exactly the reference's IEEE
+    subtractions; and because every subtraction in a round removes that
+    same share, deferring the zero clamp to once per round is
+    bit-identical to the reference's clamp after every subtraction
+    (once a value goes negative, further subtractions keep it negative
+    and both paths clamp to ``+0.0``).  Across components nothing is
+    shared: components share no links, so the global loop's picks
+    inside a component are exactly the component loop's picks (a global
+    minimum landing in a component is that component's first-in-rank
+    minimum), and other components' rounds and clamps never touch its
+    links.  A clean component's rates are therefore what a global
+    recompute would assign again.
 
     The round loop, the event step (:meth:`settle`,
     :meth:`materialize`) and the admission and removal bookkeeping
@@ -892,13 +527,13 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     and in numpy mirrors otherwise; both are asserted bitwise-equal in
     the suite.  Admission on either path goes through the same
     :class:`FlowTable` bookkeeping (id checks, compaction, growth, the
-    id map): the kernel only writes the slots it reserves.  The kernels read the arrays through
-    ``ctypes`` structs of pointers, rebound only when an array is
-    reallocated (table, pool, class-array, class-map or link growth).
-    The compiled step visits only the slots that can have changed: it
-    needs the engine to mark removed slots in its touched bitmap, to
-    size its per-slot lists and block summaries with the table, and to
-    ask for a full pass when those are stale (see
+    id map): the kernel only writes the slots it reserves.  The kernels
+    read the arrays through ``ctypes`` structs of pointers, rebound only
+    when an array is reallocated (table, pool, class-array, class-map or
+    link growth).  The compiled step visits only the slots that can have
+    changed: it needs the engine to mark removed slots in its touched
+    bitmap, to size its per-slot lists and block summaries with the
+    table, and to ask for a full pass when those are stale (see
     :mod:`repro.sim.ckernel`).
 
     Telemetry: ``alvc_fairshare_vector_rounds`` observes the rounds
@@ -908,17 +543,22 @@ class BatchedFairShareEngine(VectorFairShareEngine):
     merges of two such components (both move only when a class is
     interned, so the null sink costs nothing per event);
     ``alvc_fairshare_settle_full_total{reason}`` counts the steps that
-    had to visit every slot — ``first``, ``compacted``, ``grown``
-    (table or class arrays reallocated) or ``dense`` (the vector
-    fallback and the step after it) — on either path.
+    had to visit every slot — ``first``, ``compacted`` or ``grown``
+    (table or class arrays reallocated) — on either path.
     """
 
     __slots__ = (
+        "_table",
+        "_index",
+        "_link_ids",
+        "_cap",
+        "_link_alive",
+        "_count",
+        "_rank",
+        "_rounds_histogram",
         "_class_index",
         "_n_classes",
-        "_dup_class_ids",
         "_class_of",
-        "_classified",
         "_m",
         "_frozen",
         "_class_rate",
@@ -976,11 +616,51 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         table: FlowTable | None = None,
         telemetry=None,
     ) -> None:
-        super().__init__(capacities, table=table, telemetry=telemetry)
+        """Create an engine over a capacity map (validated up front).
+
+        ``table`` must hold no live flow: a flow the engine did not
+        admit has no route class, so it would get no rate.
+
+        Raises:
+            SimulationError: on a non-positive capacity, or a ``table``
+                that already holds live flows.
+        """
+        self._link_ids: list[LinkId] = list(capacities)
+        self._cap = np.fromiter(
+            capacities.values(), dtype=np.float64, count=len(self._link_ids)
+        )
+        non_positive = np.flatnonzero(self._cap <= 0)
+        if non_positive.shape[0]:
+            link = self._link_ids[int(non_positive[0])]
+            raise SimulationError(
+                f"link {sorted(link)} has non-positive capacity "
+                f"{capacities[link]}"
+            )
+        if table is None:
+            table = FlowTable()
+        elif table.active_count:
+            raise SimulationError(
+                f"the flow table already holds {table.active_count} live "
+                "flows; the engine must admit every flow it rates"
+            )
         from repro.observability.runtime import current_telemetry
         from repro.sim.ckernel import RelevelState, StepState, kernels
 
         sink = telemetry if telemetry is not None else current_telemetry()
+        self._table = table
+        self._index: dict[LinkId, int] = dict(
+            zip(self._link_ids, range(len(self._link_ids)))
+        )
+        self._link_alive = np.ones(len(self._link_ids), dtype=bool)
+        # Active-flow counts per link, kept as float64 so water-filling
+        # can divide without a conversion pass (integers stay exact).
+        self._count = np.zeros(len(self._link_ids))
+        self._rank: np.ndarray | None = None
+        self._rounds_histogram = sink.histogram(
+            "alvc_fairshare_vector_rounds",
+            "water-filling rounds per vectorized fair-share recompute",
+            ROUNDS_BUCKETS,
+        )
         self._components_gauge = sink.gauge(
             "alvc_fairshare_components",
             "link components carrying route classes in the batched engine",
@@ -995,17 +675,14 @@ class BatchedFairShareEngine(VectorFairShareEngine):
                 "event steps that visited every slot of the flow table",
                 reason=reason,
             )
-            for reason in ("first", "compacted", "grown", "dense")
+            for reason in ("first", "compacted", "grown")
         }
         #: pool bytes -> class id (the interning table).
         self._class_index: dict[bytes, int] = {}
         self._n_classes = 0
-        #: Classes whose pool repeats a link (cyclic paths) — their
-        #: presence among active flows forces the vector fallback.
-        self._dup_class_ids: list[int] = []
-        #: Per-slot class id (-1 = dead or unclassified), sized with
-        #: the table by the growth hook and renumbered alongside it by
-        #: the compaction hook.
+        #: Per-slot class id (-1 = dead), sized with the table by the
+        #: growth hook and renumbered alongside it by the compaction
+        #: hook.
         self._class_of = np.full(
             self._table.remaining.shape[0], -1, dtype=np.int64
         )
@@ -1014,8 +691,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         #: breaks completion ties on it.
         self._tie_rank = np.zeros(self._class_of.shape[0], dtype=np.int64)
         self._size_step_slots()
-        #: Live slots that carry a class id.
-        self._classified = 0
         # Per-class arrays, grown by doubling.  ``_class_rate`` always
         # keeps at least one unused trailing entry fixed at 0.0, so the
         # per-slot gather maps ``-1`` (dead slots) to a zero rate.
@@ -1084,6 +759,52 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._table.on_grow = self._on_table_grow
 
     # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def table(self) -> FlowTable:
+        """The struct-of-arrays flow ledger this engine allocates over."""
+        return self._table
+
+    @property
+    def n_links(self) -> int:
+        """Number of registered link indices (including inactive ones)."""
+        return len(self._link_ids)
+
+    @property
+    def active_flows(self) -> int:
+        """Number of flows currently tracked."""
+        return self._table.active_count
+
+    @property
+    def loaded_links(self) -> int:
+        """Number of links with at least one active flow."""
+        return int(np.count_nonzero(self._count))
+
+    def link_ids(self) -> tuple:
+        """Registered links in index order."""
+        return tuple(self._link_ids)
+
+    @property
+    def link_index(self) -> dict:
+        """``LinkId`` -> array position (the live mapping, not a copy;
+        the admission planner interns routes against it)."""
+        return self._index
+
+    def link_counts(self) -> dict[LinkId, int]:
+        """Per-link active-flow counts (loaded links only, a copy)."""
+        return {
+            self._link_ids[index]: int(self._count[index])
+            for index in np.flatnonzero(self._count > 0.0).tolist()
+        }
+
+    def capacities(self) -> dict[LinkId, float]:
+        """The engine's live capacity map (a copy)."""
+        return {
+            self._link_ids[index]: float(self._cap[index])
+            for index in np.flatnonzero(self._link_alive).tolist()
+        }
+
     @property
     def kernel_active(self) -> bool:
         """Whether recomputes and event steps run compiled."""
@@ -1114,13 +835,11 @@ class BatchedFairShareEngine(VectorFairShareEngine):
 
     def can_run_events(self) -> bool:
         """Whether :meth:`run_events` may take over: the kernel runs, the
-        next step needs no full pass and no dirty component waits, and
-        every live flow belongs to a class that repeats no link."""
+        next step needs no full pass and no dirty component waits."""
         return (
             self._kernels is not None
             and self._full is None
             and not self._dirty
-            and not self._needs_vector()
         )
 
     def run_events(self, loop) -> str:
@@ -1157,7 +876,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         code = self._kernels.run(address, ctypes.addressof(loop))
         if code < 0:
             raise _invariant_violation()
-        self._classified += loop.size - table.size - loop.released
         table.size = loop.size
         table.pool_len = loop.pool_len
         table.active_count = loop.active
@@ -1165,8 +883,28 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         return RUN_REASONS[code]
 
     def class_for(self, pool: np.ndarray) -> int:
-        """Intern a link-index pool, returning its class id."""
+        """Intern a link-index pool, returning its class id.
+
+        Raises:
+            RepeatedLinkError: when the pool is new and repeats a link.
+        """
         return self.intern_pools((pool,))[0]
+
+    def intern_routes(self, routes: Sequence) -> list[int]:
+        """Each :class:`~repro.sim.admission.InternedRoute`'s class id,
+        interned on first use (new routes in one :meth:`intern_pools`
+        call) and cached on the route.
+
+        Raises:
+            RepeatedLinkError: when a new route repeats a link (nothing
+                is interned then).
+        """
+        fresh = [route for route in routes if route.cid is None]
+        if fresh:
+            cids = self.intern_pools([route.indices for route in fresh])
+            for route, cid in zip(fresh, cids):
+                route.cid = cid
+        return [route.cid for route in routes]
 
     def intern_pools(self, pools: Sequence[np.ndarray]) -> list[int]:
         """Intern link-index pools in order, returning their class ids.
@@ -1174,12 +912,22 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         The new classes' components merge in one pass with one layout
         for the whole call, so interning a run's routes up front costs
         one relayout instead of one per merge.
+
+        Raises:
+            RepeatedLinkError: when a pool not interned yet repeats a
+                link (nothing is interned then).
         """
+        index = self._class_index
+        keys = [pool.tobytes() for pool in pools]
+        for key, pool in zip(keys, pools):
+            if key not in index:
+                links = pool.tolist()
+                if len(set(links)) < len(links):
+                    raise _repeated_link(links, self._link_ids)
         cids = []
         groups = []
-        for pool in pools:
-            key = pool.tobytes()
-            cid = self._class_index.get(key)
+        for key, pool in zip(keys, pools):
+            cid = index.get(key)
             if cid is None:
                 cid = self._intern(key, pool)
                 if pool.shape[0]:
@@ -1212,8 +960,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             self._class_rate[cid] = np.inf
             return cid
         self._anchor.append(links[0])
-        if len(set(links)) < count:
-            self._dup_class_ids.append(cid)
         for link in links:
             self._t_append(link, cid)
         return cid
@@ -1289,6 +1035,22 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         if start < 0:
             return [root]
         return self._layout[start : self._seg_end[root]].tolist()
+
+    def _rank_order(self) -> np.ndarray:
+        """Link indices in lexicographic ``sorted(link)`` order — the
+        reference's tie-break order, cached until a link is added."""
+        if self._rank is None or self._rank.shape[0] != len(self._link_ids):
+            # Sort keys are built here, not per link up front: a run
+            # that never water-fills (faults only, no flows) skips them.
+            link_ids = self._link_ids
+            self._rank = np.array(
+                sorted(
+                    range(len(link_ids)),
+                    key=lambda index: tuple(sorted(link_ids[index])),
+                ),
+                dtype=np.int64,
+            )
+        return self._rank
 
     def _relayout(self, carrying: np.ndarray) -> None:
         """Lay the class-carrying components (``carrying`` marks their
@@ -1419,7 +1181,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             ("block_eta", self._block_eta),
             ("block_slot", self._block_slot),
             ("block_ties", self._block_ties),
-            ("has_dup", table.has_dup),
             ("tie_rank", self._tie_rank),
             ("count", self._count),
             ("m", self._m),
@@ -1454,12 +1215,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         if anchor >= 0:
             self._dirty.add(anchor)
 
-    def _set_class(self, slot: int, cid: int) -> None:
-        self._class_of[slot] = cid
-        self._m[cid] += 1
-        self._classified += 1
-        self._mark(cid)
-
     def _renumber_classes(self, live: np.ndarray) -> None:
         n = live.shape[0]
         self._class_of[:n] = self._class_of[live]
@@ -1470,24 +1225,52 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         self._require_full("compacted")
 
     # ------------------------------------------------------------------
+    # Incremental updates
+    # ------------------------------------------------------------------
     def add_flow(self, flow: Hashable, links: Iterable[LinkId]) -> int:
-        if self._kernels is None:
-            slot = super().add_flow(flow, links)
-            table = self._table
-            start = int(table.link_start[slot])
-            count = int(table.link_len[slot])
-            self._set_class(
-                slot, self.class_for(table.pool[start : start + count])
-            )
-            return slot
+        """Track a new flow; returns its table slot.
+
+        Raises:
+            SimulationError: when the flow is already tracked or uses a
+                link without a capacity entry.
+            RepeatedLinkError: when its route crosses a link twice
+                (nothing is reserved, interned or counted then).
+        """
         pool = np.asarray(self._link_indices(flow, links), dtype=np.int32)
         cid = self.class_for(pool)
-        flows = (flow,)
-        first = self._table.reserve(flows, pool.shape[0])
-        # The links were checked above, so the kernel admits.
-        self._admit(flows, (cid,), (0.0,), 0.0, first)
+        if self._kernels is None:
+            slot = self._table.add(flow, pool)
+            np.add.at(self._count, pool, 1.0)
+            self._class_of[slot] = cid
+            self._m[cid] += 1
+        else:
+            flows = (flow,)
+            slot = self._table.reserve(flows, pool.shape[0])
+            # The links were checked above, so the kernel admits.
+            self._admit(flows, (cid,), (0.0,), 0.0, slot)
         self._mark(cid)
-        return first
+        return slot
+
+    def _link_indices(
+        self, flow: Hashable, links: Iterable[LinkId]
+    ) -> list[int]:
+        """The indices of ``links``, for a flow not yet tracked.
+
+        Raises:
+            SimulationError: when the flow is already tracked or a link
+                has no capacity entry or was removed.
+        """
+        if flow in self._table.slot_of:
+            raise SimulationError(f"flow {flow!r} is already active")
+        index = self._index
+        alive = self._link_alive
+        indices = []
+        for link in links:
+            position = index.get(link)
+            if position is None or not alive[position]:
+                raise _unknown_link(flow, link)
+            indices.append(position)
+        return indices
 
     def add_interned(
         self,
@@ -1509,51 +1292,38 @@ class BatchedFairShareEngine(VectorFairShareEngine):
             SimulationError: when a flow is already active or appears
                 twice in ``flows``, or a route crosses a link the engine
                 does not know or has removed (nothing is admitted then).
+            RepeatedLinkError: when a route crosses a link twice
+                (nothing is reserved, interned or counted then).
         """
         if not flows:
             return _EMPTY_I64
+        cids = self.intern_routes(routes)
         table = self._table
         if self._kernels is None:
             pools = [route.indices for route in routes]
             flat = np.concatenate(pools)
             if not self._link_alive[flat].all():
                 raise self._dead_route(flows, routes)
-            slots = table.add_many(
-                flows, pools, [route.has_dup for route in routes]
-            )
+            slots = table.add_many(flows, pools)
             table.remaining[slots] = sizes
             table.last_update[slots] = now
             np.add.at(self._count, flat, 1.0)
-            cids = self._route_classes(routes)
             first = int(slots[0])
             # Slots from one append are consecutive.
             self._class_of[first : first + len(cids)] = cids
             m = self._m
             for cid in cids:
                 m[cid] += 1
-            self._classified += len(cids)
         else:
             first = table.reserve(
                 flows, sum(route.indices.shape[0] for route in routes)
             )
-            cids = self._route_classes(routes)
             if self._admit(flows, cids, sizes, now, first) < 0:
                 raise self._dead_route(flows, routes)
             slots = np.arange(first, first + len(flows), dtype=np.int64)
         for cid in set(cids):
             self._mark(cid)
         return slots
-
-    def _route_classes(self, routes: Sequence) -> list[int]:
-        """Each route's class id, interned on first use and cached on
-        the route."""
-        cids = []
-        for route in routes:
-            cid = route.cid
-            if cid is None:
-                cid = route.cid = self.class_for(route.indices)
-            cids.append(cid)
-        return cids
 
     def _admit(
         self,
@@ -1587,7 +1357,6 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         )
         if written >= 0:
             table.commit(flows, written)
-            self._classified += n
         return written
 
     def _grow_admit(self, n: int) -> None:
@@ -1612,55 +1381,101 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         raise AssertionError("every route is alive")
 
     def remove_flow(self, flow: Hashable) -> int:
+        """Stop tracking a flow; returns the slot it held.
+
+        Raises:
+            SimulationError: when the flow is not tracked.
+        """
+        table = self._table
         if self._kernels is None:
-            slot = super().remove_flow(flow)
+            slot = table.remove(flow)
+            start = int(table.link_start[slot])
+            np.subtract.at(
+                self._count,
+                table.pool[start : start + int(table.link_len[slot])],
+                1.0,
+            )
             # The next step visits the slot (see ``alvc_settle``).
             self._touched[slot >> 6] |= np.uint64(1 << (slot & 63))
             cid = int(self._class_of[slot])
-            if cid >= 0:
-                self._class_of[slot] = -1
-                self._m[cid] -= 1
+            self._class_of[slot] = -1
+            self._m[cid] -= 1
         else:
-            slot = self._table.release(flow)
+            slot = table.release(flow)
             address = self._step_address
             if address is None:
                 address = self._bind_step()
             cid = self._kernels.release(address, slot)
-        if cid >= 0:
-            self._classified -= 1
-            self._mark(cid)
+        self._mark(cid)
         return slot
 
     def remove_link(self, link: LinkId) -> None:
-        super().remove_link(link)
+        """Deactivate a link (e.g. after a node failure).
+
+        The index is retained so a later repair restores it in place.
+
+        Raises:
+            SimulationError: when active flows still cross the link.
+        """
         position = self._index.get(link)
-        if position is not None:
-            self._dirty.add(position)
+        if position is None:
+            return
+        crossing = int(self._count[position])
+        if crossing:
+            raise SimulationError(
+                f"cannot remove link {sorted(link)}: "
+                f"{crossing} active flows still cross it"
+            )
+        self._link_alive[position] = False
+        self._dirty.add(position)
 
     def set_capacity(self, link: LinkId, capacity: float) -> None:
-        super().set_capacity(link, capacity)
-        self._sync_links()
-        self._dirty.add(self._index[link])
+        """Set (or restore) a link's capacity — the revocation hook.
+
+        Unknown links are appended to the registry, and every per-link
+        array grows with it.
+
+        Raises:
+            SimulationError: on a non-positive capacity.
+        """
+        if capacity <= 0:
+            raise SimulationError(
+                f"link {sorted(link)} capacity must be positive, "
+                f"got {capacity}"
+            )
+        position = self._index.get(link)
+        if position is None:
+            position = len(self._link_ids)
+            self._link_ids.append(link)
+            self._index[link] = position
+            self._cap = np.append(self._cap, capacity)
+            self._link_alive = np.append(self._link_alive, True)
+            self._count = np.append(self._count, 0.0)
+            self._rank = None
+            self._sync_links()
+        else:
+            self._cap[position] = capacity
+            self._link_alive[position] = True
+        self._dirty.add(position)
 
     # ------------------------------------------------------------------
-    def _needs_vector(self) -> bool:
-        """Whether rates must come from the vector recompute: some live
-        slot has no class, or a live class repeats a link."""
-        table = self._table
-        return bool(
-            self._classified != table.active_count
-            or (self._dup_class_ids and self._m[self._dup_class_ids].any())
-        )
-
+    # Water-filling and the event step
+    # ------------------------------------------------------------------
     def recompute(self) -> np.ndarray:
-        """Max-min fair rate per slot — bit-identical to the vector
-        engine (and therefore the reference); see the class
-        docstring."""
-        if self._needs_vector():
-            return super().recompute()
+        """Max-min fair rate per table slot — bit-identical to
+        :func:`repro.sim.fairshare.max_min_fair_rates` on the same flows
+        and capacities (see the class docstring)."""
         rounds = self._relevel() if self._dirty else 0
         self._rounds_histogram.observe(float(rounds))
         return self._class_rate[self._class_of[: self._table.size]]
+
+    def rates_by_flow(self) -> dict[Hashable, float]:
+        """Recompute and return ``flow id -> rate`` (parity spelling)."""
+        rates = self.recompute()
+        return {
+            flow: float(rates[slot])
+            for flow, slot in self._table.slot_of.items()
+        }
 
     def settle(self, now: float) -> tuple[float, int, int]:
         """One event step: recompute, adopt the new rates and find the
@@ -1677,19 +1492,12 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         whose rate moved; :meth:`_settle_numpy` scans the whole table,
         and the two are bitwise-equal.
         """
-        if self._needs_vector():
-            rates = super().recompute()
-        else:
-            rates = None
-            rounds = self._relevel() if self._dirty else 0
-            self._rounds_histogram.observe(float(rounds))
-        return self._adopt(rates, now)
+        rounds = self._relevel() if self._dirty else 0
+        self._rounds_histogram.observe(float(rounds))
+        return self._adopt(now)
 
-    def _adopt(
-        self, rates: np.ndarray | None, now: float
-    ) -> tuple[float, int, int]:
-        """:meth:`settle` after the recompute: adopt ``rates`` (the
-        dense vector fallback, or ``None`` for the class rates).
+    def _adopt(self, now: float) -> tuple[float, int, int]:
+        """:meth:`settle` after the recompute: adopt the class rates.
 
         Rates, etas or class rates written behind the engine's back
         must be declared with :meth:`_require_full` first.
@@ -1697,27 +1505,19 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         size = self._table.size
         if size == 0:
             return _NO_COMPLETION
-        full = self._full if rates is None else "dense"
-        # Dense rates need not equal the class rates, so the first
-        # class-rate step after them visits every slot too.
-        self._full = None if rates is None else "dense"
+        full = self._full
+        self._full = None
         if full is not None:
             self._full_counters[full].inc()
         if self._kernels is None:
-            return self._settle_numpy(rates, now)
+            return self._settle_numpy(now)
         address = self._step_address
         if address is None:
             address = self._bind_step()
         step = self._step
         if full is not None:
             step.n_classes = self._n_classes
-        self._kernels.settle(
-            address,
-            None if rates is None else rates.ctypes.data,
-            size,
-            now,
-            full is not None,
-        )
+        self._kernels.settle(address, size, now, full is not None)
         return step.next_eta, step.next_slot, step.ties
 
     def materialize(self, slots: Sequence[int], now: float) -> None:
@@ -1741,16 +1541,11 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         for slot in slots:
             charge(address, slot, now)
 
-    def _settle_numpy(
-        self, rates: np.ndarray | None, now: float
-    ) -> tuple[float, int, int]:
-        """Numpy mirror of ``alvc_settle``, bitwise-equal to it;
-        ``rates`` is the dense vector fallback, ``None`` for class
-        rates."""
+    def _settle_numpy(self, now: float) -> tuple[float, int, int]:
+        """Numpy mirror of ``alvc_settle``, bitwise-equal to it."""
         table = self._table
         size = table.size
-        if rates is None:
-            rates = self._class_rate[self._class_of[:size]]
+        rates = self._class_rate[self._class_of[:size]]
         changed = table.alive[:size] & (rates != table.rate[:size])
         selected = np.flatnonzero(changed)
         if selected.shape[0]:
@@ -1876,8 +1671,26 @@ class BatchedFairShareEngine(VectorFairShareEngine):
         return rounds
 
 
+#: The tracer of ``benchmarks/e2e/trace.py`` is this name's only reader:
+#: its ``sim.vector`` layer still names it.  ROADMAP item 3's tracer
+#: update deletes it.
+VectorFairShareEngine = BatchedFairShareEngine
+
+
 def _unknown_link(flow: Hashable, link: LinkId) -> SimulationError:
     return SimulationError(f"flow {flow!r} uses unknown link {sorted(link)}")
+
+
+def _repeated_link(links: list[int], link_ids: list) -> RepeatedLinkError:
+    """The error for the first link index that ``links`` repeats."""
+    seen: set[int] = set()
+    for link in links:
+        if link in seen:
+            break
+        seen.add(link)
+    return RepeatedLinkError(
+        f"route crosses link {sorted(link_ids[link])} more than once"
+    )
 
 
 def _invariant_violation() -> SimulationError:

@@ -28,7 +28,7 @@ from repro.sim.admission import (
 from repro.sim.event_simulator import EventDrivenFlowSimulator
 from repro.sim.faults import FaultEvent, FaultKind
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
-from repro.sim.vector import VectorFairShareEngine
+from repro.sim.vector import BatchedFairShareEngine
 
 from tests.sim.goldens import assert_golden
 
@@ -62,7 +62,7 @@ def _link_index(inventory):
         frozenset((a, b)): link.bandwidth_gbps
         for a, b, link in inventory.network.edges()
     }
-    return VectorFairShareEngine(capacities).link_index
+    return BatchedFairShareEngine(capacities).link_index
 
 
 class TestPlanResolution:

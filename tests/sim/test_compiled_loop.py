@@ -7,9 +7,9 @@ run.  Every report must be bit-identical to the per-event loop's and to
 the numpy mirrors' (``ALVC_NO_CKERNEL``), whichever hand-backs a run
 takes; eta ties must finish the smallest flow id first; and the
 telemetry totals must not depend on which loop ran.  The module also
-holds the simple-path property the loop relies on: every route the
-simulator installs repeats no link, so the loop never needs the dense
-fallback.
+holds the simple-path property the engine relies on: every route the
+simulator installs repeats no link, and a route that does is refused
+with :class:`~repro.exceptions.RepeatedLinkError` on every loop.
 """
 
 import contextlib
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.exceptions import RepeatedLinkError
 from repro.observability.runtime import Telemetry, use_telemetry
 from repro.sim import ckernel, event_simulator
 from repro.sim.admission import InternedRoute
@@ -131,7 +132,7 @@ def _colocated_flows(inventory, rng, arrivals) -> list[Flow]:
 
 def _with_cyclic_route(monkeypatch) -> None:
     """Make the plan route one pair over a walk that crosses its first
-    link three times (a class the compiled loop does not cover)."""
+    link three times."""
     original = event_simulator.plan_admission
 
     def plan_with_cycle(network, keys, link_index, **kwargs):
@@ -142,7 +143,7 @@ def _with_cyclic_route(monkeypatch) -> None:
         walk = [path[0], path[1], path[0], *path[1:]]
         links = links_on_path(walk)
         indices = np.array([link_index[link] for link in links], np.int32)
-        plan._routes[key] = InternedRoute(walk, links, indices, True)
+        plan._routes[key] = InternedRoute(walk, links, indices)
         return plan
 
     monkeypatch.setattr(event_simulator, "plan_admission", plan_with_cycle)
@@ -159,8 +160,6 @@ def _parity_run(seed: int, monkeypatch, telemetry=None):
     monkeypatch.setattr(
         event_simulator, "_COMPACT_SLACK", rng.choice([1, 2, 4])
     )
-    if seed % 5 == 0:
-        _with_cyclic_route(monkeypatch)
     inventory, clusters = clustered_testbed()
     flows = _traffic(
         inventory,
@@ -218,11 +217,36 @@ def test_reports_match_across_forced_hand_backs(monkeypatch):
         reason: telemetry.counter(
             "alvc_fairshare_settle_full_total", "", reason=reason
         ).value
-        for reason in ("compacted", "grown", "dense")
+        for reason in ("compacted", "grown")
     }
-    # Growth, compaction and the cyclic route's dense fallback all
-    # landed between compiled chunks.
+    # Growth and compaction both landed between compiled chunks.
     assert all(value > 0 for value in full.values()), full
+
+
+LOOPS = {
+    "compiled": contextlib.nullcontext,
+    "per-event": _per_event_loop,
+    "mirror": _mirror,
+}
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        pytest.param("compiled", marks=needs_kernel),
+        pytest.param("per-event", marks=needs_kernel),
+        "mirror",
+    ],
+)
+def test_repeated_link_route_is_rejected_on_every_loop(monkeypatch, loop):
+    _with_cyclic_route(monkeypatch)
+    inventory, clusters = clustered_testbed()
+    flows = _traffic(inventory, 5, 40, arrival_rate=100.0)
+    simulator = EventDrivenFlowSimulator(inventory, clusters)
+    with LOOPS[loop](), pytest.raises(
+        RepeatedLinkError, match="more than once"
+    ):
+        simulator.run(flows)
 
 
 def test_mirror_without_kernel_runs_the_per_event_loop():
@@ -379,11 +403,7 @@ def _totals(telemetry) -> dict:
 def test_telemetry_totals_match_the_mirror(case):
     cases, _, _ = golden_fixture()
     telemetry = {}
-    for name, pin in (
-        ("compiled", contextlib.nullcontext),
-        ("per-event", _per_event_loop),
-        ("mirror", _mirror),
-    ):
+    for name, pin in LOOPS.items():
         telemetry[name] = Telemetry.enabled_instance()
         with pin(), use_telemetry(telemetry[name]):
             cases[case]()

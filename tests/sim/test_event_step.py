@@ -5,8 +5,8 @@ The compiled entry points (``alvc_settle``, ``alvc_materialize``,
 ``alvc_admit``, ``alvc_release``) must
 be bitwise-equal to their numpy mirror on every input the event loop
 can hand them — dead slots, zero and infinite rates, zero elapsed time,
-equal-eta ties, the dense-rates fallback, compaction in mid-run and the
-rebinds that table, class-array and link growth force — and the
+equal-eta ties, compaction in mid-run and the rebinds that table,
+class-array and link growth force — and the
 simulator must produce the same report on either path.  The compiled
 step visits only the slots that can have changed, so it is also checked
 against an implementation-independent oracle (a brute-force minimum
@@ -22,7 +22,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.exceptions import RepeatedLinkError, SimulationError
 from repro.observability.runtime import Telemetry, use_telemetry
 from repro.sim import ckernel
 from repro.sim.admission import InternedRoute
@@ -77,7 +77,7 @@ def _assert_same(kernel, mirror) -> None:
     assert (a.size, a.active_count) == (b.size, b.active_count)
     for name in (
         "remaining", "rate", "eta", "last_update", "alive",
-        "link_start", "link_len", "has_dup",
+        "link_start", "link_len",
     ):
         got = getattr(a, name)[: a.size].tobytes()
         assert got == getattr(b, name)[: b.size].tobytes(), name
@@ -90,14 +90,10 @@ def _assert_same(kernel, mirror) -> None:
     assert kernel.busy.tobytes() == mirror.busy.tobytes()
 
 
-def _path(rng: random.Random, links: list, cyclic: float = 0.1) -> list:
-    roll = rng.random()
-    if roll < 0.05:
+def _path(rng: random.Random, links: list) -> list:
+    if rng.random() < 0.05:
         return []  # zero-hop: an infinite rate
-    path = rng.sample(links, rng.randint(1, 3))
-    if roll < 0.05 + cyclic:
-        path.append(path[0])  # a repeated link: the vector fallback
-    return path
+    return rng.sample(links, rng.randint(1, 3))
 
 
 # ----------------------------------------------------------------------
@@ -106,8 +102,8 @@ def _path(rng: random.Random, links: list, cyclic: float = 0.1) -> list:
 @needs_kernel
 @pytest.mark.parametrize("seed", range(12))
 def test_adopt_matches_mirror_on_synthetic_tables(seed):
-    """Dense and class rates with zeros, infinities, unchanged entries,
-    zero elapsed time and equal etas, over tables with dead slots."""
+    """Class rates with zeros, infinities, unchanged entries, zero
+    elapsed time and equal etas, over tables with dead slots."""
     rng = random.Random(seed)
     caps = _caps(rng)
     links = list(caps)
@@ -137,19 +133,19 @@ def test_adopt_matches_mirror_on_synthetic_tables(seed):
         table.last_update[:size] = last
         table.rate[:size] = np.where(live, rate, 0.0)
         table.eta[:size] = np.where(live, now, np.inf)
-        engine._class_rate[:n_classes] = class_rate
     for step in range(4):
-        dense = np.array([rng.choice(values) for _ in range(size)])
-        # Some entries keep their current rate: those slots stay put.
-        keep = np.array([rng.random() < 0.3 for _ in range(size)])
-        dense = np.where(keep, engines[0].table.rate[:size], dense)
-        rates = None if step % 2 else dense
+        # Some classes keep their current rate: their slots stay put.
+        class_rate = [
+            old if rng.random() < 0.3 else rng.choice(values)
+            for old in class_rate
+        ]
         for engine in engines:
-            # The table and class-rate writes before the loop bypass
-            # the engine: declare them, so the step visits every slot
-            # instead of only what changed.
+            # The table and class-rate writes bypass the engine: declare
+            # them, so the step visits every slot instead of only what
+            # changed.
+            engine._class_rate[:n_classes] = class_rate
             engine._require_full("first")
-        upcoming = [engine._adopt(rates, now) for engine in engines]
+        upcoming = [engine._adopt(now) for engine in engines]
         assert upcoming[0] == upcoming[1]
         _assert_same(*engines)
         if upcoming[0][2] > 1:
@@ -159,20 +155,16 @@ def test_adopt_matches_mirror_on_synthetic_tables(seed):
         now += rng.choice([0.0, 0.25])
 
 
-def _churn(
-    rng, engines, links: list, routes: list, now: float, serial: int,
-    cyclic: float = 0.1,
-):
+def _churn(rng, engines, links: list, routes: list, now: float, serial: int):
     """Apply one seeded event to every engine alike: arrivals (single
     or interned), a completion, a reroute at one instant, a capacity
-    edit, a new link or a public recompute; ``cyclic`` is the share of
-    new paths that repeat a link.  Returns the next serial."""
+    edit, a new link or a public recompute.  Returns the next serial."""
     roll = rng.random()
     active = list(engines[0].table.slot_of)
     if roll < 0.35 or not active:
         batch, sizes = [], []
         for _ in range(rng.randint(1, 4)):
-            batch.append((f"f{serial}", _path(rng, links, cyclic)))
+            batch.append((f"f{serial}", _path(rng, links)))
             sizes.append(rng.choice([0.5, 1.0, 3.0]))
             serial += 1
         bulk = rng.random() < 0.5
@@ -187,10 +179,7 @@ def _churn(
                             [engine.link_index[link] for link in path],
                             dtype=np.int32,
                         )
-                        cache[key] = InternedRoute(
-                            [], tuple(path), indices,
-                            len(set(path)) < len(path),
-                        )
+                        cache[key] = InternedRoute([], tuple(path), indices)
                     chosen.append(cache[key])
                 engine.add_interned(
                     [flow for flow, _ in batch], chosen, sizes, now
@@ -209,7 +198,7 @@ def _churn(
         # A reroute: the flow leaves and comes back on a new path at
         # the same instant, keeping its bytes.
         flow = rng.choice(active)
-        path = _path(rng, links, cyclic)
+        path = _path(rng, links)
         for engine in engines:
             table = engine.table
             engine.materialize((table.slot_of[flow],), now)
@@ -313,13 +302,13 @@ def test_empty_table_settles_to_no_completion():
 # The incremental step against an implementation-independent oracle
 # ----------------------------------------------------------------------
 AB, BC, AC = frozenset("ab"), frozenset("bc"), frozenset("ac")
-REASONS = ("first", "compacted", "grown", "dense")
+REASONS = ("first", "compacted", "grown")
 
 
 def _assert_step(engine, upcoming) -> None:
     """``upcoming`` is the brute-force minimum eta over the table, the
     first slot at it and the tie count, and every live slot runs at its
-    class's rate (unless the step took the dense fallback)."""
+    class's rate."""
     table = engine.table
     eta = table.eta[: table.size]
     best = eta.min() if eta.shape[0] else np.inf
@@ -329,11 +318,10 @@ def _assert_step(engine, upcoming) -> None:
         expected = (best, int(np.argmin(eta)), np.count_nonzero(eta == best))
         assert upcoming == expected
         assert np.float64(upcoming[0]).tobytes() == best.tobytes()
-    if not engine._needs_vector():
-        live = table.active_slots()
-        assert np.array_equal(
-            table.rate[live], engine._class_rate[engine._class_of[live]]
-        )
+    live = table.active_slots()
+    assert np.array_equal(
+        table.rate[live], engine._class_rate[engine._class_of[live]]
+    )
 
 
 def _full_passes(telemetry) -> dict:
@@ -350,8 +338,8 @@ def _full_passes(telemetry) -> dict:
 def test_settle_matches_brute_force_under_churn(seed):
     """The compiled step visits only what changed; after every settle
     its answer and the adopted rates still match the oracle, through
-    compaction, growth, recomputes between steps and a stretch of dense
-    steps (a cyclic flow is live from step 100 to step 110)."""
+    compaction, growth, recomputes between steps and a refused
+    repeated-link route at step 100."""
     rng = random.Random(2000 + seed)
     caps = _caps(rng)
     links = list(caps)
@@ -365,19 +353,15 @@ def test_settle_matches_brute_force_under_churn(seed):
     now = 0.0
     serial = 0
     for step in range(200):
-        serial = _churn(rng, [engine], links, [{}], now, serial, cyclic=0.0)
+        serial = _churn(rng, [engine], links, [{}], now, serial)
         if step == 100:
-            slot = engine.add_flow("cyclic", [links[0], links[1], links[0]])
-            engine.table.remaining[slot] = 50.0
-            engine.table.last_update[slot] = now
-        elif step == 110 and "cyclic" in engine.table:
-            engine.remove_flow("cyclic")
+            with pytest.raises(RepeatedLinkError):
+                engine.add_flow("cyclic", [links[0], links[1], links[0]])
         upcoming = engine.settle(now)
         _assert_step(engine, upcoming)
         now = _advance(rng, now, upcoming)
     passes = _full_passes(telemetry)
     assert passes["first"] == 1 and passes["grown"] >= 1
-    assert 1 <= passes["dense"] <= 11
     assert sum(passes.values()) < 40
 
 
@@ -533,7 +517,7 @@ def test_table_and_class_growth_between_settles():
     assert table.remaining.shape[0] > 16 and engine.n_classes > 16
     _assert_step(engine, engine.settle(0.0))
     assert _full_passes(telemetry) == dict(
-        first=1.0, compacted=0.0, grown=1.0, dense=0.0
+        first=1.0, compacted=0.0, grown=1.0
     )
     table.remaining[engine.add_flow("h", chain[5:7])] = 2.0
     _assert_step(engine, engine.settle(0.5))
@@ -558,7 +542,7 @@ def _route(engine, path: list) -> InternedRoute:
     indices = np.array(
         [engine.link_index[link] for link in path], dtype=np.int32
     )
-    return InternedRoute([], tuple(path), indices, len(set(path)) < len(path))
+    return InternedRoute([], tuple(path), indices)
 
 
 def _bookkeeping(engine) -> tuple:
@@ -600,6 +584,66 @@ def test_admission_over_a_removed_link_is_rejected(path):
     engine.add_interned(["y"], [route], [1.0], 0.0)
     assert engine.link_counts() == {AB: 1, BC: 1}
     assert engine.recompute().tolist() == [2.0]
+
+
+def _untouched(engine) -> tuple:
+    """What a refused repeated-link route must leave as it was."""
+    table = engine.table
+    return (
+        table.size,
+        table.pool_len,
+        table.active_count,
+        table._compact_pending,
+        engine.link_counts(),
+        engine.n_classes,
+        engine.n_components,
+        set(engine._dirty),
+    )
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_repeated_link_routes_are_rejected_without_a_trace(path):
+    """``add_flow``, ``add_interned`` and ``intern_pools`` refuse a route
+    that crosses a link twice before they reserve, intern or count
+    anything, even beside a new simple route in the same call."""
+    caps = {AB: 4.0, BC: 2.0, AC: 3.0}
+    probe, twin = (
+        _engine(path, caps, capacity=16, compact_slack=1) for _ in range(2)
+    )
+    for engine in (probe, twin):
+        flows = ["a", "b", "c", "d"]
+        routes = [_route(engine, [AB, BC]), _route(engine, [AC])] * 2
+        engine.add_interned(flows, routes, [1.0, 2.0, 3.0, 4.0], 0.0)
+        engine.settle(0.0)
+        for flow in flows[:3]:
+            engine.remove_flow(flow)
+    # A compaction and a dirty component wait for the next call.
+    assert probe.table._compact_pending and probe._dirty
+    before = _untouched(probe)
+    cyclic = [AB, BC, AB]
+    fresh = [BC, AC]  # a simple route no call has interned yet
+    calls = (
+        lambda: probe.add_flow("x", cyclic),
+        lambda: probe.add_interned(
+            ["x", "y"],
+            [_route(probe, fresh), _route(probe, cyclic)],
+            [1.0, 1.0],
+            0.5,
+        ),
+        lambda: probe.intern_pools(
+            [_route(probe, fresh).indices, _route(probe, cyclic).indices]
+        ),
+    )
+    for call in calls:
+        with pytest.raises(
+            RepeatedLinkError, match=r"crosses link \['a', 'b'\] more than"
+        ):
+            call()
+        assert _untouched(probe) == before
+    assert "x" not in probe.table and "y" not in probe.table
+    assert probe.recompute().tobytes() == twin.recompute().tobytes()
+    assert probe.settle(1.0) == twin.settle(1.0)
+    _assert_same(probe, twin)
 
 
 @pytest.mark.parametrize("path", PATHS)
@@ -700,8 +744,6 @@ def test_recomputes_and_rounds_per_event_unchanged(case):
         "alvc_fairshare_vector_rounds", "", ROUNDS_BUCKETS
     )
     assert (histogram.count, histogram.sum) == ROUNDS[case]
-    # No simulator run reaches the dense fallback.
-    assert _full_passes(telemetry)["dense"] == 0
 
 
 # ----------------------------------------------------------------------

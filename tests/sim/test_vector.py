@@ -1,7 +1,7 @@
 """Units for the struct-of-arrays data plane (``repro.sim.vector``).
 
 ``FlowTable`` slot lifecycle and compaction, ``LinkBusyView`` mapping
-semantics, and ``VectorFairShareEngine`` incremental bookkeeping — the
+semantics, and ``BatchedFairShareEngine`` incremental bookkeeping — the
 bit-parity arguments live in ``tests/sim/test_vector_parity.py``.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.sim.fairshare import max_min_fair_rates
-from repro.sim.vector import FlowTable, LinkBusyView, VectorFairShareEngine
+from repro.sim.vector import BatchedFairShareEngine, FlowTable, LinkBusyView
 
 A = frozenset({"a", "b"})
 B = frozenset({"b", "c"})
@@ -22,7 +22,7 @@ CAPS = {A: 10.0, B: 4.0, C: 8.0}
 
 
 def _engine(caps=None, **kwargs):
-    return VectorFairShareEngine(dict(caps or CAPS), **kwargs)
+    return BatchedFairShareEngine(dict(caps or CAPS), **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -69,17 +69,6 @@ class TestFlowTable:
         assert flat.shape[0] == 0
         assert lens.shape[0] == 0
 
-    def test_has_dup_flag_inferred_and_explicit(self):
-        table = FlowTable()
-        loop = table.add("loop", np.array([0, 1, 0], dtype=np.int32))
-        straight = table.add("straight", np.array([0, 1], dtype=np.int32))
-        forced = table.add(
-            "forced", np.array([2], dtype=np.int32), has_dup=True
-        )
-        assert bool(table.has_dup[loop])
-        assert not bool(table.has_dup[straight])
-        assert bool(table.has_dup[forced])
-
     def test_growth_preserves_state(self):
         table = FlowTable(capacity=16)
         for index in range(200):
@@ -93,7 +82,6 @@ class TestFlowTable:
         table = FlowTable(compact_slack=1)
         for index in range(8):
             table.add(f"f{index}", np.array([index], dtype=np.int32))
-        table.has_dup[3] = True  # f3 survives with its flag
         for index in (0, 2, 4, 6, 1):
             table.remove(f"f{index}")
         # Dead slots now outnumber live ones; the next add compacts.
@@ -103,12 +91,6 @@ class TestFlowTable:
         assert survivors == ["f3", "f5", "f7", "fresh"]
         flat, _ = table.gather_links(table.active_slots())
         assert flat.tolist() == [3, 5, 7, 9]
-        flagged = [
-            flow
-            for flow, slot in table.slot_of.items()
-            if table.has_dup[slot]
-        ]
-        assert flagged == ["f3"]
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +143,11 @@ class TestLinkBusyView:
 
 
 # ----------------------------------------------------------------------
-# VectorFairShareEngine
+# BatchedFairShareEngine: link registry and flow bookkeeping
 # ----------------------------------------------------------------------
 class TestVectorFairShareEngine:
+    """The engine's link registry, incremental bookkeeping and rates."""
+
     def test_non_positive_capacity_rejected(self):
         with pytest.raises(SimulationError, match="non-positive"):
             _engine({A: 0.0})
@@ -236,13 +220,6 @@ class TestVectorFairShareEngine:
             engine.add_flow(flow, path)
         assert engine.rates_by_flow() == max_min_fair_rates(paths, CAPS)
 
-    def test_cyclic_path_freezes_once(self):
-        engine = _engine()
-        paths = {"f0": [A, B, A], "f1": [B], "f2": [A]}
-        for flow, path in paths.items():
-            engine.add_flow(flow, path)
-        assert engine.rates_by_flow() == max_min_fair_rates(paths, CAPS)
-
     def test_rounds_telemetry_observed(self):
         from repro.observability.runtime import Telemetry
         from repro.sim.fairshare import ROUNDS_BUCKETS
@@ -270,17 +247,16 @@ class TestFlowTableBulk:
         bulk = FlowTable(capacity=4)
         pools = self._pools([[0, 1], [2], [], [1, 1, 3]])
         flows = [f"f{index}" for index in range(len(pools))]
-        dups = [False, False, False, True]
-        for flow, pool, dup in zip(flows, pools, dups):
-            serial.add(flow, pool, dup)
-        slots = bulk.add_many(flows, pools, dups)
+        for flow, pool in zip(flows, pools):
+            serial.add(flow, pool)
+        slots = bulk.add_many(flows, pools)
         assert slots.tolist() == [0, 1, 2, 3]
         assert bulk.slot_of == serial.slot_of
         assert bulk.flow_ids == serial.flow_ids
         assert bulk.size == serial.size
         assert bulk.active_count == serial.active_count
         assert bulk.pool_len == serial.pool_len
-        for name in ("link_start", "link_len", "has_dup", "alive"):
+        for name in ("link_start", "link_len", "alive"):
             got = getattr(bulk, name)[: bulk.size]
             want = getattr(serial, name)[: serial.size]
             assert got.tolist() == want.tolist(), name
@@ -296,7 +272,7 @@ class TestFlowTableBulk:
 
     def test_add_many_empty(self):
         table = FlowTable()
-        assert table.add_many([], [], []).shape[0] == 0
+        assert table.add_many([], []).shape[0] == 0
         assert len(table) == 0
 
     def test_add_many_duplicate_rejected_atomically(self):
@@ -305,11 +281,7 @@ class TestFlowTableBulk:
         size = table.size
         pool_len = table.pool_len
         with pytest.raises(SimulationError, match="already active"):
-            table.add_many(
-                ["f1", "f0"],
-                self._pools([[1], [2]]),
-                [False, False],
-            )
+            table.add_many(["f1", "f0"], self._pools([[1], [2]]))
         # No partial allocation: the duplicate was detected up front.
         assert table.size == size
         assert table.pool_len == pool_len
@@ -320,11 +292,7 @@ class TestFlowTableBulk:
         # first one alive and ownerless, and the run could not drain.
         table = FlowTable()
         with pytest.raises(SimulationError, match="already active"):
-            table.add_many(
-                ["a", "b", "a"],
-                self._pools([[0], [1], [2]]),
-                [False, False, False],
-            )
+            table.add_many(["a", "b", "a"], self._pools([[0], [1], [2]]))
         assert (table.size, table.pool_len, len(table)) == (0, 0, 0)
         assert not table.slot_of and not table.flow_ids
 
@@ -332,7 +300,7 @@ class TestFlowTableBulk:
         table = FlowTable(capacity=2)
         pools = self._pools([[index % 5] * 3 for index in range(64)])
         flows = [f"f{index}" for index in range(64)]
-        slots = table.add_many(flows, pools, [True] * 64)
+        slots = table.add_many(flows, pools)
         assert slots.tolist() == list(range(64))
         flat, lens = table.gather_links(table.active_slots())
         assert lens.tolist() == [3] * 64
@@ -389,11 +357,7 @@ class TestCompactionAmortization:
         for index in range(5):
             table.remove(f"f{index}")
         assert table._compact_pending
-        slots = table.add_many(
-            ["a", "b"],
-            [np.array([0], dtype=np.int32)] * 2,
-            [False, False],
-        )
+        slots = table.add_many(["a", "b"], [np.array([0], dtype=np.int32)] * 2)
         # Compaction ran first: three survivors then the new pair.
         assert slots.tolist() == [3, 4]
         assert table.size == 5
@@ -413,8 +377,6 @@ class TestCompactionAmortization:
 # ----------------------------------------------------------------------
 class TestBatchedEngine:
     def _batched(self, caps=None, **kwargs):
-        from repro.sim.vector import BatchedFairShareEngine
-
         return BatchedFairShareEngine(dict(caps or CAPS), **kwargs)
 
     def test_interning_dedupes_classes(self):
@@ -424,25 +386,26 @@ class TestBatchedEngine:
         engine.add_flow("f2", [B, C])
         assert engine.n_classes == 2
 
-    def test_rates_match_vector_engine(self):
-        batched = self._batched()
-        vector = _engine()
+    def test_shared_class_rates_match_reference(self):
+        # Two flows of one class freeze together at one share.
+        engine = self._batched()
         paths = {"f0": [A, B], "f1": [B, C], "f2": [C], "f3": [A, B]}
         for flow, path in paths.items():
-            batched.add_flow(flow, path)
-            vector.add_flow(flow, path)
-        assert (
-            batched.recompute().tobytes() == vector.recompute().tobytes()
-        )
-        assert batched.rates_by_flow() == max_min_fair_rates(paths, CAPS)
+            engine.add_flow(flow, path)
+        rates = engine.recompute()
+        assert rates[0].tobytes() == rates[3].tobytes()
+        assert engine.rates_by_flow() == max_min_fair_rates(paths, CAPS)
 
-    def test_dup_class_falls_back_to_vector_path(self):
-        engine = self._batched()
-        engine.add_flow("f0", [A, B, A])
-        engine.add_flow("f1", [B])
-        assert engine.rates_by_flow() == max_min_fair_rates(
-            {"f0": [A, B, A], "f1": [B]}, CAPS
-        )
+    def test_prefilled_table_rejected(self):
+        table = FlowTable()
+        table.add("f0", np.array([0], dtype=np.int32))
+        with pytest.raises(SimulationError, match="already holds 1 live"):
+            self._batched(table=table)
+        # A table whose flows all left is accepted.
+        table.remove("f0")
+        engine = self._batched(table=table)
+        engine.add_flow("f1", [A])
+        assert engine.rates_by_flow() == {"f1": 10.0}
 
     def test_set_capacity_appends_link_and_rebuilds(self):
         extra = frozenset({"d", "e"})
@@ -507,11 +470,10 @@ class TestBatchedEngine:
             kernel_rates = kernel_engine.recompute()
 
             assert kernel_rates.tobytes() == numpy_rates.tobytes(), seed
-            # And both agree with the plain vector engine, bitwise.
-            vector = _engine(caps)
-            for flow, path in paths.items():
-                vector.add_flow(flow, path)
-            assert vector.recompute().tobytes() == kernel_rates.tobytes()
+            # And both match the reference water-filling.
+            assert kernel_engine.rates_by_flow() == max_min_fair_rates(
+                paths, caps
+            ), seed
 
     def test_disable_env_pins_numpy_loop(self, monkeypatch):
         from repro.sim import ckernel

@@ -1,22 +1,24 @@
-"""Seeded parity: the vector engines vs the textbook water-filling.
+"""Seeded parity: the batched engine vs the textbook water-filling.
 
 The vectorized data plane's whole claim is **bit-identical** max-min
-rates: ``np.subtract.at`` replays the reference's sequential IEEE
-subtractions, the deferred per-round clamp is provably equivalent to
-the per-subtraction clamp, and the rank-ordered ``argmin`` replicates
-the ``sorted(link)`` tie-break.  This suite pins that claim on 220
-randomized instances — 160 kernel-level add/remove/capacity-cut
-sequences against :func:`~repro.sim.fairshare.max_min_fair_rates`, and
-60 + 10 full simulator runs with ``FaultEvent`` schedules (capacity cuts
-mid-run included) against frozen report checksums, every recompute
-certified.
+rates: the class-aggregated subtractions replay the reference's
+sequential IEEE subtractions, the deferred per-round clamp is provably
+equivalent to the per-subtraction clamp, and the rank-ordered first
+minimum replicates the ``sorted(link)`` tie-break.  This suite pins
+that claim on 220 randomized instances — 160 kernel-level
+add/remove/capacity-cut sequences against
+:func:`~repro.sim.fairshare.max_min_fair_rates`, on the compiled kernel
+and on the numpy mirror alike, and 60 + 10 full simulator runs with
+``FaultEvent`` schedules (capacity cuts mid-run included) against
+frozen report checksums, every recompute certified.
 
-The batched engine keeps state across recomputes (live class
-multiplicities, link components, dirty marks, class rates), so its
-churn suite recomputes after *every* mutation and compares the whole
-per-slot rate array bitwise.  Every reference allocation is also
-certified by :func:`~repro.sim.fairshare.check_max_min_fair`, which
-does not share any code with the engines.
+The engine keeps state across recomputes (live class multiplicities,
+link components, dirty marks, class rates), so its churn suite
+recomputes after *every* mutation and compares every engine's rates
+with the reference, and the kernel's per-slot rate array with the
+mirror's bitwise.  Every reference allocation is also certified by
+:func:`~repro.sim.fairshare.check_max_min_fair`, which does not share
+any code with the engine.
 """
 
 import random
@@ -27,11 +29,7 @@ import pytest
 from repro.sim import ckernel
 from repro.sim.admission import InternedRoute
 from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
-from repro.sim.vector import (
-    BatchedFairShareEngine,
-    FlowTable,
-    VectorFairShareEngine,
-)
+from repro.sim.vector import BatchedFairShareEngine, FlowTable
 
 from tests.sim.goldens import assert_golden
 
@@ -61,6 +59,26 @@ def _random_instance(rng: random.Random):
     return caps, paths
 
 
+def _engine(caps: dict, kernel: bool, **table) -> BatchedFairShareEngine:
+    """An engine over ``caps`` on the kernel or pinned to the mirror."""
+    saved = ckernel._kernel
+    if not kernel:
+        ckernel._kernel = None
+    try:
+        engine = BatchedFairShareEngine(dict(caps), table=FlowTable(**table))
+    finally:
+        ckernel._kernel = saved
+    assert engine.kernel_active == kernel
+    return engine
+
+
+def _engines(caps: dict, **table) -> list:
+    """The engine on the numpy mirror and, when a compiler is present,
+    on the kernel."""
+    kernels = (False, True) if ckernel.kernels() is not None else (False,)
+    return [_engine(caps, kernel, **table) for kernel in kernels]
+
+
 def _assert_rates_equal(got: dict, want: dict):
     assert set(got) == set(want)
     for flow, rate in want.items():
@@ -71,28 +89,32 @@ def _assert_rates_equal(got: dict, want: dict):
 
 
 class TestKernelParity:
-    """VectorFairShareEngine vs max_min_fair_rates."""
+    """The engine, compiled and on the numpy mirror, vs
+    max_min_fair_rates and the fairness certificate."""
 
     @pytest.mark.parametrize("seeds", KERNEL_CHUNKS)
     def test_randomized_instances(self, seeds):
         for seed in seeds:
             rng = random.Random(seed)
             caps, paths = _random_instance(rng)
-            vector_engine = VectorFairShareEngine(caps)
-            for flow, path in paths.items():
-                vector_engine.add_flow(flow, path)
+            engines = _engines(caps)
+            for engine in engines:
+                for flow, path in paths.items():
+                    engine.add_flow(flow, path)
 
             reference = max_min_fair_rates(paths, caps)
             check_max_min_fair(reference, paths, caps)
-            _assert_rates_equal(vector_engine.rates_by_flow(), reference)
+            for engine in engines:
+                _assert_rates_equal(engine.rates_by_flow(), reference)
 
             # Incremental churn: drop a random subset and recompare —
-            # the vector table must stay exact across slot reuse.
+            # the table must stay exact across slot reuse.
             doomed = [
                 flow for flow in paths if rng.random() < 0.4
             ]
-            for flow in doomed:
-                vector_engine.remove_flow(flow)
+            for engine in engines:
+                for flow in doomed:
+                    engine.remove_flow(flow)
             survivors = {
                 flow: path
                 for flow, path in paths.items()
@@ -100,7 +122,8 @@ class TestKernelParity:
             }
             reference = max_min_fair_rates(survivors, caps)
             check_max_min_fair(reference, survivors, caps)
-            _assert_rates_equal(vector_engine.rates_by_flow(), reference)
+            for engine in engines:
+                _assert_rates_equal(engine.rates_by_flow(), reference)
 
     @pytest.mark.parametrize("seeds", KERNEL_CHUNKS[:2])
     def test_capacity_cuts_mid_sequence(self, seeds):
@@ -109,16 +132,18 @@ class TestKernelParity:
         for seed in seeds:
             rng = random.Random(seed ^ 0xC0FFEE)
             caps, paths = _random_instance(rng)
-            vector_engine = VectorFairShareEngine(caps)
-            for flow, path in paths.items():
-                vector_engine.add_flow(flow, path)
+            engines = _engines(caps)
+            for engine in engines:
+                for flow, path in paths.items():
+                    engine.add_flow(flow, path)
             victim = rng.choice(list(caps))
             for capacity in (caps[victim] * 0.25, caps[victim]):
-                vector_engine.set_capacity(victim, capacity)
                 degraded = {**caps, victim: capacity}
                 reference = max_min_fair_rates(paths, degraded)
                 check_max_min_fair(reference, paths, degraded)
-                _assert_rates_equal(vector_engine.rates_by_flow(), reference)
+                for engine in engines:
+                    engine.set_capacity(victim, capacity)
+                    _assert_rates_equal(engine.rates_by_flow(), reference)
 
 
 class _Churn:
@@ -126,8 +151,7 @@ class _Churn:
 
     Links come in ``groups`` disjoint sets (one AL slice each); most
     flows stay inside one group, a few bridge two (merging their
-    components), a few cross a link twice (duplicate-link classes that
-    force the vector fallback while live) and a few have no links.
+    components) and a few have no links.
     """
 
     CAPS = (1.0, 2.5, 4.0, 10.0)
@@ -149,28 +173,11 @@ class _Churn:
         self.dead: set = set()
         self.paths: dict = {}
         self.serial = 0
-        self.vector = VectorFairShareEngine(
-            dict(self.caps), table=FlowTable(compact_slack=slack)
-        )
-        self.batched = [self._batched(slack, kernel=False)]
-        if ckernel.kernels() is not None:
-            self.batched.append(self._batched(slack, kernel=True))
-        #: Per batched engine: path -> InternedRoute (a route's cached
-        #: class id belongs to one engine).
+        #: The mirror engine, then the kernel engine when one runs.
+        self.batched = _engines(self.caps, compact_slack=slack)
+        #: Per engine: path -> InternedRoute (a route's cached class id
+        #: belongs to one engine).
         self.routes = [{} for _ in self.batched]
-
-    def _batched(self, slack: int, kernel: bool) -> BatchedFairShareEngine:
-        saved = ckernel._kernel
-        if not kernel:
-            ckernel._kernel = None
-        try:
-            engine = BatchedFairShareEngine(
-                dict(self.caps), table=FlowTable(compact_slack=slack)
-            )
-        finally:
-            ckernel._kernel = saved
-        assert engine.kernel_active == kernel
-        return engine
 
     # ------------------------------------------------------------------
     def _alive(self, links):
@@ -186,10 +193,9 @@ class _Churn:
             group = group + self._alive(rng.choice(self.groups))
         if not group:
             return []
-        path = rng.sample(group, rng.randint(1, min(4, len(group))))
-        if roll > 0.95 and len(path) > 1:
-            path.append(path[0])  # a cyclic path: duplicate link
-        return path
+        # Two groups may share a link: a path repeats none.
+        group = list(dict.fromkeys(group))
+        return rng.sample(group, rng.randint(1, min(4, len(group))))
 
     def _route(self, engine_index: int, path: list) -> InternedRoute:
         key = tuple(tuple(sorted(link)) for link in path)
@@ -201,7 +207,6 @@ class _Churn:
                 ["?"] * (len(path) + 1),
                 tuple(path),
                 np.array([index[link] for link in path], dtype=np.int32),
-                len(path) > len(set(path)),
             )
             routes[key] = route
         return route
@@ -210,9 +215,7 @@ class _Churn:
         flows = [f"f{self.serial + offset}" for offset in range(count)]
         self.serial += count
         paths = [self._path() for _ in flows]
-        for flow, path in zip(flows, paths):
-            self.paths[flow] = path
-            self.vector.add_flow(flow, path)
+        self.paths.update(zip(flows, paths))
         for position, engine in enumerate(self.batched):
             if interned:
                 engine.add_interned(
@@ -230,7 +233,7 @@ class _Churn:
             return
         flow = self.rng.choice(sorted(self.paths))
         del self.paths[flow]
-        for engine in (self.vector, *self.batched):
+        for engine in self.batched:
             engine.remove_flow(flow)
 
     def set_capacity(self) -> None:
@@ -246,7 +249,7 @@ class _Churn:
         capacity = rng.choice(self.CAPS)
         self.caps[link] = capacity
         self.dead.discard(link)
-        for engine in (self.vector, *self.batched):
+        for engine in self.batched:
             engine.set_capacity(link, capacity)
 
     def remove_link(self) -> None:
@@ -259,15 +262,13 @@ class _Churn:
             return
         link = self.rng.choice(idle)
         self.dead.add(link)
-        for engine in (self.vector, *self.batched):
+        for engine in self.batched:
             engine.remove_link(link)
 
     # ------------------------------------------------------------------
     def check(self, step) -> None:
-        want = self.vector.recompute()
-        for engine in self.batched:
-            got = engine.recompute()
-            assert got.tobytes() == want.tobytes(), step
+        rates = [engine.recompute().tobytes() for engine in self.batched]
+        assert rates[1:] == rates[:-1], step
         live = {
             link: capacity
             for link, capacity in self.caps.items()
@@ -275,12 +276,13 @@ class _Churn:
         }
         reference = max_min_fair_rates(self.paths, live)
         check_max_min_fair(reference, self.paths, live)
-        _assert_rates_equal(self.batched[0].rates_by_flow(), reference)
+        for engine in self.batched:
+            _assert_rates_equal(engine.rates_by_flow(), reference)
 
 
 class TestBatchedChurnParity:
-    """Batched engine state across recomputes vs the vector engine and
-    the reference, kernel and numpy loop alike."""
+    """Engine state across recomputes vs the reference, kernel and numpy
+    loop alike (and the kernel's rates bitwise equal to the mirror's)."""
 
     @pytest.mark.parametrize("seeds", [range(0, 15), range(15, 30)])
     def test_recompute_after_every_mutation(self, seeds):

@@ -1,11 +1,13 @@
-"""Memoized admission probes against a brute-force scan of every server.
+"""Admission probes against a brute-force scan of every server.
 
 :meth:`AdmissionController.headroom` and :meth:`fragmentation` read the
-inventory's free-capacity index and memoize on its generation.  The
-oracle here ignores both: it recomputes each figure from the raw ledger
-(spec capacity minus used capacity, server by server, in fabric order)
-and demands bit-for-bit equality, at every epoch, before every admission
-preflight and after every failed (rolled-back) provision.
+inventory's live capacity aggregates: exact running totals of free and
+usable CPU, built on the first query and kept live by every reservation
+and release from then on.  The oracle here ignores them: it recomputes
+each figure from the raw ledger (spec capacity minus used capacity,
+server by server, in fabric order) and demands bit-for-bit equality, at
+every epoch, before every admission preflight and after every failed
+(rolled-back) provision.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def _run_with_oracle(seed: int, build: dict, config: dict, **knobs):
 
     def probe(stack, epoch=None) -> None:
         expected = _scan(stack, reference)
-        for _ in range(2):  # the second read is served from the memo
+        for _ in range(2):  # a probe leaves the aggregates as they were
             observed = (
                 runner.admission.headroom(),
                 runner.admission.fragmentation(),
