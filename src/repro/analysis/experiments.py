@@ -1360,11 +1360,17 @@ def _e21_layer_checksum(layer) -> int:
 
 
 def _e21_construct(
-    dcn, strategy: AlConstructionStrategy, seed: int, clusters: int
+    dcn,
+    strategy: AlConstructionStrategy,
+    seed: int,
+    clusters: int,
+    kernel: str,
 ) -> tuple[int, float, int]:
-    """Build ``clusters`` ALs with one constructor; return
-    ``(constructions, construct_seconds, checksum)``."""
-    constructor = AlConstructor(dcn, strategy=strategy, seed=seed)
+    """Build ``clusters`` ALs with one constructor on cover ``kernel``;
+    return ``(constructions, construct_seconds, checksum)``."""
+    constructor = AlConstructor(
+        dcn, strategy=strategy, seed=seed, kernel=kernel
+    )
     servers = dcn.servers()
     checksum = 0
     start = time.perf_counter()
@@ -1379,8 +1385,9 @@ def _e21_construct(
 def _e21_cell(task: tuple) -> tuple[int, float, int]:
     """One (strategy, seed) cell: fresh fabric, ``clusters`` constructs.
 
-    The cover kernel is ambient (the arm's :class:`SweepRunner` applies
-    ``algorithms.use_kernel``); caching travels in the task.
+    The arm's cover kernel and fabric caching travel in the task, so a
+    cell builds the same layers on the same kernel inline and in a
+    worker process.
     """
     (
         n_racks,
@@ -1391,6 +1398,7 @@ def _e21_cell(task: tuple) -> tuple[int, float, int]:
         seed,
         clusters,
         caching,
+        kernel,
     ) = task
     dcn = build_alvc_fabric(
         n_racks=n_racks,
@@ -1401,7 +1409,7 @@ def _e21_cell(task: tuple) -> tuple[int, float, int]:
     )
     dcn.set_caching(caching)
     return _e21_construct(
-        dcn, AlConstructionStrategy(strategy_value), seed, clusters
+        dcn, AlConstructionStrategy(strategy_value), seed, clusters, kernel
     )
 
 
@@ -1423,6 +1431,7 @@ def _e21_shard(task: tuple) -> tuple[int, float, int]:
         seed,
         clusters,
         caching,
+        kernel,
     ) = task
     dcn = build_alvc_fabric(
         n_racks=n_racks,
@@ -1437,7 +1446,11 @@ def _e21_shard(task: tuple) -> tuple[int, float, int]:
     checksum = 0
     for strategy_value in strategy_values:
         built, elapsed, partial = _e21_construct(
-            dcn, AlConstructionStrategy(strategy_value), seed, clusters
+            dcn,
+            AlConstructionStrategy(strategy_value),
+            seed,
+            clusters,
+            kernel,
         )
         constructions += built
         seconds += elapsed
@@ -1490,8 +1503,8 @@ def experiment_e21_control_plane_throughput(
         strategy.value for strategy in _E21_STRATEGIES
     )
 
-    def run_arm(trial, tasks, *, kernel: str, arm_workers: int):
-        runner = SweepRunner(workers=arm_workers, kernel=kernel)
+    def run_arm(trial, tasks, arm_workers: int):
+        runner = SweepRunner(workers=arm_workers)
         results = None
         wall = construct = float("inf")
         for _ in range(max(1, rounds)):
@@ -1505,19 +1518,19 @@ def experiment_e21_control_plane_throughput(
             results = round_results
         return results, construct, wall
 
-    cell_tasks = lambda caching: [  # noqa: E731 - tiny local grid helper
-        (*scale, value, seed, clusters_per_fabric, caching)
+    cell_tasks = lambda caching, kernel: [  # noqa: E731 - local grid helper
+        (*scale, value, seed, clusters_per_fabric, caching, kernel)
         for seed in seeds
         for value in strategy_values
     ]
     shard_tasks = [
-        (*scale, strategy_values, seed, clusters_per_fabric, True)
+        (*scale, strategy_values, seed, clusters_per_fabric, True, "auto")
         for seed in seeds
     ]
 
     arms = [
-        ("serial-set", "set", False, _e21_cell, cell_tasks(False), 1),
-        ("bitset", "auto", True, _e21_cell, cell_tasks(True), 1),
+        ("serial-set", "set", False, _e21_cell, cell_tasks(False, "set"), 1),
+        ("bitset", "auto", True, _e21_cell, cell_tasks(True, "auto"), 1),
         (
             "bitset-parallel",
             "auto",
@@ -1531,9 +1544,7 @@ def experiment_e21_control_plane_throughput(
     baseline_cps = None
     bitset_wall = None
     for label, kernel, caching, trial, tasks, arm_workers in arms:
-        results, seconds, wall = run_arm(
-            trial, tasks, kernel=kernel, arm_workers=arm_workers
-        )
+        results, seconds, wall = run_arm(trial, tasks, arm_workers)
         constructions = sum(built for built, _, _ in results)
         checksum = sum(partial for _, _, partial in results)
         cps = constructions / seconds if seconds > 0 else 0.0

@@ -848,17 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument(
-        "--engine",
-        choices=("auto", "csr", "nx"),
-        default="auto",
-        help=(
-            "routing engine for every path computation in the run: csr "
-            "(the CSR path engine), nx (the networkx reference), or "
-            "auto (csr when fabric caching is on, the default); both "
-            "engines produce bit-identical results"
-        ),
-    )
-    run_parser.add_argument(
         "--telemetry",
         choices=("json", "prom", "off"),
         default="off",
@@ -915,14 +904,10 @@ def main(argv: list[str] | None = None) -> int:
     mode = getattr(args, "telemetry", "off")
     telemetry = resolve(mode != "off")
     first = True
-    from repro.sdn.routing import use_engine as _use_routing_engine
-
     # Experiments build their own orchestrators/simulators, which pick
     # up the ambient telemetry at construction — so install ours for
-    # the duration of the run.  The routing engine override scopes the
-    # same way (engine choice never changes any table, only speed).
-    engine = getattr(args, "engine", "auto")
-    with use_telemetry(telemetry), _use_routing_engine(engine):
+    # the duration of the run.
+    with use_telemetry(telemetry):
         for exp_id in requested:
             if not first:
                 print()

@@ -1,27 +1,31 @@
 """Typed engine selection — one config object for every backend knob.
 
-Three selector knobs grew organically across PRs 4–5:
+:class:`EngineConfig` is the one way to choose an implementation
+backend; it bundles four selectors, each with one vocabulary defined
+here and imported by every module that checks it:
 
-* ``kernel=`` on the cover functions (``"auto"``/``"set"``/``"bitset"``,
-  :mod:`repro.core.algorithms`);
-* ``engine=`` on routing and ``routing_engine=`` on the orchestrator
-  and the event simulator (``"auto"``/``"csr"``/``"nx"``,
-  :mod:`repro.sdn.routing`);
-* ``workers=`` on the parallel sweeps (:mod:`repro.parallel`).
+* ``cover_kernel`` (:data:`COVER_KERNELS`) — the
+  :func:`~repro.core.algorithms.greedy_marginal_cover` kernel that AL
+  construction and repair run on (``kernel=`` on that function and on
+  the constructors);
+* ``routing`` (:data:`ROUTING_ENGINES`) — the path backend
+  (``engine=`` on the :mod:`repro.sdn.routing` functions);
+* ``solver`` (:data:`SOLVER_ENGINES`) — greedy or exact optimization;
+* ``workers`` — the default worker count of :meth:`AlvcStack.run_sweep
+  <repro.stack.AlvcStack.run_sweep>`.
 
-:class:`EngineConfig` unifies them behind one frozen, validated object
-accepted by :meth:`repro.stack.AlvcStack.build`::
+:meth:`repro.stack.AlvcStack.build` accepts it::
 
     stack = AlvcStack.build(
         engines=EngineConfig(cover_kernel="bitset", routing="csr", workers=4)
     )
 
 The stack threads the config through every collaborator (cluster
-manager, AL constructor, reconfigurators, orchestrator routing,
-sweep defaults) — no process-global state is touched.  The stack's
-old per-call spellings (``routing_engine=`` on ``build``,
-``workers=``/``kernel=`` on ``run_sweep``) are gone; see the migration
-table in ``docs/api_guide.md``.
+manager, AL constructor, reconfigurators, orchestrator routing, the
+event simulator, sweep defaults); a library caller below the stack
+passes the same choice per call.  There is no process-wide default to
+set and no second constructor spelling (the retired ones are listed in
+the migration table of ``docs/api_guide.md``).
 """
 
 from __future__ import annotations
@@ -87,7 +91,11 @@ class EngineConfig:
                 f"unknown solver engine {self.solver!r} "
                 f"(expected one of {', '.join(SOLVER_ENGINES)})"
             )
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if (
+            not isinstance(self.workers, int)
+            or isinstance(self.workers, bool)
+            or self.workers < 1
+        ):
             raise ValidationError(
                 f"workers must be a positive integer, got {self.workers!r}"
             )

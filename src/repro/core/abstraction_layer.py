@@ -144,7 +144,8 @@ class AlConstructor:
 
     @property
     def kernel(self) -> str:
-        """The cover kernel the stages run on (see :class:`EngineConfig`)."""
+        """The cover kernel of the marginal-greedy stages (see
+        :class:`~repro.config.EngineConfig`)."""
         return self._kernel
 
     @property
@@ -298,17 +299,13 @@ class AlConstructor:
             AlConstructionStrategy.VERTEX_COVER_GREEDY,
             AlConstructionStrategy.IN_DEGREE_GREEDY,
         ):
-            return greedy_max_weight_cover(
-                universe, candidates, weights, kernel=self._kernel
-            )
+            return greedy_max_weight_cover(universe, candidates, weights)
         if self._strategy is AlConstructionStrategy.MARGINAL_GREEDY:
             return greedy_marginal_cover(
                 universe, candidates, kernel=self._kernel
             )
         if self._strategy is AlConstructionStrategy.RANDOM:
-            return random_cover(
-                universe, candidates, self._rng, kernel=self._kernel
-            )
+            return random_cover(universe, candidates, self._rng)
         if self._strategy is AlConstructionStrategy.EXACT:
             return exact_min_cover(universe, candidates)
         raise TopologyError(f"unknown strategy {self._strategy!r}")

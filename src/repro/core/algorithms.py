@@ -14,46 +14,43 @@ random selection of the authors' earlier work [15], an exact
 branch-and-bound set cover for optimality gaps, and König's-theorem
 bipartite minimum vertex cover.
 
-Two interchangeable **kernels** back the three heuristic covers:
+Two interchangeable **kernels** back :func:`greedy_marginal_cover`:
 
 * the **set kernel** — the original frozenset formulation, kept as the
   readable reference implementation;
 * the **bitset kernel** — an element→bit-position interning pass turns
   every candidate into one Python integer, so marginal gains are single
   ``mask & uncovered`` AND operations and coverage updates are
-  ``uncovered &= ~gain``; :func:`greedy_marginal_cover` additionally
-  runs a *lazy-greedy* max-heap that re-evaluates only stale heap tops
-  instead of rescanning every remaining candidate per round.
+  ``uncovered &= ~gain``, and a *lazy-greedy* max-heap re-evaluates
+  only stale heap tops instead of rescanning every remaining candidate
+  per round.
 
 Both kernels produce **bit-for-bit identical** :class:`CoverResult`
 values (selection order, the full :class:`CoverStep` trace, the
 universe) — the randomized parity suite in
-``tests/core/test_cover_kernels.py`` holds them to that.  ``auto`` (the
-default) picks the bitset kernel for :func:`greedy_marginal_cover`
-once the universe reaches :data:`BITSET_KERNEL_THRESHOLD` elements —
-that algorithm re-evaluates gains many times per candidate, which
-amortizes the interning pass (measured 4–8× on fat-tree-scale
-fabrics).  The single-pass covers (:func:`greedy_max_weight_cover`,
-:func:`random_cover`) evaluate each candidate's gain exactly once, and
-materializing each step's ``newly_covered`` trace from a mask costs a
-Python-level per-bit decode loop that C-level frozenset intersections
-beat at every measured size/density — so ``auto`` keeps them on the
-set kernel, while ``kernel="bitset"`` (or
-:func:`set_default_kernel`\ ``("bitset")``) remains fully supported
-and parity-tested on all three.
+``tests/core/test_cover_kernels.py`` holds them to that.  The
+``kernel=`` argument (``"auto"``, ``"set"`` or ``"bitset"``, the
+:data:`repro.config.COVER_KERNELS` vocabulary) is the only selector:
+``auto`` picks the bitset kernel once the universe reaches
+:data:`BITSET_KERNEL_THRESHOLD` elements — the marginal cover
+re-evaluates gains many times per candidate, which amortizes the
+interning pass (measured 4–8× on fat-tree-scale fabrics).  The
+single-pass covers (:func:`greedy_max_weight_cover`,
+:func:`random_cover`) evaluate each candidate's gain exactly once, so
+interning never pays for itself there and they run only on frozensets.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import heapq
 import itertools
 import random
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Mapping
 
 import networkx as nx
 
+from repro.config import COVER_KERNELS
 from repro.exceptions import CoverInfeasibleError, ValidationError
 from repro.ids import index_of, kind_prefix
 
@@ -62,62 +59,18 @@ from repro.ids import index_of, kind_prefix
 #: the interned bitset kernel (with the lazy-greedy heap).  Below this
 #: the interning pass costs more than it saves; at fat-tree scale
 #: (hundreds to thousands of machines) the lazy bitset kernel wins 4–8×.
-#: The single-pass covers stay on the set kernel under ``auto`` — they
-#: touch each candidate once, so interning never amortizes there.
 BITSET_KERNEL_THRESHOLD = 64
 
-_KERNELS = ("auto", "set", "bitset")
 
-#: Process-wide default used when call sites pass ``kernel="auto"``.
-_default_kernel = "auto"
-
-
-def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide cover kernel; returns the previous value.
-
-    ``"auto"`` restores the size-threshold heuristic; ``"set"`` or
-    ``"bitset"`` force one kernel for every cover call that does not
-    pass an explicit non-auto ``kernel=`` argument (sweep workers use
-    this to apply a benchmark arm's kernel choice after spawning).
-    """
-    global _default_kernel
-    if kernel not in _KERNELS:
+def _resolve_kernel(kernel: str, universe: frozenset) -> str:
+    """Turn a ``kernel=`` argument into ``"set"`` or ``"bitset"``."""
+    if kernel not in COVER_KERNELS:
         raise ValidationError(
-            f"unknown cover kernel {kernel!r} (expected one of {_KERNELS})"
-        )
-    previous = _default_kernel
-    _default_kernel = kernel
-    return previous
-
-
-@contextlib.contextmanager
-def use_kernel(kernel: str) -> Iterator[str]:
-    """Temporarily force a cover kernel (restores the previous default)."""
-    previous = set_default_kernel(kernel)
-    try:
-        yield kernel
-    finally:
-        set_default_kernel(previous)
-
-
-def _resolve_kernel(
-    kernel: str, universe: frozenset, *, amortized: bool = False
-) -> str:
-    """Turn a ``kernel=`` argument into ``"set"`` or ``"bitset"``.
-
-    ``amortized`` is True for algorithms that re-evaluate candidate
-    gains many times (the lazy-greedy marginal cover): only those cross
-    to the bitset kernel under ``auto``, because one-shot gain scans pay
-    the interning pass without ever earning it back.
-    """
-    if kernel not in _KERNELS:
-        raise ValidationError(
-            f"unknown cover kernel {kernel!r} (expected one of {_KERNELS})"
+            f"unknown cover kernel {kernel!r} "
+            f"(expected one of {COVER_KERNELS})"
         )
     if kernel == "auto":
-        kernel = _default_kernel
-    if kernel == "auto":
-        if amortized and len(universe) >= BITSET_KERNEL_THRESHOLD:
+        if len(universe) >= BITSET_KERNEL_THRESHOLD:
             return "bitset"
         return "set"
     return kernel
@@ -294,43 +247,6 @@ def _require_weights(
         )
 
 
-def _greedy_max_weight_bitset(
-    target: frozenset,
-    candidates: Mapping[Hashable, frozenset],
-    weights: Mapping[Hashable, float],
-) -> CoverResult:
-    interned = _BitUniverse(target, candidates)
-    interned.check_feasible()
-    _require_weights(candidates, weights)
-    order = sorted(
-        candidates,
-        key=lambda cand: (-weights[cand], natural_sort_key(cand)),
-    )
-    masks = interned.masks
-    steps: list[CoverStep] = []
-    selected: list = []
-    uncovered = interned.full_mask
-    for candidate in order:
-        if not uncovered:
-            break
-        gain_mask = masks[candidate] & uncovered
-        take = bool(gain_mask)
-        steps.append(
-            CoverStep(
-                candidate=candidate,
-                weight=float(weights[candidate]),
-                newly_covered=interned.decode(gain_mask),
-                selected=take,
-            )
-        )
-        if take:
-            selected.append(candidate)
-            uncovered &= ~gain_mask
-    return CoverResult(
-        selected=tuple(selected), steps=tuple(steps), universe=target
-    )
-
-
 def _greedy_marginal_bitset(
     target: frozenset, candidates: Mapping[Hashable, frozenset]
 ) -> CoverResult:
@@ -387,46 +303,10 @@ def _greedy_marginal_bitset(
     )
 
 
-def _random_cover_bitset(
-    target: frozenset,
-    candidates: Mapping[Hashable, frozenset],
-    rng: random.Random,
-) -> CoverResult:
-    interned = _BitUniverse(target, candidates)
-    interned.check_feasible()
-    order = sorted(candidates, key=natural_sort_key)
-    rng.shuffle(order)
-    masks = interned.masks
-    steps: list[CoverStep] = []
-    selected: list = []
-    uncovered = interned.full_mask
-    for candidate in order:
-        if not uncovered:
-            break
-        gain_mask = masks[candidate] & uncovered
-        take = bool(gain_mask)
-        steps.append(
-            CoverStep(
-                candidate=candidate,
-                weight=0.0,
-                newly_covered=interned.decode(gain_mask),
-                selected=take,
-            )
-        )
-        if take:
-            selected.append(candidate)
-            uncovered &= ~gain_mask
-    return CoverResult(
-        selected=tuple(selected), steps=tuple(steps), universe=target
-    )
-
-
 def greedy_max_weight_cover(
     universe,
     candidates: Mapping[Hashable, frozenset],
     weights: Mapping[Hashable, float],
-    *,
-    kernel: str = "auto",
 ) -> CoverResult:
     """The paper's maximum-weighted greedy cover (Section III.C).
 
@@ -441,11 +321,6 @@ def greedy_max_weight_cover(
         candidates: candidate id → set of elements it covers.
         weights: candidate id → static weight (e.g. a ToR's incoming plus
             outgoing connection count).
-        kernel: ``"set"``, ``"bitset"``, or ``"auto"``.  ``auto`` keeps
-            this single-pass cover on the set kernel (interning never
-            amortizes over one gain scan) unless
-            :func:`set_default_kernel` forces bitset process-wide.
-            Both kernels return bit-for-bit identical results.
 
     Raises:
         CoverInfeasibleError: when the union of all candidates misses part
@@ -460,8 +335,6 @@ def greedy_max_weight_cover(
     degenerate = _degenerate_cover(target, candidates)
     if degenerate is not None:
         return degenerate
-    if _resolve_kernel(kernel, target) == "bitset":
-        return _greedy_max_weight_bitset(target, candidates, weights)
     _check_feasible(target, candidates)
     _require_weights(candidates, weights)
     order = sorted(
@@ -511,7 +384,7 @@ def greedy_marginal_cover(
     degenerate = _degenerate_cover(target, candidates)
     if degenerate is not None:
         return degenerate
-    if _resolve_kernel(kernel, target, amortized=True) == "bitset":
+    if _resolve_kernel(kernel, target) == "bitset":
         return _greedy_marginal_bitset(target, candidates)
     _check_feasible(target, candidates)
     steps: list[CoverStep] = []
@@ -550,23 +423,17 @@ def random_cover(
     universe,
     candidates: Mapping[Hashable, frozenset],
     rng: random.Random,
-    *,
-    kernel: str = "auto",
 ) -> CoverResult:
     """Random selection: the authors' earlier AL construction ([15]).
 
     Candidates are visited in uniformly random order; each is selected if
     it still covers something.  Expected AL sizes exceed the greedy's —
-    the gap is exactly what experiment E4 quantifies.  Both kernels
-    consume the ``rng`` identically, so a given seed yields the same
-    cover either way.
+    the gap is exactly what experiment E4 quantifies.
     """
     target = frozenset(universe)
     degenerate = _degenerate_cover(target, candidates)
     if degenerate is not None:
         return degenerate
-    if _resolve_kernel(kernel, target) == "bitset":
-        return _random_cover_bitset(target, candidates, rng)
     _check_feasible(target, candidates)
     order = sorted(candidates, key=natural_sort_key)
     rng.shuffle(order)

@@ -50,7 +50,7 @@ from repro.observability.runtime import Telemetry, current_telemetry
 from repro.optical.conversion import ConversionModel
 from repro.sdn.controller import SdnController
 from repro.sdn.path_engine import engine_for
-from repro.sdn.routing import ROUTING_ENGINES, chain_path
+from repro.sdn.routing import chain_path
 from repro.service.journal import NULL_RECORDER
 from repro.service.records import chain_to_spec, policy_to_spec
 from repro.topology.elements import Domain
@@ -165,7 +165,6 @@ class NetworkOrchestrator:
         exclusive_chains: bool = True,
         host_policy: HostPolicy | None = None,
         telemetry: Telemetry | None = None,
-        routing_engine: str = "auto",
         engines: EngineConfig | dict | None = None,
     ) -> None:
         """Create an orchestrator over a populated inventory.
@@ -192,36 +191,18 @@ class NetworkOrchestrator:
             telemetry: metrics/tracing sink; defaults to the ambient
                 telemetry (a zero-cost no-op unless enabled).  Collaborators
                 created here inherit it.
-            routing_engine: path-computation backend for chain routing
-                and rerouting — ``"auto"``/``"csr"``/``"nx"``, see
-                :mod:`repro.sdn.routing` (bit-identical outputs; the
-                knob exists for parity tests and benchmarks).
             engines: an :class:`~repro.config.EngineConfig` (or kwargs
-                dict) bundling every backend selector — routing engine
-                plus the cover kernel used for AL construction and
-                repair.  Supersedes ``routing_engine``; passing both
-                with conflicting values raises.
+                dict) bundling every backend selector — the routing
+                engine for chain routing and rerouting
+                (``"auto"``/``"csr"``/``"nx"``, see
+                :mod:`repro.sdn.routing`; bit-identical outputs) plus
+                the cover kernel used for AL construction and repair.
         """
-        if routing_engine not in ROUTING_ENGINES:
-            raise ValidationError(
-                f"unknown routing engine {routing_engine!r} "
-                f"(expected one of {', '.join(ROUTING_ENGINES)})"
-            )
-        if engines is not None:
-            engines = EngineConfig.coerce(engines)
-            if routing_engine != "auto" and routing_engine != engines.routing:
-                raise ValidationError(
-                    f"conflicting routing selectors: routing_engine="
-                    f"{routing_engine!r} vs engines.routing="
-                    f"{engines.routing!r}; pass one"
-                )
-        else:
-            engines = EngineConfig(routing=routing_engine)
+        engines = EngineConfig.coerce(engines)
         self._engines = engines
         self._telemetry = (
             telemetry if telemetry is not None else current_telemetry()
         )
-        self._routing_engine = engines.routing
         self._inventory = inventory
         self._clusters = cluster_manager or ClusterManager(
             inventory,
@@ -682,7 +663,7 @@ class NetworkOrchestrator:
             self._inventory.network,
             waypoints,
             al_switches=cluster.al_switches,
-            engine=self._routing_engine,
+            engine=self._engines.routing,
         )
         if len(path) >= 2:
             self._sdn.install_path(request.chain.chain_id, path)
@@ -837,7 +818,7 @@ class NetworkOrchestrator:
             self._inventory.network,
             waypoints,
             al_switches=cluster.al_switches,
-            engine=self._routing_engine,
+            engine=self._engines.routing,
         )
         if self._sdn.has_flow(live.chain_id):
             if len(path) >= 2:

@@ -280,7 +280,7 @@ class AlReconfigurator:
                 candidates[ops] = covered
         weights = {ops: len(covered) for ops, covered in candidates.items()}
         result: CoverResult = greedy_max_weight_cover(
-            tors, candidates, weights, kernel=self._kernel
+            tors, candidates, weights
         )
         return frozenset(result.selected)
 

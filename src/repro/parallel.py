@@ -25,11 +25,15 @@ gives for free:
 
 Trials must be **top-level (picklable) callables** taking one picklable
 parameter and returning a picklable result — the same constraint any
-``multiprocessing`` fan-out imposes.  The runner uses the ``spawn``
-start method everywhere (fork is unsafe with threads and unavailable on
-some platforms), which re-imports :mod:`repro` in each worker; chunked
-task batches amortize that interpreter start-up and, within a chunk,
-let consecutive trials share warm caches.
+``multiprocessing`` fan-out imposes.  That parameter also carries every
+backend choice a trial needs (a cover kernel, an
+:class:`~repro.config.EngineConfig`): the runner sets no process-global
+selector, so a trial computes the same thing inline and in a worker.
+The runner uses the ``spawn`` start method everywhere (fork is unsafe
+with threads and unavailable on some platforms), which re-imports
+:mod:`repro` in each worker; chunked task batches amortize that
+interpreter start-up and, within a chunk, let consecutive trials share
+warm caches.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from multiprocessing import get_context
 from typing import Callable, Sequence
 
-from repro.core import algorithms
 from repro.exceptions import ValidationError
 from repro.observability import Telemetry, current_telemetry, use_telemetry
 
@@ -50,15 +53,13 @@ __all__ = ["SweepRunner", "run_sweep_chunk"]
 def run_sweep_chunk(
     trial: Callable,
     params: Sequence,
-    kernel: str,
     record_telemetry: bool,
 ) -> tuple[list, dict | None]:
     """Run one chunk of trials (executed inside a worker process).
 
     Top-level on purpose: the spawn start method pickles this function
     by qualified name.  Each chunk gets a fresh recording telemetry
-    (when the parent records) and applies the parent's cover-kernel
-    choice before running its trials in order.
+    (when the parent records) and runs its trials in order.
 
     Returns:
         ``(results, metrics snapshot or None)``.
@@ -68,7 +69,7 @@ def run_sweep_chunk(
         if record_telemetry
         else Telemetry.disabled_instance()
     )
-    with use_telemetry(telemetry), algorithms.use_kernel(kernel):
+    with use_telemetry(telemetry):
         results = [trial(param) for param in params]
     snapshot = telemetry.registry.snapshot() if record_telemetry else None
     return results, snapshot
@@ -87,9 +88,15 @@ class SweepRunner:
         telemetry: where worker metrics roll up (and what inline runs
             record into); defaults to the ambient
             :func:`~repro.observability.current_telemetry`.
-        kernel: cover kernel applied inside every trial (``"auto"``,
-            ``"set"``, or ``"bitset"``) — propagated to workers so a
-            benchmark arm's kernel choice survives the spawn.
+
+    The runner installs no backend selector: a trial that needs a
+    particular cover kernel or routing engine carries it in its
+    parameter and passes it on (``kernel=``, ``engine=`` or an
+    :class:`~repro.config.EngineConfig`).
+
+    Raises:
+        ValidationError: when ``workers`` is a bool, not an integer, or
+            below 1, or ``chunk_size`` is below 1.
     """
 
     def __init__(
@@ -98,24 +105,22 @@ class SweepRunner:
         workers: int = 1,
         chunk_size: int | None = None,
         telemetry: Telemetry | None = None,
-        kernel: str = "auto",
     ) -> None:
-        if workers < 1:
+        # ``True`` is an int to isinstance, but never a worker count.
+        if (
+            isinstance(workers, bool)
+            or not isinstance(workers, int)
+            or workers < 1
+        ):
             raise ValidationError(
-                f"SweepRunner needs workers >= 1, got {workers}"
+                f"SweepRunner needs an integer workers >= 1, got {workers!r}"
             )
         if chunk_size is not None and chunk_size < 1:
             raise ValidationError(
                 f"SweepRunner needs chunk_size >= 1, got {chunk_size}"
             )
-        if kernel not in ("auto", "set", "bitset"):
-            raise ValidationError(
-                f"unknown cover kernel {kernel!r} "
-                "(expected auto, set, or bitset)"
-            )
-        self.workers = int(workers)
+        self.workers = workers
         self.chunk_size = chunk_size
-        self.kernel = kernel
         self._telemetry = (
             telemetry if telemetry is not None else current_telemetry()
         )
@@ -143,9 +148,7 @@ class SweepRunner:
     # ------------------------------------------------------------------
     def _map_inline(self, trial: Callable, params: list) -> list:
         started = time.perf_counter()
-        with use_telemetry(self._telemetry), algorithms.use_kernel(
-            self.kernel
-        ):
+        with use_telemetry(self._telemetry):
             results = [trial(param) for param in params]
         self._record_sweep(len(params), chunks=1, started=started)
         return results
@@ -168,9 +171,7 @@ class SweepRunner:
             mp_context=context,
         ) as pool:
             pending = {
-                pool.submit(
-                    run_sweep_chunk, trial, chunk, self.kernel, record
-                ): index
+                pool.submit(run_sweep_chunk, trial, chunk, record): index
                 for index, chunk in enumerate(chunks)
             }
             while pending:

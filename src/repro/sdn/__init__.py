@@ -12,19 +12,15 @@ from repro.sdn.flow_table import FlowRule, FlowTable
 from repro.sdn.path_engine import PathEngine, engine_for
 from repro.sdn.route_cache import NO_ROUTE, RouteCache
 from repro.sdn.routing import (
-    ROUTING_ENGINES,
     RouteCandidates,
     chain_path,
-    get_default_engine,
     k_shortest_paths,
     least_loaded_path,
     pick_least_loaded,
     routes_from,
-    set_default_engine,
     shortest_path_in_al,
     shortest_surviving_path,
     simple_path,
-    use_engine,
 )
 from repro.sdn.updates import UpdateCostModel, UpdateEvent, UpdateKind
 
@@ -33,7 +29,6 @@ __all__ = [
     "FlowTable",
     "NO_ROUTE",
     "PathEngine",
-    "ROUTING_ENGINES",
     "RouteCache",
     "RouteCandidates",
     "SdnController",
@@ -42,14 +37,11 @@ __all__ = [
     "UpdateKind",
     "chain_path",
     "engine_for",
-    "get_default_engine",
     "k_shortest_paths",
     "least_loaded_path",
     "pick_least_loaded",
     "routes_from",
-    "set_default_engine",
     "shortest_path_in_al",
     "shortest_surviving_path",
     "simple_path",
-    "use_engine",
 ]

@@ -18,65 +18,28 @@ Every routing function accepts an ``engine`` selector:
 Both engines produce **bit-identical paths and errors** — the CSR
 kernels replicate the exact traversal order of the ``networkx``
 routines they replace, so engine choice never changes an experiment's
-output.  The process-wide default is controlled with
-:func:`set_default_engine` / :func:`use_engine`.
+output.  There is no process-wide default: callers pass ``engine=``
+themselves (``"auto"`` when they pass nothing), and the orchestrator
+and the event simulator pass their :attr:`EngineConfig.routing
+<repro.config.EngineConfig.routing>`.
 """
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import networkx as nx
 
+from repro.config import ROUTING_ENGINES
 from repro.exceptions import RoutingError, ValidationError
 from repro.ids import NodeKind
 from repro.sdn.path_engine import PathEngineNoPath, engine_for
 from repro.topology.datacenter import DataCenterNetwork
 
-#: Recognized values for the ``engine`` selector.
-ROUTING_ENGINES = ("auto", "csr", "nx")
 
-_default_engine = "auto"
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide routing engine; returns the previous one.
-
-    Raises:
-        ValidationError: for names outside :data:`ROUTING_ENGINES`.
-    """
-    global _default_engine
+def _resolve_engine(dcn: DataCenterNetwork, engine: str) -> str:
+    """Collapse ``engine`` to ``"csr"`` or ``"nx"``."""
     if engine not in ROUTING_ENGINES:
-        raise ValidationError(
-            f"unknown routing engine {engine!r}; expected one of "
-            f"{ROUTING_ENGINES}"
-        )
-    previous = _default_engine
-    _default_engine = engine
-    return previous
-
-
-def get_default_engine() -> str:
-    """The current process-wide routing engine selector."""
-    return _default_engine
-
-
-@contextlib.contextmanager
-def use_engine(engine: str) -> Iterator[None]:
-    """Scoped engine override (benchmark arms, parity tests, CLI)."""
-    previous = set_default_engine(engine)
-    try:
-        yield
-    finally:
-        set_default_engine(previous)
-
-
-def _resolve_engine(dcn: DataCenterNetwork, engine: str | None) -> str:
-    """Collapse ``engine`` (or the default) to ``"csr"`` or ``"nx"``."""
-    if engine is None:
-        engine = _default_engine
-    elif engine not in ROUTING_ENGINES:
         raise ValidationError(
             f"unknown routing engine {engine!r}; expected one of "
             f"{ROUTING_ENGINES}"
@@ -91,7 +54,7 @@ def simple_path(
     source: str,
     target: str,
     *,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> list[str]:
     """Unrestricted shortest path between two fabric nodes."""
     if not dcn.has_node(source):
@@ -149,7 +112,7 @@ def shortest_path_in_al(
     target: str,
     al_switches: Iterable[str],
     *,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> list[str]:
     """Shortest path whose optical hops all belong to one abstraction layer.
 
@@ -185,7 +148,7 @@ def chain_path(
     waypoints: Sequence[str],
     al_switches: Iterable[str] | None = None,
     *,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> list[str]:
     """Path visiting ``waypoints`` in order (source, VNF hosts…, target).
 
@@ -221,7 +184,7 @@ def k_shortest_paths(
     k: int = 3,
     al_switches: Iterable[str] | None = None,
     *,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> list[list[str]]:
     """Up to ``k`` shortest simple paths, optionally AL-restricted.
 
@@ -267,7 +230,7 @@ def routes_from(
     targets: Iterable[str],
     al_switches: Iterable[str] | None = None,
     *,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> dict[str, list[str]]:
     """Batched fan-out: shortest paths from one source to many targets.
 
@@ -316,7 +279,7 @@ def shortest_surviving_path(
     failed_nodes: Iterable[str] = (),
     cut_links: Iterable[Iterable[str]] = (),
     *,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> list[str]:
     """Shortest path avoiding failed nodes and cut links.
 
@@ -460,7 +423,7 @@ def least_loaded_path(
     *,
     k: int = 3,
     al_switches: Iterable[str] | None = None,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> list[str]:
     """Among the k shortest paths, the one with the lightest bottleneck.
 

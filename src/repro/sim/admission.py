@@ -67,7 +67,7 @@ def resolve_tree_path(
     destination: str,
     al: Iterable[str] | None,
     *,
-    engine: str | None = None,
+    engine: str = "auto",
 ) -> list[str]:
     """Tree-canonical shortest path — the simulator's route primitive.
 
@@ -144,7 +144,7 @@ class AdmissionPlan:
         dcn,
         link_index: dict,
         *,
-        engine: str | None = None,
+        engine: str = "auto",
         telemetry=None,
     ) -> None:
         self._dcn = dcn
@@ -290,7 +290,7 @@ def plan_admission(
     pairs: Iterable[tuple],
     link_index: dict,
     *,
-    engine: str | None = None,
+    engine: str = "auto",
     telemetry=None,
 ) -> AdmissionPlan:
     """Bulk-resolve unique ``(src, dst, al)`` pairs into a plan.

@@ -74,7 +74,6 @@ from repro.sdn.route_cache import (
 )
 from repro.sdn.path_engine import engine_for
 from repro.sdn.routing import (
-    ROUTING_ENGINES,
     RouteCandidates,
     k_shortest_paths,
     least_loaded_path,
@@ -254,7 +253,6 @@ class EventDrivenFlowSimulator:
         k_paths: int = 3,
         telemetry: Telemetry | None = None,
         engines: "EngineConfig | dict | None" = None,
-        routing_engine: str | None = None,
         route_cache_size: int = DEFAULT_ROUTE_CACHE_SIZE,
     ) -> None:
         """Create a simulator over a populated inventory.
@@ -276,12 +274,8 @@ class EventDrivenFlowSimulator:
                 fair-share rounds and route-cache traffic.
             engines: typed :class:`~repro.config.EngineConfig` (or an
                 equivalent dict / ``None``); ``routing`` picks the path
-                backend unless ``routing_engine`` overrides it.
-            routing_engine: path-computation backend —
-                ``"auto"``/``"csr"``/``"nx"``, see
-                :mod:`repro.sdn.routing` (both produce bit-identical
-                paths; this knob exists for parity tests and
-                benchmarks).  Defaults to ``engines.routing``.
+                backend — ``"auto"``/``"csr"``/``"nx"``, see
+                :mod:`repro.sdn.routing` (bit-identical paths).
             route_cache_size: LRU entries for the load-aware candidate
                 cache; ``0`` disables the cache entirely.
 
@@ -289,14 +283,7 @@ class EventDrivenFlowSimulator:
             ValidationError: on an unknown routing engine, a negative
                 cache size, or a non-positive bandwidth override.
         """
-        engine_config = EngineConfig.coerce(engines)
-        if routing_engine is None:
-            routing_engine = engine_config.routing
-        if routing_engine not in ROUTING_ENGINES:
-            raise ValidationError(
-                f"unknown routing engine {routing_engine!r} "
-                f"(expected one of {', '.join(ROUTING_ENGINES)})"
-            )
+        routing = EngineConfig.coerce(engines).routing
         if route_cache_size < 0:
             raise ValidationError(
                 f"route_cache_size must be >= 0, got {route_cache_size}"
@@ -313,7 +300,7 @@ class EventDrivenFlowSimulator:
         self._clusters = clusters
         self._load_aware = load_aware
         self._k_paths = k_paths
-        self._routing_engine = routing_engine
+        self._routing = routing
         # Bytes per second per link; the fabric memoizes its own rates.
         if default_bandwidth_gbps is None:
             self._capacities: dict[LinkId, float] = (
@@ -428,7 +415,7 @@ class EventDrivenFlowSimulator:
                 link_flows,
                 k=self._k_paths,
                 al_switches=al,
-                engine=self._routing_engine,
+                engine=self._routing,
             )
         # Load-aware cache key: the value is the load-independent
         # candidate pool, re-scored against live loads on every hit.
@@ -448,7 +435,7 @@ class EventDrivenFlowSimulator:
                         destination,
                         k=self._k_paths,
                         al_switches=al,
-                        engine=self._routing_engine,
+                        engine=self._routing,
                     )
                 )
             except RoutingError:
@@ -484,7 +471,7 @@ class EventDrivenFlowSimulator:
                     destination,
                     failed_nodes,
                     cut_links,
-                    engine=self._routing_engine,
+                    engine=self._routing,
                 )
             )
         except RoutingError:
@@ -704,7 +691,7 @@ class EventDrivenFlowSimulator:
                 self._inventory.network,
                 (key for key in plan_keys if key is not None),
                 engine.link_index,
-                engine=self._routing_engine,
+                engine=self._routing,
                 telemetry=telemetry,
             )
             routes_by_key: dict = {None: None}

@@ -140,9 +140,9 @@ class AlvcStack:
                 also accepts the enum's string value, e.g.
                 ``"first_fit"``).
             engines: typed :class:`~repro.config.EngineConfig` (or a
-                mapping / routing-engine string coercible to one)
-                selecting the cover kernel, routing engine and default
-                sweep worker count in one place.
+                mapping coercible to one) selecting the cover kernel,
+                routing engine and default sweep worker count in one
+                place.
             journal: a :class:`~repro.service.Journal` (or a path to
                 one) that records every state-mutating call on this
                 stack; the journal receives a ``genesis`` record of
@@ -710,10 +710,12 @@ class AlvcStack:
         """Shard a seeded experiment sweep across worker processes.
 
         A facade veneer over :class:`repro.parallel.SweepRunner`, wired
-        to this stack's telemetry and :attr:`engines` (``workers`` and
-        ``cover_kernel``): per-worker metrics roll up into
-        :attr:`telemetry`, and ``workers=1`` (the default) runs trials
-        inline under it with no multiprocessing machinery.
+        to this stack's telemetry and ``engines.workers``: per-worker
+        metrics roll up into :attr:`telemetry`, and ``workers=1`` (the
+        default) runs trials inline under it with no multiprocessing
+        machinery.  No selector is installed around the trials; a trial
+        that needs a cover kernel or routing engine takes it in its
+        parameter.
 
         ``trial`` must be a **top-level picklable callable** over
         picklable parameters — the ``_fig4_cell``-style trial functions
@@ -736,7 +738,6 @@ class AlvcStack:
             workers=self._engines.workers,
             chunk_size=chunk_size,
             telemetry=self.telemetry,
-            kernel=self._engines.cover_kernel,
         )
         return runner.map(trial, params)
 

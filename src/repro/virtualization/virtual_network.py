@@ -85,7 +85,7 @@ class VirtualNetwork:
         self,
         inventory: MachineInventory,
         *,
-        engine: str | None = None,
+        engine: str = "auto",
     ) -> dict[frozenset, list[str]]:
         """Embed every virtual link onto a shortest physical path.
 

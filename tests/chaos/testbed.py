@@ -9,6 +9,7 @@ builds side by side.
 
 from __future__ import annotations
 
+from repro.config import EngineConfig
 from repro.core.chaining import ChainRequest, NetworkFunctionChain
 from repro.core.orchestrator import NetworkOrchestrator
 from repro.nfv.functions import FunctionCatalog
@@ -45,17 +46,25 @@ def build_inventory(
 
 
 def build_orchestrator(
-    *, seed: int = 0, n_services: int = 2, **inventory_options
+    *,
+    seed: int = 0,
+    n_services: int = 2,
+    engines: EngineConfig | None = None,
+    **inventory_options,
 ) -> tuple[NetworkOrchestrator, list[str]]:
     """An orchestrator with one cluster and one live chain per service.
 
     Chain ids are ``chain-{index}`` where ``index`` matches the returned
     service list, so tests can map degraded chains back to clusters.
+    ``engines`` selects the orchestrator's backends (and through it the
+    chaos runner's simulator's).
     """
     inventory, services = build_inventory(
         seed=seed, n_services=n_services, **inventory_options
     )
-    orchestrator = NetworkOrchestrator(inventory, placement_seed=seed)
+    orchestrator = NetworkOrchestrator(
+        inventory, placement_seed=seed, engines=engines
+    )
     functions = FunctionCatalog.standard()
     for index, service in enumerate(services):
         orchestrator.cluster_manager.create_cluster(service)

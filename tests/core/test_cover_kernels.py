@@ -1,10 +1,15 @@
-"""Bitset-vs-set cover kernel parity and kernel-selection controls.
+"""Cover kernel parity and kernel-selection controls.
 
-The bitset kernels must be an *implementation detail*: every public
-cover function returns a bit-for-bit identical :class:`CoverResult`
-(selection, full decision trace, universe) whichever kernel runs, and
-infeasible instances raise the same :class:`CoverInfeasibleError` with
-the same ``uncovered`` set.  The parity suite below generates several
+The bitset kernel of :func:`greedy_marginal_cover` must be an
+*implementation detail*: it returns a bit-for-bit identical
+:class:`CoverResult` (selection, full decision trace, universe) to the
+set kernel, and infeasible instances raise the same
+:class:`CoverInfeasibleError` with the same ``uncovered`` set.  The
+single-pass covers (:func:`greedy_max_weight_cover`,
+:func:`random_cover`) have one implementation; their parity tests hold
+them to the properties results depend on — independence from the
+candidate mapping's insertion order, and ``random_cover`` being the
+paper's skip-walk over its seeded shuffle.  The suite generates several
 hundred randomized instances across universe sizes straddling
 :data:`~repro.core.algorithms.BITSET_KERNEL_THRESHOLD`.
 """
@@ -20,8 +25,6 @@ from repro.core.algorithms import (
     greedy_max_weight_cover,
     natural_sort_key,
     random_cover,
-    set_default_kernel,
-    use_kernel,
 )
 from repro.exceptions import CoverInfeasibleError, ValidationError
 
@@ -50,23 +53,50 @@ def _random_instance(rng: random.Random, universe_size: int):
 _GRID = ((6, 30), (20, 30), (63, 10), (64, 10), (96, 20), (160, 10))
 
 
+#: Every heuristic cover as ``cover(universe, candidates, kernel)``.  The
+#: single-pass covers have one implementation and ignore ``kernel``; the
+#: degenerate guard must hold for them too.
+_DEGENERATE_COVERS = [
+    pytest.param(
+        lambda u, c, kernel: greedy_max_weight_cover(u, c, {}),
+        id="max_weight",
+    ),
+    pytest.param(
+        lambda u, c, kernel: greedy_marginal_cover(u, c, kernel=kernel),
+        id="marginal",
+    ),
+    pytest.param(
+        lambda u, c, kernel: random_cover(u, c, random.Random(0)),
+        id="random",
+    ),
+]
+
+
+def _reversed_insertion(mapping: dict) -> dict:
+    """The same mapping with its insertion order reversed."""
+    return dict(reversed(list(mapping.items())))
+
+
 class TestKernelParity:
-    """~330 generated instances x 3 algorithms, set vs bitset."""
+    """~330 generated instances x 3 algorithms: the marginal cover's set
+    vs bitset kernels, and the single-pass covers' order parities."""
 
     @pytest.mark.parametrize("universe_size,count", _GRID)
     def test_greedy_max_weight_parity(self, universe_size, count):
+        # The visit order is (weight, natural key): the candidate
+        # mapping's insertion order must never leak into the result.
         rng = random.Random(universe_size)
         for _ in range(count):
             universe, candidates, weights = _random_instance(
                 rng, universe_size
             )
-            reference = greedy_max_weight_cover(
-                universe, candidates, weights, kernel="set"
+            reference = greedy_max_weight_cover(universe, candidates, weights)
+            reordered = greedy_max_weight_cover(
+                universe,
+                _reversed_insertion(candidates),
+                _reversed_insertion(weights),
             )
-            bitset = greedy_max_weight_cover(
-                universe, candidates, weights, kernel="bitset"
-            )
-            assert bitset == reference
+            assert reordered == reference
 
     @pytest.mark.parametrize("universe_size,count", _GRID)
     def test_greedy_marginal_parity(self, universe_size, count):
@@ -83,28 +113,40 @@ class TestKernelParity:
 
     @pytest.mark.parametrize("universe_size,count", _GRID)
     def test_random_cover_parity(self, universe_size, count):
+        # random_cover is the paper's skip-walk in a seeded random
+        # order: the same walk as greedy_max_weight_cover given weights
+        # that rank candidates in that order, whatever the insertion
+        # order of the candidate mapping.
         rng = random.Random(2000 + universe_size)
         for trial in range(count):
             universe, candidates, _ = _random_instance(rng, universe_size)
-            reference = random_cover(
-                universe, candidates, random.Random(trial), kernel="set"
+            result = random_cover(
+                universe,
+                _reversed_insertion(candidates),
+                random.Random(trial),
             )
-            bitset = random_cover(
-                universe, candidates, random.Random(trial), kernel="bitset"
-            )
-            assert bitset == reference
+            order = sorted(candidates, key=natural_sort_key)
+            random.Random(trial).shuffle(order)
+            ranks = {
+                name: len(order) - rank for rank, name in enumerate(order)
+            }
+            walk = greedy_max_weight_cover(universe, candidates, ranks)
+            assert result.selected == walk.selected
+            assert result.considered_order() == walk.considered_order()
+            assert [step.newly_covered for step in result.steps] == [
+                step.newly_covered for step in walk.steps
+            ]
+            assert {step.weight for step in result.steps} <= {0.0}
 
     def test_infeasible_parity(self):
         rng = random.Random(7)
         for _ in range(30):
-            universe, candidates, weights = _random_instance(rng, 24)
+            universe, candidates, _ = _random_instance(rng, 24)
             universe = universe | frozenset({"ghost-1", "ghost-2"})
             errors = {}
             for kernel in ("set", "bitset"):
                 with pytest.raises(CoverInfeasibleError) as info:
-                    greedy_max_weight_cover(
-                        universe, candidates, weights, kernel=kernel
-                    )
+                    greedy_marginal_cover(universe, candidates, kernel=kernel)
                 errors[kernel] = info.value.uncovered
             assert errors["set"] == errors["bitset"]
             assert {"ghost-1", "ghost-2"} <= errors["bitset"]
@@ -128,41 +170,22 @@ class TestKernelParity:
             {"m-0", "m-1", "m-2"}
         )
 
-    @pytest.mark.parametrize(
-        "cover",
-        [
-            lambda u, c, kernel: greedy_max_weight_cover(u, c, {}, kernel=kernel),
-            lambda u, c, kernel: greedy_marginal_cover(u, c, kernel=kernel),
-            lambda u, c, kernel: random_cover(
-                u, c, random.Random(0), kernel=kernel
-            ),
-        ],
-        ids=["max_weight", "marginal", "random"],
-    )
+    @pytest.mark.parametrize("cover", _DEGENERATE_COVERS)
     def test_empty_candidates_empty_universe_parity(self, cover):
         # Degenerate regression: with no candidates at all, the set
         # kernel used to return an empty cover while the bitset kernel
-        # diverged.  Both must now return the identical empty,
+        # diverged.  Every cover must return the identical empty,
         # feasibility-checked result.
         results = {
-            kernel: cover(frozenset(), {}, kernel) for kernel in ("set", "bitset")
+            kernel: cover(frozenset(), {}, kernel)
+            for kernel in ("set", "bitset")
         }
         assert results["set"] == results["bitset"]
         assert results["set"].selected == ()
         assert results["set"].steps == ()
         assert results["set"].universe == frozenset()
 
-    @pytest.mark.parametrize(
-        "cover",
-        [
-            lambda u, c, kernel: greedy_max_weight_cover(u, c, {}, kernel=kernel),
-            lambda u, c, kernel: greedy_marginal_cover(u, c, kernel=kernel),
-            lambda u, c, kernel: random_cover(
-                u, c, random.Random(0), kernel=kernel
-            ),
-        ],
-        ids=["max_weight", "marginal", "random"],
-    )
+    @pytest.mark.parametrize("cover", _DEGENERATE_COVERS)
     def test_empty_candidates_nonempty_universe_parity(self, cover):
         universe = frozenset({"m-0", "m-1"})
         uncovered = {}
@@ -186,51 +209,45 @@ class TestInfeasibilityReporting:
     must still name the *exact* uncovered set, not just "infeasible"."""
 
     def test_bitset_reports_exact_uncovered_set(self):
-        universe = frozenset(f"m-{i}" for i in range(10))
+        # Above the auto threshold, so the interning pass runs.
+        universe = frozenset(
+            f"m-{i}" for i in range(BITSET_KERNEL_THRESHOLD + 6)
+        )
         candidates = {
             "tor-0": frozenset({"m-0", "m-1", "m-2"}),
             "tor-1": frozenset({"m-2", "m-3"}),
         }
-        with pytest.raises(CoverInfeasibleError) as info:
-            greedy_max_weight_cover(
-                universe,
-                candidates,
-                {"tor-0": 2, "tor-1": 1},
-                kernel="bitset",
+        for kernel in ("bitset", "auto"):
+            with pytest.raises(CoverInfeasibleError) as info:
+                greedy_marginal_cover(universe, candidates, kernel=kernel)
+            assert info.value.uncovered == universe - frozenset(
+                f"m-{i}" for i in range(4)
             )
-        assert info.value.uncovered == frozenset(
-            f"m-{i}" for i in range(4, 10)
-        )
 
     def test_feasibility_checked_before_weights(self):
-        # Both kernels agree on error precedence: an infeasible
-        # instance raises CoverInfeasibleError even when weights are
-        # also missing.
+        # Error precedence: an infeasible instance raises
+        # CoverInfeasibleError even when weights are also missing.
         universe = frozenset({"m-0", "ghost"})
         candidates = {"tor-0": frozenset({"m-0"})}
-        for kernel in ("set", "bitset"):
-            with pytest.raises(CoverInfeasibleError):
-                greedy_max_weight_cover(
-                    universe, candidates, {}, kernel=kernel
-                )
+        with pytest.raises(CoverInfeasibleError) as info:
+            greedy_max_weight_cover(universe, candidates, {})
+        assert info.value.uncovered == frozenset({"ghost"})
 
     def test_missing_weights_parity(self):
+        # The message names the unweighted candidates in natural order,
+        # whatever the mapping's insertion order.
         universe = frozenset({"m-0", "m-1"})
         candidates = {
             "tor-1": frozenset({"m-0"}),
             "tor-0": frozenset({"m-1"}),
         }
-        messages = {}
-        for kernel in ("set", "bitset"):
+        messages = []
+        for mapping in (candidates, _reversed_insertion(candidates)):
             with pytest.raises(ValidationError) as info:
-                greedy_max_weight_cover(
-                    universe, candidates, {}, kernel=kernel
-                )
-            messages[kernel] = str(info.value)
-        assert messages["set"] == messages["bitset"]
-        assert messages["set"].index("tor-0") < messages["set"].index(
-            "tor-1"
-        )
+                greedy_max_weight_cover(universe, mapping, {})
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].index("tor-0") < messages[0].index("tor-1")
 
 
 class TestKernelSelection:
@@ -240,57 +257,60 @@ class TestKernelSelection:
                 {"a"}, {"s": frozenset({"a"})}, kernel="simd"
             )
 
-    def test_set_default_kernel_validates(self):
-        with pytest.raises(ValidationError):
-            set_default_kernel("gpu")
+    def test_auto_keeps_single_pass_covers_on_set(self, monkeypatch):
+        # The single-pass covers never intern, however large the
+        # universe: interning one gain scan never pays for itself.
+        def refuse(*args, **kwargs):
+            raise AssertionError("single-pass cover interned its universe")
 
-    def test_set_default_kernel_returns_previous(self):
-        previous = set_default_kernel("bitset")
-        try:
-            assert previous == "auto"
-            assert set_default_kernel("auto") == "bitset"
-        finally:
-            set_default_kernel("auto")
-
-    def test_use_kernel_restores(self):
-        with use_kernel("bitset") as active:
-            assert active == "bitset"
-            assert algorithms._default_kernel == "bitset"
-        assert algorithms._default_kernel == "auto"
-
-    def test_auto_keeps_single_pass_covers_on_set(self):
-        big = frozenset(range(BITSET_KERNEL_THRESHOLD * 2))
-        assert algorithms._resolve_kernel("auto", big) == "set"
+        monkeypatch.setattr(algorithms, "_BitUniverse", refuse)
+        universe = frozenset(range(BITSET_KERNEL_THRESHOLD * 2))
+        candidates = {"big": universe, "small": frozenset({0})}
+        weights = {"big": 2, "small": 1}
+        assert greedy_max_weight_cover(
+            universe, candidates, weights
+        ).selected == ("big",)
+        assert set(
+            random_cover(universe, candidates, random.Random(0)).selected
+        ) <= {"big", "small"}
 
     def test_auto_promotes_amortized_covers_above_threshold(self):
         big = frozenset(range(BITSET_KERNEL_THRESHOLD))
         small = frozenset(range(BITSET_KERNEL_THRESHOLD - 1))
-        assert (
-            algorithms._resolve_kernel("auto", big, amortized=True)
-            == "bitset"
-        )
-        assert (
-            algorithms._resolve_kernel("auto", small, amortized=True)
-            == "set"
-        )
+        assert algorithms._resolve_kernel("auto", big) == "bitset"
+        assert algorithms._resolve_kernel("auto", small) == "set"
 
     def test_explicit_kernel_wins_over_default(self):
-        with use_kernel("set"):
-            assert (
-                algorithms._resolve_kernel("bitset", frozenset({"a"}))
-                == "bitset"
-            )
+        big = frozenset(range(BITSET_KERNEL_THRESHOLD * 2))
+        assert (
+            algorithms._resolve_kernel("bitset", frozenset({"a"}))
+            == "bitset"
+        )
+        assert algorithms._resolve_kernel("set", big) == "set"
 
-    def test_default_kernel_applies_to_auto_call_sites(self):
-        universe = frozenset(f"m-{i}" for i in range(8))
-        candidates = {
-            "tor-0": frozenset(f"m-{i}" for i in range(5)),
-            "tor-1": frozenset(f"m-{i}" for i in range(3, 8)),
-        }
-        with use_kernel("bitset"):
-            forced = greedy_marginal_cover(universe, candidates)
-        reference = greedy_marginal_cover(universe, candidates, kernel="set")
-        assert forced == reference
+    def test_default_kernel_applies_to_auto_call_sites(self, monkeypatch):
+        # A call that passes no kernel runs "auto": the bitset kernel
+        # above the threshold, the set kernel below it.
+        calls = []
+        original = algorithms._greedy_marginal_bitset
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(algorithms, "_greedy_marginal_bitset", spy)
+        for size in (8, BITSET_KERNEL_THRESHOLD):
+            universe = frozenset(f"m-{i}" for i in range(size))
+            candidates = {
+                "tor-0": frozenset(f"m-{i}" for i in range(size // 2 + 1)),
+                "tor-1": frozenset(f"m-{i}" for i in range(size // 2, size)),
+            }
+            result = greedy_marginal_cover(universe, candidates)
+            reference = greedy_marginal_cover(
+                universe, candidates, kernel="set"
+            )
+            assert result == reference
+        assert calls == [BITSET_KERNEL_THRESHOLD]
 
 
 class TestNaturalSortKeyEdges:

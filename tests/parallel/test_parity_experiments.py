@@ -8,11 +8,17 @@ to the SweepRunner guarantee — ``workers=4`` output equals
 """
 
 from repro.analysis.experiments import (
+    _E21_STRATEGIES,
+    _e21_cell,
+    _e21_shard,
     experiment_e9_optimality_gap,
     experiment_e11_scalability,
     experiment_e21_control_plane_throughput,
     experiment_fig4_strategy_sweep,
 )
+from repro.core import algorithms
+from repro.core.abstraction_layer import AlConstructionStrategy
+from repro.core.algorithms import BITSET_KERNEL_THRESHOLD
 from repro.parallel import SweepRunner
 from repro.stack import AlvcStack
 
@@ -74,6 +80,48 @@ class TestE21Checksums:
         assert len(checksums) == 1
         constructions = {row["constructions"] for row in rows}
         assert constructions == {2 * 2 * 4}  # seeds x clusters x strategies
+
+
+class TestE21Kernels:
+    """Each E21 arm's cover kernel travels in its tasks.
+
+    If the kernel stopped being threaded, the ``serial-set`` arm would
+    run the bitset marginal cover under ``auto`` and its baseline ratio
+    would drift; these checks name that break directly.
+    """
+
+    #: 16 racks x 4 servers: a 64-server universe, at the auto threshold.
+    SCALE = (16, 4, 8, 0.4)
+
+    def _cell(self, kernel: str):
+        strategy = AlConstructionStrategy.MARGINAL_GREEDY.value
+        return _e21_cell((*self.SCALE, strategy, 0, 1, False, kernel))
+
+    def test_set_arm_never_reaches_the_bitset_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("set arm ran the bitset kernel")
+
+        assert self.SCALE[0] * self.SCALE[1] >= BITSET_KERNEL_THRESHOLD
+        monkeypatch.setattr(algorithms, "_greedy_marginal_bitset", refuse)
+        built, _, checksum = self._cell("set")
+        assert built == 1 and checksum
+        strategies = tuple(strategy.value for strategy in _E21_STRATEGIES)
+        built, _, _ = _e21_shard((*self.SCALE, strategies, 0, 1, True, "set"))
+        assert built == len(strategies)
+
+    def test_auto_arm_reaches_the_bitset_kernel(self, monkeypatch):
+        calls = []
+        original = algorithms._greedy_marginal_bitset
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        reference = self._cell("set")
+        monkeypatch.setattr(algorithms, "_greedy_marginal_bitset", spy)
+        built, _, checksum = self._cell("auto")
+        assert calls and min(calls) >= BITSET_KERNEL_THRESHOLD
+        assert (built, checksum) == (reference[0], reference[2])
 
 
 class TestStackFacade:

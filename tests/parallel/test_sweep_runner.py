@@ -40,9 +40,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SweepRunner(chunk_size=0)
 
-    def test_kernel_must_be_known(self):
+    @pytest.mark.parametrize("workers", [True, 2.5, "2"])
+    def test_workers_must_be_an_integer(self, workers):
         with pytest.raises(ValidationError):
-            SweepRunner(kernel="simd")
+            SweepRunner(workers=workers)
 
 
 class TestInline:

@@ -12,19 +12,16 @@ import pytest
 from repro.exceptions import RoutingError, ValidationError
 from repro.observability.runtime import Telemetry
 from repro.sdn.path_engine import PathEngine, PathEngineNoPath, engine_for
+from repro.config import ROUTING_ENGINES, EngineConfig
 from repro.sdn.routing import (
-    ROUTING_ENGINES,
     RouteCandidates,
-    get_default_engine,
     k_shortest_paths,
     least_loaded_path,
     pick_least_loaded,
     routes_from,
-    set_default_engine,
     shortest_path_in_al,
     shortest_surviving_path,
     simple_path,
-    use_engine,
 )
 from repro.topology.elements import ServerSpec, TorSpec
 
@@ -140,29 +137,19 @@ class TestTelemetryCounters:
 
 class TestEngineSelection:
     def test_registry(self):
-        assert ROUTING_ENGINES == ("auto", "csr", "nx")
+        from repro.sdn import routing
 
-    def test_set_default_engine_round_trip(self):
-        previous = set_default_engine("nx")
-        try:
-            assert get_default_engine() == "nx"
-        finally:
-            set_default_engine(previous)
-        assert get_default_engine() == previous
+        assert ROUTING_ENGINES == ("auto", "csr", "nx")
+        # One vocabulary: routing checks the tuple EngineConfig checks.
+        assert routing.ROUTING_ENGINES is ROUTING_ENGINES
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValidationError):
-            set_default_engine("quantum")
+            EngineConfig(routing="quantum")
 
     def test_unknown_engine_rejected_per_call(self, paper_dcn):
         with pytest.raises(ValidationError):
             simple_path(paper_dcn, "server-0", "server-1", engine="quantum")
-
-    def test_use_engine_restores_on_exit(self):
-        before = get_default_engine()
-        with use_engine("nx"):
-            assert get_default_engine() == "nx"
-        assert get_default_engine() == before
 
     def test_auto_follows_fabric_caching(self, paper_dcn):
         from repro.sdn.routing import _resolve_engine

@@ -30,7 +30,6 @@ from repro.sdn.routing import (
     shortest_path_in_al,
     shortest_surviving_path,
     simple_path,
-    use_engine,
 )
 from repro.sim import ckernel
 from repro.topology.generators import build_alvc_fabric
@@ -144,14 +143,17 @@ def test_parity_survives_topology_mutation():
     assert tors[0] in path and tors[-1] in path
 
 
-def _one_chaos_run(seed: int):
-    """A full seeded chaos run (faults + flows) under the ambient engine."""
+def _one_chaos_run(seed: int, routing: str):
+    """A full seeded chaos run (faults + flows) on one routing engine."""
     from repro.chaos import FaultInjector, RecoveryPolicy, run_chaos
+    from repro.config import EngineConfig
     from repro.sim.traffic import TrafficGenerator
 
     from tests.chaos.testbed import build_orchestrator
 
-    orchestrator, _ = build_orchestrator(seed=seed)
+    orchestrator, _ = build_orchestrator(
+        seed=seed, engines=EngineConfig(routing=routing)
+    )
     inventory = orchestrator.cluster_manager.inventory
     injector = FaultInjector(inventory.network, seed=seed)
     injector.schedule(duration=30.0, rate=0.4, repair_after=6.0)
@@ -168,10 +170,8 @@ def _one_chaos_run(seed: int):
 @pytest.mark.parametrize("seed", [5, 11])
 def test_chaos_replay_is_engine_invariant(seed):
     """Chaos reports are bit-identical whichever engine routed them."""
-    with use_engine("nx"):
-        reference = _one_chaos_run(seed)
-    with use_engine("csr"):
-        candidate = _one_chaos_run(seed)
+    reference = _one_chaos_run(seed, "nx")
+    candidate = _one_chaos_run(seed, "csr")
     assert candidate == reference
     assert candidate.to_rows() == reference.to_rows()
     assert candidate.summary() == reference.summary()

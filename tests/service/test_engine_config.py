@@ -2,8 +2,10 @@
 
 The satellite that unifies the organically-grown ``kernel=`` /
 ``engine=`` / ``routing_engine=`` / ``workers=`` knobs behind one typed
-config.  The stack's per-call spellings are gone; sweeps take their
-defaults from the config and raise no deprecation warning.
+config.  The stack's per-call spellings, the constructors' second
+spellings and the process-global defaults are gone; sweeps take their
+defaults from the config and raise no deprecation warning, and two
+stacks in one process never share a selector.
 The retired simulator selectors (``sim_engine``, ``admission``) are no
 fields any more, but mappings that carry them — old journals' genesis
 records — still coerce.
@@ -42,6 +44,7 @@ class TestValidation:
             ),
             ({"workers": 0}, "workers"),
             ({"workers": 2.5}, "workers"),
+            ({"workers": True}, "workers"),
         ],
     )
     def test_bad_values_rejected(self, kwargs, match):
@@ -75,6 +78,14 @@ class TestValidation:
     def test_known_kernels_all_construct(self):
         for kernel in COVER_KERNELS:
             assert EngineConfig(cover_kernel=kernel).cover_kernel == kernel
+
+    def test_one_vocabulary_per_selector(self):
+        from repro import config
+        from repro.core import algorithms
+        from repro.sdn import routing
+
+        assert algorithms.COVER_KERNELS is config.COVER_KERNELS
+        assert routing.ROUTING_ENGINES is config.ROUTING_ENGINES
 
 
 class TestCoerce:
@@ -113,10 +124,7 @@ class TestStackThreading:
         stack = AlvcStack.build(engines=config, **BUILD)
         assert stack.engines == config
         assert stack.orchestrator.engines == config
-        assert (
-            stack.orchestrator.cluster_manager._kernel == "bitset"
-        )
-        assert stack.orchestrator._routing_engine == "csr"
+        assert stack.orchestrator.cluster_manager.kernel == "bitset"
 
     def test_engines_accepts_mapping(self):
         stack = AlvcStack.build(
@@ -138,6 +146,33 @@ class TestStackThreading:
             digests.append(view)
         # Engines select implementations, never outcomes.
         assert digests[0] == digests[1]
+
+    def test_routing_selection_is_per_stack(self, monkeypatch):
+        """Two stacks in one process, provisions interleaved: each
+        stack's routing resolves only its own engine."""
+        from repro.sdn import routing
+
+        seen = []
+        original = routing._resolve_engine
+
+        def spy(dcn, engine):
+            seen.append((dcn, engine))
+            return original(dcn, engine)
+
+        monkeypatch.setattr(routing, "_resolve_engine", spy)
+        stacks = {
+            name: AlvcStack.build(engines=EngineConfig(routing=name), **BUILD)
+            for name in ("nx", "csr")
+        }
+        for service in ("web", "sns"):
+            for stack in stacks.values():
+                stack.provision(("firewall", "nat"), service=service)
+        for name, stack in stacks.items():
+            engines = {
+                engine for dcn, engine in seen if dcn is stack.fabric
+            }
+            assert engines == {name}
+        assert len(seen) >= 2 * len(stacks)
 
 
 class TestDeprecatedSpellings:

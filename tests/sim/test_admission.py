@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.exceptions import RoutingError, ValidationError
 from repro.observability.runtime import Telemetry
 from repro.sdn.path_engine import engine_for
@@ -321,7 +322,7 @@ class TestPlanFreshAcrossFaults:
             seed=seed,
         ).flows(60)
         report = EventDrivenFlowSimulator(
-            inventory, clusters, routing_engine=routing
+            inventory, clusters, engines=EngineConfig(routing=routing)
         ).run(flows, failures=failures)
 
         assert invalidations == []
