@@ -76,6 +76,9 @@ RETIRED: dict[str, frozenset | None] = {
         "soak.rss_self_mb",
         "soak.rss_worker_mb",
     }),
+    # Scored the load-aware candidate pools (RouteCandidates), which
+    # left with load-aware routing.
+    "e22_routing_throughput": frozenset({"candidates_speedup"}),
 }
 
 #: A gated metric keeps at least this fraction of its best-ever value.

@@ -1703,7 +1703,7 @@ def experiment_e22_routing_throughput(
         cache = RouteCache(cache_size)
         checksum = 0
         for source, target, al in queries:
-            key = (source, target, al, False)
+            key = (source, target, al)
             outcome = cache.get(key)
             if outcome is None:
                 try:
@@ -2605,9 +2605,7 @@ def experiment_e26_dataplane_throughput(
     )
     flows = generator.flows(n_flows)
 
-    simulator = EventDrivenFlowSimulator(
-        inventory, clusters, route_cache_size=4096
-    )
+    simulator = EventDrivenFlowSimulator(inventory, clusters)
     started = time.perf_counter()
     report = simulator.run(flows)
     elapsed = time.perf_counter() - started

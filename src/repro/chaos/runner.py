@@ -12,8 +12,9 @@
    Node repairs of previously-failed OPSs return them to the pools.
 2. **Data-plane pass** — the same schedule is replayed through the
    event-driven simulator as first-class fault events (reroutes, drops,
-   capacity revocation in the fair-share engine, route-cache
-   invalidation on trunk degrades).
+   capacity revocation in the fair-share engine).  Each run resolves
+   its routes afresh, so ALs the first pass repaired in place need no
+   invalidation.
 
 Both passes are deterministic given the schedule and seeds, so the
 resulting :class:`~repro.chaos.report.ChaosReport` is replayable
@@ -56,8 +57,8 @@ class ChaosRunner:
             simulator: data-plane simulator; when omitted, one is built
                 over the orchestrator's inventory and cluster manager
                 on the orchestrator's :class:`~repro.config.EngineConfig`
-                (pass your own to pick a different engine,
-                load-awareness, …).
+                (pass your own to pick a different engine or link
+                bandwidth).
             policy: :class:`~repro.chaos.recovery.RecoveryPolicy` for
                 AL repair retries (single attempt when omitted).
         """
@@ -140,10 +141,6 @@ class ChaosRunner:
 
         simulation = None
         if flows or ordered:
-            if recoveries:
-                # ALs may have been repaired in place; drop stale routes
-                # before the data-plane replay.
-                self._simulator.invalidate_routes()
             simulation = self._simulator.run(list(flows), failures=ordered)
 
         return ChaosReport(

@@ -491,6 +491,7 @@ class NetworkOrchestrator:
             with telemetry.span("provision.slice_allocation"):
                 allocated_here = False
                 slice_id_marks = self._slices.id_marks()
+                metric_marks = telemetry.registry.mark()
                 if users:
                     optical_slice = self._slices.slice_of_cluster(
                         cluster.cluster_id
@@ -508,6 +509,9 @@ class NetworkOrchestrator:
                 if allocated_here:
                     self._slices.release(optical_slice.slice_id)
                     self._slices.rewind_ids(slice_id_marks)
+                # Replay never sees a failed provision, so the counts
+                # its placement, slicing and deploy took must go too.
+                telemetry.registry.rewind(metric_marks)
                 telemetry.counter(
                     "alvc_chains_provision_failures_total",
                     "provision_chain calls that raised",

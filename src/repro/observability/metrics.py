@@ -336,6 +336,42 @@ class MetricsRegistry:
         """Drop every family and series."""
         self._families.clear()
 
+    # ------------------------------------------------------------------
+    # Rollback
+    # ------------------------------------------------------------------
+    def mark(self) -> dict:
+        """Every counter and gauge value, for a later :meth:`rewind`."""
+        return {
+            (name, key): series._value
+            for name, family in self._families.items()
+            if family.kind != "histogram"
+            for key, series in family.series.items()
+        }
+
+    def rewind(self, mark: dict) -> None:
+        """Put every counter and gauge back to its value at ``mark``.
+
+        For a command that fails and must leave no trace: counter and
+        gauge series first created since the mark are dropped, with
+        their families once empty, because :meth:`snapshot` lists
+        series, not only values.  Histograms (timings) are left alone.
+        An instrument created since the mark and cached by its caller
+        is detached from the registry.
+        """
+        for name in list(self._families):
+            family = self._families[name]
+            if family.kind == "histogram":
+                continue
+            series = family.series
+            for key in list(series):
+                value = mark.get((name, key))
+                if value is None:
+                    del series[key]
+                else:
+                    series[key]._value = value
+            if not series:
+                del self._families[name]
+
 
 class NullCounter(Counter):
     """A counter that records nothing (shared singleton)."""

@@ -12,11 +12,8 @@ from repro.sdn.flow_table import FlowRule, FlowTable
 from repro.sdn.path_engine import PathEngine, engine_for
 from repro.sdn.route_cache import NO_ROUTE, RouteCache
 from repro.sdn.routing import (
-    RouteCandidates,
     chain_path,
     k_shortest_paths,
-    least_loaded_path,
-    pick_least_loaded,
     routes_from,
     shortest_path_in_al,
     shortest_surviving_path,
@@ -30,7 +27,6 @@ __all__ = [
     "NO_ROUTE",
     "PathEngine",
     "RouteCache",
-    "RouteCandidates",
     "SdnController",
     "UpdateCostModel",
     "UpdateEvent",
@@ -38,8 +34,6 @@ __all__ = [
     "chain_path",
     "engine_for",
     "k_shortest_paths",
-    "least_loaded_path",
-    "pick_least_loaded",
     "routes_from",
     "shortest_path_in_al",
     "shortest_surviving_path",

@@ -1,22 +1,18 @@
 """LRU route caching for the SDN routing layer.
 
-Path computation is the per-arrival hot spot of the event-driven
-simulator: flat shortest paths cost a BFS over the fabric and
-AL-confined paths additionally build a restricted subgraph view on every
-call.  Routing is deterministic given the fabric and the abstraction
-layer, so repeated (source, destination) pairs — the common case under
-service-correlated traffic — can be served from a cache.
+Flat shortest paths cost a BFS over the fabric and AL-confined paths
+additionally restrict it to the layer's switches.  Routing is
+deterministic given the fabric and the abstraction layer, so repeated
+(source, destination) pairs — the common case under service-correlated
+traffic — can be served from a cache (E22's ``csr+cache`` arm measures
+it on top of the CSR path engine).
 
 :class:`RouteCache` is a plain LRU keyed by
-``(src_host, dst_host, al_signature, load_aware)``:
+``(src_host, dst_host, al_signature)``:
 
 * ``al_signature`` is the frozenset of the abstraction layer's switches
   (``None`` for flat routing), so reconstructing an AL yields new keys
   and stale entries simply age out — no epoch bookkeeping needed;
-* for ``load_aware`` keys the cached value is the *candidate list* from
-  :func:`~repro.sdn.routing.k_shortest_paths` (load-independent); the
-  caller re-scores the candidates against live link loads, so caching
-  never changes which path is picked;
 * infeasible routes are cached as :data:`NO_ROUTE` so repeated dead-end
   lookups (e.g. an AL that does not connect two hosts) stay cheap.
 
@@ -59,8 +55,7 @@ class RouteCache:
     """A bounded LRU mapping route keys to cached paths.
 
     Values are opaque to the cache; by convention the routing layer
-    stores tuples of node ids (or tuples of candidate paths for
-    load-aware keys) and :data:`NO_ROUTE` for infeasible keys.
+    stores tuples of node ids and :data:`NO_ROUTE` for infeasible keys.
     """
 
     __slots__ = (
@@ -186,12 +181,11 @@ class RouteCache:
         """Drop every cached path that traverses one of ``links``.
 
         For callers that change a link under keys whose AL signature
-        stays the same: entries whose cached path (or any load-aware
-        candidate path) rides one of ``links`` are evicted and
-        recomputed on the next lookup.  (A trunk degrade needs no
-        eviction: hop-count paths ignore capacity, and load-aware hits
-        are re-scored anyway.)  :data:`NO_ROUTE` entries are kept: a
-        faulted link never makes an infeasible pair feasible.
+        stays the same: entries whose cached path rides one of
+        ``links`` are evicted and recomputed on the next lookup.  (A
+        trunk degrade needs no eviction: hop-count paths ignore
+        capacity.)  :data:`NO_ROUTE` entries are kept: a faulted link
+        never makes an infeasible pair feasible.
 
         Args:
             links: canonical undirected link keys (frozensets of the
@@ -204,35 +198,16 @@ class RouteCache:
         if not targets:
             return 0
 
-        def crosses(path) -> bool:
-            return any(
-                frozenset((a, b)) in targets
-                for a, b in zip(path, path[1:])
-            )
-
         entries = self._entries
         dropped = 0
         for key in list(entries):
-            value = entries[key]
-            if value is NO_ROUTE:
-                continue
-            # A load-aware entry caches a RouteCandidates pool, whose
-            # precomputed link keys make the crossing test a set probe
-            # (duck-typed to keep this module import-cycle-free).
-            link_keys = getattr(value, "link_keys", None)
-            if link_keys is not None:
-                if any(
-                    key_ in targets for keys in link_keys for key_ in keys
-                ):
-                    del entries[key]
-                    dropped += 1
-                continue
-            if not isinstance(value, tuple) or not value:
-                continue  # pragma: no cover - foreign value, leave it
-            # A legacy load-aware entry caches a tuple of candidate
-            # paths; a plain entry caches one path (a tuple of node ids).
-            paths = value if isinstance(value[0], tuple) else (value,)
-            if any(crosses(path) for path in paths):
+            path = entries[key]
+            if not isinstance(path, tuple):
+                continue  # NO_ROUTE or a foreign value: leave it
+            if any(
+                frozenset((a, b)) in targets
+                for a, b in zip(path, path[1:])
+            ):
                 del entries[key]
                 dropped += 1
         if dropped:

@@ -320,133 +320,6 @@ def shortest_surviving_path(
         ) from None
 
 
-class RouteCandidates:
-    """A k-shortest candidate pool with precomputed link keys.
-
-    :func:`pick_least_loaded` used to re-allocate one ``frozenset`` per
-    link per candidate on *every* call — and the route cache re-scores
-    every load-aware hit through it.  Freezing the pool once computes
-    each path's link keys a single time; scoring then only does dict
-    probes.  Iterating/indexing yields the path tuples, so existing
-    ``Sequence[Sequence[str]]`` consumers keep working.
-    """
-
-    __slots__ = ("paths", "link_keys")
-
-    def __init__(self, paths: Iterable[Sequence[str]]) -> None:
-        self.paths: tuple[tuple[str, ...], ...] = tuple(
-            tuple(path) for path in paths
-        )
-        self.link_keys: tuple[tuple[frozenset, ...], ...] = tuple(
-            tuple(frozenset((a, b)) for a, b in zip(path, path[1:]))
-            for path in self.paths
-        )
-
-    @classmethod
-    def from_paths(cls, paths) -> "RouteCandidates":
-        """Wrap ``paths``, passing through existing instances."""
-        if isinstance(paths, cls):
-            return paths
-        return cls(paths)
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __getitem__(self, index):
-        return self.paths[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"RouteCandidates({list(self.paths)!r})"
-
-
-def pick_least_loaded(candidates, link_load):
-    """The candidate path with the lightest bottleneck under ``link_load``.
-
-    The scoring core of :func:`least_loaded_path`, split out so cached
-    candidate lists (see :mod:`repro.sdn.route_cache`) can be re-scored
-    against live loads without recomputing the k-shortest-path pool.
-
-    Args:
-        candidates: non-empty sequence of node paths, or a
-            :class:`RouteCandidates` pool (scored without per-call
-            link-key allocation).
-        link_load: mapping ``frozenset({a, b}) -> load`` (any unit);
-            missing links count as load 0.
-
-    Returns:
-        The candidate minimizing (max link load, total link load, hops);
-        ties keep the earliest (shortest) candidate.
-
-    Raises:
-        RoutingError: when ``candidates`` is empty.
-    """
-    link_keys = getattr(candidates, "link_keys", None)
-    if link_keys is not None:
-        paths = candidates.paths
-        if not paths:
-            raise RoutingError("no candidate paths to score")
-        get = link_load.get
-        best_path = None
-        best_score = None
-        for path, keys in zip(paths, link_keys):
-            loads = [get(key, 0.0) for key in keys]
-            score = (max(loads, default=0.0), sum(loads), len(path))
-            if best_score is None or score < best_score:
-                best_score = score
-                best_path = path
-        return best_path
-    if not candidates:
-        raise RoutingError("no candidate paths to score")
-
-    def score(path: Sequence[str]):
-        loads = [
-            link_load.get(frozenset((a, b)), 0.0)
-            for a, b in zip(path, path[1:])
-        ]
-        return (
-            max(loads, default=0.0),
-            sum(loads),
-            len(path),
-        )
-
-    return min(candidates, key=score)
-
-
-def least_loaded_path(
-    dcn: DataCenterNetwork,
-    source: str,
-    target: str,
-    link_load,
-    *,
-    k: int = 3,
-    al_switches: Iterable[str] | None = None,
-    engine: str = "auto",
-) -> list[str]:
-    """Among the k shortest paths, the one with the lightest bottleneck.
-
-    Args:
-        dcn: the fabric.
-        source: path start.
-        target: path end.
-        link_load: mapping ``frozenset({a, b}) -> load`` (any unit);
-            missing links count as load 0.
-        k: candidate pool size.
-        al_switches: restrict optical hops to these switches.
-        engine: routing engine selector (see module docstring).
-
-    Returns:
-        The candidate minimizing (max link load, total link load, hops);
-        with no load anywhere this degenerates to the shortest path.
-    """
-    candidates = k_shortest_paths(
-        dcn, source, target, k=k, al_switches=al_switches, engine=engine
-    )
-    return list(pick_least_loaded(RouteCandidates(candidates), link_load))
-
-
 def path_length_statistics(
     graph: nx.Graph, sample_pairs: Sequence[tuple[str, str]]
 ) -> dict[str, float]:

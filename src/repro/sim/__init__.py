@@ -1,11 +1,11 @@
 """Flow-level and event-driven simulation over the AL-VC fabric.
 
-Provides the traffic substrate for the experiments: a deterministic event
-engine, service-correlated flow generation (machines of the same service
-exchange traffic far more often than machines of different services,
-Section III.A), an analytic flow simulator that charges O/E/O conversions
-and link load, an event-driven fair-share simulator reporting flow
-completion times, and per-chain traffic accounting.
+Provides the traffic substrate for the experiments: service-correlated
+flow generation (machines of the same service exchange traffic far more
+often than machines of different services, Section III.A), an analytic
+flow simulator that charges O/E/O conversions and link load, an
+event-driven fair-share simulator reporting flow completion times, and
+per-chain traffic accounting.
 """
 
 from repro.sim.chain_traffic import (
@@ -18,7 +18,6 @@ from repro.sim.event_simulator import (
     EventDrivenFlowSimulator,
     EventSimulationReport,
 )
-from repro.sim.events import EventQueue, Simulator
 from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
 from repro.sim.flows import Flow
 from repro.sim.metrics import MetricsCollector
@@ -33,7 +32,6 @@ __all__ = [
     "ChainTrafficSimulator",
     "CompletedFlow",
     "EventDrivenFlowSimulator",
-    "EventQueue",
     "EventSimulationReport",
     "Flow",
     "FlowSimulator",
@@ -41,7 +39,6 @@ __all__ = [
     "LinkBusyView",
     "MetricsCollector",
     "SimulationReport",
-    "Simulator",
     "TrafficConfig",
     "TrafficGenerator",
     "check_max_min_fair",

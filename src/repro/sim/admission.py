@@ -41,11 +41,7 @@ import numpy as np
 
 from repro.exceptions import RoutingError
 from repro.observability.runtime import current_telemetry
-from repro.sdn.routing import (
-    RouteCandidates,
-    k_shortest_paths,
-    routes_from,
-)
+from repro.sdn.routing import routes_from
 from repro.sim.fairshare import LinkId, links_on_path
 
 __all__ = [

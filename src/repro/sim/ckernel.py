@@ -65,9 +65,8 @@ of the source and the compiler flags.
   search allocates and clears nothing.
 
 **The event loop.**  :class:`~repro.sim.event_simulator.
-EventDrivenFlowSimulator` enters ``alvc_run`` whenever it has an
-admission plan (runs that are not load-aware), the kernel runs, and
-the engine owes no full pass.  The arrivals come pre-interned
+EventDrivenFlowSimulator` enters ``alvc_run`` whenever the kernel
+runs and the engine owes no full pass.  The arrivals come pre-interned
 (:class:`RunState`): per arrival its time, its route class (``-1`` for
 co-located endpoints, ``-2`` for one the plan has no route for), its
 size and the rank of its flow id.  Each turn picks the next event

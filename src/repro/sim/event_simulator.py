@@ -30,9 +30,7 @@ There is one event loop, the struct-of-arrays data plane of
 * routes are resolved in bulk before the first event
   (:mod:`repro.sim.admission`) and their route classes interned in
   first-use order, and arrivals sharing a timestamp are admitted as one
-  batch with a single recompute.  Load-aware runs pick each arrival's
-  path per event from an LRU
-  :class:`~repro.sdn.route_cache.RouteCache` of candidate paths;
+  batch with a single recompute;
 * with the compiled kernel, the events between external ones — plan
   arrival batches and completions — run inside it (``alvc_run``), and
   Python takes back only faults, the window edge, batches the loop
@@ -67,19 +65,8 @@ from repro.exceptions import (
 )
 from repro.ids import FlowId
 from repro.observability.runtime import Telemetry, current_telemetry
-from repro.sdn.route_cache import (
-    DEFAULT_ROUTE_CACHE_SIZE,
-    NO_ROUTE,
-    RouteCache,
-)
 from repro.sdn.path_engine import engine_for
-from repro.sdn.routing import (
-    RouteCandidates,
-    k_shortest_paths,
-    least_loaded_path,
-    pick_least_loaded,
-    shortest_surviving_path,
-)
+from repro.sdn.routing import shortest_surviving_path
 from repro.sim.admission import NO_PLAN_ROUTE, InternedRoute, plan_admission
 from repro.sim.ckernel import RunState
 from repro.sim.fairshare import ROUNDS_BUCKETS, LinkId, links_on_path
@@ -95,9 +82,9 @@ from repro.sim.flows import Flow
 from repro.sim.vector import BatchedFairShareEngine, FlowTable, LinkBusyView
 from repro.virtualization.machines import MachineInventory
 
-#: Whether runs with an admission plan hand the events between
-#: external ones to the compiled loop (``alvc_run``) when the kernel
-#: runs.  The per-event loop is the mirror; the parity suite pins it.
+#: Whether runs hand the events between external ones to the compiled
+#: loop (``alvc_run``) when the kernel runs.  The per-event loop is the
+#: mirror; the parity suite pins it.
 _COMPILED_LOOP = True
 #: Entries of the compiled loop's completion and rounds buffers: a full
 #: buffer hands back to Python, which drains it and re-enters.
@@ -249,11 +236,8 @@ class EventDrivenFlowSimulator:
         clusters: ClusterManager | None = None,
         *,
         default_bandwidth_gbps: float | None = None,
-        load_aware: bool = False,
-        k_paths: int = 3,
         telemetry: Telemetry | None = None,
         engines: "EngineConfig | dict | None" = None,
-        route_cache_size: int = DEFAULT_ROUTE_CACHE_SIZE,
     ) -> None:
         """Create a simulator over a populated inventory.
 
@@ -265,29 +249,19 @@ class EventDrivenFlowSimulator:
                 capacity (a trunk of ``n`` parallel links gets ``n``
                 times this); defaults to each trunk's own aggregated
                 ``bandwidth_gbps``.
-            load_aware: route each arrival over the least-loaded of the
-                ``k_paths`` shortest paths (load = concurrent flows per
-                link) instead of always the shortest.
-            k_paths: candidate pool size for load-aware routing.
             telemetry: metrics/tracing sink (ambient default when
-                omitted); records event throughput, queue depths,
-                fair-share rounds and route-cache traffic.
+                omitted); records event throughput, queue depths and
+                fair-share rounds.
             engines: typed :class:`~repro.config.EngineConfig` (or an
                 equivalent dict / ``None``); ``routing`` picks the path
                 backend — ``"auto"``/``"csr"``/``"nx"``, see
                 :mod:`repro.sdn.routing` (bit-identical paths).
-            route_cache_size: LRU entries for the load-aware candidate
-                cache; ``0`` disables the cache entirely.
 
         Raises:
-            ValidationError: on an unknown routing engine, a negative
-                cache size, or a non-positive bandwidth override.
+            ValidationError: on an unknown routing engine or a
+                non-positive bandwidth override.
         """
         routing = EngineConfig.coerce(engines).routing
-        if route_cache_size < 0:
-            raise ValidationError(
-                f"route_cache_size must be >= 0, got {route_cache_size}"
-            )
         if default_bandwidth_gbps is not None and default_bandwidth_gbps <= 0:
             raise ValidationError(
                 "default_bandwidth_gbps must be positive, "
@@ -298,8 +272,6 @@ class EventDrivenFlowSimulator:
         )
         self._inventory = inventory
         self._clusters = clusters
-        self._load_aware = load_aware
-        self._k_paths = k_paths
         self._routing = routing
         # Bytes per second per link; the fabric memoizes its own rates.
         if default_bandwidth_gbps is None:
@@ -315,11 +287,6 @@ class EventDrivenFlowSimulator:
                     self._capacities[key] += capacity
                 else:
                     self._capacities[key] = capacity
-        self._route_cache: RouteCache | None = (
-            RouteCache(route_cache_size, telemetry=self._telemetry)
-            if route_cache_size > 0
-            else None
-        )
 
     @property
     def capacities(self) -> dict[LinkId, float]:
@@ -337,25 +304,6 @@ class EventDrivenFlowSimulator:
         """The admission pipeline every run uses: ``"batched"`` (run
         manifests record it)."""
         return "batched"
-
-    @property
-    def route_cache(self) -> RouteCache | None:
-        """The LRU route cache (``None`` when disabled)."""
-        return self._route_cache
-
-    def invalidate_routes(self) -> int:
-        """Drop every cached route.
-
-        Call after mutating the fabric or reconstructing an abstraction
-        layer in place.  (AL *replacements* need no invalidation — the
-        AL switch set is part of the cache key.)
-
-        Returns:
-            The number of entries dropped (0 when the cache is off).
-        """
-        if self._route_cache is None:
-            return 0
-        return self._route_cache.invalidate()
 
     # ------------------------------------------------------------------
     def _route_key(self, flow: Flow) -> tuple | None:
@@ -382,68 +330,6 @@ class EventDrivenFlowSimulator:
             None if al is None else frozenset(al),
         )
 
-    def _route_least_loaded(
-        self, flow: Flow, link_flows: dict[LinkId, int]
-    ) -> list[str]:
-        """Load-aware path: the least-loaded of the ``k_paths`` shortest
-        candidates, inside the flow's AL when one connects the pair and
-        over the flat fabric otherwise."""
-        key = self._route_key(flow)
-        if key is None:
-            return [self._inventory.host_of(flow.source)]
-        source, destination, al = key
-        if al is not None:
-            try:
-                return self._pick_path(source, destination, al, link_flows)
-            except RoutingError:
-                pass
-        return self._pick_path(source, destination, None, link_flows)
-
-    def _pick_path(
-        self,
-        source: str,
-        destination: str,
-        al,
-        link_flows: dict[LinkId, int],
-    ) -> list[str]:
-        cache = self._route_cache
-        if cache is None:
-            return least_loaded_path(
-                self._inventory.network,
-                source,
-                destination,
-                link_flows,
-                k=self._k_paths,
-                al_switches=al,
-                engine=self._routing,
-            )
-        # Load-aware cache key: the value is the load-independent
-        # candidate pool, re-scored against live loads on every hit.
-        key = (source, destination, al, True)
-        cached = cache.get(key)
-        if cached is NO_ROUTE:
-            raise RoutingError(
-                f"no cached route from {source} to {destination}"
-                + ("" if al is None else " inside the abstraction layer")
-            )
-        if cached is None:
-            try:
-                cached = RouteCandidates(
-                    k_shortest_paths(
-                        self._inventory.network,
-                        source,
-                        destination,
-                        k=self._k_paths,
-                        al_switches=al,
-                        engine=self._routing,
-                    )
-                )
-            except RoutingError:
-                cache.put(key, NO_ROUTE)
-                raise
-            cache.put(key, cached)
-        return list(pick_least_loaded(cached, link_flows))
-
     def _route_avoiding(
         self, flow: Flow, failed_nodes: set, cut_links: set
     ) -> list[str] | None:
@@ -451,7 +337,7 @@ class EventDrivenFlowSimulator:
 
         Failure-aware routing is policy-free (plain shortest path over
         the surviving fabric): with switches gone, staying inside the AL
-        or balancing load is secondary to reconnecting at all.  It is
+        is secondary to reconnecting at all.  It is
         deliberately uncached at this layer — the surviving fabric
         changes with every failure event (the CSR engine keys its
         avoidance masks by failure set and drops them on
@@ -588,17 +474,13 @@ class EventDrivenFlowSimulator:
           with a single trailing recompute.
           Arrivals inside an active failure window (a node down or a
           link cut) take the uncached surviving-path fallback instead.
-          Load-aware runs pick each arrival's path per event (the pick
-          depends on instantaneous link loads) over a pre-warmed
-          candidate cache.
-        * Fault events leave the plan and the candidate cache alone.
-          Both are read only while no node is down and no link is cut,
-          when every down link has been restored.  Faults never mutate
-          the fabric (they edit capacities and avoidance masks), and a
-          degrade changes capacity, not hop-count routes, so each
-          interned route and candidate pool equals a fresh resolution
-          whenever it is read.
-        * With the compiled kernel and a plan, every event that needs no
+        * Fault events leave the plan alone.  It is read only while no
+          node is down and no link is cut, when every down link has
+          been restored.  Faults never mutate the fabric (they edit
+          capacities and avoidance masks), and a degrade changes
+          capacity, not hop-count routes, so each interned route equals
+          a fresh resolution whenever it is read.
+        * With the compiled kernel, every event that needs no
           Python runs inside ``alvc_run`` (see :mod:`repro.sim.ckernel`
           for its hand-back rules); this loop takes the handed-back
           event, and afterwards records the loop's admissions and
@@ -625,8 +507,7 @@ class EventDrivenFlowSimulator:
         )
         fallback_counter = telemetry.counter(
             "alvc_admission_fallback_flows_total",
-            "batched-mode arrivals routed per event "
-            "(failure windows and load-aware picking)",
+            "arrivals routed per event inside failure windows",
         )
         peak_depth = 0
         pending = sorted(flows, key=lambda flow: (flow.arrival_time, flow.flow_id))
@@ -657,9 +538,6 @@ class EventDrivenFlowSimulator:
         # Capacity each down link had when it left the map, so repairs
         # restore exactly the pre-failure (possibly degraded) value.
         down_links: dict[LinkId, float] = {}
-        # Concurrent flows per link: only the load-aware picker reads it.
-        load_aware = self._load_aware
-        link_flows: dict[LinkId, int] = {}
         now = 0.0
         arrival_index = 0
         failure_index = 0
@@ -681,46 +559,29 @@ class EventDrivenFlowSimulator:
         # Resolve every unique endpoint pair before the first event (one
         # BFS fan-out per source) and intern the routes' classes in
         # first-use order, so admitting an arrival is an indexed append.
-        plan = None
+        plan_keys = [route_key(flow) for flow in pending]
+        plan = plan_admission(
+            self._inventory.network,
+            (key for key in plan_keys if key is not None),
+            engine.link_index,
+            engine=self._routing,
+            telemetry=telemetry,
+        )
         #: Per arrival: its plan route, NO_PLAN_ROUTE, or None for
         #: co-located endpoints.
         routes: list = []
-        if not load_aware:
-            plan_keys = [route_key(flow) for flow in pending]
-            plan = plan_admission(
-                self._inventory.network,
-                (key for key in plan_keys if key is not None),
-                engine.link_index,
-                engine=self._routing,
-                telemetry=telemetry,
-            )
-            routes_by_key: dict = {None: None}
-            for key in plan_keys:
-                if key not in routes_by_key:
-                    routes_by_key[key] = plan.lookup(*key)
-                routes.append(routes_by_key[key])
-            engine.intern_routes(
-                [
-                    route
-                    for route in routes_by_key.values()
-                    if isinstance(route, InternedRoute)
-                ]
-            )
-        elif self._route_cache is not None:
-            # Load-aware picks depend on instantaneous link loads, so
-            # routes cannot be pinned up front — but the candidate sets
-            # can: warm the cache once per unique pair so the event
-            # loop only ever pays the pick.
-            seen: set = set()
-            for flow in pending:
-                key = route_key(flow)
-                if key is None or key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    self._route_least_loaded(flow, link_flows)
-                except RoutingError:
-                    pass
+        routes_by_key: dict = {None: None}
+        for key in plan_keys:
+            if key not in routes_by_key:
+                routes_by_key[key] = plan.lookup(*key)
+            routes.append(routes_by_key[key])
+        engine.intern_routes(
+            [
+                route
+                for route in routes_by_key.values()
+                if isinstance(route, InternedRoute)
+            ]
+        )
 
         # Same-timestamp batch edges come from one searchsorted over
         # the pre-extracted arrival-time array instead of a per-flow
@@ -728,14 +589,6 @@ class EventDrivenFlowSimulator:
         arrival_times = np.array(
             [flow.arrival_time for flow in pending], dtype=np.float64
         )
-
-        def count_loads(links, delta: int) -> None:
-            for link in links:
-                count = link_flows.get(link, 0) + delta
-                if count:
-                    link_flows[link] = count
-                else:
-                    del link_flows[link]
 
         def complete_now(flow: Flow, hops: int) -> None:
             completed.append(
@@ -754,11 +607,9 @@ class EventDrivenFlowSimulator:
             for flow_id in victims:
                 slot = table.slot_of[flow_id]
                 engine.materialize((slot,), now)
-                flow, _, links = table.meta[slot]
+                flow = table.meta[slot][0]
                 remaining_bytes = float(table.remaining[slot])
                 rank = int(engine.tie_rank[slot])
-                if load_aware:
-                    count_loads(links, -1)
                 engine.remove_flow(flow_id)
                 new_path = self._route_avoiding(flow, failed_nodes, cut_links)
                 if new_path is None:
@@ -771,8 +622,6 @@ class EventDrivenFlowSimulator:
                 table.remaining[slot] = remaining_bytes
                 table.last_update[slot] = now
                 engine.tie_rank[slot] = rank
-                if load_aware:
-                    count_loads(new_links, 1)
 
         # The compiled loop (``alvc_run``) takes every event that needs
         # no Python: plan arrivals and completions between external
@@ -781,7 +630,7 @@ class EventDrivenFlowSimulator:
         # compaction, a full table) or a full buffer, and at the end.
         loop = None
         compiled = _COMPILED_LOOP and engine.kernel_active
-        if compiled and plan is not None and pending:
+        if compiled and pending:
             classes = np.array(
                 [_loop_class(route) for route in routes], dtype=np.int64
             )
@@ -1038,7 +887,7 @@ class EventDrivenFlowSimulator:
                             dropped.append(flow.flow_id)
                             continue
                         fallback_counter.inc()
-                    elif plan is not None:
+                    else:
                         # The pair was resolved (or negatively interned)
                         # before the first event.
                         route = routes[index]
@@ -1055,9 +904,6 @@ class EventDrivenFlowSimulator:
                         batch.append(index)
                         admitted = True
                         continue
-                    else:
-                        fallback_counter.inc()
-                        path = self._route_least_loaded(flow, link_flows)
                     links = links_on_path(path)
                     if not links:
                         # Co-located endpoints: completes immediately and
@@ -1069,8 +915,6 @@ class EventDrivenFlowSimulator:
                     table.remaining[slot] = flow.size_bytes
                     table.last_update[slot] = now
                     engine.tie_rank[slot] = ranks[index]
-                    if load_aware:
-                        count_loads(links, 1)
                     admitted = True
                 if batch:
                     # One indexed append for the whole timestamp group;
@@ -1107,9 +951,7 @@ class EventDrivenFlowSimulator:
                     )
                 finisher = table.flow_ids[slot]
                 engine.materialize((slot,), now)
-                flow, path, links = table.meta[slot]
-                if load_aware:
-                    count_loads(links, -1)
+                flow, path, _ = table.meta[slot]
                 engine.remove_flow(finisher)
                 complete_now(flow, len(path) - 1)
                 upcoming = engine.settle(now)

@@ -121,6 +121,39 @@ class TestRegistry:
         assert "h_count 1" in text
 
 
+class TestRewind:
+    def test_values_return_and_new_series_go(self):
+        registry = MetricsRegistry()
+        registry.counter("x_total", kind="a").inc(2)
+        registry.gauge("level").set(5)
+        registry.histogram("h", buckets=(1, 2)).observe(1.5)
+        before = registry.snapshot()
+        mark = registry.mark()
+        registry.counter("x_total", kind="a").inc(3)
+        registry.counter("x_total", kind="b").inc()
+        registry.counter("fresh_total").inc()
+        registry.gauge("level").set(9)
+        registry.rewind(mark)
+        # New series are gone, not left at 0, and so is a family that
+        # only they made up.
+        assert registry.snapshot() == before
+
+    def test_histograms_keep_their_observations(self):
+        registry = MetricsRegistry()
+        mark = registry.mark()
+        registry.histogram("h", buckets=(1, 2)).observe(1.5)
+        registry.rewind(mark)
+        assert registry.value_of("h") == 1.0
+
+    def test_null_registry_marks_nothing(self):
+        registry = NullMetricsRegistry()
+        mark = registry.mark()
+        registry.counter("x_total").inc()
+        registry.rewind(mark)
+        assert mark == {}
+        assert registry.snapshot() == {}
+
+
 class TestNullRegistry:
     def test_disabled_and_shared_singletons(self):
         registry = NullMetricsRegistry()

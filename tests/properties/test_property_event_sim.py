@@ -33,22 +33,19 @@ def workloads(draw):
     seed = draw(st.integers(min_value=0, max_value=30))
     n_flows = draw(st.integers(min_value=1, max_value=40))
     rate = draw(st.floats(min_value=1.0, max_value=200.0, allow_nan=False))
-    load_aware = draw(st.booleans())
-    return seed, n_flows, rate, load_aware
+    return seed, n_flows, rate
 
 
 @given(workloads())
 @settings(max_examples=25, deadline=None)
 def test_every_flow_completes_after_arrival(workload):
-    seed, n_flows, rate, load_aware = workload
+    seed, n_flows, rate = workload
     inventory, clusters = _testbed(seed)
     generator = TrafficGenerator(
         inventory, TrafficConfig(arrival_rate=rate), seed=seed
     )
     flows = generator.flows(n_flows)
-    report = EventDrivenFlowSimulator(
-        inventory, clusters, load_aware=load_aware
-    ).run(flows)
+    report = EventDrivenFlowSimulator(inventory, clusters).run(flows)
     assert report.flows == n_flows
     by_id = {record.flow_id: record for record in report.completed}
     for flow in flows:
@@ -61,15 +58,13 @@ def test_every_flow_completes_after_arrival(workload):
 @settings(max_examples=25, deadline=None)
 def test_byte_conservation_on_links(workload):
     """Bytes moved over links equal each flow's size times its hops."""
-    seed, n_flows, rate, load_aware = workload
+    seed, n_flows, rate = workload
     inventory, clusters = _testbed(seed)
     generator = TrafficGenerator(
         inventory, TrafficConfig(arrival_rate=rate), seed=seed
     )
     flows = generator.flows(n_flows)
-    report = EventDrivenFlowSimulator(
-        inventory, clusters, load_aware=load_aware
-    ).run(flows)
+    report = EventDrivenFlowSimulator(inventory, clusters).run(flows)
     expected = sum(
         record.size_bytes * record.hops for record in report.completed
     )
@@ -80,15 +75,13 @@ def test_byte_conservation_on_links(workload):
 @given(workloads())
 @settings(max_examples=20, deadline=None)
 def test_makespan_bounds(workload):
-    seed, n_flows, rate, load_aware = workload
+    seed, n_flows, rate = workload
     inventory, clusters = _testbed(seed)
     generator = TrafficGenerator(
         inventory, TrafficConfig(arrival_rate=rate), seed=seed
     )
     flows = generator.flows(n_flows)
-    report = EventDrivenFlowSimulator(
-        inventory, clusters, load_aware=load_aware
-    ).run(flows)
+    report = EventDrivenFlowSimulator(inventory, clusters).run(flows)
     last_arrival = max(flow.arrival_time for flow in flows)
     last_completion = max(
         record.completion_time for record in report.completed

@@ -14,10 +14,7 @@ from repro.observability.runtime import Telemetry
 from repro.sdn.path_engine import PathEngine, PathEngineNoPath, engine_for
 from repro.config import ROUTING_ENGINES, EngineConfig
 from repro.sdn.routing import (
-    RouteCandidates,
     k_shortest_paths,
-    least_loaded_path,
-    pick_least_loaded,
     routes_from,
     shortest_path_in_al,
     shortest_surviving_path,
@@ -272,44 +269,6 @@ class TestShortestSurvivingPath:
                 cut_links=[("server-0", "tor-0")],
                 engine=engine,
             )
-
-
-class TestRouteCandidates:
-    def test_sequence_protocol(self, paper_dcn):
-        paths = k_shortest_paths(paper_dcn, "server-0", "server-4", k=3)
-        candidates = RouteCandidates(paths)
-        assert len(candidates) == len(paths)
-        assert [list(p) for p in candidates] == [list(p) for p in paths]
-        assert list(candidates[0]) == list(paths[0])
-
-    def test_from_paths_passthrough(self):
-        pool = RouteCandidates([("a", "b")])
-        assert RouteCandidates.from_paths(pool) is pool
-        wrapped = RouteCandidates.from_paths([("a", "b")])
-        assert isinstance(wrapped, RouteCandidates)
-
-    def test_link_keys_precomputed(self):
-        pool = RouteCandidates([("a", "b", "c")])
-        assert pool.link_keys == (
-            (frozenset(("a", "b")), frozenset(("b", "c"))),
-        )
-
-    def test_scoring_identical_to_plain_path(self, paper_dcn):
-        paths = k_shortest_paths(paper_dcn, "server-0", "server-5", k=4)
-        loads = {}
-        for path in paths:
-            for a, b in zip(path, path[1:]):
-                loads[frozenset((a, b))] = float(len(a))
-        plain = pick_least_loaded([list(p) for p in paths], loads)
-        pooled = pick_least_loaded(RouteCandidates(paths), loads)
-        assert list(pooled) == list(plain)
-        assert list(
-            least_loaded_path(paper_dcn, "server-0", "server-5", loads, k=4)
-        ) == list(plain)
-
-    def test_empty_pool_raises(self):
-        with pytest.raises(RoutingError):
-            pick_least_loaded(RouteCandidates([]), {})
 
 
 class TestSnapshotRoundTrip:

@@ -151,17 +151,6 @@ class TestInvalidateCrossing:
         assert cache.invalidate_crossing([("a", "b")]) == 0
         assert "impossible" in cache
 
-    def test_load_aware_candidate_lists_are_dropped(self):
-        cache = RouteCache(8)
-        # A load-aware entry caches a tuple of candidate paths; one
-        # candidate riding the link taints the whole entry.
-        cache.put(
-            "candidates",
-            (("a", "x", "b"), ("a", "y", "b")),
-        )
-        assert cache.invalidate_crossing([("y", "b")]) == 1
-        assert "candidates" not in cache
-
     def test_empty_target_set_is_a_no_op(self):
         cache = RouteCache(8)
         cache.put("k", ("a", "b"))
@@ -175,31 +164,3 @@ class TestInvalidateCrossing:
         cache.put("k2", ("a", "y", "b"))
         cache.invalidate_crossing([("a", "x")])
         assert telemetry.registry.value_of("alvc_route_cache_size") == 1
-
-
-class TestRouteCandidatesEntries:
-    """invalidate_crossing understands RouteCandidates pools too."""
-
-    def test_pool_riding_the_link_is_dropped(self):
-        from repro.sdn.routing import RouteCandidates
-
-        cache = RouteCache(8)
-        cache.put(
-            "pool",
-            RouteCandidates([("a", "x", "b"), ("a", "y", "b")]),
-        )
-        cache.put(
-            "clear",
-            RouteCandidates([("a", "z", "b")]),
-        )
-        assert cache.invalidate_crossing([("y", "b")]) == 1
-        assert "pool" not in cache
-        assert "clear" in cache
-
-    def test_pool_survives_unrelated_cut(self):
-        from repro.sdn.routing import RouteCandidates
-
-        cache = RouteCache(8)
-        cache.put("pool", RouteCandidates([("a", "x", "b")]))
-        assert cache.invalidate_crossing([("p", "q")]) == 0
-        assert "pool" in cache

@@ -159,81 +159,3 @@ class TestKShortestPaths:
             k_shortest_paths(
                 paper_dcn, "server-0", "server-4", al_switches=set()
             )
-
-
-class TestLeastLoadedPath:
-    def test_unloaded_picks_shortest(self, paper_dcn):
-        from repro.sdn.routing import least_loaded_path, simple_path
-
-        chosen = least_loaded_path(paper_dcn, "server-0", "server-5", {})
-        assert len(chosen) == len(
-            simple_path(paper_dcn, "server-0", "server-5")
-        )
-
-    def test_avoids_hot_link(self, paper_dcn):
-        from repro.sdn.routing import k_shortest_paths, least_loaded_path
-
-        candidates = k_shortest_paths(
-            paper_dcn, "server-0", "server-5", k=3
-        )
-        assert len(candidates) >= 2
-        # Heat every link of the shortest path.
-        hot = {
-            frozenset((a, b)): 100
-            for a, b in zip(candidates[0], candidates[0][1:])
-        }
-        chosen = least_loaded_path(
-            paper_dcn, "server-0", "server-5", hot, k=3
-        )
-        assert chosen != candidates[0]
-
-    def test_ties_prefer_fewer_hops(self, paper_dcn):
-        from repro.sdn.routing import least_loaded_path
-
-        # Equal (zero) load everywhere: shortest wins.
-        chosen = least_loaded_path(
-            paper_dcn, "server-0", "server-1", {}, k=5
-        )
-        assert chosen == ["server-0", "tor-0", "server-1"]
-
-
-class TestPickLeastLoaded:
-    def test_empty_candidates_raise(self):
-        from repro.sdn.routing import pick_least_loaded
-
-        with pytest.raises(RoutingError):
-            pick_least_loaded([], {})
-
-    def test_picks_lightest_bottleneck(self):
-        from repro.sdn.routing import pick_least_loaded
-
-        short_hot = ["a", "b", "c"]
-        long_cool = ["a", "x", "y", "c"]
-        load = {frozenset(("a", "b")): 5.0}
-        assert pick_least_loaded([short_hot, long_cool], load) == long_cool
-
-    def test_tie_keeps_earliest_candidate(self):
-        from repro.sdn.routing import pick_least_loaded
-
-        first = ["a", "b", "c"]
-        second = ["a", "d", "c"]
-        assert pick_least_loaded([first, second], {}) == first
-
-    def test_matches_least_loaded_path(self, paper_dcn):
-        """Re-scoring a cached candidate pool must pick the same path
-        as the uncached `least_loaded_path` (the cache-correctness
-        invariant of the route cache)."""
-        from repro.sdn.routing import (
-            k_shortest_paths,
-            least_loaded_path,
-            pick_least_loaded,
-        )
-
-        load = {frozenset(("tor-0", "ops-0")): 3.0}
-        candidates = k_shortest_paths(
-            paper_dcn, "server-0", "server-5", k=3
-        )
-        assert (
-            list(pick_least_loaded(candidates, load))
-            == least_loaded_path(paper_dcn, "server-0", "server-5", load, k=3)
-        )

@@ -113,6 +113,25 @@ class TestReplayParity:
                     mismatches.append(schedule)
         assert mismatches == []
 
+    def test_100_long_schedules_restore_bit_identical(self, tmp_path):
+        # Thirty ops reach provisions that fail late, after placement,
+        # slicing and deploy have counted (a route lost to a failed
+        # OPS): the counts must leave with the failed command.
+        mismatches = []
+        for schedule in range(100):
+            state_dir = tmp_path / f"s{schedule}"
+            with ControlPlaneService.open(
+                state_dir, sync="off", seed=schedule % 7, **BUILD
+            ) as service:
+                _run_schedule(
+                    service.stack, random.Random(schedule), n_ops=30
+                )
+                live_digest = service.digest()
+            with ControlPlaneService.open(state_dir, sync="off") as restored:
+                if restored.digest() != live_digest:
+                    mismatches.append(schedule)
+        assert mismatches == []
+
     def test_mismatch_diagnosis_via_state_view(self, tmp_path):
         # The diffable view exists so a parity failure names the
         # component that diverged; check the two render identically.

@@ -1,9 +1,9 @@
 """Frozen report checksums for the event-driven flow simulator.
 
 Every simulator parity scenario the suite used to compare engines on —
-the randomized workloads, load-aware runs, OPS crashes and ``FaultEvent``
-schedules, the admission-mode comparisons, the dual-path link-fault
-schedule and the derandomized chaos examples — is defined here once as
+the randomized workloads, OPS crashes and ``FaultEvent`` schedules, the
+admission-mode comparisons, the dual-path link-fault schedule and the
+derandomized chaos examples — is defined here once as
 a *case*: a function that builds a fresh testbed, runs the simulator and
 returns its report.  :func:`report_crc` folds a report into one CRC32,
 and ``golden_reports.json`` stores the CRC of every case, recorded
@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from repro.core.cluster import ClusterManager
-from repro.sdn.route_cache import DEFAULT_ROUTE_CACHE_SIZE
 from repro.sim import ckernel, event_simulator
 from repro.sim.event_simulator import EventDrivenFlowSimulator
 from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
@@ -255,17 +254,11 @@ _LINK_FAULTS = [
 # ----------------------------------------------------------------------
 # Cases: case id -> run() -> report
 # ----------------------------------------------------------------------
-def _workload(seed, count, config, *, load_aware=False, until=None,
-              route_cache_size=DEFAULT_ROUTE_CACHE_SIZE):
+def _workload(seed, count, config, *, until=None):
     def run():
         inventory, clusters = clustered_testbed()
         flows = _traffic(inventory, seed, count, **config)
-        simulator = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            load_aware=load_aware,
-            route_cache_size=route_cache_size,
-        )
+        simulator = EventDrivenFlowSimulator(inventory, clusters)
         return simulator.run(flows, until=until)
 
     return run
@@ -346,15 +339,8 @@ def build_cases(chaos_examples) -> dict[str, Callable]:
         cases[f"workload/{seed}"] = _workload(
             seed, 150, dict(arrival_rate=60.0, sigma=0.8)
         )
-    for seed in (31, 32):
-        cases[f"load_aware/{seed}"] = _workload(
-            seed, 100, dict(arrival_rate=50.0), load_aware=True
-        )
     cases["ops_crashes/41"] = _ops_crashes(41)
     cases["route_cache/51"] = _workload(51, 120, dict(arrival_rate=60.0))
-    cases["route_cache_off/51"] = _workload(
-        51, 120, dict(arrival_rate=60.0), route_cache_size=0
-    )
     for seed in (61, 62):
         cases[f"workload/{seed}"] = _workload(
             seed, 80, dict(arrival_rate=40.0)
@@ -368,10 +354,6 @@ def build_cases(chaos_examples) -> dict[str, Callable]:
         cases[f"admission/{seed}"] = _workload(seed, 25, batched)
     for seed in (3, 4):
         cases[f"admission_faults/{seed}"] = _admission_faults_case(seed)
-    for seed in (5, 6):
-        cases[f"admission_load_aware/{seed}"] = _workload(
-            seed, 25, batched, load_aware=True
-        )
     cases["admission_window/21"] = _workload(21, 40, batched, until=0.25)
     cases["link_faults/dual_path"] = _link_faults
     for index, example in enumerate(chaos_examples):

@@ -17,8 +17,6 @@ from repro.config import EngineConfig
 from repro.exceptions import RoutingError, ValidationError
 from repro.observability.runtime import Telemetry
 from repro.sdn.path_engine import engine_for
-from repro.sdn.route_cache import NO_ROUTE, RouteCache
-from repro.sdn.routing import k_shortest_paths
 from repro.sim import event_simulator
 from repro.sim.admission import (
     NO_PLAN_ROUTE,
@@ -346,46 +344,6 @@ class TestPlanFreshAcrossFaults:
                 assert route is not NO_PLAN_ROUTE, key
                 assert route.path == cold, key
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_load_aware_candidate_pools_stay_fresh(
-        self, clustered, monkeypatch, seed
-    ):
-        """Load-aware runs keep their hop-count candidate pools across
-        degrades: every pool equals a cold k-shortest resolution."""
-        inventory, clusters = clustered
-        network = inventory.network
-        invalidations = []
-        monkeypatch.setattr(
-            RouteCache,
-            "invalidate_crossing",
-            lambda cache, links: invalidations.append(links) or 0,
-        )
-        rng = random.Random(100 + seed)
-        failures = _mixed_faults(rng, network)
-        flows = TrafficGenerator(
-            inventory,
-            TrafficConfig(arrival_rate=50.0, sigma=0.8),
-            seed=seed,
-        ).flows(60)
-        simulator = EventDrivenFlowSimulator(
-            inventory, clusters, load_aware=True
-        )
-        simulator.run(flows, failures=failures)
-
-        assert invalidations == []
-        entries = simulator.route_cache._entries
-        assert entries
-        for (source, destination, al, _), pool in entries.items():
-            try:
-                cold = k_shortest_paths(
-                    network, source, destination, k=3, al_switches=al,
-                    engine="nx",
-                )
-            except RoutingError:
-                assert pool is NO_ROUTE
-                continue
-            assert pool.paths == tuple(tuple(path) for path in cold)
-
 
 class TestBatchedSimulatorParity:
     """End to end: batched admission reproduces the frozen checksums of
@@ -438,10 +396,6 @@ class TestBatchedSimulatorParity:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_batched_matches_per_event_under_faults(self, seed):
         assert_golden(f"admission_faults/{seed}")
-
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_load_aware_batched_matches_per_event(self, seed):
-        assert_golden(f"admission_load_aware/{seed}")
 
     def test_batched_emits_bulk_counters(self, clustered):
         inventory, clusters = clustered

@@ -448,8 +448,8 @@ def test_golden_routes_are_simple_paths():
         for run in cases.values():
             run()
     assert _simple(calls)
-    # Plan batches and one-by-one installs (fault reroutes, failure-
-    # window arrivals, load-aware picks) were both audited.
+    # Plan batches and one-by-one installs (fault reroutes and
+    # failure-window arrivals) were both audited.
     assert any(len(call) > 1 for call in calls)
     assert sum(1 for call in calls if len(call) == 1) >= 50
 

@@ -214,68 +214,6 @@ class TestWorkloads:
         assert 0.0 <= utilization <= 1.0 + 1e-9
 
 
-class TestLoadAwareRouting:
-    def test_load_aware_never_slower_on_contended_pair(self, clustered):
-        inventory, clusters = clustered
-        source, destination = _two_remote_vms(inventory)
-        flows = [
-            Flow(
-                flow_id=f"flow-{i}",
-                source=source.vm_id,
-                destination=destination.vm_id,
-                size_bytes=2e9,
-                arrival_time=0.0,
-                intra_service=False,
-            )
-            for i in range(6)
-        ]
-        shortest = EventDrivenFlowSimulator(
-            inventory, clusters, default_bandwidth_gbps=8.0
-        ).run(flows)
-        balanced = EventDrivenFlowSimulator(
-            inventory,
-            clusters,
-            default_bandwidth_gbps=8.0,
-            load_aware=True,
-        ).run(flows)
-        assert (
-            balanced.fct_statistics()["mean"]
-            <= shortest.fct_statistics()["mean"] + 1e-9
-        )
-
-    def test_load_aware_spreads_over_more_links(self, clustered):
-        inventory, clusters = clustered
-        source, destination = _two_remote_vms(inventory)
-        flows = [
-            Flow(
-                flow_id=f"flow-{i}",
-                source=source.vm_id,
-                destination=destination.vm_id,
-                size_bytes=2e9,
-                arrival_time=0.0,
-                intra_service=False,
-            )
-            for i in range(6)
-        ]
-        shortest = EventDrivenFlowSimulator(inventory, clusters).run(flows)
-        balanced = EventDrivenFlowSimulator(
-            inventory, clusters, load_aware=True
-        ).run(flows)
-        assert len(balanced.link_busy_byte_seconds) >= len(
-            shortest.link_busy_byte_seconds
-        )
-
-    def test_load_aware_completes_everything(self, clustered):
-        inventory, clusters = clustered
-        generator = TrafficGenerator(
-            inventory, TrafficConfig(arrival_rate=40.0), seed=9
-        )
-        report = EventDrivenFlowSimulator(
-            inventory, clusters, load_aware=True
-        ).run(generator.flows(80))
-        assert report.flows == 80
-
-
 class TestFailureInjection:
     def test_failure_reroutes_active_flow(self, clustered):
         inventory, clusters = clustered
@@ -393,13 +331,6 @@ class TestEngineSelection:
                 inventory, clusters, engines={"sim_engine": "warp"}
             )
 
-    def test_negative_cache_size_rejected(self, clustered):
-        inventory, clusters = clustered
-        with pytest.raises(ValidationError):
-            EventDrivenFlowSimulator(
-                inventory, clusters, route_cache_size=-1
-            )
-
     def test_non_positive_bandwidth_rejected(self, clustered):
         inventory, clusters = clustered
         with pytest.raises(ValidationError):
@@ -428,78 +359,19 @@ class TestEngineParity:
     def test_randomized_workload_bit_parity(self, seed):
         assert_golden(f"workload/{seed}")
 
-    @pytest.mark.parametrize("seed", [31, 32])
-    def test_parity_under_load_aware_routing(self, seed):
-        assert_golden(f"load_aware/{seed}")
-
     def test_parity_under_failures(self):
         assert_golden("ops_crashes/41")
 
-    def test_route_cache_does_not_change_results(self, clustered):
+    def test_route_cache_does_not_change_results(self):
+        """The ``route_cache/51`` golden: 120 flows over repeated
+        endpoint pairs."""
         assert_golden("route_cache/51")
-        assert_golden("route_cache_off/51")
-        # The cache only serves load-aware candidate pools.
-        inventory, clusters = clustered
-        generator = TrafficGenerator(
-            inventory, TrafficConfig(arrival_rate=60.0), seed=51
-        )
-        flows = generator.flows(120)
-        cached = EventDrivenFlowSimulator(
-            inventory, clusters, load_aware=True
-        ).run(flows)
-        uncached = EventDrivenFlowSimulator(
-            inventory, clusters, load_aware=True, route_cache_size=0
-        ).run(flows)
-        assert cached == uncached
 
 
 # ----------------------------------------------------------------------
-# Route-cache integration
+# Runs keep no routing state between them
 # ----------------------------------------------------------------------
 class TestRouteCacheIntegration:
-    def test_repeated_pairs_hit_the_cache(self, clustered):
-        inventory, clusters = clustered
-        source, destination = _two_remote_vms(inventory)
-        flows = [
-            Flow(
-                flow_id=f"flow-{i}",
-                source=source.vm_id,
-                destination=destination.vm_id,
-                size_bytes=1e8,
-                arrival_time=0.1 * i,
-                intra_service=False,
-            )
-            for i in range(10)
-        ]
-        simulator = EventDrivenFlowSimulator(
-            inventory, clusters, load_aware=True
-        )
-        simulator.run(flows)
-        cache = simulator.route_cache
-        assert cache is not None
-        assert cache.hits >= 9  # first arrival misses, the rest hit
-        assert cache.misses >= 1
-
-    def test_cache_disabled_with_zero_size(self, clustered):
-        inventory, clusters = clustered
-        simulator = EventDrivenFlowSimulator(
-            inventory, clusters, route_cache_size=0
-        )
-        assert simulator.route_cache is None
-        assert simulator.invalidate_routes() == 0
-
-    def test_invalidate_routes_drops_entries(self, clustered):
-        inventory, clusters = clustered
-        generator = TrafficGenerator(inventory, seed=71)
-        simulator = EventDrivenFlowSimulator(
-            inventory, clusters, load_aware=True
-        )
-        simulator.run(generator.flows(30))
-        assert len(simulator.route_cache) > 0
-        dropped = simulator.invalidate_routes()
-        assert dropped > 0
-        assert len(simulator.route_cache) == 0
-
     def test_failure_runs_do_not_poison_the_cache(self, clustered):
         """A run with failures must not leave routes through dead nodes
         cached for the next (clean) run."""

@@ -724,7 +724,6 @@ def test_one_batch_compacts_and_grows_then_drains(path):
 #: before.
 ROUNDS = {
     "workload/101": (136, 373.0),
-    "load_aware/31": (70, 140.0),
     "ops_crashes/41": (46, 89.0),
     "fault_schedule/1000": (20, 27.0),
     "admission_faults/3": (29, 39.0),
