@@ -12,9 +12,9 @@ worker processes changes nothing.
 The soak here is CI-sized (one simulated day per arm, a 128-server
 fleet fabric plus the deliberately over-subscribed dense arm); the
 committed ``benchmarks/BENCH_e25.json`` records the expected rows and
-``benchmarks/compare_workload.py`` enforces exact equality — every
-field of every arm is deterministic, so any drift is a real behaviour
-change, not noise.
+``benchmarks/gates.py`` enforces exact equality — every field of every
+arm is deterministic, so any drift is a real behaviour change, not
+noise.
 
 The run writes a machine-readable record (``BENCH_e25.json`` in the
 working directory, or ``$ALVC_BENCH_E25_OUT``) for that gate.
@@ -22,6 +22,8 @@ working directory, or ``$ALVC_BENCH_E25_OUT``) for that gate.
 
 import json
 import os
+
+from gates import record_failures
 
 from repro.analysis.experiments import experiment_e25_week_in_the_life
 from repro.analysis.reporting import render_table
@@ -87,28 +89,24 @@ def test_bench_e25_workload(benchmark):
         f"workers={WORKER_PARITY[1]}"
     )
 
+    record = {
+        "experiment": "e25_week_in_the_life",
+        "soak": CI_SOAK,
+        "rows": rows,
+        "digests": {row["arm"]: row["digest"] for row in rows},
+        "decisions_checksums": {
+            row["arm"]: row["decisions_checksum"] for row in rows
+        },
+        "acceptance_ratios": {
+            row["arm"]: row["acceptance_ratio"] for row in rows
+        },
+        "parity": all(
+            row["replay_identical"] and row["twin_identical"] for row in rows
+        ),
+        "worker_parity": sharded == rows,
+    }
     out_path = os.environ.get("ALVC_BENCH_E25_OUT", "BENCH_e25.json")
     with open(out_path, "w") as handle:
-        json.dump(
-            {
-                "experiment": "e25_week_in_the_life",
-                "soak": CI_SOAK,
-                "rows": rows,
-                "digests": {row["arm"]: row["digest"] for row in rows},
-                "decisions_checksums": {
-                    row["arm"]: row["decisions_checksum"] for row in rows
-                },
-                "acceptance_ratios": {
-                    row["arm"]: row["acceptance_ratio"] for row in rows
-                },
-                "parity": all(
-                    row["replay_identical"] and row["twin_identical"]
-                    for row in rows
-                ),
-                "worker_parity": sharded == rows,
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    assert record_failures(record) == []

@@ -14,9 +14,8 @@ record (``FULL_CONFIG``: 8000 flows on the 1024-server fabric plus the
 
     PYTHONPATH=src python benchmarks/test_bench_e26_dataplane.py
 
-``benchmarks/compare_dataplane.py`` holds the frozen per-config
-checksums and the soak envelope; this test and that gate both apply
-them.
+``benchmarks/gates.py`` declares the frozen per-config checksums and
+the soak envelope; this test and that gate both apply them.
 
 The CI run writes its record (``BENCH_e26.json`` in the
 working directory, or ``$ALVC_BENCH_E26_OUT``) for that gate.
@@ -26,7 +25,7 @@ import json
 import os
 import pathlib
 
-from compare_dataplane import record_failures
+from gates import record_failures
 
 from repro.analysis.experiments import experiment_e26_dataplane_throughput
 from repro.analysis.reporting import render_table
@@ -99,7 +98,7 @@ def test_bench_e26_dataplane(benchmark):
     # inside the memory envelope — co-located VM pairs complete
     # instantly, everything else stays concurrent.
     assert record["soak"] is not None
-    assert record_failures("ci", record) == []
+    assert record_failures(record, "ci") == []
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ on any violation — that is the CI step::
     python benchmarks/trajectory.py check     # gate (CI)
     python benchmarks/trajectory.py collect   # rewrite TRAJECTORY.json
 
-Absolute tentpole floors (vector ≥10x legacy etc.) stay in the
-``compare_*.py`` gates; this file guards the *trajectory* — no silent
+Absolute floors (E22's cold routing ≥5x networkx etc.) are declared
+in ``gates.py``; this file guards the *trajectory* — no silent
 erosion of any previously committed speedup.
 """
 
@@ -87,7 +87,7 @@ RETIRED: dict[str, frozenset | None] = {
 #: tens of percent with background load alone.  This gate exists to
 #: catch silent order-of-magnitude erosion (a committed 23x quietly
 #: becoming 8x), not to re-litigate run-to-run noise — the tight
-#: absolute floors live in the ``compare_*.py`` gates.
+#: absolute floors are declared in ``gates.py``.
 RATCHET_FRACTION = 0.5
 
 

@@ -2578,7 +2578,7 @@ def experiment_e26_dataplane_throughput(
     data plane in one process (batched admission over pre-resolved
     interned routes and the class-aggregated, component-local
     water-filling engine).  Its CRC32 rate-trace ``checksum`` is frozen
-    per configuration in ``benchmarks/compare_dataplane.py``.
+    per configuration in ``benchmarks/gates.py``.
 
     With ``soak_flows > 0`` a final ``soak`` row runs the
     epoch-quantized concurrency soak (1M flows at full scale) through

@@ -120,7 +120,12 @@ def exact_optical_assignment(
     wavelengths_per_router: int | None = None,
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> tuple[dict[int, OpsId], OptCertificate]:
-    """Optimal position -> router assignment plus certificate."""
+    """Optimal position -> router assignment plus certificate.
+
+    When the node budget runs out before branch-and-bound holds any
+    incumbent, the assignment is empty (all-electronic, always
+    feasible) and the certificate is not proven optimal.
+    """
     hosts = sorted(free_capacity)
     movable = [
         position
@@ -195,13 +200,15 @@ def exact_optical_assignment(
                 )
 
     outcome = solve_milp(model, max_nodes=max_nodes)
-    if outcome.status in ("infeasible", "no_solution", "unbounded"):
-        # All-electronic is always feasible, so only a pathological node
-        # budget can land here.
+    if outcome.status in ("infeasible", "unbounded"):
+        # All-electronic is always feasible, so no model can land here.
         raise PlacementError(
             f"exact placement failed with status {outcome.status!r} "
             f"after {outcome.nodes} nodes"
         )
+    # ``no_solution`` (the node budget ran out before any incumbent)
+    # carries no values: nothing is selected, so the chain runs
+    # all-electronic, uncertified, against the tree's outstanding bound.
 
     selected = sorted(
         position

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.orchestrator import OrchestratedChain
 from repro.exceptions import SimulationError, ValidationError
@@ -200,52 +200,24 @@ class ChainTrafficSimulator:
         )
         if mean_gb <= 0:
             raise SimulationError("mean flow size must be positive")
-        path_domains = domain_sequence(
-            self._inventory.network, list(chain.path)
+        sized = (
+            (f"{chain.chain_id}/flow-{index}", self._draw_size_bytes(mean_gb))
+            for index in range(n_flows)
         )
-        conversions = chain.conversions
-        per_gb_processing = sum(
-            function.per_gb_processing_cost
-            for function in chain.request.chain.functions
-        )
-        records = []
-        for index in range(n_flows):
-            size_bytes = self._draw_size_bytes(mean_gb)
-            records.append(
-                ChainFlowRecord(
-                    flow_id=f"{chain.chain_id}/flow-{index}",
-                    size_bytes=size_bytes,
-                    conversions=conversions,
-                    conversion_cost=self._conversion.conversion_cost(
-                        size_bytes, conversions
-                    ),
-                    conversion_energy_joules=(
-                        self._conversion.conversion_energy_joules(
-                            size_bytes, conversions
-                        )
-                    ),
-                    processing_cost=per_gb_processing * size_bytes / 1e9,
-                    transport_energy_joules=(
-                        self._transport.path_energy_joules(
-                            size_bytes, path_domains
-                        )
-                    ),
-                    latency_seconds=self._latency.flow_latency_seconds(
-                        size_bytes,
-                        path_domains,
-                        conversions,
-                        len(chain.request.chain),
-                    ),
-                )
-            )
-        return ChainTrafficReport(
-            chain_id=chain.chain_id, records=tuple(records)
-        )
+        return self._report(chain, sized)
 
     def run_flows(
         self, chain: OrchestratedChain, flows: Sequence[Flow]
     ) -> ChainTrafficReport:
         """Simulate pre-drawn flows (sizes taken from the flow records)."""
+        return self._report(
+            chain, ((flow.flow_id, flow.size_bytes) for flow in flows)
+        )
+
+    def _report(
+        self, chain: OrchestratedChain, sized: Iterable[tuple[str, float]]
+    ) -> ChainTrafficReport:
+        """One record per ``(flow_id, size_bytes)``, in order."""
         path_domains = domain_sequence(
             self._inventory.network, list(chain.path)
         )
@@ -256,33 +228,31 @@ class ChainTrafficSimulator:
         )
         records = tuple(
             ChainFlowRecord(
-                flow_id=flow.flow_id,
-                size_bytes=flow.size_bytes,
+                flow_id=flow_id,
+                size_bytes=size_bytes,
                 conversions=conversions,
                 conversion_cost=self._conversion.conversion_cost(
-                    flow.size_bytes, conversions
+                    size_bytes, conversions
                 ),
                 conversion_energy_joules=(
                     self._conversion.conversion_energy_joules(
-                        flow.size_bytes, conversions
+                        size_bytes, conversions
                     )
                 ),
-                processing_cost=per_gb_processing * flow.size_bytes / 1e9,
+                processing_cost=per_gb_processing * size_bytes / 1e9,
                 transport_energy_joules=self._transport.path_energy_joules(
-                    flow.size_bytes, path_domains
+                    size_bytes, path_domains
                 ),
                 latency_seconds=self._latency.flow_latency_seconds(
-                    flow.size_bytes,
+                    size_bytes,
                     path_domains,
                     conversions,
                     len(chain.request.chain),
                 ),
             )
-            for flow in flows
+            for flow_id, size_bytes in sized
         )
-        return ChainTrafficReport(
-            chain_id=chain.chain_id, records=records
-        )
+        return ChainTrafficReport(chain_id=chain.chain_id, records=records)
 
     def _draw_size_bytes(self, mean_gb: float) -> float:
         import math

@@ -150,3 +150,25 @@ def test_returns_chain_placement_type():
     placement = exact_chain_placement(chain, pool())
     assert isinstance(placement, ChainPlacement)
     assert len(placement.assignments) == len(chain)
+
+
+@pytest.mark.parametrize("merge", [False, True])
+def test_node_budget_without_incumbent_places_all_electronic(merge):
+    # A one-node budget solves only the root relaxation, so
+    # branch-and-bound stops before it holds any incumbent
+    # ("no_solution").  All-electronic is always feasible: the chain is
+    # placed there, uncertified, under the root's bound.
+    chain = make_chain(("nat", "firewall", "dpi", "load-balancer"))
+    capacity = pool(count=3, cpu=8, memory=16, storage=64)
+    placement, certificate = exact_chain_placement_with_certificate(
+        chain, dict(capacity), merge_consecutive=merge, max_nodes=1
+    )
+    assert placement.optical_count == 0
+    assert not certificate.proven_optimal
+    assert certificate.objective == float(placement.conversions)
+    _, proven = exact_chain_placement_with_certificate(
+        chain, dict(capacity), merge_consecutive=merge
+    )
+    assert proven.proven_optimal
+    assert certificate.lower_bound <= proven.objective <= certificate.objective
+    assert certificate.gap == certificate.objective - certificate.lower_bound
