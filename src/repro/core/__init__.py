@@ -16,7 +16,6 @@ from repro.core.algorithms import (
     CoverResult,
     CoverStep,
     bipartite_min_vertex_cover,
-    exact_min_cover,
     greedy_marginal_cover,
     greedy_max_weight_cover,
     natural_sort_key,
@@ -77,7 +76,6 @@ __all__ = [
     "TenantRegistry",
     "VirtualCluster",
     "bipartite_min_vertex_cover",
-    "exact_min_cover",
     "greedy_marginal_cover",
     "greedy_max_weight_cover",
     "natural_sort_key",

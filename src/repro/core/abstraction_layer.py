@@ -13,7 +13,9 @@ nodes."  Construction is a two-stage cover:
    selected OPSs *are* the AL.
 
 Strategies other than the paper's greedy (random [15], marginal-gain
-greedy, exact optimum) exist for the comparison experiments E4/E9.
+greedy, exact optimum) exist for the comparison experiments E4/E9.  The
+exact optimum is the certified cover MILP of :mod:`repro.opt.cover`, the
+same engine ``engine="exact"`` selects for every strategy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Iterable, Mapping
 
 from repro.core.algorithms import (
     CoverResult,
-    exact_min_cover,
     greedy_marginal_cover,
     greedy_max_weight_cover,
     random_cover,
@@ -43,7 +44,7 @@ class AlConstructionStrategy(enum.Enum):
     IN_DEGREE_GREEDY = "in_degree_greedy"        # weight ablation: machines only
     MARGINAL_GREEDY = "marginal_greedy"          # classic set-cover greedy
     RANDOM = "random"                            # prior work [15]
-    EXACT = "exact"                              # optimal (small instances)
+    EXACT = "exact"                              # certified minimum (cover MILP)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -306,8 +307,6 @@ class AlConstructor:
             )
         if self._strategy is AlConstructionStrategy.RANDOM:
             return random_cover(universe, candidates, self._rng)
-        if self._strategy is AlConstructionStrategy.EXACT:
-            return exact_min_cover(universe, candidates)
         raise TopologyError(f"unknown strategy {self._strategy!r}")
 
     #: ``engine="auto"`` switches a cover stage to the exact MILP only
@@ -318,12 +317,15 @@ class AlConstructor:
     def _use_exact(self, universe, candidates) -> bool:
         """Whether this stage runs the certified exact cover.
 
-        ``engine="exact"`` always does (the engine selector trumps the
-        heuristic strategy); ``engine="auto"`` does on instances small
-        enough for branch-and-bound and defers to the configured
-        strategy beyond.
+        The EXACT strategy and ``engine="exact"`` always do (the engine
+        selector trumps the heuristic strategy); ``engine="auto"`` does
+        on instances small enough for branch-and-bound and defers to the
+        configured strategy beyond.
         """
-        if self._engine == "exact":
+        if (
+            self._engine == "exact"
+            or self._strategy is AlConstructionStrategy.EXACT
+        ):
             return True
         if self._engine == "auto":
             return (

@@ -10,9 +10,9 @@ uncovered element — the walk-through in Fig. 4 selects ToR 1 (weight 6),
 
 This module gives that greedy its precise form plus the comparison
 algorithms the experiments need: the classic marginal-gain greedy, the
-random selection of the authors' earlier work [15], an exact
-branch-and-bound set cover for optimality gaps, and König's-theorem
-bipartite minimum vertex cover.
+random selection of the authors' earlier work [15], and König's-theorem
+bipartite minimum vertex cover.  The exact minimum cover the greedy is
+measured against is the certified MILP in :mod:`repro.opt.cover`.
 
 Two interchangeable **kernels** back :func:`greedy_marginal_cover`:
 
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import itertools
 import random
 from typing import Hashable, Mapping
 
@@ -459,63 +458,6 @@ def random_cover(
     return CoverResult(
         selected=tuple(selected), steps=tuple(steps), universe=target
     )
-
-
-_EXACT_LIMIT = 24
-
-
-def exact_min_cover(
-    universe,
-    candidates: Mapping[Hashable, frozenset],
-    *,
-    max_candidates: int = _EXACT_LIMIT,
-) -> CoverResult:
-    """Exact minimum set cover by size-ordered subset search.
-
-    Only for optimality-gap experiments on small instances; the candidate
-    count is capped because the search is exponential.
-
-    Raises:
-        ValidationError: when the instance exceeds ``max_candidates``
-            (``ValidationError`` subclasses :class:`ValueError`, so
-            legacy ``except ValueError`` callers keep working).
-        CoverInfeasibleError: when no cover exists.
-    """
-    target = frozenset(universe)
-    _check_feasible(target, candidates)
-    names = sorted(candidates, key=natural_sort_key)
-    if len(names) > max_candidates:
-        raise ValidationError(
-            f"exact_min_cover is limited to {max_candidates} candidates, "
-            f"got {len(names)}"
-        )
-    if not target:
-        return CoverResult(selected=(), steps=(), universe=target)
-    for size in range(1, len(names) + 1):
-        for combo in itertools.combinations(names, size):
-            covered: set = set()
-            for candidate in combo:
-                covered |= candidates[candidate]
-            if target <= covered:
-                steps = []
-                uncovered = set(target)
-                for candidate in combo:
-                    gain = frozenset(candidates[candidate] & uncovered)
-                    steps.append(
-                        CoverStep(
-                            candidate=candidate,
-                            weight=float(len(candidates[candidate])),
-                            newly_covered=gain,
-                            selected=True,
-                        )
-                    )
-                    uncovered -= gain
-                return CoverResult(
-                    selected=tuple(combo),
-                    steps=tuple(steps),
-                    universe=target,
-                )
-    raise CoverInfeasibleError(target)  # pragma: no cover - guarded above
 
 
 def bipartite_min_vertex_cover(

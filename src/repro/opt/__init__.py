@@ -7,8 +7,7 @@ this package gives them a certified yardstick:
   rows, minimize objective);
 * :mod:`repro.opt.lp` — a pure-python two-phase primal simplex for the
   LP relaxation;
-* :mod:`repro.opt.bnb` — best-first branch-and-bound with LP bounding
-  (optional PuLP/CBC backend behind a feature check);
+* :mod:`repro.opt.bnb` — best-first branch-and-bound with LP bounding;
 * :mod:`repro.opt.cover` — AL construction as weighted set cover,
   solved exactly, returning the same :class:`~repro.core.algorithms.CoverResult`
   objects as the greedy kernels;
@@ -20,7 +19,7 @@ formulations follow the joint-placement MILPs of arXiv 1702.01154 and
 the partial-order / anti-affinity constraints of arXiv 1705.10554.
 """
 
-from repro.opt.bnb import MilpResult, have_pulp, solve_milp
+from repro.opt.bnb import MilpResult, solve_milp
 from repro.opt.certificate import OptCertificate
 from repro.opt.cover import (
     exact_weighted_cover,
@@ -42,7 +41,6 @@ __all__ = [
     "exact_chain_placement_with_certificate",
     "exact_weighted_cover",
     "exact_weighted_cover_with_certificate",
-    "have_pulp",
     "solve_lp",
     "solve_milp",
 ]

@@ -5,11 +5,8 @@ variables of a :class:`~repro.opt.model.MilpModel`: each node is a set
 of bound overrides, bounded by its simplex LP relaxation, branched on
 the most fractional integer variable.  Deterministic by construction —
 heap ties break on node insertion order, so identical models always
-return identical solutions.
-
-When PuLP (and its bundled CBC) happens to be importable the
-``backend="pulp"`` path hands the model to it instead; ``"auto"``
-prefers the pure engine so CI never depends on a solver binary.
+return identical solutions.  It is the only engine: the package needs
+no solver binary.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import heapq
 import math
 from typing import Hashable
 
-from repro.exceptions import ValidationError
 from repro.opt import lp as _lp
 from repro.opt.model import MilpModel
 
@@ -30,19 +26,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 NO_SOLUTION = "no_solution"  # node budget hit before any incumbent
 
-#: Recognized backends.
-BACKENDS = ("auto", "pure", "pulp")
-
+#: Integrality tolerance on the LP relaxations.
 _INT_TOL = 1e-6
-
-
-def have_pulp() -> bool:
-    """True when the optional PuLP/CBC backend is importable."""
-    try:
-        import pulp  # noqa: F401
-    except Exception:
-        return False
-    return True
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -66,13 +51,7 @@ class MilpResult:
         return self.status == OPTIMAL
 
 
-def solve_milp(
-    model: MilpModel,
-    *,
-    max_nodes: int = 20000,
-    backend: str = "auto",
-    int_tol: float = _INT_TOL,
-) -> MilpResult:
+def solve_milp(model: MilpModel, *, max_nodes: int = 20000) -> MilpResult:
     """Solve a MILP to proven optimality (or a certified bound).
 
     Args:
@@ -80,29 +59,7 @@ def solve_milp(
         max_nodes: branch-and-bound node budget; when exhausted the best
             incumbent is returned with ``status="feasible"`` and the
             tightest outstanding bound.
-        backend: ``"pure"`` (stdlib engine), ``"pulp"`` (requires the
-            optional dependency), or ``"auto"`` (pure; exists so callers
-            can opt into PuLP without a hard import).
-        int_tol: integrality tolerance on the LP relaxations.
     """
-    if backend not in BACKENDS:
-        raise ValidationError(
-            f"unknown MILP backend {backend!r} "
-            f"(expected one of {', '.join(BACKENDS)})"
-        )
-    if backend == "pulp":
-        if not have_pulp():
-            raise ValidationError(
-                "backend='pulp' requested but PuLP is not installed"
-            )
-        return _solve_pulp(model)
-    return _solve_pure(model, max_nodes=max_nodes, int_tol=int_tol)
-
-
-# ---------------------------------------------------------------------------
-def _solve_pure(
-    model: MilpModel, *, max_nodes: int, int_tol: float
-) -> MilpResult:
     integer_indices = model.integer_indices
     root = _lp.solve_lp(model)
     if root.status == _lp.INFEASIBLE:
@@ -133,12 +90,12 @@ def _solve_pure(
 
     while heap and nodes < max_nodes:
         bound, _, overrides, relaxation = heapq.heappop(heap)
-        if bound >= incumbent_objective - int_tol:
+        if bound >= incumbent_objective - _INT_TOL:
             continue  # pruned by the incumbent
-        branch_var = _most_fractional(relaxation, integer_indices, int_tol)
+        branch_var = _most_fractional(relaxation, integer_indices)
         if branch_var is None:
             # Integral relaxation: a new incumbent.
-            if relaxation.objective < incumbent_objective - int_tol:
+            if relaxation.objective < incumbent_objective - _INT_TOL:
                 incumbent = dict(relaxation.values)
                 incumbent_objective = relaxation.objective
             continue
@@ -159,7 +116,7 @@ def _solve_pure(
             nodes += 1
             if not child.is_optimal:
                 continue
-            if child.objective >= incumbent_objective - int_tol:
+            if child.objective >= incumbent_objective - _INT_TOL:
                 continue
             counter += 1
             heapq.heappush(
@@ -170,7 +127,7 @@ def _solve_pure(
     open_bounds = [
         entry[0]
         for entry in heap
-        if entry[0] < incumbent_objective - int_tol
+        if entry[0] < incumbent_objective - _INT_TOL
     ]
     outstanding = min(open_bounds, default=math.inf)
     if incumbent is None:
@@ -213,10 +170,9 @@ def _solve_pure(
 def _most_fractional(
     relaxation: _lp.LpSolution,
     integer_indices: tuple[int, ...],
-    int_tol: float,
 ) -> int | None:
     best_index: int | None = None
-    best_score = int_tol
+    best_score = _INT_TOL
     for index in integer_indices:
         value = relaxation.values.get(index, 0.0)
         fraction = abs(value - round(value))
@@ -242,60 +198,3 @@ def _snap_integers(
     for index in integer_indices:
         snapped[index] = float(round(snapped.get(index, 0.0)))
     return snapped
-
-
-# ---------------------------------------------------------------------------
-def _solve_pulp(model: MilpModel) -> MilpResult:  # pragma: no cover - optional
-    """Hand the model to PuLP/CBC (only reachable when installed)."""
-    import pulp
-
-    problem = pulp.LpProblem("repro_opt", pulp.LpMinimize)
-    columns = []
-    for var in model.variables:
-        columns.append(
-            pulp.LpVariable(
-                f"x{var.index}",
-                lowBound=var.low,
-                upBound=None if math.isinf(var.high) else var.high,
-                cat="Integer" if var.integer else "Continuous",
-            )
-        )
-    problem += pulp.lpSum(
-        var.cost * columns[var.index]
-        for var in model.variables
-        if var.cost
-    )
-    for constraint in model.constraints:
-        expr = pulp.lpSum(
-            coeff * columns[index] for index, coeff in constraint.coeffs
-        )
-        if constraint.sense == "<=":
-            problem += expr <= constraint.rhs
-        elif constraint.sense == ">=":
-            problem += expr >= constraint.rhs
-        else:
-            problem += expr == constraint.rhs
-    problem.solve(pulp.PULP_CBC_CMD(msg=False))
-    if pulp.LpStatus[problem.status] != "Optimal":
-        return MilpResult(
-            status=INFEASIBLE,
-            objective=math.inf,
-            values={},
-            bound=math.inf,
-            nodes=0,
-            gap=0.0,
-        )
-    raw = {
-        var.index: float(pulp.value(columns[var.index]) or 0.0)
-        for var in model.variables
-    }
-    snapped = _snap_integers(raw, model.integer_indices)
-    objective = model.objective_value(snapped)
-    return MilpResult(
-        status=OPTIMAL,
-        objective=objective,
-        values=model.named_values(snapped),
-        bound=objective,
-        nodes=0,
-        gap=0.0,
-    )

@@ -71,7 +71,10 @@ def exact_weighted_cover_with_certificate(
             candidate must have one (same contract as the greedy
             kernels).  Weights only break ties between equally-small
             covers.
-        max_nodes: branch-and-bound node budget.
+        max_nodes: branch-and-bound node budget.  Running out of it
+            never raises: the best cover found so far (or a first-fit
+            cover when none was found) comes back with
+            ``proven_optimal=False`` and the certified lower bound.
     """
     target = frozenset(universe)
     degenerate = _degenerate_cover(target, candidates)
@@ -98,13 +101,25 @@ def exact_weighted_cover_with_certificate(
         model.add_ge(row, 1.0)
 
     outcome = solve_milp(model, max_nodes=max_nodes)
-    if outcome.status in ("infeasible", "no_solution"):
-        # _check_feasible guarantees a cover exists, so this only means
-        # the node budget ran out before any integral point.
+    if outcome.status == "infeasible":
+        # _check_feasible proved a cover exists, so no model lands here.
         raise CoverInfeasibleError(target)
-    selected = tuple(
-        name for name in names if outcome.values.get(name, 0.0) > 0.5
-    )
+    if outcome.status == "no_solution":
+        # The node budget ran out before any incumbent: fall back to the
+        # candidates in ``names`` order, each kept only while it covers
+        # something new — a feasible cover, uncertified, against the
+        # tree's outstanding bound.
+        picked = []
+        uncovered = set(target)
+        for name in names:
+            if candidates[name] & uncovered:
+                picked.append(name)
+                uncovered -= candidates[name]
+        selected = tuple(picked)
+    else:
+        selected = tuple(
+            name for name in names if outcome.values.get(name, 0.0) > 0.5
+        )
 
     steps = []
     uncovered = set(target)

@@ -139,10 +139,6 @@ class MilpModel:
     def constraints(self) -> tuple[Constraint, ...]:
         return tuple(self._constraints)
 
-    def objective_value(self, values: Mapping[int, float]) -> float:
-        """Evaluate the (minimize) objective at a point."""
-        return sum(v.cost * values.get(v.index, 0.0) for v in self._variables)
-
     def named_values(self, values: Mapping[int, float]) -> dict:
         """Map variable names to their values in a solution point."""
         return {

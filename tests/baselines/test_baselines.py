@@ -5,10 +5,9 @@ import pytest
 from repro.baselines import (
     FlatNetworkBaseline,
     all_electronic_placement,
-    optimal_abstraction_layer,
     random_abstraction_layer,
 )
-from repro.core.abstraction_layer import AlConstructor
+from repro.core.abstraction_layer import AlConstructionStrategy, AlConstructor
 from repro.core.chaining import NetworkFunctionChain
 from repro.nfv.functions import FunctionCatalog
 from repro.sdn.updates import UpdateEvent, UpdateKind
@@ -50,26 +49,27 @@ class TestRandomAl:
         assert layer.ops_ids <= {"ops-0", "ops-2", "ops-3"}
 
 
+def _exact_al(dcn):
+    return AlConstructor(
+        dcn, strategy=AlConstructionStrategy.EXACT
+    ).construct_for_servers("cluster-x", dcn.servers())
+
+
 class TestOptimalAl:
+    """The exact minimum AL the baselines are measured against (E9)."""
+
     def test_minimum_on_paper_example(self, paper_dcn):
-        layer = optimal_abstraction_layer(
-            paper_dcn, "cluster-x", paper_dcn.servers()
-        )
-        assert layer.size == 2
+        assert _exact_al(paper_dcn).size == 2
 
     def test_never_worse_than_greedy(self, small_fabric):
-        exact = optimal_abstraction_layer(
-            small_fabric, "cluster-x", small_fabric.servers()
-        )
+        exact = _exact_al(small_fabric)
         greedy = AlConstructor(small_fabric).construct_for_servers(
             "cluster-x", small_fabric.servers()
         )
         assert exact.size <= greedy.size
 
     def test_never_worse_than_random(self, small_fabric):
-        exact = optimal_abstraction_layer(
-            small_fabric, "cluster-x", small_fabric.servers()
-        )
+        exact = _exact_al(small_fabric)
         for seed in range(5):
             random_layer = random_abstraction_layer(
                 small_fabric, "cluster-x", small_fabric.servers(), seed=seed

@@ -7,6 +7,7 @@ from repro.core.abstraction_layer import (
     AlConstructor,
 )
 from repro.exceptions import CoverInfeasibleError, TopologyError
+from repro.topology.generators import build_alvc_fabric
 
 
 class TestFig4WorkedExample:
@@ -170,6 +171,22 @@ class TestStrategies:
                 small_fabric, strategy=strategy, seed=3
             ).construct_for_servers("cluster-x", small_fabric.servers())
             assert exact.size <= other.size
+
+    def test_exact_beyond_24_candidates(self):
+        # 32 ToR candidates: past what a subset search can enumerate,
+        # routine for the cover MILP.
+        fabric = build_alvc_fabric(
+            n_racks=32, n_ops=12, servers_per_rack=2, seed=0
+        )
+        exact = AlConstructor(
+            fabric, strategy=AlConstructionStrategy.EXACT
+        ).construct_for_servers("cluster-x", fabric.servers())
+        greedy = AlConstructor(fabric).construct_for_servers(
+            "cluster-x", fabric.servers()
+        )
+        for server in fabric.servers():
+            assert set(fabric.tors_of_server(server)) & exact.tor_ids
+        assert exact.size <= greedy.size
 
     def test_strategy_recorded_on_layer(self, small_fabric):
         layer = AlConstructor(

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.exceptions import ValidationError
-from repro.opt.bnb import MilpResult, have_pulp, solve_milp
+from repro.opt.bnb import MilpResult, solve_milp
 from repro.opt.model import MilpModel
 
 
@@ -80,23 +79,3 @@ def test_node_budget_returns_certified_bound():
     if result.status == "feasible":
         assert result.objective >= -20.0 - 1e-6
         assert result.gap >= 0.0
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValidationError):
-        solve_milp(_knapsack(), backend="gurobi")
-
-
-def test_pulp_backend_feature_gated():
-    if have_pulp():  # pragma: no cover - optional dependency present
-        result = solve_milp(_knapsack(), backend="pulp")
-        assert result.objective == pytest.approx(-20.0)
-    else:
-        with pytest.raises(ValidationError):
-            solve_milp(_knapsack(), backend="pulp")
-
-
-def test_auto_backend_never_requires_pulp():
-    # "auto" must work on a bare stdlib environment.
-    result = solve_milp(_knapsack(), backend="auto")
-    assert result.proven_optimal

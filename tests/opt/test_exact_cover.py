@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.core.algorithms import (
-    CoverResult,
-    exact_min_cover,
-    greedy_max_weight_cover,
-)
+from repro.core.algorithms import CoverResult, greedy_max_weight_cover
 from repro.exceptions import CoverInfeasibleError, ValidationError
 from repro.opt.cover import (
     exact_weighted_cover,
     exact_weighted_cover_with_certificate,
 )
+from tests.opt.cover_oracle import min_cover_size
 
 
 def _instance():
@@ -34,10 +31,8 @@ def test_minimum_cardinality():
     assert certificate.proven_optimal
     assert certificate.lower_bound == 2.0
     assert certificate.gap == 0.0
-    # Cardinality agrees with the subset-search exact cover.
-    assert len(result.selected) == len(
-        exact_min_cover(universe, candidates).selected
-    )
+    # Cardinality agrees with the brute-force minimum.
+    assert len(result.selected) == min_cover_size(universe, candidates)
 
 
 def test_weights_break_ties_toward_heavier():
@@ -129,10 +124,17 @@ def test_node_budget_uncertified_bound_stays_valid():
         universe, candidates
     )
     assert closed_cert.proven_optimal
-    try:
-        _, starved = exact_weighted_cover_with_certificate(
-            universe, candidates, max_nodes=3
-        )
-    except CoverInfeasibleError:
-        return  # budget died before any incumbent: acceptable contract
+    _, starved = exact_weighted_cover_with_certificate(
+        universe, candidates, max_nodes=3
+    )
     assert starved.lower_bound <= len(closed.selected)
+    # One node ends the search before any incumbent: the answer is the
+    # first-fit cover in name order, uncertified, with a valid bound.
+    first_fit, starved = exact_weighted_cover_with_certificate(
+        universe, candidates, max_nodes=1
+    )
+    assert first_fit.covered() == universe
+    assert first_fit.selected == tuple(f"t-{i}" for i in range(7))
+    assert not starved.proven_optimal
+    assert 0 < starved.lower_bound <= len(closed.selected)
+    assert starved.gap == starved.objective - starved.lower_bound

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithms import (
-    exact_min_cover,
     greedy_marginal_cover,
     greedy_max_weight_cover,
     random_cover,
 )
+from repro.opt.cover import exact_weighted_cover_with_certificate
+from tests.opt.cover_oracle import min_cover_size
 
 
 @st.composite
@@ -92,7 +93,11 @@ def test_random_cover_always_covers(instance, seed):
 @settings(max_examples=40, deadline=None)
 def test_exact_is_lower_bound_for_all_heuristics(instance):
     universe, candidates, weights = instance
-    exact = exact_min_cover(universe, candidates)
+    exact, certificate = exact_weighted_cover_with_certificate(
+        universe, candidates, weights
+    )
+    assert certificate.proven_optimal
+    assert exact.size == min_cover_size(universe, candidates)
     greedy = greedy_max_weight_cover(universe, candidates, weights)
     marginal = greedy_marginal_cover(universe, candidates)
     rand = random_cover(universe, candidates, random.Random(1))
@@ -104,12 +109,11 @@ def test_exact_is_lower_bound_for_all_heuristics(instance):
 @given(cover_instances(max_elements=7, max_candidates=6))
 @settings(max_examples=40, deadline=None)
 def test_exact_result_is_a_cover(instance):
-    universe, candidates, _ = instance
-    result = exact_min_cover(universe, candidates)
-    covered = frozenset().union(
-        *(candidates[name] for name in result.selected)
-    ) if result.selected else frozenset()
-    assert universe <= covered
+    universe, candidates, weights = instance
+    result, _ = exact_weighted_cover_with_certificate(
+        universe, candidates, weights
+    )
+    assert result.covered() == universe
 
 
 @given(cover_instances())
