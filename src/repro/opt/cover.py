@@ -26,6 +26,7 @@ from repro.core.algorithms import (
     _check_feasible,
     _degenerate_cover,
     _require_weights,
+    greedy_marginal_cover,
     natural_sort_key,
 )
 from repro.exceptions import CoverInfeasibleError
@@ -72,8 +73,9 @@ def exact_weighted_cover_with_certificate(
             kernels).  Weights only break ties between equally-small
             covers.
         max_nodes: branch-and-bound node budget.  Running out of it
-            never raises: the best cover found so far (or a first-fit
-            cover when none was found) comes back with
+            never raises: the best cover found so far (or the greedy
+            cover of :func:`~repro.core.algorithms.greedy_marginal_cover`
+            when none was found) comes back with
             ``proven_optimal=False`` and the certified lower bound.
     """
     target = frozenset(universe)
@@ -106,16 +108,9 @@ def exact_weighted_cover_with_certificate(
         raise CoverInfeasibleError(target)
     if outcome.status == "no_solution":
         # The node budget ran out before any incumbent: fall back to the
-        # candidates in ``names`` order, each kept only while it covers
-        # something new — a feasible cover, uncertified, against the
-        # tree's outstanding bound.
-        picked = []
-        uncovered = set(target)
-        for name in names:
-            if candidates[name] & uncovered:
-                picked.append(name)
-                uncovered -= candidates[name]
-        selected = tuple(picked)
+        # greedy cover — feasible and uncertified, against the tree's
+        # outstanding bound.
+        selected = greedy_marginal_cover(target, candidates).selected
     else:
         selected = tuple(
             name for name in names if outcome.values.get(name, 0.0) > 0.5

@@ -19,14 +19,17 @@ tree-canonical helper, :func:`resolve_tree_path`, or the fan-out
 underneath it, once per unique source: an interned route equals a cold
 per-pair resolution, whichever targets were grouped with it.
 
-**One plan per run, kept across faults.**  The simulator reads the
-plan only while no node is down and no link is cut; arrivals inside a
-failure window take the uncached surviving-path fallback instead.  By
-then every down link has been restored.  Faults never mutate the
-fabric (they edit capacities and avoidance masks), and a degrade
-changes a trunk's capacity, not hop-count routes.  So every interned
-route equals a fresh :func:`resolve_tree_path` whenever it is read,
-and dropping entries at a fault would only rebuild the same paths:
+**One plan per run, kept across faults.**  The simulator reads the plan
+only while no node is down and no link is cut.  Arrivals inside a
+failure window take the shortest surviving path instead: after each
+fault the simulator resolves the arrivals up to the next fault in one
+uncached batch (:meth:`InternedRoute.from_path` builds their routes) and
+keeps them in its own per-arrival route list, never in the plan.  When
+the plan is read again, every down link has been restored.  Faults never
+mutate the fabric (they edit capacities and avoidance masks), and a
+degrade changes a trunk's capacity, not hop-count routes.  So every
+interned route equals a fresh :func:`resolve_tree_path` whenever it is
+read, and dropping entries at a fault would only rebuild the same paths:
 the simulator never invalidates.
 :meth:`AdmissionPlan.invalidate_crossing` (mirroring
 :meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`) stays
@@ -107,6 +110,18 @@ class InternedRoute:
         #: Route-class id cache, assigned by the run's batched engine
         #: on first admission (one engine per plan per run).
         self.cid: int | None = None
+
+    @classmethod
+    def from_path(
+        cls, path: Sequence[str], link_index: dict
+    ) -> "InternedRoute":
+        """The route over node path ``path``, its link indices taken
+        from ``link_index`` (``LinkId`` -> engine array position)."""
+        links = links_on_path(path)
+        indices = np.array(
+            [link_index[link] for link in links], dtype=np.int32
+        )
+        return cls(path, links, indices)
 
     def crosses(self, targets: frozenset) -> bool:
         """Whether this route traverses any link in ``targets``
@@ -220,7 +235,9 @@ class AdmissionPlan:
                 else:
                     self._routes[(source, dst, al)] = NO_PLAN_ROUTE
                 continue
-            self._routes[(source, dst, al)] = self._intern(path)
+            self._routes[(source, dst, al)] = InternedRoute.from_path(
+                path, self._link_index
+            )
         if flat_retry:
             fallback = routes_from(
                 self._dcn, source, flat_retry, None, engine=self._engine
@@ -228,7 +245,9 @@ class AdmissionPlan:
             for dst in flat_retry:
                 path = fallback.get(dst)
                 self._routes[(source, dst, al)] = (
-                    NO_PLAN_ROUTE if path is None else self._intern(path)
+                    NO_PLAN_ROUTE
+                    if path is None
+                    else InternedRoute.from_path(path, self._link_index)
                 )
         self._pairs_counter.inc(len(targets))
 
@@ -247,14 +266,6 @@ class AdmissionPlan:
             self.resolve_source(source, (destination,), al)
             route = self._routes[key]
         return route
-
-    def _intern(self, path: Sequence[str]) -> InternedRoute:
-        links = links_on_path(path)
-        index = self._link_index
-        indices = np.array(
-            [index[link] for link in links], dtype=np.int32
-        )
-        return InternedRoute(path, links, indices)
 
     # ------------------------------------------------------------------
     def invalidate_crossing(self, links: Iterable[frozenset]) -> int:

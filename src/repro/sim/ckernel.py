@@ -68,14 +68,18 @@ of the source and the compiler flags.
 EventDrivenFlowSimulator` enters ``alvc_run`` whenever the kernel
 runs and the engine owes no full pass.  The arrivals come pre-interned
 (:class:`RunState`): per arrival its time, its route class (``-1`` for
-co-located endpoints, ``-2`` for one the plan has no route for), its
-size and the rank of its flow id.  Each turn picks the next event
-with the per-event loop's rules: an event beyond ``until`` first, then
-no finite event (a stall), then a fault, then the arrival batch (every
-arrival at that time), then the earliest completion.  A batch is
-written into consecutive slots exactly as ``alvc_admit`` writes it
-(co-located arrivals complete at once with 0 hops and, when nothing
-else is admitted, trigger no step); a completion takes the slot the
+co-located endpoints, ``-2`` for one with no route), its size and the
+rank of its flow id.  A failure window does not stop the loop: after
+each fault the simulator resolves the surviving paths of the arrivals
+up to the next fault in one batch and writes their classes (or ``-1``
+and ``-2``) over the plan's, so those arrivals are admitted like plan
+arrivals.  Each turn picks the next event with the per-event loop's
+rules: an event beyond ``until`` first, then no finite event (a
+stall), then a fault, then the arrival batch (every arrival at that
+time), then the earliest completion.  A batch is written into
+consecutive slots exactly as ``alvc_admit`` writes it (co-located
+arrivals complete at once with 0 hops and, when nothing else is
+admitted, trigger no step); a completion takes the slot the
 last step named, or on an eta tie the tied slot with the smallest
 flow-id rank, charges it like ``alvc_materialize`` and releases it
 like ``alvc_release``.  Both mark the components they touched, re-level
@@ -88,9 +92,10 @@ It hands back, with the event not begun, for:
 * the next fault (``fault``), the ``until`` edge (``until``) and a
   stall (``stall``);
 * a batch it cannot admit: too few slots or pool entries (``room``),
-  a compaction the table owes (``compaction``), or an arrival the plan
-  does not cover, over a removed link or inside a failure window
-  (``uncovered``);
+  a compaction the table owes (``compaction``), or an ``uncovered``
+  arrival: one a failure window leaves no surviving path (Python drops
+  it), one the plan has no route for (``NO_PLAN_ROUTE``: Python
+  raises) or one whose class crosses a removed link;
 * an output buffer too short for the event (``buffer``);
 * the end of the run (``end``).
 
@@ -663,18 +668,20 @@ int64_t alvc_settle(
 }
 
 /* The simulator's event loop between external events.  Arrivals are
- * the plan's, ascending in time: arrival_class holds each one's
- * interned class, -1 for co-located endpoints (they complete at once
- * with 0 hops) and -2 for an arrival the plan has no route for.
+ * ascending in time: arrival_class holds each one's interned class
+ * (the plan's route, or inside a failure window the surviving path
+ * the simulator resolved at the last fault), -1 for co-located
+ * endpoints (they complete at once with 0 hops) and -2 for an arrival
+ * with no route (none in the plan, or no surviving path).
  *
  * Each turn picks the next event with the Python loop's rules: the
  * window edge (an event beyond until), a stall (no finite event time),
  * a fault, then an arrival batch (every arrival at that time), then
  * the next completion.  The loop hands back, with the event not begun,
- * at the edge, a stall, a fault, a batch it cannot admit (a failure
- * window, a flow not covered or over a removed link, a pending
- * compaction, too few slots or pool entries) or output buffers too
- * short for the event, and at the end of the run.  A batch writes its
+ * at the edge, a stall, a fault, a batch it cannot admit (a flow
+ * with no route or over a removed link, a pending compaction, too few
+ * slots or pool entries) or output buffers too short for the event,
+ * and at the end of the run.  A batch writes its
  * flows into consecutive slots (admit_one), a completion breaks eta
  * ties on the smallest tie_rank, charges the slot and releases it, and
  * both mark the components they touched, re-level them and settle
@@ -684,7 +691,7 @@ int64_t alvc_settle(
  * -1 on a water-filling invariant violation. */
 struct alvc_run_state {
     const double *arrival_time;   /* [A] ascending */
-    const int64_t *arrival_class; /* [A] class; -1 co-located, -2 uncovered */
+    const int64_t *arrival_class; /* [A] class; -1 co-located, -2 no route */
     const double *arrival_size;   /* [A] bytes */
     const int64_t *arrival_rank;  /* [A] rank of the flow id */
     int64_t *done;                /* out: completed slot, or -1 - arrival */
@@ -702,7 +709,6 @@ struct alvc_run_state {
     int64_t failures_left;        /* a fault is still queued */
     double next_failure;          /* its time */
     double until;                 /* window edge, inf for none */
-    int64_t window;               /* a node is down or a link is cut */
     double now;                   /* in/out: the last event's time */
     double next_eta;              /* in/out: the next completion */
     int64_t next_slot;            /* in/out: its first slot */
@@ -760,7 +766,6 @@ int64_t alvc_run(struct alvc_relevel_state *rs, struct alvc_run_state *r)
         if (next_failure <= next_arrival && next_failure <= next_completion)
             return RUN_FAULT;
         if (next_arrival <= next_completion && more) {
-            if (r->window) return RUN_UNCOVERED;
             int64_t end = a, flows = 0, entries = 0;
             for (; end < r->n_arrivals && r->arrival_time[end] <= t; end++) {
                 int64_t c = r->arrival_class[end];
@@ -1105,7 +1110,6 @@ class RunState(ctypes.Structure):
         ("failures_left", ctypes.c_int64),
         ("next_failure", ctypes.c_double),
         ("until", ctypes.c_double),
-        ("window", ctypes.c_int64),
         ("now", ctypes.c_double),
         ("next_eta", ctypes.c_double),
         ("next_slot", ctypes.c_int64),

@@ -31,10 +31,11 @@ There is one event loop, the struct-of-arrays data plane of
   (:mod:`repro.sim.admission`) and their route classes interned in
   first-use order, and arrivals sharing a timestamp are admitted as one
   batch with a single recompute;
-* with the compiled kernel, the events between external ones — plan
-  arrival batches and completions — run inside it (``alvc_run``), and
-  Python takes back only faults, the window edge, batches the loop
-  cannot admit and full buffers (``alvc_sim_loop_handoffs_total``
+* with the compiled kernel, the events between external ones — arrival
+  batches, inside failure windows too, and completions — run inside it
+  (``alvc_run``), and Python takes back only faults, the window edge,
+  batches the loop cannot admit (an arrival with no surviving path, a
+  full table) and full buffers (``alvc_sim_loop_handoffs_total``
   counts the hand-backs by reason).  The per-event loop stays as the
   mirror, bit for bit.
 
@@ -69,7 +70,7 @@ from repro.sdn.path_engine import engine_for
 from repro.sdn.routing import shortest_surviving_path
 from repro.sim.admission import NO_PLAN_ROUTE, InternedRoute, plan_admission
 from repro.sim.ckernel import RunState
-from repro.sim.fairshare import ROUNDS_BUCKETS, LinkId, links_on_path
+from repro.sim.fairshare import ROUNDS_BUCKETS, LinkId
 from repro.sim.faults import (
     LINK_DOWN,
     LINK_UP,
@@ -107,15 +108,20 @@ def _id_ranks(flow_ids: Sequence) -> np.ndarray:
     return ranks
 
 
+#: An arrival's route when a failure window leaves its endpoints no
+#: surviving path: the arrival is dropped.
+_PARTITIONED = object()
+
+
 def _loop_class(route) -> int:
     """An arrival's route class for the compiled loop: ``-1`` for
-    co-located endpoints, ``-2`` for an arrival the plan has no route
-    for."""
+    co-located endpoints, ``-2`` for an arrival with no route (none in
+    the plan, or no surviving path)."""
     if route is None:
         return -1
-    if route is NO_PLAN_ROUTE:
-        return -2
-    return route.cid
+    if isinstance(route, InternedRoute):
+        return route.cid
+    return -2
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -472,8 +478,17 @@ class EventDrivenFlowSimulator:
           event and their classes interned in one batch, and each group
           of arrivals sharing one timestamp becomes one indexed append
           with a single trailing recompute.
-          Arrivals inside an active failure window (a node down or a
-          link cut) take the uncached surviving-path fallback instead.
+          Inside an active failure window (a node down or a link cut)
+          arrivals take the shortest surviving path instead: after each
+          fault (a no-op duplicate too), the arrivals up to the next
+          fault are routed in one batch, their classes interned in one
+          call and written over the plan's in the per-arrival route
+          list, so every loop admits them like plan arrivals.  One with
+          no surviving path is dropped.
+        * A fault's reroutes are one batch: the flows crossing the lost
+          links (found through the engine's link -> class transpose)
+          are charged and removed one by one in flow-id order, and the
+          rerouted ones re-admitted in one ``add_interned`` call.
         * Fault events leave the plan alone.  It is read only while no
           node is down and no link is cut, when every down link has
           been restored.  Faults never mutate the fabric (they edit
@@ -507,7 +522,8 @@ class EventDrivenFlowSimulator:
         )
         fallback_counter = telemetry.counter(
             "alvc_admission_fallback_flows_total",
-            "arrivals routed per event inside failure windows",
+            "arrivals admitted over a surviving path inside failure "
+            "windows",
         )
         peak_depth = 0
         pending = sorted(flows, key=lambda flow: (flow.arrival_time, flow.flow_id))
@@ -568,8 +584,12 @@ class EventDrivenFlowSimulator:
             telemetry=telemetry,
         )
         #: Per arrival: its plan route, NO_PLAN_ROUTE, or None for
-        #: co-located endpoints.
+        #: co-located endpoints.  Inside a failure window the arrivals
+        #: up to the next fault carry their surviving-path route (or
+        #: None, or _PARTITIONED) instead, and ``window_arrivals``
+        #: holds their indices.
         routes: list = []
+        window_arrivals: set[int] = set()
         routes_by_key: dict = {None: None}
         for key in plan_keys:
             if key not in routes_by_key:
@@ -601,32 +621,94 @@ class EventDrivenFlowSimulator:
                 )
             )
 
-        def displace(victims: list[FlowId]) -> None:
-            """Reroute (or drop) flows whose path just became unusable."""
+        def surviving_route(flow: Flow):
+            """The flow's route over the surviving fabric: an
+            :class:`InternedRoute`, None for co-located endpoints or
+            _PARTITIONED when no path survives."""
+            path = self._route_avoiding(flow, failed_nodes, cut_links)
+            if path is None:
+                return _PARTITIONED
+            if len(path) == 1:
+                return None
+            return InternedRoute.from_path(path, engine.link_index)
+
+        def displace(links) -> None:
+            """Reroute (or drop) the flows crossing ``links``, which just
+            became unusable.  The victims leave one by one in flow-id
+            order, then the rerouted ones are re-admitted in one batch
+            with their remaining bytes, in the same order."""
             nonlocal reroutes
-            for flow_id in victims:
-                slot = table.slot_of[flow_id]
+            slots = engine.slots_crossing(links).tolist()
+            flow_ids = [table.flow_ids[slot] for slot in slots]
+            victims = sorted(zip(flow_ids, slots))
+            moved, moved_routes, left, moved_ranks = [], [], [], []
+            for flow_id, slot in victims:
                 engine.materialize((slot,), now)
                 flow = table.meta[slot][0]
                 remaining_bytes = float(table.remaining[slot])
                 rank = int(engine.tie_rank[slot])
                 engine.remove_flow(flow_id)
-                new_path = self._route_avoiding(flow, failed_nodes, cut_links)
-                if new_path is None:
+                route = surviving_route(flow)
+                if route is _PARTITIONED:
                     dropped.append(flow_id)
                     continue
-                reroutes += 1
-                new_links = links_on_path(new_path)
-                slot = engine.add_flow(flow_id, new_links)
-                table.meta[slot] = (flow, new_path, new_links)
-                table.remaining[slot] = remaining_bytes
-                table.last_update[slot] = now
-                engine.tie_rank[slot] = rank
+                moved.append(flow)
+                moved_routes.append(route)
+                left.append(remaining_bytes)
+                moved_ranks.append(rank)
+            if not moved:
+                return
+            reroutes += len(moved)
+            slots = engine.add_interned(
+                [flow.flow_id for flow in moved], moved_routes, left, now
+            )
+            engine.tie_rank[slots] = moved_ranks
+            for slot, flow, route in zip(slots.tolist(), moved, moved_routes):
+                table.meta[slot] = (flow, route.path, route.links)
+
+        def cover_window() -> None:
+            """Resolve, in one batch, the routes of the pending arrivals
+            the failure state the last fault left applies to: those
+            before the next fault (and not past ``until``).  Their
+            classes are interned in one call and written over the
+            plan's, so the compiled loop admits them like plan
+            arrivals; one with no surviving path hands back
+            ``uncovered`` and is dropped."""
+            if not (failed_nodes or cut_links):
+                return
+            stop = len(pending)
+            if failure_index < len(failure_queue):
+                stop = int(
+                    np.searchsorted(
+                        arrival_times,
+                        failure_queue[failure_index].time,
+                        side="left",
+                    )
+                )
+            if until is not None:
+                stop = min(
+                    stop,
+                    int(np.searchsorted(arrival_times, until, side="right")),
+                )
+            window = range(arrival_index, stop)
+            covered = [surviving_route(pending[index]) for index in window]
+            engine.intern_routes(
+                [
+                    route
+                    for route in covered
+                    if isinstance(route, InternedRoute)
+                ]
+            )
+            window_arrivals.update(window)
+            for index, route in zip(window, covered):
+                routes[index] = route
+                if loop is not None:
+                    classes[index] = _loop_class(route)
 
         # The compiled loop (``alvc_run``) takes every event that needs
-        # no Python: plan arrivals and completions between external
-        # events.  It hands back at a fault, the window edge, a batch it
-        # cannot admit (a failure window, an uncovered route, a pending
+        # no Python: arrivals with a route and completions between
+        # external events.  It hands back at a fault, the window edge, a
+        # batch it cannot admit (an arrival with no route, a pending
         # compaction, a full table) or a full buffer, and at the end.
         loop = None
         compiled = _COMPILED_LOOP and engine.kernel_active
@@ -676,7 +758,6 @@ class EventDrivenFlowSimulator:
             loop.failures_left = failure_index < len(failure_queue)
             if loop.failures_left:
                 loop.next_failure = failure_queue[failure_index].time
-            loop.window = bool(failed_nodes or cut_links)
             loop.now = now
             loop.next_eta, loop.next_slot, loop.ties = upcoming
             loop.peak = peak_depth
@@ -687,8 +768,13 @@ class EventDrivenFlowSimulator:
             end = loop.arrival
             if end > arrival_index:
                 admitted, payloads = [], []
+                planned = fallback = 0
                 for index in range(arrival_index, end):
                     route = routes[index]
+                    if index in window_arrivals:
+                        fallback += 1
+                    elif route is not None:
+                        planned += 1
                     if route is not None:
                         flow = pending[index]
                         admitted.append(flow.flow_id)
@@ -698,7 +784,8 @@ class EventDrivenFlowSimulator:
                 )
                 table.flow_ids.extend(admitted)
                 table.meta.extend(payloads)
-                bulk_counter.inc(len(admitted))
+                bulk_counter.inc(planned)
+                fallback_counter.inc(fallback)
                 arrival_index = end
             count = loop.n_done
             if count:
@@ -737,11 +824,18 @@ class EventDrivenFlowSimulator:
                 peak_depth = loop.peak
             return reason, ran
 
+        # Faults whose failure window cover_window() has resolved.
+        faults_covered = 0
         while (
             arrival_index < len(pending)
             or table.active_count
             or failure_index < len(failure_queue)
         ):
+            if faults_covered < failure_index:
+                # The last event was a fault (a no-op duplicate too):
+                # resolve the arrivals its failure state applies to.
+                cover_window()
+                faults_covered = failure_index
             if loop is not None and engine.can_run_events():
                 reason, ran = run_compiled()
                 if reason == "end" or (reason == "buffer" and ran):
@@ -789,20 +883,14 @@ class EventDrivenFlowSimulator:
                         continue
                     failed_nodes.add(failed)
                     # Active flows over the node reroute or drop.
-                    displace(
-                        [
-                            flow_id
-                            for flow_id, slot in sorted(table.slot_of.items())
-                            if failed in table.meta[slot][1]
-                        ]
-                    )
+                    touching = [link for link in capacities if failed in link]
+                    displace(touching)
                     # Links touching the node leave the capacity map
                     # (after the reroutes, so the engine never drops a
                     # loaded link).
-                    for link in list(capacities):
-                        if failed in link:
-                            down_links[link] = capacities.pop(link)
-                            engine.remove_link(link)
+                    for link in touching:
+                        down_links[link] = capacities.pop(link)
+                        engine.remove_link(link)
                     upcoming = engine.settle(now)
                 elif action == NODE_UP:
                     repaired = record.payload
@@ -830,13 +918,7 @@ class EventDrivenFlowSimulator:
                         # Already gone (an endpoint is down); the cut is
                         # remembered so a node repair cannot revive it.
                         continue
-                    displace(
-                        [
-                            flow_id
-                            for flow_id, slot in sorted(table.slot_of.items())
-                            if link in table.meta[slot][2]
-                        ]
-                    )
+                    displace((link,))
                     down_links[link] = capacities.pop(link)
                     engine.remove_link(link)
                     upcoming = engine.settle(now)
@@ -868,7 +950,6 @@ class EventDrivenFlowSimulator:
                 # recompute once: intermediate recomputes at the same
                 # instant materialize no progress and their rates are
                 # never observable.
-                admitted = False
                 batch: list = []
                 batch_end = int(
                     np.searchsorted(arrival_times, now, side="right")
@@ -879,43 +960,25 @@ class EventDrivenFlowSimulator:
                     arrival_index += 1
                     events += 1
                     events_counter.inc()
-                    if failed_nodes or cut_links:
-                        path = self._route_avoiding(
-                            flow, failed_nodes, cut_links
-                        )
-                        if path is None:
-                            dropped.append(flow.flow_id)
-                            continue
-                        fallback_counter.inc()
-                    else:
-                        # The pair was resolved (or negatively interned)
-                        # before the first event.
-                        route = routes[index]
-                        if route is None:
-                            # Co-located endpoints: completes
-                            # immediately, like the zero-hop path below.
-                            complete_now(flow, 0)
-                            continue
-                        if route is NO_PLAN_ROUTE:
-                            key = plan_keys[index]
-                            raise RoutingError(
-                                f"no path from {key[0]} to {key[1]}"
-                            )
-                        batch.append(index)
-                        admitted = True
+                    # The pair was resolved (or negatively interned)
+                    # before the first event, or at the last fault.
+                    route = routes[index]
+                    if route is _PARTITIONED:
+                        dropped.append(flow.flow_id)
                         continue
-                    links = links_on_path(path)
-                    if not links:
+                    if index in window_arrivals:
+                        fallback_counter.inc()
+                    if route is None:
                         # Co-located endpoints: completes immediately and
                         # leaves every other allocation untouched.
                         complete_now(flow, 0)
                         continue
-                    slot = engine.add_flow(flow.flow_id, links)
-                    table.meta[slot] = (flow, path, links)
-                    table.remaining[slot] = flow.size_bytes
-                    table.last_update[slot] = now
-                    engine.tie_rank[slot] = ranks[index]
-                    admitted = True
+                    if route is NO_PLAN_ROUTE:
+                        key = plan_keys[index]
+                        raise RoutingError(
+                            f"no path from {key[0]} to {key[1]}"
+                        )
+                    batch.append(index)
                 if batch:
                     # One indexed append for the whole timestamp group;
                     # consecutive slots keep activation order equal to
@@ -932,8 +995,12 @@ class EventDrivenFlowSimulator:
                         table.meta[slot] = (
                             pending[index], route.path, route.links
                         )
-                    bulk_counter.inc(len(batch))
-                if admitted:
+                    bulk_counter.inc(
+                        sum(
+                            1 for index in batch
+                            if index not in window_arrivals
+                        )
+                    )
                     upcoming = engine.settle(now)
             else:
                 events += 1

@@ -479,9 +479,13 @@ class BatchedFairShareEngine:
     * **Multiplicities.**  Live flows per class, updated on add and
       remove (no per-recompute ``bincount`` over the active slots).
     * **Transpose.**  A persistent link -> classes map in full link
-      space, stored as gapped per-link segments so interning a class
-      appends in place (a full segment moves to the buffer's end with
-      doubled room; nothing is ever rebuilt).
+      space, stored as gapped per-link segments so interning appends in
+      place: each :meth:`intern_pools` call places its new ``(link,
+      class)`` pairs with one stable sort by link, and a segment that
+      must grow moves once to the buffer's end with its room doubled
+      until they fit (nothing is ever rebuilt).  It also answers which
+      live slots cross a link (:meth:`slots_crossing`: a fault's
+      victims).
     * **Components.**  A quick-find union-find over link indices
       (a label array), unioned when new classes are interned.  Classes
       are never forgotten, so components only merge and never need a
@@ -882,6 +886,29 @@ class BatchedFairShareEngine:
         table._compact_pending = bool(loop.compact_pending)
         return RUN_REASONS[code]
 
+    def slots_crossing(self, links: Iterable[LinkId]) -> np.ndarray:
+        """Live slots whose route crosses any of ``links``, ascending.
+
+        Reads the link -> class transpose: the slots are those of the
+        live classes listed under the links, not a scan of every slot's
+        route.
+        """
+        segments = []
+        for link in links:
+            position = self._index.get(link)
+            if position is not None and self._t_len[position]:
+                start = self._t_start[position]
+                segments.append(
+                    self._t_classes[start : start + self._t_len[position]]
+                )
+        if not segments:
+            return _EMPTY_I64
+        classes = np.concatenate(segments)
+        # Entry ``_n_classes`` stays False: dead slots hold class -1.
+        crossing = np.zeros(self._n_classes + 1, dtype=bool)
+        crossing[classes[self._m[classes] > 0]] = True
+        return np.flatnonzero(crossing[self._class_of[: self._table.size]])
+
     def class_for(self, pool: np.ndarray) -> int:
         """Intern a link-index pool, returning its class id.
 
@@ -909,9 +936,13 @@ class BatchedFairShareEngine:
     def intern_pools(self, pools: Sequence[np.ndarray]) -> list[int]:
         """Intern link-index pools in order, returning their class ids.
 
-        The new classes' components merge in one pass with one layout
-        for the whole call, so interning a run's routes up front costs
-        one relayout instead of one per merge.
+        The call's new classes are written as one batch: their pools
+        go into ``_cflat`` in one concatenation, their bounds and
+        anchors as arrays, and their transpose entries in one stable
+        sort by link (:meth:`_t_extend`).  Their components merge in
+        one pass with one layout for the whole call, so interning a
+        run's routes up front costs one relayout instead of one per
+        merge.
 
         Raises:
             RepeatedLinkError: when a pool not interned yet repeats a
@@ -924,66 +955,101 @@ class BatchedFairShareEngine:
                 links = pool.tolist()
                 if len(set(links)) < len(links):
                     raise _repeated_link(links, self._link_ids)
+        first = self._n_classes
+        fresh = []
         cids = []
-        groups = []
         for key, pool in zip(keys, pools):
             cid = index.get(key)
             if cid is None:
-                cid = self._intern(key, pool)
-                if pool.shape[0]:
-                    groups.append(pool.tolist())
+                cid = index[key] = first + len(fresh)
+                fresh.append(pool)
             cids.append(cid)
-        if groups:
-            self._union(groups)
+        if fresh:
+            self._register(fresh)
+            self._union([pool.tolist() for pool in fresh if pool.shape[0]])
         return cids
 
-    def _intern(self, key: bytes, pool: np.ndarray) -> int:
-        """Register a new class (its pool, transpose entries and
-        anchor); its links' components are the caller's to merge."""
-        cid = self._n_classes
-        if cid + 1 >= self._m.shape[0]:
-            self._grow_classes()
-        count = pool.shape[0]
-        if self._flat_len + count > self._cflat.shape[0]:
-            self._cflat = _grown(self._cflat, self._flat_len + count)
+    def _register(self, pools: list[np.ndarray]) -> None:
+        """Register new classes, numbered from ``_n_classes`` in
+        ``pools`` order: their pools, bounds, anchors and transpose
+        entries.  Their links' components are the caller's to merge."""
+        first = self._n_classes
+        count = len(pools)
+        needed = first + count + 1
+        if needed > self._m.shape[0]:
+            self._grow_classes(needed)
+        lens = np.fromiter(
+            (pool.shape[0] for pool in pools), dtype=np.int64, count=count
+        )
+        flat = np.concatenate(pools).astype(np.int64)
+        total = flat.shape[0]
+        start = self._flat_len
+        if start + total > self._cflat.shape[0]:
+            self._cflat = _grown(self._cflat, start + total)
             self._state_address = None
             self._step_address = None
-        self._cflat[self._flat_len : self._flat_len + count] = pool
-        self._cstart[cid] = self._flat_len
-        self._clen[cid] = count
-        self._flat_len += count
-        self._class_index[key] = cid
-        self._n_classes += 1
-        links = pool.tolist()
-        if not links:
-            self._anchor.append(-1)
-            self._class_rate[cid] = np.inf
-            return cid
-        self._anchor.append(links[0])
-        for link in links:
-            self._t_append(link, cid)
-        return cid
+        self._cflat[start : start + total] = flat
+        cids = np.arange(first, first + count, dtype=np.int64)
+        ends = np.cumsum(lens)
+        self._cstart[first : first + count] = start + ends - lens
+        self._clen[first : first + count] = lens
+        self._flat_len = start + total
+        self._n_classes = first + count
+        hops = lens > 0
+        self._class_rate[cids[~hops]] = np.inf
+        anchors = np.full(count, -1, dtype=np.int64)
+        anchors[hops] = flat[(ends - lens)[hops]]
+        self._anchor.extend(anchors.tolist())
+        if total:
+            self._t_extend(flat, np.repeat(cids, lens))
 
-    def _t_append(self, link: int, cid: int) -> None:
-        """Append ``cid`` to ``link``'s transpose segment; a full
-        segment moves to the buffer's end with doubled room."""
-        length = int(self._t_len[link])
-        start = int(self._t_start[link])
-        if length == self._t_cap[link]:
-            room = max(2 * length, 4)
+    def _t_extend(self, links: np.ndarray, cids: np.ndarray) -> None:
+        """Append the ``(link, class)`` pairs to the transpose, ascending
+        class ids per link (``cids`` ascends and exceeds every class
+        already listed).  A link whose segment must grow moves once, to
+        the buffer's end, with its room doubled until the new entries
+        fit."""
+        order = np.argsort(links, kind="stable")
+        links, cids = links[order], cids[order]
+        touched, first, counts = np.unique(
+            links, return_index=True, return_counts=True
+        )
+        lengths = self._t_len[touched]
+        grown = lengths + counts > self._t_cap[touched]
+        if grown.any():
+            moved = touched[grown]
+            need = (lengths + counts)[grown]
+            room = np.maximum(self._t_cap[moved], 4)
+            short = room < need
+            while short.any():
+                room[short] *= 2
+                short = room < need
             end = self._t_used
-            if end + room > self._t_classes.shape[0]:
-                self._t_classes = _grown(self._t_classes, end + room)
+            extra = int(room.sum())
+            if end + extra > self._t_classes.shape[0]:
+                self._t_classes = _grown(self._t_classes, end + extra)
                 self._state_address = None
-            self._t_classes[end : end + length] = self._t_classes[
-                start : start + length
-            ]
-            start = end
-            self._t_start[link] = start
-            self._t_cap[link] = room
-            self._t_used = end + room
-        self._t_classes[start + length] = cid
-        self._t_len[link] = length + 1
+            starts = end + np.cumsum(room) - room
+            kept = lengths[grown]
+            total = int(kept.sum())
+            if total:
+                offsets = np.arange(total) - np.repeat(
+                    np.cumsum(kept) - kept, kept
+                )
+                self._t_classes[np.repeat(starts, kept) + offsets] = (
+                    self._t_classes[
+                        np.repeat(self._t_start[moved], kept) + offsets
+                    ]
+                )
+            self._t_start[moved] = starts
+            self._t_cap[moved] = room
+            self._t_used = end + extra
+        # Entry i of a link's run goes after the link's old entries.
+        position = np.arange(links.shape[0]) - np.repeat(first, counts)
+        self._t_classes[
+            np.repeat(self._t_start[touched] + lengths, counts) + position
+        ] = cids
+        self._t_len[touched] = lengths + counts
 
     def _union(self, groups: list[list[int]]) -> None:
         """Merge, group by group, the components of each group's links
@@ -1104,8 +1170,7 @@ class BatchedFairShareEngine:
         self._state_address = None
         self._step_address = None
 
-    def _grow_classes(self) -> None:
-        needed = self._m.shape[0] * 2
+    def _grow_classes(self, needed: int) -> None:
         for name in (
             "_m", "_frozen", "_class_rate", "_cstart", "_clen", "_changed",
             "_listed",

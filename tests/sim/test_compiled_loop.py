@@ -1,15 +1,18 @@
 """The compiled event loop (``alvc_run``) against the per-event loop.
 
 Between external events the simulator runs its event loop inside the C
-kernel and hands back to Python for a fault, the window edge, an
-arrival batch it cannot admit, a full output buffer or the end of the
-run.  Every report must be bit-identical to the per-event loop's and to
-the numpy mirrors' (``ALVC_NO_CKERNEL``), whichever hand-backs a run
-takes; eta ties must finish the smallest flow id first; and the
-telemetry totals must not depend on which loop ran.  The module also
-holds the simple-path property the engine relies on: every route the
-simulator installs repeats no link, and a route that does is refused
-with :class:`~repro.exceptions.RepeatedLinkError` on every loop.
+kernel and hands back to Python for a fault, the window edge, an arrival
+batch it cannot admit, a full output buffer or the end of the run.
+Arrivals inside a failure window are routed once per fault, in one
+batch, and admitted in the kernel like plan arrivals; only one with no
+surviving path hands back.  Every report must be bit-identical to the
+per-event loop's and to the numpy mirrors' (``ALVC_NO_CKERNEL``),
+whichever hand-backs a run takes; eta ties must finish the smallest flow
+id first; and the telemetry totals must not depend on which loop ran.
+The module also holds the simple-path property the engine relies on:
+every route the simulator installs repeats no link, and a route that
+does is refused with :class:`~repro.exceptions.RepeatedLinkError` on
+every loop.
 """
 
 import contextlib
@@ -26,7 +29,7 @@ import pytest
 from repro.exceptions import RepeatedLinkError
 from repro.observability.runtime import Telemetry, use_telemetry
 from repro.sim import ckernel, event_simulator
-from repro.sim.admission import InternedRoute
+from repro.sim.admission import InternedRoute, resolve_tree_path
 from repro.sim.event_simulator import (
     HANDOFF_REASONS,
     EventDrivenFlowSimulator,
@@ -392,6 +395,9 @@ def _totals(telemetry) -> dict:
     return {
         "events": telemetry.counter("alvc_sim_events_total").value,
         "bulk": telemetry.counter("alvc_admission_bulk_flows_total").value,
+        "fallback": telemetry.counter(
+            "alvc_admission_fallback_flows_total"
+        ).value,
         "depth": telemetry.gauge("alvc_sim_active_flows").value,
         "peak": telemetry.gauge("alvc_sim_active_flows_peak").value,
         "rounds": (rounds.count, rounds.sum),
@@ -415,18 +421,177 @@ def test_telemetry_totals_match_the_mirror(case):
 
 
 # ----------------------------------------------------------------------
+# Failure windows: one route batch per fault, admitted in the kernel
+# ----------------------------------------------------------------------
+RATE = 1.25e9  # bytes/s of every 10 Gbps link
+
+
+def _window_testbed():
+    """:func:`_four_racks` plus a second VM on ``srv-0``, and the
+    ToR-OPS link the plan routes ``srv-0 -> srv-1`` over."""
+    inventory, vms = _four_racks()
+    web = ServiceCatalog.standard().get("web")
+    vm = inventory.create_vm(web)
+    inventory.place(vm, "srv-0")
+    vms.append(vm.vm_id)
+    path = resolve_tree_path(inventory.network, "srv-0", "srv-1", None)
+    return inventory, vms, (path[1], path[2])
+
+
+def _flows(pairs) -> list[Flow]:
+    """``(source, destination, arrival, size in link-seconds)`` tuples
+    as flows ``w0``, ``w1``, ..."""
+    return [
+        Flow(f"w{index}", source, destination, size * RATE, arrival_time=at)
+        for index, (source, destination, at, size) in enumerate(pairs)
+    ]
+
+
+def _on_every_loop(inventory, flows, failures, until=None) -> dict:
+    """``{loop: (report, telemetry)}``; the reports are bit-identical
+    and the telemetry totals equal on all three loops."""
+    runs = {}
+    for name, pin in LOOPS.items():
+        sink = Telemetry.enabled_instance()
+        with pin():
+            report = EventDrivenFlowSimulator(
+                inventory, default_bandwidth_gbps=10.0, telemetry=sink
+            ).run(flows, failures, until=until)
+        runs[name] = (report, sink)
+    want, sink = runs["compiled"]
+    for report, other in runs.values():
+        _assert_same_report(report, want)
+        assert _totals(other) == _totals(sink)
+    return runs
+
+
+def _fallback(sink) -> float:
+    return sink.counter("alvc_admission_fallback_flows_total").value
+
+
+@needs_kernel
+def test_window_arrivals_from_a_crashed_host_are_dropped():
+    inventory, vms, _ = _window_testbed()
+    flows = _flows(
+        [
+            (vms[0], vms[1], 0.0, 0.5),  # crosses srv-1: dropped at 0.1
+            (vms[0], vms[2], 0.15, 0.2),
+            (vms[1], vms[2], 0.2, 0.2),  # from the crashed host
+            (vms[0], vms[3], 0.25, 0.2),
+            (vms[1], vms[3], 0.3, 0.2),  # from the crashed host
+            (vms[2], vms[3], 0.35, 0.2),
+            (vms[1], vms[0], 0.6, 0.2),  # after the repair
+        ]
+    )
+    failures = [
+        FaultEvent(0.1, FaultKind.SERVER_CRASH, "srv-1"),
+        FaultEvent(0.5, FaultKind.NODE_REPAIR, "srv-1"),
+    ]
+    report, sink = _on_every_loop(inventory, flows, failures)["compiled"]
+    assert report.dropped == ("w0", "w2", "w4")
+    assert _fallback(sink) == 3
+    assert _handoffs(sink)["uncovered"] == 2
+
+
+@needs_kernel
+def test_colocated_window_arrivals():
+    inventory, vms, link = _window_testbed()
+    flows = _flows(
+        [
+            (vms[0], vms[1], 0.0, 0.4),
+            (vms[0], vms[4], 0.2, 0.1),  # co-located, alone
+            (vms[4], vms[0], 0.3, 0.1),  # co-located, in a batch
+            (vms[0], vms[2], 0.3, 0.2),
+        ]
+    )
+    failures = [
+        FaultEvent(0.1, FaultKind.LINK_CUT, link),
+        FaultEvent(0.5, FaultKind.LINK_REPAIR, link),
+    ]
+    report, sink = _on_every_loop(inventory, flows, failures)["compiled"]
+    hops = {record.flow_id: record.hops for record in report.completed}
+    assert hops["w1"] == hops["w2"] == 0
+    assert report.reroutes == 1
+    assert _fallback(sink) == 3
+    assert _handoffs(sink)["uncovered"] == 0
+
+
+@needs_kernel
+def test_window_is_resolved_again_at_an_overlapping_fault():
+    # tor-0 hangs off both OPSs: with its ops-0 link cut and ops-1
+    # down, srv-0 is cut off until the link returns.
+    inventory, vms, _ = _window_testbed()
+    flows = _flows(
+        [(vms[0], vms[1], at, 0.02) for at in (0.05, 0.15, 0.25, 0.35, 0.45)]
+    )
+    failures = [
+        FaultEvent(0.1, FaultKind.LINK_CUT, ("tor-0", "ops-0")),
+        FaultEvent(0.2, FaultKind.OPS_CRASH, "ops-1"),
+        FaultEvent(0.3, FaultKind.LINK_REPAIR, ("tor-0", "ops-0")),
+        FaultEvent(0.4, FaultKind.NODE_REPAIR, "ops-1"),
+    ]
+    report, sink = _on_every_loop(inventory, flows, failures)["compiled"]
+    assert report.dropped == ("w2",)
+    assert {record.flow_id for record in report.completed} == {
+        "w0", "w1", "w3", "w4"
+    }
+    assert _fallback(sink) == 2
+    assert _handoffs(sink)["uncovered"] == 1
+
+
+@needs_kernel
+def test_window_stays_covered_after_a_duplicate_fault():
+    inventory, vms, link = _window_testbed()
+    flows = _flows(
+        [(vms[0], vms[1], at, 0.05) for at in (0.15, 0.25, 0.35)]
+    )
+    failures = [
+        FaultEvent(0.1, FaultKind.LINK_CUT, link),
+        FaultEvent(0.2, FaultKind.LINK_CUT, link),  # a no-op
+        FaultEvent(0.5, FaultKind.LINK_REPAIR, link),
+    ]
+    report, sink = _on_every_loop(inventory, flows, failures)["compiled"]
+    # The plan's route crosses the cut link: every arrival took the
+    # surviving path.
+    assert report.flows == 3 and not report.dropped
+    assert _fallback(sink) == 3
+    assert sink.counter("alvc_admission_bulk_flows_total").value == 0
+    assert _handoffs(sink)["uncovered"] == 0
+
+
+@needs_kernel
+def test_until_inside_a_window():
+    inventory, vms, link = _window_testbed()
+    flows = _flows(
+        [(vms[0], vms[1], at, 0.3) for at in (0.0, 0.2, 0.3, 0.5, 0.6)]
+    )
+    failures = [
+        FaultEvent(0.1, FaultKind.LINK_CUT, link),
+        FaultEvent(0.8, FaultKind.LINK_REPAIR, link),
+    ]
+    report, sink = _on_every_loop(
+        inventory, flows, failures, until=0.4
+    )["compiled"]
+    assert report.makespan == 0.4
+    assert report.in_flight == 3
+    assert _fallback(sink) == 2
+    assert _handoffs(sink)["until"] == 1
+
+
+# ----------------------------------------------------------------------
 # Every installed route is a simple path
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def _route_audit():
     """Record every link-index pool the simulator interns — plan routes
-    before the first event, surviving-path arrivals and fault reroutes
-    one by one — as ``[(pools in one call, ...)]``."""
+    before the first event, then each fault's reroutes and the
+    failure-window arrivals it covers — as ``[(engine, pools in one
+    call)]``."""
     calls = []
     original = BatchedFairShareEngine.intern_pools
 
     def intern_pools(engine, pools):
-        calls.append([pool.tolist() for pool in pools])
+        calls.append((engine, [pool.tolist() for pool in pools]))
         return original(engine, pools)
 
     BatchedFairShareEngine.intern_pools = intern_pools
@@ -438,20 +603,40 @@ def _route_audit():
 
 def _simple(calls) -> bool:
     return all(
-        len(set(pool)) == len(pool) for call in calls for pool in call
+        len(set(pool)) == len(pool) for _, call in calls for pool in call
     )
 
 
-def test_golden_routes_are_simple_paths():
+def test_golden_routes_are_simple_paths(monkeypatch):
+    # Every surviving path a fault forces (a reroute or a window
+    # arrival) is one the audit must see.
+    surviving = []
+    original = EventDrivenFlowSimulator._route_avoiding
+
+    def route_avoiding(self, flow, failed_nodes, cut_links):
+        path = original(self, flow, failed_nodes, cut_links)
+        if path is not None and len(path) > 1:
+            surviving.append(path)
+        return path
+
+    monkeypatch.setattr(
+        EventDrivenFlowSimulator, "_route_avoiding", route_avoiding
+    )
     cases, _, _ = golden_fixture()
     with _route_audit() as calls:
         for run in cases.values():
             run()
     assert _simple(calls)
-    # Plan batches and one-by-one installs (fault reroutes and
-    # failure-window arrivals) were both audited.
-    assert any(len(call) > 1 for call in calls)
-    assert sum(1 for call in calls if len(call) == 1) >= 50
+    # Each run's first call interns its plan; the later calls are the
+    # faults' batches, and they audited every surviving path.
+    planned = set()
+    later = []
+    for engine, pools in calls:
+        if id(engine) in planned:
+            later.append(pools)
+        planned.add(id(engine))
+    assert any(len(pools) > 1 for pools in later)
+    assert sum(len(pools) for pools in later) == len(surviving) >= 50
 
 
 def _e2e_module(name: str):
@@ -479,11 +664,19 @@ def test_e2e_flow_routes_are_simple_paths(workload, tmp_path):
     workloads = _e2e_module("workloads")
     golden = json.loads((E2E / "golden.json").read_text())
     params = run.SIZES["ci"][workload]
+    telemetry = Telemetry.enabled_instance()
     with _route_audit() as calls:
         result = workloads.flows(
-            params, 0, tmp_path, workloads.trace.NullTracer(), "off", True
+            params, 0, tmp_path, workloads.trace.NullTracer(), telemetry,
+            True,
         )
     assert _simple(calls) and calls
     assert result["values"] == golden["ci"][workload]
     if params["faults"]:
         assert result["counts"]["sim.event_simulator.reroutes"] > 0
+        assert _fallback(telemetry) > 0
+    # No flow is ever partitioned, so no arrival leaves the kernel.
+    handoffs = _handoffs(telemetry)
+    assert handoffs["uncovered"] == 0
+    if params["faults"] and ckernel.kernels() is not None:
+        assert handoffs["fault"] > 0

@@ -386,6 +386,71 @@ class TestBatchedEngine:
         engine.add_flow("f2", [B, C])
         assert engine.n_classes == 2
 
+    @staticmethod
+    def _transpose(engine) -> list[list[int]]:
+        return [
+            engine._t_classes[start : start + length].tolist()
+            for start, length in zip(
+                engine._t_start.tolist(), engine._t_len.tolist()
+            )
+        ]
+
+    def test_bulk_interning_matches_one_by_one(self):
+        import random as _random
+
+        rng = _random.Random(7)
+        caps = {frozenset({f"n{i}", f"n{i + 1}"}): 1.0 for i in range(40)}
+        pools = [
+            np.array(rng.sample(range(40), rng.randint(0, 6)), np.int32)
+            for _ in range(120)
+        ]
+        pools += pools[::7]  # repeats, inside the call and across calls
+        bulk, serial = self._batched(caps), self._batched(caps)
+        cids = bulk.intern_pools(pools[:5])
+        cids += bulk.intern_pools(pools[5:])
+        assert cids == [serial.class_for(pool) for pool in pools]
+        n = serial.n_classes
+        assert bulk.n_classes == n
+        for name in ("_cstart", "_clen", "_class_rate", "_label"):
+            assert getattr(bulk, name)[:n].tolist() == (
+                getattr(serial, name)[:n].tolist()
+            ), name
+        assert bulk._cflat[: bulk._flat_len].tolist() == (
+            serial._cflat[: serial._flat_len].tolist()
+        )
+        assert bulk._anchor == serial._anchor
+        for cid, pool in zip(cids, pools):
+            links = pool.tolist()
+            start = bulk._cstart[cid]
+            assert bulk._cflat[start : start + len(links)].tolist() == links
+            assert bulk._anchor[cid] == (links[0] if links else -1)
+        assert bulk._layout.tolist() == serial._layout.tolist()
+        assert bulk.n_components == serial.n_components
+        transpose = self._transpose(bulk)
+        assert transpose == self._transpose(serial)
+        # Each link lists exactly the classes crossing it, ascending.
+        assert transpose == [
+            [cid for cid in range(n) if link in set(
+                bulk._cflat[bulk._cstart[cid]:][: bulk._clen[cid]].tolist()
+            )]
+            for link in range(40)
+        ]
+
+    def test_slots_crossing_reads_the_transpose(self):
+        engine = self._batched()
+        paths = {"f0": [A, B], "f1": [B, C], "f2": [C], "f3": [A], "f4": [B]}
+        for flow, path in paths.items():
+            engine.add_flow(flow, path)
+        engine.remove_flow("f4")
+        slot_of = engine.table.slot_of
+        for links in ([A], [B], [C], [A, C], []):
+            want = sorted(
+                slot_of[flow]
+                for flow, path in paths.items()
+                if flow in slot_of and set(path) & set(links)
+            )
+            assert engine.slots_crossing(links).tolist() == want
+
     def test_shared_class_rates_match_reference(self):
         # Two flows of one class freeze together at one share.
         engine = self._batched()
