@@ -36,15 +36,15 @@ of the source and the compiler flags.
   the first slot reaching it and how many slots tie at it.
 * ``alvc_materialize`` charges one slot's progress and busy time (flow
   completions and reroutes).
-* ``alvc_admit`` writes one arrival batch into the slots and pool room
-  the Python side reserved (id checks, compaction and growth stay in
-  :class:`~repro.sim.vector.FlowTable`).  Per flow it copies its
-  interned class pool from ``cflat`` into the table's ``int32`` pool and
-  sets ``link_start`` and ``link_len``; it seeds
+* ``alvc_admit`` writes one arrival batch into the slots the Python
+  side reserved (id checks, compaction and growth stay in
+  :class:`~repro.sim.vector.FlowTable`).  Per flow it seeds
   ``remaining`` with the flow's size, ``rate`` with 0, ``eta`` with
   ``inf`` and ``last_update`` with ``now``, and sets ``alive`` and
-  ``class_of``; it adds 1.0 to ``count`` for each link and 1 to the
-  class's ``m``.  It first checks every link of the batch against
+  ``class_of``; it adds 1.0 to ``count`` for each link of the class
+  and 1 to the class's ``m``.  No link is copied: a slot's links are
+  its class's pool in ``cflat``, read through ``class_of`` wherever
+  they are needed.  It first checks every link of the batch against
   ``link_alive`` and writes nothing when one was removed.
 * ``alvc_release`` undoes one flow's ``count`` and ``m`` updates,
   clears ``alive``, ``eta``, ``rate`` and ``class_of``, sets the slot's
@@ -91,7 +91,7 @@ It hands back, with the event not begun, for:
 
 * the next fault (``fault``), the ``until`` edge (``until``) and a
   stall (``stall``);
-* a batch it cannot admit: too few slots or pool entries (``room``),
+* a batch it cannot admit: too few slots (``room``),
   a compaction the table owes (``compaction``), or an ``uncovered``
   arrival: one a failure window leaves no surviving path (Python drops
   it), one the plan has no route for (``NO_PLAN_ROUTE``: Python
@@ -159,8 +159,8 @@ is a full-table scan, the step's definition):
   ``np.minimum(moved, remaining)``, charged only for an elapsed time
   and a rate that are both positive and a finite rate;
 * busy adds go per slot in ascending slot order (the kernel walks the
-  touched bitmap upward), then in pool order within a slot — the exact
-  sequence ``np.add.at`` applies;
+  touched bitmap upward), then in path order within a slot (the order
+  of its class pool) — the exact sequence ``np.add.at`` applies;
 * eta is ``now + remaining / rate``; ``now`` for an infinite rate and
   ``inf`` for a zero rate.
 
@@ -219,8 +219,8 @@ KERNEL_SOURCE = r"""
  * Bit-for-bit contract with the numpy mirror (a full-table scan):
  *  - moved = rate * (now - last_update), then np.minimum(moved,
  *    remaining); charged only when elapsed > 0 and 0 < rate < inf;
- *  - busy adds per slot in ascending slot order, pool order within a
- *    slot (the np.add.at sequence);
+ *  - busy adds per slot in ascending slot order, class pool order
+ *    within a slot (the np.add.at sequence);
  *  - eta = now + remaining / rate; now for an infinite rate, inf for a
  *    zero (or NaN) rate;
  *  - the answer is the minimum eta over [0, size), the first slot at
@@ -232,11 +232,8 @@ struct alvc_step_state {
     double *eta;                /* [S] projected completion */
     double *last_update;        /* [S] last materialization time */
     uint8_t *alive;             /* [S] numpy bool */
-    int64_t *link_start;        /* [S] pool offset */
-    int64_t *link_len;          /* [S] pool length */
-    int32_t *pool;              /* link incidences */
     double *busy;               /* [L] busy byte-seconds */
-    int64_t *class_of;          /* [S] class id, -1 = none */
+    int64_t *class_of;          /* [S] class id (its links), -1 = none */
     const double *class_rate;   /* [C] class rates */
     int64_t *next_in_class;     /* [S] next slot of the class list, -1 ends */
     int64_t *class_head;        /* [C] first slot of the class list, -1 */
@@ -414,9 +411,12 @@ static void charge(const struct alvc_step_state *s, int64_t slot, double now)
         if (!(moved < left || isnan(moved))) moved = left;
         s->remaining[slot] = left - moved;
         if (moved > 0.0) {
-            int64_t end = s->link_start[slot] + s->link_len[slot];
-            for (int64_t k = s->link_start[slot]; k < end; k++)
-                s->busy[s->pool[k]] += moved;
+            /* A positive rate came from the slot's class, so it has one
+             * (a release zeroes the rate when it drops the class). */
+            int64_t c = s->class_of[slot];
+            int64_t end = s->cstart[c] + s->clen[c];
+            for (int64_t k = s->cstart[c]; k < end; k++)
+                s->busy[s->cflat[k]] += moved;
         }
     }
     s->last_update[slot] = now;
@@ -433,22 +433,15 @@ static inline void touch(struct alvc_step_state *s, int64_t slot)
     s->touched[slot >> 6] |= (uint64_t)1 << (slot & 63);
 }
 
-/* Writes one flow of class c into slot, its pool copied from offset
- * at: it starts with size bytes left, rate 0, eta inf and last_update
- * now; each of its links gains 1.0 in count and the class 1 in m.
- * Returns the pool entries written. */
-static int64_t admit_one(struct alvc_step_state *s, int64_t c, int64_t slot,
-                         int64_t at, double size, double now)
+/* Writes one flow of class c into slot: it starts with size bytes left,
+ * rate 0, eta inf and last_update now; each link of the class gains 1.0
+ * in count and the class 1 in m. */
+static void admit_one(struct alvc_step_state *s, int64_t c, int64_t slot,
+                      double size, double now)
 {
-    const int64_t *links = s->cflat + s->cstart[c];
-    int64_t len = s->clen[c];
-    for (int64_t j = 0; j < len; j++) {
-        int64_t l = links[j];
-        s->pool[at + j] = (int32_t)l;
-        s->count[l] += 1.0;
-    }
-    s->link_start[slot] = at;
-    s->link_len[slot] = len;
+    int64_t end = s->cstart[c] + s->clen[c];
+    for (int64_t j = s->cstart[c]; j < end; j++)
+        s->count[s->cflat[j]] += 1.0;
     s->remaining[slot] = size;
     s->rate[slot] = 0.0;
     s->eta[slot] = INFINITY;
@@ -456,7 +449,6 @@ static int64_t admit_one(struct alvc_step_state *s, int64_t c, int64_t slot,
     s->alive[slot] = 1;
     s->class_of[slot] = c;
     s->m[c]++;
-    return len;
 }
 
 /* Whether every link of class c is alive. */
@@ -469,26 +461,23 @@ static int class_alive(const struct alvc_step_state *s, int64_t c)
 }
 
 /* Admission of n flows into the consecutive slots first, first + 1, ...
- * (the engine has grown the table for them): flow i takes class
- * cids[i]'s pool, copied to the table pool from offset pool_len, and
- * starts with sizes[i] bytes left (see admit_one).  Returns the pool
- * entries written, or -1 - i when flow i's class crosses a removed
- * link; nothing is written then. */
+ * (the engine has grown the table for them): flow i takes class cids[i]
+ * and starts with sizes[i] bytes left (see admit_one).  Returns 0, or
+ * -1 - i when flow i's class crosses a removed link; nothing is written
+ * then. */
 int64_t alvc_admit(
     struct alvc_step_state *s,
     const int64_t *cids,
     const double *sizes,
     int64_t n,
     int64_t first,
-    int64_t pool_len,
     double now)
 {
     for (int64_t i = 0; i < n; i++)
         if (!class_alive(s, cids[i])) return -1 - i;
-    int64_t at = pool_len;
     for (int64_t i = 0; i < n; i++)
-        at += admit_one(s, cids[i], first + i, at, sizes[i], now);
-    return at - pool_len;
+        admit_one(s, cids[i], first + i, sizes[i], now);
+    return 0;
 }
 
 /* Release of a live slot: its links lose 1.0 in count and its class 1
@@ -497,18 +486,18 @@ int64_t alvc_admit(
  * it held (-1 for none). */
 int64_t alvc_release(struct alvc_step_state *s, int64_t slot)
 {
-    int64_t end = s->link_start[slot] + s->link_len[slot];
-    for (int64_t k = s->link_start[slot]; k < end; k++)
-        s->count[s->pool[k]] -= 1.0;
+    int64_t c = s->class_of[slot];
+    if (c >= 0) {
+        int64_t end = s->cstart[c] + s->clen[c];
+        for (int64_t k = s->cstart[c]; k < end; k++)
+            s->count[s->cflat[k]] -= 1.0;
+        s->class_of[slot] = -1;
+        s->m[c]--;
+    }
     s->alive[slot] = 0;
     s->eta[slot] = INFINITY;
     s->rate[slot] = 0.0;
     touch(s, slot);
-    int64_t c = s->class_of[slot];
-    if (c >= 0) {
-        s->class_of[slot] = -1;
-        s->m[c]--;
-    }
     return c;
 }
 
@@ -680,7 +669,7 @@ int64_t alvc_settle(
  * the next completion.  The loop hands back, with the event not begun,
  * at the edge, a stall, a fault, a batch it cannot admit (a flow
  * with no route or over a removed link, a pending compaction, too few
- * slots or pool entries) or output buffers too short for the event,
+ * slots) or output buffers too short for the event,
  * and at the end of the run.  A batch writes its
  * flows into consecutive slots (admit_one), a completion breaks eta
  * ties on the smallest tie_rank, charges the slot and releases it, and
@@ -700,10 +689,8 @@ struct alvc_run_state {
     int64_t n_arrivals;
     int64_t arrival;              /* in/out: next arrival */
     int64_t size;                 /* in/out: table size */
-    int64_t pool_len;             /* in/out: pool entries in use */
     int64_t active;               /* in/out: live slots */
     int64_t slot_room;            /* slots allocated */
-    int64_t pool_room;            /* pool entries allocated */
     int64_t compact_slack;        /* the table's compaction slack */
     int64_t compact_pending;      /* in/out: the next add compacts */
     int64_t failures_left;        /* a fault is still queued */
@@ -766,25 +753,22 @@ int64_t alvc_run(struct alvc_relevel_state *rs, struct alvc_run_state *r)
         if (next_failure <= next_arrival && next_failure <= next_completion)
             return RUN_FAULT;
         if (next_arrival <= next_completion && more) {
-            int64_t end = a, flows = 0, entries = 0;
+            int64_t end = a, flows = 0;
             for (; end < r->n_arrivals && r->arrival_time[end] <= t; end++) {
                 int64_t c = r->arrival_class[end];
                 if (c == -1) continue;
                 if (c < 0 || !class_alive(s, c)) return RUN_UNCOVERED;
                 flows++;
-                entries += s->clen[c];
             }
             if (end - a - flows > r->done_room - r->n_done) return RUN_BUFFER;
             if (flows) {
                 if (r->compact_pending) return RUN_COMPACTION;
-                if (r->size + flows > r->slot_room
-                    || r->pool_len + entries > r->pool_room)
-                    return RUN_ROOM;
+                if (r->size + flows > r->slot_room) return RUN_ROOM;
                 if (r->n_rounds == r->rounds_room) return RUN_BUFFER;
             }
             r->now = t;
             r->events += end - a;
-            int64_t slot = r->size, at = r->pool_len;
+            int64_t slot = r->size;
             for (int64_t i = a; i < end; i++) {
                 int64_t c = r->arrival_class[i];
                 if (c < 0) {
@@ -792,14 +776,13 @@ int64_t alvc_run(struct alvc_relevel_state *rs, struct alvc_run_state *r)
                     r->done_time[r->n_done++] = t;
                     continue;
                 }
-                at += admit_one(s, c, slot, at, r->arrival_size[i], t);
+                admit_one(s, c, slot, r->arrival_size[i], t);
                 s->tie_rank[slot++] = r->arrival_rank[i];
                 if (s->clen[c]) mark(rs, s->cflat[s->cstart[c]]);
             }
             r->arrival = end;
             if (flows) {
                 r->size = slot;
-                r->pool_len = at;
                 r->active += flows;
                 if (run_step(rs, r, t) < 0) return -1;
             }
@@ -1048,9 +1031,6 @@ class StepState(ctypes.Structure):
             "eta",
             "last_update",
             "alive",
-            "link_start",
-            "link_len",
-            "pool",
             "busy",
             "class_of",
             "class_rate",
@@ -1101,10 +1081,8 @@ class RunState(ctypes.Structure):
         ("n_arrivals", ctypes.c_int64),
         ("arrival", ctypes.c_int64),
         ("size", ctypes.c_int64),
-        ("pool_len", ctypes.c_int64),
         ("active", ctypes.c_int64),
         ("slot_room", ctypes.c_int64),
-        ("pool_room", ctypes.c_int64),
         ("compact_slack", ctypes.c_int64),
         ("compact_pending", ctypes.c_int64),
         ("failures_left", ctypes.c_int64),
@@ -1306,7 +1284,6 @@ def kernels() -> Kernels | None:
         ctypes.c_void_p,         # size per flow (double)
         ctypes.c_int64,          # flows
         ctypes.c_int64,          # first slot
-        ctypes.c_int64,          # pool offset
         ctypes.c_double,         # now
     ]
     release = library.alvc_release

@@ -8,9 +8,18 @@ and complete when their bytes drain.  It reports flow completion times
 Section III.B aspires to ("minimum energy consumption and larger
 bandwidth without delay").
 
-Routing follows the same policy as the analytic simulator: intra-service
-flows ride their cluster's abstraction layer; everything else takes flat
-shortest paths.
+Routing keeps the analytic simulator's confinement (intra-service flows
+ride their cluster's abstraction layer; everything else takes flat
+shortest paths) but not its tie-break.  Routes resolve through
+:func:`~repro.sim.admission.resolve_tree_path`, the path canonical over
+a breadth-first tree from the source, falling back to the flat fabric
+when the layer does not connect the pair.  ``FlowSimulator.route`` runs
+a bidirectional search instead (``shortest_path_in_al``, then
+``simple_path``).  Both return shortest paths, but among equal-length
+paths they may pick different ones: on E1's Fig. 1 testbed, seed 1
+routes 19 of 207 flows differently.  Inside a failure window, arrivals
+and rerouted flows take the shortest surviving path over the whole
+fabric.
 
 There is one event loop, the struct-of-arrays data plane of
 :mod:`repro.sim.vector`:
@@ -34,8 +43,8 @@ There is one event loop, the struct-of-arrays data plane of
 * with the compiled kernel, the events between external ones — arrival
   batches, inside failure windows too, and completions — run inside it
   (``alvc_run``), and Python takes back only faults, the window edge,
-  batches the loop cannot admit (an arrival with no surviving path, a
-  full table) and full buffers (``alvc_sim_loop_handoffs_total``
+  batches the loop cannot admit (an arrival with no surviving path, too
+  few free slots) and full buffers (``alvc_sim_loop_handoffs_total``
   counts the hand-backs by reason).  The per-event loop stays as the
   mirror, bit for bit.
 
@@ -709,7 +718,8 @@ class EventDrivenFlowSimulator:
         # no Python: arrivals with a route and completions between
         # external events.  It hands back at a fault, the window edge, a
         # batch it cannot admit (an arrival with no route, a pending
-        # compaction, a full table) or a full buffer, and at the end.
+        # compaction, too few free slots) or a full buffer, and at the
+        # end.
         loop = None
         compiled = _COMPILED_LOOP and engine.kernel_active
         if compiled and pending:

@@ -9,10 +9,9 @@ per link component:
 
 * :class:`FlowTable` — the struct-of-arrays flow ledger.  Rates,
   remaining demand, projected completion times and last-materialization
-  stamps are ``float64`` arrays indexed by *slot*; each flow's link
-  incidence lives in a shared ``int32`` pool addressed CSR-style by
-  ``link_start``/``link_len`` (the layout
-  :class:`~repro.sdn.path_engine.PathEngine` uses for adjacency).
+  stamps are ``float64`` arrays indexed by *slot*.  A slot's links are
+  not copied into the table: the engine reads them through the slot's
+  route class, whose pool it interned once.
   Slots are append-only, so ascending slot order *is* activation order
   — the invariant every bit-parity argument below leans on — and the
   table compacts itself when completed flows dominate.
@@ -51,7 +50,6 @@ __all__ = [
     "LinkBusyView",
 ]
 
-_EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 #: :meth:`BatchedFairShareEngine.settle`'s answer when no flow is due.
 _NO_COMPLETION = (np.inf, -1, 0)
@@ -61,12 +59,11 @@ class FlowTable:
     """Struct-of-arrays ledger of active (and recently dead) flows.
 
     Every per-flow scalar the event loop touches is a ``float64`` array
-    indexed by slot; link incidences live in one shared ``int32`` pool
-    addressed by ``link_start[slot] : link_start[slot] + link_len[slot]``.
-    Slots are handed out append-only — ascending slot order is exactly
-    flow-activation order — and reclaimed in bulk by
-    :meth:`compact` (which preserves relative order) once dead slots
-    outnumber live ones.
+    indexed by slot; a slot's links are its route class's, which the
+    engine that admitted it keeps.  Slots are handed out append-only —
+    ascending slot order is exactly flow-activation order — and
+    reclaimed in bulk by :meth:`compact` (which preserves relative
+    order) once dead slots outnumber live ones.
     """
 
     __slots__ = (
@@ -75,10 +72,6 @@ class FlowTable:
         "eta",
         "last_update",
         "alive",
-        "link_start",
-        "link_len",
-        "pool",
-        "pool_len",
         "size",
         "active_count",
         "slot_of",
@@ -97,10 +90,6 @@ class FlowTable:
         self.eta = np.full(n, np.inf)
         self.last_update = np.zeros(n)
         self.alive = np.zeros(n, dtype=bool)
-        self.link_start = np.zeros(n, dtype=np.int64)
-        self.link_len = np.zeros(n, dtype=np.int64)
-        self.pool = np.zeros(4 * n, dtype=np.int32)
-        self.pool_len = 0
         #: High-water slot count: slots ``[0, size)`` are allocated.
         self.size = 0
         self.active_count = 0
@@ -114,14 +103,13 @@ class FlowTable:
         #: so owners of parallel per-slot arrays (the batched engine's
         #: class map) can renumber alongside the table.
         self.on_compact = None
-        #: Called after the per-slot arrays or the pool are reallocated,
-        #: so owners of pointers into them (the compiled event step)
-        #: can rebind.
+        #: Called after the per-slot arrays are reallocated, so owners
+        #: of pointers into them (the compiled event step) can rebind.
         self.on_grow = None
         self._compact_slack = max(1, int(compact_slack))
-        # Tombstones only appear in remove(), so the compaction
-        # predicate is evaluated there (once per death) and the add hot
-        # path checks a single pre-computed flag instead of re-deriving
+        # Tombstones only appear in release(), so the compaction
+        # predicate is evaluated there (once per death) and reserve()
+        # checks a single pre-computed flag instead of re-deriving
         # ``size - active_count > max(slack, active_count)`` per call.
         self._compact_pending = False
 
@@ -137,15 +125,14 @@ class FlowTable:
         return np.flatnonzero(self.alive[: self.size])
 
     # ------------------------------------------------------------------
-    def reserve(self, flows: Sequence[Hashable], incidences: int) -> int:
-        """Make room for ``flows`` over ``incidences`` pool entries and
-        return the first slot they will take.
+    def reserve(self, flows: Sequence[Hashable]) -> int:
+        """Make room for ``flows`` and return the first slot they will
+        take.
 
         Checks the ids before anything changes, then runs a pending
-        compaction and grows the slot arrays and the pool.  Hands out
-        no slot: the caller writes the slots ``[first, first +
-        len(flows))`` and the pool from ``pool_len``, then calls
-        :meth:`commit`.
+        compaction and grows the slot arrays.  Hands out no slot: the
+        caller writes the slots ``[first, first + len(flows))`` (every
+        per-slot array, ``alive`` included), then calls :meth:`commit`.
 
         Raises:
             SimulationError: when any flow already holds a slot or
@@ -161,46 +148,20 @@ class FlowTable:
             self.compact()
         while self.size + len(flows) > self.remaining.shape[0]:
             self._grow_slots()
-        if self.pool_len + incidences > self.pool.shape[0]:
-            self._grow_pool(self.pool_len + incidences)
         return self.size
 
-    def commit(self, flows: Sequence[Hashable], incidences: int) -> None:
+    def commit(self, flows: Sequence[Hashable]) -> None:
         """Hand out the slots :meth:`reserve` made room for: ``flows``
-        take the next ``len(flows)`` slots in order, and the next
-        ``incidences`` pool entries."""
+        take the next ``len(flows)`` slots in order."""
         first = self.size
         count = len(flows)
         self.size = first + count
-        self.pool_len += incidences
         self.active_count += count
         slot_of = self.slot_of
         for offset, flow in enumerate(flows):
             slot_of[flow] = first + offset
         self.flow_ids.extend(flows)
         self.meta.extend([None] * count)
-
-    def add(self, flow: Hashable, links: np.ndarray) -> int:
-        """Allocate a slot for ``flow`` over link indices ``links``.
-
-        The new slot starts with zero rate, infinite eta and zero
-        remaining demand; the caller seeds ``remaining``/``last_update``.
-
-        Raises:
-            SimulationError: when the flow already holds a slot.
-        """
-        count = len(links)
-        slot = self.reserve((flow,), count)
-        self.pool[self.pool_len : self.pool_len + count] = links
-        self.link_start[slot] = self.pool_len
-        self.link_len[slot] = count
-        self.remaining[slot] = 0.0
-        self.rate[slot] = 0.0
-        self.eta[slot] = np.inf
-        self.last_update[slot] = 0.0
-        self.alive[slot] = True
-        self.commit((flow,), count)
-        return slot
 
     def release(self, flow: Hashable) -> int:
         """Forget ``flow``'s id and payload and count it dead; returns
@@ -219,7 +180,7 @@ class FlowTable:
         # Deaths are the only way the tombstone count grows, so this is
         # the only place the compaction predicate can flip to true (an
         # add leaves ``size - active_count`` unchanged and only weakens
-        # the ``max(slack, live)`` bound) — the next add compacts.
+        # the ``max(slack, live)`` bound) — the next reserve compacts.
         if self.size - self.active_count > max(
             self._compact_slack, self.active_count
         ):
@@ -238,68 +199,11 @@ class FlowTable:
         self.rate[slot] = 0.0
         return slot
 
-    def add_many(
-        self, flows: Sequence[Hashable], pools: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Bulk twin of :meth:`add`: one grow, one pool write, one fill.
-
-        ``pools[i]`` is flow ``i``'s link-index array (``int32``,
-        path order preserved).  New slots start like :meth:`add`'s
-        (zero rate/remaining, infinite eta); the caller seeds
-        ``remaining``/``last_update``.
-        Returns the allocated slots in ``flows`` order — consecutive,
-        so activation order still matches admission order.
-
-        Raises:
-            SimulationError: when any flow already holds a slot or
-                appears twice in ``flows`` (no slots are allocated then).
-        """
-        count = len(flows)
-        if count == 0:
-            return _EMPTY_I64
-        lens = np.array([pool.shape[0] for pool in pools], dtype=np.int64)
-        total = int(lens.sum())
-        first = self.reserve(flows, total)
-        if total:
-            self.pool[self.pool_len : self.pool_len + total] = (
-                np.concatenate(pools)
-            )
-        slots = np.arange(first, first + count, dtype=np.int64)
-        ends = np.cumsum(lens)
-        self.link_start[slots] = self.pool_len + ends - lens
-        self.link_len[slots] = lens
-        self.remaining[slots] = 0.0
-        self.rate[slots] = 0.0
-        self.eta[slots] = np.inf
-        self.last_update[slots] = 0.0
-        self.alive[slots] = True
-        self.commit(flows, total)
-        return slots
-
-    def gather_links(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated link indices of ``slots`` plus per-slot lengths.
-
-        The concatenation preserves ``slots`` order and, within a slot,
-        path order — the order progress is charged to links in.
-        """
-        if len(slots) == 0:
-            return _EMPTY_I32, _EMPTY_I64
-        starts = self.link_start[slots]
-        lens = self.link_len[slots]
-        total = int(lens.sum())
-        if total == 0:
-            return _EMPTY_I32, lens
-        ends = np.cumsum(lens)
-        flat = np.repeat(starts - (ends - lens), lens) + np.arange(total)
-        return self.pool[flat], lens
-
     # ------------------------------------------------------------------
     def compact(self) -> None:
         """Drop dead slots, renumbering live ones in relative order."""
         live = self.active_slots()
         n = live.shape[0]
-        lens = self.link_len[live]
-        flat, _ = self.gather_links(live)
         self.remaining[:n] = self.remaining[live]
         self.rate[:n] = self.rate[live]
         self.eta[:n] = self.eta[live]
@@ -307,11 +211,6 @@ class FlowTable:
         self.last_update[:n] = self.last_update[live]
         self.alive[: self.size] = False
         self.alive[:n] = True
-        ends = np.cumsum(lens)
-        self.link_start[:n] = ends - lens
-        self.link_len[:n] = lens
-        self.pool[: flat.shape[0]] = flat
-        self.pool_len = int(flat.shape[0])
         self.flow_ids = [self.flow_ids[slot] for slot in live.tolist()]
         self.meta = [self.meta[slot] for slot in live.tolist()]
         self.slot_of = {
@@ -334,22 +233,6 @@ class FlowTable:
         alive = np.zeros(n, dtype=bool)
         alive[: self.size] = self.alive[: self.size]
         self.alive = alive
-        start = np.zeros(n, dtype=np.int64)
-        start[: self.size] = self.link_start[: self.size]
-        self.link_start = start
-        length = np.zeros(n, dtype=np.int64)
-        length[: self.size] = self.link_len[: self.size]
-        self.link_len = length
-        if self.on_grow is not None:
-            self.on_grow()
-
-    def _grow_pool(self, needed: int) -> None:
-        n = self.pool.shape[0]
-        while n < needed:
-            n *= 2
-        pool = np.zeros(n, dtype=np.int32)
-        pool[: self.pool_len] = self.pool[: self.pool_len]
-        self.pool = pool
         if self.on_grow is not None:
             self.on_grow()
 
@@ -473,8 +356,9 @@ class BatchedFairShareEngine:
 
     Flows admitted from interned routes repeat a small set of paths, so
     the engine interns each distinct link-index pool as a *route class*
-    and keeps every water-filling structure as incremental per-class
-    state:
+    (the only copy of a route's links: a slot reaches them through its
+    class, for the busy charge and the link counts alike) and keeps
+    every water-filling structure as incremental per-class state:
 
     * **Multiplicities.**  Live flows per class, updated on add and
       remove (no per-recompute ``bincount`` over the active slots).
@@ -529,12 +413,13 @@ class BatchedFairShareEngine:
     (:meth:`run_events`)
     (:mod:`repro.sim.ckernel` — same IEEE operations in the same order)
     and in numpy mirrors otherwise; both are asserted bitwise-equal in
-    the suite.  Admission on either path goes through the same
-    :class:`FlowTable` bookkeeping (id checks, compaction, growth, the
-    id map): the kernel only writes the slots it reserves.  The kernels
-    read the arrays through ``ctypes`` structs of pointers, rebound only
-    when an array is reallocated (table, pool, class-array, class-map or
-    link growth).  The compiled step visits only the slots that can have
+    the suite.  Both admission methods take one path: the batch's class
+    ids, then the same :class:`FlowTable` bookkeeping (id checks,
+    compaction, growth, the id map) around one write of the reserved
+    slots, by the kernel or by its numpy mirror.  The kernels read the
+    arrays through ``ctypes`` structs of pointers, rebound only when an
+    array is reallocated (table, class-array, class-map or link
+    growth).  The compiled step visits only the slots that can have
     changed: it needs the engine to mark removed slots in its touched
     bitmap, to size its per-slot lists and block summaries with the
     table, and to ask for a full pass when those are stale (see
@@ -866,10 +751,8 @@ class BatchedFairShareEngine:
 
         table = self._table
         loop.size = table.size
-        loop.pool_len = table.pool_len
         loop.active = table.active_count
         loop.slot_room = table.remaining.shape[0]
-        loop.pool_room = table.pool.shape[0]
         loop.compact_slack = table._compact_slack
         loop.compact_pending = table._compact_pending
         if self._step_address is None:
@@ -881,7 +764,6 @@ class BatchedFairShareEngine:
         if code < 0:
             raise _invariant_violation()
         table.size = loop.size
-        table.pool_len = loop.pool_len
         table.active_count = loop.active
         table._compact_pending = bool(loop.compact_pending)
         return RUN_REASONS[code]
@@ -908,14 +790,6 @@ class BatchedFairShareEngine:
         crossing = np.zeros(self._n_classes + 1, dtype=bool)
         crossing[classes[self._m[classes] > 0]] = True
         return np.flatnonzero(crossing[self._class_of[: self._table.size]])
-
-    def class_for(self, pool: np.ndarray) -> int:
-        """Intern a link-index pool, returning its class id.
-
-        Raises:
-            RepeatedLinkError: when the pool is new and repeats a link.
-        """
-        return self.intern_pools((pool,))[0]
 
     def intern_routes(self, routes: Sequence) -> list[int]:
         """Each :class:`~repro.sim.admission.InternedRoute`'s class id,
@@ -1232,9 +1106,6 @@ class BatchedFairShareEngine:
             ("eta", table.eta),
             ("last_update", table.last_update),
             ("alive", table.alive),
-            ("link_start", table.link_start),
-            ("link_len", table.link_len),
-            ("pool", table.pool),
             ("busy", self._busy),
             ("class_of", self._class_of),
             ("class_rate", self._class_rate),
@@ -1259,8 +1130,8 @@ class BatchedFairShareEngine:
         return self._step_address
 
     def _on_table_grow(self) -> None:
-        """The table reallocated its slot arrays or its pool: rebind the
-        event step, and size the per-slot arrays to the table."""
+        """The table reallocated its slot arrays: rebind the event step,
+        and size the per-slot arrays to the table."""
         self._step_address = None
         n = self._table.remaining.shape[0]
         if n > self._class_of.shape[0]:
@@ -1293,7 +1164,9 @@ class BatchedFairShareEngine:
     # Incremental updates
     # ------------------------------------------------------------------
     def add_flow(self, flow: Hashable, links: Iterable[LinkId]) -> int:
-        """Track a new flow; returns its table slot.
+        """Track a new flow over ``links``; returns its table slot.  The
+        one-flow spelling of :meth:`add_interned`: the flow starts with
+        no bytes left, stamped 0.
 
         Raises:
             SimulationError: when the flow is already tracked or uses a
@@ -1302,19 +1175,8 @@ class BatchedFairShareEngine:
                 (nothing is reserved, interned or counted then).
         """
         pool = np.asarray(self._link_indices(flow, links), dtype=np.int32)
-        cid = self.class_for(pool)
-        if self._kernels is None:
-            slot = self._table.add(flow, pool)
-            np.add.at(self._count, pool, 1.0)
-            self._class_of[slot] = cid
-            self._m[cid] += 1
-        else:
-            flows = (flow,)
-            slot = self._table.reserve(flows, pool.shape[0])
-            # The links were checked above, so the kernel admits.
-            self._admit(flows, (cid,), (0.0,), 0.0, slot)
-        self._mark(cid)
-        return slot
+        cid = self.intern_pools((pool,))[0]
+        return int(self._admit((flow,), (cid,), (0.0,), 0.0)[0])
 
     def _link_indices(
         self, flow: Hashable, links: Iterable[LinkId]
@@ -1347,9 +1209,9 @@ class BatchedFairShareEngine:
         """Bulk-admit flows over pre-interned routes.
 
         ``routes[i]`` is flow ``i``'s
-        :class:`~repro.sim.admission.InternedRoute`; its ``indices``
-        array goes straight into the table (no per-link python loop)
-        and its class id is interned once and cached on the route.
+        :class:`~repro.sim.admission.InternedRoute`; its class id is
+        interned once and cached on the route, and the flow's slot
+        reads its links through that class (no per-link python loop).
         Flow ``i`` starts with ``sizes[i]`` bytes left, stamped ``now``.
         Returns the allocated slots in ``flows`` order.
 
@@ -1362,33 +1224,7 @@ class BatchedFairShareEngine:
         """
         if not flows:
             return _EMPTY_I64
-        cids = self.intern_routes(routes)
-        table = self._table
-        if self._kernels is None:
-            pools = [route.indices for route in routes]
-            flat = np.concatenate(pools)
-            if not self._link_alive[flat].all():
-                raise self._dead_route(flows, routes)
-            slots = table.add_many(flows, pools)
-            table.remaining[slots] = sizes
-            table.last_update[slots] = now
-            np.add.at(self._count, flat, 1.0)
-            first = int(slots[0])
-            # Slots from one append are consecutive.
-            self._class_of[first : first + len(cids)] = cids
-            m = self._m
-            for cid in cids:
-                m[cid] += 1
-        else:
-            first = table.reserve(
-                flows, sum(route.indices.shape[0] for route in routes)
-            )
-            if self._admit(flows, cids, sizes, now, first) < 0:
-                raise self._dead_route(flows, routes)
-            slots = np.arange(first, first + len(flows), dtype=np.int64)
-        for cid in set(cids):
-            self._mark(cid)
-        return slots
+        return self._admit(flows, self.intern_routes(routes), sizes, now)
 
     def _admit(
         self,
@@ -1396,33 +1232,54 @@ class BatchedFairShareEngine:
         cids: Sequence[int],
         sizes: Sequence[float],
         now: float,
-        first: int,
-    ) -> int:
-        """Write the slots :meth:`FlowTable.reserve` made room for in
-        one ``alvc_admit`` call and commit them.  Returns the pool
-        entries written, or a negative number (and commits nothing)
-        when a class crosses a removed link."""
+    ) -> np.ndarray:
+        """Admit ``flows`` over the classes ``cids``: reserve their
+        slots, write them (one ``alvc_admit`` call, or its mirror) and
+        commit them.  Returns the slots, consecutive and in ``flows``
+        order.
+
+        Raises:
+            SimulationError: when a flow is already active or appears
+                twice in ``flows``, or a class crosses a removed link
+                (nothing is committed then).
+        """
         table = self._table
         n = len(flows)
-        if n > len(self._admit_cids):
-            self._grow_admit(n)
-        self._admit_cids[:n] = cids
-        self._admit_sizes[:n] = sizes
-        address = self._step_address
-        if address is None:
-            address = self._bind_step()
-        written = self._kernels.admit(
-            address,
-            self._admit_addresses[0],
-            self._admit_addresses[1],
-            n,
-            first,
-            table.pool_len,
-            now,
-        )
-        if written >= 0:
-            table.commit(flows, written)
-        return written
+        first = table.reserve(flows)
+        if self._kernels is None:
+            flat, _ = self._class_links(cids)
+            if not self._link_alive[flat].all():
+                raise self._dead_route(flows, cids)
+            end = first + n
+            table.remaining[first:end] = sizes
+            table.rate[first:end] = 0.0
+            table.eta[first:end] = np.inf
+            table.last_update[first:end] = now
+            table.alive[first:end] = True
+            np.add.at(self._count, flat, 1.0)
+            self._class_of[first:end] = cids
+            np.add.at(self._m, cids, 1)
+        else:
+            if n > len(self._admit_cids):
+                self._grow_admit(n)
+            self._admit_cids[:n] = cids
+            self._admit_sizes[:n] = sizes
+            address = self._step_address
+            if address is None:
+                address = self._bind_step()
+            if self._kernels.admit(
+                address,
+                self._admit_addresses[0],
+                self._admit_addresses[1],
+                n,
+                first,
+                now,
+            ) < 0:
+                raise self._dead_route(flows, cids)
+        table.commit(flows)
+        for cid in set(cids):
+            self._mark(cid)
+        return np.arange(first, first + n, dtype=np.int64)
 
     def _grow_admit(self, n: int) -> None:
         room = max(16, 2 * n)
@@ -1433,16 +1290,25 @@ class BatchedFairShareEngine:
             ctypes.addressof(self._admit_sizes),
         )
 
+    def _class_links(self, cids) -> tuple[np.ndarray, np.ndarray]:
+        """The link pools of the classes ``cids``, concatenated in
+        ``cids`` order (path order within a class), and their lengths."""
+        lens = self._clen[cids]
+        ends = np.cumsum(lens)
+        total = int(ends[-1]) if ends.shape[0] else 0
+        starts = self._cstart[cids] - (ends - lens)
+        return self._cflat[np.repeat(starts, lens) + np.arange(total)], lens
+
     def _dead_route(
-        self, flows: Sequence, routes: Sequence
+        self, flows: Sequence, cids: Sequence[int]
     ) -> SimulationError:
-        """The error for the first flow whose route crosses a removed
+        """The error for the first flow whose class crosses a removed
         link."""
-        for flow, route in zip(flows, routes):
-            dead = np.flatnonzero(~self._link_alive[route.indices])
+        for flow, cid in zip(flows, cids):
+            links, _ = self._class_links([cid])
+            dead = np.flatnonzero(~self._link_alive[links])
             if dead.shape[0]:
-                link = self._link_ids[int(route.indices[dead[0]])]
-                return _unknown_link(flow, link)
+                return _unknown_link(flow, self._link_ids[int(links[dead[0]])])
         raise AssertionError("every route is alive")
 
     def remove_flow(self, flow: Hashable) -> int:
@@ -1454,15 +1320,11 @@ class BatchedFairShareEngine:
         table = self._table
         if self._kernels is None:
             slot = table.remove(flow)
-            start = int(table.link_start[slot])
-            np.subtract.at(
-                self._count,
-                table.pool[start : start + int(table.link_len[slot])],
-                1.0,
-            )
+            cid = int(self._class_of[slot])
+            links, _ = self._class_links([cid])
+            np.subtract.at(self._count, links, 1.0)
             # The next step visits the slot (see ``alvc_settle``).
             self._touched[slot >> 6] |= np.uint64(1 << (slot & 63))
-            cid = int(self._class_of[slot])
             self._class_of[slot] = -1
             self._m[cid] -= 1
         else:
@@ -1647,7 +1509,7 @@ class BatchedFairShareEngine:
             carrying = moved > 0.0
             carriers = movers[carrying]
             if carriers.shape[0]:
-                flat, lens = table.gather_links(carriers)
+                flat, lens = self._class_links(self._class_of[carriers])
                 np.add.at(self._busy, flat, np.repeat(moved[carrying], lens))
         table.last_update[slots] = now
 
@@ -1698,7 +1560,6 @@ class BatchedFairShareEngine:
         cap, count = self._cap, self._count
         remaining, load = self._remaining, self._load
         m, frozen, class_rate = self._m, self._frozen, self._class_rate
-        cstart, clen, cflat = self._cstart, self._clen, self._cflat
         t_classes = self._t_classes
         t_start, t_len = self._t_start, self._t_len
         epoch = self._epoch
@@ -1722,12 +1583,7 @@ class BatchedFairShareEngine:
                     raise _invariant_violation()
                 class_rate[members] = share
                 frozen[members] = epoch
-                counts = clen[members]
-                ends = np.cumsum(counts)
-                flat = cflat[
-                    np.repeat(cstart[members] - (ends - counts), counts)
-                    + np.arange(int(ends[-1]))
-                ]
+                flat, counts = self._class_links(members)
                 per_link = np.repeat(m[members], counts)
                 np.subtract.at(remaining, np.repeat(flat, per_link), share)
                 np.subtract.at(load, flat, per_link.astype(np.float64))

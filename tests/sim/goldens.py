@@ -369,8 +369,10 @@ def certified_recomputes():
     the rates the flow table adopted must pass
     :func:`~repro.sim.fairshare.check_max_min_fair` and equal
     :func:`~repro.sim.fairshare.max_min_fair_rates`, bit for bit, on
-    the engine's live flows and capacities; the step's next completion
-    must be the table's minimum eta, with its first slot and tie count.
+    the live flows' routes as the simulator stored them (each slot's
+    ``LinkId`` tuple in ``table.meta``) and the engine's capacities;
+    the step's next completion must be the table's minimum eta, with
+    its first slot and tie count.
     The block pins the per-event loop: the compiled loop's steps never
     return to Python.
     """
@@ -379,13 +381,13 @@ def certified_recomputes():
     def settle(engine, now):
         upcoming = original(engine, now)
         table = engine.table
-        link_ids = engine.link_ids()
         flow_links, got = {}, {}
         for slot in table.active_slots().tolist():
-            start = int(table.link_start[slot])
-            pool = table.pool[start : start + int(table.link_len[slot])]
+            # The ``LinkId`` tuple the simulator stored with the flow,
+            # not the engine's class pool: the certificate checks the
+            # engine's rates against the routes it was handed.
             flow = table.flow_ids[slot]
-            flow_links[flow] = [link_ids[index] for index in pool.tolist()]
+            flow_links[flow] = list(table.meta[slot][2])
             got[flow] = float(table.rate[slot])
         capacities = engine.capacities()
         check_max_min_fair(got, flow_links, capacities)

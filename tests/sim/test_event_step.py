@@ -75,14 +75,9 @@ def _assert_same(kernel, mirror) -> None:
     bookkeeping (``alvc_admit``/``alvc_release`` against the mirror)."""
     a, b = kernel.table, mirror.table
     assert (a.size, a.active_count) == (b.size, b.active_count)
-    for name in (
-        "remaining", "rate", "eta", "last_update", "alive",
-        "link_start", "link_len",
-    ):
+    for name in ("remaining", "rate", "eta", "last_update", "alive"):
         got = getattr(a, name)[: a.size].tobytes()
         assert got == getattr(b, name)[: b.size].tobytes(), name
-    assert a.pool_len == b.pool_len
-    assert a.pool[: a.pool_len].tobytes() == b.pool[: b.pool_len].tobytes()
     assert a.slot_of == b.slot_of and a.flow_ids == b.flow_ids
     for name in ("_class_of", "_count", "_m"):
         got = getattr(kernel, name).tobytes()
@@ -241,7 +236,7 @@ def _advance(rng, now: float, upcoming: tuple) -> float:
 def test_settle_matches_mirror_under_churn(seed):
     """Arrivals (single and interned), completions, reroutes, capacity
     edits, new links and recomputes between steps, with a tiny table
-    and class arrays so slots, pool, classes and busy all regrow
+    and class arrays so slots, class pools, classes and busy all regrow
     (forcing rebinds) and the table compacts in mid-run."""
     rng = random.Random(1000 + seed)
     caps = _caps(rng)
@@ -550,7 +545,6 @@ def _bookkeeping(engine) -> tuple:
     table = engine.table
     return (
         table.size,
-        table.pool_len,
         table.active_count,
         dict(table.slot_of),
         engine._count.tobytes(),
@@ -591,7 +585,6 @@ def _untouched(engine) -> tuple:
     table = engine.table
     return (
         table.size,
-        table.pool_len,
         table.active_count,
         table._compact_pending,
         engine.link_counts(),
@@ -649,7 +642,7 @@ def test_repeated_link_routes_are_rejected_without_a_trace(path):
 @pytest.mark.parametrize("path", PATHS)
 def test_one_batch_compacts_and_grows_then_drains(path):
     """One ``add_interned`` batch runs a pending compaction and grows
-    the slots and the pool; every flow then leaves."""
+    the slots; every flow then leaves."""
     chain = [frozenset({f"n{i}", f"n{i + 1}"}) for i in range(6)]
     engine = _engine(
         path, dict.fromkeys(chain, 6.0), capacity=16, compact_slack=1
@@ -673,12 +666,12 @@ def test_one_batch_compacts_and_grows_then_drains(path):
         engine.remove_flow("old0")
     assert _bookkeeping(engine) == before
 
-    capacity, pool = table.remaining.shape[0], table.pool.shape[0]
+    capacity = table.remaining.shape[0]
     flows = [f"new{i}" for i in range(40)]
     chosen = [routes[i % 4] for i in range(40)]
     sizes = [float(i + 1) for i in range(40)]
     slots = engine.add_interned(flows, chosen, sizes, 0.5)
-    assert table.remaining.shape[0] > capacity and table.pool.shape[0] > pool
+    assert table.remaining.shape[0] > capacity
     # The survivor compacted to slot 0; the batch follows in order.
     assert slots.tolist() == list(range(1, 41))
     assert table.slot_of == {"old2": 0, **dict(zip(flows, range(1, 41)))}
@@ -687,7 +680,8 @@ def test_one_batch_compacts_and_grows_then_drains(path):
     assert table.last_update[1:41].tolist() == [0.5] * 40
     assert table.last_update[0] == 0.0
     assert not table.rate[1:41].any() and np.isinf(table.eta[1:41]).all()
-    flat, lens = table.gather_links(table.active_slots())
+    # Each slot reads its route's links, in path order, through its class.
+    flat, lens = engine._class_links(engine._class_of[:41])
     assert lens.tolist() == [3] * 41
     assert flat.tolist() == [
         index for route in [routes[2], *chosen] for index in route.indices

@@ -25,13 +25,23 @@ def _engine(caps=None, **kwargs):
     return BatchedFairShareEngine(dict(caps or CAPS), **kwargs)
 
 
+def _admit(table, *flows):
+    """Admit ``flows`` into the table's next slots the way the engine
+    does: reserve them, write them (here only ``alive``), commit them.
+    Returns the first slot."""
+    first = table.reserve(flows)
+    table.alive[first : first + len(flows)] = True
+    table.commit(flows)
+    return first
+
+
 # ----------------------------------------------------------------------
 # FlowTable
 # ----------------------------------------------------------------------
 class TestFlowTable:
     def test_add_remove_roundtrip(self):
         table = FlowTable()
-        slot = table.add("f0", np.array([0, 1], dtype=np.int32))
+        slot = _admit(table, "f0")
         assert slot == 0
         assert "f0" in table
         assert len(table) == 1
@@ -41,9 +51,9 @@ class TestFlowTable:
 
     def test_duplicate_add_rejected(self):
         table = FlowTable()
-        table.add("f0", np.array([0], dtype=np.int32))
+        _admit(table, "f0")
         with pytest.raises(SimulationError, match="already active"):
-            table.add("f0", np.array([1], dtype=np.int32))
+            table.reserve(("f0",))
 
     def test_remove_unknown_rejected(self):
         with pytest.raises(SimulationError, match="not active"):
@@ -52,45 +62,35 @@ class TestFlowTable:
     def test_slots_are_activation_ordered(self):
         table = FlowTable()
         for index in range(5):
-            table.add(f"f{index}", np.array([index], dtype=np.int32))
+            _admit(table, f"f{index}")
         table.remove("f2")
         assert table.active_slots().tolist() == [0, 1, 3, 4]
 
-    def test_gather_links_preserves_path_order(self):
-        table = FlowTable()
-        table.add("f0", np.array([3, 1], dtype=np.int32))
-        table.add("f1", np.array([2], dtype=np.int32))
-        flat, lens = table.gather_links(np.array([0, 1]))
-        assert flat.tolist() == [3, 1, 2]
-        assert lens.tolist() == [2, 1]
-
-    def test_gather_links_empty(self):
-        flat, lens = FlowTable().gather_links(np.empty(0, dtype=np.int64))
-        assert flat.shape[0] == 0
-        assert lens.shape[0] == 0
-
     def test_growth_preserves_state(self):
         table = FlowTable(capacity=16)
+        grown = []
+        table.on_grow = lambda: grown.append(table.remaining.shape[0])
         for index in range(200):
-            table.add(f"f{index}", np.array([index % 7], dtype=np.int32))
+            slot = _admit(table, f"f{index}")
+            table.remaining[slot] = float(index)
         assert len(table) == 200
-        flat, lens = table.gather_links(table.active_slots())
-        assert flat.tolist() == [index % 7 for index in range(200)]
-        assert lens.tolist() == [1] * 200
+        assert grown == [32, 64, 128, 256]
+        assert table.remaining[:200].tolist() == list(range(200))
+        assert table.active_slots().tolist() == list(range(200))
 
     def test_compaction_renumbers_in_relative_order(self):
         table = FlowTable(compact_slack=1)
         for index in range(8):
-            table.add(f"f{index}", np.array([index], dtype=np.int32))
+            table.remaining[_admit(table, f"f{index}")] = float(index)
         for index in (0, 2, 4, 6, 1):
             table.remove(f"f{index}")
         # Dead slots now outnumber live ones; the next add compacts.
-        table.add("fresh", np.array([9], dtype=np.int32))
+        table.remaining[_admit(table, "fresh")] = 9.0
         assert table.size == len(table) == 4
         survivors = [table.flow_ids[slot] for slot in table.active_slots()]
         assert survivors == ["f3", "f5", "f7", "fresh"]
-        flat, _ = table.gather_links(table.active_slots())
-        assert flat.tolist() == [3, 5, 7, 9]
+        assert table.slot_of == {"f3": 0, "f5": 1, "f7": 2, "fresh": 3}
+        assert table.remaining[:4].tolist() == [3.0, 5.0, 7.0, 9.0]
 
 
 # ----------------------------------------------------------------------
@@ -236,55 +236,37 @@ class TestVectorFairShareEngine:
 
 
 # ----------------------------------------------------------------------
-# FlowTable bulk admission (add_many)
+# FlowTable batch admission: one reserve/commit for many flows
 # ----------------------------------------------------------------------
 class TestFlowTableBulk:
-    def _pools(self, spec):
-        return [np.array(pool, dtype=np.int32) for pool in spec]
-
     def test_add_many_matches_serial_adds(self):
         serial = FlowTable(capacity=4)
         bulk = FlowTable(capacity=4)
-        pools = self._pools([[0, 1], [2], [], [1, 1, 3]])
-        flows = [f"f{index}" for index in range(len(pools))]
-        for flow, pool in zip(flows, pools):
-            serial.add(flow, pool)
-        slots = bulk.add_many(flows, pools)
-        assert slots.tolist() == [0, 1, 2, 3]
+        flows = [f"f{index}" for index in range(6)]
+        for flow in flows:
+            _admit(serial, flow)
+        assert _admit(bulk, *flows) == 0
         assert bulk.slot_of == serial.slot_of
         assert bulk.flow_ids == serial.flow_ids
+        assert bulk.meta == serial.meta == [None] * 6
         assert bulk.size == serial.size
         assert bulk.active_count == serial.active_count
-        assert bulk.pool_len == serial.pool_len
-        for name in ("link_start", "link_len", "alive"):
-            got = getattr(bulk, name)[: bulk.size]
-            want = getattr(serial, name)[: serial.size]
-            assert got.tolist() == want.tolist(), name
-        flat_bulk, lens_bulk = bulk.gather_links(bulk.active_slots())
-        flat_serial, lens_serial = serial.gather_links(
-            serial.active_slots()
-        )
-        assert flat_bulk.tolist() == flat_serial.tolist()
-        assert lens_bulk.tolist() == lens_serial.tolist()
-        assert np.all(np.isinf(bulk.eta[: bulk.size]))
-        assert not bulk.rate[: bulk.size].any()
-        assert not bulk.remaining[: bulk.size].any()
+        assert bulk.remaining.shape == serial.remaining.shape
+        assert bulk.alive.tolist() == serial.alive.tolist()
 
     def test_add_many_empty(self):
         table = FlowTable()
-        assert table.add_many([], []).shape[0] == 0
-        assert len(table) == 0
+        assert _admit(table) == 0
+        assert len(table) == 0 and table.size == 0
 
     def test_add_many_duplicate_rejected_atomically(self):
         table = FlowTable()
-        table.add("f0", np.array([0], dtype=np.int32))
+        _admit(table, "f0")
         size = table.size
-        pool_len = table.pool_len
         with pytest.raises(SimulationError, match="already active"):
-            table.add_many(["f1", "f0"], self._pools([[1], [2]]))
+            table.reserve(["f1", "f0"])
         # No partial allocation: the duplicate was detected up front.
         assert table.size == size
-        assert table.pool_len == pool_len
         assert "f1" not in table
 
     def test_add_many_repeated_id_rejected_atomically(self):
@@ -292,19 +274,17 @@ class TestFlowTableBulk:
         # first one alive and ownerless, and the run could not drain.
         table = FlowTable()
         with pytest.raises(SimulationError, match="already active"):
-            table.add_many(["a", "b", "a"], self._pools([[0], [1], [2]]))
-        assert (table.size, table.pool_len, len(table)) == (0, 0, 0)
+            table.reserve(["a", "b", "a"])
+        assert (table.size, len(table)) == (0, 0)
         assert not table.slot_of and not table.flow_ids
 
-    def test_add_many_grows_slots_and_pool(self):
+    def test_add_many_grows_slots(self):
         table = FlowTable(capacity=2)
-        pools = self._pools([[index % 5] * 3 for index in range(64)])
         flows = [f"f{index}" for index in range(64)]
-        slots = table.add_many(flows, pools)
-        assert slots.tolist() == list(range(64))
-        flat, lens = table.gather_links(table.active_slots())
-        assert lens.tolist() == [3] * 64
-        assert flat.tolist() == sum(([i % 5] * 3 for i in range(64)), [])
+        assert _admit(table, *flows) == 0
+        assert table.remaining.shape[0] >= 64
+        assert table.slot_of == {flow: slot for slot, flow in enumerate(flows)}
+        assert table.active_slots().tolist() == list(range(64))
 
 
 # ----------------------------------------------------------------------
@@ -316,7 +296,7 @@ class TestCompactionAmortization:
     def _filled(self, n, slack):
         table = FlowTable(compact_slack=slack)
         for index in range(n):
-            table.add(f"f{index}", np.array([index], dtype=np.int32))
+            _admit(table, f"f{index}")
         return table
 
     def test_flag_flips_in_remove_not_add(self):
@@ -330,7 +310,7 @@ class TestCompactionAmortization:
         # until the next admission.
         assert table._compact_pending
         assert table.size == 8
-        table.add("fresh", np.array([9], dtype=np.int32))
+        _admit(table, "fresh")
         assert not table._compact_pending
         assert table.size == len(table) == 4
 
@@ -339,7 +319,7 @@ class TestCompactionAmortization:
         for index in range(3):
             table.remove(f"f{index}")
         assert not table._compact_pending
-        table.add("fresh", np.array([7], dtype=np.int32))
+        _admit(table, "fresh")
         assert table.size == 7  # no compaction happened
 
     def test_compact_slack_exactly_met_does_not_compact(self):
@@ -357,9 +337,8 @@ class TestCompactionAmortization:
         for index in range(5):
             table.remove(f"f{index}")
         assert table._compact_pending
-        slots = table.add_many(["a", "b"], [np.array([0], dtype=np.int32)] * 2)
         # Compaction ran first: three survivors then the new pair.
-        assert slots.tolist() == [3, 4]
+        assert _admit(table, "a", "b") == 3
         assert table.size == 5
 
     def test_on_compact_hook_sees_live_slots(self):
@@ -368,7 +347,7 @@ class TestCompactionAmortization:
         table.on_compact = lambda live: seen.append(live.tolist())
         for index in range(4):
             table.remove(f"f{index}")
-        table.add("fresh", np.array([8], dtype=np.int32))
+        _admit(table, "fresh")
         assert seen == [[4, 5]]
 
 
@@ -408,7 +387,7 @@ class TestBatchedEngine:
         bulk, serial = self._batched(caps), self._batched(caps)
         cids = bulk.intern_pools(pools[:5])
         cids += bulk.intern_pools(pools[5:])
-        assert cids == [serial.class_for(pool) for pool in pools]
+        assert cids == [serial.intern_pools((pool,))[0] for pool in pools]
         n = serial.n_classes
         assert bulk.n_classes == n
         for name in ("_cstart", "_clen", "_class_rate", "_label"):
@@ -463,7 +442,7 @@ class TestBatchedEngine:
 
     def test_prefilled_table_rejected(self):
         table = FlowTable()
-        table.add("f0", np.array([0], dtype=np.int32))
+        _admit(table, "f0")
         with pytest.raises(SimulationError, match="already holds 1 live"):
             self._batched(table=table)
         # A table whose flows all left is accepted.
