@@ -20,7 +20,6 @@ from repro.sim.event_simulator import (
 )
 from repro.sim.fairshare import check_max_min_fair, max_min_fair_rates
 from repro.sim.flows import Flow
-from repro.sim.metrics import MetricsCollector
 from repro.sim.simulator import FlowSimulator, SimulationReport
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
 from repro.sim.vector import BatchedFairShareEngine, FlowTable, LinkBusyView
@@ -37,7 +36,6 @@ __all__ = [
     "FlowSimulator",
     "FlowTable",
     "LinkBusyView",
-    "MetricsCollector",
     "SimulationReport",
     "TrafficConfig",
     "TrafficGenerator",

@@ -30,10 +30,17 @@ mutate the fabric (they edit capacities and avoidance masks), and a
 degrade changes a trunk's capacity, not hop-count routes.  So every
 interned route equals a fresh :func:`resolve_tree_path` whenever it is
 read, and dropping entries at a fault would only rebuild the same paths:
-the simulator never invalidates.
+the simulator never invalidates.  No caller in ``src/`` runs
 :meth:`AdmissionPlan.invalidate_crossing` (mirroring
-:meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`) stays
-for callers that do mutate the fabric between lookups.
+:meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`); it stays
+because ``benchmarks/e2e/trace.py``'s ``LAYERS`` names it and
+``tests/test_bench_trace_layers.py`` requires every name there to
+resolve.
+
+**One route rule.**  :func:`flow_route_key` is the data plane's routing
+policy: both :class:`~repro.sim.event_simulator.EventDrivenFlowSimulator`
+and :class:`~repro.sim.simulator.FlowSimulator` key their flows with it
+and read the paths from a plan, so they route every flow identically.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.exceptions import RoutingError
+from repro.exceptions import RoutingError, UnknownEntityError
 from repro.observability.runtime import current_telemetry
 from repro.sdn.routing import routes_from
 from repro.sim.fairshare import LinkId, links_on_path
@@ -51,6 +58,7 @@ __all__ = [
     "AdmissionPlan",
     "InternedRoute",
     "NO_PLAN_ROUTE",
+    "flow_route_key",
     "plan_admission",
     "resolve_tree_path",
 ]
@@ -58,6 +66,28 @@ __all__ = [
 #: Sentinel interned for pairs the fabric cannot connect (mirrors the
 #: route cache's negative entries: the miss is remembered, not retried).
 NO_PLAN_ROUTE = object()
+
+
+def flow_route_key(inventory, clusters, flow) -> tuple | None:
+    """The flow's ``(src_host, dst_host, al_signature)`` routing key.
+
+    Intra-service flows are confined to their cluster's abstraction
+    layer; other flows, flows of a service with no cluster and every
+    flow when ``clusters`` is ``None`` route flat (``al_signature`` is
+    ``None``).  ``None`` for co-located endpoints, which never route.
+    """
+    source = inventory.host_of(flow.source)
+    destination = inventory.host_of(flow.destination)
+    if source == destination:
+        return None
+    al = None
+    if clusters is not None and flow.intra_service:
+        service = inventory.get(flow.source).service
+        try:
+            al = frozenset(clusters.cluster_of_service(service).al_switches)
+        except UnknownEntityError:
+            pass  # a service with no cluster routes flat
+    return source, destination, al
 
 
 def resolve_tree_path(

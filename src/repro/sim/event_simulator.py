@@ -8,18 +8,16 @@ and complete when their bytes drain.  It reports flow completion times
 Section III.B aspires to ("minimum energy consumption and larger
 bandwidth without delay").
 
-Routing keeps the analytic simulator's confinement (intra-service flows
-ride their cluster's abstraction layer; everything else takes flat
-shortest paths) but not its tie-break.  Routes resolve through
-:func:`~repro.sim.admission.resolve_tree_path`, the path canonical over
-a breadth-first tree from the source, falling back to the flat fabric
-when the layer does not connect the pair.  ``FlowSimulator.route`` runs
-a bidirectional search instead (``shortest_path_in_al``, then
-``simple_path``).  Both return shortest paths, but among equal-length
-paths they may pick different ones: on E1's Fig. 1 testbed, seed 1
-routes 19 of 207 flows differently.  Inside a failure window, arrivals
-and rerouted flows take the shortest surviving path over the whole
-fabric.
+Routing is the analytic simulator's, route for route: both key each
+flow with :func:`~repro.sim.admission.flow_route_key` (intra-service
+flows ride their cluster's abstraction layer; everything else takes flat
+shortest paths) and read its path from an
+:class:`~repro.sim.admission.AdmissionPlan`, which resolves the path
+canonical over a breadth-first tree from the source
+(:func:`~repro.sim.admission.resolve_tree_path`), falling back to the
+flat fabric when the layer does not connect the pair.  Inside a failure
+window, arrivals and rerouted flows take the shortest surviving path
+over the whole fabric.
 
 There is one event loop, the struct-of-arrays data plane of
 :mod:`repro.sim.vector`:
@@ -70,14 +68,18 @@ from repro.core.cluster import ClusterManager
 from repro.exceptions import (
     RoutingError,
     SimulationError,
-    UnknownEntityError,
     ValidationError,
 )
 from repro.ids import FlowId
 from repro.observability.runtime import Telemetry, current_telemetry
 from repro.sdn.path_engine import engine_for
 from repro.sdn.routing import shortest_surviving_path
-from repro.sim.admission import NO_PLAN_ROUTE, InternedRoute, plan_admission
+from repro.sim.admission import (
+    NO_PLAN_ROUTE,
+    InternedRoute,
+    flow_route_key,
+    plan_admission,
+)
 from repro.sim.ckernel import RunState
 from repro.sim.fairshare import ROUNDS_BUCKETS, LinkId
 from repro.sim.faults import (
@@ -321,30 +323,6 @@ class EventDrivenFlowSimulator:
         return "batched"
 
     # ------------------------------------------------------------------
-    def _route_key(self, flow: Flow) -> tuple | None:
-        """The flow's ``(src_host, dst_host, al_signature)`` routing key.
-
-        Intra-service flows are confined to their cluster's abstraction
-        layer (flat when the service has no cluster); ``None`` for
-        co-located endpoints, which never route.
-        """
-        source = self._inventory.host_of(flow.source)
-        destination = self._inventory.host_of(flow.destination)
-        if source == destination:
-            return None
-        al = None
-        if self._clusters is not None and flow.intra_service:
-            service = self._inventory.get(flow.source).service
-            try:
-                al = self._clusters.cluster_of_service(service).al_switches
-            except UnknownEntityError:
-                al = None
-        return (
-            source,
-            destination,
-            None if al is None else frozenset(al),
-        )
-
     def _route_avoiding(
         self, flow: Flow, failed_nodes: set, cut_links: set
     ) -> list[str] | None:
@@ -578,7 +556,9 @@ class EventDrivenFlowSimulator:
         def route_key(flow: Flow) -> tuple | None:
             triple = (flow.source, flow.destination, flow.intra_service)
             if triple not in route_keys:
-                route_keys[triple] = self._route_key(flow)
+                route_keys[triple] = flow_route_key(
+                    self._inventory, self._clusters, flow
+                )
             return route_keys[triple]
 
         # Resolve every unique endpoint pair before the first event (one

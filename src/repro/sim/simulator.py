@@ -1,15 +1,20 @@
-"""Flow-level simulator: routes flows and charges conversions and load.
+"""Flow-level simulator: charges conversions and load over planned routes.
 
-Routing policy:
+A static accounting pass over the routes the event-driven simulator
+admits.  Each flow is keyed by :func:`~repro.sim.admission.flow_route_key`
+and its path read from one :func:`~repro.sim.admission.plan_admission`
+call, so the routing policy is the data plane's one rule:
 
 * **clustered** (AL-VC): intra-service flows ride their cluster's
-  abstraction layer only; inter-service flows fall back to the full
-  fabric (cluster-to-cluster traffic leaves the slice);
+  abstraction layer (the flat fabric when the layer does not connect
+  the pair); inter-service flows take the full fabric
+  (cluster-to-cluster traffic leaves the slice);
 * **flat**: every flow takes an unrestricted shortest path.
 
 Per-flow accounting: hop count, transport O/E/O conversions (one per
 maximal optical segment of the path — the flow converts E/O entering the
 core and O/E leaving it), conversion cost/energy, and per-link byte load.
+Links, conversions and confinement are computed once per route key.
 """
 
 from __future__ import annotations
@@ -17,13 +22,19 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
+from repro.config import EngineConfig
 from repro.core.cluster import ClusterManager
-from repro.exceptions import RoutingError, UnknownEntityError
+from repro.exceptions import RoutingError
+from repro.ids import NodeKind
 from repro.observability.runtime import Telemetry, current_telemetry
 from repro.optical.conversion import ConversionModel, domain_sequence
-from repro.sdn.routing import shortest_path_in_al, simple_path
+from repro.sim.admission import (
+    NO_PLAN_ROUTE,
+    InternedRoute,
+    flow_route_key,
+    plan_admission,
+)
 from repro.sim.flows import Flow
-from repro.sim.metrics import MetricsCollector
 from repro.topology.elements import Domain
 from repro.virtualization.machines import MachineInventory
 
@@ -88,7 +99,12 @@ class SimulationReport:
 
 
 class FlowSimulator:
-    """Routes a batch of flows and accounts their cost."""
+    """Charges a batch of flows over the admission plan's routes.
+
+    ``engines`` takes the :class:`~repro.config.EngineConfig` (or an
+    equivalent dict / ``None``) the event simulator takes; its
+    ``routing`` picks the path backend the plan resolves on.
+    """
 
     def __init__(
         self,
@@ -96,6 +112,8 @@ class FlowSimulator:
         clusters: ClusterManager | None = None,
         conversion_model: ConversionModel | None = None,
         telemetry: Telemetry | None = None,
+        *,
+        engines: "EngineConfig | dict | None" = None,
     ) -> None:
         self._inventory = inventory
         self._clusters = clusters
@@ -103,34 +121,50 @@ class FlowSimulator:
         self._telemetry = (
             telemetry if telemetry is not None else current_telemetry()
         )
-        self.metrics = MetricsCollector()
+        self._routing = EngineConfig.coerce(engines).routing
+
+    def _routes(self, keys: Sequence[tuple]) -> dict[tuple, InternedRoute]:
+        """Each unique ``(src_host, dst_host, AL)`` key's route, resolved
+        in one :func:`plan_admission` call.
+
+        Raises:
+            RoutingError: when the fabric cannot connect a pair.
+        """
+        network = self._inventory.network
+        link_index = {
+            link: index
+            for index, link in enumerate(network.link_bytes_per_second())
+        }
+        plan = plan_admission(
+            network,
+            keys,
+            link_index,
+            engine=self._routing,
+            telemetry=self._telemetry,
+        )
+        routes = {}
+        for key in dict.fromkeys(keys):
+            route = routes[key] = plan.lookup(*key)
+            if route is NO_PLAN_ROUTE:
+                raise RoutingError(f"no path from {key[0]} to {key[1]}")
+        return routes
+
+    def _confined(self, key: tuple, path: Sequence[str]) -> bool:
+        """Whether an AL key's path keeps every OPS inside its AL."""
+        al = key[2]
+        kind_of = self._inventory.network.kind_of
+        return al is not None and all(
+            node in al for node in path if kind_of(node) is NodeKind.OPS
+        )
 
     def route(self, flow: Flow) -> tuple[list[str], bool]:
-        """Path of one flow and whether it stayed inside one AL."""
-        source_host = self._inventory.host_of(flow.source)
-        dest_host = self._inventory.host_of(flow.destination)
-        if source_host == dest_host:
-            return [source_host], True
-        if self._clusters is not None and flow.intra_service:
-            service = self._inventory.get(flow.source).service
-            try:
-                cluster = self._clusters.cluster_of_service(service)
-            except UnknownEntityError:
-                cluster = None
-            if cluster is not None:
-                try:
-                    return (
-                        shortest_path_in_al(
-                            self._inventory.network,
-                            source_host,
-                            dest_host,
-                            cluster.al_switches,
-                        ),
-                        True,
-                    )
-                except RoutingError:
-                    pass  # AL cannot connect them; fall back to the fabric
-        return simple_path(self._inventory.network, source_host, dest_host), False
+        """Path of one flow and whether it stayed inside one AL (the
+        lookup :meth:`run` makes, for one flow)."""
+        key = flow_route_key(self._inventory, self._clusters, flow)
+        if key is None:
+            return [self._inventory.host_of(flow.source)], True
+        path = self._routes([key])[key].path
+        return path, self._confined(key, path)
 
     def run(self, flows: Iterable[Flow]) -> SimulationReport:
         """Route every flow and return the aggregate report."""
@@ -147,7 +181,23 @@ class FlowSimulator:
         return report
 
     def _run(self, flows: Iterable[Flow]) -> SimulationReport:
-        count = 0
+        flows = list(flows)
+        keys = [
+            flow_route_key(self._inventory, self._clusters, flow)
+            for flow in flows
+        ]
+        network = self._inventory.network
+        # Per route key: (links, conversions, AL-confined); co-located
+        # endpoints never route and count as confined.
+        charges: dict = {None: ((), 0, True)}
+        for key, route in self._routes(
+            [key for key in keys if key is not None]
+        ).items():
+            charges[key] = (
+                route.links,
+                transport_conversions(domain_sequence(network, route.path)),
+                self._confined(key, route.path),
+            )
         intra = 0
         confined = 0
         total_bytes = 0.0
@@ -156,15 +206,12 @@ class FlowSimulator:
         total_cost = 0.0
         total_energy = 0.0
         link_load: dict[frozenset, float] = {}
-        for flow in flows:
-            path, in_al = self.route(flow)
-            domains = domain_sequence(self._inventory.network, path)
-            conversions = transport_conversions(domains)
-            count += 1
+        for flow, key in zip(flows, keys):
+            links, conversions, in_al = charges[key]
             intra += 1 if flow.intra_service else 0
             confined += 1 if in_al else 0
             total_bytes += flow.size_bytes
-            total_hops += max(len(path) - 1, 0)
+            total_hops += len(links)
             total_conversions += conversions
             total_cost += self._model.conversion_cost(
                 flow.size_bytes, conversions
@@ -172,14 +219,10 @@ class FlowSimulator:
             total_energy += self._model.conversion_energy_joules(
                 flow.size_bytes, conversions
             )
-            for a, b in zip(path, path[1:]):
-                key = frozenset((a, b))
-                link_load[key] = link_load.get(key, 0.0) + flow.size_bytes
-            self.metrics.increment("flows")
-            self.metrics.observe("hops", len(path) - 1)
-            self.metrics.observe("conversions", conversions)
+            for link in links:
+                link_load[link] = link_load.get(link, 0.0) + flow.size_bytes
         return SimulationReport(
-            flows=count,
+            flows=len(flows),
             intra_service_flows=intra,
             total_bytes=total_bytes,
             total_hops=total_hops,

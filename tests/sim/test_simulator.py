@@ -1,16 +1,25 @@
 """Tests for the flow-level simulator."""
 
+import types
+
 import pytest
 
+from repro.baselines.no_clustering import FlatNetworkBaseline
 from repro.core.cluster import ClusterManager
+from repro.exceptions import RoutingError, ValidationError
+from repro.ids import NodeKind
 from repro.optical.conversion import ConversionModel
+from repro.sim import simulator as simulator_module
 from repro.sim.flows import Flow
 from repro.sim.simulator import (
     FlowSimulator,
     transport_conversions,
 )
 from repro.sim.traffic import TrafficConfig, TrafficGenerator
-from repro.topology.elements import Domain
+from repro.topology.datacenter import DataCenterNetwork
+from repro.topology.elements import Domain, ServerSpec, TorSpec
+from repro.topology.generators import build_alvc_fabric
+from repro.virtualization.machines import MachineInventory
 
 E = Domain.ELECTRONIC
 O = Domain.OPTICAL
@@ -98,6 +107,108 @@ class TestRouting:
             assert not confined
 
 
+    def test_al_that_cannot_connect_falls_back_flat(self, service_catalog):
+        # An empty AL admits no OPS: a pair under one ToR stays inside
+        # it, a pair across racks takes the flat fabric, unconfined.
+        network = build_alvc_fabric(
+            n_racks=2, servers_per_rack=2, n_ops=2, dual_homing_fraction=0.0
+        )
+        inventory = MachineInventory(network)
+        first_tor, second_tor = network.tors()[:2]
+        servers = network.servers_under(first_tor)[:2]
+        servers.append(network.servers_under(second_tor)[-1])
+        vms = []
+        for server in servers:
+            vm = inventory.create_vm(service_catalog.get("web"))
+            inventory.place(vm, server)
+            vms.append(vm)
+        empty = types.SimpleNamespace(al_switches=frozenset())
+        clusters = types.SimpleNamespace(cluster_of_service=lambda _: empty)
+        simulator = FlowSimulator(inventory, clusters)
+        outcomes = []
+        for destination in vms[1:]:
+            flow = Flow(
+                flow_id="flow-0",
+                source=vms[0].vm_id,
+                destination=destination.vm_id,
+                size_bytes=1e9,
+            )
+            path, confined = simulator.route(flow)
+            assert len(path) > 1
+            crosses_core = any(
+                network.kind_of(node) is NodeKind.OPS for node in path
+            )
+            outcomes.append((confined, crosses_core))
+        assert outcomes == [(True, False), (False, True)]
+        report = simulator.run(
+            [
+                Flow(
+                    flow_id=f"flow-{index}",
+                    source=vms[0].vm_id,
+                    destination=destination.vm_id,
+                    size_bytes=1e9,
+                )
+                for index, destination in enumerate(vms[1:])
+            ]
+        )
+        assert report.al_confined_flows == 1
+
+    def test_unroutable_pair_raises(self, service_catalog):
+        # Two islands: (server-a, tor-a) and (server-b, tor-b).
+        dcn = DataCenterNetwork("split")
+        for suffix in ("a", "b"):
+            dcn.add_server(ServerSpec(server_id=f"server-{suffix}"))
+            dcn.add_tor(TorSpec(tor_id=f"tor-{suffix}"))
+            dcn.connect(f"server-{suffix}", f"tor-{suffix}")
+        inventory = MachineInventory(dcn)
+        web = service_catalog.get("web")
+        vm_a = inventory.create_vm(web)
+        vm_b = inventory.create_vm(web)
+        inventory.place(vm_a, "server-a")
+        inventory.place(vm_b, "server-b")
+        flow = Flow(
+            flow_id="flow-0",
+            source=vm_a.vm_id,
+            destination=vm_b.vm_id,
+            size_bytes=1e9,
+        )
+        simulator = FlowSimulator(inventory)
+        with pytest.raises(RoutingError, match="no path"):
+            simulator.route(flow)
+        with pytest.raises(RoutingError, match="no path"):
+            simulator.run([flow])
+
+
+class TestEngines:
+    def test_routing_engine_reaches_the_plan(self, clustered, monkeypatch):
+        inventory, clusters = clustered
+        engines = []
+        plan_admission = simulator_module.plan_admission
+
+        def capture(*args, **kwargs):
+            engines.append(kwargs["engine"])
+            return plan_admission(*args, **kwargs)
+
+        monkeypatch.setattr(simulator_module, "plan_admission", capture)
+        flows = TrafficGenerator(inventory, seed=6).flows(40)
+        reports = [
+            FlowSimulator(
+                inventory, clusters, engines={"routing": routing}
+            ).run(flows)
+            for routing in ("csr", "nx")
+        ]
+        FlatNetworkBaseline(inventory, engines={"routing": "nx"}).run_flows(
+            flows
+        )
+        assert engines == ["csr", "nx", "nx"]
+        assert reports[0] == reports[1]
+
+    def test_unknown_routing_engine_rejected(self, clustered):
+        inventory, clusters = clustered
+        with pytest.raises(ValidationError):
+            FlowSimulator(inventory, clusters, engines={"routing": "bogus"})
+
+
 class TestRun:
     def test_report_totals(self, clustered):
         inventory, clusters = clustered
@@ -139,14 +250,6 @@ class TestRun:
         assert report.flows == 0
         assert report.mean_hops == 0.0
         assert report.max_link_load == 0.0
-
-    def test_metrics_collected(self, clustered):
-        inventory, clusters = clustered
-        generator = TrafficGenerator(inventory, seed=3)
-        simulator = FlowSimulator(inventory, clusters)
-        simulator.run(generator.flows(10))
-        assert simulator.metrics.count("flows") == 10
-        assert simulator.metrics.summary("hops")["count"] == 10
 
     def test_as_dict_keys(self, clustered):
         inventory, clusters = clustered
