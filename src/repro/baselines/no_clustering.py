@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.config import EngineConfig
 from repro.optical.conversion import ConversionModel
 from repro.sdn.updates import UpdateCostModel, UpdateEvent
 from repro.sim.flows import Flow
@@ -25,17 +24,12 @@ class FlatNetworkBaseline:
         self,
         inventory: MachineInventory,
         conversion_model: ConversionModel | None = None,
-        *,
-        engines: "EngineConfig | dict | None" = None,
     ) -> None:
         self._inventory = inventory
         # No ClusterManager: the simulator falls back to flat shortest
         # paths for every flow.
         self._simulator = FlowSimulator(
-            inventory,
-            clusters=None,
-            conversion_model=conversion_model,
-            engines=engines,
+            inventory, clusters=None, conversion_model=conversion_model
         )
         self._updates = UpdateCostModel(inventory.network)
 

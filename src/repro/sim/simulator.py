@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Sequence
 
-from repro.config import EngineConfig
 from repro.core.cluster import ClusterManager
 from repro.exceptions import RoutingError
 from repro.ids import NodeKind
@@ -99,12 +98,7 @@ class SimulationReport:
 
 
 class FlowSimulator:
-    """Charges a batch of flows over the admission plan's routes.
-
-    ``engines`` takes the :class:`~repro.config.EngineConfig` (or an
-    equivalent dict / ``None``) the event simulator takes; its
-    ``routing`` picks the path backend the plan resolves on.
-    """
+    """Charges a batch of flows over the admission plan's routes."""
 
     def __init__(
         self,
@@ -112,8 +106,6 @@ class FlowSimulator:
         clusters: ClusterManager | None = None,
         conversion_model: ConversionModel | None = None,
         telemetry: Telemetry | None = None,
-        *,
-        engines: "EngineConfig | dict | None" = None,
     ) -> None:
         self._inventory = inventory
         self._clusters = clusters
@@ -121,7 +113,14 @@ class FlowSimulator:
         self._telemetry = (
             telemetry if telemetry is not None else current_telemetry()
         )
-        self._routing = EngineConfig.coerce(engines).routing
+        # Engine array position of every link, as the plan's interned
+        # routes carry them; built once, like the event simulator's.
+        self._link_index = {
+            link: index
+            for index, link in enumerate(
+                inventory.network.link_bytes_per_second()
+            )
+        }
 
     def _routes(self, keys: Sequence[tuple]) -> dict[tuple, InternedRoute]:
         """Each unique ``(src_host, dst_host, AL)`` key's route, resolved
@@ -130,16 +129,10 @@ class FlowSimulator:
         Raises:
             RoutingError: when the fabric cannot connect a pair.
         """
-        network = self._inventory.network
-        link_index = {
-            link: index
-            for index, link in enumerate(network.link_bytes_per_second())
-        }
         plan = plan_admission(
-            network,
+            self._inventory.network,
             keys,
-            link_index,
-            engine=self._routing,
+            self._link_index,
             telemetry=self._telemetry,
         )
         routes = {}

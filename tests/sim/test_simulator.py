@@ -4,12 +4,10 @@ import types
 
 import pytest
 
-from repro.baselines.no_clustering import FlatNetworkBaseline
 from repro.core.cluster import ClusterManager
-from repro.exceptions import RoutingError, ValidationError
+from repro.exceptions import RoutingError
 from repro.ids import NodeKind
 from repro.optical.conversion import ConversionModel
-from repro.sim import simulator as simulator_module
 from repro.sim.flows import Flow
 from repro.sim.simulator import (
     FlowSimulator,
@@ -177,36 +175,6 @@ class TestRouting:
             simulator.route(flow)
         with pytest.raises(RoutingError, match="no path"):
             simulator.run([flow])
-
-
-class TestEngines:
-    def test_routing_engine_reaches_the_plan(self, clustered, monkeypatch):
-        inventory, clusters = clustered
-        engines = []
-        plan_admission = simulator_module.plan_admission
-
-        def capture(*args, **kwargs):
-            engines.append(kwargs["engine"])
-            return plan_admission(*args, **kwargs)
-
-        monkeypatch.setattr(simulator_module, "plan_admission", capture)
-        flows = TrafficGenerator(inventory, seed=6).flows(40)
-        reports = [
-            FlowSimulator(
-                inventory, clusters, engines={"routing": routing}
-            ).run(flows)
-            for routing in ("csr", "nx")
-        ]
-        FlatNetworkBaseline(inventory, engines={"routing": "nx"}).run_flows(
-            flows
-        )
-        assert engines == ["csr", "nx", "nx"]
-        assert reports[0] == reports[1]
-
-    def test_unknown_routing_engine_rejected(self, clustered):
-        inventory, clusters = clustered
-        with pytest.raises(ValidationError):
-            FlowSimulator(inventory, clusters, engines={"routing": "bogus"})
 
 
 class TestRun:
