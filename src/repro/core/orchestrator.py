@@ -50,7 +50,7 @@ from repro.observability.runtime import Telemetry, current_telemetry
 from repro.optical.conversion import ConversionModel
 from repro.sdn.controller import SdnController
 from repro.sdn.path_engine import engine_for
-from repro.sdn.routing import chain_path
+from repro.sdn.routing import shortest_path_in_al
 from repro.service.journal import NULL_RECORDER
 from repro.service.records import chain_to_spec, policy_to_spec
 from repro.topology.elements import Domain
@@ -80,7 +80,7 @@ class ProvisioningPlan:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class _ClusterContext:
-    """Per-cluster admission cache for :meth:`provision_chains`.
+    """Per-cluster admission context, built once per command (or batch).
 
     Holds only capacity-*independent* facts (candidate server order,
     routing endpoints); free capacity is always probed live.
@@ -88,6 +88,11 @@ class _ClusterContext:
 
     candidates: tuple[ServerId, ...]
     vm_servers: tuple[ServerId, ...]
+
+
+#: AL-confined route segments the orchestrator memoizes before it
+#: drops the whole memo and starts over.
+SEGMENT_MEMO_LIMIT = 1024
 
 
 #: Histogram buckets for virtual recovery time after an OPS failure.
@@ -229,6 +234,9 @@ class NetworkOrchestrator:
         self._failed_ops: set[OpsId] = set()
         self._degraded_chains: set[ChainId] = set()
         self._recorder = NULL_RECORDER
+        # (source, target, al_switches) -> path tuple; see _al_path.
+        self._segments: dict[tuple, tuple[str, ...]] = {}
+        self._segments_generation = inventory.network.topology_generation
 
     def attach_recorder(self, recorder) -> None:
         """Install the journal hook on this orchestrator and its NFV
@@ -293,13 +301,14 @@ class NetworkOrchestrator:
                 )
 
             placement = self._solver_for(cluster).solve(chain, algorithm)
+            ctx = self._cluster_context(cluster)
             electronic_hosts: list[ServerId] = []
             for placed in placement.assignments:
                 if placed.domain is Domain.OPTICAL:
                     continue
                 try:
                     electronic_hosts.append(
-                        self._electronic_host(cluster, placed.function)
+                        self._electronic_host(cluster, placed.function, ctx)
                     )
                 except PlacementError as error:
                     problems.append(str(error))
@@ -373,7 +382,7 @@ class NetworkOrchestrator:
         """
         algorithm = self._resolve_algorithm(algorithm, request.chain)
         with self._recorder.operation() as outermost:
-            orchestrated = self._provision_chain(request, algorithm, None)
+            orchestrated = self._provision_chain(request, algorithm, {})
             if outermost:
                 self._record_provision(request, algorithm)
         return orchestrated
@@ -465,8 +474,10 @@ class NetworkOrchestrator:
         self,
         request: ChainRequest,
         algorithm: PlacementAlgorithm,
-        contexts: dict | None,
+        contexts: dict,
     ) -> OrchestratedChain:
+        """Provision one request; ``contexts`` maps cluster id to its
+        :class:`_ClusterContext` across one command or one batch."""
         telemetry = self._telemetry
         chain = request.chain
         with telemetry.span(
@@ -481,13 +492,11 @@ class NetworkOrchestrator:
                     raise DuplicateEntityError(
                         "chain on cluster", cluster.cluster_id
                     )
-            ctx = None
-            if contexts is not None:
-                ctx = contexts.get(cluster.cluster_id)
-                if ctx is None:
-                    ctx = contexts[cluster.cluster_id] = (
-                        self._cluster_context(cluster)
-                    )
+            ctx = contexts.get(cluster.cluster_id)
+            if ctx is None:
+                ctx = contexts[cluster.cluster_id] = (
+                    self._cluster_context(cluster)
+                )
             with telemetry.span("provision.slice_allocation"):
                 allocated_here = False
                 slice_id_marks = self._slices.id_marks()
@@ -546,7 +555,7 @@ class NetworkOrchestrator:
         request: ChainRequest,
         cluster: VirtualCluster,
         algorithm: PlacementAlgorithm,
-        ctx: "_ClusterContext | None" = None,
+        ctx: _ClusterContext,
     ) -> tuple[ChainPlacement, tuple[VnfId, ...], list[str]]:
         telemetry = self._telemetry
         chain = request.chain
@@ -585,20 +594,25 @@ class NetworkOrchestrator:
             raise
         return placement, tuple(vnf_ids), path
 
-    def _cluster_context(self, cluster: VirtualCluster) -> "_ClusterContext":
-        """Capacity-independent admission context for one cluster.
-
-        Both pieces depend only on VM placements and the cluster's AL —
-        neither changes inside a provisioning batch — so caching them
-        across a batch admits the same chains a serial loop would.
-        """
-        cluster_servers = sorted(
+    def _vm_servers(self, cluster: VirtualCluster) -> list[ServerId]:
+        """Sorted servers hosting the cluster's placed VMs."""
+        return sorted(
             {
                 self._inventory.host_of(vm)
                 for vm in cluster.vm_ids
                 if self._inventory.is_placed(vm)
             }
         )
+
+    def _cluster_context(self, cluster: VirtualCluster) -> _ClusterContext:
+        """Capacity-independent admission context for one cluster.
+
+        Both pieces depend only on VM placements and the cluster's AL —
+        neither changes inside a provisioning command or batch — so
+        computing them once per command (or batch) admits the same
+        chains as recomputing them per VNF would.
+        """
+        cluster_servers = self._vm_servers(cluster)
         al_servers = sorted(
             {
                 server
@@ -616,7 +630,7 @@ class NetworkOrchestrator:
         self,
         cluster: VirtualCluster,
         function,
-        ctx: "_ClusterContext | None" = None,
+        ctx: _ClusterContext,
     ) -> ServerId:
         """A server inside the cluster's reach with room for the VNF.
 
@@ -624,12 +638,7 @@ class NetworkOrchestrator:
         server attached to one of the AL's selected ToRs — either keeps
         the chain path inside the abstraction layer.
         """
-        candidates = (
-            ctx.candidates
-            if ctx is not None
-            else self._cluster_context(cluster).candidates
-        )
-        for server in candidates:
+        for server in ctx.candidates:
             if function.demand.fits_within(
                 self._inventory.remaining_capacity(server)
             ):
@@ -644,33 +653,50 @@ class NetworkOrchestrator:
         request: ChainRequest,
         cluster: VirtualCluster,
         hosts: list[str],
-        ctx: "_ClusterContext | None" = None,
+        ctx: _ClusterContext,
     ) -> list[str]:
         """Route ingress → VNF hosts (in order) → egress inside the AL."""
-        vm_servers = (
-            ctx.vm_servers
-            if ctx is not None
-            else tuple(
-                sorted(
-                    {
-                        self._inventory.host_of(vm)
-                        for vm in cluster.vm_ids
-                        if self._inventory.is_placed(vm)
-                    }
-                )
-            )
-        )
-        ingress = vm_servers[0]
-        egress = vm_servers[-1]
-        waypoints = [ingress, *hosts, egress]
-        path = chain_path(
-            self._inventory.network,
-            waypoints,
-            al_switches=cluster.al_switches,
-            engine=self._engines.routing,
-        )
+        waypoints = [ctx.vm_servers[0], *hosts, ctx.vm_servers[-1]]
+        path = self._al_path(waypoints, cluster.al_switches)
         if len(path) >= 2:
             self._sdn.install_path(request.chain.chain_id, path)
+        return path
+
+    def _al_path(
+        self, waypoints: list[str], al_switches: frozenset
+    ) -> list[str]:
+        """:func:`~repro.sdn.routing.chain_path` inside one AL, with
+        every segment memoized.
+
+        A segment is a pure function of the fabric and the AL, so it is
+        keyed by ``(source, target, al_switches)``.  The memo is dropped
+        when the fabric's topology generation moves and when it holds
+        :data:`SEGMENT_MEMO_LIMIT` segments; a routing error is raised
+        and not memoized.  Paths are stored as tuples and every call
+        returns a fresh list.
+        """
+        dcn = self._inventory.network
+        segments = self._segments
+        if self._segments_generation != dcn.topology_generation:
+            segments.clear()
+            self._segments_generation = dcn.topology_generation
+        path = [waypoints[0]]
+        for source, target in zip(waypoints, waypoints[1:]):
+            if source == target:
+                continue
+            key = (source, target, al_switches)
+            segment = segments.get(key)
+            if segment is None:
+                segment = tuple(
+                    shortest_path_in_al(
+                        dcn, source, target, al_switches,
+                        engine=self._engines.routing,
+                    )
+                )
+                if len(segments) >= SEGMENT_MEMO_LIMIT:
+                    segments.clear()
+                segments[key] = segment
+            path.extend(segment[1:])
         return path
 
     # ------------------------------------------------------------------
@@ -810,20 +836,9 @@ class NetworkOrchestrator:
         hosts = [
             self._nfv.instance_of(vnf).host for vnf in live.vnf_ids
         ]
-        vm_servers = sorted(
-            {
-                self._inventory.host_of(member)
-                for member in cluster.vm_ids
-                if self._inventory.is_placed(member)
-            }
-        )
+        vm_servers = self._vm_servers(cluster)
         waypoints = [vm_servers[0], *hosts, vm_servers[-1]]
-        path = chain_path(
-            self._inventory.network,
-            waypoints,
-            al_switches=cluster.al_switches,
-            engine=self._engines.routing,
-        )
+        path = self._al_path(waypoints, cluster.al_switches)
         if self._sdn.has_flow(live.chain_id):
             if len(path) >= 2:
                 self._sdn.reroute(live.chain_id, path)

@@ -221,7 +221,8 @@ class PlacementSolver:
         self._free = dict(free_capacity)
         self._merge = merge_consecutive
         self._host_policy = host_policy or HostPolicy.FIRST_FIT
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: random.Random | None = None
         self._engine = engine
         self._telemetry = (
             telemetry if telemetry is not None else current_telemetry()
@@ -466,6 +467,8 @@ class PlacementSolver:
 
     def _solve_random(self, chain: NetworkFunctionChain) -> dict[int, OpsId]:
         positions = self._movable_positions(chain)
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
         self._rng.shuffle(positions)
         free = dict(self._free)
         optical: dict[int, OpsId] = {}

@@ -114,12 +114,12 @@ class SdnController:
     def _validate_path(self, path: Sequence[str]) -> None:
         if len(path) < 2:
             raise RoutingError(f"path too short: {path!r}")
-        graph = self._dcn.graph
+        dcn = self._dcn
         for node in path:
-            if not graph.has_node(node):
+            if not dcn.has_node(node):
                 raise RoutingError(f"path contains unknown node {node!r}")
         for a, b in zip(path, path[1:]):
-            if not graph.has_edge(a, b):
+            if not dcn.has_link(a, b):
                 raise RoutingError(f"path hop {a}-{b} is not a fabric link")
 
     def _switches_on(self, path: Sequence[str]) -> list[str]:

@@ -4,8 +4,10 @@ Flat shortest paths cost a BFS over the fabric and AL-confined paths
 additionally restrict it to the layer's switches.  Routing is
 deterministic given the fabric and the abstraction layer, so repeated
 (source, destination) pairs — the common case under service-correlated
-traffic — can be served from a cache (E22's ``csr+cache`` arm measures
-it on top of the CSR path engine).
+traffic — can be served from a cache.  Its only user is E22's
+``csr+cache`` arm, which measures it on top of the CSR path engine; the
+orchestrator memoizes its AL-confined chain segments in a plain dict of
+its own, without counters (``NetworkOrchestrator._al_path``).
 
 :class:`RouteCache` is a plain LRU keyed by
 ``(src_host, dst_host, al_signature)``:
@@ -29,7 +31,7 @@ counters are kept as well so tests and reports can read
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from repro.exceptions import ValidationError
 
@@ -175,41 +177,4 @@ class RouteCache:
         dropped = len(self._entries)
         self._entries.clear()
         self._size_gauge.set(0)
-        return dropped
-
-    def invalidate_crossing(self, links: "Iterable[frozenset]") -> int:
-        """Drop every cached path that traverses one of ``links``.
-
-        For callers that change a link under keys whose AL signature
-        stays the same: entries whose cached path rides one of
-        ``links`` are evicted and recomputed on the next lookup.  (A
-        trunk degrade needs no eviction: hop-count paths ignore
-        capacity.)  :data:`NO_ROUTE` entries are kept: a faulted link
-        never makes an infeasible pair feasible.
-
-        Args:
-            links: canonical undirected link keys (frozensets of the
-                two endpoint ids).
-
-        Returns:
-            The number of entries dropped.
-        """
-        targets = {frozenset(link) for link in links}
-        if not targets:
-            return 0
-
-        entries = self._entries
-        dropped = 0
-        for key in list(entries):
-            path = entries[key]
-            if not isinstance(path, tuple):
-                continue  # NO_ROUTE or a foreign value: leave it
-            if any(
-                frozenset((a, b)) in targets
-                for a, b in zip(path, path[1:])
-            ):
-                del entries[key]
-                dropped += 1
-        if dropped:
-            self._size_gauge.set(len(entries))
         return dropped

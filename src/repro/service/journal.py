@@ -58,6 +58,9 @@ MAGIC = b"ALVCJRNL"
 FORMAT_VERSION = 1
 _HEADER = MAGIC + struct.pack("<I", FORMAT_VERSION)
 _FRAME = struct.Struct("<II")
+#: One shared payload encoder: ``json.dumps`` with non-default
+#: arguments would build a fresh encoder for every record.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
 #: Recognized durability policies.
 SYNC_MODES = ("always", "off")
@@ -145,9 +148,7 @@ class Journal:
         )
         validate_record(record)
         try:
-            payload = json.dumps(
-                record.to_dict(), separators=(",", ":"), sort_keys=True
-            ).encode("utf-8")
+            payload = _ENCODER.encode(record.to_dict()).encode("utf-8")
         except (TypeError, ValueError) as exc:
             raise JournalError(
                 f"record op={op!r} is not JSON-serializable: {exc}"

@@ -31,8 +31,7 @@ degrade changes a trunk's capacity, not hop-count routes.  So every
 interned route equals a fresh :func:`resolve_tree_path` whenever it is
 read, and dropping entries at a fault would only rebuild the same paths:
 the simulator never invalidates.  No caller in ``src/`` runs
-:meth:`AdmissionPlan.invalidate_crossing` (mirroring
-:meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`); it stays
+:meth:`AdmissionPlan.invalidate_crossing`; it stays
 because ``benchmarks/e2e/trace.py``'s ``LAYERS`` names it and
 ``tests/test_bench_trace_layers.py`` requires every name there to
 resolve.
@@ -154,8 +153,8 @@ class InternedRoute:
         return cls(path, links, indices)
 
     def crosses(self, targets: frozenset) -> bool:
-        """Whether this route traverses any link in ``targets``
-        (``RouteCache.invalidate_crossing`` semantics)."""
+        """Whether this route traverses any link in ``targets``, in
+        either direction (``targets`` holds undirected link keys)."""
         return any(
             frozenset((a, b)) in targets
             for a, b in zip(self.path, self.path[1:])
@@ -301,10 +300,10 @@ class AdmissionPlan:
     def invalidate_crossing(self, links: Iterable[frozenset]) -> int:
         """Drop interned routes crossing any of ``links``.
 
-        Same semantics as
-        :meth:`repro.sdn.route_cache.RouteCache.invalidate_crossing`:
-        negative entries survive (a faulted link cannot create a path),
-        and dropped pairs lazily re-resolve on next use.
+        A route is dropped when it traverses one of ``links`` in
+        either direction.  Negative entries survive (a faulted link
+        cannot create a path), and dropped pairs lazily re-resolve on
+        next use.
 
         Returns:
             The number of interned routes dropped.

@@ -243,6 +243,10 @@ class DataCenterNetwork:
         """True if the node exists in the fabric."""
         return self._graph.has_node(node_id)
 
+    def has_link(self, a: str, b: str) -> bool:
+        """True if nodes ``a`` and ``b`` are directly connected."""
+        return self._graph.has_edge(a, b)
+
     def _nodes_of_kind(self, kind: NodeKind) -> Iterator[str]:
         for node_id, data in self._graph.nodes(data=True):
             if data[_KIND_ATTR] is kind:

@@ -1,0 +1,319 @@
+"""The per-command control path: serial/batch parity and the segment memo.
+
+A serial provision is a batch of one, so admitting a request list one
+command at a time and through ``provision_batch`` must commit the same
+state and the same journal.  The orchestrator memoizes AL-confined route
+segments; a memoized path must always equal a fresh, un-memoized
+``chain_path`` over the same waypoints and AL, and the memo must leave
+no trace in journal replay or snapshot restore.
+"""
+
+import random
+
+import pytest
+
+import repro.core.orchestrator as orchestrator_module
+from repro import AlvcStack
+from repro.core.chaining import NetworkFunctionChain
+from repro.exceptions import ALVCError, RoutingError
+from repro.service import ProvisionRequest
+from repro.service.journal import read_journal
+from repro.service.restore import restore_stack
+from repro.service.snapshot import state_digest, state_view
+from repro.sdn.routing import chain_path
+
+SERVICES = ("web", "streaming", "backup")
+FUNCTIONS = ("firewall", "nat", "dpi", "cache", "proxy", "ids")
+BUILD = dict(
+    n_racks=4,
+    servers_per_rack=4,
+    n_ops=6,
+    vms_per_service=3,
+    exclusive_chains=False,
+    sync="off",
+    telemetry="json",
+)
+
+#: One request list: shapes and services mixed, an explicit id reused
+#: mid-list (a duplicate the cluster lookup rejects) and heavy ``ids``
+#: chains that run the small fabric out of carrier capacity.
+REQUESTS = (
+    dict(chain=("firewall", "nat"), service="web"),
+    dict(chain=("dpi",), service="streaming", chain_id="fixed"),
+    dict(chain=("proxy", "ids"), service="backup"),
+    dict(chain=("nat",), service="web", chain_id="fixed"),
+    dict(chain=("ids", "ids", "ids"), service="streaming"),
+    dict(chain=("cache", "firewall"), service="backup", flow_size_gb=2.0),
+    dict(chain=("ids", "ids", "ids", "ids"), service="web"),
+    dict(chain=("dpi", "nat"), service="web"),
+)
+
+
+def _journal_ops(path):
+    return [record.to_dict() for record in read_journal(path).records]
+
+
+class TestSerialBatchParity:
+    def test_batch_commits_what_serial_commands_commit(self, tmp_path):
+        serial = AlvcStack.build(journal=tmp_path / "serial.alvc", **BUILD)
+        serial_outcomes = []
+        for request in REQUESTS:
+            try:
+                serial.provision(**request)
+                serial_outcomes.append(True)
+            except ALVCError:
+                serial_outcomes.append(False)
+
+        batched = AlvcStack.build(journal=tmp_path / "batch.alvc", **BUILD)
+        results = batched.provision_batch(
+            [ProvisionRequest(**request) for request in REQUESTS],
+            on_error="collect",
+        )
+        batch_outcomes = [
+            not isinstance(result, ALVCError) for result in results
+        ]
+
+        assert batch_outcomes == serial_outcomes
+        assert False in serial_outcomes  # the list really fails mid-way
+        assert serial_outcomes[-1]  # ...and admits after the failure
+        # Batch-only admission counters are excluded from the view.
+        assert state_view(batched) == state_view(serial)
+        serial.journal.close()
+        batched.journal.close()
+        assert _journal_ops(tmp_path / "batch.alvc") == _journal_ops(
+            tmp_path / "serial.alvc"
+        )
+
+    def test_orchestrator_batch_matches_serial_calls(self):
+        def requests(stack):
+            for service in SERVICES:
+                stack.cluster(service)
+            return [
+                stack._request(
+                    tuple(item["chain"]), item["service"], "tenant-0",
+                    f"chain-{index}", item.get("flow_size_gb", 1.0), 1.0,
+                )
+                for index, item in enumerate(REQUESTS)
+            ]
+
+        build = {**BUILD, "telemetry": "off"}
+        serial = AlvcStack.build(**build)
+        serial_paths = []
+        for request in requests(serial):
+            try:
+                live = serial.orchestrator.provision_chain(request)
+                serial_paths.append(live.path)
+            except ALVCError as exc:
+                serial_paths.append(type(exc))
+
+        batched = AlvcStack.build(**build)
+        results = batched.orchestrator.provision_chains(
+            requests(batched), on_error="collect"
+        )
+        batch_paths = [
+            type(result) if isinstance(result, ALVCError) else result.path
+            for result in results
+        ]
+        assert batch_paths == serial_paths
+        assert state_view(batched) == state_view(serial)
+
+
+def _assert_paths_fresh(stack):
+    """Every live, non-degraded chain's path equals a fresh networkx
+    ``chain_path`` over its waypoints and its cluster's AL."""
+    orchestrator = stack.orchestrator
+    inventory = stack.inventory
+    degraded = set(orchestrator.degraded_chains())
+    for live in orchestrator.chains():
+        if live.chain_id in degraded:
+            continue
+        vm_servers = sorted(
+            {
+                inventory.host_of(vm)
+                for vm in live.cluster.vm_ids
+                if inventory.is_placed(vm)
+            }
+        )
+        hosts = [
+            orchestrator.nfv_manager.instance_of(vnf).host
+            for vnf in live.vnf_ids
+        ]
+        waypoints = [vm_servers[0], *hosts, vm_servers[-1]]
+        fresh = chain_path(
+            stack.fabric, waypoints, live.cluster.al_switches, engine="nx"
+        )
+        assert list(live.path) == fresh, live.chain_id
+        if len(fresh) >= 2:
+            assert orchestrator.sdn.path_of(live.chain_id) == fresh
+
+
+def _step(stack, rng, serial):
+    """One seeded control-plane command; failures are part of the run."""
+    orchestrator = stack.orchestrator
+    action = rng.choice(
+        ("provision", "provision", "provision", "modify", "teardown",
+         "migrate", "fault", "repair")
+    )
+    live = stack.chains()
+    if action == "provision":
+        stack.provision(
+            tuple(rng.sample(FUNCTIONS, k=rng.randint(1, 3))),
+            service=rng.choice(SERVICES),
+        )
+    elif action == "modify" and live:
+        target = rng.choice(live)
+        names = tuple(rng.sample(FUNCTIONS, k=rng.randint(1, 2)))
+        orchestrator.modify_chain(
+            target.chain_id,
+            NetworkFunctionChain.from_names(
+                f"mod-{serial}", names, stack.functions
+            ),
+        )
+    elif action == "teardown" and live:
+        stack.teardown(rng.choice(live).chain_id)
+    elif action == "migrate":
+        cluster = rng.choice(orchestrator.cluster_manager.clusters())
+        orchestrator.handle_vm_migration(
+            rng.choice(sorted(cluster.vm_ids)),
+            rng.choice(sorted(stack.fabric.servers())),
+        )
+    elif action == "fault":
+        healthy = sorted(
+            set(stack.fabric.optical_switches()) - orchestrator.failed_ops
+        )
+        if healthy:
+            orchestrator.handle_ops_failure(rng.choice(healthy))
+    elif action == "repair" and orchestrator.failed_ops:
+        orchestrator.mark_ops_repaired(
+            rng.choice(sorted(orchestrator.failed_ops))
+        )
+
+
+class TestSegmentMemo:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_memo_never_changes_a_path(self, tmp_path, seed):
+        journal = tmp_path / "memo.alvc"
+        snapshot = tmp_path / "memo.snap"
+        stack = AlvcStack.build(seed=seed, journal=journal, **BUILD)
+        for service in SERVICES:
+            stack.cluster(service)
+        orchestrator = stack.orchestrator
+        sdn = orchestrator.sdn
+
+        # A provision that fails after routing: its segments stay in
+        # the memo, and nothing else of it does.  Its optical VNFs sit
+        # on AL routers, so its path has switches to install.
+        def rejecting_install(flow, path):
+            raise RoutingError("controller rejected the path")
+
+        digest = state_digest(stack)
+        sdn.install_path = rejecting_install
+        try:
+            with pytest.raises(RoutingError, match="rejected"):
+                stack.provision(("firewall", "nat"), service="web")
+        finally:
+            del sdn.install_path
+        assert orchestrator._segments
+        assert state_digest(stack) == digest
+
+        rng = random.Random(seed)
+        for serial in range(40):
+            if serial == 20:
+                stack.snapshot(snapshot)
+            try:
+                _step(stack, rng, serial)
+            except ALVCError:
+                pass  # failed commands journal nothing
+            _assert_paths_fresh(stack)
+
+        digest = state_digest(stack)  # telemetry counters included
+        stack.journal.close()
+        replayed = restore_stack(journal)
+        restored = restore_stack(journal, snapshot)
+        assert restored.source == "snapshot"
+        assert state_digest(replayed.stack) == digest
+        assert state_digest(restored.stack) == digest
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reroute_leaves_a_failed_transit_switch(self, seed):
+        # Spread the web cluster onto a far rack so its chain crosses
+        # the optical core, then kill the transit switch.  The chain's
+        # waypoints stay the same and only its AL changes, so a memo
+        # that ignored the AL would hand back the dead path.
+        stack = AlvcStack.build(seed=seed, **{**BUILD, "telemetry": "off"})
+        orchestrator = stack.orchestrator
+        chain_id = stack.provision(("dpi",), service="web").chain_id
+        cluster = stack.cluster("web")
+        near = {
+            server
+            for tor in cluster.tor_switches
+            for server in stack.fabric.servers_under(tor)
+        }
+        far = max(set(stack.fabric.servers()) - near)
+        orchestrator.handle_vm_migration(max(cluster.vm_ids), far)
+        live = stack.chain(chain_id)
+        hosts = {
+            orchestrator.nfv_manager.instance_of(vnf).host
+            for vnf in live.vnf_ids
+        }
+        transit = [
+            node for node in live.path
+            if node in live.cluster.al_switches and node not in hosts
+        ]
+        assert transit
+        recovery = orchestrator.handle_ops_failure(transit[0])
+        assert recovery.chains_rerouted == 1
+        assert transit[0] not in stack.chain(chain_id).path
+        _assert_paths_fresh(stack)
+
+    def test_paths_are_fresh_lists(self):
+        stack = AlvcStack.build(**{**BUILD, "telemetry": "off"})
+        al = stack.cluster("web").al_switches
+        orchestrator = stack.orchestrator
+        waypoints = list(_attachments(stack)[0])
+        first = orchestrator._al_path(waypoints, al)
+        first.append("junk")
+        again = orchestrator._al_path(waypoints, al)
+        assert again == chain_path(stack.fabric, waypoints, al, engine="nx")
+        assert isinstance(
+            next(iter(orchestrator._segments.values())), tuple
+        )
+
+    def test_routing_errors_are_not_memoized(self):
+        stack = AlvcStack.build(**{**BUILD, "telemetry": "off"})
+        orchestrator = stack.orchestrator
+        server = sorted(stack.fabric.servers())[0]
+        outside = sorted(stack.fabric.optical_switches())[0]
+        with pytest.raises(RoutingError):
+            orchestrator._al_path([server, outside], frozenset())
+        assert orchestrator._segments == {}
+
+    def test_generation_move_and_size_limit_drop_the_memo(
+        self, monkeypatch
+    ):
+        stack = AlvcStack.build(**{**BUILD, "telemetry": "off"})
+        al = stack.cluster("web").al_switches
+        orchestrator = stack.orchestrator
+        fabric = stack.fabric
+        pairs = _attachments(stack)
+
+        orchestrator._al_path(list(pairs[0]), al)
+        assert list(orchestrator._segments) == [(*pairs[0], al)]
+        fabric.set_caching(fabric.caching_enabled)  # bumps the generation
+        orchestrator._al_path(list(pairs[1]), al)
+        assert list(orchestrator._segments) == [(*pairs[1], al)]
+
+        monkeypatch.setattr(orchestrator_module, "SEGMENT_MEMO_LIMIT", 2)
+        for pair in pairs:
+            path = orchestrator._al_path(list(pair), al)
+            assert path == chain_path(fabric, list(pair), al, engine="nx")
+            assert len(orchestrator._segments) <= 2
+
+
+def _attachments(stack):
+    """(server, its first ToR) pairs: segments every AL can route."""
+    fabric = stack.fabric
+    return [
+        (server, fabric.tors_of_server(server)[0])
+        for server in sorted(fabric.servers())
+    ]

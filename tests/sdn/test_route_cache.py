@@ -125,42 +125,3 @@ class TestStats:
         assert value_of("alvc_route_cache_misses_total") == 1
         assert value_of("alvc_route_cache_evictions_total") == 1
         assert value_of("alvc_route_cache_size") == 1
-
-
-class TestInvalidateCrossing:
-    """Trunk-degrade invalidation: entries riding a dying link must go."""
-
-    def test_drops_only_paths_crossing_the_link(self):
-        cache = RouteCache(8)
-        cache.put("via", ("a", "tor-0", "ops-0", "tor-1", "b"))
-        cache.put("elsewhere", ("a", "tor-0", "ops-1", "tor-1", "b"))
-        dropped = cache.invalidate_crossing([frozenset(("tor-0", "ops-0"))])
-        assert dropped == 1
-        assert "via" not in cache
-        assert "elsewhere" in cache
-
-    def test_direction_does_not_matter(self):
-        cache = RouteCache(8)
-        cache.put("forward", ("a", "x", "y", "b"))
-        cache.put("reverse", ("b", "y", "x", "a"))
-        assert cache.invalidate_crossing([("y", "x")]) == 2
-
-    def test_no_route_entries_survive(self):
-        cache = RouteCache(8)
-        cache.put("impossible", NO_ROUTE)
-        assert cache.invalidate_crossing([("a", "b")]) == 0
-        assert "impossible" in cache
-
-    def test_empty_target_set_is_a_no_op(self):
-        cache = RouteCache(8)
-        cache.put("k", ("a", "b"))
-        assert cache.invalidate_crossing([]) == 0
-        assert "k" in cache
-
-    def test_size_gauge_tracks_drops(self):
-        telemetry = Telemetry.enabled_instance()
-        cache = RouteCache(8, telemetry=telemetry)
-        cache.put("k1", ("a", "x", "b"))
-        cache.put("k2", ("a", "y", "b"))
-        cache.invalidate_crossing([("a", "x")])
-        assert telemetry.registry.value_of("alvc_route_cache_size") == 1
