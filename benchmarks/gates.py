@@ -18,7 +18,7 @@ Each experiment is declared once.  Its checks come in two kinds:
 * **record checks** hold on one record alone — parity flags, absolute
   floors, the branch-and-bound node budget, frozen checksums and the
   soak envelope.  The bench tests apply them to the record they write
-  (:func:`record_failures`), and this gate applies them to the
+  (:func:`write_record`), and this gate applies them to the
   candidate (and, for E26, to the baseline too);
 * **regression checks** compare the candidate with the baseline — at
   most :data:`MAX_REGRESSION` below each floored value, no widened
@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Iterator, Mapping
 
@@ -292,6 +293,31 @@ def record_failures(record: dict, label: str = "candidate") -> list[str]:
         for ok, message in _record_verdicts(_gate_for(record), record, label)
         if not ok
     ]
+
+
+def write_record(
+    record: dict, *, label: str = "candidate", path: str | None = None
+) -> dict:
+    """Write a bench test's *record* and assert its record checks.
+
+    The record's ``experiment`` id prefix (``e23`` of
+    ``e23_service_throughput``) names the file: *path* if given, else
+    ``$ALVC_BENCH_E23_OUT``, else ``BENCH_e23.json`` in the working
+    directory.  The file is written before the checks run, so a failing
+    record can still be read.
+    """
+    prefix = record["experiment"].split("_", 1)[0]
+    if path is None:
+        path = os.environ.get(
+            f"ALVC_BENCH_{prefix.upper()}_OUT", f"BENCH_{prefix}.json"
+        )
+    with open(path, "w") as handle:
+        json.dump(record, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    failures = record_failures(record, label)
+    if failures:
+        raise AssertionError("\n".join(failures))
+    return record
 
 
 def _load(path: str) -> dict:

@@ -18,10 +18,9 @@ against the committed ``benchmarks/BENCH_e21.json`` to gate
 control-plane regressions in CI.
 """
 
-import json
 import os
 
-from gates import record_failures
+from gates import write_record
 
 from repro.analysis.experiments import (
     experiment_e21_control_plane_throughput,
@@ -72,8 +71,4 @@ def test_bench_e21_control_plane(benchmark):
         "checksums_match": len({row["checksum"] for row in rows}) == 1,
         "workers": workers,
     }
-    out_path = os.environ.get("ALVC_BENCH_E21_OUT", "BENCH_e21.json")
-    with open(out_path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    assert record_failures(record) == []
+    write_record(record)

@@ -15,10 +15,7 @@ against the committed ``benchmarks/BENCH_e22.json`` to gate routing
 regressions in CI.
 """
 
-import json
-import os
-
-from gates import record_failures
+from gates import write_record
 
 from repro.analysis.experiments import experiment_e22_routing_throughput
 from repro.analysis.reporting import render_table
@@ -61,8 +58,4 @@ def test_bench_e22_routing(benchmark):
         "batch_speedup": batch["speedup"],
         "parity": all(row["parity"] for row in rows),
     }
-    out_path = os.environ.get("ALVC_BENCH_E22_OUT", "BENCH_e22.json")
-    with open(out_path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    assert record_failures(record) == []
+    write_record(record)

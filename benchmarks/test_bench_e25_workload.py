@@ -20,10 +20,7 @@ The run writes a machine-readable record (``BENCH_e25.json`` in the
 working directory, or ``$ALVC_BENCH_E25_OUT``) for that gate.
 """
 
-import json
-import os
-
-from gates import record_failures
+from gates import write_record
 
 from repro.analysis.experiments import experiment_e25_week_in_the_life
 from repro.analysis.reporting import render_table
@@ -105,8 +102,4 @@ def test_bench_e25_workload(benchmark):
         ),
         "worker_parity": sharded == rows,
     }
-    out_path = os.environ.get("ALVC_BENCH_E25_OUT", "BENCH_e25.json")
-    with open(out_path, "w") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    assert record_failures(record) == []
+    write_record(record)

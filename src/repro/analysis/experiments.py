@@ -1,15 +1,17 @@
-"""Experiment procedures E1–E12 (see DESIGN.md's experiment index).
+"""Experiment procedures E1–E26 (see DESIGN.md's experiment index).
 
 Every function returns plain row dictionaries; the benchmark modules wrap
 them with assertions and timing, and the examples print them with
 :func:`repro.analysis.reporting.render_table`.  Keeping the procedures
 here means a paper figure is regenerated identically from a bench, an
-example, or an interactive session.
+example, or an interactive session.  E16's procedure is
+:func:`repro.analysis.topology_metrics.core_layout_comparison`; E19 is
+retired.
 
-The seeded sweeps (fig4, E9, E11, E20, E21) are factored into top-level
-*trial functions* over picklable parameter tuples so
+The seeded sweeps (fig4, E9, E11, E20, E21, E24, E25) are factored
+into top-level *trial functions* over picklable parameters so
 :class:`repro.parallel.SweepRunner` can shard them across worker
-processes; every sweep accepts ``workers=`` / ``runner=`` and produces
+processes; every sweep accepts ``workers=`` and produces
 **bit-identical rows for any worker count** (pass
 ``measure_time=False`` where a sweep reports wall-clock columns to zero
 them out for exact comparisons).
@@ -307,7 +309,6 @@ def experiment_fig4_strategy_sweep(
     servers_per_rack: int = 4,
     include_exact: bool = True,
     workers: int = 1,
-    runner: SweepRunner | None = None,
     measure_time: bool = True,
 ) -> list[dict]:
     """Mean AL size and construction time per strategy per fabric scale.
@@ -335,8 +336,7 @@ def experiment_fig4_strategy_sweep(
         for n_racks, n_ops in scales
         for strategy in strategies
     ]
-    sweep = runner if runner is not None else SweepRunner(workers=workers)
-    return sweep.map(_fig4_cell, tasks)
+    return SweepRunner(workers=workers).map(_fig4_cell, tasks)
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +637,6 @@ def experiment_e9_optimality_gap(
     n_ops: int = 6,
     seed_base: int = 100,
     workers: int = 1,
-    runner: SweepRunner | None = None,
 ) -> list[dict]:
     """Greedy/marginal/random AL sizes relative to the exact optimum.
 
@@ -648,8 +647,7 @@ def experiment_e9_optimality_gap(
     tasks = [
         (n_racks, n_ops, seed_base + index) for index in range(instances)
     ]
-    sweep = runner if runner is not None else SweepRunner(workers=workers)
-    per_instance = sweep.map(_e9_instance, tasks)
+    per_instance = SweepRunner(workers=workers).map(_e9_instance, tasks)
     per_strategy: dict[str, list[int]] = {}
     exact_sizes: list[int] = []
     for sizes in per_instance:
@@ -780,7 +778,6 @@ def experiment_e11_scalability(
     *,
     seed: int = 0,
     workers: int = 1,
-    runner: SweepRunner | None = None,
     measure_time: bool = True,
 ) -> list[dict]:
     """AL construction time and size as the fabric grows.
@@ -792,8 +789,7 @@ def experiment_e11_scalability(
         (n_racks, servers_per_rack, n_ops, seed, measure_time)
         for n_racks, servers_per_rack, n_ops in scales
     ]
-    sweep = runner if runner is not None else SweepRunner(workers=workers)
-    return sweep.map(_e11_scale, tasks)
+    return SweepRunner(workers=workers).map(_e11_scale, tasks)
 
 
 # ----------------------------------------------------------------------
@@ -1298,7 +1294,6 @@ def experiment_e20_chaos_recovery(
     repair_after: float = 8.0,
     seed: int = 0,
     workers: int = 1,
-    runner: SweepRunner | None = None,
 ) -> list[dict]:
     """Self-healing under fault injection, per AL-construction strategy.
 
@@ -1311,8 +1306,8 @@ def experiment_e20_chaos_recovery(
     :class:`~repro.chaos.RecoveryPolicy`, blast-radius containment,
     VNF evacuations, chains left degraded, and data-plane continuity.
 
-    Both arms are independent trials, so ``workers=2`` (or a shared
-    ``runner``) runs them in parallel with bit-identical rows.
+    Both arms are independent trials, so ``workers=2`` runs them in
+    parallel with bit-identical rows.
     """
     strategies = (
         ("al-vc", AlConstructionStrategy.VERTEX_COVER_GREEDY),
@@ -1330,8 +1325,7 @@ def experiment_e20_chaos_recovery(
         )
         for label, strategy in strategies
     ]
-    sweep = runner if runner is not None else SweepRunner(workers=workers)
-    return sweep.map(_e20_arm, tasks)
+    return SweepRunner(workers=workers).map(_e20_arm, tasks)
 
 
 # ----------------------------------------------------------------------
@@ -2160,7 +2154,6 @@ def experiment_e24_exact_gap(
     *,
     seed_base: int = 40,
     workers: int = 1,
-    runner: SweepRunner | None = None,
 ) -> list[dict]:
     """Greedy objectives against B&B-certified exact optima, by size.
 
@@ -2181,9 +2174,8 @@ def experiment_e24_exact_gap(
             scales
         )
     ]
-    sweep = runner if runner is not None else SweepRunner(workers=workers)
     rows: list[dict] = []
-    for pair in sweep.map(_e24_instance, tasks):
+    for pair in SweepRunner(workers=workers).map(_e24_instance, tasks):
         rows.extend(pair)
     return rows
 
@@ -2289,7 +2281,6 @@ def experiment_e25_week_in_the_life(
     dense_days: float = 2.0,
     seed: int = 0,
     workers: int = 1,
-    runner: SweepRunner | None = None,
 ) -> list[dict]:
     """A week of multi-tenant churn, elastic scaling and chaos (E25).
 
@@ -2358,8 +2349,7 @@ def experiment_e25_week_in_the_life(
         {**fleet, "arm": "fleet-b"},
         {**dense, "arm": "dense"},
     ]
-    sweep = runner if runner is not None else SweepRunner(workers=workers)
-    rows = sweep.map(_e25_soak, tasks)
+    rows = SweepRunner(workers=workers).map(_e25_soak, tasks)
     twins = {row["arm"]: row for row in rows}
     twin_identical = {
         key: value

@@ -8,292 +8,29 @@ Run any of the paper-reproduction experiments from a shell::
     python -m repro.cli report REPORT.md
 
 Each experiment prints the same rows/series its benchmark asserts, and
-``--export-dir`` additionally writes every table as CSV.  The CLI is a
-thin veneer over :mod:`repro.analysis.experiments`.
+``--export-dir`` additionally writes every table as CSV.  The
+experiments are declared once, in
+:data:`repro.analysis.report.EXPERIMENTS`; the CLI only reads that
+registry.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
+import functools
 import sys
 from pathlib import Path
-from typing import Callable
 
-from repro.analysis import experiments
 from repro.analysis.export import save_rows
+from repro.analysis.report import (
+    EXPERIMENTS,
+    generate_report,
+    run_experiment,
+    sharded_experiments,
+    write_report,
+)
 from repro.analysis.reporting import render_table
 from repro.observability.runtime import resolve, use_telemetry
-
-# Experiment id -> (description, producer).  A producer returns
-# {table name: rows}; scalar worked examples are rendered as one-row
-# tables so everything prints and exports uniformly.  Producers whose
-# signature accepts ``workers`` receive the ``--workers`` count (the
-# seeded sweeps shard across processes; results are identical for any
-# worker count).
-_Producer = Callable[..., dict]
-_REGISTRY: dict[str, tuple[str, _Producer]] = {}
-
-
-def _register(exp_id: str, description: str):
-    def decorator(producer: _Producer):
-        _REGISTRY[exp_id] = (description, producer)
-        return producer
-
-    return decorator
-
-
-@_register("fig1", "Service clustering vs flat DCN (traffic locality)")
-def _run_fig1() -> dict:
-    result = experiments.experiment_fig1_clustering()
-    return {
-        "Fig. 1 — traffic locality": result["traffic"],
-        "Fig. 1 — cluster census": result["census"],
-    }
-
-
-@_register("fig2", "AL-VC fabric vs fat-tree (census, path lengths)")
-def _run_fig2() -> dict:
-    return {
-        "Fig. 2 — fabric census and path lengths": (
-            experiments.experiment_fig2_topology()
-        )
-    }
-
-
-@_register("fig3", "Disjoint per-service abstraction layers")
-def _run_fig3() -> dict:
-    return {
-        "Fig. 3 — per-cluster abstraction layers": (
-            experiments.experiment_fig3_clusters()
-        )
-    }
-
-
-@_register("fig4", "AL construction worked example + strategy sweep")
-def _run_fig4(workers: int = 1) -> dict:
-    example = experiments.experiment_fig4_worked_example()
-    example_rows = [
-        {
-            "tor_weights": str(example["tor_weights"]),
-            "tors_considered": "->".join(example["tor_considered"]),
-            "tors_selected": "->".join(example["tor_selected"]),
-            "final_al": ",".join(example["al"]),
-        }
-    ]
-    return {
-        "Fig. 4 — worked example": example_rows,
-        "Fig. 4 — AL size per construction strategy": (
-            experiments.experiment_fig4_strategy_sweep(workers=workers)
-        ),
-    }
-
-
-@_register("fig5", "Three NFCs, each on its own path")
-def _run_fig5() -> dict:
-    return {
-        "Fig. 5 — per-chain paths": experiments.experiment_fig5_nfc_paths()
-    }
-
-
-@_register("fig6", "Orchestration action census (NFV functional blocks)")
-def _run_fig6() -> dict:
-    return {
-        "Fig. 6 — orchestration action census": (
-            experiments.experiment_fig6_orchestration()
-        )
-    }
-
-
-@_register("fig7", "One optical slice per NFC, to exhaustion")
-def _run_fig7() -> dict:
-    return {
-        "Fig. 7 — slice allocation and rejection": (
-            experiments.experiment_fig7_slicing()
-        )
-    }
-
-
-@_register("fig8", "VNF placement saving O/E/O conversions")
-def _run_fig8() -> dict:
-    example = experiments.experiment_fig8_worked_example()
-    return {
-        "Fig. 8 — worked example": [
-            {
-                "chain": "->".join(example["chain"]),
-                "before_conversions": example["before_conversions"],
-                "after_conversions": example["after_conversions"],
-                "saved": example["saved"],
-                "vnfs_optical_after": example["after_optical"],
-            }
-        ],
-        "Fig. 8 — conversions per placement algorithm": (
-            experiments.experiment_fig8_sweep()
-        ),
-    }
-
-
-@_register("e9", "Optimality gap of AL construction heuristics")
-def _run_e9(workers: int = 1) -> dict:
-    return {
-        "E9 — AL size vs exact optimum": (
-            experiments.experiment_e9_optimality_gap(workers=workers)
-        )
-    }
-
-
-@_register("e10", "Network-update cost under churn (AL-VC vs flat)")
-def _run_e10() -> dict:
-    return {
-        "E10 — switches touched per churn event": (
-            experiments.experiment_e10_update_cost()
-        )
-    }
-
-
-@_register("e11", "AL construction scalability (64 -> 2048 servers)")
-def _run_e11(workers: int = 1) -> dict:
-    return {
-        "E11 — AL construction vs fabric size": (
-            experiments.experiment_e11_scalability(workers=workers)
-        )
-    }
-
-
-@_register("e12", "O/E/O conversion energy vs optical capacity")
-def _run_e12() -> dict:
-    return {
-        "E12 — conversion energy vs capacity": (
-            experiments.experiment_e12_energy()
-        )
-    }
-
-
-@_register("e13", "Incremental AL reconfiguration vs full rebuild")
-def _run_e13() -> dict:
-    return {
-        "E13 — switches touched: incremental repair vs rebuild": (
-            experiments.experiment_e13_reconfiguration()
-        )
-    }
-
-
-@_register("e14", "Per-chain traffic cost with transport energy")
-def _run_e14() -> dict:
-    return {
-        "E14 — per-chain flow cost by placement policy": (
-            experiments.experiment_e14_chain_traffic()
-        )
-    }
-
-
-@_register("e15", "Flow completion times under load (fair-share DES)")
-def _run_e15() -> dict:
-    return {
-        "E15 — flow completion time vs offered load": (
-            experiments.experiment_e15_flow_completion()
-        )
-    }
-
-
-@_register("e16", "Optical-core layout metrics (ref [29] ablation)")
-def _run_e16() -> dict:
-    from repro.analysis.topology_metrics import core_layout_comparison
-
-    return {
-        "E16 — optical-core layout metrics": core_layout_comparison()
-    }
-
-
-@_register("e17", "Live VM migration churn through the orchestrator")
-def _run_e17() -> dict:
-    return {
-        "E17 — operational migration churn": (
-            experiments.experiment_e17_operational_migration()
-        )
-    }
-
-
-@_register("e18", "Traffic continuity under optical-switch failures")
-def _run_e18() -> dict:
-    return {
-        "E18 — continuity under switch failures": (
-            experiments.experiment_e18_failure_continuity()
-        )
-    }
-
-
-@_register("e20", "Chaos recovery: AL-VC vs the random-AL baseline")
-def _run_e20(workers: int = 1) -> dict:
-    return {
-        "E20 — self-healing under fault injection": (
-            experiments.experiment_e20_chaos_recovery(workers=workers)
-        )
-    }
-
-
-@_register("e21", "Control-plane throughput: set vs bitset vs parallel")
-def _run_e21(workers: int = 1) -> dict:
-    return {
-        "E21 — AL constructions/sec per control-plane arm": (
-            experiments.experiment_e21_control_plane_throughput(
-                workers=workers
-            )
-        )
-    }
-
-
-@_register("e22", "Routing throughput: networkx vs the CSR path engine")
-def _run_e22() -> dict:
-    return {
-        "E22 — AL-restricted paths/sec per routing arm": (
-            experiments.experiment_e22_routing_throughput()
-        )
-    }
-
-
-@_register("e23", "Durable service: group-commit throughput and restore")
-def _run_e23() -> dict:
-    return {
-        "E23 — durable-service ops/sec per arm": (
-            experiments.experiment_e23_service_throughput()
-        )
-    }
-
-
-@_register("e24", "Certified optimality gaps: greedy vs exact MILP")
-def _run_e24(workers: int = 1) -> dict:
-    return {
-        "E24 — greedy objective vs certified exact optimum": (
-            experiments.experiment_e24_exact_gap(workers=workers)
-        )
-    }
-
-
-@_register("e25", "Week-in-the-life churn soak: scaling, chaos, defrag")
-def _run_e25(workers: int = 1) -> dict:
-    return {
-        "E25 — week-in-the-life churn soak": (
-            experiments.experiment_e25_week_in_the_life(workers=workers)
-        )
-    }
-
-
-@_register("e26", "Vectorized data plane: event throughput and soak memory")
-def _run_e26() -> dict:
-    # Smoke sizing: the full-scale run (8000 flows, 1M-flow soak) lives
-    # in benchmarks/BENCH_e26.json; this keeps `run e26` interactive
-    # while still exercising the batched arm and the spawned soak child.
-    return {
-        "E26 — vectorized data-plane throughput (smoke sizing)": (
-            experiments.experiment_e26_dataplane_throughput(
-                n_flows=1200,
-                arrival_rate=1200.0,
-                soak_flows=20_000,
-            )
-        )
-    }
-
 
 #: Defaults for the ``--chaos`` option; every key may be overridden in
 #: the ``key=value,key=value`` spec.
@@ -817,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="+",
         metavar="EXPERIMENT",
-        help=f"experiment ids ({', '.join(sorted(_REGISTRY))}) or 'all'",
+        help=f"experiment ids ({', '.join(sorted(EXPERIMENTS))}) or 'all'",
     )
     run_parser.add_argument(
         "--export-dir",
@@ -842,8 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "shard the seeded sweeps (fig4, e9, e11, e20, e21) across N "
-            "worker processes; results are identical for any N "
+            f"shard the seeded sweeps ({', '.join(sharded_experiments())}) "
+            "across N worker processes; results are identical for any N "
             "(default: 1, fully in-process)"
         ),
     )
@@ -868,13 +605,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "workload":
         return _workload(args)
     if args.command == "list":
-        for exp_id in sorted(_REGISTRY):
-            description, _ = _REGISTRY[exp_id]
-            print(f"{exp_id:<6} {description}")
+        for exp_id in sorted(EXPERIMENTS):
+            print(f"{exp_id:<6} {EXPERIMENTS[exp_id].description}")
         return 0
     if args.command == "report":
-        from repro.analysis.report import generate_report, write_report
-
         if args.path is None:
             print(generate_report())
         else:
@@ -883,54 +617,42 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     requested = list(args.experiments)
     if requested == ["all"]:
-        requested = sorted(_REGISTRY)
-    unknown = [exp_id for exp_id in requested if exp_id not in _REGISTRY]
+        requested = sorted(EXPERIMENTS)
+    unknown = [exp_id for exp_id in requested if exp_id not in EXPERIMENTS]
     if unknown:
         print(
             f"unknown experiment(s): {', '.join(unknown)} (try 'list')",
             file=sys.stderr,
         )
         return 2
-    chaos_options = None
-    if getattr(args, "chaos", None) is not None:
+    # (CSV prefix, table producer) per run, the chaos run last.
+    runs = [
+        (exp_id, functools.partial(run_experiment, exp_id, args.workers))
+        for exp_id in requested
+    ]
+    if args.chaos is not None:
         try:
             chaos_options = _parse_chaos(args.chaos)
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
+        runs.append(("chaos", functools.partial(_run_chaos, chaos_options)))
     export_dir = Path(args.export_dir) if args.export_dir else None
     if export_dir is not None:
         export_dir.mkdir(parents=True, exist_ok=True)
-    mode = getattr(args, "telemetry", "off")
+    mode = args.telemetry
     telemetry = resolve(mode != "off")
-    first = True
     # Experiments build their own orchestrators/simulators, which pick
     # up the ambient telemetry at construction — so install ours for
     # the duration of the run.
     with use_telemetry(telemetry):
-        for exp_id in requested:
-            if not first:
+        for index, (prefix, produce) in enumerate(runs):
+            if index:
                 print()
-            first = False
-            _, producer = _REGISTRY[exp_id]
-            kwargs = {}
-            workers = getattr(args, "workers", 1)
-            if "workers" in inspect.signature(producer).parameters:
-                kwargs["workers"] = workers
-            for title, rows in producer(**kwargs).items():
+            for title, rows in produce().items():
                 print(render_table(rows, title=title))
                 if export_dir is not None:
-                    target = export_dir / f"{exp_id}-{_slug(title)}.csv"
-                    save_rows(rows, target)
-                    print(f"  [exported {target}]")
-        if chaos_options is not None:
-            if not first:
-                print()
-            first = False
-            for title, rows in _run_chaos(chaos_options).items():
-                print(render_table(rows, title=title))
-                if export_dir is not None:
-                    target = export_dir / f"chaos-{_slug(title)}.csv"
+                    target = export_dir / f"{prefix}-{_slug(title)}.csv"
                     save_rows(rows, target)
                     print(f"  [exported {target}]")
     if mode == "json":

@@ -80,6 +80,34 @@ class TestReportGeneration:
         assert "servers" in text
         assert "fig4" not in text
 
+    def test_run_experiment_calls_each_procedure_once(self, monkeypatch):
+        from repro.analysis import report
+
+        calls = []
+
+        def split(*, size):
+            calls.append(size)
+            return {"a": [{"n": size}], "b": []}
+
+        def sweep(*, size, workers=1):
+            return [{"n": size, "workers": workers}]
+
+        toy = report.Experiment(
+            "toy",
+            report.Table("A", split, "a"),
+            report.Table("B", split, "b"),
+            report.Table("C", sweep),
+            size=3,
+        )
+        monkeypatch.setitem(report.EXPERIMENTS, "toy", toy)
+        assert report.run_experiment("toy", workers=2) == {
+            "A": [{"n": 3}],
+            "B": [],
+            "C": [{"n": 3, "workers": 2}],
+        }
+        assert calls == [3]
+        assert "toy" in report.sharded_experiments()
+
     def test_unknown_id_rejected(self):
         from repro.analysis.report import generate_report
 

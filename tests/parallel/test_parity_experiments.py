@@ -19,7 +19,6 @@ from repro.analysis.experiments import (
 from repro.core import algorithms
 from repro.core.abstraction_layer import AlConstructionStrategy
 from repro.core.algorithms import BITSET_KERNEL_THRESHOLD
-from repro.parallel import SweepRunner
 from repro.stack import AlvcStack
 
 
@@ -50,15 +49,6 @@ class TestSweepParity:
             scales, workers=4, measure_time=False
         )
         assert sharded == serial
-
-    def test_shared_runner_accepted(self):
-        runner = SweepRunner(workers=2, chunk_size=1)
-        rows = experiment_e11_scalability(
-            ((4, 4, 4),), runner=runner, measure_time=False
-        )
-        assert rows == experiment_e11_scalability(
-            ((4, 4, 4),), measure_time=False
-        )
 
 
 class TestE21Checksums:

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import EXPERIMENTS
+
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
@@ -220,6 +222,49 @@ def test_every_declared_experiment_has_a_committed_record():
     declared = set(gates.GATES)
     committed = {record["experiment"] for record in RECORDS.values()}
     assert declared == committed
+
+
+def test_every_gate_names_a_registered_procedure():
+    procedures = {
+        table.procedure.__name__
+        for experiment in EXPERIMENTS.values()
+        for table in experiment.tables
+    }
+    missing = [
+        key for key in gates.GATES if f"experiment_{key}" not in procedures
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_write_record_reproduces_the_committed_bytes(
+    name, tmp_path, monkeypatch
+):
+    target = tmp_path / "out.json"
+    monkeypatch.setenv(f"ALVC_BENCH_{name.upper()}_OUT", str(target))
+    gates.write_record(copy.deepcopy(RECORDS[name]), label="committed")
+    committed = (BENCH_DIR / f"BENCH_{name}.json").read_bytes()
+    assert target.read_bytes() == committed
+
+
+def test_write_record_defaults_to_the_working_directory(
+    tmp_path, monkeypatch
+):
+    monkeypatch.delenv("ALVC_BENCH_E22_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    gates.write_record(copy.deepcopy(RECORDS["e22"]))
+    assert json.loads((tmp_path / "BENCH_e22.json").read_text()) == (
+        RECORDS["e22"]
+    )
+
+
+def test_write_record_writes_then_fails_a_failing_record(tmp_path):
+    record = copy.deepcopy(RECORDS["e23"])
+    record["batched_speedup"] = 1.9
+    target = tmp_path / "e23.json"
+    with pytest.raises(AssertionError, match="batched_speedup 1.90"):
+        gates.write_record(record, path=str(target))
+    assert json.loads(target.read_text())["batched_speedup"] == 1.9
 
 
 def test_mismatched_experiments_cannot_be_compared(tmp_path):

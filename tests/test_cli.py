@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -173,6 +174,15 @@ class TestRun:
 
 
 class TestParser:
+    def test_run_help_names_the_sharded_experiments(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        (listed,) = re.findall(r"shard the seeded sweeps \(([^)]*)\)", text)
+        assert listed.split(", ") == [
+            "fig4", "e9", "e11", "e20", "e21", "e24", "e25",
+        ]
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
