@@ -3,9 +3,9 @@
 Regenerates: (a) the exact Fig. 8 walk-through (3-VNF chain, two
 conversions before, one after, two VNFs in the optical domain) and
 (b) the sweep over chain length and optoelectronic capacity comparing
-all-electronic / random / greedy / optimal placement.  Expected shape:
+all-electronic / random / greedy / exact placement.  Expected shape:
 all-electronic is the ceiling, conversions fall as capacity grows, and
-optimal ≤ greedy ≤ random ≤ all-electronic.
+exact ≤ greedy ≤ random ≤ all-electronic.
 """
 
 from repro.analysis.experiments import (
@@ -64,8 +64,8 @@ def test_bench_fig8_sweep(benchmark):
                 "mean_conversions"
             ]
             greedy = indexed[(length, scale, "greedy")]["mean_conversions"]
-            optimal = indexed[(length, scale, "optimal")]["mean_conversions"]
-            assert optimal <= greedy + 1e-9 <= ceiling + 1e-9
+            exact = indexed[(length, scale, "exact")]["mean_conversions"]
+            assert exact <= greedy + 1e-9 <= ceiling + 1e-9
         # More capacity never hurts the optimizer.
         greedy_curve = [
             indexed[(length, scale, "greedy")]["mean_conversions"]

@@ -553,7 +553,7 @@ def experiment_fig8_sweep(
         PlacementAlgorithm.ALL_ELECTRONIC,
         PlacementAlgorithm.RANDOM,
         PlacementAlgorithm.GREEDY,
-        PlacementAlgorithm.OPTIMAL,
+        PlacementAlgorithm.EXACT,
     )
     rows = []
     for length in chain_lengths:

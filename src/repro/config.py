@@ -41,8 +41,8 @@ COVER_KERNELS = ("auto", "set", "bitset")
 ROUTING_ENGINES = ("auto", "csr", "nx")
 
 #: Recognized solver-engine selectors for AL construction and placement
-#: (see :mod:`repro.opt`): greedy heuristics, the certified exact MILP,
-#: or size-dependent auto fallback.
+#: (see :mod:`repro.opt`): greedy heuristics, the exact solvers, or
+#: size-dependent auto fallback.
 SOLVER_ENGINES = ("greedy", "exact", "auto")
 
 
@@ -61,11 +61,15 @@ class EngineConfig:
             engine when the fabric's accessor caching is on).
         solver: optimization engine for AL construction and chain
             placement — ``"greedy"`` (the paper's heuristics, default),
-            ``"exact"`` (the certified :mod:`repro.opt` MILPs), or
-            ``"auto"`` (exact on small instances, greedy beyond).
-            Unlike the other selectors this one *can* change results —
-            exact solutions may beat the greedy — so the default stays
-            on the heuristic path.
+            ``"exact"`` (the certified :mod:`repro.opt` cover MILP for
+            AL construction; ``PlacementAlgorithm.EXACT`` for every
+            provision, plan and modification that names no
+            algorithm), or ``"auto"`` (exact on small instances,
+            greedy beyond; for placement, chains of at most 12
+            optical-capable functions go ``EXACT``).  Unlike the other
+            selectors this one *can* change results — exact solutions
+            may beat the greedy — so the default stays on the
+            heuristic path.
         workers: default worker-process count for seeded sweeps
             (``1`` runs fully in-process).
     """

@@ -20,14 +20,12 @@ allocate each slice to a single NFC."
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 
 from repro.config import EngineConfig
 from repro.core.chaining import ChainRequest, NetworkFunctionChain
 from repro.core.cluster import ClusterManager, VirtualCluster
 from repro.core.placement import (
-    _AUTO_EXACT_POSITIONS as _AUTO_SOLVER_POSITIONS,
     ChainPlacement,
     HostPolicy,
     PlacementAlgorithm,
@@ -35,14 +33,12 @@ from repro.core.placement import (
 )
 from repro.core.slicing import OpticalSlice, SliceAllocator
 from repro.exceptions import (
-    ALVCError,
     CoverInfeasibleError,
     DuplicateEntityError,
     PlacementError,
     RoutingError,
     SlicingError,
     UnknownEntityError,
-    ValidationError,
 )
 from repro.ids import ChainId, OpsId, ServerId, VnfId
 from repro.nfv.manager import CloudNfvManager
@@ -88,6 +84,11 @@ class _ClusterContext:
 
     candidates: tuple[ServerId, ...]
     vm_servers: tuple[ServerId, ...]
+
+
+#: ``EngineConfig(solver="auto")`` places with ``EXACT`` up to this many
+#: movable positions and with ``GREEDY`` beyond.
+_AUTO_EXACT_POSITIONS = 12
 
 
 #: AL-confined route segments the orchestrator memoizes before it
@@ -200,8 +201,10 @@ class NetworkOrchestrator:
                 dict) bundling every backend selector — the routing
                 engine for chain routing and rerouting
                 (``"auto"``/``"csr"``/``"nx"``, see
-                :mod:`repro.sdn.routing`; bit-identical outputs) plus
-                the cover kernel used for AL construction and repair.
+                :mod:`repro.sdn.routing`; bit-identical outputs), the
+                cover kernel used for AL construction and repair, and
+                the ``solver`` that picks the placement algorithm when
+                a caller names none.
         """
         engines = EngineConfig.coerce(engines)
         self._engines = engines
@@ -300,7 +303,9 @@ class NetworkOrchestrator:
                     f"(exclusive mode)"
                 )
 
-            placement = self._solver_for(cluster).solve(chain, algorithm)
+            placement = self._solver_for(cluster).solve(
+                chain, self._resolve_algorithm(algorithm, chain)
+            )
             ctx = self._cluster_context(cluster)
             electronic_hosts: list[ServerId] = []
             for placed in placement.assignments:
@@ -327,7 +332,11 @@ class NetworkOrchestrator:
     ) -> PlacementAlgorithm:
         """Concrete algorithm for a request: explicit wins, else the
         engines' ``solver`` selector decides (resolved *before* the
-        journal record is written, so replay is deterministic)."""
+        journal record is written, so replay is deterministic).
+
+        The one place :attr:`EngineConfig.solver` picks a placement
+        algorithm: dry runs, provisions and modifications all resolve
+        here, so a plan previews what the provision commits."""
         if algorithm is not None:
             return algorithm
         solver = self._engines.solver
@@ -337,7 +346,7 @@ class NetworkOrchestrator:
             movable = sum(
                 1 for function in chain if function.optical_capable
             )
-            if movable <= _AUTO_SOLVER_POSITIONS:
+            if movable <= _AUTO_EXACT_POSITIONS:
                 return PlacementAlgorithm.EXACT
         return PlacementAlgorithm.GREEDY
 
@@ -355,7 +364,6 @@ class NetworkOrchestrator:
             host_policy=self._host_policy,
             seed=self._seed,
             telemetry=self._telemetry,
-            engine=self._engines.solver,
         )
 
     # ------------------------------------------------------------------
@@ -386,74 +394,6 @@ class NetworkOrchestrator:
             if outermost:
                 self._record_provision(request, algorithm)
         return orchestrated
-
-    def provision_chains(
-        self,
-        requests: list[ChainRequest],
-        algorithm: PlacementAlgorithm | None = None,
-        *,
-        on_error: str = "raise",
-    ) -> list:
-        """Batch admission: provision many chains in one pass.
-
-        Semantically identical to calling :meth:`provision_chain` once
-        per request **in order** — same placements, same paths, same
-        journal records — but cheaper in two ways:
-
-        * every journal append of the batch shares one group commit
-          (one fsync per batch instead of one per chain);
-        * per-cluster admission context (the electronic-host candidate
-          order and the routing endpoints, both independent of free
-          *capacity*) is computed once per cluster instead of once per
-          chain.  Nothing inside a provisioning batch moves VMs or
-          changes ALs, so the cache cannot go stale mid-batch.
-
-        Args:
-            requests: chain requests, admitted in list order.
-            algorithm: placement algorithm for every request.
-            on_error: ``"raise"`` propagates the first failure
-                (requests already admitted stay admitted);
-                ``"collect"`` records the exception object in the
-                result slot and continues with the next request.
-
-        Returns:
-            One entry per request, in order: the
-            :class:`OrchestratedChain`, or (``on_error="collect"``)
-            the :class:`~repro.exceptions.ALVCError` that rejected it.
-        """
-        if on_error not in ("raise", "collect"):
-            raise ValidationError(
-                f"on_error must be 'raise' or 'collect', got {on_error!r}"
-            )
-        journal = self._recorder.journal
-        scope = (
-            journal.batch()
-            if self._recorder.active and journal is not None
-            else contextlib.nullcontext()
-        )
-        contexts: dict = {}
-        results: list = []
-        with scope:
-            for request in requests:
-                resolved = self._resolve_algorithm(algorithm, request.chain)
-                try:
-                    with self._recorder.operation() as outermost:
-                        orchestrated = self._provision_chain(
-                            request, resolved, contexts
-                        )
-                        if outermost:
-                            self._record_provision(request, resolved)
-                    results.append(orchestrated)
-                except ALVCError as exc:
-                    if on_error == "raise":
-                        raise
-                    results.append(exc)
-        if self._telemetry.enabled:
-            self._telemetry.counter(
-                "alvc_provision_batches_total",
-                "provision_chains batches admitted",
-            ).inc()
-        return results
 
     def _record_provision(
         self, request: ChainRequest, algorithm: PlacementAlgorithm

@@ -14,16 +14,17 @@ cluster's AL) or stays electronic.  Four algorithms:
 * ``RANDOM`` — positions tried in random order, first-fit into the pool;
 * ``GREEDY`` — repeatedly move the VNF whose move saves the most
   conversions (ties: smallest demand), until nothing helps or fits;
-* ``OPTIMAL`` — exhaustive subset search with exact bin-packing
-  feasibility, for the optimality-gap experiments (small chains only);
-* ``EXACT`` — the :mod:`repro.opt` MILP (branch-and-bound over the
-  joint placement + O/E/O allocation formulation), which certifies its
-  optimum and honors the chain's partial-order / anti-affinity knobs.
+* ``EXACT`` — the optimum, minimizing ``(conversions, optical_count)``
+  under the chain's anti-affinity pairs.  Up to 14 movable positions
+  it is an exhaustive subset search with exact bin-packing feasibility
+  (optimal by exhaustion); beyond that it is the :mod:`repro.opt` MILP
+  (branch-and-bound over the joint placement + O/E/O allocation
+  formulation), which places all-electronic, uncertified, if its node
+  budget runs out before it finds an incumbent.
 
-The ``engine=`` selector ("greedy" | "exact" | "auto") picks the
-*default* algorithm when ``solve`` is called without one: ``auto``
-solves exactly on instances small enough for branch-and-bound and
-falls back to the greedy otherwise.
+``solve`` runs the algorithm it is given (``GREEDY`` by default); which
+one a provision uses when the caller names none is decided by the
+orchestrator from :attr:`repro.config.EngineConfig.solver`.
 """
 
 from __future__ import annotations
@@ -35,24 +36,16 @@ import random
 from typing import Mapping, Sequence
 
 from repro.core.chaining import NetworkFunctionChain
-from repro.exceptions import PlacementError, ValidationError
+from repro.exceptions import PlacementError
 from repro.ids import OpsId
 from repro.observability.runtime import Telemetry, current_telemetry
 from repro.nfv.functions import NetworkFunctionType
 from repro.optical.conversion import ConversionModel, count_excursions
-from repro.optical.optoelectronic import OptoelectronicPool
 from repro.topology.elements import Domain, ResourceVector
 
-_OPTIMAL_POSITION_LIMIT = 14
-
-#: Recognized ``engine=`` selectors on :class:`PlacementSolver`.
-PLACEMENT_ENGINES = ("greedy", "exact", "auto")
-
-#: ``engine="auto"`` solves exactly only below these instance sizes
-#: (branch-and-bound stays sub-second there); larger chains fall back
-#: to the greedy.
-_AUTO_EXACT_POSITIONS = 12
-_AUTO_EXACT_HOSTS = 6
+#: ``EXACT`` enumerates subsets up to this many movable positions and
+#: hands larger chains to the MILP.
+_EXACT_SEARCH_POSITIONS = 14
 
 
 class HostPolicy(enum.Enum):
@@ -74,7 +67,6 @@ class PlacementAlgorithm(enum.Enum):
     ALL_ELECTRONIC = "all_electronic"
     RANDOM = "random"
     GREEDY = "greedy"
-    OPTIMAL = "optimal"
     EXACT = "exact"
 
 
@@ -192,7 +184,6 @@ class PlacementSolver:
         host_policy: HostPolicy = None,
         seed: int = 0,
         telemetry: Telemetry | None = None,
-        engine: str = "greedy",
     ) -> None:
         """Create a solver over a capacity snapshot.
 
@@ -209,46 +200,15 @@ class PlacementSolver:
             telemetry: metrics sink (ambient default when omitted);
                 records per-solve conversions, conversions saved, and
                 improve-pass iterations.
-            engine: which algorithm ``solve`` defaults to —
-                ``"greedy"``, ``"exact"`` (certified MILP), or
-                ``"auto"`` (exact on small instances, greedy beyond).
         """
-        if engine not in PLACEMENT_ENGINES:
-            raise ValidationError(
-                f"unknown placement engine {engine!r} "
-                f"(expected one of {', '.join(PLACEMENT_ENGINES)})"
-            )
         self._free = dict(free_capacity)
         self._merge = merge_consecutive
         self._host_policy = host_policy or HostPolicy.FIRST_FIT
         self._seed = seed
         self._rng: random.Random | None = None
-        self._engine = engine
         self._telemetry = (
             telemetry if telemetry is not None else current_telemetry()
         )
-
-    @property
-    def engine(self) -> str:
-        """The solver's configured default-algorithm engine."""
-        return self._engine
-
-    def default_algorithm(
-        self, chain: NetworkFunctionChain
-    ) -> PlacementAlgorithm:
-        """The algorithm ``solve`` runs when none is requested."""
-        if self._engine == "exact":
-            return PlacementAlgorithm.EXACT
-        if self._engine == "auto":
-            movable = sum(
-                1 for function in chain if function.optical_capable
-            )
-            if (
-                movable <= _AUTO_EXACT_POSITIONS
-                and len(self._free) <= _AUTO_EXACT_HOSTS
-            ):
-                return PlacementAlgorithm.EXACT
-        return PlacementAlgorithm.GREEDY
 
     def _pick_host(
         self,
@@ -278,39 +238,19 @@ class PlacementSolver:
             )
         raise PlacementError(f"unknown host policy {self._host_policy!r}")
 
-    @classmethod
-    def for_pool(
-        cls,
-        pool: OptoelectronicPool,
-        *,
-        merge_consecutive: bool = False,
-        seed: int = 0,
-    ) -> "PlacementSolver":
-        """Solver over a pool's current free capacities."""
-        free = {ops: pool.get(ops).free for ops in pool.host_ids()}
-        return cls(free, merge_consecutive=merge_consecutive, seed=seed)
-
     # ------------------------------------------------------------------
     def solve(
         self,
         chain: NetworkFunctionChain,
-        algorithm: PlacementAlgorithm | None = None,
+        algorithm: PlacementAlgorithm = PlacementAlgorithm.GREEDY,
     ) -> ChainPlacement:
-        """Place a chain with the requested algorithm.
-
-        When ``algorithm`` is omitted (or None) the solver's ``engine``
-        selector decides: greedy, exact, or size-dependent auto.
-        """
-        if algorithm is None:
-            algorithm = self.default_algorithm(chain)
+        """Place a chain with the requested algorithm."""
         if algorithm is PlacementAlgorithm.ALL_ELECTRONIC:
             optical: dict[int, OpsId] = {}
         elif algorithm is PlacementAlgorithm.RANDOM:
             optical = self._solve_random(chain)
         elif algorithm is PlacementAlgorithm.GREEDY:
             optical = self._solve_greedy(chain)
-        elif algorithm is PlacementAlgorithm.OPTIMAL:
-            optical = self._solve_optimal(chain)
         elif algorithm is PlacementAlgorithm.EXACT:
             optical = self._solve_exact(chain)
         else:
@@ -571,15 +511,18 @@ class PlacementSolver:
             runs.append(tuple(current))
         return runs
 
-    def _solve_optimal(self, chain: NetworkFunctionChain) -> dict[int, OpsId]:
+    def _solve_exact(self, chain: NetworkFunctionChain) -> dict[int, OpsId]:
+        """The optimum: subset search on small chains, MILP beyond."""
         positions = self._movable_positions(chain)
-        if len(positions) > _OPTIMAL_POSITION_LIMIT:
-            raise PlacementError(
-                f"OPTIMAL placement is limited to {_OPTIMAL_POSITION_LIMIT} "
-                f"movable positions, got {len(positions)}"
+        if len(positions) > _EXACT_SEARCH_POSITIONS:
+            # Imported lazily: repro.opt builds on this module's types.
+            from repro.opt.placement import exact_optical_assignment
+
+            optical, _ = exact_optical_assignment(
+                chain, self._free, merge_consecutive=self._merge
             )
+            return optical
         conflicts = chain.anti_affinity_conflicts()
-        best_subset: tuple[int, ...] | None = None
         best_key: tuple[int, int] | None = None
         best_packing: dict[int, OpsId] = {}
         for size in range(len(positions), -1, -1):
@@ -602,33 +545,9 @@ class PlacementSolver:
                 if packing is None:
                     continue
                 best_key = key
-                best_subset = subset
                 best_packing = packing
-        if best_subset is None:
-            return {}
+        # The empty subset always packs, so some subset always wins.
         return best_packing
-
-    def _solve_exact(self, chain: NetworkFunctionChain) -> dict[int, OpsId]:
-        """Certified optimum via the :mod:`repro.opt` MILP."""
-        # Imported lazily: repro.opt builds on this module's result types.
-        from repro.opt.placement import exact_optical_assignment
-
-        optical, _ = exact_optical_assignment(
-            chain,
-            self._free,
-            merge_consecutive=self._merge,
-        )
-        return optical
-
-
-def _first_fit(
-    free: Mapping[OpsId, ResourceVector], demand: ResourceVector
-) -> OpsId | None:
-    """First router (sorted order) whose free capacity fits the demand."""
-    for ops in sorted(free):
-        if demand.fits_within(free[ops]):
-            return ops
-    return None
 
 
 def _forbidden_hosts(

@@ -164,9 +164,12 @@ class QuotaGuard:
     def provision_chain(
         self,
         request: ChainRequest,
-        algorithm: PlacementAlgorithm = PlacementAlgorithm.GREEDY,
+        algorithm: PlacementAlgorithm | None = None,
     ) -> OrchestratedChain:
         """Enforce quotas, then provision.
+
+        ``algorithm=None`` lets the orchestrator's ``EngineConfig.solver``
+        pick it, for the quota plan and the provision alike.
 
         Raises:
             QuotaExceededError: before anything is allocated.

@@ -19,8 +19,9 @@ model:
   declared pairs (arXiv 1705.10554).
 
 The objective lexicographically minimizes ``(conversions,
-optical_count)`` — exactly the key the subset-search ``OPTIMAL``
-algorithm uses — by weighting conversions at ``len(chain) + 1``.
+optical_count)`` — exactly the key of the subset search that
+``PlacementAlgorithm.EXACT`` runs on small chains — by weighting
+conversions at ``len(chain) + 1``.
 Results come back as the same :class:`~repro.core.placement.ChainPlacement`
 objects the greedy solver emits, with hosts re-derived through the
 deterministic exact packer so exact and greedy placements stay
@@ -258,7 +259,7 @@ def _canonical_hosts(
     """Deterministic hosts for the chosen optical position set.
 
     Without a wavelength cap the deterministic exact packer re-derives
-    hosts exactly the way the subset-search ``OPTIMAL`` algorithm does,
+    hosts exactly the way ``EXACT``'s subset search does,
     keeping exact and greedy results digest-compatible; with a cap the
     packer doesn't know about wavelengths, so the MILP's own (equally
     deterministic) assignment is used.

@@ -11,8 +11,8 @@ drain task that admits requests in **batches**:
   one fsync per batch instead of one per op (see
   :meth:`repro.service.journal.Journal.batch`);
 * contiguous runs of provisions are admitted through
-  :meth:`NetworkOrchestrator.provision_chains`, which amortizes
-  per-cluster candidate scans across the run.
+  :meth:`AlvcStack.provision_batch <repro.stack.AlvcStack.provision_batch>`,
+  which amortizes per-cluster candidate scans across the run.
 
 Those two levers are where E23's batched-vs-serial throughput win comes
 from.  Execution itself stays synchronous and single-threaded — the
@@ -56,7 +56,7 @@ class ProvisionRequest:
     chain_id: str | None = None
     flow_size_gb: float = 1.0
     bandwidth_gbps: float = 1.0
-    algorithm: PlacementAlgorithm = PlacementAlgorithm.GREEDY
+    algorithm: PlacementAlgorithm | None = None
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

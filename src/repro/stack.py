@@ -141,8 +141,9 @@ class AlvcStack:
                 ``"first_fit"``).
             engines: typed :class:`~repro.config.EngineConfig` (or a
                 mapping coercible to one) selecting the cover kernel,
-                routing engine and default sweep worker count in one
-                place.
+                routing engine, solver (AL construction and the
+                placement algorithm of provisions that name none) and
+                default sweep worker count in one place.
             journal: a :class:`~repro.service.Journal` (or a path to
                 one) that records every state-mutating call on this
                 stack; the journal receives a ``genesis`` record of
@@ -373,7 +374,7 @@ class AlvcStack:
         chain_id: ChainId | None = None,
         flow_size_gb: float = 1.0,
         bandwidth_gbps: float = 1.0,
-        algorithm: PlacementAlgorithm = PlacementAlgorithm.GREEDY,
+        algorithm: PlacementAlgorithm | None = None,
     ) -> OrchestratedChain:
         """Provision one NFC over a service's cluster (built on demand).
 
@@ -386,7 +387,8 @@ class AlvcStack:
             chain_id: id for a name-sequence chain (auto-numbered when
                 omitted; ignored when ``chain`` is already a chain).
             bandwidth_gbps: link requirement for a name-sequence chain.
-            algorithm: VNF placement algorithm.
+            algorithm: VNF placement algorithm; None lets the stack's
+                ``EngineConfig.solver`` pick it.
         """
         if not isinstance(chain, NetworkFunctionChain):
             chain = tuple(chain)
@@ -398,6 +400,9 @@ class AlvcStack:
             request = self._request(
                 chain, service, tenant, chain_id, flow_size_gb,
                 bandwidth_gbps,
+            )
+            algorithm = self._orchestrator._resolve_algorithm(
+                algorithm, request.chain
             )
             live = self._orchestrator.provision_chain(request, algorithm)
             self._commit_serial(chain, chain_id)
@@ -417,12 +422,13 @@ class AlvcStack:
         chain_id: ChainId | None = None,
         flow_size_gb: float = 1.0,
         bandwidth_gbps: float = 1.0,
-        algorithm: PlacementAlgorithm = PlacementAlgorithm.GREEDY,
+        algorithm: PlacementAlgorithm | None = None,
     ) -> ProvisioningPlan:
         """Dry-run admission check; mutates nothing.
 
         Unlike :meth:`provision`, this never bootstraps a cluster — a
         missing cluster is reported as a blocking problem in the plan.
+        The placement algorithm resolves as in :meth:`provision`.
         """
         request = self._request(
             chain, service, tenant, chain_id, flow_size_gb, bandwidth_gbps
@@ -518,15 +524,18 @@ class AlvcStack:
                             item.chain_id, item.flow_size_gb,
                             item.bandwidth_gbps,
                         )
+                        algorithm = self._orchestrator._resolve_algorithm(
+                            item.algorithm, request.chain
+                        )
                         live = self._orchestrator._provision_chain(
-                            request, item.algorithm, contexts
+                            request, algorithm, contexts
                         )
                         self._commit_serial(chain, item.chain_id)
                         if outermost:
                             self._record_provision(
                                 chain, item.service, item.tenant,
                                 item.chain_id, item.flow_size_gb,
-                                item.bandwidth_gbps, item.algorithm,
+                                item.bandwidth_gbps, algorithm,
                             )
                 except ALVCError as exc:
                     if on_error == "raise":
@@ -537,7 +546,7 @@ class AlvcStack:
         if self.telemetry.enabled:
             self.telemetry.counter(
                 "alvc_provision_batches_total",
-                "provision_chains batches admitted",
+                "provision_batch batches admitted",
             ).inc()
         return results
 

@@ -158,7 +158,7 @@ class TestE8Placement:
         optimal = {
             (row["chain_len"], row["capacity_scale"]): row["mean_conversions"]
             for row in rows
-            if row["algorithm"] == "optimal"
+            if row["algorithm"] == "exact"
         }
         for key, greedy_value in greedy.items():
             assert optimal[key] <= greedy_value + 1e-9

@@ -84,31 +84,24 @@ class TestSerialBatchParity:
             tmp_path / "serial.alvc"
         )
 
-    def test_orchestrator_batch_matches_serial_calls(self):
-        def requests(stack):
-            for service in SERVICES:
-                stack.cluster(service)
-            return [
-                stack._request(
-                    tuple(item["chain"]), item["service"], "tenant-0",
-                    f"chain-{index}", item.get("flow_size_gb", 1.0), 1.0,
-                )
-                for index, item in enumerate(REQUESTS)
-            ]
-
+    def test_stack_batch_matches_serial_paths(self):
+        requests = [
+            {**item, "chain_id": f"chain-{index}"}
+            for index, item in enumerate(REQUESTS)
+        ]
         build = {**BUILD, "telemetry": "off"}
         serial = AlvcStack.build(**build)
         serial_paths = []
-        for request in requests(serial):
+        for request in requests:
             try:
-                live = serial.orchestrator.provision_chain(request)
-                serial_paths.append(live.path)
+                serial_paths.append(serial.provision(**request).path)
             except ALVCError as exc:
                 serial_paths.append(type(exc))
 
         batched = AlvcStack.build(**build)
-        results = batched.orchestrator.provision_chains(
-            requests(batched), on_error="collect"
+        results = batched.provision_batch(
+            [ProvisionRequest(**request) for request in requests],
+            on_error="collect",
         )
         batch_paths = [
             type(result) if isinstance(result, ALVCError) else result.path

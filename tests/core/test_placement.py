@@ -1,5 +1,7 @@
 """Tests for the O/E/O-minimizing VNF placement solver."""
 
+import itertools
+
 import pytest
 
 from repro.core.chaining import NetworkFunctionChain
@@ -8,14 +10,53 @@ from repro.core.placement import (
     PlacedVnf,
     PlacementAlgorithm,
     PlacementSolver,
+    _exact_pack,
 )
 from repro.exceptions import PlacementError
 from repro.nfv.functions import FunctionCatalog
-from repro.optical.conversion import ConversionModel
+from repro.opt.placement import exact_chain_placement
+from repro.optical.conversion import ConversionModel, count_excursions
 from repro.topology.elements import Domain, ResourceVector
 
 
 CATALOG = FunctionCatalog.standard()
+
+
+def _subset_search(chain, free, merge):
+    """Reference optimum: every optical subset, largest first, packed
+    exactly; the first one with the least ``(conversions, optical
+    count)`` wins.  Returns position -> router."""
+    movable = [
+        position
+        for position, function in enumerate(chain)
+        if function.optical_capable
+    ]
+    conflicts = chain.anti_affinity_conflicts()
+    best_key, best = None, {}
+    for size in range(len(movable), -1, -1):
+        for subset in itertools.combinations(movable, size):
+            key = (
+                count_excursions(
+                    [
+                        Domain.OPTICAL if position in subset
+                        else Domain.ELECTRONIC
+                        for position in range(len(chain))
+                    ],
+                    merge_consecutive=merge,
+                ),
+                size,
+            )
+            if best_key is not None and key >= best_key:
+                continue
+            packing = _exact_pack(
+                [(position, chain.functions[position].demand)
+                 for position in subset],
+                dict(free),
+                conflicts=conflicts,
+            )
+            if packing is not None:
+                best_key, best = key, packing
+    return best
 
 
 def make_chain(names, chain_id="chain-t"):
@@ -228,7 +269,7 @@ class TestOptimalPlacement:
     def test_matches_greedy_on_easy_instance(self):
         chain = make_chain(("nat", "firewall"))
         optimal = PlacementSolver(pool()).solve(
-            chain, PlacementAlgorithm.OPTIMAL
+            chain, PlacementAlgorithm.EXACT
         )
         greedy = PlacementSolver(pool()).solve(
             chain, PlacementAlgorithm.GREEDY
@@ -246,7 +287,7 @@ class TestOptimalPlacement:
             chain = make_chain(names, chain_id=f"chain-{seed}")
             capacity = pool(cpu=rng.choice([1, 2, 4]), count=2)
             optimal = PlacementSolver(dict(capacity)).solve(
-                chain, PlacementAlgorithm.OPTIMAL
+                chain, PlacementAlgorithm.EXACT
             )
             greedy = PlacementSolver(dict(capacity)).solve(
                 chain, PlacementAlgorithm.GREEDY
@@ -258,17 +299,58 @@ class TestOptimalPlacement:
         # at equal conversions prefers fewer optical deployments.
         chain = make_chain(("nat",))
         placement = PlacementSolver(pool()).solve(
-            chain, PlacementAlgorithm.OPTIMAL
+            chain, PlacementAlgorithm.EXACT
         )
         assert placement.conversions == 0
         assert placement.optical_count == 1
 
     def test_position_limit(self):
+        # Past the subset search's 14 movable positions EXACT answers
+        # with the MILP.
         chain = make_chain(("nat",) * 15)
-        with pytest.raises(PlacementError):
-            PlacementSolver(pool()).solve(
-                chain, PlacementAlgorithm.OPTIMAL
+        capacity = {"ops-0": ResourceVector(2, 8, 64)}
+        for merge, conversions, optical in ((False, 11, 4), (True, 1, 0)):
+            placement = PlacementSolver(
+                dict(capacity), merge_consecutive=merge
+            ).solve(chain, PlacementAlgorithm.EXACT)
+            assert placement == exact_chain_placement(
+                chain, dict(capacity), merge_consecutive=merge
             )
+            assert placement.conversions == conversions
+            assert placement.optical_count == optical
+
+    @pytest.mark.parametrize("merge", [False, True])
+    def test_matches_subset_search_up_to_fourteen_positions(self, merge):
+        # Up to the cap EXACT is the subset search, bit for bit: the
+        # same optical positions on the same routers.
+        import random
+
+        names = ("nat", "firewall", "load-balancer", "proxy",
+                 "security-gateway", "cache", "dpi")
+        rng = random.Random(29 if merge else 31)
+        for length in (1, 2, 3, 5, 8, 14):
+            for trial in range(1 if length == 14 else 3):
+                chain = NetworkFunctionChain.from_names(
+                    f"chain-{length}-{trial}",
+                    [rng.choice(names) for _ in range(length)],
+                    CATALOG,
+                    anti_affinity=(
+                        ((0, length - 1),) if length > 1 and trial == 2
+                        else ()
+                    ),
+                )
+                capacity = {
+                    f"ops-{index}": ResourceVector(
+                        rng.choice((1, 2, 4)), rng.choice((4, 8)), 64
+                    )
+                    for index in range(rng.randint(0, 3))
+                }
+                placement = PlacementSolver(
+                    dict(capacity), merge_consecutive=merge
+                ).solve(chain, PlacementAlgorithm.EXACT)
+                assert placement.optical_hosts() == _subset_search(
+                    chain, capacity, merge
+                )
 
     def test_bin_packing_split_across_routers(self):
         # Two 2-cpu routers; three VNFs of 1, 1, 2 cpu: feasible only by
@@ -279,7 +361,7 @@ class TestOptimalPlacement:
         }
         chain = make_chain(("firewall", "load-balancer", "security-gateway"))
         placement = PlacementSolver(capacity).solve(
-            chain, PlacementAlgorithm.OPTIMAL
+            chain, PlacementAlgorithm.EXACT
         )
         assert placement.conversions == 0
         hosts = placement.optical_hosts()

@@ -5,9 +5,11 @@ branch-and-bound certifies, the exact objective never exceeds the
 greedy one; whenever greedy achieves the certified optimum the result
 objects are interchangeable (bit-identical for digest tooling); and
 the exact entry points honor the same validation contracts as the
-greedy paths — including through the ``engine=`` selectors.
+greedy paths — including through the ``engine=`` selector and
+``EngineConfig.solver``, which must reach every provision entry point.
 """
 
+import asyncio
 import random
 
 import pytest
@@ -15,18 +17,22 @@ import pytest
 from repro.config import EngineConfig
 from repro.core.abstraction_layer import AlConstructor
 from repro.core.algorithms import greedy_max_weight_cover
-from repro.core.chaining import NetworkFunctionChain
-from repro.core.placement import (
-    PLACEMENT_ENGINES,
-    PlacementAlgorithm,
-    PlacementSolver,
-)
+from repro.core.chaining import ChainRequest, NetworkFunctionChain
+from repro.core.placement import PlacementAlgorithm, PlacementSolver
+from repro.core.tenancy import QuotaGuard, Tenant, TenantRegistry
 from repro.exceptions import ValidationError
 from repro.nfv.functions import FunctionCatalog
 from repro.opt.cover import exact_weighted_cover_with_certificate
 from repro.opt.placement import exact_chain_placement_with_certificate
+from repro.service import ProvisionRequest
+from repro.service.journal import read_journal
+from repro.service.restore import restore_stack
+from repro.service.snapshot import state_digest
+from repro.stack import AlvcStack
+from repro.topology.builder import TopologyBuilder
 from repro.topology.elements import ResourceVector
 from repro.topology.generators import build_alvc_fabric
+from repro.virtualization.vm_placement import PlacementStrategy
 
 CATALOG = FunctionCatalog.standard()
 
@@ -117,7 +123,7 @@ class TestPlacementAgreement:
             chain, pool = _random_placement_instance(rng)
             optimal = PlacementSolver(
                 dict(pool), merge_consecutive=merge
-            ).solve(chain, PlacementAlgorithm.OPTIMAL)
+            ).solve(chain, PlacementAlgorithm.EXACT)
             greedy = PlacementSolver(
                 dict(pool), merge_consecutive=merge
             ).solve(chain, PlacementAlgorithm.GREEDY)
@@ -140,10 +146,14 @@ class TestPlacementAgreement:
 
 
 class TestEngineContracts:
-    def test_placement_engine_selector_validates(self):
-        assert PLACEMENT_ENGINES == ("greedy", "exact", "auto")
-        with pytest.raises(ValidationError):
-            PlacementSolver({}, engine="milp")
+    def test_placement_solver_has_one_exact_algorithm(self):
+        # One exact member, and no engine selector on the solver: the
+        # orchestrator alone maps EngineConfig.solver to an algorithm.
+        assert [algorithm.value for algorithm in PlacementAlgorithm] == [
+            "all_electronic", "random", "greedy", "exact",
+        ]
+        with pytest.raises(TypeError):
+            PlacementSolver({}, engine="exact")
 
     def test_constructor_engine_selector_validates(self):
         dcn = build_alvc_fabric(
@@ -158,15 +168,16 @@ class TestEngineContracts:
         assert EngineConfig(solver="exact").solver == "exact"
 
     def test_exact_engine_solver_defaults_to_exact_algorithm(self):
-        chain = NetworkFunctionChain.from_names(
-            "chain-engine", ("nat", "firewall"), CATALOG
+        stack = AlvcStack.build(
+            n_racks=4, servers_per_rack=4, n_ops=6, seed=0,
+            telemetry="json", engines=EngineConfig(solver="exact"),
         )
-        pool = {"ops-0": ResourceVector(4, 8, 64)}
-        exact = PlacementSolver(dict(pool), engine="exact").solve(chain)
-        optimal = PlacementSolver(dict(pool)).solve(
-            chain, PlacementAlgorithm.OPTIMAL
-        )
-        assert exact == optimal
+        stack.provision(("nat", "firewall"), service="web")
+        stack.plan(("proxy",), service="web")
+        registry = stack.telemetry.registry
+        solved = "alvc_placements_solved_total"
+        assert registry.value_of(solved, algorithm="exact") == 2
+        assert registry.value_of(solved, algorithm="greedy") is None
 
     def test_exact_engine_constructor_builds_feasible_al(self):
         dcn = build_alvc_fabric(
@@ -201,3 +212,87 @@ class TestStackDigestParity:
             stack.provision(("firewall", "nat"), service="web")
             digests[solver] = state_digest(stack)
         assert digests["greedy"] == digests["exact"]
+
+
+def _wide_stack(**options) -> AlvcStack:
+    """A stack whose clusters span eight racks, one OPS per rack: every
+    cluster's AL holds all eight optoelectronic routers."""
+    builder = TopologyBuilder("wide")
+    for ops in builder.add_optical_core(8, interconnect="ring"):
+        builder.add_rack(servers=2, uplinks=[ops])
+    return AlvcStack.build(
+        fabric=builder.build(),
+        placement_strategy=PlacementStrategy.ROUND_ROBIN,
+        vms_per_service=16,
+        **options,
+    )
+
+
+class TestSolverReachesEveryProvision:
+    def test_auto_plan_previews_the_committed_placement(self):
+        # Greedy first-fit and the exact packer host these four VNFs on
+        # different routers, so a plan resolved by any other rule than
+        # the provision's shows a placement the provision never makes.
+        stack = _wide_stack(engines=EngineConfig(solver="auto"))
+        cluster = stack.cluster("web")
+        assert len(cluster.al_switches) >= 7
+        request = ChainRequest(
+            tenant="tenant-0",
+            chain=NetworkFunctionChain.from_names(
+                "chain-auto",
+                ("load-balancer", "nat", "firewall", "security-gateway"),
+                CATALOG,
+            ),
+            service="web",
+        )
+        plan = stack.orchestrator.plan_chain(request)
+        live = stack.orchestrator.provision_chain(request)
+        assert plan.placement == live.placement
+        greedy = PlacementSolver(
+            {
+                ops: ResourceVector(4, 8, 64)
+                for ops in cluster.al_switches
+            }
+        ).solve(request.chain, PlacementAlgorithm.GREEDY)
+        assert live.placement != greedy
+
+    def test_exact_solver_reaches_every_entry_point(self, tmp_path):
+        path = tmp_path / "exact.alvc"
+        stack = AlvcStack.build(
+            n_racks=4, servers_per_rack=4, n_ops=6, seed=0,
+            vms_per_service=3, exclusive_chains=False, sync="off",
+            engines=EngineConfig(solver="exact"), journal=path,
+        )
+        stack.provision(("firewall", "nat"), service="web")
+        stack.provision_batch(
+            [ProvisionRequest(("proxy",), service="streaming")]
+        )
+
+        async def scenario():
+            async with stack.serve() as frontend:
+                return await frontend.submit(
+                    ProvisionRequest(("nat", "firewall"), service="backup")
+                )
+
+        assert asyncio.run(scenario()).ok
+        registry = TenantRegistry()
+        registry.register(Tenant("gold"))
+        QuotaGuard(registry, stack.orchestrator).provision_chain(
+            ChainRequest(
+                tenant="gold",
+                chain=NetworkFunctionChain.from_names(
+                    "chain-quota", ("load-balancer",), CATALOG
+                ),
+                service="web",
+            )
+        )
+        digest = state_digest(stack)
+        stack.journal.close()
+
+        algorithms = [
+            record.data["algorithm"]
+            for record in read_journal(path).records
+            if record.op == "provision"
+        ]
+        assert algorithms == ["exact"] * 4
+        assert state_digest(restore_stack(path).stack) == digest

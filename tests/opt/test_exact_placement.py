@@ -33,7 +33,7 @@ def test_matches_subset_search_per_visit():
     chain = make_chain(("nat", "firewall", "dpi", "load-balancer"))
     capacity = pool(count=3, cpu=8, memory=16, storage=64)
     optimal = PlacementSolver(dict(capacity)).solve(
-        chain, PlacementAlgorithm.OPTIMAL
+        chain, PlacementAlgorithm.EXACT
     )
     exact, certificate = exact_chain_placement_with_certificate(
         chain, dict(capacity)
@@ -50,7 +50,7 @@ def test_matches_subset_search_merge_mode():
     capacity = pool(count=3, cpu=8, memory=16, storage=64)
     optimal = PlacementSolver(
         dict(capacity), merge_consecutive=True
-    ).solve(chain, PlacementAlgorithm.OPTIMAL)
+    ).solve(chain, PlacementAlgorithm.EXACT)
     exact, certificate = exact_chain_placement_with_certificate(
         chain, dict(capacity), merge_consecutive=True
     )

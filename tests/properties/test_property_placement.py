@@ -71,7 +71,7 @@ def test_conversions_bounded_by_all_electronic(instance, algorithm):
 def test_optimal_never_worse_than_other_algorithms(instance):
     chain, pool = instance
     optimal = PlacementSolver(dict(pool), seed=4).solve(
-        chain, PlacementAlgorithm.OPTIMAL
+        chain, PlacementAlgorithm.EXACT
     )
     for algorithm in (
         PlacementAlgorithm.ALL_ELECTRONIC,
