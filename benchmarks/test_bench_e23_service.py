@@ -2,9 +2,8 @@
 
 Regenerates: the engineering claim behind this repo's durable
 control-plane service — admitting the same op stream through the
-batched front-end path (one group-commit fsync and one shared
-per-cluster context cache per wave) delivers at least 2x
-provision/teardown ops/second over serial fsync-per-op submission on a
+batched front-end path (one group-commit fsync per wave) delivers
+at least 2x provision/teardown ops/second over serial fsync-per-op submission on a
 1024-server fabric, a snapshot bounds restore wall clock to at least
 2x better than full journal replay, and the canonical state digest
 proves every arm (and every recovery) landed in the bit-identical
@@ -52,7 +51,7 @@ def test_bench_e23_service(benchmark):
         "rows": rows,
         "ops_per_sec": {row["arm"]: row["ops_per_sec"] for row in rows},
         "p99_ms": {row["arm"]: row["p99_ms"] for row in (serial, batched)},
-        # Group commit + shared admission context over fsync-per-op.
+        # Group commit over fsync-per-op.
         "batched_speedup": batched["speedup"],
         # A snapshot bounds recovery below full genesis replay.
         "restore_speedup": snapshot["speedup"],

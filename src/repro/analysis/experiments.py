@@ -1835,9 +1835,9 @@ def experiment_e23_service_throughput(
     * ``batched`` — the same stream through
       :meth:`~repro.stack.AlvcStack.provision_batch` waves of
       ``batch_size`` (the admission path the async front-end uses) and
-      group-committed teardown waves: one fsync and one shared
-      per-cluster context cache per wave.  Its ``speedup`` column is
-      the headline batched-vs-serial throughput win (gate: >= 2x).
+      group-committed teardown waves: one fsync per wave.  Its
+      ``speedup`` column is the headline batched-vs-serial throughput
+      win (gate: >= 2x).
       Every op in a wave is assigned the wave's wall clock as its
       commit latency — under group commit an op is durable only when
       its wave's fsync lands, so batching trades p99 latency for

@@ -76,14 +76,17 @@ class ProvisioningPlan:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class _ClusterContext:
-    """Per-cluster admission context, built once per command (or batch).
+    """Per-cluster admission context, memoized across commands.
 
     Holds only capacity-*independent* facts (candidate server order,
-    routing endpoints); free capacity is always probed live.
+    routing endpoints, the AL's routers in solver order); free capacity
+    is always probed live.  :meth:`NetworkOrchestrator._context_of`
+    says what invalidates it.
     """
 
     candidates: tuple[ServerId, ...]
     vm_servers: tuple[ServerId, ...]
+    routers: tuple[OpsId, ...]
 
 
 #: ``EngineConfig(solver="auto")`` places with ``EXACT`` up to this many
@@ -240,6 +243,8 @@ class NetworkOrchestrator:
         # (source, target, al_switches) -> path tuple; see _al_path.
         self._segments: dict[tuple, tuple[str, ...]] = {}
         self._segments_generation = inventory.network.topology_generation
+        # cluster id -> (memo key, _ClusterContext); see _context_of.
+        self._contexts: dict[str, tuple[tuple, _ClusterContext]] = {}
 
     def attach_recorder(self, recorder) -> None:
         """Install the journal hook on this orchestrator and its NFV
@@ -303,10 +308,10 @@ class NetworkOrchestrator:
                     f"(exclusive mode)"
                 )
 
-            placement = self._solver_for(cluster).solve(
+            ctx = self._context_of(cluster)
+            placement = self._solver_for(ctx).solve(
                 chain, self._resolve_algorithm(algorithm, chain)
             )
-            ctx = self._cluster_context(cluster)
             electronic_hosts: list[ServerId] = []
             for placed in placement.assignments:
                 if placed.domain is Domain.OPTICAL:
@@ -350,14 +355,10 @@ class NetworkOrchestrator:
                 return PlacementAlgorithm.EXACT
         return PlacementAlgorithm.GREEDY
 
-    def _solver_for(self, cluster: VirtualCluster) -> PlacementSolver:
+    def _solver_for(self, ctx: _ClusterContext) -> PlacementSolver:
         """A placement solver over the cluster AL's current free capacity."""
         pool = self._nfv.pool
-        al_free = {
-            ops: pool.get(ops).free
-            for ops in sorted(cluster.al_switches)
-            if ops in pool
-        }
+        al_free = {ops: pool.get(ops).free for ops in ctx.routers}
         return PlacementSolver(
             al_free,
             merge_consecutive=self._merge,
@@ -390,7 +391,7 @@ class NetworkOrchestrator:
         """
         algorithm = self._resolve_algorithm(algorithm, request.chain)
         with self._recorder.operation() as outermost:
-            orchestrated = self._provision_chain(request, algorithm, {})
+            orchestrated = self._provision_chain(request, algorithm)
             if outermost:
                 self._record_provision(request, algorithm)
         return orchestrated
@@ -414,10 +415,9 @@ class NetworkOrchestrator:
         self,
         request: ChainRequest,
         algorithm: PlacementAlgorithm,
-        contexts: dict,
     ) -> OrchestratedChain:
-        """Provision one request; ``contexts`` maps cluster id to its
-        :class:`_ClusterContext` across one command or one batch."""
+        """Provision one request (the body serial and batched
+        provisions share)."""
         telemetry = self._telemetry
         chain = request.chain
         with telemetry.span(
@@ -432,11 +432,7 @@ class NetworkOrchestrator:
                     raise DuplicateEntityError(
                         "chain on cluster", cluster.cluster_id
                     )
-            ctx = contexts.get(cluster.cluster_id)
-            if ctx is None:
-                ctx = contexts[cluster.cluster_id] = (
-                    self._cluster_context(cluster)
-                )
+            ctx = self._context_of(cluster)
             with telemetry.span("provision.slice_allocation"):
                 allocated_here = False
                 slice_id_marks = self._slices.id_marks()
@@ -500,7 +496,7 @@ class NetworkOrchestrator:
         telemetry = self._telemetry
         chain = request.chain
         with telemetry.span("provision.placement_solve"):
-            placement = self._solver_for(cluster).solve(chain, algorithm)
+            placement = self._solver_for(ctx).solve(chain, algorithm)
         vnf_ids: list[VnfId] = []
         deployed_hosts: list[str] = []
         vm_id_marks = self._inventory.id_marks()
@@ -544,13 +540,39 @@ class NetworkOrchestrator:
             }
         )
 
+    def _context_of(self, cluster: VirtualCluster) -> _ClusterContext:
+        """The cluster's admission context, memoized across commands.
+
+        The memo key is exactly what :meth:`_cluster_context` reads: the
+        AL's ToRs and routers, the hosts of the cluster's own VMs and
+        the fabric's topology generation.  A VM migration, an AL repair
+        or replacement, a re-created cluster and any topology mutation
+        each change the key; carrier-VM placements (which move
+        ``MachineInventory.generation`` on every provision) and free
+        capacity do not, so the memo survives the provisions and
+        teardowns between two such events.
+        """
+        inventory = self._inventory
+        key = (
+            cluster.tor_switches,
+            cluster.al_switches,
+            inventory.hosts_of(cluster.vm_ids),
+            inventory.network.topology_generation,
+        )
+        memo = self._contexts.get(cluster.cluster_id)
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        ctx = self._cluster_context(cluster)
+        self._contexts[cluster.cluster_id] = (key, ctx)
+        return ctx
+
     def _cluster_context(self, cluster: VirtualCluster) -> _ClusterContext:
         """Capacity-independent admission context for one cluster.
 
-        Both pieces depend only on VM placements and the cluster's AL —
-        neither changes inside a provisioning command or batch — so
-        computing them once per command (or batch) admits the same
-        chains as recomputing them per VNF would.
+        Every piece depends only on the cluster's VM hosts, its AL and
+        the fabric — never on free capacity — so reusing it while those
+        stand still admits the same chains as recomputing it per VNF
+        would.
         """
         cluster_servers = self._vm_servers(cluster)
         al_servers = sorted(
@@ -561,9 +583,13 @@ class NetworkOrchestrator:
             }
             - set(cluster_servers)
         )
+        pool = self._nfv.pool
         return _ClusterContext(
             candidates=(*cluster_servers, *al_servers),
             vm_servers=tuple(cluster_servers),
+            routers=tuple(
+                ops for ops in sorted(cluster.al_switches) if ops in pool
+            ),
         )
 
     def _electronic_host(
@@ -1088,7 +1114,7 @@ class NetworkOrchestrator:
         with self._recorder.operation() as outermost:
             live = self.chain(chain_id)
             for vnf in live.vnf_ids:
-                self._nfv.update(vnf, reason=f"upgrade {chain_id}")
+                self._nfv.update(vnf)
             self._actions.append(("upgrade", chain_id))
             if outermost:
                 self._recorder.record("upgrade", chain_id=chain_id)

@@ -18,14 +18,13 @@ from repro.nfv.functions import (
     NetworkFunctionType,
     VnfInstance,
 )
-from repro.nfv.lifecycle import LifecycleEvent, VnfLifecycleManager, VnfState
+from repro.nfv.lifecycle import VnfLifecycleManager, VnfState
 from repro.nfv.manager import CloudNfvManager
 
 __all__ = [
     "AutoscalerPolicy",
     "CloudNfvManager",
     "FunctionCatalog",
-    "LifecycleEvent",
     "NetworkFunctionType",
     "STANDARD_FUNCTIONS",
     "ScalingAction",

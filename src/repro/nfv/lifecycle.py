@@ -2,13 +2,12 @@
 
 Section IV.B: the Cloud/NFV manager handles "VNF creation, scaling,
 termination, and update events during the life cycle of VNF".  Every
-transition is validated and journalled so orchestration experiments can
-count management actions.
+transition is validated and counted per target state so orchestration
+experiments can count management actions.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 
 from repro.exceptions import LifecycleError, UnknownEntityError
@@ -23,6 +22,10 @@ class VnfState(enum.Enum):
     SCALING = "scaling"
     UPDATING = "updating"
     TERMINATED = "terminated"
+
+    # Members are singletons, so identity hashing is exact; it skips
+    # Enum.__hash__, a Python-level call, on every counted transition.
+    __hash__ = object.__hash__
 
 
 # Legal transitions: the paper's creation / scaling / update / termination
@@ -39,72 +42,58 @@ _TRANSITIONS: dict[VnfState, frozenset[VnfState]] = {
 }
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class LifecycleEvent:
-    """One journalled lifecycle transition."""
-
-    vnf_id: VnfId
-    before: VnfState | None
-    after: VnfState
-    reason: str = ""
-
-
 class VnfLifecycleManager:
     """Tracks the lifecycle state of every VNF instance.
 
     All mutations go through :meth:`transition`, which enforces the state
-    machine and appends to the journal.
+    machine and counts the transition under its target state.
     """
 
     def __init__(self) -> None:
         self._states: dict[VnfId, VnfState] = {}
-        self._journal: list[LifecycleEvent] = []
+        # Transitions into each state, keyed in first-occurrence order.
+        self._counts: dict[VnfState, int] = {}
 
-    def create(self, vnf: VnfId, reason: str = "") -> LifecycleEvent:
+    def create(self, vnf: VnfId) -> None:
         """Register a new VNF in the INSTANTIATED state."""
         if vnf in self._states:
             raise LifecycleError(f"{vnf} already exists")
-        event = LifecycleEvent(
-            vnf_id=vnf, before=None, after=VnfState.INSTANTIATED, reason=reason
-        )
         self._states[vnf] = VnfState.INSTANTIATED
-        self._journal.append(event)
-        return event
+        counts = self._counts
+        counts[VnfState.INSTANTIATED] = (
+            counts.get(VnfState.INSTANTIATED, 0) + 1
+        )
 
-    def transition(
-        self, vnf: VnfId, to: VnfState, reason: str = ""
-    ) -> LifecycleEvent:
+    def transition(self, vnf: VnfId, to: VnfState) -> None:
         """Move a VNF to a new state, enforcing legality."""
         current = self.state_of(vnf)
         if to not in _TRANSITIONS[current]:
             raise LifecycleError(
                 f"illegal transition {current.value} -> {to.value} for {vnf}"
             )
-        event = LifecycleEvent(vnf_id=vnf, before=current, after=to, reason=reason)
         self._states[vnf] = to
-        self._journal.append(event)
-        return event
+        self._counts[to] = self._counts.get(to, 0) + 1
 
     # Convenience wrappers naming the paper's lifecycle events -----------
-    def start(self, vnf: VnfId, reason: str = "") -> LifecycleEvent:
+    def start(self, vnf: VnfId) -> None:
         """INSTANTIATED → RUNNING."""
-        return self.transition(vnf, VnfState.RUNNING, reason)
+        self.transition(vnf, VnfState.RUNNING)
 
-    def scale(self, vnf: VnfId, reason: str = "") -> LifecycleEvent:
+    def scale(self, vnf: VnfId) -> None:
         """RUNNING → SCALING (complete with :meth:`finish_management`)."""
-        return self.transition(vnf, VnfState.SCALING, reason)
+        self.transition(vnf, VnfState.SCALING)
 
-    def update(self, vnf: VnfId, reason: str = "") -> LifecycleEvent:
+    def update(self, vnf: VnfId) -> None:
         """RUNNING → UPDATING (complete with :meth:`finish_management`)."""
-        return self.transition(vnf, VnfState.UPDATING, reason)
+        self.transition(vnf, VnfState.UPDATING)
 
-    def finish_management(self, vnf: VnfId, reason: str = "") -> LifecycleEvent:
+    def finish_management(self, vnf: VnfId) -> None:
         """SCALING/UPDATING → RUNNING."""
-        return self.transition(vnf, VnfState.RUNNING, reason)
+        self.transition(vnf, VnfState.RUNNING)
 
-    def terminate(self, vnf: VnfId, reason: str = "") -> LifecycleEvent:
+    def terminate(self, vnf: VnfId) -> None:
         """Any live state → TERMINATED."""
-        return self.transition(vnf, VnfState.TERMINATED, reason)
+        self.transition(vnf, VnfState.TERMINATED)
 
     def discard(self, vnf: VnfId) -> None:
         """Forget a VNF entirely (the rollback half of a failed command).
@@ -113,9 +102,22 @@ class VnfLifecycleManager:
         TERMINATED state, this erases it — a transaction that failed and
         returned its ids to the allocator must leave no trace, or the
         re-allocated ids would trip :meth:`create`'s duplicate check.
-        Unknown ids are ignored.
+        Unknown ids are ignored.  Pair it with :meth:`rewind_counts` to
+        take back the transitions too.
         """
         self._states.pop(vnf, None)
+
+    def count_marks(self) -> dict[VnfState, int]:
+        """Snapshot the transition counts (pair with :meth:`rewind_counts`)."""
+        return dict(self._counts)
+
+    def rewind_counts(self, marks: dict[VnfState, int]) -> None:
+        """Rewind the transition counts to a :meth:`count_marks` snapshot.
+
+        A failed command journals nothing, so replay never counts its
+        transitions; the live counts must forget them as well.
+        """
+        self._counts = dict(marks)
 
     # Queries -------------------------------------------------------------
     def state_of(self, vnf: VnfId) -> VnfState:
@@ -136,13 +138,6 @@ class VnfLifecycleManager:
             if state is not VnfState.TERMINATED
         )
 
-    def journal(self) -> list[LifecycleEvent]:
-        """All recorded events, in order."""
-        return list(self._journal)
-
     def event_counts(self) -> dict[str, int]:
         """Number of transitions into each state (for reports)."""
-        counts: dict[str, int] = {}
-        for event in self._journal:
-            counts[event.after.value] = counts.get(event.after.value, 0) + 1
-        return counts
+        return {state.value: count for state, count in self._counts.items()}

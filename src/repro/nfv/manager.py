@@ -69,24 +69,28 @@ class CloudNfvManager:
         """Install the journal hook (see :class:`OpRecorder`)."""
         self._recorder = recorder
 
-    def id_marks(self) -> dict[str, int]:
-        """Snapshot the VNF id allocator (pair with :meth:`rewind_ids`)."""
-        return self._ids.mark()
+    def id_marks(self) -> tuple[dict[str, int], dict]:
+        """Snapshot the VNF id allocator and the lifecycle counts (pair
+        with :meth:`rewind_ids`)."""
+        return self._ids.mark(), self._lifecycle.count_marks()
 
-    def rewind_ids(self, marks: dict[str, int]) -> None:
-        """Rewind the VNF id allocator to an :meth:`id_marks` snapshot.
+    def rewind_ids(self, marks: tuple[dict[str, int], dict]) -> None:
+        """Rewind the VNF id allocator and the lifecycle counts to an
+        :meth:`id_marks` snapshot.
 
         Every instance the rolled-back ids referred to is forgotten
-        outright — lifecycle entry, instance record, carrier VM, pool
-        reservation.  A failed command must be *traceless*: it journals
-        nothing, so any remnant (even a TERMINATED lifecycle ghost)
-        would make the live run diverge from its replay — the ghost's
-        id gets re-allocated later and trips the duplicate check on the
-        live side only.
+        outright — lifecycle entry and transition counts, instance
+        record, carrier VM, pool reservation.  A failed command must be
+        *traceless*: it journals nothing, so any remnant would make the
+        live run diverge from its replay — a TERMINATED lifecycle
+        ghost's id gets re-allocated later and trips the duplicate
+        check on the live side only, and its transitions would show in
+        the live :meth:`VnfLifecycleManager.event_counts` only.
         """
-        start = marks.get(vnf_id.__name__, 0)
+        id_marks, count_marks = marks
+        start = id_marks.get(vnf_id.__name__, 0)
         stop = self._ids.mark().get(vnf_id.__name__, start)
-        self._ids.rewind(marks)
+        self._ids.rewind(id_marks)
         for index in range(start, stop):
             ghost = vnf_id(index)
             instance = self._instances.pop(ghost, None)
@@ -100,6 +104,7 @@ class CloudNfvManager:
             ):
                 self._pool.get(instance.host).evict(ghost)
             self._lifecycle.discard(ghost)
+        self._lifecycle.rewind_counts(count_marks)
 
     # ------------------------------------------------------------------
     # Deployment
@@ -176,13 +181,14 @@ class CloudNfvManager:
 
     def _register(self, instance: VnfInstance) -> None:
         self._instances[instance.vnf_id] = instance
-        self._lifecycle.create(instance.vnf_id, reason=f"deploy {instance.function.name}")
+        self._lifecycle.create(instance.vnf_id)
         self._lifecycle.start(instance.vnf_id)
-        self._telemetry.counter(
-            "alvc_vnfs_deployed_total",
-            "VNF instances deployed",
-            domain=instance.domain.value,
-        ).inc()
+        if self._telemetry.enabled:
+            self._telemetry.counter(
+                "alvc_vnfs_deployed_total",
+                "VNF instances deployed",
+                domain=instance.domain.value,
+            ).inc()
 
     # ------------------------------------------------------------------
     # Lifecycle management (paper: creation, scaling, update, termination)
@@ -203,12 +209,17 @@ class CloudNfvManager:
         if factor <= 0:
             raise ValidationError(f"scale factor must be positive, got {factor}")
         instance = self.instance_of(vnf)
-        self._lifecycle.scale(vnf, reason=f"scale x{factor}")
+        marks = self._lifecycle.count_marks()
+        self._lifecycle.scale(vnf)
         new_demand = instance.function.demand.scaled(factor)
         try:
             self._rehost(instance, new_demand)
-        finally:
+        except BaseException:
+            # A failed scale journals nothing: leave no counted trace.
             self._lifecycle.finish_management(vnf)
+            self._lifecycle.rewind_counts(marks)
+            raise
+        self._lifecycle.finish_management(vnf)
         scaled_function = NetworkFunctionType(
             name=instance.function.name,
             demand=new_demand,
@@ -253,9 +264,9 @@ class CloudNfvManager:
                 raise
             self._carrier_vms[instance.vnf_id] = new_carrier.vm_id
 
-    def update(self, vnf: VnfId, reason: str = "software update") -> None:
+    def update(self, vnf: VnfId) -> None:
         """Run an update event (no resource change)."""
-        self._lifecycle.update(vnf, reason=reason)
+        self._lifecycle.update(vnf)
         self._lifecycle.finish_management(vnf)
 
     def migrate(self, vnf: VnfId, new_host: str) -> VnfInstance:
@@ -289,7 +300,8 @@ class CloudNfvManager:
             raise ValidationError(
                 f"{vnf} already runs on {new_host}"
             )
-        self._lifecycle.update(vnf, reason=f"migrate to {new_host}")
+        marks = self._lifecycle.count_marks()
+        self._lifecycle.update(vnf)
         try:
             if instance.domain is Domain.OPTICAL:
                 source = self._pool.get(instance.host)
@@ -318,8 +330,12 @@ class CloudNfvManager:
                     self._carrier_vms[vnf] = restored.vm_id
                     raise
                 self._carrier_vms[vnf] = new_carrier.vm_id
-        finally:
+        except BaseException:
+            # A failed migration journals nothing: leave no counted trace.
             self._lifecycle.finish_management(vnf)
+            self._lifecycle.rewind_counts(marks)
+            raise
+        self._lifecycle.finish_management(vnf)
         updated = VnfInstance(
             vnf_id=vnf,
             function=instance.function,
@@ -342,11 +358,12 @@ class CloudNfvManager:
             self._pool.get(instance.host).evict(vnf)
         else:
             self._inventory.remove(self._carrier_vms.pop(vnf))
-        self._telemetry.counter(
-            "alvc_vnfs_terminated_total",
-            "VNF instances terminated",
-            domain=instance.domain.value,
-        ).inc()
+        if self._telemetry.enabled:
+            self._telemetry.counter(
+                "alvc_vnfs_terminated_total",
+                "VNF instances terminated",
+                domain=instance.domain.value,
+            ).inc()
 
     # ------------------------------------------------------------------
     # Queries
@@ -388,5 +405,5 @@ class CloudNfvManager:
 
     @property
     def lifecycle(self) -> VnfLifecycleManager:
-        """The lifecycle journal (read-mostly)."""
+        """The lifecycle state machine and its counts (read-mostly)."""
         return self._lifecycle

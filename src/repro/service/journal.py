@@ -160,14 +160,15 @@ class Journal:
             self._batch_dirty = True
         else:
             self._commit()
-        self._count(
-            "alvc_journal_records_total", "journal records appended"
-        )
-        self._count(
-            "alvc_journal_bytes_total",
-            "journal bytes written (frames incl. headers)",
-            len(frame),
-        )
+        if self._telemetry.enabled:
+            self._count(
+                "alvc_journal_records_total", "journal records appended"
+            )
+            self._count(
+                "alvc_journal_bytes_total",
+                "journal bytes written (frames incl. headers)",
+                len(frame),
+            )
         return record
 
     def _commit(self) -> None:
@@ -178,21 +179,12 @@ class Journal:
                 "alvc_journal_syncs_total", "journal fsync round-trips"
             )
 
-    @contextlib.contextmanager
-    def batch(self) -> Iterator[None]:
+    def batch(self) -> "_GroupCommit":
         """Group commit: one flush+fsync for every append inside.
 
         Re-entrant; only the outermost exit commits.
         """
-        self._batch_depth += 1
-        try:
-            yield
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0 and self._batch_dirty:
-                self._batch_dirty = False
-                if self._handle is not None:
-                    self._commit()
+        return _GroupCommit(self)
 
     def records(self) -> list[OpRecord]:
         """Every intact record currently on disk (flushes first)."""
@@ -221,6 +213,31 @@ class Journal:
             "Journal objects are not picklable; snapshots must detach "
             "recorders first (write_snapshot does this)"
         )
+
+
+class _GroupCommit:
+    """The context manager :meth:`Journal.batch` returns.
+
+    A plain ``__enter__``/``__exit__`` pair rather than a generator:
+    the recorder enters one per journaled command.  The depth lives on
+    the journal.
+    """
+
+    __slots__ = ("_journal",)
+
+    def __init__(self, journal: Journal) -> None:
+        self._journal = journal
+
+    def __enter__(self) -> None:
+        self._journal._batch_depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        journal = self._journal
+        journal._batch_depth -= 1
+        if journal._batch_depth == 0 and journal._batch_dirty:
+            journal._batch_dirty = False
+            if journal._handle is not None:
+                journal._commit()
 
 
 class ReadResult:
@@ -339,25 +356,14 @@ class OpRecorder:
         """False while suspended (replay) or after the journal closed."""
         return not self._suspended and not self._journal.closed
 
-    @contextlib.contextmanager
-    def operation(self) -> Iterator[bool]:
-        """Frame one public mutation; yields True at the outermost level.
+    def operation(self) -> "_OperationFrame":
+        """Frame one public mutation; enters as True at the outermost
+        level.
 
         A clean exit of the outermost frame flushes the frame's buffered
         records in one group commit; an exception discards them.
         """
-        self._depth += 1
-        try:
-            yield self._depth == 1
-        except BaseException:
-            if self._depth == 1:
-                self._pending.clear()
-            raise
-        else:
-            if self._depth == 1:
-                self._flush()
-        finally:
-            self._depth -= 1
+        return _OperationFrame(self)
 
     def _flush(self) -> None:
         pending, self._pending = self._pending, []
@@ -395,6 +401,51 @@ class OpRecorder:
             self._suspended -= 1
 
 
+class _OperationFrame:
+    """The context manager :meth:`OpRecorder.operation` returns.
+
+    A plain ``__enter__``/``__exit__`` pair rather than a generator:
+    every public mutation enters one, several per command.  The depth
+    lives on the recorder.
+    """
+
+    __slots__ = ("_recorder",)
+
+    def __init__(self, recorder: OpRecorder) -> None:
+        self._recorder = recorder
+
+    def __enter__(self) -> bool:
+        recorder = self._recorder
+        recorder._depth += 1
+        return recorder._depth == 1
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        recorder = self._recorder
+        try:
+            if recorder._depth == 1:
+                if exc_type is None:
+                    recorder._flush()
+                else:
+                    recorder._pending.clear()
+        finally:
+            recorder._depth -= 1
+
+
+class _NullFrame:
+    """:meth:`NullRecorder.operation`'s frame: never the outermost."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> bool:
+        return False
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+
+_NULL_FRAME = _NullFrame()
+
+
 class NullRecorder:
     """The no-op recorder unjournaled components run with (zero cost)."""
 
@@ -403,9 +454,8 @@ class NullRecorder:
     journal = None
     active = False
 
-    @contextlib.contextmanager
-    def operation(self) -> Iterator[bool]:
-        yield False
+    def operation(self) -> _NullFrame:
+        return _NULL_FRAME
 
     def record(self, op: str, **data) -> None:
         pass

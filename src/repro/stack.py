@@ -458,12 +458,11 @@ class AlvcStack:
         """Admit many provision requests as one batched operation.
 
         The batch shares one journal group commit (a single fsync
-        instead of one per chain) and one per-cluster candidate/context
-        cache across all requests — the two levers behind the durable
-        service's batched-throughput win.  Requests are admitted
-        strictly in order, each through the same pipeline as
-        :meth:`provision`, so a batch commits the exact same state (and
-        journal records) as the equivalent serial calls.
+        instead of one per chain) across all requests — the lever
+        behind the durable service's batched-throughput win.  Requests
+        are admitted strictly in order, each through the same pipeline
+        as :meth:`provision`, so a batch commits the exact same state
+        (and journal records) as the equivalent serial calls.
 
         Args:
             requests: :class:`~repro.service.ProvisionRequest` items, or
@@ -503,7 +502,6 @@ class AlvcStack:
             else contextlib.nullcontext()
         )
         results: list = []
-        contexts: dict = {}
         with scope:
             for item in normalized:
                 chain = item.chain
@@ -528,7 +526,7 @@ class AlvcStack:
                             item.algorithm, request.chain
                         )
                         live = self._orchestrator._provision_chain(
-                            request, algorithm, contexts
+                            request, algorithm
                         )
                         self._commit_serial(chain, item.chain_id)
                         if outermost:

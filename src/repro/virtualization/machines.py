@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import (
     DuplicateEntityError,
@@ -391,6 +391,12 @@ class MachineInventory:
             return self._host[vm]
         except KeyError:
             raise PlacementError(f"{vm} is not placed on any server") from None
+
+    def hosts_of(self, vms: Iterable[VmId]) -> tuple[ServerId | None, ...]:
+        """Each VM's server, in iteration order (None when unplaced or
+        unknown); one dict probe per VM, for memo keys."""
+        host = self._host
+        return tuple([host.get(vm) for vm in vms])
 
     def is_placed(self, vm: VmId) -> bool:
         """True if the VM currently runs on a server."""

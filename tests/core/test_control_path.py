@@ -1,11 +1,14 @@
-"""The per-command control path: serial/batch parity and the segment memo.
+"""The per-command control path: serial/batch parity and its memos.
 
 A serial provision is a batch of one, so admitting a request list one
 command at a time and through ``provision_batch`` must commit the same
 state and the same journal.  The orchestrator memoizes AL-confined route
 segments; a memoized path must always equal a fresh, un-memoized
 ``chain_path`` over the same waypoints and AL, and the memo must leave
-no trace in journal replay or snapshot restore.
+no trace in journal replay or snapshot restore.  It also memoizes each
+cluster's admission context across commands; a memoized context must
+always equal a freshly computed one, and a warm provision must not
+rescan the cluster's servers.
 """
 
 import random
@@ -218,14 +221,19 @@ class TestSegmentMemo:
             except ALVCError:
                 pass  # failed commands journal nothing
             _assert_paths_fresh(stack)
+            _assert_contexts_fresh(stack)
 
         digest = state_digest(stack)  # telemetry counters included
+        counts = orchestrator.nfv_manager.lifecycle.event_counts()
         stack.journal.close()
         replayed = restore_stack(journal)
         restored = restore_stack(journal, snapshot)
         assert restored.source == "snapshot"
         assert state_digest(replayed.stack) == digest
         assert state_digest(restored.stack) == digest
+        for other in (replayed.stack, restored.stack):
+            nfv = other.orchestrator.nfv_manager
+            assert nfv.lifecycle.event_counts() == counts
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reroute_leaves_a_failed_transit_switch(self, seed):
@@ -301,6 +309,154 @@ class TestSegmentMemo:
             path = orchestrator._al_path(list(pair), al)
             assert path == chain_path(fabric, list(pair), al, engine="nx")
             assert len(orchestrator._segments) <= 2
+
+
+def _assert_contexts_fresh(stack):
+    """Every cluster's memoized admission context equals a fresh one."""
+    orchestrator = stack.orchestrator
+    for cluster in orchestrator.cluster_manager.clusters():
+        assert orchestrator._context_of(cluster) == (
+            orchestrator._cluster_context(cluster)
+        ), cluster.cluster_id
+
+
+def _spy_contexts(monkeypatch, orchestrator):
+    """Record the (cluster, context) pair every provision admits with."""
+    seen = []
+    real = orchestrator._context_of
+
+    def spy(cluster):
+        ctx = real(cluster)
+        seen.append((cluster, ctx))
+        return ctx
+
+    monkeypatch.setattr(orchestrator, "_context_of", spy)
+    return seen
+
+
+def _far_server(stack, cluster):
+    """The last server under none of the cluster's AL ToRs."""
+    near = {
+        server
+        for tor in cluster.tor_switches
+        for server in stack.fabric.servers_under(tor)
+    }
+    return max(set(stack.fabric.servers()) - near)
+
+
+class TestClusterContextMemo:
+    """After each event that can change a cluster's admission context,
+    the next provision admits with a context equal to a fresh
+    ``_cluster_context`` — candidate order included — and the event
+    really changed it, so a stale memo hit would fail the test."""
+
+    @pytest.fixture
+    def stack(self, monkeypatch):
+        stack = AlvcStack.build(seed=1, **{**BUILD, "telemetry": "off"})
+        for service in SERVICES:
+            stack.cluster(service)
+        self.seen = _spy_contexts(monkeypatch, stack.orchestrator)
+        self.before = self._provision(stack)
+        return stack
+
+    def _provision(self, stack, service="web"):
+        self.seen.clear()
+        stack.provision(("dpi",), service=service)
+        ((cluster, ctx),) = self.seen
+        assert ctx == stack.orchestrator._cluster_context(cluster)
+        return ctx
+
+    def test_unchanged_cluster_hits_the_memo(self, stack):
+        assert self._provision(stack) is self.before
+
+    def test_vm_migration_out_of_the_al(self, stack):
+        cluster = stack.cluster("web")
+        stack.orchestrator.handle_vm_migration(
+            max(cluster.vm_ids), _far_server(stack, cluster)
+        )
+        after = self._provision(stack)
+        assert after.vm_servers != self.before.vm_servers
+
+    def test_vm_migration_inside_the_al(self, stack):
+        # A move between servers of the same ToRs leaves the AL as it
+        # was: only the VM hosts in the memo key see it.
+        cluster = stack.cluster("web")
+        fabric = stack.fabric
+        target = next(
+            server
+            for server in self.before.candidates
+            if server not in self.before.vm_servers
+            and set(fabric.tors_of_server(server)) <= cluster.tor_switches
+        )
+        stack.orchestrator.handle_vm_migration(max(cluster.vm_ids), target)
+        moved = stack.cluster("web")
+        assert moved.tor_switches == cluster.tor_switches
+        assert moved.al_switches == cluster.al_switches
+        after = self._provision(stack)
+        assert target in after.vm_servers
+        assert after.vm_servers != self.before.vm_servers
+
+    def test_ops_failure_repair_and_ops_repair(self, stack):
+        orchestrator = stack.orchestrator
+        old = stack.cluster("web")
+        failed = sorted(old.al_switches)[0]
+        recovery = orchestrator.handle_ops_failure(failed)
+        assert recovery.recovered
+        repaired = stack.cluster("web")
+        assert repaired is not old  # replace_cluster swapped it in
+        after = self._provision(stack)
+        assert failed not in after.routers
+        assert after.routers != self.before.routers
+        orchestrator.mark_ops_repaired(failed)
+        self._provision(stack)
+
+    def test_cluster_recreation(self, stack):
+        manager = stack.orchestrator.cluster_manager
+        cluster = stack.cluster("web")
+        stack.teardown()  # the AL is free to go
+        manager.dissolve_cluster("web")
+        stack.inventory.migrate(
+            max(cluster.vm_ids), _far_server(stack, cluster)
+        )
+        recreated = manager.create_cluster("web")
+        assert recreated.tor_switches != cluster.tor_switches
+        after = self._provision(stack)
+        assert after.candidates != self.before.candidates
+
+    def test_topology_generation_bump(self, stack):
+        cluster = stack.cluster("web")
+        outsider = _far_server(stack, cluster)
+        generation = stack.fabric.topology_generation
+        stack.fabric.connect(outsider, min(cluster.tor_switches))
+        assert stack.fabric.topology_generation != generation
+        after = self._provision(stack)
+        assert outsider in after.candidates
+        assert outsider not in self.before.candidates
+
+    def test_warm_provision_rescans_nothing(self, monkeypatch):
+        """The saving, pinned: a second provision on an unchanged
+        cluster calls neither ``servers_under`` nor ``_vm_servers``."""
+        stack = AlvcStack.build(**{**BUILD, "telemetry": "off"})
+        orchestrator = stack.orchestrator
+        stack.provision(("firewall", "nat"), service="web")
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            stack.fabric, "servers_under",
+            spy("servers_under", stack.fabric.servers_under),
+        )
+        monkeypatch.setattr(
+            orchestrator, "_vm_servers",
+            spy("_vm_servers", orchestrator._vm_servers),
+        )
+        stack.provision(("proxy", "ids"), service="web")
+        assert calls == []
 
 
 def _attachments(stack):

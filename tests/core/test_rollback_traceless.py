@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import PlacementError, SlicingError
+from repro.exceptions import PlacementError, RoutingError, SlicingError
+from repro.service.restore import restore_stack
 from repro.service.snapshot import state_digest
 from repro.stack import AlvcStack
 
@@ -141,6 +142,49 @@ class TestFailedProvisionIsTraceless:
         # Without the rewind the failed attempt burns slice-0 and the
         # retry lands on slice-1 — an id replay would never skip.
         assert live.optical_slice.slice_id == "slice-0"
+
+
+class TestFailedProvisionLeavesNoLifecycleCount:
+    def test_live_replayed_and_restored_counts_agree(self, tmp_path):
+        """A provision that fails at flow install deploys and terminates
+        its VNFs; replay never sees it, so the live transition counts
+        must not keep them either."""
+        journal = tmp_path / "journal.alvc"
+        snapshot = tmp_path / "stack.snap"
+        stack = AlvcStack.build(
+            n_racks=16, n_ops=8, exclusive_chains=False, journal=journal,
+            sync="off",
+        )
+        lifecycle = stack.orchestrator.nfv_manager.lifecycle
+        stack.provision(("firewall", "nat"), service="web")
+        before = lifecycle.event_counts()
+        assert before == {"instantiated": 2, "running": 2}
+        live_vnfs = lifecycle.live_vnfs()
+
+        sdn = stack.orchestrator.sdn
+
+        def rejecting_install(flow, path):
+            raise RoutingError("controller rejected the path")
+
+        sdn.install_path = rejecting_install
+        try:
+            with pytest.raises(RoutingError, match="rejected"):
+                stack.provision(("firewall", "nat"), service="web")
+        finally:
+            del sdn.install_path
+        assert lifecycle.event_counts() == before
+        assert lifecycle.live_vnfs() == live_vnfs
+
+        stack.snapshot(snapshot)
+        stack.provision(("proxy", "ids"), service="web")
+        counts = lifecycle.event_counts()
+        stack.journal.close()
+        replayed = restore_stack(journal)
+        restored = restore_stack(journal, snapshot)
+        assert restored.source == "snapshot"
+        for other in (replayed.stack, restored.stack):
+            nfv = other.orchestrator.nfv_manager
+            assert nfv.lifecycle.event_counts() == counts
 
 
 class TestSliceAllocatorRewind:

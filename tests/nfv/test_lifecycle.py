@@ -21,11 +21,9 @@ class TestCreation:
         with pytest.raises(LifecycleError):
             manager.create("vnf-0")
 
-    def test_create_event_journalled(self, manager):
-        event = manager.create("vnf-0", reason="deploy firewall")
-        assert event.before is None
-        assert event.after is VnfState.INSTANTIATED
-        assert event.reason == "deploy firewall"
+    def test_create_counted(self, manager):
+        assert manager.create("vnf-0") is None
+        assert manager.event_counts() == {"instantiated": 1}
 
 
 class TestTransitions:
@@ -80,15 +78,15 @@ class TestTransitions:
 
 
 class TestJournal:
-    def test_journal_ordered(self, manager):
+    def test_counts_keyed_in_first_transition_order(self, manager):
         manager.create("vnf-0")
         manager.start("vnf-0")
         manager.terminate("vnf-0")
-        states = [event.after for event in manager.journal()]
-        assert states == [
-            VnfState.INSTANTIATED,
-            VnfState.RUNNING,
-            VnfState.TERMINATED,
+        manager.create("vnf-1")
+        assert list(manager.event_counts().items()) == [
+            ("instantiated", 2),
+            ("running", 1),
+            ("terminated", 1),
         ]
 
     def test_event_counts(self, manager):
@@ -100,6 +98,16 @@ class TestJournal:
         assert counts["instantiated"] == 1
         assert counts["running"] == 2  # start + finish_management
         assert counts["scaling"] == 1
+
+    def test_rewind_counts_restores_a_mark(self, manager):
+        manager.create("vnf-0")
+        marks = manager.count_marks()
+        manager.start("vnf-0")
+        manager.scale("vnf-0")
+        manager.rewind_counts(marks)
+        assert manager.event_counts() == {"instantiated": 1}
+        manager.create("vnf-1")
+        assert manager.event_counts() == {"instantiated": 2}
 
     def test_live_vnfs_excludes_terminated(self, manager):
         manager.create("vnf-0")
@@ -142,12 +150,12 @@ class TestIllegalTransitionPaths:
             manager.update("vnf-0")
         assert manager.state_of("vnf-0") is VnfState.INSTANTIATED
 
-    def test_rejected_transition_leaves_no_journal_entry(self, manager):
+    def test_rejected_transition_leaves_no_count(self, manager):
         manager.create("vnf-0")
-        before = list(manager.journal())
+        before = manager.event_counts()
         with pytest.raises(LifecycleError):
             manager.scale("vnf-0")
-        assert manager.journal() == before
+        assert manager.event_counts() == before
 
     def test_error_names_both_states(self, manager):
         manager.create("vnf-0")

@@ -97,11 +97,14 @@ class TestLifecycleOperations:
         instance = manager.deploy_optical("security-gateway")
         host = manager.pool.get(instance.host)
         used_before = host.used
+        counts_before = manager.lifecycle.event_counts()
         with pytest.raises(PlacementError):
             manager.scale(instance.vnf_id, 100.0)
         assert host.used == used_before
-        # VNF is back to RUNNING despite the failed scale.
+        # VNF is back to RUNNING despite the failed scale, and the
+        # failed command left no transition count behind.
         assert manager.state_of(instance.vnf_id) is VnfState.RUNNING
+        assert manager.lifecycle.event_counts() == counts_before
 
     def test_invalid_scale_factor(self, manager):
         instance = manager.deploy_optical("nat")
@@ -206,11 +209,14 @@ class TestMigration:
         # Fill the target completely.
         filler = manager.pool.get(target)
         filler.host("filler", filler.free)
+        counts_before = manager.lifecycle.event_counts()
         with pytest.raises(PlacementError):
             manager.migrate(instance.vnf_id, target)
-        # The VNF kept its original reservation and stayed RUNNING.
+        # The VNF kept its original reservation and stayed RUNNING, and
+        # the failed command left no transition count behind.
         assert manager.instance_of(instance.vnf_id).host == source
         assert manager.state_of(instance.vnf_id) is VnfState.RUNNING
+        assert manager.lifecycle.event_counts() == counts_before
 
     def test_electronic_migration_rolls_back_on_unknown_server(
         self, manager, populated_inventory
