@@ -43,6 +43,7 @@ from repro.exceptions import (
 from repro.ids import ChainId, OpsId, ServerId, VnfId
 from repro.nfv.manager import CloudNfvManager
 from repro.observability.runtime import Telemetry, current_telemetry
+from repro.observability.tracing import NULL_SPAN
 from repro.optical.conversion import ConversionModel
 from repro.sdn.controller import SdnController
 from repro.sdn.path_engine import engine_for
@@ -417,13 +418,24 @@ class NetworkOrchestrator:
         algorithm: PlacementAlgorithm,
     ) -> OrchestratedChain:
         """Provision one request (the body serial and batched
-        provisions share)."""
+        provisions share).
+
+        With telemetry off no span is opened and no metric mark is
+        taken: each ``with`` enters the shared no-op span instead.
+        """
         telemetry = self._telemetry
+        traced = telemetry.enabled
         chain = request.chain
-        with telemetry.span(
-            "provision_chain", chain=str(chain.chain_id)
+        with (
+            telemetry.span("provision_chain", chain=str(chain.chain_id))
+            if traced
+            else NULL_SPAN
         ) as root:
-            with telemetry.span("provision.cluster_lookup"):
+            with (
+                telemetry.span("provision.cluster_lookup")
+                if traced
+                else NULL_SPAN
+            ):
                 if chain.chain_id in self._chains:
                     raise DuplicateEntityError("chain", chain.chain_id)
                 cluster = self._clusters.cluster_of_service(request.service)
@@ -433,10 +445,14 @@ class NetworkOrchestrator:
                         "chain on cluster", cluster.cluster_id
                     )
             ctx = self._context_of(cluster)
-            with telemetry.span("provision.slice_allocation"):
+            with (
+                telemetry.span("provision.slice_allocation")
+                if traced
+                else NULL_SPAN
+            ):
                 allocated_here = False
                 slice_id_marks = self._slices.id_marks()
-                metric_marks = telemetry.registry.mark()
+                metric_marks = telemetry.registry.mark() if traced else None
                 if users:
                     optical_slice = self._slices.slice_of_cluster(
                         cluster.cluster_id
@@ -456,11 +472,12 @@ class NetworkOrchestrator:
                     self._slices.rewind_ids(slice_id_marks)
                 # Replay never sees a failed provision, so the counts
                 # its placement, slicing and deploy took must go too.
-                telemetry.registry.rewind(metric_marks)
-                telemetry.counter(
-                    "alvc_chains_provision_failures_total",
-                    "provision_chain calls that raised",
-                ).inc()
+                if traced:
+                    telemetry.registry.rewind(metric_marks)
+                    telemetry.counter(
+                        "alvc_chains_provision_failures_total",
+                        "provision_chain calls that raised",
+                    ).inc()
                 raise
             self._slice_users.setdefault(cluster.cluster_id, set()).add(
                 chain.chain_id
@@ -475,7 +492,7 @@ class NetworkOrchestrator:
             )
             self._chains[chain.chain_id] = orchestrated
             self._actions.append(("provision", chain.chain_id))
-            if telemetry.enabled:
+            if traced:
                 telemetry.counter(
                     "alvc_chains_provisioned_total",
                     "NFCs successfully provisioned",
@@ -494,15 +511,18 @@ class NetworkOrchestrator:
         ctx: _ClusterContext,
     ) -> tuple[ChainPlacement, tuple[VnfId, ...], list[str]]:
         telemetry = self._telemetry
+        traced = telemetry.enabled
         chain = request.chain
-        with telemetry.span("provision.placement_solve"):
+        with (
+            telemetry.span("provision.placement_solve") if traced else NULL_SPAN
+        ):
             placement = self._solver_for(ctx).solve(chain, algorithm)
         vnf_ids: list[VnfId] = []
         deployed_hosts: list[str] = []
         vm_id_marks = self._inventory.id_marks()
         vnf_id_marks = self._nfv.id_marks()
         try:
-            with telemetry.span("provision.deploy"):
+            with telemetry.span("provision.deploy") if traced else NULL_SPAN:
                 for placed in placement.assignments:
                     if placed.domain is Domain.OPTICAL:
                         instance = self._nfv.deploy_optical(
@@ -517,7 +537,7 @@ class NetworkOrchestrator:
                         )
                     vnf_ids.append(instance.vnf_id)
                     deployed_hosts.append(instance.host)
-            with telemetry.span("provision.route"):
+            with telemetry.span("provision.route") if traced else NULL_SPAN:
                 path = self._route(request, cluster, deployed_hosts, ctx)
         except Exception:
             for vnf in vnf_ids:
@@ -1126,8 +1146,12 @@ class NetworkOrchestrator:
 
         The action log keeps the paper's lifecycle verb (``"delete"``).
         """
-        with self._recorder.operation() as outermost, self._telemetry.span(
-            "teardown_chain", chain=str(chain_id)
+        telemetry = self._telemetry
+        traced = telemetry.enabled
+        with self._recorder.operation() as outermost, (
+            telemetry.span("teardown_chain", chain=str(chain_id))
+            if traced
+            else NULL_SPAN
         ):
             live = self.chain(chain_id)
             for vnf in live.vnf_ids:
@@ -1141,9 +1165,10 @@ class NetworkOrchestrator:
                 self._slice_users.pop(live.cluster.cluster_id, None)
             del self._chains[chain_id]
             self._actions.append(("delete", chain_id))
-            self._telemetry.counter(
-                "alvc_chains_torn_down_total", "NFCs torn down"
-            ).inc()
+            if traced:
+                telemetry.counter(
+                    "alvc_chains_torn_down_total", "NFCs torn down"
+                ).inc()
             if outermost:
                 self._recorder.record("teardown", chain_id=chain_id)
 

@@ -219,7 +219,9 @@ class _NullActiveSpan:
         return None
 
 
-_NULL_SPAN = _NullActiveSpan()
+#: The one no-op span; a guarded call site can enter it instead of
+#: calling ``span()`` at all.
+NULL_SPAN = _NullActiveSpan()
 
 
 class NullTracer(Tracer):
@@ -235,4 +237,4 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **attributes: object) -> _NullActiveSpan:  # type: ignore[override]
         """The shared no-op span."""
-        return _NULL_SPAN
+        return NULL_SPAN

@@ -113,7 +113,7 @@ class TopologyBuilder:
                 right = row * side + (col + 1) % side
                 down = ((row + 1) % side) * side + col
                 for j in (right, down):
-                    if j != i and not self._dcn.graph.has_edge(
+                    if j != i and not self._dcn.has_link(
                         switches[i], switches[j]
                     ):
                         self._dcn.connect(switches[i], switches[j])

@@ -9,7 +9,7 @@ object for structure.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import networkx as nx
 
@@ -27,6 +27,11 @@ _KIND_ATTR = "kind"
 _SPEC_ATTR = "spec"
 _LINK_ATTR = "link"
 _PARALLEL_ATTR = "parallel"
+
+#: The specs of links connected without one.  Specs are frozen, so
+#: every default link of a domain shares one instance.
+_OPTICAL_LINK = LinkSpec(domain=Domain.OPTICAL)
+_ELECTRONIC_LINK = LinkSpec(domain=Domain.ELECTRONIC)
 
 
 class DataCenterNetwork:
@@ -64,7 +69,8 @@ class DataCenterNetwork:
         #: the cache.  Every topology mutation (:meth:`_add_node`,
         #: :meth:`connect`) clears all tables wholesale — mutations are
         #: rare (build time) while reads are massive (per-candidate
-        #: during covers), so coarse invalidation is the right trade.
+        #: during covers), so coarse invalidation is the right trade;
+        #: a build, which reads nothing, clears nothing.
         self._cache_enabled = True
         self._nbr_cache: dict = {}          # (node_id, kind) -> tuple
         self._srv_tors_cache: dict = {}     # server -> tuple of ToRs
@@ -111,8 +117,9 @@ class DataCenterNetwork:
 
     def _invalidate_cache(self) -> None:
         self._generation += 1
-        for cache in self._all_caches:
-            cache.clear()
+        if any(self._all_caches):
+            for cache in self._all_caches:
+                cache.clear()
 
     @property
     def topology_generation(self) -> int:
@@ -144,10 +151,16 @@ class DataCenterNetwork:
         self._add_node(spec.ops_id, NodeKind.OPS, spec)
         return spec.ops_id
 
+    # Mutations write the graph's node and adjacency dicts directly, in
+    # the order ``nx.Graph.add_node``/``add_edge`` would: the graph is
+    # private, and only fresh views of it are handed out, so no
+    # networkx-side cache can hold it.
     def _add_node(self, node_id: str, kind: NodeKind, spec: object) -> None:
-        if self._graph.has_node(node_id):
+        graph = self._graph
+        if node_id in graph._node:
             raise DuplicateEntityError(kind.value, node_id)
-        self._graph.add_node(node_id, **{_KIND_ATTR: kind, _SPEC_ATTR: spec})
+        graph._adj[node_id] = {}
+        graph._node[node_id] = {_KIND_ATTR: kind, _SPEC_ATTR: spec}
         self._invalidate_cache()
 
     def connect(self, a: str, b: str, link: LinkSpec | None = None) -> None:
@@ -166,22 +179,33 @@ class DataCenterNetwork:
         The member count is exposed via :meth:`parallel_links` and
         :meth:`trunks`; mixing domains on one pair is rejected.
         """
-        kind_a = self.kind_of(a)
-        kind_b = self.kind_of(b)
+        nodes = self._graph._node
+        try:
+            kind_a = nodes[a][_KIND_ATTR]
+            kind_b = nodes[b][_KIND_ATTR]
+        except KeyError:
+            raise UnknownEntityError("node", b if a in nodes else a) from None
         if a == b:
             raise TopologyError(f"self-loop on {a!r} is not allowed")
-        kinds = {kind_a, kind_b}
-        if kinds == {NodeKind.SERVER}:
-            raise TopologyError(f"server-to-server link {a!r}-{b!r} is not allowed")
-        if kinds == {NodeKind.SERVER, NodeKind.OPS}:
-            raise TopologyError(
-                f"server {a!r}-{b!r} must attach to the optical core via a ToR"
-            )
+        if kind_a is NodeKind.SERVER or kind_b is NodeKind.SERVER:
+            if kind_a is kind_b:
+                raise TopologyError(
+                    f"server-to-server link {a!r}-{b!r} is not allowed"
+                )
+            if kind_a is NodeKind.OPS or kind_b is NodeKind.OPS:
+                raise TopologyError(
+                    f"server {a!r}-{b!r} must attach to the optical core "
+                    f"via a ToR"
+                )
         if link is None:
-            domain = Domain.OPTICAL if NodeKind.OPS in kinds else Domain.ELECTRONIC
-            link = LinkSpec(domain=domain)
-        if self._graph.has_edge(a, b):
-            data = self._graph.edges[a, b]
+            link = (
+                _OPTICAL_LINK
+                if kind_a is NodeKind.OPS or kind_b is NodeKind.OPS
+                else _ELECTRONIC_LINK
+            )
+        adj = self._graph._adj
+        data = adj[a].get(b)
+        if data is not None:
             existing: LinkSpec = data[_LINK_ATTR]
             if link.domain is not existing.domain:
                 raise TopologyError(
@@ -192,17 +216,12 @@ class DataCenterNetwork:
                 domain=existing.domain,
                 bandwidth_gbps=existing.bandwidth_gbps + link.bandwidth_gbps,
             )
-            self._graph.add_edge(
-                a,
-                b,
-                **{
-                    _LINK_ATTR: merged,
-                    _PARALLEL_ATTR: data.get(_PARALLEL_ATTR, 1) + 1,
-                },
-            )
-            self._invalidate_cache()
-            return
-        self._graph.add_edge(a, b, **{_LINK_ATTR: link, _PARALLEL_ATTR: 1})
+            data[_LINK_ATTR] = merged
+            data[_PARALLEL_ATTR] = data.get(_PARALLEL_ATTR, 1) + 1
+        else:
+            data = {_LINK_ATTR: link, _PARALLEL_ATTR: 1}
+            adj[a][b] = data
+            adj[b][a] = data
         self._invalidate_cache()
 
     # ------------------------------------------------------------------
@@ -211,14 +230,16 @@ class DataCenterNetwork:
     def kind_of(self, node_id: str) -> NodeKind:
         """Return the :class:`NodeKind` of a node, or raise UnknownEntityError."""
         try:
-            return self._graph.nodes[node_id][_KIND_ATTR]
+            return self._graph._node[node_id][_KIND_ATTR]
         except KeyError:
             raise UnknownEntityError("node", node_id) from None
 
     def spec_of(self, node_id: str):
         """Return the spec dataclass attached to a node."""
-        self.kind_of(node_id)  # raises UnknownEntityError when absent
-        return self._graph.nodes[node_id][_SPEC_ATTR]
+        try:
+            return self._graph._node[node_id][_SPEC_ATTR]
+        except KeyError:
+            raise UnknownEntityError("node", node_id) from None
 
     def link_of(self, a: str, b: str) -> LinkSpec:
         """Return the :class:`LinkSpec` of the edge between ``a`` and ``b``.
@@ -247,10 +268,12 @@ class DataCenterNetwork:
         """True if nodes ``a`` and ``b`` are directly connected."""
         return self._graph.has_edge(a, b)
 
-    def _nodes_of_kind(self, kind: NodeKind) -> Iterator[str]:
-        for node_id, data in self._graph.nodes(data=True):
-            if data[_KIND_ATTR] is kind:
-                yield node_id
+    def _nodes_of_kind(self, kind: NodeKind) -> list[str]:
+        return [
+            node_id
+            for node_id, data in self._graph._node.items()
+            if data[_KIND_ATTR] is kind
+        ]
 
     def _kind_list(self, kind: NodeKind) -> tuple[str, ...]:
         if not self._cache_enabled:

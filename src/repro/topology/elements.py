@@ -68,6 +68,9 @@ class ResourceVector:
                     f"{name} must be finite and non-negative, got {value!r}"
                 )
 
+    def __reduce__(self):
+        return ResourceVector, (self.cpu_cores, self.memory_gb, self.storage_gb)
+
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(
             cpu_cores=self.cpu_cores + other.cpu_cores,
@@ -131,6 +134,9 @@ class ServerSpec:
     )
     rack: int = 0
 
+    def __reduce__(self):
+        return ServerSpec, (self.server_id, self.capacity, self.rack)
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class TorSpec:
@@ -144,6 +150,9 @@ class TorSpec:
     tor_id: str
     rack: int = 0
     port_count: int = 48
+
+    def __reduce__(self):
+        return TorSpec, (self.tor_id, self.rack, self.port_count)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -160,6 +169,11 @@ class OpticalSwitchSpec:
     port_count: int = 32
     wavelengths: int = 40
     compute: ResourceVector = dataclasses.field(default_factory=ResourceVector)
+
+    def __reduce__(self):
+        return OpticalSwitchSpec, (
+            self.ops_id, self.port_count, self.wavelengths, self.compute
+        )
 
     @property
     def is_optoelectronic(self) -> bool:
@@ -179,6 +193,9 @@ class LinkSpec:
             raise ValidationError(
                 f"bandwidth must be positive, got {self.bandwidth_gbps}"
             )
+
+    def __reduce__(self):
+        return LinkSpec, (self.domain, self.bandwidth_gbps)
 
 
 # Reference capacities used by generators and examples.  The optoelectronic

@@ -145,14 +145,14 @@ def build_alvc_fabric(
     # through a ToR↔OPS link (one data center, paper Fig. 2).
     components = sorted(nx.connected_components(dcn.graph), key=min)
     if len(components) > 1:
+        core_set = set(core)
+        tor_set = set(rack_tors)
         anchor_ops = next(
-            node for node in sorted(components[0]) if node in set(core)
+            node for node in sorted(components[0]) if node in core_set
         )
         for component in components[1:]:
             bridge_tor = next(
-                node
-                for node in sorted(component)
-                if node in set(rack_tors)
+                node for node in sorted(component) if node in tor_set
             )
             dcn.connect(bridge_tor, anchor_ops)
     if n_racks > 1 and dual_homing_fraction > 0:

@@ -11,7 +11,6 @@ counterfactuals for the experiments.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import random
 from typing import Iterable, Iterator, Sequence
@@ -112,8 +111,14 @@ class VmPlacementEngine:
         produced lazily from the inventory's per-server and per-rack
         counts: the service's hosts first, then the racks in groups of
         equal ``(-same service, guests)``, each group's servers by id
-        (merged from the racks' presorted lists) minus the hosts already
-        yielded.  :meth:`place` stops at the first that fits.
+        minus the hosts already yielded.  :meth:`place` stops at the
+        first that fits.
+
+        A group of several racks is walked in the fabric's sorted server
+        order, which is the merge of its racks' sorted lists.  The
+        common such group, a bootstrap VM's every empty rack, yields
+        nearly every server the walk visits, and :meth:`place` stops
+        after a few.
         """
         inventory = self._inventory
         same_on_server = inventory.service_hosts(vm.service)
@@ -131,8 +136,16 @@ class VmPlacementEngine:
         for _, group in itertools.groupby(
             sorted(total_in_rack, key=rack_key), key=rack_key
         ):
-            lists = [inventory.rack_servers(rack) for rack in group]
-            merged = lists[0] if len(lists) == 1 else heapq.merge(*lists)
-            for server in merged:
+            racks = list(group)
+            if len(racks) == 1:
+                members = inventory.rack_servers(racks[0])
+            else:
+                in_group = set(racks)
+                members = (
+                    server
+                    for server in inventory.network.servers()
+                    if rack_of(server) in in_group
+                )
+            for server in members:
                 if server not in same_on_server:
                     yield server

@@ -7,7 +7,7 @@ import pytest
 from repro import AlvcStack
 from repro.core.chaining import ChainRequest, NetworkFunctionChain
 from repro.core.orchestrator import NetworkOrchestrator
-from repro.exceptions import UnknownEntityError
+from repro.exceptions import ALVCError, UnknownEntityError
 from repro.nfv.functions import FunctionCatalog
 from repro.observability.runtime import Telemetry
 from repro.topology.generators import paper_example_topology
@@ -22,6 +22,9 @@ PROVISION_STAGES = (
     "provision.deploy",
     "provision.route",
 )
+COMMAND_SPANS = ("provision_chain", *PROVISION_STAGES, "teardown_chain")
+#: Too small for 40 ``ids`` (6 cores, 16 GB each): that provision fails.
+SMALL = dict(n_racks=4, servers_per_rack=4, n_ops=6, vms_per_service=3, seed=0)
 
 
 def _hand_wired_provision(seed: int = 5):
@@ -145,6 +148,51 @@ class TestTelemetryAcceptance:
         assert telemetry.registry.series_count() == 0
         assert telemetry.registry.snapshot() == {}
         assert telemetry.tracer.finished_spans() == []
+
+    def test_command_path_spans_and_counters(self):
+        stack = AlvcStack.build(**SMALL, telemetry="json")
+        chain = stack.provision(("firewall", "nat"), service="web")
+        with pytest.raises(ALVCError):
+            stack.provision(("ids",) * 40, service="streaming")
+        stack.teardown(chain.chain_id)
+        stats = stack.telemetry.tracer.stats()
+        counts = {name: stats[name].count for name in COMMAND_SPANS}
+        assert counts == {
+            "provision_chain": 2,
+            "provision.cluster_lookup": 2,
+            "provision.slice_allocation": 2,
+            "provision.placement_solve": 2,
+            "provision.deploy": 2,
+            "provision.route": 1,
+            "teardown_chain": 1,
+        }
+        metrics = stack.telemetry.registry.snapshot()
+        for name in (
+            "alvc_chains_provisioned_total",
+            "alvc_chains_provision_failures_total",
+            "alvc_chains_torn_down_total",
+        ):
+            assert metrics[name]["series"][0]["value"] == 1
+
+    def test_disabled_command_path_opens_no_span(self, monkeypatch):
+        stack = AlvcStack.build(**SMALL, telemetry=False)
+        stack.cluster("web")
+        stack.cluster("streaming")
+        opened = []
+        tracer = stack.telemetry.tracer
+        registry = stack.telemetry.registry
+        monkeypatch.setattr(
+            type(tracer), "span",
+            lambda self, name, **attributes: opened.append(name),
+        )
+        monkeypatch.setattr(
+            type(registry), "mark", lambda self: opened.append("mark")
+        )
+        chain = stack.provision(("firewall", "nat"), service="web")
+        with pytest.raises(ALVCError):
+            stack.provision(("ids",) * 40, service="streaming")
+        stack.teardown(chain.chain_id)
+        assert not set(opened) & {*COMMAND_SPANS, "mark"}
 
     def test_disabled_stack_shares_noop_singletons(self):
         stack = AlvcStack.build(seed=1, telemetry="off")
