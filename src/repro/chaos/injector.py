@@ -288,9 +288,8 @@ class FaultInjector:
         rng = random.Random(
             f"{self._seed}:{duration!r}:{rate!r}:schedule"
         )
-        graph = self._network.graph
         all_links = sorted(
-            tuple(sorted(edge)) for edge in graph.edges()
+            tuple(sorted((a, b))) for a, b, _ in self._network.edges()
         )
         node_pool = {
             kind: sorted(set(nodes) - shielded)
@@ -367,7 +366,7 @@ class FaultInjector:
             raise ValidationError(f"unknown node {node!r}") from None
 
     def _check_link(self, a: str, b: str) -> None:
-        if not self._network.graph.has_edge(a, b):
+        if not self._network.has_link(a, b):
             raise ValidationError(f"unknown link {a!r}-{b!r}")
 
 

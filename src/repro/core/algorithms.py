@@ -45,13 +45,14 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import random
-from typing import Hashable, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 from repro.config import COVER_KERNELS
 from repro.exceptions import CoverInfeasibleError, ValidationError
 from repro.ids import index_of, kind_prefix
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Universe size at which ``kernel="auto"`` switches
 #: :func:`greedy_marginal_cover` from the frozenset reference kernel to
@@ -477,6 +478,8 @@ def bipartite_min_vertex_cover(
     Returns:
         A minimum vertex cover as a set of nodes.
     """
+    import networkx as nx
+
     top = set(top_nodes)
     if not graph:
         return set()

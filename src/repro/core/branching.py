@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.chaining import NetworkFunctionChain
 from repro.core.placement import (
@@ -32,6 +30,9 @@ from repro.ids import OpsId
 from repro.nfv.functions import NetworkFunctionType
 from repro.optical.conversion import ConversionModel
 from repro.topology.elements import Domain, ResourceVector
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,6 +107,8 @@ class BranchingChain:
 
     def forwarding_graph(self) -> nx.DiGraph:
         """The network forwarding graph: prefix, split node, branches."""
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.chain_id)
         previous: object = "ingress"
         graph.add_node(previous)

@@ -10,14 +10,15 @@ four: the ordered function list is the simple processing order, and
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.exceptions import ChainValidationError
 from repro.ids import ChainId, TenantId
 from repro.nfv.functions import NetworkFunctionType
 from repro.topology.elements import ResourceVector
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,6 +122,8 @@ class NetworkFunctionChain:
         ``"ingress"`` and ``"egress"`` endpoints; edges follow the packet
         processing order.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.chain_id)
         nodes = ["ingress"] + [
             (index, function.name)

@@ -26,7 +26,7 @@ class PortAllocator:
         self._holders: dict[OpsId, dict[str, int]] = {}
         for ops in dcn.optical_switches():
             spec = dcn.spec_of(ops)
-            physical_degree = dcn.graph.degree(ops)
+            physical_degree = dcn.degree(ops)
             if physical_degree > spec.port_count:
                 raise InsufficientResourcesError(
                     f"{ops} has {physical_degree} physical links but only "

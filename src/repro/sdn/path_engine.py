@@ -5,11 +5,16 @@ Every AL-restricted route in the data plane — chain provisioning
 RouteCache` cold misses, and post-fault rerouting — used to rebuild a
 ``networkx`` subgraph view and run generic dict-based BFS per query.
 :class:`PathEngine` replaces that with a flat compressed-sparse-row
-snapshot of the fabric:
+snapshot of the fabric, built from the fabric's own methods
+(:meth:`~repro.topology.datacenter.DataCenterNetwork.nodes`,
+:meth:`~repro.topology.datacenter.DataCenterNetwork.neighbors`,
+:meth:`~repro.topology.datacenter.DataCenterNetwork.optical_switches`),
+so routing never imports ``networkx``:
 
 * node names are interned into dense int ids (``_ids``/``_names``) in
-  graph insertion order, so CSR adjacency iterates neighbors in exactly
-  the order ``networkx`` would — a precondition for bit-identical paths;
+  fabric insertion order, so CSR adjacency iterates neighbors in exactly
+  the order ``networkx`` would over ``dcn.graph`` — a precondition for
+  bit-identical paths;
 * adjacency is flattened into ``indptr``/``indices`` arrays
   (:class:`array.array` of C ints; no per-query allocation);
 * abstraction layers become **bitmasks** — per-AL ``bytearray`` masks
@@ -53,7 +58,6 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Iterable, Mapping
 
-from repro.ids import NodeKind
 from repro.observability.runtime import current_telemetry
 from repro.topology.datacenter import DataCenterNetwork
 
@@ -179,27 +183,18 @@ class PathEngine:
             self._rebuild()
 
     def _rebuild(self) -> None:
-        graph = self._dcn._graph  # snapshot read; engine is fabric-owned
-        ids: dict[str, int] = {}
-        names: list[str] = []
-        for node in graph.nodes:
-            ids[node] = len(names)
-            names.append(node)
+        dcn = self._dcn
+        names = list(dcn.nodes())
+        ids = {node: idx for idx, node in enumerate(names)}
         n = len(names)
         is_ops = bytearray(n)
-        kind_attr = graph.nodes
-        for node, idx in ids.items():
-            if kind_attr[node]["kind"] is NodeKind.OPS:
-                is_ops[idx] = 1
+        for ops in dcn.optical_switches():
+            is_ops[ids[ops]] = 1
         indptr = array("i", [0] * (n + 1))
         indices = array("i")
-        adj = graph._adj
-        total = 0
         for idx, node in enumerate(names):
-            neighbors = adj[node]
-            total += len(neighbors)
-            indptr[idx + 1] = total
-            indices.extend(ids[neighbor] for neighbor in neighbors)
+            indices.extend(ids[neighbor] for neighbor in dcn.neighbors(node))
+            indptr[idx + 1] = len(indices)
         self._ids = ids
         self._names = names
         self._indptr = indptr

@@ -26,15 +26,16 @@ and the event simulator pass their :attr:`EngineConfig.routing
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.config import ROUTING_ENGINES
 from repro.exceptions import RoutingError, ValidationError
 from repro.ids import NodeKind
 from repro.sdn.path_engine import PathEngineNoPath, engine_for
 from repro.topology.datacenter import DataCenterNetwork
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _resolve_engine(dcn: DataCenterNetwork, engine: str) -> str:
@@ -66,6 +67,8 @@ def simple_path(
             return engine_for(dcn).route(source, target)
         except PathEngineNoPath:
             raise RoutingError(f"no path from {source} to {target}") from None
+    import networkx as nx
+
     try:
         return nx.shortest_path(dcn.graph, source, target)
     except nx.NodeNotFound as exc:  # pragma: no cover - validated above
@@ -133,6 +136,8 @@ def shortest_path_in_al(
                 f"abstraction layer {sorted(allowed_ops)} does not connect "
                 f"{source} to {target}"
             ) from None
+    import networkx as nx
+
     restricted = _al_subgraph(dcn, allowed_ops)
     try:
         return nx.shortest_path(restricted, source, target)
@@ -209,6 +214,8 @@ def k_shortest_paths(
             return engine_for(dcn).k_shortest(source, target, k, allowed_ops)
         except PathEngineNoPath:
             raise RoutingError(f"no path from {source} to {target}") from None
+    import networkx as nx
+
     if allowed_ops is not None:
         graph = _al_subgraph(dcn, allowed_ops)
     else:
@@ -262,6 +269,8 @@ def routes_from(
             raise RoutingError(f"unknown endpoint in ({source}, {node})")
     if _resolve_engine(dcn, engine) == "csr":
         return engine_for(dcn).routes_from(source, target_list, allowed_ops)
+    import networkx as nx
+
     if allowed_ops is not None:
         graph = _al_subgraph(dcn, allowed_ops)
     else:
@@ -307,6 +316,8 @@ def shortest_surviving_path(
             raise RoutingError(
                 f"no surviving path from {source} to {target}"
             ) from None
+    import networkx as nx
+
     view = nx.restricted_view(
         dcn.graph,
         tuple(failed),
@@ -324,6 +335,8 @@ def path_length_statistics(
     graph: nx.Graph, sample_pairs: Sequence[tuple[str, str]]
 ) -> dict[str, float]:
     """Hop-count statistics over a sample of node pairs (experiment E2)."""
+    import networkx as nx
+
     lengths = []
     for source, target in sample_pairs:
         try:

@@ -27,15 +27,17 @@ queue — one bad request cannot poison its batch.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import itertools
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.placement import PlacementAlgorithm
 from repro.exceptions import ALVCError, ValidationError
 from repro.service.journal import NULL_RECORDER
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: Queue capacity when the caller does not choose one.
 DEFAULT_MAX_QUEUE = 1024
@@ -158,6 +160,8 @@ class RequestFrontend:
             raise ValidationError(
                 f"max_batch must be >= 1, got {max_batch}"
             )
+        import asyncio
+
         self._stack = stack
         self._max_batch = max_batch
         self._queue: asyncio.Queue[_Pending] = asyncio.Queue(max_queue)
@@ -189,6 +193,8 @@ class RequestFrontend:
 
         Backpressures (awaits queue space) when the queue is full.
         """
+        import asyncio
+
         self._kind_of(request)
         pending = _Pending(
             next(self._serial),
@@ -203,6 +209,8 @@ class RequestFrontend:
 
     def offer(self, request) -> "asyncio.Future[Response] | None":
         """Non-blocking submit: None when the queue is full (rejected)."""
+        import asyncio
+
         self._kind_of(request)
         pending = _Pending(
             next(self._serial),
@@ -224,6 +232,8 @@ class RequestFrontend:
 
     async def submit_all(self, requests: Sequence) -> list[Response]:
         """Submit many requests concurrently; responses in input order."""
+        import asyncio
+
         return list(
             await asyncio.gather(
                 *(self.submit(request) for request in requests)
@@ -235,6 +245,8 @@ class RequestFrontend:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn the drain task (idempotent)."""
+        import asyncio
+
         if self._task is None or self._task.done():
             self._task = asyncio.get_running_loop().create_task(
                 self._drain_forever()
@@ -242,6 +254,8 @@ class RequestFrontend:
 
     async def stop(self) -> None:
         """Admit everything already queued, then stop the drain task."""
+        import asyncio
+
         while not self._queue.empty():
             self._drain_once()
             await asyncio.sleep(0)
@@ -261,6 +275,8 @@ class RequestFrontend:
         await self.stop()
 
     async def _drain_forever(self) -> None:
+        import asyncio
+
         while True:
             pending = await self._queue.get()
             batch = [pending]

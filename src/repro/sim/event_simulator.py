@@ -365,7 +365,6 @@ class EventDrivenFlowSimulator:
         """
         records = normalize_failures(failures)
         network = self._inventory.network
-        graph = network.graph
         for record in records:
             if record.time < 0:
                 raise SimulationError(
@@ -378,7 +377,7 @@ class EventDrivenFlowSimulator:
                     )
             else:
                 a, b = sorted(record.payload)
-                if not graph.has_edge(a, b):
+                if not network.has_link(a, b):
                     raise SimulationError(
                         f"unknown failure link {a!r}-{b!r}"
                     )

@@ -5,13 +5,18 @@ fabric: which servers sit behind which ToR switches, and which ToRs connect
 to which optical packet switches.  All higher layers (virtualization,
 abstraction layers, NFV, simulation) hold only entity ids and query this
 object for structure.
+
+The fabric keeps its nodes and links in two plain dicts laid out as
+``networkx.Graph`` lays out its own (see :class:`DataCenterNetwork`), so
+building and querying it never imports networkx;
+:attr:`DataCenterNetwork.graph` and
+:meth:`DataCenterNetwork.optical_core` build a networkx view over those
+dicts when an analysis asks for one.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.exceptions import DuplicateEntityError, TopologyError, UnknownEntityError
 from repro.ids import NodeKind, OpsId, ServerId, TorId
@@ -22,6 +27,9 @@ from repro.topology.elements import (
     ServerSpec,
     TorSpec,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 _KIND_ATTR = "kind"
 _SPEC_ATTR = "spec"
@@ -47,11 +55,17 @@ class DataCenterNetwork:
     * **ToR switches** attach to one or more OPSs with optical links (the
       ToR carries the E/O transceiver);
     * **OPSs** may interconnect among themselves with optical links.
+
+    The graph lives in two dicts with ``networkx.Graph``'s layout and
+    insertion order: ``_node`` maps each node to ``{"kind", "spec"}``
+    and ``_adj`` maps each node to ``{neighbor: link data}``, the two
+    directions of a link sharing one data dict.
     """
 
     def __init__(self, name: str = "dcn") -> None:
         self.name = name
-        self._graph = nx.Graph(name=name)
+        self._node: dict[str, dict] = {}
+        self._adj: dict[str, dict[str, dict]] = {}
         #: Monotonic topology generation.  Bumped on every structural
         #: mutation (node/link addition, trunk aggregation); derived
         #: caches — the accessor memos below and the CSR snapshot of
@@ -66,11 +80,12 @@ class DataCenterNetwork:
         #: Python-level call that dominated the memoized hot path.
         #: Values are immutable (tuples / ints); list-returning accessors
         #: materialize a fresh list per call so callers can never corrupt
-        #: the cache.  Every topology mutation (:meth:`_add_node`,
-        #: :meth:`connect`) clears all tables wholesale — mutations are
-        #: rare (build time) while reads are massive (per-candidate
-        #: during covers), so coarse invalidation is the right trade;
-        #: a build, which reads nothing, clears nothing.
+        #: the cache.  A node addition clears every table and a
+        #: :meth:`connect` every table but the kind lists (which depend
+        #: on nodes and specs only) — mutations are rare (build time)
+        #: while reads are massive (per-candidate during covers), so
+        #: coarse invalidation is the right trade; a build, which reads
+        #: nothing, clears nothing.
         self._cache_enabled = True
         self._nbr_cache: dict = {}          # (node_id, kind) -> tuple
         self._srv_tors_cache: dict = {}     # server -> tuple of ToRs
@@ -82,7 +97,10 @@ class DataCenterNetwork:
         self._kind_list_cache: dict = {}    # NodeKind -> tuple of ids
         # "servers" -> {server: tors}; "bytes/s" -> {pair: bytes/s}
         self._attach_cache: dict = {}
-        self._all_caches = (
+        self._group_caches()
+
+    def _group_caches(self) -> None:
+        self._link_caches = (
             self._attach_cache,
             self._nbr_cache,
             self._srv_tors_cache,
@@ -91,8 +109,19 @@ class DataCenterNetwork:
             self._ops_tors_cache,
             self._tor_weight_cache,
             self._ops_weight_cache,
-            self._kind_list_cache,
         )
+        self._all_caches = (*self._link_caches, self._kind_list_cache)
+
+    def __setstate__(self, state: dict) -> None:
+        if "_graph" in state:
+            # Pickled while the fabric lived in an ``nx.Graph``: adopt
+            # its dicts, which have the layout this class keeps.
+            state = dict(state)
+            graph = state.pop("_graph")
+            state["_node"] = graph._node
+            state["_adj"] = graph._adj
+        self.__dict__.update(state)
+        self._group_caches()
 
     # ------------------------------------------------------------------
     # Accessor memoization
@@ -115,10 +144,11 @@ class DataCenterNetwork:
         """Whether accessor memoization is currently on."""
         return self._cache_enabled
 
-    def _invalidate_cache(self) -> None:
+    def _invalidate_cache(self, *, links_only: bool = False) -> None:
         self._generation += 1
-        if any(self._all_caches):
-            for cache in self._all_caches:
+        caches = self._link_caches if links_only else self._all_caches
+        if any(caches):
+            for cache in caches:
                 cache.clear()
 
     @property
@@ -151,16 +181,15 @@ class DataCenterNetwork:
         self._add_node(spec.ops_id, NodeKind.OPS, spec)
         return spec.ops_id
 
-    # Mutations write the graph's node and adjacency dicts directly, in
-    # the order ``nx.Graph.add_node``/``add_edge`` would: the graph is
-    # private, and only fresh views of it are handed out, so no
-    # networkx-side cache can hold it.
+    # Mutations insert into ``_node`` and ``_adj`` in the order
+    # ``nx.Graph.add_node``/``add_edge`` would, so the networkx view
+    # :attr:`graph` builds over them iterates as a graph built through
+    # networkx would.
     def _add_node(self, node_id: str, kind: NodeKind, spec: object) -> None:
-        graph = self._graph
-        if node_id in graph._node:
+        if node_id in self._node:
             raise DuplicateEntityError(kind.value, node_id)
-        graph._adj[node_id] = {}
-        graph._node[node_id] = {_KIND_ATTR: kind, _SPEC_ATTR: spec}
+        self._adj[node_id] = {}
+        self._node[node_id] = {_KIND_ATTR: kind, _SPEC_ATTR: spec}
         self._invalidate_cache()
 
     def connect(self, a: str, b: str, link: LinkSpec | None = None) -> None:
@@ -179,7 +208,7 @@ class DataCenterNetwork:
         The member count is exposed via :meth:`parallel_links` and
         :meth:`trunks`; mixing domains on one pair is rejected.
         """
-        nodes = self._graph._node
+        nodes = self._node
         try:
             kind_a = nodes[a][_KIND_ATTR]
             kind_b = nodes[b][_KIND_ATTR]
@@ -203,7 +232,7 @@ class DataCenterNetwork:
                 if kind_a is NodeKind.OPS or kind_b is NodeKind.OPS
                 else _ELECTRONIC_LINK
             )
-        adj = self._graph._adj
+        adj = self._adj
         data = adj[a].get(b)
         if data is not None:
             existing: LinkSpec = data[_LINK_ATTR]
@@ -222,7 +251,7 @@ class DataCenterNetwork:
             data = {_LINK_ATTR: link, _PARALLEL_ATTR: 1}
             adj[a][b] = data
             adj[b][a] = data
-        self._invalidate_cache()
+        self._invalidate_cache(links_only=True)
 
     # ------------------------------------------------------------------
     # Node queries
@@ -230,14 +259,14 @@ class DataCenterNetwork:
     def kind_of(self, node_id: str) -> NodeKind:
         """Return the :class:`NodeKind` of a node, or raise UnknownEntityError."""
         try:
-            return self._graph._node[node_id][_KIND_ATTR]
+            return self._node[node_id][_KIND_ATTR]
         except KeyError:
             raise UnknownEntityError("node", node_id) from None
 
     def spec_of(self, node_id: str):
         """Return the spec dataclass attached to a node."""
         try:
-            return self._graph._node[node_id][_SPEC_ATTR]
+            return self._node[node_id][_SPEC_ATTR]
         except KeyError:
             raise UnknownEntityError("node", node_id) from None
 
@@ -248,30 +277,49 @@ class DataCenterNetwork:
         spec (bandwidth summed over the parallel members).
         """
         try:
-            return self._graph.edges[a, b][_LINK_ATTR]
+            return self._adj[a][b][_LINK_ATTR]
         except KeyError:
             raise UnknownEntityError("link", (a, b)) from None
 
     def parallel_links(self, a: str, b: str) -> int:
         """Number of parallel physical links between two connected nodes."""
         try:
-            data = self._graph.edges[a, b]
+            data = self._adj[a][b]
         except KeyError:
             raise UnknownEntityError("link", (a, b)) from None
         return data.get(_PARALLEL_ATTR, 1)
 
     def has_node(self, node_id: str) -> bool:
         """True if the node exists in the fabric."""
-        return self._graph.has_node(node_id)
+        return node_id in self._node
 
     def has_link(self, a: str, b: str) -> bool:
         """True if nodes ``a`` and ``b`` are directly connected."""
-        return self._graph.has_edge(a, b)
+        neighbors = self._adj.get(a)
+        return neighbors is not None and b in neighbors
+
+    def nodes(self) -> Iterable[str]:
+        """Every node id, in the order the nodes were added."""
+        return iter(self._node)
+
+    def neighbors(self, node_id: str) -> Iterable[str]:
+        """Nodes linked to ``node_id``, in the order the links were made."""
+        try:
+            return iter(self._adj[node_id])
+        except KeyError:
+            raise UnknownEntityError("node", node_id) from None
+
+    def degree(self, node_id: str) -> int:
+        """Number of nodes linked to ``node_id`` (a trunk counts once)."""
+        try:
+            return len(self._adj[node_id])
+        except KeyError:
+            raise UnknownEntityError("node", node_id) from None
 
     def _nodes_of_kind(self, kind: NodeKind) -> list[str]:
         return [
             node_id
-            for node_id, data in self._graph._node.items()
+            for node_id, data in self._node.items()
             if data[_KIND_ATTR] is kind
         ]
 
@@ -316,11 +364,12 @@ class DataCenterNetwork:
     # ------------------------------------------------------------------
     def _neighbors_of_kind(self, node_id: str, kind: NodeKind) -> list[str]:
         self.kind_of(node_id)
+        nodes = self._node
         if not self._cache_enabled:
             return sorted(
                 neighbor
-                for neighbor in self._graph.neighbors(node_id)
-                if self._graph.nodes[neighbor][_KIND_ATTR] is kind
+                for neighbor in self._adj[node_id]
+                if nodes[neighbor][_KIND_ATTR] is kind
             )
         key = (node_id, kind)
         cached = self._nbr_cache.get(key)
@@ -328,8 +377,8 @@ class DataCenterNetwork:
             cached = tuple(
                 sorted(
                     neighbor
-                    for neighbor in self._graph.neighbors(node_id)
-                    if self._graph.nodes[neighbor][_KIND_ATTR] is kind
+                    for neighbor in self._adj[node_id]
+                    if nodes[neighbor][_KIND_ATTR] is kind
                 )
             )
             self._nbr_cache[key] = cached
@@ -441,8 +490,7 @@ class DataCenterNetwork:
             cached = self._ops_weight_cache.get(ops)
             if cached is not None:
                 return cached
-        self.kind_of(ops)
-        weight = int(self._graph.degree(ops))
+        weight = self.degree(ops)
         if self._cache_enabled:
             self._ops_weight_cache[ops] = weight
         return weight
@@ -452,12 +500,58 @@ class DataCenterNetwork:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> nx.Graph:
-        """Read-only view of the underlying graph."""
-        return self._graph.copy(as_view=True)
+        """A read-only ``networkx`` view over the fabric's own dicts.
+
+        Built on each access (this imports networkx); it shares the
+        fabric's node and adjacency dicts, so it iterates in the
+        fabric's order and sees later mutations.
+        """
+        import networkx as nx
+
+        graph = nx.Graph(name=self.name)
+        graph._node = self._node
+        graph._adj = self._adj
+        return graph.copy(as_view=True)
 
     def optical_core(self) -> nx.Graph:
-        """Subgraph induced by the optical switches (a copy)."""
-        return self._graph.subgraph(self.optical_switches()).copy()
+        """Subgraph induced by the optical switches (a ``networkx`` copy)."""
+        return self.graph.subgraph(self.optical_switches()).copy()
+
+    def connected_components(self) -> list[set[str]]:
+        """The fabric's connected components, as sets of node ids.
+
+        Listed in the order of each component's first-added node, as
+        ``networkx.connected_components`` yields them.
+        """
+        adj = self._adj
+        seen: set[str] = set()
+        components = []
+        for node in self._node:
+            if node in seen:
+                continue
+            component = {node}
+            frontier = [node]
+            while frontier:
+                reached = []
+                for current in frontier:
+                    for neighbor in adj[current]:
+                        if neighbor not in component:
+                            component.add(neighbor)
+                            reached.append(neighbor)
+                frontier = reached
+            seen |= component
+            components.append(component)
+        return components
+
+    def _link_data(self) -> Iterable[tuple[str, str, dict]]:
+        # Each pair once, from its endpoint added first, in the order
+        # ``nx.Graph.edges(data=True)`` walks the same dicts.
+        done: set[str] = set()
+        for a, neighbors in self._adj.items():
+            for b, data in neighbors.items():
+                if b not in done:
+                    yield a, b, data
+            done.add(a)
 
     def edges(self) -> Iterable[tuple[str, str, LinkSpec]]:
         """Iterate over ``(a, b, LinkSpec)`` triples.
@@ -466,7 +560,7 @@ class DataCenterNetwork:
         multiple times is the aggregated trunk (see :meth:`trunks` for
         the parallel-member count).
         """
-        for a, b, data in self._graph.edges(data=True):
+        for a, b, data in self._link_data():
             yield a, b, data[_LINK_ATTR]
 
     def trunks(self) -> Iterable[tuple[str, str, LinkSpec, int]]:
@@ -476,7 +570,7 @@ class DataCenterNetwork:
         the count lets capacity-overriding consumers (e.g. the event
         simulator's ``default_bandwidth_gbps``) scale per physical link.
         """
-        for a, b, data in self._graph.edges(data=True):
+        for a, b, data in self._link_data():
             yield a, b, data[_LINK_ATTR], data.get(_PARALLEL_ATTR, 1)
 
     def link_bytes_per_second(self) -> dict[frozenset, float]:
@@ -509,14 +603,15 @@ class DataCenterNetwork:
         optical_links = sum(
             1 for _, _, link in self.edges() if link.domain is Domain.OPTICAL
         )
+        links = sum(map(len, self._adj.values())) // 2
         return {
             "servers": len(self.servers()),
             "tors": len(self.tors()),
             "optical_switches": len(self.optical_switches()),
             "optoelectronic_routers": len(self.optoelectronic_routers()),
-            "links": self._graph.number_of_edges(),
+            "links": links,
             "optical_links": optical_links,
-            "electronic_links": self._graph.number_of_edges() - optical_links,
+            "electronic_links": links - optical_links,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -14,8 +14,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from repro.exceptions import TopologyError
 from repro.ids import NodeKind
 from repro.topology.datacenter import DataCenterNetwork
@@ -90,7 +88,7 @@ def federate(
 
     merged = DataCenterNetwork(name)
     for site, dcn in sites.items():
-        for node in dcn.graph.nodes:
+        for node in dcn.nodes():
             kind = dcn.kind_of(node)
             spec = dcn.spec_of(node)
             renamed = site_node(site, node)
@@ -130,7 +128,7 @@ def federate(
             ),
         )
 
-    if len(sites) > 1 and not nx.is_connected(merged.graph):
+    if len(sites) > 1 and len(merged.connected_components()) > 1:
         raise TopologyError(
             "federation is disconnected: add inter-DC links joining every "
             "site"

@@ -9,8 +9,7 @@ generators provide conventional electronic baselines (experiment E2).
 from __future__ import annotations
 
 import random
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.exceptions import TopologyError
 from repro.ids import server_id, tor_id
@@ -20,6 +19,9 @@ from repro.topology.elements import (
     DEFAULT_OPTOELECTRONIC_CAPACITY,
     ResourceVector,
 )
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def paper_example_topology() -> DataCenterNetwork:
@@ -143,7 +145,7 @@ def build_alvc_fabric(
     # Single-uplink ToRs over a layout-free core can still split the
     # fabric into islands; bridge each extra component to the first one
     # through a ToR↔OPS link (one data center, paper Fig. 2).
-    components = sorted(nx.connected_components(dcn.graph), key=min)
+    components = sorted(dcn.connected_components(), key=min)
     if len(components) > 1:
         core_set = set(core)
         tor_set = set(rack_tors)
@@ -200,6 +202,8 @@ def build_fat_tree(k: int) -> nx.Graph:
     """
     if k <= 0 or k % 2 != 0:
         raise TopologyError(f"fat-tree arity must be a positive even number, got {k}")
+    import networkx as nx
+
     graph = nx.Graph(name=f"fat-tree-{k}")
     half = k // 2
     cores = [f"core-{i}" for i in range(half * half)]

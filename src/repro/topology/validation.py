@@ -58,7 +58,7 @@ def validate_topology(dcn: DataCenterNetwork) -> ValidationReport:
         if not dcn.ops_of_tor(tor):
             problems.append(f"ToR {tor} has no OPS uplink")
     for ops in dcn.optical_switches():
-        if dcn.graph.degree(ops) == 0:
+        if dcn.degree(ops) == 0:
             problems.append(f"OPS {ops} is isolated")
 
     for a, b, link in dcn.edges():
@@ -70,11 +70,7 @@ def validate_topology(dcn: DataCenterNetwork) -> ValidationReport:
         ):
             problems.append(f"server link {a}-{b} must be electronic")
 
-    graph = dcn.graph
-    if graph.number_of_nodes() > 0:
-        import networkx as nx
-
-        if not nx.is_connected(graph):
-            components = nx.number_connected_components(graph)
-            problems.append(f"fabric is disconnected ({components} components)")
+    components = len(dcn.connected_components())
+    if components > 1:
+        problems.append(f"fabric is disconnected ({components} components)")
     return ValidationReport(problems=tuple(problems))

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import networkx as nx
-
 from repro.exceptions import RoutingError, UnknownEntityError, ValidationError
 from repro.ids import VmId
 from repro.virtualization.machines import MachineInventory
@@ -49,6 +47,8 @@ class VirtualNetwork:
     """
 
     def __init__(self, name: str) -> None:
+        import networkx as nx
+
         self.name = name
         self._graph = nx.Graph(name=name)
         self._embedding: dict[frozenset, list[str]] = {}

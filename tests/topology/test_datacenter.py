@@ -1,4 +1,6 @@
-"""Tests for the DataCenterNetwork graph wrapper."""
+"""Tests for the DataCenterNetwork fabric graph."""
+
+import collections
 
 import pytest
 
@@ -17,6 +19,8 @@ from repro.topology.elements import (
     ServerSpec,
     TorSpec,
 )
+from repro.topology.generators import build_alvc_fabric
+from repro.virtualization.machines import MachineInventory
 
 
 @pytest.fixture
@@ -133,6 +137,41 @@ class TestQueries:
     def test_has_node(self, tiny):
         assert tiny.has_node("server-0")
         assert not tiny.has_node("server-99")
+
+    def test_has_link_either_direction(self, tiny):
+        assert tiny.has_link("server-0", "tor-0")
+        assert tiny.has_link("tor-0", "server-0")
+        assert not tiny.has_link("server-0", "ops-0")
+        assert not tiny.has_link("server-99", "tor-0")
+
+    def test_nodes_in_insertion_order(self, tiny):
+        assert list(tiny.nodes()) == ["server-0", "tor-0", "ops-0", "ops-1"]
+
+    def test_neighbors_in_link_order(self, tiny):
+        assert list(tiny.neighbors("tor-0")) == ["server-0", "ops-0", "ops-1"]
+        with pytest.raises(UnknownEntityError):
+            tiny.neighbors("tor-404")
+
+    def test_degree_counts_a_trunk_once(self, tiny):
+        assert tiny.degree("tor-0") == 3
+        assert tiny.degree("ops-0") == 1
+        tiny.connect("tor-0", "ops-0")
+        assert tiny.degree("tor-0") == 3
+        with pytest.raises(UnknownEntityError):
+            tiny.degree("ops-404")
+
+    def test_connected_components(self, tiny):
+        assert tiny.connected_components() == [
+            {"server-0", "tor-0", "ops-0", "ops-1"}
+        ]
+        tiny.add_optical_switch(OpticalSwitchSpec(ops_id="ops-2"))
+        tiny.add_tor(TorSpec(tor_id="tor-1"))
+        tiny.connect("tor-1", "ops-2")
+        assert tiny.connected_components() == [
+            {"server-0", "tor-0", "ops-0", "ops-1"},
+            {"ops-2", "tor-1"},
+        ]
+        assert DataCenterNetwork("empty").connected_components() == []
 
 
 class TestWeights:
@@ -251,6 +290,52 @@ class TestAccessorCaching:
         assert tiny.servers() == ["server-0"]
         tiny.add_server(ServerSpec(server_id="server-1"))
         assert tiny.servers() == ["server-0", "server-1"]
+
+    def test_kind_lists_scanned_once_per_kind(self, monkeypatch):
+        # Kind lists depend on nodes and specs only, so a connect keeps
+        # them: a fabric build (whose dual-homing pass reads servers()
+        # before connecting) and the inventory over it scan each kind
+        # at most once.
+        scans = collections.Counter()
+        scan = DataCenterNetwork._nodes_of_kind
+
+        def counting_scan(self, kind):
+            scans[kind] += 1
+            return scan(self, kind)
+
+        monkeypatch.setattr(DataCenterNetwork, "_nodes_of_kind", counting_scan)
+        dcn = build_alvc_fabric(n_racks=512, servers_per_rack=8, n_ops=128,
+                                seed=0)
+        MachineInventory(dcn)
+        dcn.optoelectronic_routers()
+        dcn.tors()
+        assert scans == {NodeKind.SERVER: 1, NodeKind.TOR: 1, NodeKind.OPS: 1}
+        # A connect keeps the memo, which still equals a fresh scan.
+        generation = dcn.topology_generation
+        dcn.connect("server-0", "tor-7")
+        assert dcn.topology_generation == generation + 1
+        for kind in NodeKind:
+            assert dcn._kind_list(kind) == tuple(sorted(scan(dcn, kind)))
+        assert dcn.optoelectronic_routers() == sorted(
+            ops for ops in scan(dcn, NodeKind.OPS)
+            if dcn.spec_of(ops).is_optoelectronic
+        )
+        assert scans == {NodeKind.SERVER: 1, NodeKind.TOR: 1, NodeKind.OPS: 1}
+        # A node addition still drops it.
+        dcn.add_optical_switch(OpticalSwitchSpec(ops_id="ops-999"))
+        assert dcn.optical_switches()[-1] == "ops-999"
+        assert scans[NodeKind.OPS] == 2
+
+    def test_connect_keeps_kind_lists_and_drops_adjacency_memos(self, tiny):
+        assert tiny.optoelectronic_routers() == ["ops-1"]
+        assert tiny.tor_weight("tor-0") == 3
+        tiny.add_tor(TorSpec(tor_id="tor-1"))
+        assert tiny.tors() == ["tor-0", "tor-1"]
+        tiny.connect("server-0", "tor-1")
+        assert tiny._kind_list_cache
+        assert not tiny._tor_weight_cache
+        assert tiny.tors_of_server("server-0") == ["tor-0", "tor-1"]
+        assert tiny.tors() == ["tor-0", "tor-1"]
 
     def test_attachment_map_updates_after_late_connect(self, tiny):
         assert tiny.server_attachment_map() == {"server-0": ("tor-0",)}
