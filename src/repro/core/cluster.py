@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable
 
+from repro import undo
 from repro.core.abstraction_layer import (
     AbstractionLayer,
     AlConstructionStrategy,
@@ -118,9 +119,9 @@ class ClusterManager:
                 vm_ids=frozenset(members),
                 abstraction_layer=layer,
             )
-            self._clusters[new_id] = cluster
+            undo.setitem(self._clusters, new_id, cluster)
             for ops in layer.ops_ids:
-                self._assigned_ops[ops] = new_id
+                undo.setitem(self._assigned_ops, ops, new_id)
             self._telemetry.counter(
                 "alvc_clusters_created_total", "virtual clusters created"
             ).inc()
@@ -199,21 +200,23 @@ class ClusterManager:
                 )
         old = self._clusters[key]
         for ops in old.al_switches - cluster.al_switches:
-            self._assigned_ops.pop(ops, None)
+            if ops in self._assigned_ops:
+                undo.pop(self._assigned_ops, ops)
         for ops in cluster.al_switches:
-            self._assigned_ops[ops] = key
-        self._clusters[key] = cluster
+            undo.setitem(self._assigned_ops, ops, key)
+        undo.setitem(self._clusters, key, cluster)
         return cluster
 
     def dissolve_cluster(self, service: str) -> VirtualCluster:
         """Remove a cluster, releasing its OPSs; returns the old cluster."""
         key = cluster_id(service)
         try:
-            cluster = self._clusters.pop(key)
+            cluster = undo.pop(self._clusters, key)
         except KeyError:
             raise UnknownEntityError("cluster", key) from None
         for ops in cluster.al_switches:
-            self._assigned_ops.pop(ops, None)
+            if ops in self._assigned_ops:
+                undo.pop(self._assigned_ops, ops)
         return cluster
 
     # ------------------------------------------------------------------

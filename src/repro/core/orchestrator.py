@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro import undo
 from repro.config import EngineConfig
 from repro.core.chaining import ChainRequest, NetworkFunctionChain
 from repro.core.cluster import ClusterManager, VirtualCluster
@@ -284,8 +285,11 @@ class NetworkOrchestrator:
         authoritative answer remains :meth:`provision_chain`, which is
         transactional (failures roll back fully).
         """
-        with self._telemetry.span(
-            "plan_chain", chain=str(request.chain.chain_id)
+        telemetry = self._telemetry
+        with (
+            telemetry.span("plan_chain", chain=str(request.chain.chain_id))
+            if telemetry.enabled
+            else NULL_SPAN
         ):
             problems: list[str] = []
             chain = request.chain
@@ -420,8 +424,9 @@ class NetworkOrchestrator:
         """Provision one request (the body serial and batched
         provisions share).
 
-        With telemetry off no span is opened and no metric mark is
-        taken: each ``with`` enters the shared no-op span instead.
+        With telemetry off no span is opened: each ``with`` enters the
+        shared no-op span instead.  A failure is unwound by the
+        caller's frame (:mod:`repro.undo`).
         """
         telemetry = self._telemetry
         traced = telemetry.enabled
@@ -450,9 +455,6 @@ class NetworkOrchestrator:
                 if traced
                 else NULL_SPAN
             ):
-                allocated_here = False
-                slice_id_marks = self._slices.id_marks()
-                metric_marks = telemetry.registry.mark() if traced else None
                 if users:
                     optical_slice = self._slices.slice_of_cluster(
                         cluster.cluster_id
@@ -461,27 +463,23 @@ class NetworkOrchestrator:
                     optical_slice = self._slices.allocate(
                         cluster, chain.bandwidth_gbps
                     )
-                    allocated_here = True
             try:
                 placement, vnf_ids, path = self._deploy(
                     request, cluster, algorithm, ctx
                 )
             except Exception:
-                if allocated_here:
-                    self._slices.release(optical_slice.slice_id)
-                    self._slices.rewind_ids(slice_id_marks)
-                # Replay never sees a failed provision, so the counts
-                # its placement, slicing and deploy took must go too.
                 if traced:
-                    telemetry.registry.rewind(metric_marks)
                     telemetry.counter(
                         "alvc_chains_provision_failures_total",
                         "provision_chain calls that raised",
                     ).inc()
                 raise
-            self._slice_users.setdefault(cluster.cluster_id, set()).add(
-                chain.chain_id
-            )
+            if users:
+                undo.add(users, chain.chain_id)
+            else:
+                undo.setitem(
+                    self._slice_users, cluster.cluster_id, {chain.chain_id}
+                )
             orchestrated = OrchestratedChain(
                 request=request,
                 cluster=cluster,
@@ -490,8 +488,8 @@ class NetworkOrchestrator:
                 vnf_ids=vnf_ids,
                 path=tuple(path),
             )
-            self._chains[chain.chain_id] = orchestrated
-            self._actions.append(("provision", chain.chain_id))
+            undo.setitem(self._chains, chain.chain_id, orchestrated)
+            undo.append(self._actions, ("provision", chain.chain_id))
             if traced:
                 telemetry.counter(
                     "alvc_chains_provisioned_total",
@@ -519,35 +517,23 @@ class NetworkOrchestrator:
             placement = self._solver_for(ctx).solve(chain, algorithm)
         vnf_ids: list[VnfId] = []
         deployed_hosts: list[str] = []
-        vm_id_marks = self._inventory.id_marks()
-        vnf_id_marks = self._nfv.id_marks()
-        try:
-            with telemetry.span("provision.deploy") if traced else NULL_SPAN:
-                for placed in placement.assignments:
-                    if placed.domain is Domain.OPTICAL:
-                        instance = self._nfv.deploy_optical(
-                            placed.function.name, ops=placed.host
-                        )
-                    else:
-                        server = self._electronic_host(
-                            cluster, placed.function, ctx
-                        )
-                        instance = self._nfv.deploy_electronic(
-                            placed.function.name, server=server
-                        )
-                    vnf_ids.append(instance.vnf_id)
-                    deployed_hosts.append(instance.host)
-            with telemetry.span("provision.route") if traced else NULL_SPAN:
-                path = self._route(request, cluster, deployed_hosts, ctx)
-        except Exception:
-            for vnf in vnf_ids:
-                self._nfv.terminate(vnf)
-            # Rewind both allocators too: a failed provision journals
-            # nothing, so the ids it burned must come back — replay
-            # allocates the same ids only if failures are traceless.
-            self._nfv.rewind_ids(vnf_id_marks)
-            self._inventory.rewind_ids(vm_id_marks)
-            raise
+        with telemetry.span("provision.deploy") if traced else NULL_SPAN:
+            for placed in placement.assignments:
+                if placed.domain is Domain.OPTICAL:
+                    instance = self._nfv.deploy_optical(
+                        placed.function.name, ops=placed.host
+                    )
+                else:
+                    server = self._electronic_host(
+                        cluster, placed.function, ctx
+                    )
+                    instance = self._nfv.deploy_electronic(
+                        placed.function.name, server=server
+                    )
+                vnf_ids.append(instance.vnf_id)
+                deployed_hosts.append(instance.host)
+        with telemetry.span("provision.route") if traced else NULL_SPAN:
+            path = self._route(request, cluster, deployed_hosts, ctx)
         return placement, tuple(vnf_ids), path
 
     def _vm_servers(self, cluster: VirtualCluster) -> list[ServerId]:
@@ -710,8 +696,13 @@ class NetworkOrchestrator:
         """
         from repro.core.reconfiguration import AlReconfigurator
 
+        telemetry = self._telemetry
         with self._recorder.operation() as outermost:
-            with self._telemetry.span("vm_migration", vm=str(vm)):
+            with (
+                telemetry.span("vm_migration", vm=str(vm))
+                if telemetry.enabled
+                else NULL_SPAN
+            ):
                 result = self._handle_vm_migration(
                     vm, new_server, AlReconfigurator
                 )
@@ -727,71 +718,45 @@ class NetworkOrchestrator:
         cluster = self._clusters.cluster_of_service(
             self._inventory.get(vm).service
         )
-        old_server = self._inventory.migrate(vm, new_server)
-        # Every mutation past this point is tracked so a failure rolls
-        # the whole event back: a failed migration journals nothing, so
-        # it must also change nothing (the replay-parity invariant).
-        slice_id = None
-        slice_additions: frozenset = frozenset()
-        replaced = False
-        rerouted_originals: list = []
-        try:
-            attachments = {
-                member: self._inventory.tors_of_vm(member)
-                for member in sorted(cluster.vm_ids)
-                if self._inventory.is_placed(member)
-            }
-            reconfigurator = AlReconfigurator(
-                self._inventory.network,
-                cluster.abstraction_layer,
-                {m: t for m, t in attachments.items() if m != vm},
-                kernel=self._engines.cover_kernel,
-                recorder=self._recorder,
+        self._inventory.migrate(vm, new_server)
+        attachments = {
+            member: self._inventory.tors_of_vm(member)
+            for member in sorted(cluster.vm_ids)
+            if self._inventory.is_placed(member)
+        }
+        reconfigurator = AlReconfigurator(
+            self._inventory.network,
+            cluster.abstraction_layer,
+            {m: t for m, t in attachments.items() if m != vm},
+            kernel=self._engines.cover_kernel,
+            recorder=self._recorder,
+        )
+        available = self._clusters.free_ops()
+        result = reconfigurator.add_vm(vm, attachments[vm], available)
+        repaired = dataclasses.replace(
+            cluster, abstraction_layer=reconfigurator.layer
+        )
+        self._clusters.replace_cluster(repaired)
+        # Keep the optical slice congruent with the repaired AL.
+        updated_slice = None
+        if self._slice_users.get(cluster.cluster_id):
+            current_slice = self._slices.slice_of_cluster(cluster.cluster_id)
+            updated_slice = self._slices.extend(
+                current_slice.slice_id, repaired.al_switches
             )
-            available = self._clusters.free_ops()
-            result = reconfigurator.add_vm(vm, attachments[vm], available)
-            repaired = dataclasses.replace(
-                cluster, abstraction_layer=reconfigurator.layer
-            )
-            self._clusters.replace_cluster(repaired)
-            replaced = True
-            # Keep the optical slice congruent with the repaired AL.
-            updated_slice = None
-            if self._slice_users.get(cluster.cluster_id):
-                current_slice = self._slices.slice_of_cluster(
-                    cluster.cluster_id
-                )
-                updated_slice = self._slices.extend(
-                    current_slice.slice_id, repaired.al_switches
-                )
-                slice_id = current_slice.slice_id
-                slice_additions = (
-                    updated_slice.switches - current_slice.switches
-                )
 
-            rerouted = 0
-            for live in list(self._chains.values()):
-                if live.cluster.cluster_id != cluster.cluster_id:
-                    continue
-                updated = self._reroute_chain(live, repaired)
-                if updated_slice is not None:
-                    updated = dataclasses.replace(
-                        updated, optical_slice=updated_slice
-                    )
-                self._chains[updated.chain_id] = updated
-                rerouted_originals.append(live)
-                rerouted += 1
-        except Exception:
-            for original in reversed(rerouted_originals):
-                self._restore_route(original)
-                self._chains[original.chain_id] = original
-            if slice_id is not None and slice_additions:
-                self._slices.shrink(slice_id, slice_additions)
-            if replaced:
-                self._clusters.replace_cluster(cluster)
-            self._inventory.migrate(vm, old_server)
-            raise
-        self._actions.append(("migrate", vm))
+        rerouted = 0
+        for live in list(self._chains.values()):
+            if live.cluster.cluster_id != cluster.cluster_id:
+                continue
+            updated = self._reroute_chain(live, repaired)
+            if updated_slice is not None:
+                updated = dataclasses.replace(
+                    updated, optical_slice=updated_slice
+                )
+            undo.setitem(self._chains, updated.chain_id, updated)
+            rerouted += 1
+        undo.append(self._actions, ("migrate", vm))
         if self._telemetry.enabled:
             self._telemetry.counter(
                 "alvc_vm_migrations_total", "VM migrations handled"
@@ -804,17 +769,6 @@ class NetworkOrchestrator:
             "switches_touched": result.cost,
             "chains_rerouted": rerouted,
         }
-
-    def _restore_route(self, original: OrchestratedChain) -> None:
-        """Re-point a chain's flow at its previous path (rollback)."""
-        path = list(original.path)
-        if self._sdn.has_flow(original.chain_id):
-            if len(path) >= 2:
-                self._sdn.reroute(original.chain_id, path)
-            else:
-                self._sdn.remove_flow(original.chain_id)
-        elif len(path) >= 2:
-            self._sdn.install_path(original.chain_id, path)
 
     def _reroute_chain(
         self, live: OrchestratedChain, cluster: VirtualCluster
@@ -887,7 +841,11 @@ class NetworkOrchestrator:
                 if outermost and self._recorder.active
                 else None
             )
-            with self._telemetry.span("ops_failure", ops=str(failed)):
+            with (
+                self._telemetry.span("ops_failure", ops=str(failed))
+                if self._telemetry.enabled
+                else NULL_SPAN
+            ):
                 recovery = self._handle_ops_failure(failed, policy)
             if outermost:
                 self._recorder.record(
@@ -914,7 +872,7 @@ class NetworkOrchestrator:
     ) -> OpsFailureRecovery:
         from repro.core.reconfiguration import AlReconfigurator
 
-        self._failed_ops.add(failed)
+        undo.add(self._failed_ops, failed)
         # Fault without topology mutation: invalidate the path engine's
         # cached availability (mask generation bump).
         engine_for(self._inventory.network).note_fault()
@@ -931,7 +889,7 @@ class NetworkOrchestrator:
 
         def degrade(chain_id: ChainId) -> None:
             if chain_id not in self._degraded_chains:
-                self._degraded_chains.add(chain_id)
+                undo.add(self._degraded_chains, chain_id)
                 newly_degraded.append(chain_id)
 
         if owner is not None:
@@ -1046,10 +1004,10 @@ class NetworkOrchestrator:
                 except RoutingError:
                     degrade(live.chain_id)
                     continue
-                self._chains[updated.chain_id] = updated
+                undo.setitem(self._chains, updated.chain_id, updated)
                 rerouted += 1
 
-        self._actions.append(("ops_failure", failed))
+        undo.append(self._actions, ("ops_failure", failed))
         return OpsFailureRecovery(
             failed=failed,
             cluster=owner,
@@ -1078,11 +1036,11 @@ class NetworkOrchestrator:
         if ops not in self._failed_ops:
             raise UnknownEntityError("failed ops", ops)
         with self._recorder.operation() as outermost:
-            self._failed_ops.discard(ops)
+            undo.discard(self._failed_ops, ops)
             # Repair is an availability change too — same invalidation
             # as the failure itself.
             engine_for(self._inventory.network).note_fault()
-            self._actions.append(("ops_repair", ops))
+            undo.append(self._actions, ("ops_repair", ops))
             if outermost:
                 self._recorder.record("ops_repair", ops=ops)
 
@@ -1104,7 +1062,11 @@ class NetworkOrchestrator:
         new_chain: NetworkFunctionChain,
         algorithm: PlacementAlgorithm | None = None,
     ) -> OrchestratedChain:
-        """Replace a chain's function list, re-placing and re-routing."""
+        """Replace a chain's function list, re-placing and re-routing.
+
+        All or nothing: when the new chain cannot be provisioned, the
+        old one stays up as it was (:mod:`repro.undo`).
+        """
         algorithm = self._resolve_algorithm(algorithm, new_chain)
         with self._recorder.operation() as outermost:
             old = self.chain(chain_id)
@@ -1116,7 +1078,7 @@ class NetworkOrchestrator:
                 flow_size_gb=old.request.flow_size_gb,
             )
             result = self.provision_chain(new_request, algorithm)
-            self._actions.append(("modify", new_chain.chain_id))
+            undo.append(self._actions, ("modify", new_chain.chain_id))
             if outermost and self._recorder.active:
                 self._recorder.record(
                     "modify",
@@ -1135,7 +1097,7 @@ class NetworkOrchestrator:
             live = self.chain(chain_id)
             for vnf in live.vnf_ids:
                 self._nfv.update(vnf)
-            self._actions.append(("upgrade", chain_id))
+            undo.append(self._actions, ("upgrade", chain_id))
             if outermost:
                 self._recorder.record("upgrade", chain_id=chain_id)
         return len(live.vnf_ids)
@@ -1158,13 +1120,15 @@ class NetworkOrchestrator:
                 self._nfv.terminate(vnf)
             if self._sdn.has_flow(chain_id):
                 self._sdn.remove_flow(chain_id)
-            users = self._slice_users.get(live.cluster.cluster_id, set())
-            users.discard(chain_id)
+            cluster_id = live.cluster.cluster_id
+            users = self._slice_users.get(cluster_id, set())
+            undo.discard(users, chain_id)
             if not users:
                 self._slices.release(live.optical_slice.slice_id)
-                self._slice_users.pop(live.cluster.cluster_id, None)
-            del self._chains[chain_id]
-            self._actions.append(("delete", chain_id))
+                if cluster_id in self._slice_users:
+                    undo.pop(self._slice_users, cluster_id)
+            undo.pop(self._chains, chain_id)
+            undo.append(self._actions, ("delete", chain_id))
             if traced:
                 telemetry.counter(
                     "alvc_chains_torn_down_total", "NFCs torn down"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro import undo
 from repro.core.cluster import VirtualCluster
 from repro.exceptions import InsufficientResourcesError, SlicingError
 from repro.ids import ClusterId, IdAllocator, SliceId, slice_id
@@ -107,8 +108,8 @@ class SliceAllocator:
             wavelength=assignment.wavelength,
             bandwidth_gbps=bandwidth_gbps,
         )
-        self._slices[new_id] = allocated
-        self._by_cluster[cluster.cluster_id] = new_id
+        undo.setitem(self._slices, new_id, allocated)
+        undo.setitem(self._by_cluster, cluster.cluster_id, new_id)
         if self._telemetry.enabled:
             self._telemetry.counter(
                 "alvc_slices_allocated_total", "optical slices allocated"
@@ -166,71 +167,26 @@ class SliceAllocator:
         updated = dataclasses.replace(
             old, switches=assignment.switches
         )
-        self._slices[extended] = updated
-        return updated
-
-    def shrink(
-        self, shrunk: SliceId, removed_switches
-    ) -> OpticalSlice:
-        """Undo an extension: drop switches from a slice.
-
-        The rollback path for :meth:`extend` — a failed command that
-        grew a slice mid-way must be able to put it back exactly.
-
-        Raises:
-            SlicingError: when the slice is unknown or would shrink to
-                zero switches.
-        """
-        try:
-            old = self._slices[shrunk]
-        except KeyError:
-            raise SlicingError(f"unknown slice {shrunk}") from None
-        removals = frozenset(removed_switches) & old.switches
-        if not removals:
-            return old
-        assignment = self._assigner.shrink(shrunk, removals)
-        if self._ports is not None:
-            for switch in sorted(removals):
-                self._ports.release(switch, shrunk)
-        updated = dataclasses.replace(old, switches=assignment.switches)
-        self._slices[shrunk] = updated
+        undo.setitem(self._slices, extended, updated)
         return updated
 
     def release(self, released: SliceId) -> OpticalSlice:
         """Release a slice, returning its wavelength to the pool."""
         try:
-            old = self._slices.pop(released)
+            old = undo.pop(self._slices, released)
         except KeyError:
             raise SlicingError(f"unknown slice {released}") from None
         self._assigner.release(released)
         if self._ports is not None:
             for switch in old.switches:
                 self._ports.release(switch, released)
-        del self._by_cluster[old.cluster]
+        undo.pop(self._by_cluster, old.cluster)
         if self._telemetry.enabled:
             self._telemetry.counter(
                 "alvc_slices_released_total", "optical slices released"
             ).inc()
             self._record_census()
         return old
-
-    def id_marks(self) -> dict[str, int]:
-        """Snapshot of the slice-id allocator (pair with :meth:`rewind_ids`)."""
-        return self._ids.mark()
-
-    def rewind_ids(self, marks: dict[str, int]) -> None:
-        """Return slice ids allocated since ``marks`` to the allocator.
-
-        The rollback half of a failed command: :meth:`release` frees a
-        slice's wavelength and ports but deliberately keeps the id
-        counter monotonic, so a failed provision that allocated a fresh
-        slice would burn an id that journal replay (which never sees
-        failed commands) does not — and slice ids are digest-visible.
-        Only call this after releasing every slice allocated since the
-        mark; live slices above the mark would collide with re-issued
-        ids.
-        """
-        self._ids.rewind(marks)
 
     def slice_of_cluster(self, cluster: ClusterId) -> OpticalSlice:
         """The active slice of a cluster."""

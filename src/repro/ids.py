@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 
+from repro import undo
+
 # Type aliases documenting intent at call sites.  They are all ``str`` at
 # runtime; the naming convention is enforced by the constructors below.
 ServerId = str
@@ -110,7 +112,9 @@ class IdAllocator:
     """Monotonic per-prefix id allocator.
 
     Components that create entities dynamically (VNF instances, flows,
-    slices) use one allocator so ids never collide within a run.
+    slices) use one allocator so ids never collide within a run.  An
+    allocation inside a failed command is undone (:mod:`repro.undo`), so
+    a replayed history allocates the exact same ids the live run did.
     """
 
     def __init__(self) -> None:
@@ -120,22 +124,9 @@ class IdAllocator:
         """Return ``factory(n)`` for the next unused ``n`` of that factory."""
         key = factory.__name__
         index = self._next.get(key, 0)
-        self._next[key] = index + 1
+        undo.setitem(self._next, key, index + 1)
         return factory(index)
 
     def reserve(self, factory, count: int) -> list[str]:
         """Allocate ``count`` consecutive ids at once."""
         return [self.allocate(factory) for _ in range(count)]
-
-    def mark(self) -> dict[str, int]:
-        """Snapshot the allocation cursors (pair with :meth:`rewind`)."""
-        return dict(self._next)
-
-    def rewind(self, marks: dict[str, int]) -> None:
-        """Rewind to a :meth:`mark` snapshot.
-
-        The rollback half of transactional commands: ids handed out by
-        an operation that failed are returned to the pool, so a replayed
-        history allocates the exact same ids the live run did.
-        """
-        self._next = dict(marks)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 
+from repro import undo
 from repro.exceptions import LifecycleError, UnknownEntityError
 from repro.ids import VnfId
 
@@ -58,11 +59,11 @@ class VnfLifecycleManager:
         """Register a new VNF in the INSTANTIATED state."""
         if vnf in self._states:
             raise LifecycleError(f"{vnf} already exists")
-        self._states[vnf] = VnfState.INSTANTIATED
+        to = VnfState.INSTANTIATED
         counts = self._counts
-        counts[VnfState.INSTANTIATED] = (
-            counts.get(VnfState.INSTANTIATED, 0) + 1
-        )
+        undo.push((self._restore, vnf, None, to, counts.get(to)))
+        self._states[vnf] = to
+        counts[to] = counts.get(to, 0) + 1
 
     def transition(self, vnf: VnfId, to: VnfState) -> None:
         """Move a VNF to a new state, enforcing legality."""
@@ -71,8 +72,28 @@ class VnfLifecycleManager:
             raise LifecycleError(
                 f"illegal transition {current.value} -> {to.value} for {vnf}"
             )
+        counts = self._counts
+        undo.push((self._restore, vnf, current, to, counts.get(to)))
         self._states[vnf] = to
-        self._counts[to] = self._counts.get(to, 0) + 1
+        counts[to] = counts.get(to, 0) + 1
+
+    def _restore(
+        self,
+        vnf: VnfId,
+        state: VnfState | None,
+        counted: VnfState,
+        count: int | None,
+    ) -> None:
+        """Undo one :meth:`create` or :meth:`transition`: a VNF or a
+        count it made is dropped."""
+        if state is None:
+            del self._states[vnf]
+        else:
+            self._states[vnf] = state
+        if count is None:
+            del self._counts[counted]
+        else:
+            self._counts[counted] = count
 
     # Convenience wrappers naming the paper's lifecycle events -----------
     def start(self, vnf: VnfId) -> None:
@@ -94,30 +115,6 @@ class VnfLifecycleManager:
     def terminate(self, vnf: VnfId) -> None:
         """Any live state → TERMINATED."""
         self.transition(vnf, VnfState.TERMINATED)
-
-    def discard(self, vnf: VnfId) -> None:
-        """Forget a VNF entirely (the rollback half of a failed command).
-
-        Unlike :meth:`terminate`, which keeps the id on record in the
-        TERMINATED state, this erases it — a transaction that failed and
-        returned its ids to the allocator must leave no trace, or the
-        re-allocated ids would trip :meth:`create`'s duplicate check.
-        Unknown ids are ignored.  Pair it with :meth:`rewind_counts` to
-        take back the transitions too.
-        """
-        self._states.pop(vnf, None)
-
-    def count_marks(self) -> dict[VnfState, int]:
-        """Snapshot the transition counts (pair with :meth:`rewind_counts`)."""
-        return dict(self._counts)
-
-    def rewind_counts(self, marks: dict[VnfState, int]) -> None:
-        """Rewind the transition counts to a :meth:`count_marks` snapshot.
-
-        A failed command journals nothing, so replay never counts its
-        transitions; the live counts must forget them as well.
-        """
-        self._counts = dict(marks)
 
     # Queries -------------------------------------------------------------
     def state_of(self, vnf: VnfId) -> VnfState:

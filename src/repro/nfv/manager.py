@@ -16,6 +16,7 @@ Deployment model:
 
 from __future__ import annotations
 
+from repro import undo
 from repro.exceptions import PlacementError, UnknownEntityError, ValidationError
 from repro.ids import IdAllocator, OpsId, ServerId, VnfId, vnf_id
 from repro.nfv.functions import FunctionCatalog, NetworkFunctionType, VnfInstance
@@ -68,43 +69,6 @@ class CloudNfvManager:
     def attach_recorder(self, recorder) -> None:
         """Install the journal hook (see :class:`OpRecorder`)."""
         self._recorder = recorder
-
-    def id_marks(self) -> tuple[dict[str, int], dict]:
-        """Snapshot the VNF id allocator and the lifecycle counts (pair
-        with :meth:`rewind_ids`)."""
-        return self._ids.mark(), self._lifecycle.count_marks()
-
-    def rewind_ids(self, marks: tuple[dict[str, int], dict]) -> None:
-        """Rewind the VNF id allocator and the lifecycle counts to an
-        :meth:`id_marks` snapshot.
-
-        Every instance the rolled-back ids referred to is forgotten
-        outright — lifecycle entry and transition counts, instance
-        record, carrier VM, pool reservation.  A failed command must be
-        *traceless*: it journals nothing, so any remnant would make the
-        live run diverge from its replay — a TERMINATED lifecycle
-        ghost's id gets re-allocated later and trips the duplicate
-        check on the live side only, and its transitions would show in
-        the live :meth:`VnfLifecycleManager.event_counts` only.
-        """
-        id_marks, count_marks = marks
-        start = id_marks.get(vnf_id.__name__, 0)
-        stop = self._ids.mark().get(vnf_id.__name__, start)
-        self._ids.rewind(id_marks)
-        for index in range(start, stop):
-            ghost = vnf_id(index)
-            instance = self._instances.pop(ghost, None)
-            carrier = self._carrier_vms.pop(ghost, None)
-            if carrier is not None and carrier in self._inventory:
-                self._inventory.remove(carrier)
-            if (
-                instance is not None
-                and instance.domain is Domain.OPTICAL
-                and ghost in self._pool.get(instance.host)
-            ):
-                self._pool.get(instance.host).evict(ghost)
-            self._lifecycle.discard(ghost)
-        self._lifecycle.rewind_counts(count_marks)
 
     # ------------------------------------------------------------------
     # Deployment
@@ -175,12 +139,12 @@ class CloudNfvManager:
             host=server,
             domain=Domain.ELECTRONIC,
         )
-        self._carrier_vms[instance.vnf_id] = carrier.vm_id
+        undo.setitem(self._carrier_vms, instance.vnf_id, carrier.vm_id)
         self._register(instance)
         return instance
 
     def _register(self, instance: VnfInstance) -> None:
-        self._instances[instance.vnf_id] = instance
+        undo.setitem(self._instances, instance.vnf_id, instance)
         self._lifecycle.create(instance.vnf_id)
         self._lifecycle.start(instance.vnf_id)
         if self._telemetry.enabled:
@@ -197,7 +161,7 @@ class CloudNfvManager:
         """Scale a VNF's reservation by ``factor`` (e.g. 2.0 to double).
 
         The new reservation must fit its current host; scaling never
-        migrates.
+        migrates.  A refused scale changes nothing (:mod:`repro.undo`).
         """
         with self._recorder.operation() as outermost:
             updated = self._scale(vnf, factor)
@@ -209,16 +173,9 @@ class CloudNfvManager:
         if factor <= 0:
             raise ValidationError(f"scale factor must be positive, got {factor}")
         instance = self.instance_of(vnf)
-        marks = self._lifecycle.count_marks()
         self._lifecycle.scale(vnf)
         new_demand = instance.function.demand.scaled(factor)
-        try:
-            self._rehost(instance, new_demand)
-        except BaseException:
-            # A failed scale journals nothing: leave no counted trace.
-            self._lifecycle.finish_management(vnf)
-            self._lifecycle.rewind_counts(marks)
-            raise
+        self._rehost(instance, new_demand)
         self._lifecycle.finish_management(vnf)
         scaled_function = NetworkFunctionType(
             name=instance.function.name,
@@ -232,7 +189,7 @@ class CloudNfvManager:
             host=instance.host,
             domain=instance.domain,
         )
-        self._instances[vnf] = updated
+        undo.setitem(self._instances, vnf, updated)
         return updated
 
     def _rehost(self, instance: VnfInstance, new_demand: ResourceVector) -> None:
@@ -240,29 +197,22 @@ class CloudNfvManager:
         if instance.domain is Domain.OPTICAL:
             host = self._pool.get(instance.host)
             host.evict(instance.vnf_id)
-            try:
-                host.host(instance.vnf_id, new_demand)
-            except PlacementError:
-                host.host(instance.vnf_id, instance.function.demand)
-                raise
+            host.host(instance.vnf_id, new_demand)
         else:
-            carrier_id = self._carrier_vms[instance.vnf_id]
+            self._recarry(instance.vnf_id, new_demand, None)
+
+    def _recarry(
+        self, vnf: VnfId, demand: ResourceVector, server: ServerId | None
+    ) -> None:
+        """Swap a VNF's carrier VM for a new one of ``demand`` on
+        ``server`` (the old carrier's server when None)."""
+        carrier_id = self._carrier_vms[vnf]
+        if server is None:
             server = self._inventory.host_of(carrier_id)
-            original = self._inventory.get(carrier_id)
-            id_marks = self._inventory.id_marks()
-            self._inventory.remove(carrier_id)
-            new_carrier = self._inventory.create_vm(NFV_INFRA_SERVICE, new_demand)
-            try:
-                self._inventory.place(new_carrier, server)
-            except PlacementError:
-                # Roll back verbatim: the original carrier returns under
-                # its original id and the allocator rewinds — a failed
-                # scale leaves no trace for replay to miss.
-                self._inventory.remove(new_carrier)
-                self._inventory.rewind_ids(id_marks)
-                self._inventory.reinstate(original, server)
-                raise
-            self._carrier_vms[instance.vnf_id] = new_carrier.vm_id
+        self._inventory.remove(carrier_id)
+        carrier = self._inventory.create_vm(NFV_INFRA_SERVICE, demand)
+        self._inventory.place(carrier, server)
+        undo.setitem(self._carrier_vms, vnf, carrier.vm_id)
 
     def update(self, vnf: VnfId) -> None:
         """Run an update event (no resource change)."""
@@ -275,8 +225,8 @@ class CloudNfvManager:
         The evacuation path of the self-healing story: when an
         optoelectronic router dies, its optical VNFs are re-hosted on a
         surviving router (and likewise electronic VNFs between
-        servers).  The move is transactional — on a placement failure
-        the original reservation is restored and the error re-raised.
+        servers).  The move is transactional — on a failure the original
+        reservation and carrier are restored and the error re-raised.
 
         Args:
             vnf: the instance to move.
@@ -300,41 +250,14 @@ class CloudNfvManager:
             raise ValidationError(
                 f"{vnf} already runs on {new_host}"
             )
-        marks = self._lifecycle.count_marks()
         self._lifecycle.update(vnf)
-        try:
-            if instance.domain is Domain.OPTICAL:
-                source = self._pool.get(instance.host)
-                target = self._pool.get(new_host)
-                source.evict(vnf)
-                try:
-                    target.host(vnf, instance.function.demand)
-                except PlacementError:
-                    source.host(vnf, instance.function.demand)
-                    raise
-            else:
-                carrier_id = self._carrier_vms[vnf]
-                old_server = self._inventory.host_of(carrier_id)
-                self._inventory.remove(carrier_id)
-                new_carrier = self._inventory.create_vm(
-                    NFV_INFRA_SERVICE, instance.function.demand
-                )
-                try:
-                    self._inventory.place(new_carrier, new_host)
-                except (PlacementError, UnknownEntityError):
-                    self._inventory.remove(new_carrier)
-                    restored = self._inventory.create_vm(
-                        NFV_INFRA_SERVICE, instance.function.demand
-                    )
-                    self._inventory.place(restored, old_server)
-                    self._carrier_vms[vnf] = restored.vm_id
-                    raise
-                self._carrier_vms[vnf] = new_carrier.vm_id
-        except BaseException:
-            # A failed migration journals nothing: leave no counted trace.
-            self._lifecycle.finish_management(vnf)
-            self._lifecycle.rewind_counts(marks)
-            raise
+        if instance.domain is Domain.OPTICAL:
+            source = self._pool.get(instance.host)
+            target = self._pool.get(new_host)
+            source.evict(vnf)
+            target.host(vnf, instance.function.demand)
+        else:
+            self._recarry(vnf, instance.function.demand, new_host)
         self._lifecycle.finish_management(vnf)
         updated = VnfInstance(
             vnf_id=vnf,
@@ -342,7 +265,7 @@ class CloudNfvManager:
             host=new_host,
             domain=instance.domain,
         )
-        self._instances[vnf] = updated
+        undo.setitem(self._instances, vnf, updated)
         self._telemetry.counter(
             "alvc_vnfs_migrated_total",
             "VNF instances migrated between hosts",
@@ -357,7 +280,7 @@ class CloudNfvManager:
         if instance.domain is Domain.OPTICAL:
             self._pool.get(instance.host).evict(vnf)
         else:
-            self._inventory.remove(self._carrier_vms.pop(vnf))
+            self._inventory.remove(undo.pop(self._carrier_vms, vnf))
         if self._telemetry.enabled:
             self._telemetry.counter(
                 "alvc_vnfs_terminated_total",

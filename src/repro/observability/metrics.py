@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Mapping
 
+from repro import undo
 from repro.exceptions import TelemetryError
 
 _NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -57,10 +58,26 @@ def _label_key(labels: Mapping[str, object]) -> LabelSet:
     return tuple(sorted((key, str(value)) for key, value in labels.items()))
 
 
+#: Counters of *attempts* — requests that arrive or fail, not state.
+#: Their increments are never unwound (:mod:`repro.undo`), so a failed
+#: command still counts, and the state digest leaves them out.
+ATTEMPT_COUNTERS = frozenset(
+    {
+        "alvc_provision_batches_total",
+        "alvc_chains_provision_failures_total",
+        "alvc_cover_infeasible_total",
+        "alvc_faults_injected_total",
+    }
+)
+
+
 class Counter:
     """A monotonically increasing count."""
 
     __slots__ = ("_value",)
+
+    #: Whether a failed command takes this counter's increments back.
+    _unwound = True
 
     def __init__(self) -> None:
         self._value = 0.0
@@ -71,12 +88,22 @@ class Counter:
             raise TelemetryError(
                 f"counters only go up; got inc({amount})"
             )
+        if self._unwound:
+            undo.push((setattr, self, "_value", self._value))
         self._value += amount
 
     @property
     def value(self) -> float:
         """Current count."""
         return self._value
+
+
+class _AttemptCounter(Counter):
+    """A counter in :data:`ATTEMPT_COUNTERS`."""
+
+    __slots__ = ()
+
+    _unwound = False
 
 
 class Gauge:
@@ -89,14 +116,17 @@ class Gauge:
 
     def set(self, value: float) -> None:
         """Set the gauge to an absolute level."""
+        undo.push((setattr, self, "_value", self._value))
         self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Raise the gauge."""
+        undo.push((setattr, self, "_value", self._value))
         self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         """Lower the gauge."""
+        undo.push((setattr, self, "_value", self._value))
         self._value -= amount
 
     @property
@@ -169,6 +199,12 @@ class MetricsRegistry:
     Asking twice for the same (name, labels) returns the *same*
     instrument, so call sites never need to cache instruments for
     correctness — only for speed.
+
+    Inside a command (:mod:`repro.undo`) counter and gauge changes are
+    logged, and so is each counter or gauge series the command creates:
+    a failed command's series are dropped, not left at 0, because
+    :meth:`snapshot` lists series, not only values.  Histograms
+    (timings) and :data:`ATTEMPT_COUNTERS` are never unwound.
     """
 
     def __init__(self) -> None:
@@ -179,7 +215,8 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str, help: str = "", **labels: object) -> Counter:
         """The counter series ``name{labels}`` (created on first use)."""
-        return self._instrument(name, "counter", help, labels, Counter)
+        factory = _AttemptCounter if name in ATTEMPT_COUNTERS else Counter
+        return self._instrument(name, "counter", help, labels, factory)
 
     def gauge(self, name: str, help: str = "", **labels: object) -> Gauge:
         """The gauge series ``name{labels}`` (created on first use)."""
@@ -203,19 +240,31 @@ class MetricsRegistry:
         if not _NAME_RE.match(name):
             raise TelemetryError(f"invalid metric name {name!r}")
         family = self._families.get(name)
-        if family is None:
-            family = _Family(name, kind, help_text)
-            self._families[name] = family
-        elif family.kind != kind:
+        if family is not None and family.kind != kind:
             raise TelemetryError(
                 f"metric {name!r} is a {family.kind}, not a {kind}"
             )
         key = _label_key(labels)
-        instrument = family.series.get(key)
+        instrument = family.series.get(key) if family is not None else None
         if instrument is None:
+            if kind != "histogram" and name not in ATTEMPT_COUNTERS:
+                undo.push((self._drop, name, key))
+            if family is None:
+                family = _Family(name, kind, help_text)
+                self._families[name] = family
             instrument = factory()
             family.series[key] = instrument
         return instrument
+
+    def _drop(self, name: str, key: LabelSet) -> None:
+        """Undo a series' creation, and its family's once empty.
+
+        An instrument its caller cached is detached from the registry.
+        """
+        family = self._families[name]
+        del family.series[key]
+        if not family.series:
+            del self._families[name]
 
     # ------------------------------------------------------------------
     # Queries
@@ -335,42 +384,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every family and series."""
         self._families.clear()
-
-    # ------------------------------------------------------------------
-    # Rollback
-    # ------------------------------------------------------------------
-    def mark(self) -> dict:
-        """Every counter and gauge value, for a later :meth:`rewind`."""
-        return {
-            (name, key): series._value
-            for name, family in self._families.items()
-            if family.kind != "histogram"
-            for key, series in family.series.items()
-        }
-
-    def rewind(self, mark: dict) -> None:
-        """Put every counter and gauge back to its value at ``mark``.
-
-        For a command that fails and must leave no trace: counter and
-        gauge series first created since the mark are dropped, with
-        their families once empty, because :meth:`snapshot` lists
-        series, not only values.  Histograms (timings) are left alone.
-        An instrument created since the mark and cached by its caller
-        is detached from the registry.
-        """
-        for name in list(self._families):
-            family = self._families[name]
-            if family.kind == "histogram":
-                continue
-            series = family.series
-            for key in list(series):
-                value = mark.get((name, key))
-                if value is None:
-                    del series[key]
-                else:
-                    series[key]._value = value
-            if not series:
-                del self._families[name]
 
 
 class NullCounter(Counter):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro import undo
 from repro.exceptions import PlacementError, UnknownEntityError
 from repro.ids import OpsId, VnfId
 from repro.topology.datacenter import DataCenterNetwork
@@ -56,17 +57,31 @@ class OptoelectronicHost:
                 f"{vnf} (demand {demand}) does not fit on {self.ops_id} "
                 f"(free {self.free})"
             )
+        undo.push((self._restore, vnf, None, self._used))
         self._hosted[vnf] = demand
         self._used = self._used + demand
 
     def evict(self, vnf: VnfId) -> ResourceVector:
         """Release a VNF's reservation; returns the freed demand."""
         try:
-            demand = self._hosted.pop(vnf)
+            demand = self._hosted[vnf]
         except KeyError:
             raise UnknownEntityError("hosted vnf", vnf) from None
+        undo.push((self._restore, vnf, demand, self._used))
+        del self._hosted[vnf]
         self._used = self._used - demand
         return demand
+
+    def _restore(
+        self, vnf: VnfId, demand: ResourceVector | None, used: ResourceVector
+    ) -> None:
+        """Undo one :meth:`host` (``demand`` None) or :meth:`evict`,
+        putting back the used vector that stood before it."""
+        if demand is None:
+            del self._hosted[vnf]
+        else:
+            self._hosted[vnf] = demand
+        self._used = used
 
     def hosted_vnfs(self) -> list[VnfId]:
         """Ids of VNFs currently hosted, sorted."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Mapping
 
+from repro import undo
 from repro.exceptions import SlicingError
 from repro.ids import OpsId, SliceId
 
@@ -88,7 +89,7 @@ class WavelengthAssigner:
         assignment = WavelengthAssignment(
             slice_id=slice_id, wavelength=wavelength, switches=switch_set
         )
-        self._assignments[slice_id] = assignment
+        undo.setitem(self._assignments, slice_id, assignment)
         return assignment
 
     def extend(
@@ -134,37 +135,14 @@ class WavelengthAssigner:
             wavelength=current.wavelength,
             switches=current.switches | additions,
         )
-        self._assignments[slice_id] = extended
+        undo.setitem(self._assignments, slice_id, extended)
         return extended
-
-    def shrink(
-        self, slice_id: SliceId, removed_switches: Iterable[OpsId]
-    ) -> WavelengthAssignment:
-        """Drop switches from a slice's assignment (extension rollback).
-
-        Raises:
-            SlicingError: when the slice is unknown or the shrink would
-                leave it with no switches.
-        """
-        current = self.assignment_of(slice_id)
-        remaining = current.switches - frozenset(removed_switches)
-        if not remaining:
-            raise SlicingError(
-                f"slice {slice_id} cannot shrink to zero switches"
-            )
-        shrunk = WavelengthAssignment(
-            slice_id=slice_id,
-            wavelength=current.wavelength,
-            switches=remaining,
-        )
-        self._assignments[slice_id] = shrunk
-        return shrunk
 
     def release(self, slice_id: SliceId) -> None:
         """Return a slice's wavelength to the pool."""
         if slice_id not in self._assignments:
             raise SlicingError(f"slice {slice_id} has no wavelength assignment")
-        del self._assignments[slice_id]
+        undo.pop(self._assignments, slice_id)
 
     def assignment_of(self, slice_id: SliceId) -> WavelengthAssignment:
         """The assignment of one slice."""

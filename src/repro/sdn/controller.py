@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro import undo
 from repro.exceptions import RoutingError, UnknownEntityError
 from repro.ids import FlowId
 from repro.observability.runtime import Telemetry, current_telemetry
@@ -56,6 +57,8 @@ class SdnController:
             raise RoutingError(f"flow {flow} already has an installed path")
         self._validate_path(path)
         installed: list[tuple[str, str]] = []
+        # One inverse per flow: it undoes as much of the loop as ran.
+        undo.push((self._uninstall, flow, installed))
         visits: dict[str, int] = {}
         touched: set[str] = set()
         for position, node in enumerate(path[:-1]):
@@ -96,20 +99,46 @@ class SdnController:
 
     def remove_flow(self, flow: FlowId) -> int:
         """Tear down a flow's rules; returns switches touched."""
-        self.path_of(flow)  # raises when unknown
+        path = self.path_of(flow)  # raises when unknown
+        installed = self._installed[flow]
+        rules: list[FlowRule] = []
+        undo.push((self._reinstall, flow, path, installed, rules))
         touched: set[str] = set()
-        removed = 0
-        for node, match in self._installed.pop(flow, []):
-            self._tables[node].remove(match)
+        for node, match in installed:
+            rules.append(self._tables[node].remove(match))
             touched.add(node)
-            removed += 1
+        del self._installed[flow]
         del self._paths[flow]
         if self._telemetry.enabled:
             self._telemetry.counter(
                 "alvc_sdn_rules_removed_total",
                 "flow rules removed across all switches",
-            ).inc(removed)
+            ).inc(len(rules))
         return len(touched)
+
+    def _uninstall(self, flow: FlowId, installed: list) -> None:
+        """Undo an :meth:`install_path`: drop the rules it installed,
+        counters included, and its records of the flow."""
+        for node, match in installed:
+            table = self._tables[node]
+            table.remove(match)
+            table.installs -= 1
+            table.removals -= 1
+        self._paths.pop(flow, None)
+        self._installed.pop(flow, None)
+
+    def _reinstall(
+        self, flow: FlowId, path: list, installed: list, rules: list
+    ) -> None:
+        """Undo a :meth:`remove_flow`: put back the rules it removed,
+        counters included, and its records of the flow."""
+        for (node, _), rule in zip(installed, rules):
+            table = self._tables[node]
+            table.install(rule)
+            table.installs -= 1
+            table.removals -= 1
+        self._paths[flow] = path
+        self._installed[flow] = installed
 
     def _validate_path(self, path: Sequence[str]) -> None:
         if len(path) < 2:

@@ -50,6 +50,7 @@ import zlib
 from pathlib import Path
 from typing import Iterator
 
+from repro import undo
 from repro.exceptions import JournalCorruptError, JournalError, ValidationError
 from repro.observability.runtime import Telemetry, current_telemetry
 from repro.service.records import OpRecord, validate_record
@@ -335,7 +336,9 @@ class OpRecorder:
     Writes made inside a frame are buffered and flushed (as one group
     commit) only when the outermost frame exits cleanly: a command that
     raises journals nothing — not even the annotations its partial
-    progress emitted — which is the invariant replay parity rests on.
+    progress emitted — and every frame is a :mod:`repro.undo` savepoint,
+    so it changes nothing either.  That is the invariant replay parity
+    rests on.
     """
 
     __slots__ = ("_journal", "_depth", "_suspended", "_pending")
@@ -361,12 +364,12 @@ class OpRecorder:
         level.
 
         A clean exit of the outermost frame flushes the frame's buffered
-        records in one group commit; an exception discards them.
+        records in one group commit; an exception discards them and
+        unwinds the frame's mutations.
         """
         return _OperationFrame(self)
 
-    def _flush(self) -> None:
-        pending, self._pending = self._pending, []
+    def _flush(self, pending: list) -> None:
         if not pending or not self.active:
             return
         with self._journal.batch():
@@ -415,32 +418,38 @@ class _OperationFrame:
         self._recorder = recorder
 
     def __enter__(self) -> bool:
+        undo.enter()
         recorder = self._recorder
         recorder._depth += 1
         return recorder._depth == 1
 
     def __exit__(self, exc_type, exc, traceback) -> None:
         recorder = self._recorder
-        try:
-            if recorder._depth == 1:
-                if exc_type is None:
-                    recorder._flush()
-                else:
-                    recorder._pending.clear()
-        finally:
-            recorder._depth -= 1
+        recorder._depth -= 1
+        if recorder._depth:
+            undo.leave(exc_type is not None)
+            return
+        # Leave the undo frame before the flush: the journal write
+        # commits the command, so what the flush changes (the journal's
+        # own metrics) is never unwound.
+        pending, recorder._pending = recorder._pending, []
+        undo.leave(exc_type is not None)
+        if exc_type is None:
+            recorder._flush(pending)
 
 
 class _NullFrame:
-    """:meth:`NullRecorder.operation`'s frame: never the outermost."""
+    """:meth:`NullRecorder.operation`'s frame: never the outermost
+    journal frame, but still a :mod:`repro.undo` savepoint."""
 
     __slots__ = ()
 
     def __enter__(self) -> bool:
+        undo.enter()
         return False
 
-    def __exit__(self, *exc_info) -> None:
-        pass
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        undo.leave(exc_type is not None)
 
 
 _NULL_FRAME = _NullFrame()

@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.exceptions import SnapshotError
+from repro.observability.metrics import ATTEMPT_COUNTERS
 from repro.service.journal import NULL_RECORDER
 from repro.service.records import RECORD_VERSION
 
@@ -175,28 +176,24 @@ def state_view(stack) -> dict:
         # * the durability plumbing's own metrics (journal/snapshot/
         #   restore/front-end) — a restored stack replays without
         #   journaling them;
-        # * admission-shape and attempt counters (batch sizes, failed
-        #   provisions) — replay re-runs only the *committed* commands,
-        #   one by one, so how requests arrived or failed is not state;
+        # * the attempt counters (``ATTEMPT_COUNTERS``: batch sizes,
+        #   failed provisions and covers, injected faults) — replay
+        #   re-runs only the *committed* commands, one by one, never the
+        #   injector that drew the faults, so how requests arrived or
+        #   failed is not state;
         # * read-path performance tallies (route cache, path engine,
         #   simulators and their fair-share and admission data plane,
-        #   sweeps) — dry runs and queries mutate nothing;
-        # * fault-injector event counts — replay re-applies the journaled
-        #   recovery commands, never the injector that drew them.
+        #   sweeps) — dry runs and queries mutate nothing.
         _excluded_prefixes = (
             "alvc_journal_", "alvc_snapshot_", "alvc_restore_",
             "alvc_frontend_", "alvc_service_", "alvc_route_cache_",
             "alvc_path_engine_", "alvc_sim_", "alvc_fairshare_",
             "alvc_admission_", "alvc_sweep_",
         )
-        _excluded = (
-            "alvc_provision_batches_total",
-            "alvc_chains_provision_failures_total",
-            "alvc_cover_infeasible_total",
-            "alvc_faults_injected_total",
-        )
         for name, family in telemetry.registry.snapshot().items():
-            if name.startswith(_excluded_prefixes) or name in _excluded:
+            if name in ATTEMPT_COUNTERS or name.startswith(
+                _excluded_prefixes
+            ):
                 continue
             if family.get("kind") in ("counter", "gauge"):
                 metrics[name] = family["series"]

@@ -31,6 +31,7 @@ import contextlib
 from pathlib import Path
 from typing import Sequence
 
+from repro import undo
 from repro.config import EngineConfig
 from repro.core.chaining import ChainRequest, NetworkFunctionChain
 from repro.core.cluster import VirtualCluster
@@ -262,28 +263,19 @@ class AlvcStack:
     def populate(self, service: str, vms: int) -> list[VirtualMachine]:
         """Create and place ``vms`` VMs of a service; returns them.
 
-        All-or-nothing: when placement fails partway, the VMs created so
-        far are removed and the id allocator is rewound, so a failed
-        populate leaves zero trace — which is what lets the journal
-        record only *committed* commands and still replay bit-identically.
+        All-or-nothing: when placement fails partway, the command's frame
+        unwinds every VM created so far and their ids
+        (:mod:`repro.undo`), so a failed populate leaves zero trace —
+        which is what lets the journal record only *committed* commands
+        and still replay bit-identically.
         """
         with self._recorder.operation() as outermost:
             service_type = self._services.get(service)
             placed: list[VirtualMachine] = []
-            id_marks = self._inventory.id_marks()
-            machine = None
-            try:
-                for _ in range(vms):
-                    machine = self._inventory.create_vm(service_type)
-                    self._engine.place(machine)
-                    placed.append(machine)
-            except Exception:
-                if machine is not None and machine not in placed:
-                    self._inventory.remove(machine)
-                for created in reversed(placed):
-                    self._inventory.remove(created)
-                self._inventory.rewind_ids(id_marks)
-                raise
+            for _ in range(vms):
+                machine = self._inventory.create_vm(service_type)
+                self._engine.place(machine)
+                placed.append(machine)
             if outermost:
                 self._recorder.record("populate", service=service, vms=vms)
         return placed
@@ -294,6 +286,7 @@ class AlvcStack:
         When the service has no placed VMs yet, a batch of
         ``vms_per_service`` VMs is created and placed first, so
         ``AlvcStack.build().provision(...)`` works on an empty fabric.
+        A bootstrap that cannot cover its VMs unwinds them too.
         """
         manager = self._orchestrator.cluster_manager
         try:
@@ -301,20 +294,9 @@ class AlvcStack:
         except UnknownEntityError:
             pass
         with self._recorder.operation() as outermost:
-            populated: list[VirtualMachine] = []
-            id_marks = self._inventory.id_marks()
             if not self._inventory.vms_of_service(service):
-                populated = self.populate(service, self._vms_per_service)
-            try:
-                created = manager.create_cluster(service)
-            except Exception:
-                # A bootstrap that cannot cover its VMs journals nothing,
-                # so it must also leave nothing: unwind the populate and
-                # rewind the id allocator.
-                for machine in reversed(populated):
-                    self._inventory.remove(machine)
-                self._inventory.rewind_ids(id_marks)
-                raise
+                self.populate(service, self._vms_per_service)
+            created = manager.create_cluster(service)
             if outermost:
                 self._recorder.record("cluster", service=service)
         return created
@@ -589,6 +571,7 @@ class AlvcStack:
         chain_id: ChainId | None,
     ) -> None:
         if not isinstance(chain, NetworkFunctionChain) and chain_id is None:
+            undo.push((setattr, self, "_chain_serial", self._chain_serial))
             self._chain_serial += 1
 
     def _record_provision(

@@ -14,6 +14,7 @@ import dataclasses
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
+from repro import undo
 from repro.exceptions import (
     DuplicateEntityError,
     PlacementError,
@@ -131,10 +132,10 @@ class MachineInventory:
     """Ledger of VMs, their host servers and remaining server capacity.
 
     Free capacity is live state, not recomputed per query: every
-    placement change (place, migrate, remove, reinstate, rollback)
-    passes through :meth:`_reserve`/:meth:`_release`, which refresh the
+    placement change (place, migrate, remove, and their unwinding)
+    passes through :meth:`_book`, which refreshes the
     server's cached free vector, the per-service guest counts per
-    server and per rack, the guest count per rack, and advance
+    server and per rack, the guest count per rack, and advances
     :attr:`generation`.  Capacity probes are then dict lookups.
 
     The fabric-wide free-CPU aggregates (the level order behind
@@ -201,14 +202,14 @@ class MachineInventory:
             service=service.name,
             demand=demand if demand is not None else service.vm_demand,
         )
-        self._vms[vm.vm_id] = vm
+        undo.setitem(self._vms, vm.vm_id, vm)
         return vm
 
     def register_vm(self, vm: VirtualMachine) -> VirtualMachine:
         """Register an externally constructed VM (must have a fresh id)."""
         if vm.vm_id in self._vms:
             raise DuplicateEntityError("vm", vm.vm_id)
-        self._vms[vm.vm_id] = vm
+        undo.setitem(self._vms, vm.vm_id, vm)
         return vm
 
     def place(self, vm: VmId | VirtualMachine, server: ServerId) -> None:
@@ -224,7 +225,7 @@ class MachineInventory:
                 f"{self._host[machine.vm_id]}"
             )
         self._reserve(machine, server)
-        self._host[machine.vm_id] = server
+        undo.setitem(self._host, machine.vm_id, server)
 
     def migrate(self, vm: VmId | VirtualMachine, new_server: ServerId) -> ServerId:
         """Move a placed VM to another server; returns the old server."""
@@ -238,8 +239,8 @@ class MachineInventory:
         # refused migration leaves no trace.
         used, free = self._released(machine, old_server)
         self._reserve(machine, new_server)
-        self._release(machine, old_server, used, free)
-        self._host[machine.vm_id] = new_server
+        self._book(machine, old_server, used, free, -1)
+        undo.setitem(self._host, machine.vm_id, new_server)
         return old_server
 
     def remove(self, vm: VmId | VirtualMachine) -> None:
@@ -248,37 +249,9 @@ class MachineInventory:
         server = self._host.get(machine.vm_id)
         if server is not None:
             used, free = self._released(machine, server)
-            self._release(machine, server, used, free)
-            del self._host[machine.vm_id]
-        del self._vms[machine.vm_id]
-
-    def reinstate(
-        self, machine: VirtualMachine, server: ServerId | None
-    ) -> VirtualMachine:
-        """Re-register a removed VM verbatim (the rollback path).
-
-        Restores the exact machine object — same id, same demand — and
-        its placement, so an unwound command leaves the inventory
-        bit-identical to before it started.
-
-        Raises:
-            DuplicateEntityError: when the id is live again.
-        """
-        if machine.vm_id in self._vms:
-            raise DuplicateEntityError("vm", machine.vm_id)
-        self._vms[machine.vm_id] = machine
-        if server is not None:
-            self._reserve(machine, server)
-            self._host[machine.vm_id] = server
-        return machine
-
-    def id_marks(self) -> dict[str, int]:
-        """Snapshot the VM id allocator (pair with :meth:`rewind_ids`)."""
-        return self._ids.mark()
-
-    def rewind_ids(self, marks: dict[str, int]) -> None:
-        """Rewind the VM id allocator to an :meth:`id_marks` snapshot."""
-        self._ids.rewind(marks)
+            self._book(machine, server, used, free, -1)
+            undo.pop(self._host, machine.vm_id)
+        undo.pop(self._vms, machine.vm_id)
 
     def _reserve(self, machine: VirtualMachine, server: ServerId) -> None:
         if server not in self._guests:
@@ -290,19 +263,7 @@ class MachineInventory:
                 f"{machine.vm_id} (demand {machine.demand}) does not fit on "
                 f"{server} (used {self._used[server]}, capacity {capacity})"
             )
-        free = capacity - proposed
-        if self._cpu_index is not None:
-            self._cpu_index.move(server, self._free[server], free)
-        self._used[server] = proposed
-        self._free[server] = free
-        self._guests[server].add(machine.vm_id)
-        hosts = self._service_hosts.setdefault(machine.service, {})
-        hosts[server] = hosts.get(server, 0) + 1
-        rack = self._rack[server]
-        self._rack_guests[rack] += 1
-        racks = self._service_racks.setdefault(machine.service, {})
-        racks[rack] = racks.get(rack, 0) + 1
-        self._generation += 1
+        self._book(machine, server, proposed, capacity - proposed, 1)
 
     def _released(
         self, machine: VirtualMachine, server: ServerId
@@ -337,31 +298,48 @@ class MachineInventory:
         )
         return remaining, capacity - remaining
 
-    def _release(
+    def _book(
         self,
         machine: VirtualMachine,
         server: ServerId,
         used: ResourceVector,
         free: ResourceVector,
+        step: int,
     ) -> None:
-        """Apply a release computed by :meth:`_released`."""
+        """Set a server's used and free vectors and move ``machine``'s
+        guest counts by ``step`` (+1 reserves, -1 releases).
+
+        The one primitive every placement change passes through.  Its
+        inverse is the opposite step with the vectors it replaces, so an
+        unwound booking restores them bit for bit instead of
+        re-deriving them.  :attr:`generation` advances either way.
+        """
+        undo.push((
+            self._book, machine, server, self._used[server],
+            self._free[server], -step,
+        ))
         if self._cpu_index is not None:
             self._cpu_index.move(server, self._free[server], free)
         self._used[server] = used
         self._free[server] = free
-        self._guests[server].discard(machine.vm_id)
-        hosts = self._service_hosts[machine.service]
-        if hosts[server] == 1:
+        if step > 0:
+            self._guests[server].add(machine.vm_id)
+        else:
+            self._guests[server].discard(machine.vm_id)
+        hosts = self._service_hosts.setdefault(machine.service, {})
+        count = hosts.get(server, 0) + step
+        if count:
+            hosts[server] = count
+        else:
             del hosts[server]
-        else:
-            hosts[server] -= 1
         rack = self._rack[server]
-        self._rack_guests[rack] -= 1
-        racks = self._service_racks[machine.service]
-        if racks[rack] == 1:
-            del racks[rack]
+        self._rack_guests[rack] += step
+        racks = self._service_racks.setdefault(machine.service, {})
+        count = racks.get(rack, 0) + step
+        if count:
+            racks[rack] = count
         else:
-            racks[rack] -= 1
+            del racks[rack]
         self._generation += 1
 
     def _resolve(self, vm: VmId | VirtualMachine) -> VirtualMachine:

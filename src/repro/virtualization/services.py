@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro import undo
 from repro.exceptions import DuplicateEntityError, UnknownEntityError, ValidationError
 from repro.topology.elements import ResourceVector
 
@@ -111,7 +112,7 @@ class ServiceCatalog:
         """Add a service; duplicate names are rejected."""
         if service.name in self._services:
             raise DuplicateEntityError("service", service.name)
-        self._services[service.name] = service
+        undo.setitem(self._services, service.name, service)
         return service
 
     def get(self, name: str) -> ServiceType:

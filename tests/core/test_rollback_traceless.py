@@ -1,22 +1,32 @@
 """Failed commands leave no trace — the replay-parity contract.
 
-A journaled stack only journals *committed* commands; a provision that
-fails mid-deploy must therefore roll back every side effect — VNF
-lifecycle entries, carrier VMs, pool reservations, and every id it
-drew from the vnf/vm/slice allocators — or the live stack drifts from
-what replaying its journal produces.  Long churn runs (the workload
-soaks) hit these paths constantly; these are the direct regression
-tests.
+A journaled stack only journals *committed* commands; a command that
+fails part-way must therefore leave every store as it found it — VNF
+lifecycle entries and counts, carrier VMs, pool reservations, and every
+id it drew from the vnf/vm/slice allocators — or the live stack drifts
+from what replaying its journal produces.  Composite commands (a modify
+is a teardown plus a provision; an electronic VNF migration swaps its
+carrier VM) must be all or nothing too.  These are the direct
+regression tests; ``test_unwind_sweep.py`` fails every mutation point.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import PlacementError, RoutingError, SlicingError
+from repro.core.chaining import NetworkFunctionChain
+from repro.exceptions import (
+    PlacementError,
+    RoutingError,
+    SlicingError,
+    UnknownEntityError,
+)
+from repro.nfv.manager import NFV_INFRA_SERVICE
+from repro.service.journal import NULL_RECORDER
 from repro.service.restore import restore_stack
 from repro.service.snapshot import state_digest
 from repro.stack import AlvcStack
+from repro.topology.elements import Domain
 
 
 def _build(tmp_path=None, **overrides):
@@ -187,21 +197,123 @@ class TestFailedProvisionLeavesNoLifecycleCount:
             assert nfv.lifecycle.event_counts() == counts
 
 
+class _Unwind(Exception):
+    """Raised inside a frame to unwind what it did."""
+
+
 class TestSliceAllocatorRewind:
     def test_release_alone_burns_the_id_rewind_returns_it(self):
         stack = _build()
+        stack.cluster("web")
         allocator = stack.orchestrator.slice_allocator
-        marks = allocator.id_marks()
-        live = stack.provision(("dpi",), service="web", chain_id="probe")
-        first_id = live.optical_slice.slice_id
+        stack.provision(("dpi",), service="web", chain_id="probe")
         stack.teardown("probe")
         assert allocator.slices() == []
-        # release() keeps the cursor monotonic (live ids must never be
-        # re-issued) — rewinding past the mark is the explicit opt-in
-        # for the nothing-was-journaled case.
-        allocator.rewind_ids(marks)
+        # release() keeps the cursor monotonic: live ids are never
+        # re-issued.
+        second = stack.provision(("dpi",), service="web", chain_id="kept")
+        assert second.optical_slice.slice_id == "slice-1"
+        stack.teardown("kept")
+        # A provision whose frame unwinds hands its id back.
+        with pytest.raises(_Unwind), NULL_RECORDER.operation():
+            stack.provision(("dpi",), service="web", chain_id="gone")
+            raise _Unwind
+        assert stack.chains() == [] and allocator.slices() == []
         reused = stack.provision(("dpi",), service="web", chain_id="again")
-        assert reused.optical_slice.slice_id == first_id
+        assert reused.optical_slice.slice_id == "slice-2"
+
+
+#: ROADMAP item 5's probe stack: too small for 40 ``ids`` VNFs.
+PROBE = dict(
+    n_racks=4,
+    servers_per_rack=4,
+    n_ops=6,
+    vms_per_service=3,
+    exclusive_chains=False,
+)
+
+
+def _journaled_probe(tmp_path):
+    """The probe stack, journaled, with a snapshot of its genesis."""
+    stack = AlvcStack.build(
+        **PROBE, journal=tmp_path / "journal.alvc", sync="off"
+    )
+    stack.snapshot(tmp_path / "stack.snap")
+    return stack
+
+
+def _assert_restores_to(stack, tmp_path, digest):
+    """Live, genesis-replayed and snapshot-restored stacks all read
+    ``digest``."""
+    assert state_digest(stack) == digest
+    stack.journal.close()
+    replayed = restore_stack(tmp_path / "journal.alvc")
+    restored = restore_stack(
+        tmp_path / "journal.alvc", tmp_path / "stack.snap"
+    )
+    assert restored.source == "snapshot"
+    assert state_digest(replayed.stack) == digest
+    assert state_digest(restored.stack) == digest
+
+
+class TestFailedModifyIsTraceless:
+    def test_old_chain_survives_a_modify_that_cannot_place(self, tmp_path):
+        stack = _journaled_probe(tmp_path)
+        live = stack.provision(("firewall", "nat"), service="web")
+        before = state_digest(stack)
+        heavy = NetworkFunctionChain.from_names(
+            live.chain_id, ("ids",) * 40, stack.functions, 1.0
+        )
+        with pytest.raises(PlacementError):
+            stack.orchestrator.modify_chain(live.chain_id, heavy)
+        assert [chain.chain_id for chain in stack.chains()] == ["chain-0"]
+        _assert_restores_to(stack, tmp_path, before)
+
+
+class TestFailedElectronicMigrateIsTraceless:
+    def _carriers(self, stack):
+        inventory = stack.inventory
+        carriers = [
+            vm.vm_id
+            for vm in inventory.all_vms()
+            if vm.service == NFV_INFRA_SERVICE.name
+        ]
+        return carriers, inventory.hosts_of(carriers)
+
+    @pytest.mark.parametrize("target", ["no-such-server", "full"])
+    def test_carrier_ids_and_counts_stay_put(self, tmp_path, target):
+        stack = _journaled_probe(tmp_path)
+        stack.provision(
+            ("firewall", "nat", "ids", "dpi", "proxy"), service="web"
+        )
+        nfv = stack.orchestrator.nfv_manager
+        inventory = stack.inventory
+        instance = nfv.instance_of("vnf-2")
+        assert instance.domain is Domain.ELECTRONIC
+        error = UnknownEntityError
+        if target == "full":
+            error = PlacementError
+            stack.populate("web", 20)  # fills the carrier's rack
+            demand = instance.function.demand
+            target = next(
+                server
+                for server in stack.fabric.servers()
+                if server != instance.host
+                and not demand.fits_within(
+                    inventory.remaining_capacity(server)
+                )
+            )
+        before = state_digest(stack)
+        carriers = self._carriers(stack)
+        vm_ids = dict(inventory._ids._next)
+        counts = nfv.lifecycle.event_counts()
+        with pytest.raises(error):
+            nfv.migrate("vnf-2", target)
+        assert self._carriers(stack) == carriers
+        assert inventory._ids._next == vm_ids
+        assert nfv.lifecycle.event_counts() == counts
+        assert nfv.instance_of("vnf-2") == instance
+        _assert_restores_to(stack, tmp_path, before)
 
 
 class TestRepairVsSliceConflict:

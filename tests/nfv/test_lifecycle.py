@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import LifecycleError, UnknownEntityError
 from repro.nfv.lifecycle import VnfLifecycleManager, VnfState
+from repro.service.journal import NULL_RECORDER
 
 
 @pytest.fixture
@@ -101,10 +102,13 @@ class TestJournal:
 
     def test_rewind_counts_restores_a_mark(self, manager):
         manager.create("vnf-0")
-        marks = manager.count_marks()
-        manager.start("vnf-0")
-        manager.scale("vnf-0")
-        manager.rewind_counts(marks)
+        with pytest.raises(LifecycleError), NULL_RECORDER.operation():
+            manager.start("vnf-0")
+            manager.scale("vnf-0")
+            manager.create("vnf-1")
+            manager.create("vnf-1")  # a duplicate: the frame unwinds
+        assert manager.state_of("vnf-0") is VnfState.INSTANTIATED
+        assert "vnf-1" not in manager
         assert manager.event_counts() == {"instantiated": 1}
         manager.create("vnf-1")
         assert manager.event_counts() == {"instantiated": 2}

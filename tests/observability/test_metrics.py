@@ -9,6 +9,7 @@ from repro.observability import (
     NullMetricsRegistry,
     prometheus_metrics_text,
 )
+from repro.service.journal import NULL_RECORDER
 
 
 class TestCounters:
@@ -121,6 +122,10 @@ class TestRegistry:
         assert "h_count 1" in text
 
 
+class _Unwind(Exception):
+    """Raised inside a frame to unwind what it recorded."""
+
+
 class TestRewind:
     def test_values_return_and_new_series_go(self):
         registry = MetricsRegistry()
@@ -128,29 +133,31 @@ class TestRewind:
         registry.gauge("level").set(5)
         registry.histogram("h", buckets=(1, 2)).observe(1.5)
         before = registry.snapshot()
-        mark = registry.mark()
-        registry.counter("x_total", kind="a").inc(3)
-        registry.counter("x_total", kind="b").inc()
-        registry.counter("fresh_total").inc()
-        registry.gauge("level").set(9)
-        registry.rewind(mark)
+        with pytest.raises(_Unwind), NULL_RECORDER.operation():
+            registry.counter("x_total", kind="a").inc(3)
+            registry.counter("x_total", kind="b").inc()
+            registry.counter("fresh_total").inc()
+            registry.gauge("level").set(9)
+            registry.gauge("level").dec(2)
+            raise _Unwind
         # New series are gone, not left at 0, and so is a family that
         # only they made up.
         assert registry.snapshot() == before
 
     def test_histograms_keep_their_observations(self):
         registry = MetricsRegistry()
-        mark = registry.mark()
-        registry.histogram("h", buckets=(1, 2)).observe(1.5)
-        registry.rewind(mark)
+        with pytest.raises(_Unwind), NULL_RECORDER.operation():
+            registry.histogram("h", buckets=(1, 2)).observe(1.5)
+            registry.counter("alvc_chains_provision_failures_total").inc()
+            raise _Unwind
         assert registry.value_of("h") == 1.0
+        assert registry.value_of("alvc_chains_provision_failures_total") == 1
 
     def test_null_registry_marks_nothing(self):
         registry = NullMetricsRegistry()
-        mark = registry.mark()
-        registry.counter("x_total").inc()
-        registry.rewind(mark)
-        assert mark == {}
+        with pytest.raises(_Unwind), NULL_RECORDER.operation():
+            registry.counter("x_total").inc()
+            raise _Unwind
         assert registry.snapshot() == {}
 
 

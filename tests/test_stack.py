@@ -23,8 +23,24 @@ PROVISION_STAGES = (
     "provision.route",
 )
 COMMAND_SPANS = ("provision_chain", *PROVISION_STAGES, "teardown_chain")
+#: Spans of the dry-run and recovery entry points.
+RECOVERY_SPANS = ("plan_chain", "vm_migration", "ops_failure")
 #: Too small for 40 ``ids`` (6 cores, 16 GB each): that provision fails.
 SMALL = dict(n_racks=4, servers_per_rack=4, n_ops=6, vms_per_service=3, seed=0)
+
+
+def _plan_migrate_fail_repair(stack, chain):
+    """One dry run, VM migration, OPS failure and repair on ``chain``."""
+    orchestrator = stack.orchestrator
+    stack.plan(("dpi",), service="web")
+    vm = sorted(chain.cluster.vm_ids)[0]
+    host = stack.inventory.host_of(vm)
+    orchestrator.handle_vm_migration(
+        vm, next(s for s in stack.fabric.servers() if s != host)
+    )
+    ops = sorted(orchestrator.chain(chain.chain_id).cluster.al_switches)[0]
+    orchestrator.handle_ops_failure(ops)
+    orchestrator.mark_ops_repaired(ops)
 
 
 def _hand_wired_provision(seed: int = 5):
@@ -180,19 +196,28 @@ class TestTelemetryAcceptance:
         stack.cluster("streaming")
         opened = []
         tracer = stack.telemetry.tracer
-        registry = stack.telemetry.registry
         monkeypatch.setattr(
             type(tracer), "span",
             lambda self, name, **attributes: opened.append(name),
         )
-        monkeypatch.setattr(
-            type(registry), "mark", lambda self: opened.append("mark")
-        )
         chain = stack.provision(("firewall", "nat"), service="web")
         with pytest.raises(ALVCError):
             stack.provision(("ids",) * 40, service="streaming")
+        _plan_migrate_fail_repair(stack, chain)
         stack.teardown(chain.chain_id)
-        assert not set(opened) & {*COMMAND_SPANS, "mark"}
+        assert not set(opened) & {*COMMAND_SPANS, *RECOVERY_SPANS}
+
+    def test_recovery_and_planning_spans(self):
+        stack = AlvcStack.build(**SMALL, telemetry="json")
+        stack.cluster("web")
+        chain = stack.provision(("firewall", "nat"), service="web")
+        _plan_migrate_fail_repair(stack, chain)
+        stats = stack.telemetry.tracer.stats()
+        assert {name: stats[name].count for name in RECOVERY_SPANS} == {
+            "plan_chain": 1,
+            "vm_migration": 1,
+            "ops_failure": 1,
+        }
 
     def test_disabled_stack_shares_noop_singletons(self):
         stack = AlvcStack.build(seed=1, telemetry="off")

@@ -107,10 +107,9 @@ class TestLevelsAndTotals:
     ):
         inventory = MachineInventory(small_fabric)
         rng = random.Random(seed)
-        removed: list = []
         assert_cpu_aggregates_match(inventory)  # builds them while idle
         for _ in range(200):
-            _random_step(inventory, rng, service_catalog, removed)
+            _random_step(inventory, rng, service_catalog)
             assert_cpu_aggregates_match(inventory)
 
     def test_built_on_first_query_mid_churn(
@@ -120,12 +119,11 @@ class TestLevelsAndTotals:
         # state, not from the idle fabric.
         inventory = MachineInventory(small_fabric)
         rng = random.Random(3)
-        removed: list = []
         for _ in range(80):
-            _random_step(inventory, rng, service_catalog, removed)
+            _random_step(inventory, rng, service_catalog)
         assert_cpu_aggregates_match(inventory)
         for _ in range(80):
-            _random_step(inventory, rng, service_catalog, removed)
+            _random_step(inventory, rng, service_catalog)
             assert_cpu_aggregates_match(inventory)
 
     @pytest.mark.parametrize("first, second", DRIFT_PAIRS)
@@ -182,9 +180,8 @@ class TestColdestServer:
         runner = _runner(n_racks=3, servers_per_rack=4, n_ops=4)
         inventory = runner._stack.inventory
         rng = random.Random(seed)
-        removed: list = []
         for _ in range(120):
-            _random_step(inventory, rng, service_catalog, removed)
+            _random_step(inventory, rng, service_catalog)
             for vm in inventory.placed_vms():
                 assert runner._coldest_server(vm.vm_id) == brute_coldest(
                     inventory, vm.vm_id
@@ -270,13 +267,9 @@ def test_snapshot_round_trip_mid_churn(tmp_path, service_catalog, seed):
     # Identical churn on both keeps them equal to each other and to a
     # fresh scan.
     live_rng, restored_rng = random.Random(seed), random.Random(seed)
-    live_removed: list = []
-    restored_removed: list = []
     for _ in range(120):
-        done = _random_step(live, live_rng, service_catalog, live_removed)
-        assert _random_step(
-            restored, restored_rng, service_catalog, restored_removed
-        ) == done
+        done = _random_step(live, live_rng, service_catalog)
+        assert _random_step(restored, restored_rng, service_catalog) == done
         _assert_all_match(restored, service_catalog)
         assert list(restored.free_cpu_levels()) == list(
             live.free_cpu_levels()

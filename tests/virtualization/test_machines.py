@@ -12,6 +12,7 @@ from repro.exceptions import (
     UnknownEntityError,
     ValidationError,
 )
+from repro.service.journal import NULL_RECORDER
 from repro.service.snapshot import load_snapshot, write_snapshot
 from repro.stack import AlvcStack
 from repro.topology.elements import ResourceVector
@@ -279,42 +280,45 @@ def _placement_state(inventory):
     )
 
 
-def _random_step(inventory, rng, catalog, removed) -> bool:
-    """One random place/migrate/remove/reinstate; False when refused."""
+class _Unwind(Exception):
+    """Raised inside a frame to unwind the mutation it framed."""
+
+
+def _mutate(inventory, rng, catalog, op) -> None:
     servers = inventory.network.servers()
-    op = rng.choice(("place", "place", "migrate", "remove", "reinstate"))
+    if op == "place":
+        vm = inventory.create_vm(
+            catalog.get(rng.choice(INDEX_SERVICES)),
+            rng.choice(INDEX_DEMANDS),
+        )
+        inventory.place(vm, rng.choice(servers))
+    elif op == "migrate" and inventory.placed_vms():
+        vm = rng.choice(inventory.placed_vms())
+        host = inventory.host_of(vm.vm_id)
+        inventory.migrate(vm, rng.choice([s for s in servers if s != host]))
+    elif op == "remove" and len(inventory):
+        inventory.remove(rng.choice(inventory.all_vms()))
+
+
+def _random_step(inventory, rng, catalog):
+    """One random place/migrate/remove, or one unwound by its frame.
+
+    Returns False when refused and ``"unwound"`` when a frame undid it.
+    """
+    op = rng.choice(("place", "place", "migrate", "remove", "unwind"))
     try:
-        if op == "place":
-            vm = inventory.create_vm(
-                catalog.get(rng.choice(INDEX_SERVICES)),
-                rng.choice(INDEX_DEMANDS),
-            )
-            inventory.place(vm, rng.choice(servers))
-        elif op == "migrate" and inventory.placed_vms():
-            vm = rng.choice(inventory.placed_vms())
-            host = inventory.host_of(vm.vm_id)
-            inventory.migrate(
-                vm, rng.choice([s for s in servers if s != host])
-            )
-        elif op == "remove" and len(inventory):
-            vm = rng.choice(inventory.all_vms())
-            host = (
-                inventory.host_of(vm.vm_id)
-                if inventory.is_placed(vm.vm_id)
-                else None
-            )
-            inventory.remove(vm)
-            removed.append((vm, host))
-        elif op == "reinstate" and removed:
-            vm, host = removed.pop(rng.randrange(len(removed)))
-            if host is not None:
-                capacity = inventory.network.spec_of(host).capacity
-                used = inventory.used_capacity(host)
-                if not (used + vm.demand).fits_within(capacity):
-                    host = None  # its old room is gone: back unplaced
-            inventory.reinstate(vm, host)
+        if op == "unwind":
+            with NULL_RECORDER.operation():
+                _mutate(
+                    inventory, rng, catalog,
+                    rng.choice(("place", "migrate", "remove")),
+                )
+                raise _Unwind
+        _mutate(inventory, rng, catalog, op)
     except PlacementError:
         return False
+    except _Unwind:
+        return "unwound"
     return True
 
 
@@ -325,27 +329,35 @@ class TestFreeCapacityIndex:
     ):
         inventory = MachineInventory(small_fabric)
         rng = random.Random(seed)
-        removed: list = []
-        refused = 0
+        outcomes = Counter()
         _assert_index_matches(inventory)
         for _ in range(250):
             state = _placement_state(inventory)
             generation = inventory.generation
-            if not _random_step(inventory, rng, service_catalog, removed):
-                refused += 1
+            outcome = _random_step(inventory, rng, service_catalog)
+            outcomes[outcome] += 1
             changed = _placement_state(inventory) != state
-            assert (inventory.generation != generation) == changed
+            if outcome == "unwound":
+                # An unwound booking leaves the state, not the
+                # generation, where it was: memos keyed on a generation
+                # the failed command reached must never match again.
+                assert not changed
+            else:
+                assert (inventory.generation != generation) == changed
             _assert_index_matches(inventory)
-        assert refused > 0  # refused places/migrations were exercised
+        # Refused places/migrations and unwound ones were exercised.
+        assert outcomes[False] > 0 and outcomes["unwound"] > 0
 
     def test_unplaced_bookkeeping_keeps_generation(
         self, inventory, service_catalog
     ):
         generation = inventory.generation
-        vm = inventory.create_vm(service_catalog.get("web"))
-        inventory.remove(vm)
-        inventory.reinstate(vm, None)
+        with pytest.raises(_Unwind), NULL_RECORDER.operation():
+            vm = inventory.create_vm(service_catalog.get("web"))
+            inventory.remove(vm)
+            raise _Unwind
         assert inventory.generation == generation
+        assert len(inventory) == 0
 
     def test_remaining_capacity_unknown_server(self, inventory):
         with pytest.raises(UnknownEntityError):
@@ -379,9 +391,8 @@ class TestFreeCapacityIndex:
         assert dict(loaded.free_capacities()) == dict(live.free_capacities())
         _assert_index_matches(loaded)
         rng = random.Random(5)
-        removed: list = []
         for _ in range(120):
-            _random_step(loaded, rng, service_catalog, removed)
+            _random_step(loaded, rng, service_catalog)
             _assert_index_matches(loaded)
         # The live inventory is untouched by the copy's mutations.
         _assert_index_matches(live)
