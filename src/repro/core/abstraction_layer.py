@@ -25,6 +25,7 @@ import enum
 import random
 from typing import Iterable, Mapping
 
+from repro import undo
 from repro.core.algorithms import (
     CoverResult,
     greedy_marginal_cover,
@@ -306,6 +307,7 @@ class AlConstructor:
                 universe, candidates, kernel=self._kernel
             )
         if self._strategy is AlConstructionStrategy.RANDOM:
+            undo.save_random(self._rng)
             return random_cover(universe, candidates, self._rng)
         raise TopologyError(f"unknown strategy {self._strategy!r}")
 

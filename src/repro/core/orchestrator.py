@@ -474,12 +474,6 @@ class NetworkOrchestrator:
                         "provision_chain calls that raised",
                     ).inc()
                 raise
-            if users:
-                undo.add(users, chain.chain_id)
-            else:
-                undo.setitem(
-                    self._slice_users, cluster.cluster_id, {chain.chain_id}
-                )
             orchestrated = OrchestratedChain(
                 request=request,
                 cluster=cluster,
@@ -488,8 +482,7 @@ class NetworkOrchestrator:
                 vnf_ids=vnf_ids,
                 path=tuple(path),
             )
-            undo.setitem(self._chains, chain.chain_id, orchestrated)
-            undo.append(self._actions, ("provision", chain.chain_id))
+            self._commit_chain(orchestrated, users or None)
             if traced:
                 telemetry.counter(
                     "alvc_chains_provisioned_total",
@@ -1120,21 +1113,60 @@ class NetworkOrchestrator:
                 self._nfv.terminate(vnf)
             if self._sdn.has_flow(chain_id):
                 self._sdn.remove_flow(chain_id)
-            cluster_id = live.cluster.cluster_id
-            users = self._slice_users.get(cluster_id, set())
-            undo.discard(users, chain_id)
-            if not users:
+            users = self._slice_users[live.cluster.cluster_id]
+            if len(users) == 1:
                 self._slices.release(live.optical_slice.slice_id)
-                if cluster_id in self._slice_users:
-                    undo.pop(self._slice_users, cluster_id)
-            undo.pop(self._chains, chain_id)
-            undo.append(self._actions, ("delete", chain_id))
+            self._drop_chain(live, users)
             if traced:
                 telemetry.counter(
                     "alvc_chains_torn_down_total", "NFCs torn down"
                 ).inc()
             if outermost:
                 self._recorder.record("teardown", chain_id=chain_id)
+
+    # The orchestrator's own chain stores: a live chain is in
+    # ``_chains`` and in its cluster's ``_slice_users`` set, whose key
+    # exists exactly while the set is non-empty.  Each change logs one
+    # inverse for all three stores (with the action log).
+    def _commit_chain(
+        self, live: OrchestratedChain, users: set | None
+    ) -> None:
+        """Admit a provisioned chain; ``users`` is its cluster's set of
+        chains, None when it is the first."""
+        chain_id = live.chain_id
+        undo.push((self._uncommit_chain, live, users))
+        if users is None:
+            self._slice_users[live.cluster.cluster_id] = {chain_id}
+        else:
+            users.add(chain_id)
+        self._chains[chain_id] = live
+        self._actions.append(("provision", chain_id))
+
+    def _uncommit_chain(
+        self, live: OrchestratedChain, users: set | None
+    ) -> None:
+        self._actions.pop()
+        del self._chains[live.chain_id]
+        if users is None:
+            del self._slice_users[live.cluster.cluster_id]
+        else:
+            users.discard(live.chain_id)
+
+    def _drop_chain(self, live: OrchestratedChain, users: set) -> None:
+        """Retire a torn-down chain from its cluster's ``users``."""
+        chain_id = live.chain_id
+        undo.push((self._undrop_chain, live, users))
+        users.discard(chain_id)
+        if not users:
+            del self._slice_users[live.cluster.cluster_id]
+        del self._chains[chain_id]
+        self._actions.append(("delete", chain_id))
+
+    def _undrop_chain(self, live: OrchestratedChain, users: set) -> None:
+        self._actions.pop()
+        self._chains[live.chain_id] = live
+        users.add(live.chain_id)
+        self._slice_users[live.cluster.cluster_id] = users
 
     # ------------------------------------------------------------------
     # Queries

@@ -65,6 +65,30 @@ class VnfLifecycleManager:
         self._states[vnf] = to
         counts[to] = counts.get(to, 0) + 1
 
+    def launch(self, vnf: VnfId) -> None:
+        """:meth:`create` then :meth:`start`, as one step: both
+        transitions are counted, and one inverse undoes them."""
+        if vnf in self._states:
+            raise LifecycleError(f"{vnf} already exists")
+        created, running = VnfState.INSTANTIATED, VnfState.RUNNING
+        counts = self._counts
+        undo.push((
+            self._unlaunch, vnf, counts.get(created), counts.get(running)
+        ))
+        self._states[vnf] = running
+        counts[created] = counts.get(created, 0) + 1
+        counts[running] = counts.get(running, 0) + 1
+
+    def _unlaunch(
+        self, vnf: VnfId, created: int | None, running: int | None
+    ) -> None:
+        """Undo one :meth:`launch`."""
+        self._restore(vnf, None, VnfState.RUNNING, running)
+        if created is None:
+            del self._counts[VnfState.INSTANTIATED]
+        else:
+            self._counts[VnfState.INSTANTIATED] = created
+
     def transition(self, vnf: VnfId, to: VnfState) -> None:
         """Move a VNF to a new state, enforcing legality."""
         current = self.state_of(vnf)

@@ -139,20 +139,32 @@ class CloudNfvManager:
             host=server,
             domain=Domain.ELECTRONIC,
         )
-        undo.setitem(self._carrier_vms, instance.vnf_id, carrier.vm_id)
-        self._register(instance)
+        self._register(instance, carrier.vm_id)
         return instance
 
-    def _register(self, instance: VnfInstance) -> None:
-        undo.setitem(self._instances, instance.vnf_id, instance)
-        self._lifecycle.create(instance.vnf_id)
-        self._lifecycle.start(instance.vnf_id)
+    def _register(
+        self, instance: VnfInstance, carrier: str | None = None
+    ) -> None:
+        """Record a deployed instance (and its carrier VM) and start it."""
+        vnf = instance.vnf_id
+        undo.push((self._unregister, vnf, carrier is not None))
+        self._instances[vnf] = instance
+        if carrier is not None:
+            self._carrier_vms[vnf] = carrier
+        self._lifecycle.launch(vnf)
         if self._telemetry.enabled:
             self._telemetry.counter(
                 "alvc_vnfs_deployed_total",
                 "VNF instances deployed",
                 domain=instance.domain.value,
             ).inc()
+
+    def _unregister(self, vnf: VnfId, carried: bool) -> None:
+        """Undo one :meth:`_register` (ids are fresh, so nothing it
+        replaced needs restoring)."""
+        del self._instances[vnf]
+        if carried:
+            del self._carrier_vms[vnf]
 
     # ------------------------------------------------------------------
     # Lifecycle management (paper: creation, scaling, update, termination)

@@ -43,11 +43,24 @@ class Telemetry:
         telemetry.to_prometheus()  # text exposition format
     """
 
-    __slots__ = ("registry", "tracer")
+    __slots__ = ("registry", "tracer", "enabled")
 
     def __init__(self, registry: MetricsRegistry, tracer: Tracer) -> None:
         self.registry = registry
         self.tracer = tracer
+        #: True when this telemetry records anything (the registry's
+        #: flag, read once: hot paths test it several times a command).
+        self.enabled: bool = registry.enabled
+
+    # Snapshots pickle the telemetry a stack holds.  ``enabled`` derives
+    # from the registry, so a stream carries only the constructor's
+    # arguments; one pickled before ``enabled`` was a slot is
+    # ``(None, {"registry": ..., "tracer": ...})`` state.
+    def __reduce__(self):
+        return Telemetry, (self.registry, self.tracer)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(**state[1])
 
     # ------------------------------------------------------------------
     # Construction
@@ -61,11 +74,6 @@ class Telemetry:
     def disabled_instance(cls) -> "Telemetry":
         """The shared no-op telemetry."""
         return NULL_TELEMETRY
-
-    @property
-    def enabled(self) -> bool:
-        """True when this telemetry records anything."""
-        return self.registry.enabled
 
     # ------------------------------------------------------------------
     # Passthroughs (hot paths use these)

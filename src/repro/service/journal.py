@@ -8,8 +8,11 @@ version) followed by frames, one per record::
 
     u32 payload_length | u32 crc32(payload) | payload (UTF-8 JSON)
 
-The CRC protects every byte of the payload; the length prefix makes a
-torn final write detectable.  Reads tolerate a truncated or torn *tail*
+The payload is ``json.dumps(record.to_dict(), sort_keys=True,
+separators=(",", ":"))``, byte for byte, although :meth:`Journal.append`
+encodes only the record's ``data`` (see there).  The CRC protects every
+byte of the payload; the length prefix makes a torn final write
+detectable.  Reads tolerate a truncated or torn *tail*
 (the crash-mid-append case): everything after the last intact frame is
 dropped and reported, and re-opening for append truncates the file back
 to the last intact frame so new records never interleave with garbage.
@@ -32,9 +35,10 @@ Recorder
 :class:`OpRecorder` is the hook object the orchestrator, the NFV
 manager, the reconfigurators and the stack facade call at their
 mutation commit points.  Records are written *after* the mutation
-commits (the command either fully happened or raised and rolled back —
-the transactional provisioning path guarantees there is no half-state
-to log).  A depth guard keeps composite operations single-record: when
+commits (the command either fully happened or raised and was unwound by
+:mod:`repro.undo`, so there is no half-state to log); inside an
+enclosing undo frame, only once that frame's scope commits.  A depth
+guard keeps composite operations single-record: when
 ``stack.provision`` calls ``orchestrator.provision_chain`` which calls
 ``nfv.deploy_optical``, only the outermost frame journals a command;
 inner components may still emit ``nested=True`` annotation records.
@@ -53,15 +57,61 @@ from typing import Iterator
 from repro import undo
 from repro.exceptions import JournalCorruptError, JournalError, ValidationError
 from repro.observability.runtime import Telemetry, current_telemetry
-from repro.service.records import OpRecord, validate_record
+from repro.service.records import (
+    RECORD_VERSION,
+    SCHEMAS,
+    OpRecord,
+    check_record,
+)
 
 MAGIC = b"ALVCJRNL"
 FORMAT_VERSION = 1
 _HEADER = MAGIC + struct.pack("<I", FORMAT_VERSION)
 _FRAME = struct.Struct("<II")
-#: One shared payload encoder: ``json.dumps`` with non-default
-#: arguments would build a fresh encoder for every record.
+#: The payload's encoding: a frame's payload is
+#: ``_ENCODER.encode(record.to_dict())``, byte for byte.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+def _floatstr(value: float) -> str:
+    """``JSONEncoder``'s float spelling with ``allow_nan=True``."""
+    if value != value:
+        return "NaN"
+    if value == json.encoder.INFINITY:
+        return "Infinity"
+    if value == -json.encoder.INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _data_encoder(markers: dict, make_c=json.encoder.c_make_encoder):
+    """``_ENCODER``'s encoder, built once with ``markers`` as its
+    circular-reference markers: ``JSONEncoder.encode`` builds (and
+    wraps) a fresh one for every call.  Called as ``encode(data, 0)``,
+    it returns the chunks of ``data``'s JSON.  ``make_c`` is ``_json``'s
+    encoder factory; without it the pure-Python encoder is used."""
+    if make_c is not None:
+        return make_c(
+            markers, _ENCODER.default, json.encoder.encode_basestring_ascii,
+            _ENCODER.indent, _ENCODER.key_separator, _ENCODER.item_separator,
+            _ENCODER.sort_keys, _ENCODER.skipkeys, _ENCODER.allow_nan,
+        )
+    return json.encoder._make_iterencode(
+        markers, _ENCODER.default, json.encoder.encode_basestring_ascii,
+        _ENCODER.indent, _floatstr, _ENCODER.key_separator,
+        _ENCODER.item_separator, _ENCODER.sort_keys, _ENCODER.skipkeys,
+        True,
+    )
+
+
+#: The shared encoder's markers, emptied after a failed encode (see
+#: :meth:`Journal.append`).
+_MARKERS: dict = {}
+_encode_data = _data_encoder(_MARKERS)
+#: Each op's JSON string: the ops a record may carry are the schema's.
+_OP_JSON = {
+    op: json.encoder.encode_basestring_ascii(op) for op in SCHEMAS
+}
 
 #: Recognized durability policies.
 SYNC_MODES = ("always", "off")
@@ -134,29 +184,40 @@ class Journal:
         """True once :meth:`close` ran."""
         return self._handle is None
 
-    def append(self, op: str, data: dict, *, nested: bool = False) -> OpRecord:
+    def append(self, op: str, data: dict, *, nested: bool = False) -> int:
         """Validate, frame, and durably append one record.
 
-        Returns the written record (with its assigned ``seq``).
+        Returns the record's assigned ``seq``.  The payload is
+        ``OpRecord(seq, op, data, nested).to_dict()`` encoded by
+        :data:`_ENCODER`, byte for byte, but only ``data`` goes through
+        the encoder: the record's other keys are spliced around it in
+        their sorted order.
 
         Raises:
-            JournalError: on schema violations or a closed journal.
+            JournalError: on schema violations, a payload that is not
+                JSON-serializable, or a closed journal.  Nothing is
+                written then.
         """
         if self._handle is None:
             raise JournalError("journal is closed")
-        record = OpRecord(
-            seq=self._next_seq, op=op, data=data, nested=nested
-        )
-        validate_record(record)
+        seq = self._next_seq
+        check_record(seq, op, data)
         try:
-            payload = _ENCODER.encode(record.to_dict()).encode("utf-8")
+            encoded = "".join(_encode_data(data, 0))
         except (TypeError, ValueError) as exc:
+            # A failed encode leaves its open containers marked, and a
+            # later payload at a reused address would read as circular.
+            _MARKERS.clear()
             raise JournalError(
                 f"record op={op!r} is not JSON-serializable: {exc}"
             ) from None
+        payload = (
+            f'{{"data":{encoded},"nested":{"true" if nested else "false"},'
+            f'"op":{_OP_JSON[op]},"seq":{seq},"v":{RECORD_VERSION}}}'
+        ).encode()
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         self._handle.write(frame)
-        self._next_seq += 1
+        self._next_seq = seq + 1
         if self._batch_depth:
             self._batch_dirty = True
         else:
@@ -170,7 +231,7 @@ class Journal:
                 "journal bytes written (frames incl. headers)",
                 len(frame),
             )
-        return record
+        return seq
 
     def _commit(self) -> None:
         self._handle.flush()
@@ -333,21 +394,25 @@ class OpRecorder:
     entry-point-agnostic.  ``annotate`` writes ``nested=True`` detail
     records for any frame depth.
 
-    Writes made inside a frame are buffered and flushed (as one group
-    commit) only when the outermost frame exits cleanly: a command that
-    raises journals nothing — not even the annotations its partial
-    progress emitted — and every frame is a :mod:`repro.undo` savepoint,
-    so it changes nothing either.  That is the invariant replay parity
-    rests on.
+    Writes made inside a frame are buffered and flushed only when the
+    outermost frame exits cleanly: a command that raises journals
+    nothing — not even the annotations its partial progress emitted —
+    and every frame is a :mod:`repro.undo` savepoint, so it changes
+    nothing either.  That is the invariant replay parity rests on.  A
+    lone record is appended as it is; two or more share one group
+    commit.  When the outermost frame sits inside an enclosing undo
+    frame (say :data:`NULL_RECORDER`'s), the flush waits for that scope
+    to commit and is dropped if the scope unwinds the command instead.
     """
 
-    __slots__ = ("_journal", "_depth", "_suspended", "_pending")
+    __slots__ = ("_journal", "_depth", "_suspended", "_pending", "_frame")
 
     def __init__(self, journal: Journal) -> None:
         self._journal = journal
         self._depth = 0
         self._suspended = 0
         self._pending: list[tuple[str, dict, bool]] = []
+        self._frame = _OperationFrame(self)
 
     @property
     def journal(self) -> Journal:
@@ -364,17 +429,22 @@ class OpRecorder:
         level.
 
         A clean exit of the outermost frame flushes the frame's buffered
-        records in one group commit; an exception discards them and
-        unwinds the frame's mutations.
+        records; an exception discards them and unwinds the frame's
+        mutations.
         """
-        return _OperationFrame(self)
+        return self._frame
 
     def _flush(self, pending: list) -> None:
-        if not pending or not self.active:
+        if not self.active:
             return
-        with self._journal.batch():
+        journal = self._journal
+        if len(pending) == 1:
+            op, data, nested = pending[0]
+            journal.append(op, data, nested=nested)
+            return
+        with journal.batch():
             for op, data, nested in pending:
-                self._journal.append(op, data, nested=nested)
+                journal.append(op, data, nested=nested)
 
     def record(self, op: str, **data) -> None:
         """Journal a command record iff this is the outermost operation."""
@@ -409,7 +479,7 @@ class _OperationFrame:
 
     A plain ``__enter__``/``__exit__`` pair rather than a generator:
     every public mutation enters one, several per command.  The depth
-    lives on the recorder.
+    lives on the recorder, so each recorder reuses one frame.
     """
 
     __slots__ = ("_recorder",)
@@ -431,10 +501,15 @@ class _OperationFrame:
             return
         # Leave the undo frame before the flush: the journal write
         # commits the command, so what the flush changes (the journal's
-        # own metrics) is never unwound.
+        # own metrics) is never unwound.  Inside an enclosing undo
+        # frame the command commits only with that frame's scope.
         pending, recorder._pending = recorder._pending, []
         undo.leave(exc_type is not None)
-        if exc_type is None:
+        if (
+            exc_type is None
+            and pending
+            and not undo.defer((recorder._flush, pending))
+        ):
             recorder._flush(pending)
 
 

@@ -107,41 +107,44 @@ class OpRecord:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "OpRecord":
         try:
-            record = cls(
-                seq=int(payload["seq"]),
-                op=str(payload["op"]),
-                data=dict(payload["data"]),
-                nested=bool(payload.get("nested", False)),
-                version=int(payload.get("v", RECORD_VERSION)),
-            )
+            seq = int(payload["seq"])
+            op = str(payload["op"])
+            data = dict(payload["data"])
+            nested = bool(payload.get("nested", False))
+            version = int(payload.get("v", RECORD_VERSION))
         except (KeyError, TypeError, ValueError) as exc:
             raise JournalError(f"malformed journal record: {exc}") from None
-        validate_record(record)
-        return record
+        check_record(seq, op, data, version)
+        return cls(seq, op, data, nested, version)
 
 
 def validate_record(record: OpRecord) -> None:
     """Schema-check one record; raises :class:`JournalError` on mismatch."""
-    if record.version > RECORD_VERSION:
+    check_record(record.seq, record.op, record.data, record.version)
+
+
+def check_record(
+    seq: int, op: str, data: Mapping, version: int = RECORD_VERSION
+) -> None:
+    """The schema rules of :func:`validate_record`, applied to a
+    record's fields: the journal checks a record this way before it
+    frames it, without building an :class:`OpRecord`."""
+    if version > RECORD_VERSION:
         raise JournalError(
-            f"record seq={record.seq} has version {record.version}; this "
+            f"record seq={seq} has version {version}; this "
             f"build reads up to version {RECORD_VERSION}"
         )
-    required = SCHEMAS.get(record.op)
+    required = SCHEMAS.get(op)
     if required is None:
-        raise JournalError(
-            f"record seq={record.seq} has unknown op {record.op!r}"
-        )
-    missing = [key for key in required if key not in record.data]
+        raise JournalError(f"record seq={seq} has unknown op {op!r}")
+    missing = [key for key in required if key not in data]
     if missing:
         raise JournalError(
-            f"record seq={record.seq} op={record.op!r} is missing "
+            f"record seq={seq} op={op!r} is missing "
             f"required field(s): {', '.join(missing)}"
         )
-    if record.op == "genesis" and record.seq != 0:
-        raise JournalError(
-            f"genesis record must have seq 0, got {record.seq}"
-        )
+    if op == "genesis" and seq != 0:
+        raise JournalError(f"genesis record must have seq 0, got {seq}")
 
 
 # ----------------------------------------------------------------------

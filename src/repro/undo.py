@@ -16,7 +16,9 @@ released in another order than it was reserved differs in its last
 bits, so undoing a reservation puts back the vector that stood before
 it.  A frame that exits cleanly keeps its entries for the enclosing
 frame (the outermost drops them); a frame that raises runs its own
-entries newest first and re-raises.
+entries newest first and re-raises.  Work that must wait for the scope
+to commit — a journal frame's flush, when the frame is nested in an
+enclosing undo frame — is held by :func:`defer`.
 
 Derived memos — the path engine's CSR arrays, the orchestrator's
 segment memo and cluster contexts — are never logged: they are keyed on
@@ -41,6 +43,9 @@ from __future__ import annotations
 _log: list | None = None
 #: ``len(_log)`` at the entry of each open frame, innermost last.
 _savepoints: list[int] = []
+#: What the open scope runs once it commits, as ``(function, *args)``,
+#: oldest first (:func:`defer`).
+_commits: list = []
 
 _MISSING = object()
 
@@ -66,10 +71,15 @@ def enter() -> None:
 
 
 def leave(failed: bool) -> None:
-    """Close the innermost frame, unwinding its entries when ``failed``."""
+    """Close the innermost frame, unwinding its entries when ``failed``.
+
+    Closing the outermost frame closes the scope: then the work
+    :func:`defer` held back runs, in order, unless the scope unwound.
+    """
     global _log
     start = _savepoints.pop()
     log = _log
+    commits = ()
     try:
         if failed and log is not None:
             entries = log[start:]
@@ -79,6 +89,29 @@ def leave(failed: bool) -> None:
                 entry[0](*entry[1:])
     finally:
         _log = log if _savepoints else None
+        if _commits and not _savepoints:
+            commits = _commits[:]
+            del _commits[:]
+    if not failed:
+        for entry in commits:
+            entry[0](*entry[1:])
+
+
+def defer(entry: tuple) -> bool:
+    """Hold ``entry``, a ``(function, *args)`` tuple, until the open
+    scope commits; returns False, running nothing, when no scope is
+    open.
+
+    The entry is dropped if the frame open now unwinds: what commits
+    with the scope (a journal write) must not outlive a change the
+    scope takes back.
+    """
+    if not _savepoints:
+        return False
+    if _log is not None:
+        _log.append((list.pop, _commits))
+    _commits.append(entry)
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -126,3 +159,10 @@ def append(items: list, item) -> None:
     if _log is not None:
         _log.append((list.pop, items))
     items.append(item)
+
+
+def save_random(rng) -> None:
+    """Log ``rng``'s state (a :class:`random.Random`) before a draw, so
+    an unwound command leaves the generator where it found it."""
+    if _log is not None:
+        _log.append((rng.setstate, rng.getstate()))

@@ -224,8 +224,24 @@ class MachineInventory:
                 f"{machine.vm_id} is already placed on "
                 f"{self._host[machine.vm_id]}"
             )
-        self._reserve(machine, server)
-        undo.setitem(self._host, machine.vm_id, server)
+        used, free = self._reserved(machine, server)
+        undo.push((
+            self._unplace, machine, server, self._used[server],
+            self._free[server],
+        ))
+        self._book(machine, server, used, free, 1)
+        self._host[machine.vm_id] = server
+
+    def _unplace(
+        self,
+        machine: VirtualMachine,
+        server: ServerId,
+        used: ResourceVector,
+        free: ResourceVector,
+    ) -> None:
+        """Undo one :meth:`place`."""
+        self._book(machine, server, used, free, -1)
+        del self._host[machine.vm_id]
 
     def migrate(self, vm: VmId | VirtualMachine, new_server: ServerId) -> ServerId:
         """Move a placed VM to another server; returns the old server."""
@@ -237,23 +253,74 @@ class MachineInventory:
             )
         # Both steps that can raise run before anything changes, so a
         # refused migration leaves no trace.
-        used, free = self._released(machine, old_server)
-        self._reserve(machine, new_server)
-        self._book(machine, old_server, used, free, -1)
-        undo.setitem(self._host, machine.vm_id, new_server)
+        released = self._released(machine, old_server)
+        reserved = self._reserved(machine, new_server)
+        undo.push((
+            self._unmigrate, machine, old_server, self._used[old_server],
+            self._free[old_server], new_server, self._used[new_server],
+            self._free[new_server],
+        ))
+        self._book(machine, new_server, *reserved, 1)
+        self._book(machine, old_server, *released, -1)
+        self._host[machine.vm_id] = new_server
         return old_server
+
+    def _unmigrate(
+        self,
+        machine: VirtualMachine,
+        old_server: ServerId,
+        old_used: ResourceVector,
+        old_free: ResourceVector,
+        new_server: ServerId,
+        new_used: ResourceVector,
+        new_free: ResourceVector,
+    ) -> None:
+        """Undo one :meth:`migrate`."""
+        self._book(machine, old_server, old_used, old_free, 1)
+        self._book(machine, new_server, new_used, new_free, -1)
+        self._host[machine.vm_id] = old_server
 
     def remove(self, vm: VmId | VirtualMachine) -> None:
         """Delete a VM, releasing its capacity if placed."""
         machine = self._resolve(vm)
         server = self._host.get(machine.vm_id)
-        if server is not None:
+        if server is None:
+            undo.push((self._unremove, machine, None, None, None))
+        else:
             used, free = self._released(machine, server)
+            undo.push((
+                self._unremove, machine, server, self._used[server],
+                self._free[server],
+            ))
             self._book(machine, server, used, free, -1)
-            undo.pop(self._host, machine.vm_id)
-        undo.pop(self._vms, machine.vm_id)
+            del self._host[machine.vm_id]
+        del self._vms[machine.vm_id]
 
-    def _reserve(self, machine: VirtualMachine, server: ServerId) -> None:
+    def _unremove(
+        self,
+        machine: VirtualMachine,
+        server: ServerId | None,
+        used: ResourceVector | None,
+        free: ResourceVector | None,
+    ) -> None:
+        """Undo one :meth:`remove`."""
+        self._vms[machine.vm_id] = machine
+        if server is not None:
+            self._book(machine, server, used, free, 1)
+            self._host[machine.vm_id] = server
+
+    def _reserved(
+        self, machine: VirtualMachine, server: ServerId
+    ) -> tuple[ResourceVector, ResourceVector]:
+        """The server's used and free vectors once ``machine`` joins.
+
+        Computed, not applied: this is the only part of a reservation
+        that can raise.
+
+        Raises:
+            UnknownEntityError: on an unknown server.
+            PlacementError: when ``machine`` does not fit.
+        """
         if server not in self._guests:
             raise UnknownEntityError("server", server)
         capacity = self._capacity[server]
@@ -263,7 +330,7 @@ class MachineInventory:
                 f"{machine.vm_id} (demand {machine.demand}) does not fit on "
                 f"{server} (used {self._used[server]}, capacity {capacity})"
             )
-        self._book(machine, server, proposed, capacity - proposed, 1)
+        return proposed, capacity - proposed
 
     def _released(
         self, machine: VirtualMachine, server: ServerId
@@ -309,15 +376,12 @@ class MachineInventory:
         """Set a server's used and free vectors and move ``machine``'s
         guest counts by ``step`` (+1 reserves, -1 releases).
 
-        The one primitive every placement change passes through.  Its
-        inverse is the opposite step with the vectors it replaces, so an
-        unwound booking restores them bit for bit instead of
-        re-deriving them.  :attr:`generation` advances either way.
+        The one primitive every placement change passes through.  It
+        logs nothing: each public mutation logs one inverse, which books
+        the opposite step with the vectors it saved, so an unwound
+        booking restores them bit for bit instead of re-deriving them.
+        :attr:`generation` advances either way.
         """
-        undo.push((
-            self._book, machine, server, self._used[server],
-            self._free[server], -step,
-        ))
         if self._cpu_index is not None:
             self._cpu_index.move(server, self._free[server], free)
         self._used[server] = used

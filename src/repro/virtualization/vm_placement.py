@@ -15,6 +15,7 @@ import itertools
 import random
 from typing import Iterable, Iterator, Sequence
 
+from repro import undo
 from repro.exceptions import PlacementError
 from repro.ids import ServerId
 from repro.virtualization.machines import MachineInventory, VirtualMachine
@@ -89,10 +90,12 @@ class VmPlacementEngine:
         if self._strategy is PlacementStrategy.FIRST_FIT:
             return servers
         if self._strategy is PlacementStrategy.RANDOM:
+            undo.save_random(self._rng)
             self._rng.shuffle(servers)
             return servers
         if self._strategy is PlacementStrategy.ROUND_ROBIN:
             start = self._rr_cursor % len(servers)
+            undo.push((setattr, self, "_rr_cursor", self._rr_cursor))
             self._rr_cursor += 1
             return servers[start:] + servers[:start]
         raise PlacementError(f"unknown strategy {self._strategy!r}")

@@ -316,6 +316,49 @@ class TestFailedElectronicMigrateIsTraceless:
         _assert_restores_to(stack, tmp_path, before)
 
 
+class TestCommandInsideAnEnclosingFrame:
+    """A journaled command run inside an outer undo frame commits, and
+    journals, only with that frame."""
+
+    def _stack(self, tmp_path):
+        return AlvcStack.build(
+            n_racks=4,
+            servers_per_rack=4,
+            n_ops=6,
+            journal=tmp_path / "journal.alvc",
+            sync="off",
+        )
+
+    def _replays_to_live(self, stack, tmp_path) -> bool:
+        digest = state_digest(stack)
+        stack.journal.close()
+        replayed = restore_stack(tmp_path / "journal.alvc").stack
+        return state_digest(replayed) == digest
+
+    def test_unwound_outer_frame_journals_nothing(self, tmp_path):
+        stack = self._stack(tmp_path)
+        with pytest.raises(_Unwind), NULL_RECORDER.operation():
+            # Bootstraps web's cluster (its own command), then provisions.
+            stack.provision(("nat",), service="web")
+            assert stack.journal.next_seq == 1
+            raise _Unwind
+        assert stack.orchestrator.chains() == []
+        assert stack.journal.next_seq == 1
+        assert self._replays_to_live(stack, tmp_path)
+
+    def test_committed_outer_frame_journals_in_order(self, tmp_path):
+        stack = self._stack(tmp_path)
+        with NULL_RECORDER.operation():
+            live = stack.provision(("nat",), service="web")
+            stack.teardown(live.chain_id)
+            stack.provision(("firewall",), service="web")
+        ops = [record.op for record in stack.journal.records()]
+        assert ops == [
+            "genesis", "cluster", "provision", "teardown", "provision"
+        ]
+        assert self._replays_to_live(stack, tmp_path)
+
+
 class TestRepairVsSliceConflict:
     def test_extend_refused_degrades_instead_of_crashing(self, monkeypatch):
         """An AL repair whose adopted OPS overlaps a live slice.

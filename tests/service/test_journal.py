@@ -51,7 +51,8 @@ class TestAppendRead:
         with _journal(tmp_path) as journal:
             first = journal.append("genesis", {"build": {}})
             second = journal.append("ops_repair", {"ops": "ops-0"})
-        assert (first.seq, second.seq) == (0, 1)
+        assert (first, second) == (0, 1)
+        assert [record.seq for record in journal.records()] == [0, 1]
 
     def test_schema_violation_rejected_at_append(self, tmp_path):
         with _journal(tmp_path) as journal:
@@ -63,6 +64,31 @@ class TestAppendRead:
         with _journal(tmp_path) as journal:
             with pytest.raises(JournalError, match="JSON"):
                 journal.append("teardown", {"chain_id": object()})
+
+    def test_failed_encodes_leave_the_encoder_clean(self, tmp_path):
+        """A non-serializable and a self-referencing payload each raise
+        and write nothing; the same dicts, mended, then append."""
+        with _journal(tmp_path) as journal:
+            journal.append("genesis", {"build": {}})
+            size = journal.path.stat().st_size
+            opaque = {"chain_id": "c-0", "handle": object()}
+            looped = {"chain_id": "c-1"}
+            looped["self"] = looped
+            for data in (opaque, looped):
+                with pytest.raises(JournalError, match="JSON"):
+                    journal.append("teardown", data)
+                assert journal.next_seq == 1
+                assert journal.path.stat().st_size == size
+            # A failed encode marks the containers it had entered; left
+            # marked, the mended dicts would now read as circular.
+            del opaque["handle"], looped["self"]
+            assert journal.append("teardown", opaque) == 1
+            assert journal.append("teardown", looped) == 2
+        records = read_journal(tmp_path / "j.alvc").records
+        assert [record.data for record in records[1:]] == [
+            {"chain_id": "c-0"},
+            {"chain_id": "c-1"},
+        ]
 
     def test_closed_journal_rejects_appends(self, tmp_path):
         journal = _journal(tmp_path)
@@ -227,6 +253,62 @@ class TestOpRecorder:
                     )
             assert journal.records() == []
             assert recorder.active
+
+    def test_lone_record_skips_group_commit(self, tmp_path):
+        with _journal(tmp_path) as journal:
+            recorder = OpRecorder(journal)
+            batches = []
+            batch = journal.batch
+            journal.batch = lambda: batches.append(1) or batch()
+            with recorder.operation():
+                recorder.record("genesis", build={})
+            assert batches == []
+            with recorder.operation():
+                recorder.record("ops_repair", ops="ops-0")
+                recorder.annotate(
+                    "al_reconfig", action="x", cost=0, rebuilt=False
+                )
+            assert batches == [1]
+            assert journal.next_seq == 3
+
+    def test_enclosing_undo_frame_holds_the_flush(self, tmp_path):
+        with _journal(tmp_path) as journal:
+            recorder = OpRecorder(journal)
+            with NULL_RECORDER.operation():
+                with recorder.operation() as outermost:
+                    assert outermost
+                    recorder.record("genesis", build={})
+                assert journal.next_seq == 0
+            assert journal.next_seq == 1
+
+    def test_unwound_enclosing_frame_drops_the_records(self, tmp_path):
+        class Unwind(Exception):
+            pass
+
+        with _journal(tmp_path) as journal:
+            recorder = OpRecorder(journal)
+            with pytest.raises(Unwind):
+                with NULL_RECORDER.operation():
+                    with recorder.operation():
+                        recorder.record("genesis", build={})
+                    raise Unwind
+            assert journal.next_seq == 0
+            # An inner savepoint that unwinds drops only its own records.
+            with NULL_RECORDER.operation():
+                with recorder.operation():
+                    recorder.record("genesis", build={})
+                with pytest.raises(Unwind):
+                    with NULL_RECORDER.operation():
+                        with recorder.operation():
+                            recorder.record("ops_repair", ops="ops-0")
+                        raise Unwind
+                with recorder.operation():
+                    recorder.record("ops_repair", ops="ops-1")
+            ops = [(r.op, r.data) for r in journal.records()]
+        assert ops == [
+            ("genesis", {"build": {}}),
+            ("ops_repair", {"ops": "ops-1"}),
+        ]
 
     def test_null_recorder_is_inert(self):
         with NULL_RECORDER.operation() as outermost:

@@ -1,8 +1,14 @@
 """Snapshot write/load, torn-write detection, and the state digest."""
 
+import copyreg
+import io
+import pickle
+
 import pytest
 
 from repro.exceptions import SnapshotError
+from repro.observability import Telemetry
+from repro.observability.runtime import NULL_TELEMETRY
 from repro.service import ControlPlaneService
 from repro.service.snapshot import (
     load_snapshot,
@@ -122,3 +128,34 @@ class TestSnapshotRoundTrip:
         write_snapshot(stack, path, journal_seq=2)
         assert load_snapshot(path).journal_seq == 2
         assert not (tmp_path / "snap.alvc.tmp").exists()
+
+
+class TestTelemetryPickling:
+    """Snapshots carry the stack's telemetry; ``enabled`` is derived."""
+
+    @pytest.mark.parametrize(
+        "telemetry", [Telemetry.enabled_instance(), NULL_TELEMETRY]
+    )
+    def test_round_trip_keeps_enabled(self, telemetry):
+        restored = pickle.loads(pickle.dumps(telemetry))
+        assert restored.enabled is telemetry.enabled
+        assert type(restored.registry) is type(telemetry.registry)
+
+    @pytest.mark.parametrize(
+        "telemetry", [Telemetry.enabled_instance(), NULL_TELEMETRY]
+    )
+    def test_stream_without_the_enabled_slot_restores(self, telemetry):
+        """Streams written while ``enabled`` was a property hold only
+        the registry and tracer slots."""
+
+        class OldLayout(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is Telemetry:
+                    state = {"registry": obj.registry, "tracer": obj.tracer}
+                    return copyreg.__newobj__, (Telemetry,), (None, state)
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        OldLayout(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(telemetry)
+        restored = pickle.loads(buffer.getvalue())
+        assert restored.enabled is telemetry.enabled
