@@ -32,6 +32,7 @@ from repro.core.placement import (
     PlacementAlgorithm,
     PlacementSolver,
 )
+from repro.core.reconfiguration import AlReconfigurator
 from repro.core.slicing import OpticalSlice, SliceAllocator
 from repro.exceptions import (
     CoverInfeasibleError,
@@ -687,8 +688,6 @@ class NetworkOrchestrator:
             PlacementError: when the target server lacks capacity (the
                 VM stays put).
         """
-        from repro.core.reconfiguration import AlReconfigurator
-
         telemetry = self._telemetry
         with self._recorder.operation() as outermost:
             with (
@@ -696,9 +695,7 @@ class NetworkOrchestrator:
                 if telemetry.enabled
                 else NULL_SPAN
             ):
-                result = self._handle_vm_migration(
-                    vm, new_server, AlReconfigurator
-                )
+                result = self._handle_vm_migration(vm, new_server)
             if outermost:
                 self._recorder.record(
                     "vm_migrate", vm=vm, server=new_server
@@ -706,7 +703,7 @@ class NetworkOrchestrator:
         return result
 
     def _handle_vm_migration(
-        self, vm: str, new_server: ServerId, AlReconfigurator
+        self, vm: str, new_server: ServerId
     ) -> dict[str, int]:
         cluster = self._clusters.cluster_of_service(
             self._inventory.get(vm).service
@@ -863,8 +860,6 @@ class NetworkOrchestrator:
     def _handle_ops_failure(
         self, failed: OpsId, policy
     ) -> OpsFailureRecovery:
-        from repro.core.reconfiguration import AlReconfigurator
-
         undo.add(self._failed_ops, failed)
         # Fault without topology mutation: invalidate the path engine's
         # cached availability (mask generation bump).

@@ -4,6 +4,10 @@ Section IV.B: the Cloud/NFV manager handles "VNF creation, scaling,
 termination, and update events during the life cycle of VNF".  Every
 transition is validated and counted per target state so orchestration
 experiments can count management actions.
+
+Only live VNFs are held: termination is counted and drops the VNF, so
+the manager's memory follows the live set, not the history of every
+VNF ever launched.  A terminated id is unknown.
 """
 
 from __future__ import annotations
@@ -29,31 +33,41 @@ class VnfState(enum.Enum):
     __hash__ = object.__hash__
 
 
-# Legal transitions: the paper's creation / scaling / update / termination
-# events.  SCALING and UPDATING are transient management states that return
-# to RUNNING.
+# Legal transitions between live states: the paper's creation / scaling /
+# update events.  SCALING and UPDATING are transient management states that
+# return to RUNNING.  Termination is legal from every live state and leaves
+# no state behind (VnfLifecycleManager.terminate).
 _TRANSITIONS: dict[VnfState, frozenset[VnfState]] = {
-    VnfState.INSTANTIATED: frozenset({VnfState.RUNNING, VnfState.TERMINATED}),
-    VnfState.RUNNING: frozenset(
-        {VnfState.SCALING, VnfState.UPDATING, VnfState.TERMINATED}
-    ),
-    VnfState.SCALING: frozenset({VnfState.RUNNING, VnfState.TERMINATED}),
-    VnfState.UPDATING: frozenset({VnfState.RUNNING, VnfState.TERMINATED}),
-    VnfState.TERMINATED: frozenset(),
+    VnfState.INSTANTIATED: frozenset({VnfState.RUNNING}),
+    VnfState.RUNNING: frozenset({VnfState.SCALING, VnfState.UPDATING}),
+    VnfState.SCALING: frozenset({VnfState.RUNNING}),
+    VnfState.UPDATING: frozenset({VnfState.RUNNING}),
 }
 
 
 class VnfLifecycleManager:
-    """Tracks the lifecycle state of every VNF instance.
+    """Tracks the lifecycle state of every live VNF instance.
 
-    All mutations go through :meth:`transition`, which enforces the state
-    machine and counts the transition under its target state.
+    Every transition is checked against the state machine and counted
+    under its target state; termination is counted and drops the VNF
+    (:meth:`terminate`).
     """
 
     def __init__(self) -> None:
+        # Live VNFs only: TERMINATED is counted, never stored.
         self._states: dict[VnfId, VnfState] = {}
         # Transitions into each state, keyed in first-occurrence order.
         self._counts: dict[VnfState, int] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickled while terminated VNFs were kept: drop them.
+        states = state["_states"]
+        state["_states"] = {
+            vnf: current
+            for vnf, current in states.items()
+            if current is not VnfState.TERMINATED
+        }
+        self.__dict__.update(state)
 
     def create(self, vnf: VnfId) -> None:
         """Register a new VNF in the INSTANTIATED state."""
@@ -90,7 +104,11 @@ class VnfLifecycleManager:
             self._counts[VnfState.INSTANTIATED] = created
 
     def transition(self, vnf: VnfId, to: VnfState) -> None:
-        """Move a VNF to a new state, enforcing legality."""
+        """Move a VNF to a new state, enforcing legality (TERMINATED
+        is :meth:`terminate`)."""
+        if to is VnfState.TERMINATED:
+            self.terminate(vnf)
+            return
         current = self.state_of(vnf)
         if to not in _TRANSITIONS[current]:
             raise LifecycleError(
@@ -137,8 +155,31 @@ class VnfLifecycleManager:
         self.transition(vnf, VnfState.RUNNING)
 
     def terminate(self, vnf: VnfId) -> None:
-        """Any live state → TERMINATED."""
-        self.transition(vnf, VnfState.TERMINATED)
+        """Any live state → TERMINATED: counted, and the VNF dropped."""
+        undo.push(self._terminating(vnf))
+        self._drop(vnf)
+
+    def _terminating(self, vnf: VnfId) -> tuple:
+        """The inverse of terminating ``vnf``, as an undo entry.
+
+        Every held state is live and may terminate, so the lookup is
+        the only check.  Split from :meth:`_drop` so the NFV manager can
+        fold this inverse into its own one entry per termination.
+
+        Raises:
+            UnknownEntityError: on an unknown (or terminated) VNF.
+        """
+        to = VnfState.TERMINATED
+        return (
+            self._restore, vnf, self.state_of(vnf), to, self._counts.get(to)
+        )
+
+    def _drop(self, vnf: VnfId) -> None:
+        """Terminate ``vnf`` unlogged (see :meth:`_terminating`)."""
+        del self._states[vnf]
+        counts = self._counts
+        to = VnfState.TERMINATED
+        counts[to] = counts.get(to, 0) + 1
 
     # Queries -------------------------------------------------------------
     def state_of(self, vnf: VnfId) -> VnfState:
@@ -153,11 +194,7 @@ class VnfLifecycleManager:
 
     def live_vnfs(self) -> list[VnfId]:
         """Ids of VNFs not yet terminated, sorted."""
-        return sorted(
-            vnf
-            for vnf, state in self._states.items()
-            if state is not VnfState.TERMINATED
-        )
+        return sorted(self._states)
 
     def event_counts(self) -> dict[str, int]:
         """Number of transitions into each state (for reports)."""

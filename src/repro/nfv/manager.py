@@ -66,6 +66,17 @@ class CloudNfvManager:
 
         self._recorder = NULL_RECORDER
 
+    def __setstate__(self, state: dict) -> None:
+        # Pickled while terminated instances were kept: keep the live
+        # ones, which the lifecycle (restored first) still holds.
+        live = state["_lifecycle"]
+        state["_instances"] = {
+            vnf: instance
+            for vnf, instance in state["_instances"].items()
+            if vnf in live
+        }
+        self.__dict__.update(state)
+
     def attach_recorder(self, recorder) -> None:
         """Install the journal hook (see :class:`OpRecorder`)."""
         self._recorder = recorder
@@ -286,9 +297,16 @@ class CloudNfvManager:
         return updated
 
     def terminate(self, vnf: VnfId) -> None:
-        """Terminate a VNF and release its resources."""
+        """Terminate a VNF and release its resources.
+
+        The instance record goes with it (its lifecycle counts the
+        termination), so a terminated id is unknown from then on.
+        """
         instance = self.instance_of(vnf)
-        self._lifecycle.terminate(vnf)
+        lifecycle = self._lifecycle
+        undo.push((self._unterminate, instance, lifecycle._terminating(vnf)))
+        del self._instances[vnf]
+        lifecycle._drop(vnf)
         if instance.domain is Domain.OPTICAL:
             self._pool.get(instance.host).evict(vnf)
         else:
@@ -299,6 +317,11 @@ class CloudNfvManager:
                 "VNF instances terminated",
                 domain=instance.domain.value,
             ).inc()
+
+    def _unterminate(self, instance: VnfInstance, lifecycle: tuple) -> None:
+        """Undo one :meth:`terminate`'s record and lifecycle drop."""
+        self._instances[instance.vnf_id] = instance
+        lifecycle[0](*lifecycle[1:])
 
     # ------------------------------------------------------------------
     # Queries
@@ -316,9 +339,8 @@ class CloudNfvManager:
 
     def live_instances(self) -> list[VnfInstance]:
         """Instances not yet terminated, sorted by id."""
-        return [
-            self._instances[vnf] for vnf in self._lifecycle.live_vnfs()
-        ]
+        instances = self._instances
+        return [instances[vnf] for vnf in sorted(instances)]
 
     def instances_on(self, host: str) -> list[VnfInstance]:
         """Live instances on one host node."""

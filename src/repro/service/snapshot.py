@@ -120,10 +120,17 @@ def state_view(stack) -> dict:
         for vm in inventory.all_vms()
     ]
 
-    servers = {
-        server: _vector(inventory.used_capacity(server))
-        for server in fabric.servers()
-    }
+    # Servers with the same used vector object share one row: idle
+    # servers all hold the shared zero vector.  Keyed by identity, not
+    # value, since equal vectors may render differently (8 and 8.0).
+    rows: dict[int, list[float]] = {}
+    servers = {}
+    for server in fabric.servers():
+        used = inventory.used_capacity(server)
+        row = rows.get(id(used))
+        if row is None:
+            row = rows[id(used)] = _vector(used)
+        servers[server] = row
 
     pool = nfv.pool
     instances = [
@@ -164,7 +171,7 @@ def state_view(stack) -> dict:
     counters = {
         "chain_serial": stack._chain_serial,
         "topology_generation": fabric.topology_generation,
-        "actions": [list(action) for action in orchestrator.action_log()],
+        "actions": orchestrator.action_log(),  # tuples render as lists
     }
 
     telemetry = stack.telemetry

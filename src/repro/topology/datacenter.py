@@ -40,6 +40,11 @@ _PARALLEL_ATTR = "parallel"
 #: every default link of a domain shares one instance.
 _OPTICAL_LINK = LinkSpec(domain=Domain.OPTICAL)
 _ELECTRONIC_LINK = LinkSpec(domain=Domain.ELECTRONIC)
+#: The link data of a single default link, likewise shared by every
+#: such link: link data is never written in place (a parallel member
+#: replaces its pair's dict), so sharing one is safe.
+_OPTICAL_DATA = {_LINK_ATTR: _OPTICAL_LINK, _PARALLEL_ATTR: 1}
+_ELECTRONIC_DATA = {_LINK_ATTR: _ELECTRONIC_LINK, _PARALLEL_ATTR: 1}
 
 
 class DataCenterNetwork:
@@ -59,7 +64,9 @@ class DataCenterNetwork:
     The graph lives in two dicts with ``networkx.Graph``'s layout and
     insertion order: ``_node`` maps each node to ``{"kind", "spec"}``
     and ``_adj`` maps each node to ``{neighbor: link data}``, the two
-    directions of a link sharing one data dict.
+    directions of a link sharing one data dict.  Link data is
+    read-only: every single default link of a domain shares one dict,
+    and a parallel member gives its pair a new one.
     """
 
     def __init__(self, name: str = "dcn") -> None:
@@ -227,30 +234,36 @@ class DataCenterNetwork:
                     f"via a ToR"
                 )
         if link is None:
-            link = (
-                _OPTICAL_LINK
+            data = (
+                _OPTICAL_DATA
                 if kind_a is NodeKind.OPS or kind_b is NodeKind.OPS
-                else _ELECTRONIC_LINK
+                else _ELECTRONIC_DATA
             )
+            link = data[_LINK_ATTR]
+        else:
+            data = {_LINK_ATTR: link, _PARALLEL_ATTR: 1}
         adj = self._adj
-        data = adj[a].get(b)
-        if data is not None:
-            existing: LinkSpec = data[_LINK_ATTR]
+        trunk = adj[a].get(b)
+        if trunk is not None:
+            existing: LinkSpec = trunk[_LINK_ATTR]
             if link.domain is not existing.domain:
                 raise TopologyError(
                     f"parallel link {a!r}-{b!r} mixes domains: trunk is "
                     f"{existing.domain}, new member is {link.domain}"
                 )
-            merged = LinkSpec(
-                domain=existing.domain,
-                bandwidth_gbps=existing.bandwidth_gbps + link.bandwidth_gbps,
-            )
-            data[_LINK_ATTR] = merged
-            data[_PARALLEL_ATTR] = data.get(_PARALLEL_ATTR, 1) + 1
-        else:
-            data = {_LINK_ATTR: link, _PARALLEL_ATTR: 1}
-            adj[a][b] = data
-            adj[b][a] = data
+            # A new dict, never an in-place write: the old one may be
+            # shared by every default link (see _OPTICAL_DATA).
+            data = {
+                _LINK_ATTR: LinkSpec(
+                    domain=existing.domain,
+                    bandwidth_gbps=(
+                        existing.bandwidth_gbps + link.bandwidth_gbps
+                    ),
+                ),
+                _PARALLEL_ATTR: trunk.get(_PARALLEL_ATTR, 1) + 1,
+            }
+        adj[a][b] = data
+        adj[b][a] = data
         self._invalidate_cache(links_only=True)
 
     # ------------------------------------------------------------------

@@ -163,9 +163,9 @@ class MachineInventory:
             rack: tuple(sorted(members))
             for rack, members in rack_servers.items()
         }
-        self._guests: dict[ServerId, set[VmId]] = {
-            server: set() for server in servers
-        }
+        # Occupied servers only: a server's guest set exists while it
+        # hosts a VM, so idle servers cost no set.
+        self._guests: dict[ServerId, set[VmId]] = {}
         zero = ResourceVector.zero()  # frozen, so one instance is shared
         self._used: dict[ServerId, ResourceVector] = dict.fromkeys(
             servers, zero
@@ -188,6 +188,15 @@ class MachineInventory:
         for capacity in self._capacity.values():
             total += capacity.cpu_cores
         self._total_cpu_cores = total
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickled while every server held a guest set: drop the empty.
+        state["_guests"] = {
+            server: members
+            for server, members in state["_guests"].items()
+            if members
+        }
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # VM lifecycle
@@ -321,9 +330,9 @@ class MachineInventory:
             UnknownEntityError: on an unknown server.
             PlacementError: when ``machine`` does not fit.
         """
-        if server not in self._guests:
+        capacity = self._capacity.get(server)
+        if capacity is None:
             raise UnknownEntityError("server", server)
-        capacity = self._capacity[server]
         proposed = self._used[server] + machine.demand
         if not proposed.fits_within(capacity):
             raise PlacementError(
@@ -386,10 +395,18 @@ class MachineInventory:
             self._cpu_index.move(server, self._free[server], free)
         self._used[server] = used
         self._free[server] = free
+        guests = self._guests
         if step > 0:
-            self._guests[server].add(machine.vm_id)
+            members = guests.get(server)
+            if members is None:
+                guests[server] = {machine.vm_id}
+            else:
+                members.add(machine.vm_id)
         else:
-            self._guests[server].discard(machine.vm_id)
+            members = guests[server]
+            members.discard(machine.vm_id)
+            if not members:
+                del guests[server]
         hosts = self._service_hosts.setdefault(machine.service, {})
         count = hosts.get(server, 0) + step
         if count:
@@ -447,9 +464,9 @@ class MachineInventory:
 
     def vms_on(self, server: ServerId) -> list[VirtualMachine]:
         """VMs hosted by a server (sorted by id)."""
-        if server not in self._guests:
+        if server not in self._capacity:
             raise UnknownEntityError("server", server)
-        return [self._vms[v] for v in sorted(self._guests[server])]
+        return [self._vms[v] for v in sorted(self._guests.get(server, ()))]
 
     def vms_of_service(self, service_name: str) -> list[VirtualMachine]:
         """All VMs of one service (placed or not), sorted by id."""
@@ -554,7 +571,10 @@ class MachineInventory:
 
     def guest_count(self, server: ServerId) -> int:
         """Number of VMs placed on a server."""
-        return len(self._guests[server])
+        if server not in self._capacity:
+            raise UnknownEntityError("server", server)
+        guests = self._guests.get(server)
+        return 0 if guests is None else len(guests)
 
     def service_hosts(self, service_name: str) -> Mapping[ServerId, int]:
         """Placed VMs of one service per hosting server (read-only)."""

@@ -36,7 +36,11 @@ class TestTransitions:
         manager.update("vnf-0")
         manager.finish_management("vnf-0")
         manager.terminate("vnf-0")
-        assert manager.state_of("vnf-0") is VnfState.TERMINATED
+        # Termination is counted and drops the VNF: its id is unknown.
+        assert manager.event_counts()["terminated"] == 1
+        assert "vnf-0" not in manager
+        with pytest.raises(UnknownEntityError):
+            manager.state_of("vnf-0")
 
     def test_cannot_scale_before_running(self, manager):
         manager.create("vnf-0")
@@ -53,8 +57,10 @@ class TestTransitions:
     def test_terminated_is_final(self, manager):
         manager.create("vnf-0")
         manager.terminate("vnf-0")
-        with pytest.raises(LifecycleError):
+        with pytest.raises(UnknownEntityError):
             manager.start("vnf-0")
+        assert "vnf-0" not in manager
+        assert manager.event_counts() == {"instantiated": 1, "terminated": 1}
 
     def test_terminate_from_any_live_state(self, manager):
         for index, prepare in enumerate(
@@ -69,7 +75,9 @@ class TestTransitions:
             manager.create(vnf)
             prepare(manager, vnf)
             manager.terminate(vnf)
-            assert manager.state_of(vnf) is VnfState.TERMINATED
+            assert vnf not in manager
+            assert manager.event_counts()["terminated"] == index + 1
+        assert manager.live_vnfs() == []
 
     def test_unknown_vnf_raises(self, manager):
         with pytest.raises(UnknownEntityError):
@@ -145,8 +153,10 @@ class TestIllegalTransitionPaths:
     def test_double_terminate_rejected(self, manager):
         manager.create("vnf-0")
         manager.terminate("vnf-0")
-        with pytest.raises(LifecycleError):
+        with pytest.raises(UnknownEntityError):
             manager.terminate("vnf-0")
+        # The refused second terminate is not counted.
+        assert manager.event_counts()["terminated"] == 1
 
     def test_update_before_start_rejected(self, manager):
         manager.create("vnf-0")
@@ -163,8 +173,14 @@ class TestIllegalTransitionPaths:
 
     def test_error_names_both_states(self, manager):
         manager.create("vnf-0")
-        manager.terminate("vnf-0")
+        manager.start("vnf-0")
+        manager.scale("vnf-0")
         with pytest.raises(LifecycleError) as excinfo:
-            manager.start("vnf-0")
+            manager.update("vnf-0")
         message = str(excinfo.value)
-        assert "terminated" in message and "running" in message
+        assert "scaling" in message and "updating" in message
+        # A terminated VNF is gone, so its error names the id instead.
+        manager.terminate("vnf-0")
+        with pytest.raises(UnknownEntityError) as excinfo:
+            manager.start("vnf-0")
+        assert "vnf-0" in str(excinfo.value)

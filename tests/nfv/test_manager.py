@@ -123,7 +123,15 @@ class TestLifecycleOperations:
         instance = manager.deploy_optical("firewall")
         manager.terminate(instance.vnf_id)
         assert manager.pool.total_free() == before
-        assert manager.state_of(instance.vnf_id) is VnfState.TERMINATED
+        # The record goes with the VNF; its lifecycle counts the end.
+        with pytest.raises(UnknownEntityError):
+            manager.state_of(instance.vnf_id)
+        with pytest.raises(UnknownEntityError):
+            manager.instance_of(instance.vnf_id)
+        assert manager.lifecycle.event_counts()["terminated"] == 1
+        with pytest.raises(UnknownEntityError):
+            manager.terminate(instance.vnf_id)
+        assert manager.lifecycle.event_counts()["terminated"] == 1
 
     def test_terminate_electronic_removes_carrier(
         self, manager, populated_inventory

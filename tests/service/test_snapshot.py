@@ -2,11 +2,13 @@
 
 import copyreg
 import io
+import json
 import pickle
 
 import pytest
 
 from repro.exceptions import SnapshotError
+from repro.nfv.lifecycle import VnfState
 from repro.observability import Telemetry
 from repro.observability.runtime import NULL_TELEMETRY
 from repro.service import ControlPlaneService
@@ -17,6 +19,7 @@ from repro.service.snapshot import (
     write_snapshot,
 )
 from repro.stack import AlvcStack
+from repro.topology.elements import ResourceVector
 
 BUILD = dict(n_racks=3, servers_per_rack=3, n_ops=4, seed=11)
 
@@ -128,6 +131,90 @@ class TestSnapshotRoundTrip:
         write_snapshot(stack, path, journal_seq=2)
         assert load_snapshot(path).journal_seq == 2
         assert not (tmp_path / "snap.alvc.tmp").exists()
+
+
+class TestLiveStateView:
+    def test_equal_used_vectors_render_their_own_values(self):
+        stack = _stack()
+        inventory = stack.inventory
+        first, second = stack.fabric.servers()[:2]
+        # Equal vectors, spelled differently: rows are shared by
+        # identity, so neither spelling may stand in for the other.
+        inventory._used[first] = ResourceVector(1, 2, 3)
+        inventory._used[second] = ResourceVector(1.0, 2.0, 3.0)
+        servers = state_view(stack)["servers"]
+        assert json.dumps(servers[first]) == "[1, 2, 3]"
+        assert json.dumps(servers[second]) == "[1.0, 2.0, 3.0]"
+
+    def test_actions_render_as_lists(self):
+        stack = _stack()
+        chain = stack.provision(("firewall",), service="web")
+        stack.teardown(chain.chain_id)
+        canonical = json.dumps(state_view(stack)["counters"]["actions"])
+        assert json.loads(canonical)[-2:] == [
+            ["provision", chain.chain_id],
+            ["delete", chain.chain_id],
+        ]
+
+
+class TestOldLayoutSnapshot:
+    """Snapshots written while terminated VNFs and idle servers' empty
+    guest sets were kept still restore, and drop both on load."""
+
+    def test_restores_to_the_same_digest_holding_live_records(
+        self, tmp_path
+    ):
+        with ControlPlaneService.open(
+            tmp_path / "state", sync="off", **BUILD
+        ) as service:
+            stack = service.stack
+            nfv = stack.orchestrator.nfv_manager
+            inventory = stack.inventory
+            gone = stack.provision(("firewall", "dpi"), service="web")
+            kept = stack.provision(("nat",), service="streaming")
+            records = {vnf: nfv.instance_of(vnf) for vnf in gone.vnf_ids}
+            stack.teardown(gone.chain_id)
+            digest = state_digest(stack)
+            # The old layout: terminated records kept, a set per server.
+            lifecycle = nfv.lifecycle
+            for vnf, instance in records.items():
+                nfv._instances[vnf] = instance
+                lifecycle._states[vnf] = VnfState.TERMINATED
+            for server in stack.fabric.servers():
+                inventory._guests.setdefault(server, set())
+            try:
+                service.snapshot()
+            finally:
+                for vnf in records:
+                    del nfv._instances[vnf]
+                    del lifecycle._states[vnf]
+                for server in stack.fabric.servers():
+                    if not inventory._guests[server]:
+                        del inventory._guests[server]
+            assert state_digest(stack) == digest
+            # A tail after the snapshot replays onto the loaded state.
+            stack.provision(("proxy",), service="backup")
+            digest = state_digest(stack)
+        with ControlPlaneService.open(tmp_path / "state", sync="off") as r:
+            assert r.restore_result.source == "snapshot"
+            restored = r.stack
+            assert state_digest(restored) == digest
+            nfv = restored.orchestrator.nfv_manager
+            live = sorted(
+                vnf for chain in restored.chains() for vnf in chain.vnf_ids
+            )
+            assert kept.vnf_ids[0] in live
+            assert sorted(nfv._instances) == live
+            assert nfv.lifecycle.live_vnfs() == live
+            assert VnfState.TERMINATED not in set(
+                nfv.lifecycle._states.values()
+            )
+            guests = restored.inventory._guests
+            assert all(guests.values())
+            assert set(guests) == {
+                restored.inventory.host_of(vm.vm_id)
+                for vm in restored.inventory.placed_vms()
+            }
 
 
 class TestTelemetryPickling:

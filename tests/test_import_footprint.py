@@ -8,6 +8,11 @@ benchmarks take — a journaled stack's provisions and teardowns, a churn
 workload with chaos, journal and snapshot restores, and an event-driven
 simulation with a link cut — and reports which of the two modules got
 loaded.  It then uses the oracle paths, which must still work.
+
+The same run checks that once :meth:`AlvcStack.build` returns, the
+commands (provision, teardown, VM migration, OPS failure), a churn
+workload with chaos and migration storms, and both restores load no
+further ``repro`` module.
 """
 
 from __future__ import annotations
@@ -42,15 +47,35 @@ from repro.virtualization.vm_placement import (
 )
 from repro.workload import ScenarioConfig, generate_scenario
 
+from repro.exceptions import ALVCError
+
+
+def repro_modules():
+    return {name for name in sys.modules if name.startswith("repro")}
+
+
 work = Path(sys.argv[1])
 journal = work / "state.alvc"
 stack = AlvcStack.build(
     n_racks=4, servers_per_rack=4, n_ops=6, vms_per_service=2,
     exclusive_chains=False, seed=0, journal=journal, sync="off",
 )
+built = repro_modules()
 first = stack.provision(("firewall", "nat"), service="web")
 stack.provision(("dpi",), service="backup")
 stack.teardown(first.chain_id)
+orchestrator = stack.orchestrator
+cluster = orchestrator.cluster_manager.cluster_of_service("web")
+vm = sorted(cluster.vm_ids)[0]
+migrated = False
+for server in stack.fabric.servers():
+    try:
+        orchestrator.handle_vm_migration(vm, server)
+    except ALVCError:
+        continue
+    migrated = True
+    break
+orchestrator.handle_ops_failure(sorted(cluster.al_switches)[0])
 scenario = generate_scenario(
     ScenarioConfig(days=0.5, epochs_per_day=16, arrival_rate=0.9,
                    mean_lifetime_epochs=5.0, slots=3),
@@ -62,6 +87,7 @@ digest = state_digest(stack)
 stack.journal.close()
 replayed = restore_stack(journal)
 restored = restore_stack(journal, work / "state.snap")
+loaded_late = sorted(repro_modules() - built)
 
 fabric = build_alvc_fabric(n_racks=8, servers_per_rack=8, n_ops=8, seed=11)
 inventory = MachineInventory(fabric)
@@ -112,6 +138,8 @@ async def round_trip():
 
 print(json.dumps({
     "epochs": workload.epochs,
+    "migrated": migrated,
+    "loaded_late": loaded_late,
     "replay_parity": state_digest(replayed.stack) == digest,
     "snapshot_parity": (restored.source == "snapshot"
                         and state_digest(restored.stack) == digest),
@@ -138,6 +166,10 @@ def test_runtime_loads_neither_networkx_nor_asyncio(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["epochs"] > 0
+    assert result["migrated"]
+    # Commands, workloads and restores load nothing a build did not:
+    # an import inside a timed command is paid on its first call.
+    assert result["loaded_late"] == []
     assert result["replay_parity"] and result["snapshot_parity"]
     assert result["flows_done"]
     assert result["loaded"] == []
